@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test race bench bench-engine bench-smoke vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build test race bench bench-check bench-engine bench-smoke vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -42,18 +42,21 @@ check: fmt vet staticcheck govulncheck
 test:
 	$(GO) test -shuffle=on ./...
 
-# Race-check the concurrency-heavy packages: the batch query engine, the
-# SW/NN-descent graph construction goroutines, the cross-index conformance
-# suite (whose concurrent-Search property puts every index kind under
-# simultaneous queries), the serving layer (concurrent clients + hot-reload
-# hammering), the scatter-gather router (per-query replica-group fan-out,
-# failover, ejection + background re-admission probing, hedged HTTP
-# attempts), the rollout driver (reloads racing live router traffic), the
-# mutable LSM tier (writers/flushes/compaction racing searches), and the
-# metrics core (lock-free counters/histograms under concurrent
-# Record/Snapshot).
+# Race-check every package: a hand-kept list of "the concurrent ones" goes
+# stale the moment a new package grows a goroutine (it once omitted
+# internal/core, experiments and vptree). -short keeps the slow corpora
+# out; the AllocsPerRun guards skip themselves under -race (the detector
+# allocates) and run in the plain test job.
 race:
-	$(GO) test -race -short -shuffle=on ./internal/engine/... ./internal/knngraph/... ./internal/indextest/... ./internal/lsm/... ./internal/server/... ./internal/router/... ./internal/rollout/... ./internal/obs/...
+	$(GO) test -race -short -shuffle=on ./...
+
+# The benchmark is its own module (bench/go.mod, replace repro => ../), so
+# `go build ./... && go test ./...` at the root never compiles it: vet and
+# short-test it explicitly, or a facade change can break BENCHMARK.json's
+# command unnoticed.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -short ./...
 
 # Short coverage-guided fuzz of the index-file decoder: corrupt blobs must
 # error, never panic or over-allocate. The checked-in seed corpus lives in
@@ -138,4 +141,4 @@ fault-smoke:
 	$(GO) build -o bin/permserve ./cmd/permserve
 	./scripts/fault_smoke.sh bin/permserve
 
-ci: check build test race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke bench-smoke
+ci: check build test bench-check race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke bench-smoke

@@ -220,10 +220,10 @@ func BenchmarkAblation_NAPPParams(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, t := range []int{1, 2, 4} {
-		napp.SetMinShared(t)
+		opts := permsearch.SearchOptions{K: 10, Params: permsearch.SearchParams{MinShared: t}}
 		b.Run("t="+string(rune('0'+t)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sinkN = napp.Search(queries[i%len(queries)], 10)
+				sinkN = napp.SearchAppend(nil, queries[i%len(queries)], opts)
 			}
 		})
 	}

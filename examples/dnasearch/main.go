@@ -78,11 +78,10 @@ func main() {
 
 	// VP-tree with generic-space pruning.
 	start = time.Now()
-	vt, err := permsearch.NewVPTree[[]byte](sp, db, permsearch.VPTreeOptions{Seed: 2})
+	vt, err := permsearch.NewVPTree[[]byte](sp, db, permsearch.VPTreeOptions{AlphaLeft: 2, AlphaRight: 2, Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	vt.SetAlpha(2, 2)
 	measure("vptree (alpha=2)", vt, time.Since(start))
 
 	// Show one query end to end.

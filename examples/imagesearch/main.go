@@ -60,11 +60,11 @@ func main() {
 	}
 
 	start = time.Now()
-	vt, err := permsearch.NewVPTree[[]float32](sp, db, permsearch.VPTreeOptions{Seed: 1})
+	// Stretched pruning: approximate but fast.
+	vt, err := permsearch.NewVPTree[[]float32](sp, db, permsearch.VPTreeOptions{AlphaLeft: 4, AlphaRight: 4, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	vt.SetAlpha(4, 4) // stretched pruning: approximate but fast
 	report("vptree (alpha=4)", vt, time.Since(start))
 
 	start = time.Now()

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/router"
 	"repro/internal/shard"
@@ -95,8 +94,7 @@ func benchKinds(b *testing.B, sp space.Space[[]float32], db [][]float32) []struc
 }
 
 // buildShardedNapp splits db into S hash shards, builds the benchmark NAPP
-// per shard, and wraps them in a scatter-gather Local (GOMAXPROCS fan-out,
-// like a serving process).
+// per shard, and wraps them in a scatter-gather Local.
 func buildShardedNapp(sp space.Space[[]float32], db [][]float32, S int) (index.Index[[]float32], error) {
 	ids, err := shard.IDs(shard.Hash, len(db), S)
 	if err != nil {
@@ -112,7 +110,7 @@ func buildShardedNapp(sp space.Space[[]float32], db [][]float32, S int) (index.I
 		}
 		shards[s] = router.LocalShard[[]float32]{Index: idx, IDs: ids[s]}
 	}
-	loc, err := router.NewLocal(shards, engine.NewPool(0))
+	loc, err := router.NewLocal(shards)
 	return index.Index[[]float32](loc), err
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -49,12 +50,12 @@ func (o *BruteForceOptions) defaults() {
 // distance. Simple, database-friendly, and per Figure 4 competitive when the
 // distance is expensive (SQFD, normalized Levenshtein).
 type BruteForceFilter[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	perms   []int32 // flattened n x m
-	opts    BruteForceOptions
-	scratch scratch.Pool[bfScratch]
+	sp     space.Space[T]
+	data   []T
+	pivots *permutation.Pivots[T]
+	perms  []int32 // flattened n x m
+	opts   BruteForceOptions
+	index.Pooled[T, bfScratch]
 }
 
 // bfScratch is the per-query state of one brute-force filter search: the
@@ -81,13 +82,15 @@ func NewBruteForceFilter[T any](sp space.Space[T], data []T, opts BruteForceOpti
 	if err != nil {
 		return nil, fmt.Errorf("core: sampling pivots: %w", err)
 	}
-	return &BruteForceFilter[T]{
+	f := &BruteForceFilter[T]{
 		sp:     sp,
 		data:   data,
 		pivots: pv,
 		perms:  computePermutations(pv, data),
 		opts:   opts,
-	}, nil
+	}
+	f.Bind(f.search)
+	return f, nil
 }
 
 // Name implements index.Index.
@@ -103,17 +106,6 @@ func (f *BruteForceFilter[T]) Stats() index.Stats {
 
 // Pivots exposes the pivot set (used by the projection-quality experiments).
 func (f *BruteForceFilter[T]) Pivots() *permutation.Pivots[T] { return f.pivots }
-
-// SetGamma adjusts the candidate fraction without rebuilding (gamma only
-// affects search). Not safe to call concurrently with Search.
-func (f *BruteForceFilter[T]) SetGamma(gamma float64) {
-	if gamma > 0 {
-		f.opts.Gamma = gamma
-	}
-}
-
-// Gamma returns the current candidate fraction.
-func (f *BruteForceFilter[T]) Gamma() float64 { return f.opts.Gamma }
 
 // RankAll returns every data point ranked by permutation distance from the
 // query, nearest first. It is the raw filtering stage, exposed for the
@@ -132,28 +124,11 @@ func (f *BruteForceFilter[T]) RankAll(query T) []topk.Neighbor {
 	return out
 }
 
-// Search implements index.Index.
-func (f *BruteForceFilter[T]) Search(query T, k int) []topk.Neighbor {
-	return f.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (f *BruteForceFilter[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := f.scratch.Get()
-	defer f.scratch.Put(s)
-	return f.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (f *BruteForceFilter[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, bfScratch]{fn: f.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers. When tr is non-nil the filter scan, candidate selection
-// and refinement are attributed to it.
-func (f *BruteForceFilter[T]) search(s *bfScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled. When a trace rides the query, the filter scan,
+// candidate selection and refinement are attributed to it.
+func (f *BruteForceFilter[T]) search(s *bfScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}
@@ -164,7 +139,7 @@ func (f *BruteForceFilter[T]) search(s *bfScratch, tr *obs.QueryTrace, dst []top
 	qperm := f.pivots.PermutationWith(&s.perm, query)
 	m := f.pivots.M()
 	n := len(f.data)
-	g := gammaCount(f.opts.Gamma, n, k)
+	g := gammaCount(cmp.Or(opts.Params.Gamma, f.opts.Gamma), n, k)
 
 	cands := scratch.Grow(s.cands, n)
 	s.cands = cands
@@ -189,7 +164,7 @@ func (f *BruteForceFilter[T]) search(s *bfScratch, tr *obs.QueryTrace, dst []top
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
+	return refineInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
 }
 
 // BinFilterOptions configures NewBinFilter.
@@ -226,13 +201,13 @@ func (o *BinFilterOptions) defaults() {
 // experiment (Figure 4f), where 256-bit sketches are 16x smaller than the
 // equivalent full permutations.
 type BinFilter[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	words   int
-	bits    []uint64 // flattened n x words
-	opts    BinFilterOptions
-	scratch scratch.Pool[binScratch]
+	sp     space.Space[T]
+	data   []T
+	pivots *permutation.Pivots[T]
+	words  int
+	bits   []uint64 // flattened n x words
+	opts   BinFilterOptions
+	index.Pooled[T, binScratch]
 }
 
 // binScratch is the per-query state of one binarized filter search.
@@ -266,22 +241,13 @@ func NewBinFilter[T any](sp space.Space[T], data []T, opts BinFilterOptions) (*B
 		perm := pv.Permutation(data[i], nil)
 		permutation.Binarize(perm, int32(opts.Threshold), bits[i*words:(i+1)*words])
 	})
-	return &BinFilter[T]{sp: sp, data: data, pivots: pv, words: words, bits: bits, opts: opts}, nil
+	f := &BinFilter[T]{sp: sp, data: data, pivots: pv, words: words, bits: bits, opts: opts}
+	f.Bind(f.search)
+	return f, nil
 }
 
 // Name implements index.Index.
 func (f *BinFilter[T]) Name() string { return "brute-force-filt-bin" }
-
-// SetGamma adjusts the candidate fraction without rebuilding. Not safe to
-// call concurrently with Search.
-func (f *BinFilter[T]) SetGamma(gamma float64) {
-	if gamma > 0 {
-		f.opts.Gamma = gamma
-	}
-}
-
-// Gamma returns the current candidate fraction.
-func (f *BinFilter[T]) Gamma() float64 { return f.opts.Gamma }
 
 // Stats implements index.Sized.
 func (f *BinFilter[T]) Stats() index.Stats {
@@ -291,27 +257,10 @@ func (f *BinFilter[T]) Stats() index.Stats {
 	}
 }
 
-// Search implements index.Index.
-func (f *BinFilter[T]) Search(query T, k int) []topk.Neighbor {
-	return f.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (f *BinFilter[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := f.scratch.Get()
-	defer f.scratch.Put(s)
-	return f.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (f *BinFilter[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, binScratch]{fn: f.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (f *BinFilter[T]) search(s *binScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled.
+func (f *BinFilter[T]) search(s *binScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}
@@ -322,7 +271,7 @@ func (f *BinFilter[T]) search(s *binScratch, tr *obs.QueryTrace, dst []topk.Neig
 	qperm := f.pivots.PermutationWith(&s.perm, query)
 	s.qbits = permutation.Binarize(qperm, int32(f.opts.Threshold), s.qbits)
 	n := len(f.data)
-	g := gammaCount(f.opts.Gamma, n, k)
+	g := gammaCount(cmp.Or(opts.Params.Gamma, f.opts.Gamma), n, k)
 
 	cands := scratch.Grow(s.cands, n)
 	s.cands = cands
@@ -340,5 +289,5 @@ func (f *BinFilter[T]) search(s *binScratch, tr *obs.QueryTrace, dst []topk.Neig
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
+	return refineInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
 }

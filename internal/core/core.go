@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/permutation"
 	"repro/internal/space"
@@ -72,26 +71,38 @@ func gammaCount(frac float64, n, k int) int {
 }
 
 // refineInto computes true distances from the candidates to the query and
-// appends the k nearest, ordered by increasing distance, to dst. Candidate
-// ids must be unique. Data points are the left distance argument (left
-// queries). The queue is scratch state owned by the caller; refineInto does
-// not allocate when dst and the queue have warmed-up capacity.
+// appends the k nearest, ordered by increasing distance, to dst. Candidates
+// come either as bare ids or as pre-scored neighbors (the output of
+// topk.SelectK, of which only the ids are consumed); ids must be unique.
+// Data points are the left distance argument (left queries). The queue is
+// scratch state owned by the caller; refineInto does not allocate when dst
+// and the queue have warmed-up capacity.
 //
 // Ties at the k boundary are broken by candidate order (first kept wins),
 // so every index must feed candidates in a deterministic order.
-// Both refine helpers take an optional *obs.QueryTrace: when non-nil they
-// attribute the exact-distance loop to the refine stage and the final
-// ordered copy-out to the merge stage (one time.Now pair per stage; no
-// per-candidate bookkeeping, so the traced path stays allocation-free).
-func refineInto[T any](sp space.Space[T], data []T, query T, cands []uint32, k int, q *topk.Queue, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
+//
+// When tr is non-nil the exact-distance loop is attributed to the refine
+// stage and the final ordered copy-out to the merge stage (one time.Now
+// pair per stage; no per-candidate bookkeeping, so the traced path stays
+// allocation-free).
+func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, query T, cands []C, k int, q *topk.Queue, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
 	var t0 time.Time
 	if tr != nil {
 		tr.RefineDistances += int64(len(cands))
 		t0 = time.Now()
 	}
 	q.Reset(k)
-	for _, id := range cands {
-		q.Push(id, sp.Distance(data[id], query))
+	// One switch per query, not per candidate: the refine loop is the
+	// hottest in the repository and stays monomorphic.
+	switch cs := any(cands).(type) {
+	case []uint32:
+		for _, id := range cs {
+			q.Push(id, sp.Distance(data[id], query))
+		}
+	case []topk.Neighbor:
+		for _, c := range cs {
+			q.Push(c.ID, sp.Distance(data[c.ID], query))
+		}
 	}
 	if tr != nil {
 		obs.AddSince(&tr.RefineNs, t0)
@@ -103,103 +114,6 @@ func refineInto[T any](sp space.Space[T], data []T, query T, cands []uint32, k i
 	}
 	return dst
 }
-
-// refineTopInto is refineInto over pre-scored candidates (the output of
-// topk.SelectK); only the IDs are consumed.
-func refineTopInto[T any](sp space.Space[T], data []T, query T, cands []topk.Neighbor, k int, q *topk.Queue, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
-	var t0 time.Time
-	if tr != nil {
-		tr.RefineDistances += int64(len(cands))
-		t0 = time.Now()
-	}
-	q.Reset(k)
-	for _, c := range cands {
-		q.Push(c.ID, sp.Distance(data[c.ID], query))
-	}
-	if tr != nil {
-		obs.AddSince(&tr.RefineNs, t0)
-		t0 = time.Now()
-	}
-	dst = q.AppendResults(dst)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	return dst
-}
-
-// searcher adapts a scratch-threaded search function to index.Searcher: it
-// owns one scratch state S for its lifetime, giving a single-goroutine
-// caller (a batch worker, a serving loop) buffer reuse across queries
-// without any pool traffic. The index's own Search/SearchAppend wrap the
-// same fn around a pooled state instead.
-//
-// A warm scratch state is built under one index generation: its arenas are
-// sized to the data set and its epoch stamps assume the id space is stable.
-// Dynamic indexes (napp_dynamic.go) invalidate that assumption, so a
-// searcher minted by a mutable index carries the index's mutation sequence
-// number and re-mints its scratch (discarding every warmed buffer) the
-// first time it is used after a mutation. That makes a stale searcher
-// self-healing instead of an out-of-range or silently-missing-ids hazard;
-// the cost is one round of re-warming allocations per mutation, and zero
-// extra allocations while the index is unmutated.
-//
-// A searcher also carries an optional *obs.QueryTrace (set via SetTrace,
-// the obs.Traceable interface): when attached, the search fn records the
-// per-stage breakdown into it. The trace pointer is owner-managed state
-// like the scratch itself — callers holding pooled searchers must SetTrace
-// before every query (nil for untraced) so a pointer from a previous query
-// never receives writes.
-type searcher[T, S any] struct {
-	scratch S
-	tr      *obs.QueryTrace
-	fn      func(s *S, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor
-	// mutSeq, when non-nil, reads the owning index's mutation sequence
-	// number; minted is the value the current scratch was built under.
-	mutSeq func() uint64
-	minted uint64
-}
-
-// SetTrace implements obs.Traceable.
-func (w *searcher[T, S]) SetTrace(tr *obs.QueryTrace) { w.tr = tr }
-
-// refresh re-mints the scratch state if the owning index has mutated since
-// the scratch was built. Mutation and search may not run concurrently (the
-// dynamic-maintenance contract), so reading the sequence here is unsynced.
-func (w *searcher[T, S]) refresh() {
-	if w.mutSeq == nil {
-		return
-	}
-	if seq := w.mutSeq(); seq != w.minted {
-		var zero S
-		w.scratch = zero
-		w.minted = seq
-	}
-}
-
-// Search implements index.Searcher.
-func (w *searcher[T, S]) Search(query T, k int) []topk.Neighbor {
-	w.refresh()
-	return w.fn(&w.scratch, w.tr, nil, query, k)
-}
-
-// SearchAppend implements index.Searcher.
-func (w *searcher[T, S]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	w.refresh()
-	return w.fn(&w.scratch, w.tr, dst, query, k)
-}
-
-// compile-time interface checks: every core index mints searchers.
-var (
-	_ index.SearcherProvider[[]float32] = (*BruteForceFilter[[]float32])(nil)
-	_ index.SearcherProvider[[]float32] = (*BinFilter[[]float32])(nil)
-	_ index.SearcherProvider[[]float32] = (*QuantFilter[[]float32])(nil)
-	_ index.SearcherProvider[[]float32] = (*DistVecFilter[[]float32])(nil)
-	_ index.SearcherProvider[[]float32] = (*PPIndex[[]float32])(nil)
-	_ index.SearcherProvider[[]float32] = (*MIFile[[]float32])(nil)
-	_ index.SearcherProvider[[]float32] = (*NAPP[[]float32])(nil)
-	_ index.SearcherProvider[[]float32] = (*OMEDRANK[[]float32])(nil)
-	_ index.SearcherProvider[[]float32] = (*PermVPTree[[]float32])(nil)
-)
 
 // parallelFor runs f(i) for every i in [0, n) on up to GOMAXPROCS
 // goroutines (uniform-cost build loops; see engine.Pool.For). Iterations

@@ -41,6 +41,13 @@ func clustered(seed int64, n, dim int) [][]float32 {
 // recallOf measures k-NN recall of idx against exact search over data.
 func recallOf[T any](t *testing.T, sp space.Space[T], data []T, idx index.Index[T], queries []T, k int) float64 {
 	t.Helper()
+	return recallWith(t, sp, data, idx, queries, index.Options{K: k})
+}
+
+// recallWith is recallOf under explicit per-query options.
+func recallWith[T any](t *testing.T, sp space.Space[T], data []T, idx index.Index[T], queries []T, opts index.Options) float64 {
+	t.Helper()
+	k := opts.K
 	scan := seqscan.New(sp, data)
 	truth := scan.SearchAll(queries, k)
 	var hit, total int
@@ -49,7 +56,7 @@ func recallOf[T any](t *testing.T, sp space.Space[T], data []T, idx index.Index[
 		for _, n := range truth[i] {
 			want[n.ID] = true
 		}
-		for _, n := range idx.Search(q, k) {
+		for _, n := range idx.SearchAppend(nil, q, opts) {
 			if want[n.ID] {
 				hit++
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -22,12 +23,12 @@ import (
 // can be re-verified (BenchmarkAblation_PermVsDistVec and the corresponding
 // test).
 type DistVecFilter[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	vecs    []float32 // flattened n x m raw distances
-	opts    BruteForceOptions
-	scratch scratch.Pool[dvScratch]
+	sp     space.Space[T]
+	data   []T
+	pivots *permutation.Pivots[T]
+	vecs   []float32 // flattened n x m raw distances
+	opts   BruteForceOptions
+	index.Pooled[T, dvScratch]
 }
 
 // dvScratch is the per-query state of one distance-vector filter search.
@@ -62,7 +63,9 @@ func NewDistVecFilter[T any](sp space.Space[T], data []T, opts BruteForceOptions
 			vecs[i*m+j] = float32(d)
 		}
 	})
-	return &DistVecFilter[T]{sp: sp, data: data, pivots: pv, vecs: vecs, opts: opts}, nil
+	f := &DistVecFilter[T]{sp: sp, data: data, pivots: pv, vecs: vecs, opts: opts}
+	f.Bind(f.search)
+	return f, nil
 }
 
 // Name implements index.Index.
@@ -76,37 +79,10 @@ func (f *DistVecFilter[T]) Stats() index.Stats {
 	}
 }
 
-// SetGamma adjusts the candidate fraction without rebuilding.
-func (f *DistVecFilter[T]) SetGamma(gamma float64) {
-	if gamma > 0 {
-		f.opts.Gamma = gamma
-	}
-}
-
-// Gamma returns the current candidate fraction.
-func (f *DistVecFilter[T]) Gamma() float64 { return f.opts.Gamma }
-
-// Search implements index.Index.
-func (f *DistVecFilter[T]) Search(query T, k int) []topk.Neighbor {
-	return f.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (f *DistVecFilter[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := f.scratch.Get()
-	defer f.scratch.Put(s)
-	return f.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (f *DistVecFilter[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, dvScratch]{fn: f.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (f *DistVecFilter[T]) search(s *dvScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled.
+func (f *DistVecFilter[T]) search(s *dvScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}
@@ -122,7 +98,7 @@ func (f *DistVecFilter[T]) search(s *dvScratch, tr *obs.QueryTrace, dst []topk.N
 		qv[j] = float32(d)
 	}
 	n := len(f.data)
-	g := gammaCount(f.opts.Gamma, n, k)
+	g := gammaCount(cmp.Or(opts.Params.Gamma, f.opts.Gamma), n, k)
 	cands := scratch.Grow(s.cands, n)
 	s.cands = cands
 	for i := 0; i < n; i++ {
@@ -140,5 +116,5 @@ func (f *DistVecFilter[T]) search(s *dvScratch, tr *obs.QueryTrace, dst []topk.N
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
+	return refineInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/space"
 )
 
@@ -207,9 +208,9 @@ func TestNAPPMinSharedTradeoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(tShared int) (float64, int64) {
-		na.SetMinShared(tShared)
 		counter.Reset()
-		rec := recallOf[[]float32](t, counter, db, na, queries, 10)
+		opts := index.Options{K: 10, Params: index.Params{MinShared: tShared}}
+		rec := recallWith[[]float32](t, counter, db, na, queries, opts)
 		return rec, counter.Count()
 	}
 	rec1, cost1 := run(1)

@@ -80,9 +80,9 @@ type MIFile[T any] struct {
 	pivots   *permutation.Pivots[T]
 	postings [][]miPosting
 	opts     MIFileOptions
-	// scratch pools per-query search state; the epoch-stamped gain arena
-	// replaces the former per-query make([]int32, n).
-	scratch scratch.Pool[miScratch]
+	// Pooled runs search on pooled per-query state; the epoch-stamped gain
+	// arena replaces the former per-query make([]int32, n).
+	index.Pooled[T, miScratch]
 }
 
 // miScratch is the per-query state of one MI-file search.
@@ -137,7 +137,9 @@ func NewMIFileWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Piv
 			return list[a].id < list[b].id
 		})
 	}
-	return &MIFile[T]{sp: sp, data: data, pivots: pv, postings: postings, opts: opts}, nil
+	mf := &MIFile[T]{sp: sp, data: data, pivots: pv, postings: postings, opts: opts}
+	mf.Bind(mf.search)
+	return mf, nil
 }
 
 // Name implements index.Index.
@@ -158,27 +160,10 @@ func (mf *MIFile[T]) Stats() index.Stats {
 // Options returns the effective (defaulted) parameters.
 func (mf *MIFile[T]) Options() MIFileOptions { return mf.opts }
 
-// Search implements index.Index.
-func (mf *MIFile[T]) Search(query T, k int) []topk.Neighbor {
-	return mf.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (mf *MIFile[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := mf.scratch.Get()
-	defer mf.scratch.Put(s)
-	return mf.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (mf *MIFile[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, miScratch]{fn: mf.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (mf *MIFile[T]) search(s *miScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled.
+func (mf *MIFile[T]) search(s *miScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}
@@ -234,5 +219,5 @@ func (mf *MIFile[T]) search(s *miScratch, tr *obs.QueryTrace, dst []topk.Neighbo
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(mf.sp, mf.data, query, best, k, &s.queue, dst, tr)
+	return refineInto(mf.sp, mf.data, query, best, k, &s.queue, dst, tr)
 }

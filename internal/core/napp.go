@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -85,20 +86,14 @@ type NAPP[T any] struct {
 	// deleted holds tombstoned ids (see napp_dynamic.go); nil until the
 	// first Delete.
 	deleted map[uint32]struct{}
-	// mutSeq counts mutations (Add/Delete/Compact). Searchers minted
-	// before a mutation compare it against the value they were built under
-	// and re-mint their scratch state, so a warm searcher can never search
-	// with arenas sized or stamped for a previous index generation.
-	mutSeq uint64
-	// scratch pools per-query search state. Where the paper resets
+	// Pooled runs search on pooled per-query state. Where the paper resets
 	// ScanCount counters with a per-query O(N) memset, the pooled
 	// epoch-stamped arena makes the reset O(1); the remaining buffers are
 	// grow-only, so a warm steady state performs no allocations.
-	scratch scratch.Pool[nappScratch]
+	index.Pooled[T, nappScratch]
 }
 
-// nappScratch is the per-query state of one NAPP search. It lives either in
-// the index's pool (plain Search) or inside a per-worker index.Searcher.
+// nappScratch is the per-query state of one NAPP search.
 type nappScratch struct {
 	perm     permutation.Scratch
 	counters scratch.Counters
@@ -144,7 +139,9 @@ func NewNAPPWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Pivot
 			postings[p] = append(postings[p], uint32(i))
 		}
 	}
-	return &NAPP[T]{sp: sp, data: data, pivots: pv, postings: postings, opts: opts}, nil
+	na := &NAPP[T]{sp: sp, data: data, pivots: pv, postings: postings, opts: opts}
+	na.Bind(na.search)
+	return na, nil
 }
 
 // Name implements index.Index.
@@ -165,48 +162,10 @@ func (na *NAPP[T]) Stats() index.Stats {
 // Options returns the effective (defaulted) parameters.
 func (na *NAPP[T]) Options() NAPPOptions { return na.opts }
 
-// SetMinShared adjusts t without rebuilding (t only affects search). Not
-// safe to call concurrently with Search.
-func (na *NAPP[T]) SetMinShared(t int) {
-	if t > 0 {
-		na.opts.MinShared = t
-	}
-}
-
-// Search implements index.Index.
-func (na *NAPP[T]) Search(query T, k int) []topk.Neighbor {
-	return na.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (na *NAPP[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := na.scratch.Get()
-	defer na.scratch.Put(s)
-	return na.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider. NAPP is mutable
-// (napp_dynamic.go), so its searchers track the mutation sequence and
-// re-mint their scratch after an Add/Delete/Compact rather than searching
-// with state built for the previous index generation.
-func (na *NAPP[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, nappScratch]{
-		fn:     na.search,
-		mutSeq: func() uint64 { return na.mutSeq },
-		minted: na.mutSeq,
-	}
-}
-
-// MutationSeq returns the number of mutations (Add/Delete/Compact) applied
-// to the index so far. A searcher is stale when the index's sequence has
-// advanced past the one the searcher was minted under; stale searchers heal
-// themselves on next use.
-func (na *NAPP[T]) MutationSeq() uint64 { return na.mutSeq }
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (na *NAPP[T]) search(s *nappScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled.
+func (na *NAPP[T]) search(s *nappScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}
@@ -216,7 +175,7 @@ func (na *NAPP[T]) search(s *nappScratch, tr *obs.QueryTrace, dst []topk.Neighbo
 	}
 	qorder := na.pivots.OrderWith(&s.perm, query)
 	ms := na.opts.NumPivotSearch
-	t := na.opts.MinShared
+	t := cmp.Or(opts.Params.MinShared, na.opts.MinShared)
 
 	// ScanCount merge: one counter per data point, logically zeroed per
 	// query by the arena's epoch bump (the paper's memset, made O(1)).

@@ -12,10 +12,8 @@ import "fmt"
 // Delete tombstones an id; Search skips tombstoned candidates, and Compact
 // rebuilds posting lists to reclaim space once enough deletions accumulate.
 //
-// Every mutation advances the index's mutation sequence number, which warm
-// index.Searchers check on each use: a searcher minted before a mutation
-// re-mints its scratch state instead of searching with arenas built for the
-// previous index generation (see searcher.refresh in core.go).
+// Pooled query scratch survives mutations: every buffer is sized (or grown)
+// from the live data set at the start of each query.
 //
 // These methods must not be called concurrently with Search or each other.
 
@@ -29,7 +27,6 @@ func (na *NAPP[T]) Add(x T) uint32 {
 	for _, p := range order[:na.opts.NumPivotIndex] {
 		na.postings[p] = append(na.postings[p], id)
 	}
-	na.mutSeq++
 	return id
 }
 
@@ -43,7 +40,6 @@ func (na *NAPP[T]) Delete(id uint32) error {
 		na.deleted = make(map[uint32]struct{})
 	}
 	na.deleted[id] = struct{}{}
-	na.mutSeq++
 	return nil
 }
 
@@ -62,7 +58,6 @@ func (na *NAPP[T]) Compact() {
 	if len(na.deleted) == 0 {
 		return
 	}
-	na.mutSeq++
 	for p, list := range na.postings {
 		kept := list[:0]
 		for _, id := range list {

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/space"
+	"repro/internal/topk"
 )
 
 func TestNAPPAddFindsNewPoint(t *testing.T) {
@@ -144,11 +146,11 @@ func postingCells[T any](na *NAPP[T]) int {
 	return cells
 }
 
-func TestNAPPStaleSearcherHealsAfterMutation(t *testing.T) {
-	// A warm Searcher minted before Add/Delete holds scratch built for the
-	// old index generation. It must notice the mutation sequence advanced
-	// and re-mint, so searches through the stale handle still see every
-	// mutation (and can never index scratch out of range).
+func TestNAPPWarmScratchSurvivesMutation(t *testing.T) {
+	// Query scratch pooled inside the index is warmed under one index
+	// generation (arenas sized to the data set) and reused after Add/Delete.
+	// Searches through it must still see every mutation and can never index
+	// scratch out of range.
 	db, queries := queriesFrom(clustered(45, 820, 8), 20)
 	na, err := NewNAPP[[]float32](space.L2{}, db, NAPPOptions{
 		NumPivots: 64, NumPivotIndex: 16, MinShared: 1, Seed: 6,
@@ -156,41 +158,24 @@ func TestNAPPStaleSearcherHealsAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := na.NewSearcher()
+	dst := make([]topk.Neighbor, 0, 8)
 	for _, q := range queries {
-		s.Search(q, 5) // warm the scratch under the original generation
+		dst = na.SearchAppend(dst[:0], q, index.Options{K: 5}) // warm under the original generation
 	}
-	seq0 := na.MutationSeq()
 
 	far := []float32{2e4, 2e4, 2e4, 2e4, 2e4, 2e4, 2e4, 2e4}
 	id := na.Add(far)
-	if na.MutationSeq() == seq0 {
-		t.Fatal("Add did not advance the mutation sequence")
-	}
-	res := s.Search(far, 3)
+	res := na.SearchAppend(dst[:0], far, index.Options{K: 3})
 	if len(res) == 0 || res[0].ID != id || res[0].Dist != 0 {
-		t.Fatalf("stale searcher missed the added point: %+v", res)
+		t.Fatalf("warm scratch missed the added point: %+v", res)
 	}
 
 	if err := na.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	for _, nb := range s.Search(far, 5) {
+	for _, nb := range na.SearchAppend(dst[:0], far, index.Options{K: 5}) {
 		if nb.ID == id {
-			t.Fatal("stale searcher returned a deleted id")
-		}
-	}
-
-	// The healed searcher keeps matching the index's own answers.
-	for _, q := range queries {
-		a, b := s.Search(q, 10), na.Search(q, 10)
-		if len(a) != len(b) {
-			t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("searcher diverges from index at %d: %+v vs %+v", i, a[i], b[i])
-			}
+			t.Fatal("warm scratch returned a deleted id")
 		}
 	}
 }

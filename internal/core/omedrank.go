@@ -64,7 +64,7 @@ type OMEDRANK[T any] struct {
 	pivotIDs []int32
 	voters   []omedVoter
 	opts     OMEDRANKOptions
-	scratch  scratch.Pool[omedScratch]
+	index.Pooled[T, omedScratch]
 }
 
 // omedScratch is the per-query state of one OMEDRANK search. Quorum counts
@@ -93,6 +93,7 @@ func NewOMEDRANK[T any](sp space.Space[T], data []T, opts OMEDRANKOptions) (*OME
 	}
 	r := rand.New(rand.NewSource(opts.Seed))
 	om := &OMEDRANK[T]{sp: sp, data: data, opts: opts}
+	om.Bind(om.search)
 	for _, vi := range r.Perm(len(data))[:opts.NumVoters] {
 		om.pivots = append(om.pivots, data[vi])
 		om.pivotIDs = append(om.pivotIDs, int32(vi))
@@ -139,27 +140,10 @@ func (om *OMEDRANK[T]) Stats() index.Stats {
 	}
 }
 
-// Search implements index.Index.
-func (om *OMEDRANK[T]) Search(query T, k int) []topk.Neighbor {
-	return om.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (om *OMEDRANK[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := om.scratch.Get()
-	defer om.scratch.Put(s)
-	return om.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (om *OMEDRANK[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, omedScratch]{fn: om.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (om *OMEDRANK[T]) search(s *omedScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled.
+func (om *OMEDRANK[T]) search(s *omedScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}

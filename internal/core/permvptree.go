@@ -8,7 +8,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/permutation"
-	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vptree"
@@ -54,22 +53,19 @@ func (o *PermVPTreeOptions) defaults() {
 // VP-tree in the original space or slower than NAPP — reproduced in the
 // ablation benches.
 type PermVPTree[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	perms   [][]int32
-	tree    *vptree.Tree[[]int32]
-	opts    PermVPTreeOptions
-	scratch scratch.Pool[pvtScratch]
+	sp     space.Space[T]
+	data   []T
+	pivots *permutation.Pivots[T]
+	perms  [][]int32
+	tree   *vptree.Tree[[]int32]
+	opts   PermVPTreeOptions
+	index.Pooled[T, pvtScratch]
 }
 
 // pvtScratch is the per-query state of one permutation-VP-tree search: the
-// query permutation buffers, the candidate id list, and the refine queue.
-// The embedded metric tree's own traversal still allocates per call; making
-// vptree scratch-aware is future work.
+// query permutation buffers and the refine queue.
 type pvtScratch struct {
 	perm  permutation.Scratch
-	ids   []uint32
 	queue topk.Queue
 }
 
@@ -102,7 +98,9 @@ func NewPermVPTree[T any](sp space.Space[T], data []T, opts PermVPTreeOptions) (
 	if err != nil {
 		return nil, fmt.Errorf("core: building permutation VP-tree: %w", err)
 	}
-	return &PermVPTree[T]{sp: sp, data: data, pivots: pv, perms: perms, tree: tree, opts: opts}, nil
+	pt := &PermVPTree[T]{sp: sp, data: data, pivots: pv, perms: perms, tree: tree, opts: opts}
+	pt.Bind(pt.search)
+	return pt, nil
 }
 
 // Name implements index.Index.
@@ -117,29 +115,12 @@ func (pt *PermVPTree[T]) Stats() index.Stats {
 	}
 }
 
-// Search implements index.Index.
-func (pt *PermVPTree[T]) Search(query T, k int) []topk.Neighbor {
-	return pt.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst, reusing
-// pooled scratch for the query permutation and the refine stage.
-func (pt *PermVPTree[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := pt.scratch.Get()
-	defer pt.scratch.Put(s)
-	return pt.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (pt *PermVPTree[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, pvtScratch]{fn: pt.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers. The filter stage here includes the VP-tree traversal
-// (which allocates internally — the tree predates the scratch regime and
-// is outside the zero-alloc guards).
-func (pt *PermVPTree[T]) search(s *pvtScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled. The filter stage here includes the VP-tree
+// traversal (whose returned candidate list is this path's one allocation
+// besides the result, outside the zero-alloc guards).
+func (pt *PermVPTree[T]) search(s *pvtScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}
@@ -150,14 +131,9 @@ func (pt *PermVPTree[T]) search(s *pvtScratch, tr *obs.QueryTrace, dst []topk.Ne
 	qperm := pt.pivots.PermutationWith(&s.perm, query)
 	g := gammaCount(pt.opts.Gamma, len(pt.data), k)
 	cands := pt.tree.Search(qperm, g)
-	ids := s.ids[:0]
-	for _, c := range cands {
-		ids = append(ids, c.ID)
-	}
-	s.ids = ids
 	if tr != nil {
-		tr.FilterCandidates += int64(len(ids))
+		tr.FilterCandidates += int64(len(cands))
 		obs.AddSince(&tr.FilterNs, t0)
 	}
-	return refineInto(pt.sp, pt.data, query, ids, k, &s.queue, dst, tr)
+	return refineInto(pt.sp, pt.data, query, cands, k, &s.queue, dst, tr)
 }

@@ -69,6 +69,7 @@ func LoadBruteForceFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) 
 		return nil, err
 	}
 	f := &BruteForceFilter[T]{sp: sp, data: data}
+	f.Bind(f.search)
 	f.pivots = loadPivots(cr, sp, data)
 	f.opts.NumPivots = cr.Int()
 	f.opts.Gamma = cr.F64()
@@ -110,6 +111,7 @@ func LoadBinFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*BinFi
 		return nil, err
 	}
 	f := &BinFilter[T]{sp: sp, data: data}
+	f.Bind(f.search)
 	f.pivots = loadPivots(cr, sp, data)
 	f.opts.NumPivots = cr.Int()
 	f.opts.Threshold = cr.Int()
@@ -155,6 +157,7 @@ func LoadQuantFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Qua
 		return nil, err
 	}
 	f := &QuantFilter[T]{sp: sp, data: data}
+	f.Bind(f.search)
 	f.pivots = loadPivots(cr, sp, data)
 	f.opts.NumPivots = cr.Int()
 	f.opts.PrefixLen = cr.Int()
@@ -197,6 +200,7 @@ func LoadDistVecFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*D
 		return nil, err
 	}
 	f := &DistVecFilter[T]{sp: sp, data: data}
+	f.Bind(f.search)
 	f.pivots = loadPivots(cr, sp, data)
 	f.opts.NumPivots = cr.Int()
 	f.opts.Gamma = cr.F64()
@@ -255,6 +259,7 @@ func LoadPPIndex[T any](cr *codec.Reader, sp space.Space[T], data []T) (*PPIndex
 		return nil, err
 	}
 	pp := &PPIndex[T]{sp: sp, data: data}
+	pp.Bind(pp.search)
 	pp.opts.NumPivots = cr.Int()
 	pp.opts.PrefixLen = cr.Int()
 	pp.opts.Copies = cr.Int()
@@ -349,6 +354,7 @@ func LoadMIFile[T any](cr *codec.Reader, sp space.Space[T], data []T) (*MIFile[T
 		return nil, err
 	}
 	mf := &MIFile[T]{sp: sp, data: data}
+	mf.Bind(mf.search)
 	mf.pivots = loadPivots(cr, sp, data)
 	mf.opts.NumPivots = cr.Int()
 	mf.opts.NumPivotIndex = cr.Int()
@@ -428,6 +434,7 @@ func LoadNAPP[T any](cr *codec.Reader, sp space.Space[T], data []T) (*NAPP[T], e
 		return nil, err
 	}
 	na := &NAPP[T]{sp: sp, data: data}
+	na.Bind(na.search)
 	na.pivots = loadPivots(cr, sp, data)
 	na.opts.NumPivots = cr.Int()
 	na.opts.NumPivotIndex = cr.Int()
@@ -505,6 +512,7 @@ func LoadOMEDRANK[T any](cr *codec.Reader, sp space.Space[T], data []T) (*OMEDRA
 		return nil, err
 	}
 	om := &OMEDRANK[T]{sp: sp, data: data}
+	om.Bind(om.search)
 	ids := cr.I32s()
 	if cr.Err() == nil {
 		for _, id := range ids {
@@ -589,6 +597,7 @@ func LoadPermVPTree[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Perm
 		return nil, err
 	}
 	pt := &PermVPTree[T]{sp: sp, data: data}
+	pt.Bind(pt.search)
 	pt.pivots = loadPivots(cr, sp, data)
 	pt.opts.NumPivots = cr.Int()
 	pt.opts.Gamma = cr.F64()

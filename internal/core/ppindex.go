@@ -99,11 +99,11 @@ type ppTree[T any] struct {
 // candidates, the prefix is shortened (the paper's recursive fallback).
 // Multiple tree copies with independent pivot samples are unioned.
 type PPIndex[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	trees   []ppTree[T]
-	opts    PPIndexOptions
-	scratch scratch.Pool[ppScratch]
+	sp    space.Space[T]
+	data  []T
+	trees []ppTree[T]
+	opts  PPIndexOptions
+	index.Pooled[T, ppScratch]
 }
 
 // ppScratch is the per-query state of one PP-index search. seen is an
@@ -131,6 +131,7 @@ func NewPPIndex[T any](sp space.Space[T], data []T, opts PPIndexOptions) (*PPInd
 		}
 	}
 	idx := &PPIndex[T]{sp: sp, data: data, opts: opts}
+	idx.Bind(idx.search)
 	r := rand.New(rand.NewSource(opts.Seed))
 	for c := 0; c < opts.Copies; c++ {
 		pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
@@ -176,27 +177,10 @@ func (pp *PPIndex[T]) Stats() index.Stats {
 	}
 }
 
-// Search implements index.Index.
-func (pp *PPIndex[T]) Search(query T, k int) []topk.Neighbor {
-	return pp.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (pp *PPIndex[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := pp.scratch.Get()
-	defer pp.scratch.Put(s)
-	return pp.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (pp *PPIndex[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, ppScratch]{fn: pp.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (pp *PPIndex[T]) search(s *ppScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled.
+func (pp *PPIndex[T]) search(s *ppScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -55,13 +56,13 @@ func (o *QuantFilterOptions) defaults() {
 // bits per rank preserve enough rank geometry to filter well while the scan
 // stays word-wise and cache-linear like the binary one.
 type QuantFilter[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	words   int
-	sigs    []uint64 // flattened n x words
-	opts    QuantFilterOptions
-	scratch scratch.Pool[quantScratch]
+	sp     space.Space[T]
+	data   []T
+	pivots *permutation.Pivots[T]
+	words  int
+	sigs   []uint64 // flattened n x words
+	opts   QuantFilterOptions
+	index.Pooled[T, quantScratch]
 }
 
 // quantScratch is the per-query state of one quantized filter search.
@@ -96,22 +97,13 @@ func NewQuantFilter[T any](sp space.Space[T], data []T, opts QuantFilterOptions)
 		perm := pv.Permutation(data[i], nil)
 		permutation.Quantize(perm, opts.PrefixLen, sigs[i*words:(i+1)*words])
 	})
-	return &QuantFilter[T]{sp: sp, data: data, pivots: pv, words: words, sigs: sigs, opts: opts}, nil
+	f := &QuantFilter[T]{sp: sp, data: data, pivots: pv, words: words, sigs: sigs, opts: opts}
+	f.Bind(f.search)
+	return f, nil
 }
 
 // Name implements index.Index.
 func (f *QuantFilter[T]) Name() string { return "brute-force-filt-quant" }
-
-// SetGamma adjusts the candidate fraction without rebuilding. Not safe to
-// call concurrently with Search.
-func (f *QuantFilter[T]) SetGamma(gamma float64) {
-	if gamma > 0 {
-		f.opts.Gamma = gamma
-	}
-}
-
-// Gamma returns the current candidate fraction.
-func (f *QuantFilter[T]) Gamma() float64 { return f.opts.Gamma }
 
 // Stats implements index.Sized.
 func (f *QuantFilter[T]) Stats() index.Stats {
@@ -121,27 +113,10 @@ func (f *QuantFilter[T]) Stats() index.Stats {
 	}
 }
 
-// Search implements index.Index.
-func (f *QuantFilter[T]) Search(query T, k int) []topk.Neighbor {
-	return f.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (f *QuantFilter[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := f.scratch.Get()
-	defer f.scratch.Put(s)
-	return f.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (f *QuantFilter[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, quantScratch]{fn: f.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (f *QuantFilter[T]) search(s *quantScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// search is the index's one query path, run on pooled scratch by the
+// embedded index.Pooled.
+func (f *QuantFilter[T]) search(s *quantScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}
@@ -152,7 +127,7 @@ func (f *QuantFilter[T]) search(s *quantScratch, tr *obs.QueryTrace, dst []topk.
 	qperm := f.pivots.PermutationWith(&s.perm, query)
 	s.qsig = permutation.Quantize(qperm, f.opts.PrefixLen, s.qsig)
 	n := len(f.data)
-	g := gammaCount(f.opts.Gamma, n, k)
+	g := gammaCount(cmp.Or(opts.Params.Gamma, f.opts.Gamma), n, k)
 
 	cands := scratch.Grow(s.cands, n)
 	s.cands = cands
@@ -181,5 +156,5 @@ func (f *QuantFilter[T]) search(s *quantScratch, tr *obs.QueryTrace, dst []topk.
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
+	return refineInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
 }

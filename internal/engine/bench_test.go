@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/index"
 	"repro/internal/seqscan"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -37,7 +38,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			p := engine.NewPool(workers)
 			for i := 0; i < b.N; i++ {
-				benchSink = engine.SearchBatchPool[[]float32](p, scan, queries, k)
+				benchSink, _ = engine.SearchBatch[[]float32](p, scan, queries, index.Options{K: k})
 			}
 		})
 	}

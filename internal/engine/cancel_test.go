@@ -59,24 +59,28 @@ type slowIndex struct {
 }
 
 func (s *slowIndex) Search(q []float32, k int) []topk.Neighbor {
+	return s.SearchAppend(nil, q, index.Options{K: k})
+}
+
+func (s *slowIndex) SearchAppend(dst []topk.Neighbor, q []float32, opts index.Options) []topk.Neighbor {
 	s.calls.Add(1)
 	time.Sleep(2 * time.Millisecond)
-	return s.inner.Search(q, k)
+	return s.inner.SearchAppend(dst, q, opts)
 }
 
 func (s *slowIndex) Name() string { return "slow" }
 
-// TestSearchBatchPoolCtxCanceled pins the serving-path contract the ISSUE
+// TestSearchBatchCtxCanceled pins the serving-path contract the ISSUE
 // calls "a canceled batch returns promptly": cancellation mid-batch yields
 // a nil result and ctx.Err() well before the remaining queries would have
 // run, and a pre-canceled context answers nothing at all.
-func TestSearchBatchPoolCtxCanceled(t *testing.T) {
+func TestSearchBatchCtxCanceled(t *testing.T) {
 	db, queries := batchData(t, 50, 256)
 	idx := &slowIndex{inner: seqscan.New[[]float32](space.L2{}, db)}
 
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := engine.SearchBatchPoolCtx(pre, engine.NewPool(4), index.Index[[]float32](idx), queries, 3)
+	out, err := engine.SearchBatch(engine.NewPool(4), index.Index[[]float32](idx), queries, index.Options{K: 3, Ctx: pre})
 	if out != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled batch = (%v, %v), want (nil, context.Canceled)", out, err)
 	}
@@ -90,7 +94,7 @@ func TestSearchBatchPoolCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	out, err = engine.SearchBatchPoolCtx(ctx, engine.NewPool(4), index.Index[[]float32](idx), queries, 3)
+	out, err = engine.SearchBatch(engine.NewPool(4), index.Index[[]float32](idx), queries, index.Options{K: 3, Ctx: ctx})
 	elapsed := time.Since(start)
 	if out != nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("canceled batch = (%v, %v), want (nil, context.DeadlineExceeded)", out, err)

@@ -10,10 +10,8 @@
 // an explicit opt-in that leaves the serial semantics intact: SearchBatch is
 // defined to return exactly what a serial Search loop would return, in the
 // same order. Second, the serving stack builds on the same fan-out/fan-in
-// shape — the HTTP daemon's batch requests run through SearchBatchPool, and
-// the sharded tier's scatter-gather (internal/router.Local) fans each query
-// across shard indexes on a Pool — so one audited implementation beats N
-// ad-hoc WaitGroups.
+// shape — the HTTP daemon's batch requests run through SearchBatch — so one
+// audited implementation beats N ad-hoc WaitGroups.
 package engine
 
 import (
@@ -193,95 +191,59 @@ func (p Pool) ForWithIDCtx(ctx context.Context, n int, f func(worker, i int)) er
 	return ctx.Err()
 }
 
-// SearchBatch answers a batch of queries against idx on a default
-// (GOMAXPROCS) pool. See SearchBatchPool for the contract.
-func SearchBatch[T any](idx index.Index[T], queries []T, k int) [][]topk.Neighbor {
-	return SearchBatchPool(Pool{}, idx, queries, k)
-}
-
-// SearchBatchPool answers a batch of queries concurrently. out[i] is
+// SearchBatch answers a batch of queries concurrently on p. out[i] is
 // exactly what the i-th call of the serial loop
 //
-//	for i, q := range queries { out[i] = idx.Search(q, k) }
+//	for i, q := range queries { out[i] = idx.SearchAppend(nil, q, opts) }
 //
 // would have produced, regardless of worker count or scheduling: each
-// worker writes only its own queries' slots, and indexes whose Search
+// worker writes only its own queries' slots, and indexes whose search
 // consumes shared mutable state (the proximity graph's entry-point counter)
 // implement index.Batcher to pin each query to the seed its serial-loop
 // position would have drawn.
 //
-// A Search that panics cancels the rest of the batch and re-panics on the
+// A search that panics cancels the rest of the batch and re-panics on the
 // caller (see Pool.For), exactly as a serial loop would fail.
 //
-// Indexes implementing index.SearcherProvider get per-worker scratch
-// ownership: each worker mints one Searcher lazily and answers all its
-// queries through it, so the batch reuses one counter arena and buffer set
-// per worker instead of cycling the index's scratch pool once per query.
-// Searchers are defined to answer exactly like Search, so the serial-loop
-// contract above is unchanged.
-func SearchBatchPool[T any](p Pool, idx index.Index[T], queries []T, k int) [][]topk.Neighbor {
-	out, _ := SearchBatchPoolCtx(context.Background(), p, idx, queries, k)
-	return out
-}
-
-// SearchBatchPoolCtx is SearchBatchPool with cooperative cancellation:
-// workers stop pulling queries once ctx is done and the call returns
-// ctx.Err() with a nil result — a partially-answered batch is never
-// returned, matching the all-or-nothing contract of the serial loop.
-// (Indexes implementing their own index.Batcher run to completion; the
-// batcher interface predates cancellation and its implementations pin
-// cross-query state that cannot stop midway.)
-func SearchBatchPoolCtx[T any](ctx context.Context, p Pool, idx index.Index[T], queries []T, k int) ([][]topk.Neighbor, error) {
-	return SearchBatchTracedPoolCtx(ctx, p, idx, queries, k, nil)
-}
-
-// SearchBatchTracedPoolCtx is SearchBatchPoolCtx with stage attribution:
-// when tr is non-nil and the index's searchers implement obs.Traceable,
-// each worker records its queries' stage counters and timings into a
-// private per-worker trace (no cross-worker contention on the hot path),
-// and the per-worker traces are summed into tr after the batch completes.
-// A nil tr, or an index without traceable searchers, costs nothing.
-// Because workers run concurrently, the summed stage times measure total
-// work, not wall-clock elapsed time.
-func SearchBatchTracedPoolCtx[T any](ctx context.Context, p Pool, idx index.Index[T], queries []T, k int, tr *obs.QueryTrace) ([][]topk.Neighbor, error) {
-	if err := ctx.Err(); err != nil {
+// Cancellation is cooperative: workers stop pulling queries once opts.Ctx
+// is done and the call returns its error with a nil result — a
+// partially-answered batch is never returned, matching the all-or-nothing
+// contract of the serial loop. (Indexes implementing their own
+// index.Batcher run to completion; their implementations pin cross-query
+// state that cannot stop midway.)
+//
+// When opts.Trace is non-nil each worker records its queries' stage
+// counters and timings into a private per-worker trace (no cross-worker
+// contention on the hot path), and the per-worker traces are summed into
+// opts.Trace after the batch completes. Because workers run concurrently,
+// the summed stage times measure total work, not wall-clock elapsed time.
+func SearchBatch[T any](p Pool, idx index.Index[T], queries []T, opts index.Options) ([][]topk.Neighbor, error) {
+	if err := opts.Err(); err != nil {
 		return nil, err
 	}
 	if b, ok := idx.(index.Batcher[T]); ok {
-		return b.SearchBatch(queries, k, p.Workers()), nil
+		return b.SearchBatch(queries, opts, p.Workers()), nil
+	}
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	out := make([][]topk.Neighbor, len(queries))
-	var err error
-	if sp, ok := idx.(index.SearcherProvider[T]); ok {
-		// Slots are indexed by worker id; each is touched by exactly one
-		// worker goroutine (ForWithIDCtx's contract), so no locking.
-		searchers := make([]index.Searcher[T], p.clamp(len(queries)))
-		var traces []obs.QueryTrace
-		if tr != nil {
-			traces = make([]obs.QueryTrace, len(searchers))
+	// Slots are indexed by worker id; each is touched by exactly one
+	// worker goroutine (ForWithIDCtx's contract), so no locking.
+	var traces []obs.QueryTrace
+	if opts.Trace != nil {
+		traces = make([]obs.QueryTrace, p.clamp(len(queries)))
+	}
+	err := p.ForWithIDCtx(ctx, len(queries), func(worker, i int) {
+		wopts := opts
+		if traces != nil {
+			wopts.Trace = &traces[worker]
 		}
-		err = p.ForWithIDCtx(ctx, len(queries), func(worker, i int) {
-			s := searchers[worker]
-			if s == nil {
-				s = sp.NewSearcher()
-				searchers[worker] = s
-				if tr != nil {
-					if tt, ok := s.(obs.Traceable); ok {
-						tt.SetTrace(&traces[worker])
-					}
-				}
-			}
-			out[i] = s.Search(queries[i], k)
-		})
-		if tr != nil {
-			for w := range traces {
-				tr.Merge(&traces[w])
-			}
-		}
-	} else {
-		err = p.ForWithIDCtx(ctx, len(queries), func(_, i int) {
-			out[i] = idx.Search(queries[i], k)
-		})
+		out[i] = idx.SearchAppend(nil, queries[i], wopts)
+	})
+	for w := range traces {
+		opts.Trace.Merge(&traces[w])
 	}
 	if err != nil {
 		return nil, err

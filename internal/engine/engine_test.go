@@ -11,6 +11,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/knngraph"
 	"repro/internal/lsh"
+	"repro/internal/obs"
 	"repro/internal/seqscan"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -158,10 +159,14 @@ type panickyIndex struct {
 }
 
 func (p *panickyIndex) Search(q []float32, k int) []topk.Neighbor {
+	return p.SearchAppend(nil, q, index.Options{K: k})
+}
+
+func (p *panickyIndex) SearchAppend(dst []topk.Neighbor, q []float32, opts index.Options) []topk.Neighbor {
 	if p.calls.Add(1) == p.bad {
 		panic("search exploded")
 	}
-	return p.inner.Search(q, k)
+	return p.inner.SearchAppend(dst, q, opts)
 }
 
 func (p *panickyIndex) Name() string { return "panicky" }
@@ -170,8 +175,14 @@ func TestSearchBatchPropagatesSearchPanic(t *testing.T) {
 	db, queries := batchData(t, 50, 20)
 	idx := &panickyIndex{inner: seqscan.New[[]float32](space.L2{}, db), bad: 13}
 	mustPanic(t, "search exploded", func() {
-		engine.SearchBatchPool(engine.NewPool(4), index.Index[[]float32](idx), queries, 3)
+		batch(engine.NewPool(4), index.Index[[]float32](idx), queries, 3)
 	})
+}
+
+// batch runs an uncancellable, untraced batch at k with default params.
+func batch[T any](p engine.Pool, idx index.Index[T], queries []T, k int) [][]topk.Neighbor {
+	out, _ := engine.SearchBatch(p, idx, queries, index.Options{K: k})
+	return out
 }
 
 // serialLoop is the reference semantics SearchBatch must reproduce.
@@ -193,14 +204,14 @@ func batchData(t testing.TB, n, q int) (db, queries [][]float32) {
 
 // checkBatchMatchesSerial runs the serial reference on serialIdx and
 // SearchBatch on batchIdx (the same index, or an identically built copy for
-// stateful searchers) across worker counts and edge-case ks.
+// stateful searches) across worker counts and edge-case ks.
 func checkBatchMatchesSerial[T any](t *testing.T, name string, db []T, queries []T, build func() index.Index[T]) {
 	t.Helper()
 	n := len(db)
 	for _, k := range []int{1, 10, n + 17} { // includes k > n
 		for _, workers := range []int{1, 2, 8} {
 			want := serialLoop(build(), queries, k)
-			got := engine.SearchBatchPool(engine.NewPool(workers), build(), queries, k)
+			got := batch(engine.NewPool(workers), build(), queries, k)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: k=%d workers=%d: batch differs from serial loop", name, k, workers)
 			}
@@ -208,10 +219,10 @@ func checkBatchMatchesSerial[T any](t *testing.T, name string, db []T, queries [
 	}
 	// Empty batch and k <= 0.
 	idx := build()
-	if got := engine.SearchBatch(idx, nil, 10); len(got) != 0 {
+	if got := batch(engine.Pool{}, idx, nil, 10); len(got) != 0 {
 		t.Fatalf("%s: empty batch returned %d results", name, len(got))
 	}
-	got := engine.SearchBatch(idx, queries, 0)
+	got := batch(engine.Pool{}, idx, queries, 0)
 	if len(got) != len(queries) {
 		t.Fatalf("%s: k=0 batch has %d slots, want %d", name, len(got), len(queries))
 	}
@@ -284,7 +295,7 @@ func TestSearchBatchSWGraphCounterState(t *testing.T) {
 	}
 	serial, batched := build(), build()
 	wantBatch := serialLoop[[]float32](serial, queries, 10)
-	gotBatch := engine.SearchBatchPool(engine.NewPool(4), batched, queries, 10)
+	gotBatch := batch(engine.NewPool(4), index.Index[[]float32](batched), queries, 10)
 	if !reflect.DeepEqual(wantBatch, gotBatch) {
 		t.Fatal("batch differs from serial loop")
 	}
@@ -297,23 +308,11 @@ func TestSearchBatchSWGraphCounterState(t *testing.T) {
 	}
 }
 
-// countingProvider wraps an index that mints searchers, counting how many
-// the batch engine actually creates.
-type countingProvider struct {
-	index.Index[[]float32]
-	mints atomic.Int32
-}
-
-func (p *countingProvider) NewSearcher() index.Searcher[[]float32] {
-	p.mints.Add(1)
-	return p.Index.(index.SearcherProvider[[]float32]).NewSearcher()
-}
-
-// TestSearchBatchUsesPerWorkerSearchers verifies the scratch-ownership
-// contract of the batch engine: an index.SearcherProvider is queried through
-// at most one Searcher per worker (buffer reuse across a worker's queries),
-// never one per query, and the answers still match the serial loop exactly.
-func TestSearchBatchUsesPerWorkerSearchers(t *testing.T) {
+// TestSearchBatchCarriesOptions verifies what rides a batch: every query
+// runs under the batch's params (answers match a serial loop under the same
+// params and differ from the default), and the per-worker traces merged
+// into the batch's trace account for exactly the serial loop's work.
+func TestSearchBatchCarriesOptions(t *testing.T) {
 	db, queries := batchData(t, 300, 25)
 	na, err := core.NewNAPP[[]float32](space.L2{}, db, core.NAPPOptions{
 		NumPivots: 64, NumPivotIndex: 16, MinShared: 1, Seed: 5,
@@ -321,15 +320,27 @@ func TestSearchBatchUsesPerWorkerSearchers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 4
-	wrapped := &countingProvider{Index: na}
-	want := serialLoop[[]float32](na, queries, 10)
-	got := engine.SearchBatchPool(engine.NewPool(workers), wrapped, queries, 10)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("searcher-path batch differs from serial loop")
+	var serialTrace, batchTrace obs.QueryTrace
+	opts := index.Options{K: 10, Params: index.Params{MinShared: 4}}
+	want := make([][]topk.Neighbor, len(queries))
+	opts.Trace = &serialTrace
+	for i, q := range queries {
+		want[i] = na.SearchAppend(nil, q, opts)
 	}
-	if m := wrapped.mints.Load(); m < 1 || m > workers {
-		t.Fatalf("batch minted %d searchers for %d workers, want 1..%d", m, workers, workers)
+	opts.Trace = &batchTrace
+	got, err := engine.SearchBatch[[]float32](engine.NewPool(4), na, queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("batch under params differs from the serial loop under the same params")
+	}
+	if reflect.DeepEqual(got, serialLoop[[]float32](na, queries, 10)) {
+		t.Fatal("t=4 answers equal the t=1 default's; the params did not reach the queries")
+	}
+	if batchTrace.FilterCandidates != serialTrace.FilterCandidates || batchTrace.RefineDistances != serialTrace.RefineDistances {
+		t.Fatalf("merged worker traces saw candidates=%d refines=%d, serial loop %d/%d",
+			batchTrace.FilterCandidates, batchTrace.RefineDistances, serialTrace.FilterCandidates, serialTrace.RefineDistances)
 	}
 }
 
@@ -342,7 +353,7 @@ func TestSearchBatchDispatchesToBatcher(t *testing.T) {
 	if _, ok := any(g).(index.Batcher[[]float32]); !ok {
 		t.Fatal("Graph does not implement index.Batcher")
 	}
-	if got := engine.SearchBatch[[]float32](g, queries, 3); len(got) != len(queries) {
+	if got := batch[[]float32](engine.Pool{}, g, queries, 3); len(got) != len(queries) {
 		t.Fatalf("batch returned %d slots", len(got))
 	}
 }

@@ -119,11 +119,12 @@ type Result struct {
 	QPS float64
 }
 
-// Measure runs all queries through idx, compares against the exact truth,
-// and reports recall plus timing. The brute-force baseline time must be
-// measured separately (see BruteTime) because it is shared by all methods
-// on a split.
-func Measure[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, k int, bruteTime time.Duration, counter *space.Counter[T]) Result {
+// Measure runs all queries through idx under opts (k and the query-time
+// method params of the variant being measured), compares against the exact
+// truth, and reports recall plus timing. The brute-force baseline time must
+// be measured separately (see BruteTime) because it is shared by all
+// methods on a split.
+func Measure[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, opts index.Options, bruteTime time.Duration, counter *space.Counter[T]) Result {
 	var before int64
 	if counter != nil {
 		before = counter.Count()
@@ -131,7 +132,7 @@ func Measure[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, k 
 	got := make([][]topk.Neighbor, len(queries))
 	start := time.Now()
 	for i, q := range queries {
-		got[i] = idx.Search(q, k)
+		got[i] = idx.SearchAppend(nil, q, opts)
 	}
 	elapsed := time.Since(start)
 
@@ -160,7 +161,7 @@ func Measure[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, k 
 // force, larger than the single-thread protocol's by up to the worker
 // count. The throughput the pool achieved is always reported as
 // WallTime/QPS. workers <= 0 means GOMAXPROCS.
-func MeasureBatch[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, k int, bruteTime time.Duration, counter *space.Counter[T], workers int) Result {
+func MeasureBatch[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, opts index.Options, bruteTime time.Duration, counter *space.Counter[T], workers int) Result {
 	var before int64
 	if counter != nil {
 		before = counter.Count()
@@ -172,11 +173,11 @@ func MeasureBatch[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbo
 	if b, ok := idx.(index.Batcher[T]); ok {
 		// Indexes with a native batch path (the proximity graph) are
 		// timed as one call; per-query latencies are not observable.
-		got = b.SearchBatch(queries, k, pool.Workers())
+		got = b.SearchBatch(queries, opts, pool.Workers())
 	} else {
 		pool.ForDynamic(len(queries), func(i int) {
 			t0 := time.Now()
-			got[i] = idx.Search(queries[i], k)
+			got[i] = idx.SearchAppend(nil, queries[i], opts)
 			durs[i] = time.Since(t0)
 		})
 	}

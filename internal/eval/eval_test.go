@@ -117,7 +117,7 @@ func TestMeasureExactScanHasPerfectRecall(t *testing.T) {
 	}
 	counter := space.NewCounter[[]float32](space.L2{})
 	scan := seqscan.New[[]float32](counter, db)
-	res := Measure[[]float32](scan, queries, truth, 5, bt, counter)
+	res := Measure[[]float32](scan, queries, truth, index.Options{K: 5}, bt, counter)
 	if res.Recall != 1 {
 		t.Fatalf("recall = %v", res.Recall)
 	}

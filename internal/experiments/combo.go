@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/index"
 	"repro/internal/permutation"
@@ -35,33 +34,15 @@ func indexFileName(cfg Config, dataset, method string, fold int) string {
 		dataset, method, cfg.N, cfg.Queries, cfg.Folds, cfg.Seed, fold)
 }
 
-// variant is one query-time parameter setting of a built index.
-type variant[T any] struct {
-	label string
-	apply func(idx index.Index[T]) error
-}
-
-// paramVariant is a variant whose label is a ParseParams-syntax string
-// ("gamma=0.05", "att=2,ef=20") applied through the shared ApplyParams
-// path — the same code the serving daemon runs for per-request params, so
-// the sweeps keep it covered.
-func paramVariant[T any](label string) variant[T] {
-	return variant[T]{label: label, apply: func(idx index.Index[T]) error {
-		p, err := ParseParams(label)
-		if err != nil {
-			return err
-		}
-		_, err = ApplyParams(idx, p)
-		return err
-	}}
-}
-
 // sweep is one method of a Figure 4 panel: a single build plus a list of
-// query-time variants tracing out its recall/efficiency curve.
+// query-time variants tracing out its recall/efficiency curve. Each variant
+// is a ParseParams-syntax label ("gamma=0.05", "att=2,ef=20") resolved
+// through the same Resolve the serving daemon runs for per-request params
+// — so the sweeps keep it covered — and passed with every query.
 type sweep[T any] struct {
 	method   string
 	build    func(sp space.Space[T], db []T) (index.Index[T], error)
-	variants []variant[T]
+	variants []string
 	// table2 marks the method for inclusion in Table 2.
 	table2 bool
 }
@@ -365,33 +346,29 @@ func (c *combo[T]) Methods(cfg Config) []string {
 
 // shardedBuild partitions db, builds one index per shard with build, and
 // wraps them in a router.Local — the in-process mirror of the
-// permserve/permrouter serving topology. The Local's scatter pool follows
-// cfg.Workers like every other parallel path.
+// permserve/permrouter serving topology.
 func shardedBuild[T any](cfg Config, sp space.Space[T], db []T,
-	build func(space.Space[T], []T) (index.Index[T], error)) (*router.Local[T], []index.Index[T], error) {
+	build func(space.Space[T], []T) (index.Index[T], error)) (*router.Local[T], error) {
 	p := shard.Hash
 	if cfg.ShardBy != "" {
 		var err error
 		if p, err = shard.ParsePartitioner(cfg.ShardBy); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	ids, err := shard.IDs(p, len(db), cfg.Shards)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	shards := make([]router.LocalShard[T], cfg.Shards)
-	idxs := make([]index.Index[T], cfg.Shards)
 	for s := range ids {
 		idx, err := build(sp, shard.Subset(db, ids[s]))
 		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d/%d: %w", s, cfg.Shards, err)
+			return nil, fmt.Errorf("shard %d/%d: %w", s, cfg.Shards, err)
 		}
 		shards[s] = router.LocalShard[T]{Index: idx, IDs: ids[s]}
-		idxs[s] = idx
 	}
-	loc, err := router.NewLocal(shards, engine.NewPool(cfg.Workers))
-	return loc, idxs, err
+	return router.NewLocal(shards)
 }
 
 // RunMethods implements Runner: like Figure4 but restricted to the named
@@ -437,14 +414,12 @@ func (c *combo[T]) RunMethods(cfg Config, methods []string, w io.Writer) error {
 			// Sharded runs build one index per shard behind a
 			// scatter-gather Local; build time covers the whole set.
 			loaded := false
-			var shardIdxs []index.Index[T]
 			idx, buildTime, err := eval.MeasureBuild(func() (index.Index[T], error) {
 				if cfg.Shards > 1 {
-					loc, idxs, err := shardedBuild(cfg, c.sp, db, s.build)
+					loc, err := shardedBuild(cfg, c.sp, db, s.build)
 					if err != nil {
 						return nil, err
 					}
-					shardIdxs = idxs
 					return index.Index[T](loc), nil
 				}
 				if cfg.LoadIndexDir != "" {
@@ -476,27 +451,26 @@ func (c *combo[T]) RunMethods(cfg Config, methods []string, w io.Writer) error {
 					return fmt.Errorf("saving %s: %w", path, err)
 				}
 			}
-			for _, v := range s.variants {
-				// Query-time params address concrete index types, which a
-				// sharded run applies uniformly to every shard index.
-				applyTo := []index.Index[T]{idx}
-				if len(shardIdxs) > 0 {
-					applyTo = shardIdxs
+			for _, label := range s.variants {
+				// Params are resolved against the method's kind and ride
+				// every query; a sharded Local hands them to each shard.
+				p, err := ParseParams(label)
+				if err != nil {
+					return fmt.Errorf("%s/%s %s: %w", c.name, s.method, label, err)
 				}
-				for _, target := range applyTo {
-					if err := v.apply(target); err != nil {
-						return fmt.Errorf("%s/%s %s: %w", c.name, s.method, v.label, err)
-					}
+				opts := index.Options{K: cfg.K}
+				if opts.Params, err = Resolve(s.method, p); err != nil {
+					return fmt.Errorf("%s/%s %s: %w", c.name, s.method, label, err)
 				}
 				var res eval.Result
 				if cfg.Workers == 0 || cfg.Workers == 1 {
-					res = eval.Measure(idx, queries, truth, cfg.K, bruteTime, nil)
+					res = eval.Measure(idx, queries, truth, opts, bruteTime, nil)
 				} else {
-					res = eval.MeasureBatch(idx, queries, truth, cfg.K, bruteTime, nil, cfg.Workers)
+					res = eval.MeasureBatch(idx, queries, truth, opts, bruteTime, nil, cfg.Workers)
 				}
 				res.Method = s.method
 				res.BuildTime = buildTime
-				k := key{s.method, v.label}
+				k := key{s.method, label}
 				if _, seen := acc[k]; !seen {
 					order = append(order, k)
 				}

@@ -11,9 +11,9 @@ import (
 	"repro/internal/vptree"
 )
 
-// Every sweep's variants are paramVariant labels: the label printed in the
-// Figure 4 output is literally the ParseParams string that reproduces the
-// setting, via annbench or a serving request.
+// Every sweep's variants are ParseParams-syntax labels: the label printed in
+// the Figure 4 output is literally the string that reproduces the setting,
+// via annbench or a serving request.
 
 // vptreeSweep builds one VP-tree and traces its curve by varying the
 // pruning stretch alpha (exact metric pruning at alpha = 1; larger = faster
@@ -27,20 +27,20 @@ func vptreeSweep[T any](alphas []float64, beta float64, seed int64) sweep[T] {
 		},
 	}
 	for _, a := range alphas {
-		s.variants = append(s.variants, paramVariant[T](fmt.Sprintf("alpha=%g", a)))
+		s.variants = append(s.variants, fmt.Sprintf("alpha=%g", a))
 	}
 	return s
 }
 
 // graphVariants are the query-time (attempts, ef) settings tracing a
 // proximity graph's recall/efficiency curve.
-func graphVariants[T any](k int) []variant[T] {
+func graphVariants(k int) []string {
 	type cfg struct {
 		att, ef int
 	}
-	var out []variant[T]
+	var out []string
 	for _, c := range []cfg{{1, k}, {2, 2 * k}, {4, 4 * k}, {8, 8 * k}} {
-		out = append(out, paramVariant[T](fmt.Sprintf("att=%d,ef=%d", c.att, c.ef)))
+		out = append(out, fmt.Sprintf("att=%d,ef=%d", c.att, c.ef))
 	}
 	return out
 }
@@ -53,7 +53,7 @@ func swSweep[T any](k int, seed int64) sweep[T] {
 		build: func(sp space.Space[T], db []T) (index.Index[T], error) {
 			return knngraph.NewSW(sp, db, knngraph.Options{NN: 10, InitAttempts: 2, Seed: seed})
 		},
-		variants: graphVariants[T](k),
+		variants: graphVariants(k),
 	}
 }
 
@@ -66,7 +66,7 @@ func nndescentSweep[T any](k int, seed int64) sweep[T] {
 		build: func(sp space.Space[T], db []T) (index.Index[T], error) {
 			return knngraph.NewNNDescent(sp, db, knngraph.Options{NN: 10, Seed: seed})
 		},
-		variants: graphVariants[T](k),
+		variants: graphVariants(k),
 	}
 }
 
@@ -90,16 +90,16 @@ func nappSweep[T any](n int, seed int64) sweep[T] {
 		},
 	}
 	for _, t := range []int{4, 3, 2, 1} {
-		s.variants = append(s.variants, paramVariant[T](fmt.Sprintf("t=%d", t)))
+		s.variants = append(s.variants, fmt.Sprintf("t=%d", t))
 	}
 	return s
 }
 
 // gammaVariants trace a filter's curve by the candidate fraction gamma.
-func gammaVariants[T any]() []variant[T] {
-	var out []variant[T]
+func gammaVariants() []string {
+	var out []string
 	for _, g := range []float64{0.002, 0.01, 0.05, 0.2} {
-		out = append(out, paramVariant[T](fmt.Sprintf("gamma=%g", g)))
+		out = append(out, fmt.Sprintf("gamma=%g", g))
 	}
 	return out
 }
@@ -119,7 +119,7 @@ func bfSweep[T any](n int, seed int64) sweep[T] {
 				NumPivots: m, Seed: seed,
 			})
 		},
-		variants: gammaVariants[T](),
+		variants: gammaVariants(),
 	}
 }
 
@@ -138,7 +138,7 @@ func binSweep[T any](n int, seed int64) sweep[T] {
 				NumPivots: m, Seed: seed,
 			})
 		},
-		variants: gammaVariants[T](),
+		variants: gammaVariants(),
 	}
 }
 
@@ -158,7 +158,7 @@ func quantSweep[T any](n int, seed int64) sweep[T] {
 				NumPivots: m, Seed: seed,
 			})
 		},
-		variants: gammaVariants[T](),
+		variants: gammaVariants(),
 	}
 }
 
@@ -173,7 +173,7 @@ func mplshSweep(seed int64) sweep[[]float32] {
 		},
 	}
 	for _, t := range []int{2, 10, 30, 80} {
-		s.variants = append(s.variants, paramVariant[[]float32](fmt.Sprintf("T=%d", t)))
+		s.variants = append(s.variants, fmt.Sprintf("T=%d", t))
 	}
 	return s
 }

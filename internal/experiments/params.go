@@ -1,17 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/knngraph"
-	"repro/internal/lsh"
-	"repro/internal/vptree"
 )
 
 // Params is a set of named query-time parameters ("method params"): the
@@ -22,7 +19,8 @@ import (
 //
 // Recognized keys per index kind:
 //
-//	brute-force-filt, brute-force-filt-bin, distvec-filt:  gamma
+//	brute-force-filt, brute-force-filt-bin, brute-force-filt-quant,
+//	distvec-filt:  gamma
 //	napp:       t (alias minshared)
 //	vptree:     alpha (sets both pruning stretch factors),
 //	            alphaleft, alpharight (one side each)
@@ -33,8 +31,8 @@ import (
 type Params map[string]float64
 
 // ParseParams parses a comma-separated key=value list such as
-// "gamma=0.05" or "att=2,ef=20". Keys are not validated here — only
-// ApplyParams knows which keys an index kind accepts.
+// "gamma=0.05" or "att=2,ef=20". Values must be finite; keys are not
+// validated here — only Resolve knows which keys an index kind accepts.
 func ParseParams(s string) (Params, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -50,6 +48,9 @@ func ParseParams(s string) (Params, error) {
 		val, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: param %q: %v", part, err)
+		}
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			return nil, fmt.Errorf("experiments: param %q is not finite", part)
 		}
 		if _, dup := out[k]; dup {
 			return nil, fmt.Errorf("experiments: param %q given twice", k)
@@ -76,145 +77,109 @@ func (p Params) String() string {
 	return b.String()
 }
 
-// knob is one settable query-time parameter of a concrete index.
+// knob is one query-time parameter key of an index kind.
 type knob struct {
-	// groups names the underlying state the knob writes. Two keys of one
-	// request whose groups intersect would apply (and restore) in
-	// map-iteration order — i.e. nondeterministically — so ApplyParams
-	// rejects them. Aliases share a group; vptree's composite "alpha"
-	// spans both side groups.
+	// groups names the index.Params state the knob writes. Two keys of one
+	// request whose groups intersect would resolve in map-iteration order —
+	// i.e. nondeterministically — so Resolve rejects them. Aliases share a
+	// group; vptree's composite "alpha" spans both side groups.
 	groups []string
-	// integer marks knobs that truncate to int; non-integral values are
-	// rejected rather than silently floored.
+	// integer marks knobs that truncate to int; non-integral values and
+	// values beyond math.MaxInt32 are rejected rather than silently floored
+	// or wrapped.
 	integer bool
-	// allowZero admits 0 (only mplsh probes); every knob rejects
-	// negatives. The underlying setters ignore out-of-range values
-	// silently, which is fine for internal sweeps but would make a
-	// serving request report success while searching under the old
-	// setting — so the range is enforced here, before any setter runs.
+	// allowZero admits 0 (only mplsh probes); every knob rejects negatives.
+	// A zero index.Params field means "the index's default", so an
+	// out-of-range value must never reach it: a serving request would report
+	// success while searching under the old setting.
 	allowZero bool
-	// get returns the knob's current state keyed by canonical restore
-	// params — possibly several (vptree "alpha" reports both sides), so
-	// restoring prev is always exact.
-	get func() Params
-	set func(float64)
+	set       func(p *index.Params, v float64)
 }
 
-// knobsOf maps the canonical and alias keys of idx's kind to its knobs, or
-// returns nil for kinds without query-time parameters.
-func knobsOf[T any](idx index.Index[T]) map[string]knob {
-	switch v := any(idx).(type) {
-	case *core.BruteForceFilter[T]:
-		return gammaKnob(v.Gamma, v.SetGamma)
-	case *core.BinFilter[T]:
-		return gammaKnob(v.Gamma, v.SetGamma)
-	case *core.QuantFilter[T]:
-		return gammaKnob(v.Gamma, v.SetGamma)
-	case *core.DistVecFilter[T]:
-		return gammaKnob(v.Gamma, v.SetGamma)
-	case *core.NAPP[T]:
-		k := knob{
-			groups:  []string{"t"},
-			integer: true,
-			get:     func() Params { return Params{"t": float64(v.Options().MinShared)} },
-			set:     func(x float64) { v.SetMinShared(int(x)) },
-		}
-		return map[string]knob{"t": k, "minshared": k}
-	case *vptree.Tree[T]:
-		left := knob{
-			groups: []string{"alphaleft"},
-			get:    func() Params { l, _ := v.Alpha(); return Params{"alphaleft": l} },
-			set:    func(x float64) { v.SetAlpha(x, 0) },
-		}
-		right := knob{
-			groups: []string{"alpharight"},
-			get:    func() Params { _, r := v.Alpha(); return Params{"alpharight": r} },
-			set:    func(x float64) { v.SetAlpha(0, x) },
-		}
-		both := knob{
-			groups: []string{"alphaleft", "alpharight"},
-			get: func() Params {
-				l, r := v.Alpha()
-				return Params{"alphaleft": l, "alpharight": r}
-			},
-			set: func(x float64) { v.SetAlpha(x, x) },
-		}
-		return map[string]knob{"alpha": both, "alphaleft": left, "alpharight": right}
-	case *knngraph.Graph[T]:
-		att := knob{
-			groups:  []string{"att"},
-			integer: true,
-			get:     func() Params { a, _ := v.SearchParams(); return Params{"att": float64(a)} },
-			set:     func(x float64) { v.SetSearchParams(int(x), 0) },
-		}
-		ef := knob{
-			groups:  []string{"ef"},
-			integer: true,
-			get:     func() Params { _, e := v.SearchParams(); return Params{"ef": float64(e)} },
-			set:     func(x float64) { v.SetSearchParams(0, int(x)) },
-		}
-		return map[string]knob{"att": att, "attempts": att, "ef": ef}
-	case *lsh.MPLSH:
-		k := knob{
-			groups:    []string{"probes"},
-			integer:   true,
-			allowZero: true,
-			get:       func() Params { return Params{"probes": float64(v.Probes())} },
-			set:       func(x float64) { v.SetProbes(int(x)) },
-		}
-		return map[string]knob{"T": k, "probes": k}
-	default:
-		return nil
-	}
-}
-
-// gammaKnob is the shared knob map of the three gamma-budgeted filters.
-func gammaKnob(get func() float64, set func(float64)) map[string]knob {
-	return map[string]knob{"gamma": {
+var (
+	gammaKnobs = map[string]knob{"gamma": {
 		groups: []string{"gamma"},
-		get:    func() Params { return Params{"gamma": get()} },
-		set:    set,
+		set:    func(p *index.Params, v float64) { p.Gamma = v },
 	}}
+	minSharedKnob = knob{
+		groups:  []string{"t"},
+		integer: true,
+		set:     func(p *index.Params, v float64) { p.MinShared = int(v) },
+	}
+	attemptsKnob = knob{
+		groups:  []string{"att"},
+		integer: true,
+		set:     func(p *index.Params, v float64) { p.InitAttempts = int(v) },
+	}
+	graphKnobs = map[string]knob{"att": attemptsKnob, "attempts": attemptsKnob, "ef": {
+		groups:  []string{"ef"},
+		integer: true,
+		set:     func(p *index.Params, v float64) { p.EfSearch = int(v) },
+	}}
+	probesKnob = knob{
+		groups:    []string{"probes"},
+		integer:   true,
+		allowZero: true,
+		// index.Params spells "no probes" as a negative count.
+		set: func(p *index.Params, v float64) { p.Probes = cmp.Or(int(v), -1) },
+	}
+)
+
+// kindKnobs maps an index kind (its Name) to the canonical and alias keys
+// it accepts. Kinds absent here have no query-time parameters.
+var kindKnobs = map[string]map[string]knob{
+	"brute-force-filt":       gammaKnobs,
+	"brute-force-filt-bin":   gammaKnobs,
+	"brute-force-filt-quant": gammaKnobs,
+	"distvec-filt":           gammaKnobs,
+	"napp":                   {"t": minSharedKnob, "minshared": minSharedKnob},
+	"vptree": {
+		"alpha": {
+			groups: []string{"alphaleft", "alpharight"},
+			set:    func(p *index.Params, v float64) { p.AlphaLeft, p.AlphaRight = v, v },
+		},
+		"alphaleft": {
+			groups: []string{"alphaleft"},
+			set:    func(p *index.Params, v float64) { p.AlphaLeft = v },
+		},
+		"alpharight": {
+			groups: []string{"alpharight"},
+			set:    func(p *index.Params, v float64) { p.AlphaRight = v },
+		},
+	},
+	"sw-graph":        graphKnobs,
+	"nndescent-graph": graphKnobs,
+	"mplsh":           {"T": probesKnob, "probes": probesKnob},
 }
 
-// ApplyParams sets the query-time knobs named in p on idx and returns the
-// knobs' previous values — keyed by canonical restore params, so passing
-// prev back through ApplyParams restores the index exactly. A key the index
-// kind does not recognize, an out-of-range or non-integral value, or two
-// keys writing the same underlying knob (an alias pair, or "alpha" with one
-// of its sides) all fail before anything is modified. Like the underlying
-// setters, ApplyParams must not run concurrently with Search on the same
-// index.
-func ApplyParams[T any](idx index.Index[T], p Params) (prev Params, err error) {
-	if len(p) == 0 {
-		return Params{}, nil
-	}
-	knobs := knobsOf(idx)
+// Resolve validates p against the keys index kind accepts and returns the
+// typed per-query params it names. A key the kind does not recognize, a
+// non-finite, out-of-range or non-integral value, or two keys writing the
+// same underlying knob (an alias pair, or "alpha" with one of its sides)
+// all fail. Resolve is pure: the value it returns rides each query
+// (index.Options.Params); no index is touched.
+func Resolve(kind string, p Params) (index.Params, error) {
+	var out index.Params
+	knobs := kindKnobs[kind]
 	claimed := map[string]string{} // group -> request key that writes it
 	for k, val := range p {
 		kb, ok := knobs[k]
 		if !ok {
-			return nil, fmt.Errorf("experiments: index %q has no query-time param %q", idx.Name(), k)
+			return index.Params{}, fmt.Errorf("experiments: index %q has no query-time param %q", kind, k)
 		}
 		for _, g := range kb.groups {
 			if other, dup := claimed[g]; dup {
-				return nil, fmt.Errorf("experiments: params %q and %q set the same knob", other, k)
+				return index.Params{}, fmt.Errorf("experiments: params %q and %q set the same knob", other, k)
 			}
 			claimed[g] = k
 		}
-		if val < 0 || (val == 0 && !kb.allowZero) {
-			return nil, fmt.Errorf("experiments: param %s=%g out of range", k, val)
+		if math.IsNaN(val) || math.IsInf(val, 0) || val < 0 || (val == 0 && !kb.allowZero) {
+			return index.Params{}, fmt.Errorf("experiments: param %s=%g out of range", k, val)
 		}
-		if kb.integer && val != math.Trunc(val) {
-			return nil, fmt.Errorf("experiments: param %s=%g must be an integer", k, val)
+		if kb.integer && (val != math.Trunc(val) || val > math.MaxInt32) {
+			return index.Params{}, fmt.Errorf("experiments: param %s=%g must be an integer no larger than %d", k, val, math.MaxInt32)
 		}
+		kb.set(&out, val)
 	}
-	prev = make(Params, len(p))
-	for k, val := range p {
-		for rk, rv := range knobs[k].get() {
-			prev[rk] = rv
-		}
-		knobs[k].set(val)
-	}
-	return prev, nil
+	return out, nil
 }

@@ -1,13 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/knngraph"
-	"repro/internal/space"
-	"repro/internal/vptree"
+	"repro/internal/index"
 )
 
 func TestParseParams(t *testing.T) {
@@ -21,7 +18,7 @@ func TestParseParams(t *testing.T) {
 	if p, err = ParseParams("  "); err != nil || len(p) != 0 {
 		t.Fatalf("blank input: %v, %v", p, err)
 	}
-	for _, bad := range []string{"gamma", "=1", "gamma=x", "a=1,a=2", "a=1,,b=2"} {
+	for _, bad := range []string{"gamma", "=1", "gamma=x", "a=1,a=2", "a=1,,b=2", "gamma=NaN", "gamma=+Inf", "t=-inf"} {
 		if _, err := ParseParams(bad); err == nil {
 			t.Errorf("ParseParams(%q) succeeded", bad)
 		}
@@ -31,133 +28,76 @@ func TestParseParams(t *testing.T) {
 	}
 }
 
-func TestApplyParamsSetAndRestore(t *testing.T) {
-	db := dataset.SIFT(3, 120)
-	na, err := core.NewNAPP[[]float32](space.L2{}, db, core.NAPPOptions{
-		NumPivots: 16, NumPivotIndex: 8, MinShared: 1, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := ApplyParams[[]float32](na, Params{"t": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if na.Options().MinShared != 3 {
-		t.Fatalf("MinShared = %d after t=3", na.Options().MinShared)
-	}
-	if prev["t"] != 1 {
-		t.Fatalf("prev = %v, want t=1", prev)
-	}
-	if _, err := ApplyParams[[]float32](na, prev); err != nil {
-		t.Fatal(err)
-	}
-	if na.Options().MinShared != 1 {
-		t.Fatalf("MinShared = %d after restore", na.Options().MinShared)
-	}
-
-	g, err := knngraph.NewSW[[]float32](space.L2{}, db, knngraph.Options{NN: 4, Workers: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyParams[[]float32](g, Params{"att": 5, "ef": 33}); err != nil {
-		t.Fatal(err)
-	}
-	if att, ef := g.SearchParams(); att != 5 || ef != 33 {
-		t.Fatalf("SearchParams = (%d, %d)", att, ef)
-	}
-}
-
-// TestApplyParamsRejectsConflictsAndBadValues: alias pairs writing one
-// knob, out-of-range values (which the underlying setters would silently
-// ignore), and non-integral integer knobs all fail up front, leaving the
-// index untouched — a serving request must never get a 200 for a setting
-// that was not actually applied.
-func TestApplyParamsRejectsConflictsAndBadValues(t *testing.T) {
-	db := dataset.SIFT(3, 120)
-	g, err := knngraph.NewSW[[]float32](space.L2{}, db, knngraph.Options{NN: 4, InitAttempts: 1, Workers: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	attBefore, efBefore := g.SearchParams()
-	for name, p := range map[string]Params{
-		"alias pair":     {"att": 2, "attempts": 8},
-		"negative ef":    {"ef": -4},
-		"zero att":       {"att": 0},
-		"fractional ef":  {"ef": 2.5},
-		"mixed good/bad": {"att": 2, "ef": -1},
+// TestResolveTypedValues: every kind's keys and aliases land in the
+// index.Params field the kind's search reads, and nowhere else.
+func TestResolveTypedValues(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		in   Params
+		want index.Params
+	}{
+		{"brute-force-filt", Params{"gamma": 0.05}, index.Params{Gamma: 0.05}},
+		{"brute-force-filt-bin", Params{"gamma": 0.2}, index.Params{Gamma: 0.2}},
+		{"brute-force-filt-quant", Params{"gamma": 1}, index.Params{Gamma: 1}},
+		{"distvec-filt", Params{"gamma": 0.5}, index.Params{Gamma: 0.5}},
+		{"napp", Params{"t": 3}, index.Params{MinShared: 3}},
+		{"napp", Params{"minshared": 2}, index.Params{MinShared: 2}},
+		{"vptree", Params{"alpha": 2}, index.Params{AlphaLeft: 2, AlphaRight: 2}},
+		// The sides alone are two independent knobs.
+		{"vptree", Params{"alphaleft": 3, "alpharight": 4}, index.Params{AlphaLeft: 3, AlphaRight: 4}},
+		{"vptree", Params{"alpharight": 1.5}, index.Params{AlphaRight: 1.5}},
+		{"sw-graph", Params{"att": 5, "ef": 33}, index.Params{InitAttempts: 5, EfSearch: 33}},
+		{"nndescent-graph", Params{"attempts": 2}, index.Params{InitAttempts: 2}},
+		{"mplsh", Params{"T": 30}, index.Params{Probes: 30}},
+		// Zero probes is a real setting; index.Params spells it negative
+		// because its zero means "the index's default".
+		{"mplsh", Params{"probes": 0}, index.Params{Probes: -1}},
+		{"napp", Params{"t": math.MaxInt32}, index.Params{MinShared: math.MaxInt32}},
+		{"pp-index", nil, index.Params{}},
 	} {
-		if _, err := ApplyParams[[]float32](g, p); err == nil {
-			t.Errorf("%s: ApplyParams(%v) succeeded", name, p)
+		got, err := Resolve(tc.kind, tc.in)
+		if err != nil {
+			t.Errorf("Resolve(%s, %v): %v", tc.kind, tc.in, err)
+		} else if got != tc.want {
+			t.Errorf("Resolve(%s, %v) = %+v, want %+v", tc.kind, tc.in, got, tc.want)
 		}
-		if att, ef := g.SearchParams(); att != attBefore || ef != efBefore {
-			t.Fatalf("%s: knobs modified to (%d, %d) despite failed apply", name, att, ef)
-		}
-	}
-
-	bf, err := core.NewBruteForceFilter[[]float32](space.L2{}, db, core.BruteForceOptions{NumPivots: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyParams[[]float32](bf, Params{"gamma": 0}); err == nil {
-		t.Error("gamma=0 accepted (the setter would silently ignore it)")
 	}
 }
 
-// TestApplyParamsAlphaRestoresBothSides: the composite vptree "alpha" knob
-// writes both pruning stretch factors; its recorded prev must restore an
-// asymmetric tree exactly, not collapse AlphaRight onto the old AlphaLeft.
-func TestApplyParamsAlphaRestoresBothSides(t *testing.T) {
-	db := dataset.SIFT(3, 120)
-	vt, err := vptree.New[[]float32](space.L2{}, db, vptree.Options{AlphaLeft: 1, AlphaRight: 1.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := ApplyParams[[]float32](vt, Params{"alpha": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l, r := vt.Alpha(); l != 2 || r != 2 {
-		t.Fatalf("alpha=2 set (%g, %g)", l, r)
-	}
-	if _, err := ApplyParams[[]float32](vt, prev); err != nil {
-		t.Fatalf("restoring %v: %v", prev, err)
-	}
-	if l, r := vt.Alpha(); l != 1 || r != 1.5 {
-		t.Fatalf("restore left (%g, %g), want (1, 1.5)", l, r)
-	}
-	// Both alpha and one of its sides in a single request is ambiguous.
-	if _, err := ApplyParams[[]float32](vt, Params{"alpha": 2, "alpharight": 3}); err == nil {
-		t.Error("alpha together with alpharight accepted")
-	}
-	// The sides alone are two independent knobs.
-	if _, err := ApplyParams[[]float32](vt, Params{"alphaleft": 3, "alpharight": 4}); err != nil {
-		t.Fatal(err)
-	}
-	if l, r := vt.Alpha(); l != 3 || r != 4 {
-		t.Fatalf("per-side set (%g, %g), want (3, 4)", l, r)
-	}
-}
-
-func TestApplyParamsUnknownKeyLeavesIndexUntouched(t *testing.T) {
-	db := dataset.SIFT(3, 60)
-	bf, err := core.NewBruteForceFilter[[]float32](space.L2{}, db, core.BruteForceOptions{NumPivots: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := bf.Gamma()
-	if _, err := ApplyParams[[]float32](bf, Params{"gamma": 0.5, "ef": 7}); err == nil {
-		t.Fatal("unknown key accepted")
-	}
-	if bf.Gamma() != before {
-		t.Fatalf("gamma modified (%g -> %g) despite failed apply", before, bf.Gamma())
-	}
-	// Kinds without knobs reject any param.
-	pp, err := core.NewPPIndex[[]float32](space.L2{}, db, core.PPIndexOptions{NumPivots: 8, PrefixLen: 3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyParams[[]float32](pp, Params{"gamma": 0.5}); err == nil {
-		t.Fatal("pp-index accepted a gamma param")
+// TestResolveRejectsConflictsAndBadValues: unknown keys, alias pairs writing
+// one knob, non-finite, out-of-range, non-integral and int-overflowing
+// values all fail — a zero index.Params field means "the index's default",
+// so a serving request must never get a 200 for a setting that would
+// silently search under the old one.
+func TestResolveRejectsConflictsAndBadValues(t *testing.T) {
+	for _, tc := range []struct {
+		name, kind string
+		in         Params
+	}{
+		{"alias pair", "sw-graph", Params{"att": 2, "attempts": 8}},
+		{"negative ef", "sw-graph", Params{"ef": -4}},
+		{"zero att", "sw-graph", Params{"att": 0}},
+		{"fractional ef", "sw-graph", Params{"ef": 2.5}},
+		{"mixed good/bad", "sw-graph", Params{"att": 2, "ef": -1}},
+		{"zero gamma", "brute-force-filt", Params{"gamma": 0}},
+		{"NaN gamma", "brute-force-filt", Params{"gamma": math.NaN()}},
+		{"+Inf gamma", "brute-force-filt", Params{"gamma": math.Inf(1)}},
+		{"-Inf gamma", "brute-force-filt", Params{"gamma": math.Inf(-1)}},
+		{"huge t", "napp", Params{"t": 1e300}},
+		{"+Inf t", "napp", Params{"t": math.Inf(1)}},
+		{"t beyond int32", "napp", Params{"t": 1 << 40}},
+		{"NaN T", "mplsh", Params{"T": math.NaN()}},
+		// Both alpha and one of its sides in a single request is ambiguous.
+		{"alpha with a side", "vptree", Params{"alpha": 2, "alpharight": 3}},
+		{"unknown key", "brute-force-filt", Params{"gamma": 0.5, "ef": 7}},
+		// Kinds without knobs reject any param.
+		{"knobless kind", "pp-index", Params{"gamma": 0.5}},
+		{"unknown kind", "no-such-index", Params{"gamma": 0.5}},
+	} {
+		if got, err := Resolve(tc.kind, tc.in); err == nil {
+			t.Errorf("%s: Resolve(%s, %v) = %+v, want an error", tc.name, tc.kind, tc.in, got)
+		} else if got != (index.Params{}) {
+			t.Errorf("%s: failed Resolve leaked %+v", tc.name, got)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/index"
 	"repro/internal/vptree"
 )
 
@@ -57,8 +58,8 @@ func (c *combo[T]) tuneNAPP(cfg Config, target float64) (TuneResult, error) {
 	}
 	best := TuneResult{Setting: "t=1"}
 	for t := 8; t >= 1; t-- {
-		na.SetMinShared(t)
-		res := eval.Measure[T](na, queries, truth, cfg.K, 1, nil)
+		opts := index.Options{K: cfg.K, Params: index.Params{MinShared: t}}
+		res := eval.Measure[T](na, queries, truth, opts, 1, nil)
 		if res.Recall >= target {
 			return TuneResult{Setting: fmt.Sprintf("t=%d", t), Recall: res.Recall}, nil
 		}

@@ -5,7 +5,90 @@
 // works against this interface only.
 package index
 
-import "repro/internal/topk"
+import (
+	"context"
+
+	"repro/internal/obs"
+	"repro/internal/scratch"
+	"repro/internal/topk"
+)
+
+// Params are the resolved query-time method parameters — the knobs the
+// paper varies over one fixed index to trace a recall/efficiency curve. A
+// zero field means "this index's build-time default"; an index reads only
+// the fields of its own kind and ignores the rest. The textual key/alias/
+// range table that produces a Params from user input lives in
+// internal/experiments (Resolve).
+type Params struct {
+	// Gamma is the candidate fraction of the gamma-budgeted filters
+	// (brute-force, binarized, quantized, distance-vector).
+	Gamma float64
+	// MinShared is NAPP's t.
+	MinShared int
+	// AlphaLeft and AlphaRight are the VP-tree pruning stretch factors.
+	AlphaLeft, AlphaRight float64
+	// InitAttempts and EfSearch are the proximity graph's restart count
+	// and result-frontier size.
+	InitAttempts, EfSearch int
+	// Probes is MPLSH's T. Zero probes is a meaningful setting, so — as in
+	// lsh.Options — a negative value means none.
+	Probes int
+}
+
+// Overlay returns p with every field that over sets replaced by over's
+// value: the per-key merge of a request's params onto serving defaults.
+func (p Params) Overlay(over Params) Params {
+	if over.Gamma != 0 {
+		p.Gamma = over.Gamma
+	}
+	if over.MinShared != 0 {
+		p.MinShared = over.MinShared
+	}
+	if over.AlphaLeft != 0 {
+		p.AlphaLeft = over.AlphaLeft
+	}
+	if over.AlphaRight != 0 {
+		p.AlphaRight = over.AlphaRight
+	}
+	if over.InitAttempts != 0 {
+		p.InitAttempts = over.InitAttempts
+	}
+	if over.EfSearch != 0 {
+		p.EfSearch = over.EfSearch
+	}
+	if over.Probes != 0 {
+		p.Probes = over.Probes
+	}
+	return p
+}
+
+// Options is everything one query carries besides the query object. It is
+// passed by value through every layer of the search path (a pointer through
+// an interface call would escape and cost the warm path an allocation).
+type Options struct {
+	// K is the number of neighbors requested; K <= 0 answers nothing.
+	K int
+	// Ctx, when non-nil, cancels cooperatively: the layers that fan one
+	// request out (the batch engine between queries, the tiered tree
+	// between components) stop at the next boundary once it is done. A
+	// single index search runs to completion.
+	Ctx context.Context
+	// Trace, when non-nil, receives the query's per-stage breakdown. The
+	// trace belongs to the call that carries it, so a nil Trace costs one
+	// nil check per stage and nothing can write to it after the call
+	// returns.
+	Trace *obs.QueryTrace
+	// Params are the query-time method parameters.
+	Params Params
+}
+
+// Err reports the cancellation state of o.Ctx (nil when there is none).
+func (o Options) Err() error {
+	if o.Ctx == nil {
+		return nil
+	}
+	return o.Ctx.Err()
+}
 
 // Index answers k-nearest-neighbor queries over a fixed data set. The
 // result is ordered by increasing distance and contains at most k entries
@@ -13,51 +96,64 @@ import "repro/internal/topk"
 // methods, if the candidate set is exhausted). IDs are positions in the
 // data slice the index was built from.
 //
-// Search must be safe for concurrent use by multiple goroutines.
+// SearchAppend is the one query path: it appends the answer to dst and
+// returns the extended slice. Per-query state lives in scratch pooled inside
+// the index, so a warm call with a dst of sufficient capacity performs zero
+// allocations. Search(q, k) is SearchAppend(nil, q, Options{K: k}) and costs
+// exactly the one result-slice allocation.
+//
+// Both methods must be safe for concurrent use by multiple goroutines.
 type Index[T any] interface {
 	Search(query T, k int) []topk.Neighbor
+	SearchAppend(dst []topk.Neighbor, query T, opts Options) []topk.Neighbor
 	// Name identifies the method in experiment reports, e.g. "napp".
 	Name() string
 }
 
-// Searcher is a single-goroutine query handle over an index: it answers the
-// same queries as the index's Search but owns its per-query scratch state
-// (counter arenas, candidate buffers, top-k queues) exclusively, so a
-// worker issuing many queries through one Searcher reuses one set of
-// buffers instead of cycling a pool entry per query. The batch engine keeps
-// one Searcher per worker; serving loops may hold one per goroutine.
-//
-// A Searcher must return results identical to the parent index's Search. It
-// must NOT be shared between goroutines. SearchAppend appends the results
-// to dst and returns the extended slice — with a dst of sufficient capacity
-// a warm SearchAppend performs zero allocations (the returned neighbors are
-// the only memory Search hands to the caller); Search is SearchAppend(nil,
-// ...) and costs exactly the one result-slice allocation.
-type Searcher[T any] interface {
-	Search(query T, k int) []topk.Neighbor
-	SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor
+// Pooled is the shared adapter behind every index's two search methods. An
+// index embeds it, hand-writes one search function that threads its
+// per-query scratch state S explicitly, and binds that function at
+// construction; Pooled runs it on a scratch state drawn from a per-index
+// pool, so concurrent queries each own their scratch and a warm query
+// reuses buffers grown by earlier ones.
+type Pooled[T, S any] struct {
+	fn func(s *S, dst []topk.Neighbor, query T, opts Options) []topk.Neighbor
+	// Scratch is the per-index pool of query scratch states, exported for
+	// the rare index that runs its search function outside SearchAppend
+	// (the proximity graph's seed-pinning batch).
+	Scratch scratch.Pool[S]
 }
 
-// SearcherProvider is implemented by indexes that can mint Searchers.
-// NewSearcher is safe to call concurrently; each returned Searcher is
-// independent.
-type SearcherProvider[T any] interface {
-	NewSearcher() Searcher[T]
+// Bind sets the search function. Call once, before the index is shared.
+func (p *Pooled[T, S]) Bind(fn func(s *S, dst []topk.Neighbor, query T, opts Options) []topk.Neighbor) {
+	p.fn = fn
+}
+
+// Search implements Index.
+func (p *Pooled[T, S]) Search(query T, k int) []topk.Neighbor {
+	return p.SearchAppend(nil, query, Options{K: k})
+}
+
+// SearchAppend implements Index.
+func (p *Pooled[T, S]) SearchAppend(dst []topk.Neighbor, query T, opts Options) []topk.Neighbor {
+	s := p.Scratch.Get()
+	defer p.Scratch.Put(s)
+	return p.fn(s, dst, query, opts)
 }
 
 // Batcher is implemented by indexes that need to cooperate with the batch
 // query engine (internal/engine) to keep a concurrent batch identical to a
 // serial query loop — typically because Search consumes shared mutable
 // state, like the proximity graph's entry-point seed counter. SearchBatch
-// must return, for every i, exactly what the i-th call of a serial Search
-// loop started from the index's current state would return, and must leave
-// the index in the same state that loop would. workers bounds parallelism
-// (<= 0 means GOMAXPROCS).
+// must return, for every i, exactly what the i-th call of a serial
+// SearchAppend(nil, queries[i], opts) loop started from the index's current
+// state would return, and must leave the index in the same state that loop
+// would. workers bounds parallelism (<= 0 means GOMAXPROCS).
 //
-// Indexes whose Search is a pure function of (query, k) do not need this;
-// engine.SearchBatch fans them out directly.
+// Indexes whose search is a pure function of (query, opts) do not need
+// this; engine.SearchBatch fans them out directly.
 type Batcher[T any] interface {
-	SearchBatch(queries []T, k, workers int) [][]topk.Neighbor
+	SearchBatch(queries []T, opts Options, workers int) [][]topk.Neighbor
 }
 
 // Stats describes index footprint for Table 2 style reports.

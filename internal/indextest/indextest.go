@@ -10,7 +10,10 @@
 //     best candidate, k > n returns at most n results;
 //   - a concurrent batch via engine.SearchBatch returns exactly what a
 //     serial Search loop would (the engine contract);
-//   - Search is safe for concurrent use (validated under the CI race job).
+//   - Search is safe for concurrent use (validated under the CI race job);
+//   - query-time params are per-query values: a shared index queried under
+//     params p answers byte-identically to a dedicated index built with p
+//     (ParamsMatchDedicated).
 //
 // The roundtrip suite (roundtrip.go) extends the contract to persistence:
 // Save then Load must yield an index whose every answer — and persisted byte
@@ -20,6 +23,7 @@ package indextest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -98,35 +102,32 @@ func Conformance[T any](t *testing.T, sp space.Space[T], data []T, queries []T, 
 		for i, q := range queries {
 			want[i] = serialIdx.Search(q, k)
 		}
-		got := engine.SearchBatchPool(engine.NewPool(4), batchIdx, queries, k)
+		got, err := engine.SearchBatch(engine.NewPool(4), batchIdx, queries, index.Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range queries {
 			diffResults(t, want[i], got[i], fmt.Sprintf("query %d", i))
 		}
 	})
 
-	t.Run("searcher-matches-search", func(t *testing.T) {
-		// Indexes that mint per-worker searchers (index.SearcherProvider)
-		// must answer identically through them — both the plain Search
-		// entry point and the appending zero-allocation one, including
-		// when dst already carries earlier results that must survive.
+	t.Run("search-append-matches-search", func(t *testing.T) {
+		// The appending zero-allocation entry point must answer exactly
+		// like Search, including when dst already carries earlier results
+		// that must survive. Two identical instances, because a search may
+		// consume shared state (the graph's entry-point seed counter).
 		idx, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, ok := any(idx).(index.SearcherProvider[T])
-		if !ok {
-			t.Skip("index does not provide searchers")
-		}
-		searcher := sp.NewSearcher()
+		appendIdx := clone(t, sp, data, idx, build)
 		const k = 10
 		sentinel := topk.Neighbor{ID: ^uint32(0), Dist: -1}
 		dst := make([]topk.Neighbor, 0, 64)
 		for qi, q := range queries {
 			want := idx.Search(q, k)
-			got := searcher.Search(q, k)
-			diffResults(t, want, got, fmt.Sprintf("searcher query %d", qi))
 			dst = append(dst[:0], sentinel)
-			dst = searcher.SearchAppend(dst, q, k)
+			dst = appendIdx.SearchAppend(dst, q, index.Options{K: k})
 			if len(dst) == 0 || dst[0] != sentinel {
 				t.Fatalf("query %d: SearchAppend clobbered existing dst contents", qi)
 			}
@@ -155,6 +156,44 @@ func Conformance[T any](t *testing.T, sp space.Space[T], data []T, queries []T, 
 		}
 		wg.Wait()
 	})
+}
+
+// ParamsMatchDedicated asserts the per-query-params contract for one kind:
+// an index built with its defaults and queried under params answers every
+// query byte-identically to an index whose build options bake the same
+// values in — through a serial SearchAppend loop and through the batch
+// engine alike (which is how a graph's seed-pinning Batcher is shown to
+// receive the params). Both builders must be deterministic and differ only
+// in the knobs params names.
+func ParamsMatchDedicated[T any](t *testing.T, queries []T, params index.Params, shared, dedicated Builder[T]) {
+	t.Helper()
+	const k = 10
+	build := func(b Builder[T]) index.Index[T] {
+		idx, err := b()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	ded, serial, batch, plain := build(dedicated), build(shared), build(shared), build(shared)
+	opts := index.Options{K: k, Params: params}
+	want := make([][]topk.Neighbor, len(queries))
+	changed := false
+	for i, q := range queries {
+		want[i] = ded.Search(q, k)
+		diffResults(t, want[i], serial.SearchAppend(nil, q, opts), fmt.Sprintf("query %d under %+v", i, params))
+		changed = changed || !slices.Equal(want[i], plain.Search(q, k))
+	}
+	if !changed {
+		t.Errorf("params %+v change no answer on this corpus; the property is vacuous", params)
+	}
+	got, err := engine.SearchBatch(engine.NewPool(4), batch, queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range queries {
+		diffResults(t, want[i], got[i], fmt.Sprintf("batch query %d under %+v", i, params))
+	}
 }
 
 // checkWellFormed asserts the core result invariants: at most k entries,

@@ -120,7 +120,10 @@ func verifyTieredFlat[T any](t *testing.T, sp space.Space[T], tree *lsm.Tree[T],
 	for _, k := range []int{1, 10, 50, len(ids) + 7} {
 		for qi, q := range probes {
 			want := flat.Search(q, k)
-			got := tree.Search(base, q, k)
+			got, err := tree.SearchAppend(nil, base, q, index.Options{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(want) != len(got) {
 				t.Fatalf("%s: query %d k=%d: tiered returned %d results, flat %d", stage, qi, k, len(got), len(want))
 			}

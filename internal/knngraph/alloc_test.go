@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/index"
 	"repro/internal/knngraph"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -38,11 +39,11 @@ func TestGraphSearchAppendZeroAllocs(t *testing.T) {
 			}
 			dst := make([]topk.Neighbor, 0, k)
 			for _, q := range queries {
-				dst = g.SearchAppend(dst[:0], q, k)
+				dst = g.SearchAppend(dst[:0], q, index.Options{K: k})
 			}
 			qi := 0
 			if avg := testing.AllocsPerRun(50, func() {
-				dst = g.SearchAppend(dst[:0], queries[qi%len(queries)], k)
+				dst = g.SearchAppend(dst[:0], queries[qi%len(queries)], index.Options{K: k})
 				qi++
 			}); avg != 0 {
 				t.Errorf("warm SearchAppend allocates %v times per run, want 0", avg)
@@ -72,7 +73,7 @@ func TestGraphSearchAppendMatchesSearch(t *testing.T) {
 	var dst []topk.Neighbor
 	for qi, q := range queries {
 		want := ga.Search(q, k)
-		dst = gb.SearchAppend(dst[:0], q, k)
+		dst = gb.SearchAppend(dst[:0], q, index.Options{K: k})
 		if len(want) != len(dst) {
 			t.Fatalf("query %d: Search returned %d results, SearchAppend %d", qi, len(want), len(dst))
 		}

@@ -11,6 +11,7 @@
 package knngraph
 
 import (
+	"cmp"
 	"math/rand"
 	"sync/atomic"
 
@@ -93,9 +94,10 @@ type Graph[T any] struct {
 	seedCtr atomic.Int64
 	// buildDist counts construction-time distance computations.
 	buildDist atomic.Int64
-	// scratch pools per-query traversal state (visited arena, frontier,
-	// result queue, entry-point RNG) so a warm query allocates nothing.
-	scratch scratch.Pool[graphScratch]
+	// Pooled runs search on pooled per-query traversal state (visited
+	// arena, frontier, result queue, entry-point RNG) so a warm query
+	// allocates nothing.
+	index.Pooled[T, graphScratch]
 }
 
 // graphScratch is the per-query state of one graph traversal. The visited
@@ -129,91 +131,49 @@ func (g *Graph[T]) Stats() index.Stats {
 // Degree returns the out-degree of node id (for tests and reports).
 func (g *Graph[T]) Degree(id int) int { return len(g.adj[id]) }
 
-// SetSearchParams adjusts the query-time knobs (restarts and frontier size)
-// without rebuilding. Values <= 0 leave the current setting. Not safe to
-// call concurrently with Search.
-func (g *Graph[T]) SetSearchParams(initAttempts, efSearch int) {
-	if initAttempts > 0 {
-		g.opts.InitAttempts = initAttempts
+// search implements the index's one query path using multi-restart
+// best-first traversal: every restart starts from a random entry point,
+// maintains a frontier of unexpanded candidates and a bounded result set of
+// size ef, and stops when the nearest frontier candidate cannot improve the
+// result set. The entry-point RNG is seeded from the next value of the
+// shared seed counter, so two calls on the same query legitimately answer
+// differently while a fixed call sequence is deterministic.
+func (g *Graph[T]) search(s *graphScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	if opts.K <= 0 {
+		return dst
 	}
-	if efSearch > 0 {
-		g.opts.EfSearch = efSearch
-	}
-}
-
-// SearchParams returns the current query-time knobs.
-func (g *Graph[T]) SearchParams() (initAttempts, efSearch int) {
-	return g.opts.InitAttempts, g.opts.EfSearch
-}
-
-// Search implements index.Index using multi-restart best-first traversal:
-// every restart starts from a random entry point, maintains a frontier of
-// unexpanded candidates and a bounded result set of size ef, and stops when
-// the nearest frontier candidate cannot improve the result set.
-func (g *Graph[T]) Search(query T, k int) []topk.Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	return g.searchSeeded(query, k, g.seedCtr.Add(1))
+	return g.searchSeeded(s, dst, query, opts, g.seedCtr.Add(1))
 }
 
 // SearchBatch implements index.Batcher: it answers the batch concurrently
-// yet byte-identical to a serial Search loop. Search's entry points are
-// drawn from the shared seedCtr, so a naive concurrent fan-out would hand
-// each query whichever counter value its goroutine happened to draw; here
-// the whole counter range is reserved up front and query i is pinned to the
+// yet byte-identical to a serial SearchAppend loop. Entry points are drawn
+// from the shared seedCtr, so a naive concurrent fan-out would hand each
+// query whichever counter value its goroutine happened to draw; here the
+// whole counter range is reserved up front and query i is pinned to the
 // value the i-th serial call would have consumed.
-func (g *Graph[T]) SearchBatch(queries []T, k, workers int) [][]topk.Neighbor {
+func (g *Graph[T]) SearchBatch(queries []T, opts index.Options, workers int) [][]topk.Neighbor {
 	out := make([][]topk.Neighbor, len(queries))
-	if k <= 0 {
+	if opts.K <= 0 {
 		// A serial loop would return nil per query without consuming
 		// any counter values; match that.
 		return out
 	}
 	base := g.seedCtr.Add(int64(len(queries))) - int64(len(queries))
 	engine.NewPool(workers).ForDynamic(len(queries), func(i int) {
-		out[i] = g.searchSeeded(queries[i], k, base+int64(i)+1)
+		s := g.Scratch.Get()
+		defer g.Scratch.Put(s)
+		out[i] = g.searchSeeded(s, nil, queries[i], opts, base+int64(i)+1)
 	})
 	return out
 }
 
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (g *Graph[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	if k <= 0 {
-		return dst
-	}
-	return g.searchSeededAppend(dst, query, k, g.seedCtr.Add(1))
-}
-
-// Graph deliberately does NOT implement index.SearcherProvider: entry
-// points are drawn from the shared seed counter, so two calls on the same
-// query legitimately answer differently — a minted Searcher could never
-// satisfy the answers-identical-to-Search contract. SearchAppend above is
-// the zero-alloc entry point instead; callers needing a Searcher shape get
-// the allocating-result fallback wrapper (e.g. lsm's mintSearcher).
-
-// searchSeeded answers one query with the entry-point RNG derived from ctr
-// (a seedCtr value).
-func (g *Graph[T]) searchSeeded(query T, k int, ctr int64) []topk.Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	return g.searchSeededAppend(nil, query, k, ctr)
-}
-
-// searchSeededAppend runs one query through pooled scratch, appending the
-// top k of the ef-sized result set to dst.
-func (g *Graph[T]) searchSeededAppend(dst []topk.Neighbor, query T, k int, ctr int64) []topk.Neighbor {
-	ef := g.opts.EfSearch
-	if ef < k {
-		ef = k
-	}
-	if ef < g.opts.NN {
-		ef = g.opts.NN
-	}
-	s := g.scratch.Get()
-	defer g.scratch.Put(s)
+// searchSeeded runs one query with the entry-point RNG derived from ctr (a
+// seedCtr value), appending the top k of the ef-sized result set to dst.
+// The restart count and frontier size are the query's (opts.Params) when
+// set, else the graph's build-time ones.
+func (g *Graph[T]) searchSeeded(s *graphScratch, dst []topk.Neighbor, query T, opts index.Options, ctr int64) []topk.Neighbor {
+	k := opts.K
+	ef := max(cmp.Or(opts.Params.EfSearch, g.opts.EfSearch), k, g.opts.NN)
 	seed := g.opts.Seed ^ ctr
 	if s.r == nil {
 		s.r = rand.New(rand.NewSource(seed))
@@ -222,7 +182,7 @@ func (g *Graph[T]) searchSeededAppend(dst []topk.Neighbor, query T, k int, ctr i
 		// state, so the stream is identical to a fresh rand.New.
 		s.r.Seed(seed)
 	}
-	g.traverse(s, query, ef, g.opts.InitAttempts)
+	g.traverse(s, query, ef, cmp.Or(opts.Params.InitAttempts, g.opts.InitAttempts))
 	s.drain = s.results.AppendResults(s.drain[:0])
 	res := s.drain
 	if len(res) > k {

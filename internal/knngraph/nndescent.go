@@ -87,6 +87,7 @@ func NewNNDescent[T any](sp space.Space[T], data []T, opts Options) (*Graph[T], 
 		opts: opts,
 		name: "nndescent-graph",
 	}
+	g.Bind(g.search)
 	k := opts.NN
 	if k >= n {
 		k = n - 1

@@ -57,6 +57,7 @@ func Load[T any](cr *codec.Reader, kind string, sp space.Space[T], data []T) (*G
 		name = "nndescent-graph"
 	}
 	g := &Graph[T]{sp: sp, data: data, name: name}
+	g.Bind(g.search)
 	g.opts.NN = cr.Int()
 	g.opts.InitAttempts = cr.Int()
 	g.opts.EfSearch = cr.Int()

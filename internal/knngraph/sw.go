@@ -29,6 +29,7 @@ func NewSW[T any](sp space.Space[T], data []T, opts Options) (*Graph[T], error) 
 		opts: opts,
 		name: "sw-graph",
 	}
+	g.Bind(g.search)
 
 	// Bootstrap: fully connect the first NN+1 points.
 	boot := opts.NN + 1

@@ -71,6 +71,9 @@ type MPLSH struct {
 	w      float64
 	tables []table
 	opts   Options
+	// MPLSH keeps no reusable per-query state (a query allocates its
+	// dedup set and probe sequences), so the pooled scratch is empty.
+	index.Pooled[[]float32, struct{}]
 }
 
 // New builds the index. All vectors must share the same dimensionality.
@@ -94,6 +97,7 @@ func New(data [][]float32, opts Options) (*MPLSH, error) {
 		w = estimateWidth(r, data)
 	}
 	idx := &MPLSH{data: data, dim: dim, w: w, opts: opts}
+	idx.Bind(idx.search)
 	idx.tables = make([]table, opts.Tables)
 	for t := range idx.tables {
 		tb := table{
@@ -176,17 +180,6 @@ func bucketKey(keys []int32) uint64 {
 // Name implements index.Index.
 func (x *MPLSH) Name() string { return "mplsh" }
 
-// SetProbes adjusts T, the number of extra buckets probed per table (a
-// query-time knob). Not safe to call concurrently with Search.
-func (x *MPLSH) SetProbes(t int) {
-	if t >= 0 {
-		x.opts.Probes = t
-	}
-}
-
-// Probes returns the current probe count T.
-func (x *MPLSH) Probes() int { return x.opts.Probes }
-
 // Stats implements index.Sized.
 func (x *MPLSH) Stats() index.Stats {
 	var bytes int64
@@ -214,11 +207,18 @@ type probeSet struct {
 	score   float64
 }
 
-// Search implements index.Index: probe own + T perturbed buckets per table,
-// dedupe candidates, refine with true L2.
-func (x *MPLSH) Search(query []float32, k int) []topk.Neighbor {
+// search is the index's one query path: probe own + T perturbed buckets per
+// table, dedupe candidates, refine with true L2. T is the query's
+// (opts.Params.Probes, negative meaning none) when set, else the build-time
+// one.
+func (x *MPLSH) search(_ *struct{}, dst []topk.Neighbor, query []float32, opts index.Options) []topk.Neighbor {
+	k := opts.K
 	if k <= 0 {
-		return nil
+		return dst
+	}
+	probes := x.opts.Probes
+	if p := opts.Params.Probes; p != 0 {
+		probes = max(p, 0)
 	}
 	seen := make(map[uint32]struct{})
 	res := topk.NewQueue(k)
@@ -238,7 +238,7 @@ func (x *MPLSH) Search(query []float32, k int) []topk.Neighbor {
 		tb := &x.tables[t]
 		x.hashInto(tb, query, keys, fracs)
 		probe(tb, bucketKey(keys))
-		for _, set := range x.probeSets(fracs) {
+		for _, set := range x.probeSets(fracs, probes) {
 			copy(pkeys, keys)
 			for _, p := range set {
 				pkeys[p.i] += p.delta
@@ -246,15 +246,14 @@ func (x *MPLSH) Search(query []float32, k int) []topk.Neighbor {
 			probe(tb, bucketKey(pkeys))
 		}
 	}
-	return res.Results()
+	return res.AppendResults(dst)
 }
 
-// probeSets generates the T lowest-score perturbation sets for the current
+// probeSets generates the t lowest-score perturbation sets for the current
 // query, using the shift/expand heap enumeration of Lv et al. A set may
 // contain at most one perturbation per hash position.
-func (x *MPLSH) probeSets(fracs []float64) [][]perturbation {
+func (x *MPLSH) probeSets(fracs []float64, t int) [][]perturbation {
 	m := x.opts.Hashes
-	t := x.opts.Probes
 	if t == 0 {
 		return nil
 	}

@@ -96,7 +96,7 @@ func TestProbeSetsValidAndOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	fracs := []float64{0.1, 0.9, 0.5, 0.3, 0.7, 0.02}
-	sets := idx.probeSets(fracs)
+	sets := idx.probeSets(fracs, 15)
 	if len(sets) == 0 {
 		t.Fatal("no probe sets generated")
 	}

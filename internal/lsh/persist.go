@@ -54,6 +54,7 @@ func Load(cr *codec.Reader, data [][]float32) (*MPLSH, error) {
 		return nil, err
 	}
 	x := &MPLSH{data: data}
+	x.Bind(x.search)
 	x.opts.Tables = cr.Int()
 	x.opts.Hashes = cr.Int()
 	x.opts.Probes = cr.Int()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/seqscan"
 	"repro/internal/space"
@@ -12,9 +14,9 @@ import (
 
 // TestTreeSearchAppendZeroAllocs pins the PR 8 headline fix: a warm tiered
 // search over base + sealed tiers + live memtable, with tombstones in play,
-// runs entirely on the tree's pooled search state — cached component
-// searchers, reused merge buffer — so SearchAppend into a caller-supplied
-// buffer is zero allocations per query.
+// runs entirely on pooled state — each component's own scratch, the tree's
+// reused merge buffer — so SearchAppend into a caller-supplied buffer is
+// zero allocations per query.
 func TestTreeSearchAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard runs in the plain test job")
@@ -49,34 +51,34 @@ func TestTreeSearchAppendZeroAllocs(t *testing.T) {
 
 	queries := randVecs(7, 8)
 	dst := make([]topk.Neighbor, 0, k)
+	opts := index.Options{K: k}
 	for _, q := range queries {
-		dst = tree.SearchAppend(dst[:0], baseIdx, q, k)
+		dst, _ = tree.SearchAppend(dst[:0], baseIdx, q, opts)
 	}
 	qi := 0
 	if avg := testing.AllocsPerRun(50, func() {
-		dst = tree.SearchAppend(dst[:0], baseIdx, queries[qi%len(queries)], k)
+		dst, _ = tree.SearchAppend(dst[:0], baseIdx, queries[qi%len(queries)], opts)
 		qi++
 	}); avg != 0 {
 		t.Errorf("warm tiered SearchAppend allocates %v times per run, want 0", avg)
 	}
 
-	// The allocating wrapper pays exactly the result slice and nothing
-	// else.
+	// A nil dst pays exactly the result slice and nothing else.
 	if avg := testing.AllocsPerRun(50, func() {
-		_ = tree.Search(baseIdx, queries[qi%len(queries)], k)
+		_, _ = tree.SearchAppend(nil, baseIdx, queries[qi%len(queries)], opts)
 		qi++
 	}); avg > 1 {
-		t.Errorf("warm tiered Search allocates %v times per run, want <= 1", avg)
+		t.Errorf("warm tiered SearchAppend(nil) allocates %v times per run, want <= 1", avg)
 	}
 
 	// The instrumented path is held to the same bar: component attribution
 	// into an attached QueryTrace adds zero allocations, and the trace must
 	// actually account for the full merge surface (base + tier + memtable).
 	var trace obs.QueryTrace
-	ctx := context.Background()
+	opts.Ctx, opts.Trace = context.Background(), &trace
 	if avg := testing.AllocsPerRun(50, func() {
 		trace.Reset()
-		dst, _ = tree.SearchAppendTraced(ctx, dst[:0], baseIdx, queries[qi%len(queries)], k, &trace)
+		dst, _ = tree.SearchAppend(dst[:0], baseIdx, queries[qi%len(queries)], opts)
 		qi++
 	}); avg != 0 {
 		t.Errorf("warm traced tiered SearchAppend allocates %v times per run, want 0", avg)
@@ -91,13 +93,35 @@ func TestTreeSearchAppendZeroAllocs(t *testing.T) {
 		t.Errorf("tombstone mask time not attributed with tombstones in play")
 	}
 	if trace.RefineDistances == 0 {
-		t.Errorf("component searchers did not record refine distances through the shared trace")
+		t.Errorf("components did not record refine distances through the shared trace")
+	}
+
+	// Trace plus non-default params over a base that honors them (NAPP's t):
+	// everything a tuned, traced request carries rides the call by value.
+	nappBase, err := core.NewNAPP[[]float32](space.L2{}, base, core.NAPPOptions{
+		NumPivots: 16, NumPivotIndex: 8, MinShared: 1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Params = index.Params{MinShared: 2}
+	for _, q := range queries {
+		dst, _ = tree.SearchAppend(dst[:0], nappBase, q, opts)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		trace.Reset()
+		dst, _ = tree.SearchAppend(dst[:0], nappBase, queries[qi%len(queries)], opts)
+		qi++
+	}); avg != 0 {
+		t.Errorf("warm traced+params tiered SearchAppend allocates %v times per run, want 0", avg)
+	}
+	if trace.FilterCandidates == 0 {
+		t.Errorf("NAPP base did not record filter candidates through the shared trace")
 	}
 }
 
-// TestTreeSearchAppendSurvivesSeal pins the cache-invalidation half of the
-// fix: a pooled search state warmed before a seal must re-mint its
-// component searchers afterwards, not search a stale tier list.
+// TestTreeSearchAppendSurvivesSeal: pooled search state warmed before a seal
+// must answer over the new tier list afterwards, not a stale one.
 func TestTreeSearchAppendSurvivesSeal(t *testing.T) {
 	const baseN, k = 40, 8
 	base := randVecs(3, baseN)
@@ -107,7 +131,7 @@ func TestTreeSearchAppendSurvivesSeal(t *testing.T) {
 	queries := randVecs(8, 6)
 	var dst []topk.Neighbor
 	for _, q := range queries {
-		dst = tree.SearchAppend(dst[:0], baseIdx, q, k)
+		dst, _ = tree.SearchAppend(dst[:0], baseIdx, q, index.Options{K: k})
 	}
 
 	added := randVecs(4, 20)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/index"
 )
 
 // TestSearchAppendCtxCanceled: a canceled context stops the scatter before
 // any component is searched and surfaces ctx.Err(); the same call on a live
-// context still answers. The non-ctx entry points are unaffected.
+// context — or with none — still answers.
 func TestSearchAppendCtxCanceled(t *testing.T) {
 	tree := mustOpen(t, testOptions(t, 0))
 	defer tree.Close()
@@ -30,7 +32,7 @@ func TestSearchAppendCtxCanceled(t *testing.T) {
 	q := randVecs(4, 1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := tree.SearchAppendCtx(ctx, nil, nil, q, 3)
+	out, err := tree.SearchAppend(nil, nil, q, index.Options{K: 3, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled search err = %v, want context.Canceled", err)
 	}
@@ -38,11 +40,11 @@ func TestSearchAppendCtxCanceled(t *testing.T) {
 		t.Fatalf("canceled search returned %d results", len(out))
 	}
 
-	out, err = tree.SearchAppendCtx(context.Background(), nil, nil, q, 3)
+	out, err = tree.SearchAppend(nil, nil, q, index.Options{K: 3, Ctx: context.Background()})
 	if err != nil || len(out) != 3 {
 		t.Fatalf("live search = (%d results, %v), want 3 results", len(out), err)
 	}
-	if got := tree.Search(nil, q, 3); len(got) != 3 {
-		t.Fatalf("non-ctx Search returned %d results", len(got))
+	if got := search(tree, nil, q, 3); len(got) != 3 {
+		t.Fatalf("ctx-less search returned %d results", len(got))
 	}
 }

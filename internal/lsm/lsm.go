@@ -28,7 +28,6 @@
 package lsm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -227,54 +226,9 @@ type Tree[T any] struct {
 	compactErr error
 	wg         sync.WaitGroup
 
-	// searchEpoch versions the search-visible component set (sealed tier
-	// list and memtable identity). Bumped under the write lock at every
-	// structural change; pooled search states compare it under the read
-	// lock and re-mint their per-component searchers only when it moved,
-	// like NAPP's mutation-sequence re-snapshot.
-	searchEpoch uint64
-	searchPool  scratch.Pool[searchState[T]]
-}
-
-// searchState is the pooled per-query state of one tiered search: cached
-// per-component zero-alloc searchers plus the merge buffer. The cached
-// searchers are valid for the epoch they were minted under; base searchers
-// are re-minted whenever the caller passes a different base index (compared
-// by interface identity, so base indexes must be pointer-shaped — every
-// index in this repository is).
-// Alongside each searcher the state caches its obs.Traceable view (nil when
-// the component cannot carry a trace), so the traced search path does the
-// interface assertion once per mint instead of once per query.
-type searchState[T any] struct {
-	epoch uint64
-	base  index.Index[T]
-	baseS index.Searcher[T]
-	baseT obs.Traceable
-	tierS []index.Searcher[T] // parallel to Tree.tiers; nil for index-less tiers
-	tierT []obs.Traceable
-	memS  index.Searcher[T]
-	memT  obs.Traceable
-	buf   []topk.Neighbor
-}
-
-// mintSearcher returns a per-worker searcher for idx: its own when the
-// index provides one, otherwise a wrapper over the allocating Search (the
-// merge loop stays uniform; only that component's allocations remain).
-func mintSearcher[T any](idx index.Index[T]) index.Searcher[T] {
-	if sp, ok := idx.(index.SearcherProvider[T]); ok {
-		return sp.NewSearcher()
-	}
-	return fallbackSearcher[T]{idx}
-}
-
-type fallbackSearcher[T any] struct{ idx index.Index[T] }
-
-func (f fallbackSearcher[T]) Search(query T, k int) []topk.Neighbor {
-	return f.idx.Search(query, k)
-}
-
-func (f fallbackSearcher[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	return append(dst, f.idx.Search(query, k)...)
+	// mergeBufs pools the per-query merge buffer. Component searches run
+	// on each component index's own pooled scratch.
+	mergeBufs scratch.Pool[[]topk.Neighbor]
 }
 
 // Open loads (or initializes) a tree in opts.Dir: manifest, sealed tiers,
@@ -770,7 +724,6 @@ func (t *Tree[T]) sealLocked() (*TierStatus, error) {
 		return nil, t.degradeLocked(fmt.Errorf("committing tier %d: %w", tr.seq, err))
 	}
 	t.tiers = append(t.tiers, tr)
-	t.searchEpoch++
 	if err := t.rotateWalLocked(newWalSeq); err != nil {
 		return nil, err
 	}
@@ -825,7 +778,6 @@ func (t *Tree[T]) rotateWalLocked(newWalSeq uint64) error {
 	}
 	t.mem = &memtable[T]{dyn: dyn}
 	t.segTombs = nil
-	t.searchEpoch++
 	return nil
 }
 
@@ -960,7 +912,6 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 		return
 	}
 	t.tiers = newTiers
-	t.searchEpoch++
 	// Rebuild the mask: tombstones of the surviving tiers plus the current
 	// segment's pending deletes. Entries whose targets were just dropped
 	// vanish here, so the k-inflation the mask drives stays proportional
@@ -995,91 +946,70 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 	t.mu.Unlock()
 }
 
-// Search answers a query over the live set: base corpus (searched through
-// the supplied immutable base index, nil for a base-less tree) plus sealed
-// tiers plus memtable, masked by the tombstone union and merged with the
-// canonical (dist, id) rule. Each component is queried with k inflated by
-// the mask size, so masking can never push a live answer out of reach: the
-// merged result is exactly what a flat index over the live set would
-// return when every component searches exactly.
-func (t *Tree[T]) Search(base index.Index[T], query T, k int) []topk.Neighbor {
-	return t.SearchAppend(nil, base, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst: the
-// whole merge — per-component searches, id translation, tombstone masking,
-// top-k selection — runs on a pooled search state, so a warm call with a
-// dst of sufficient capacity performs zero allocations.
-func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T, k int) []topk.Neighbor {
-	dst, _ = t.SearchAppendCtx(context.Background(), dst, base, query, k)
-	return dst
-}
-
-// SearchAppendCtx is SearchAppend with cooperative cancellation: ctx is
-// checked between component searches (base, each tier, memtable), so a
-// query its client has abandoned — a server timeout, a dropped connection —
-// stops scattering instead of running every remaining component to
-// completion. On cancellation dst is returned unchanged alongside the ctx
-// error. The checks are allocation-free; the zero-alloc warm-path guarantee
-// of SearchAppend holds here too.
-func (t *Tree[T]) SearchAppendCtx(ctx context.Context, dst []topk.Neighbor, base index.Index[T], query T, k int) ([]topk.Neighbor, error) {
-	return t.SearchAppendTraced(ctx, dst, base, query, k, nil)
-}
-
-// SearchAppendTraced is SearchAppendCtx with per-component attribution:
-// when tr is non-nil, the time spent in the base index, the sealed tiers,
+// SearchAppend answers a query over the live set: base corpus (searched
+// through the supplied immutable base index, nil for a base-less tree) plus
+// sealed tiers plus memtable, masked by the tombstone union and merged with
+// the canonical (dist, id) rule, appended to dst. Each component is queried
+// with k inflated by the mask size, so masking can never push a live answer
+// out of reach: the merged result is exactly what a flat index over the
+// live set would return when every component searches exactly.
+//
+// opts.Params reach the base index only; tiers and memtable search with
+// their own defaults. opts.Ctx is checked between component searches (base,
+// each tier, memtable), so a query its client has abandoned stops
+// scattering instead of running every remaining component to completion;
+// on cancellation dst is returned unchanged alongside the ctx error. When
+// opts.Trace is non-nil the time spent in the base index, the sealed tiers,
 // the memtable, the tombstone masking pass and the final merge is recorded
-// into it, alongside whatever stage detail the component searchers
-// themselves record (a traceable component receives the same tr). The
-// trace pointer is (re)set on every cached component searcher on every
-// query — nil included — so a pooled search state can never write into a
-// previous query's trace. Tracing adds no allocations: the warm zero-alloc
-// guarantee holds with tr attached.
-func (t *Tree[T]) SearchAppendTraced(ctx context.Context, dst []topk.Neighbor, base index.Index[T], query T, k int, tr *obs.QueryTrace) ([]topk.Neighbor, error) {
+// into it, alongside whatever stage detail the components record into the
+// same trace.
+//
+// The whole merge — per-component searches, id translation, tombstone
+// masking, top-k selection — runs on pooled state, so a warm call with a
+// dst of sufficient capacity performs zero allocations, traced or not.
+func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T, opts index.Options) ([]topk.Neighbor, error) {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst, nil
 	}
-	if err := ctx.Err(); err != nil {
+	if err := opts.Err(); err != nil {
 		return dst, err
 	}
-	st := t.searchPool.Get()
-	defer t.searchPool.Put(st)
+	bufp := t.mergeBufs.Get()
+	defer t.mergeBufs.Put(bufp)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.refreshLocked(st, base)
-	kq := k + len(t.deleted)
-	buf := st.buf[:0]
+	sub := opts
+	sub.K = k + len(t.deleted)
+	buf := (*bufp)[:0]
+	// Keep the (possibly regrown) buffer for the next query; it is pooled
+	// and must never escape to the caller.
+	defer func() { *bufp = buf[:0] }()
 	var t0 time.Time
-	if st.baseS != nil {
-		if st.baseT != nil {
-			st.baseT.SetTrace(tr)
-		}
+	if base != nil {
 		if tr != nil {
 			tr.Components++
 			t0 = time.Now()
 		}
-		buf = st.baseS.SearchAppend(buf, query, kq)
+		buf = base.SearchAppend(buf, query, sub)
 		if tr != nil {
 			obs.AddSince(&tr.BaseNs, t0)
 		}
 	}
-	for ti, tier := range t.tiers {
+	sub.Params = index.Params{}
+	for _, tier := range t.tiers {
 		if tier.idx == nil {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			st.buf = buf[:0]
+		if err := opts.Err(); err != nil {
 			return dst, err
-		}
-		if st.tierT[ti] != nil {
-			st.tierT[ti].SetTrace(tr)
 		}
 		if tr != nil {
 			tr.Components++
 			t0 = time.Now()
 		}
 		start := len(buf)
-		buf = st.tierS[ti].SearchAppend(buf, query, kq)
+		buf = tier.idx.SearchAppend(buf, query, sub)
 		for i := start; i < len(buf); i++ {
 			buf[i].ID = tier.ids[buf[i].ID]
 		}
@@ -1087,19 +1017,15 @@ func (t *Tree[T]) SearchAppendTraced(ctx context.Context, dst []topk.Neighbor, b
 			obs.AddSince(&tr.TierNs, t0)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		st.buf = buf[:0]
+	if err := opts.Err(); err != nil {
 		return dst, err
-	}
-	if st.memT != nil {
-		st.memT.SetTrace(tr)
 	}
 	if tr != nil {
 		tr.Components++
 		t0 = time.Now()
 	}
 	start := len(buf)
-	buf = st.memS.SearchAppend(buf, query, kq)
+	buf = t.mem.dyn.SearchAppend(buf, query, sub)
 	for i := start; i < len(buf); i++ {
 		buf[i].ID = t.mem.ids[buf[i].ID]
 	}
@@ -1124,44 +1050,11 @@ func (t *Tree[T]) SearchAppendTraced(ctx context.Context, dst []topk.Neighbor, b
 	if tr != nil {
 		t0 = time.Now()
 	}
-	top := topk.SelectK(buf, k)
-	// Copy the answer out: buf is pooled and must never escape to the
-	// caller. Keep the (possibly regrown) buffer for the next query.
-	dst = append(dst, top...)
+	dst = append(dst, topk.SelectK(buf, k)...)
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	st.buf = buf[:0]
 	return dst, nil
-}
-
-// refreshLocked brings a pooled search state up to date with the tree's
-// current component set: searchers are re-minted only when the structural
-// epoch moved (seal or compaction) or the caller's base index changed.
-func (t *Tree[T]) refreshLocked(st *searchState[T], base index.Index[T]) {
-	if st.epoch != t.searchEpoch || st.memS == nil {
-		st.tierS = st.tierS[:0]
-		st.tierT = st.tierT[:0]
-		for _, tr := range t.tiers {
-			var s index.Searcher[T]
-			if tr.idx != nil {
-				s = mintSearcher(tr.idx)
-			}
-			st.tierS = append(st.tierS, s)
-			tt, _ := s.(obs.Traceable)
-			st.tierT = append(st.tierT, tt)
-		}
-		st.memS = mintSearcher[T](t.mem.dyn)
-		st.memT, _ = st.memS.(obs.Traceable)
-		st.epoch = t.searchEpoch
-	}
-	if base == nil {
-		st.base, st.baseS, st.baseT = nil, nil, nil
-	} else if st.base != base || st.baseS == nil {
-		st.base = base
-		st.baseS = mintSearcher(base)
-		st.baseT, _ = st.baseS.(obs.Traceable)
-	}
 }
 
 // TierStatus summarizes one sealed tier for /statusz.

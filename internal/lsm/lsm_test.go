@@ -19,12 +19,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/index"
 	"repro/internal/seqscan"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
 
 const testDim = 4
+
+// search answers one untraced, uncancellable query at the tree's defaults.
+func search[T any](tree *Tree[T], base index.Index[T], q T, k int) []topk.Neighbor {
+	out, _ := tree.SearchAppend(nil, base, q, index.Options{K: k})
+	return out
+}
 
 func encVec(v []float32) []byte {
 	buf := make([]byte, 0, 4*len(v))
@@ -120,7 +127,7 @@ func checkIdentity(t *testing.T, tree *Tree[[]float32], base [][]float32, label 
 	queries := randVecs(99, 10)
 	for qi, q := range queries {
 		for _, k := range []int{1, 3, 25} {
-			got := tree.Search(baseIdx, q, k)
+			got := search(tree, baseIdx, q, k)
 			want := ref(q, k)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: query %d k=%d:\ntree %+v\nflat %+v", label, qi, k, got, want)
@@ -562,7 +569,7 @@ func TestTreeCrashRecoveryEveryByteBoundary(t *testing.T) {
 		if cut == boundaries[m] || cut == boundaries[m]+1 {
 			ref := flatRef(t, re, base)
 			for _, q := range queries {
-				got := re.Search(baseIdx, q, 5)
+				got := search(re, baseIdx, q, 5)
 				if want := ref(q, 5); !slices.Equal(got, want) {
 					t.Fatalf("cut %d: search diverges:\n%+v\n%+v", cut, got, want)
 				}
@@ -732,7 +739,7 @@ func TestTreeConcurrentWritesAndSearches(t *testing.T) {
 				default:
 				}
 				q := queries[i%len(queries)]
-				nbs := tree.Search(baseIdx, q, 10)
+				nbs := search(tree, baseIdx, q, 10)
 				if len(nbs) > 10 {
 					t.Errorf("searcher %d: %d results for k=10", s, len(nbs))
 					return

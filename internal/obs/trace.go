@@ -68,12 +68,3 @@ func (t *QueryTrace) StageNs() [len(StageNames)]int64 {
 // nil-checks the trace; this helper exists so stage timing reads as one
 // line at each instrumentation site.
 func AddSince(field *int64, t0 time.Time) { *field += time.Since(t0).Nanoseconds() }
-
-// Traceable is implemented by searchers that can attach a QueryTrace.
-// Callers type-assert structurally (no package dependency on the index
-// implementations) and MUST call SetTrace before every use of a pooled or
-// cached searcher — including SetTrace(nil) for untraced queries — so a
-// stale pointer from a previous query can never receive writes.
-type Traceable interface {
-	SetTrace(*QueryTrace)
-}

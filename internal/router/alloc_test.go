@@ -1,8 +1,8 @@
 package router_test
 
 // Steady-state allocation guards for the sharded query path: a warm
-// localSearcher.SearchAppend performs zero allocations per query, with and
-// without a stage trace attached — observability must not cost the hot
+// Local.SearchAppend performs zero allocations per query, with and without
+// a stage trace and params attached — observability must not cost the hot
 // path its zero-alloc property (the same contract internal/core/alloc_test.go
 // enforces for every unsharded index kind).
 
@@ -13,6 +13,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/obs"
+	"repro/internal/router"
 	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -21,7 +22,7 @@ import (
 // buildAllocLocal shards the dense corpus across 3 NAPP indexes — a filter
 // kind, so the trace sees filter candidates and refine evaluations from
 // every shard probe.
-func buildAllocLocal(t *testing.T) (loc index.SearcherProvider[[]float32], queries [][]float32) {
+func buildAllocLocal(t *testing.T) (loc *router.Local[[]float32], queries [][]float32) {
 	t.Helper()
 	db, qs := indextest.DenseCorpus()
 	kb := kindBuilder[[]float32]{"napp", func(data [][]float32) (index.Index[[]float32], error) {
@@ -32,19 +33,22 @@ func buildAllocLocal(t *testing.T) (loc index.SearcherProvider[[]float32], queri
 	return buildLocal(t, kb, db, 3, shard.Hash), qs
 }
 
-func TestLocalSearcherZeroAllocs(t *testing.T) {
+func TestLocalSearchAppendZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; guard runs in the plain test job")
+	}
 	loc, queries := buildAllocLocal(t)
 	const k = 10
-	s := loc.NewSearcher()
 	dst := make([]topk.Neighbor, 0, k)
+	opts := index.Options{K: k}
 
-	// Warm: grow the merge buffer and every sub-searcher's scratch.
+	// Warm: grow the merge buffer and every shard's scratch.
 	for _, q := range queries {
-		dst = s.SearchAppend(dst[:0], q, k)
+		dst = loc.SearchAppend(dst[:0], q, opts)
 	}
 	q := queries[0]
 	if got := testing.AllocsPerRun(50, func() {
-		dst = s.SearchAppend(dst[:0], q, k)
+		dst = loc.SearchAppend(dst[:0], q, opts)
 	}); got != 0 {
 		t.Errorf("warm sharded SearchAppend allocates %v/op, want 0", got)
 	}
@@ -53,24 +57,24 @@ func TestLocalSearcherZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestLocalSearcherZeroAllocsTraced(t *testing.T) {
+// TestLocalSearchAppendZeroAllocsTraced: a trace and non-default params
+// riding the query reach every shard and cost no allocation.
+func TestLocalSearchAppendZeroAllocsTraced(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; guard runs in the plain test job")
+	}
 	loc, queries := buildAllocLocal(t)
 	const k = 10
-	s := loc.NewSearcher()
-	tt, ok := s.(obs.Traceable)
-	if !ok {
-		t.Fatal("local searcher does not implement obs.Traceable")
-	}
 	var trace obs.QueryTrace
-	tt.SetTrace(&trace)
+	opts := index.Options{K: k, Trace: &trace, Params: index.Params{MinShared: 2}}
 	dst := make([]topk.Neighbor, 0, k)
 	for _, q := range queries {
-		dst = s.SearchAppend(dst[:0], q, k)
+		dst = loc.SearchAppend(dst[:0], q, opts)
 	}
 	q := queries[0]
 	if got := testing.AllocsPerRun(50, func() {
 		trace.Reset()
-		dst = s.SearchAppend(dst[:0], q, k)
+		dst = loc.SearchAppend(dst[:0], q, opts)
 	}); got != 0 {
 		t.Errorf("warm traced sharded SearchAppend allocates %v/op, want 0", got)
 	}
@@ -79,15 +83,21 @@ func TestLocalSearcherZeroAllocsTraced(t *testing.T) {
 			trace.FilterCandidates, trace.RefineDistances)
 	}
 	if trace.MergeNs <= 0 {
-		t.Errorf("trace.MergeNs = %d, want > 0 (merge time attributed by the local searcher)", trace.MergeNs)
+		t.Errorf("trace.MergeNs = %d, want > 0 (merge time attributed by the Local)", trace.MergeNs)
+	}
+	// The params reached the shards: t=2 admits fewer candidates than t=1.
+	tuned := trace.FilterCandidates
+	trace.Reset()
+	opts.Params = index.Params{}
+	dst = loc.SearchAppend(dst[:0], q, opts)
+	if tuned >= trace.FilterCandidates {
+		t.Errorf("t=2 produced %d candidates, the t=1 default %d; params did not reach the shards", tuned, trace.FilterCandidates)
 	}
 
-	// Detaching must stop all writes: a stale trace pointer on a pooled
-	// searcher would corrupt a later query's attribution.
-	tt.SetTrace(nil)
+	// The trace rides the call: an untraced query must not touch it.
 	before := trace
-	dst = s.SearchAppend(dst[:0], q, k)
+	dst = loc.SearchAppend(dst[:0], q, index.Options{K: k})
 	if trace != before {
-		t.Error("detached searcher still writes to the old trace")
+		t.Error("untraced query wrote to an earlier query's trace")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/topk"
@@ -28,21 +27,21 @@ type LocalShard[T any] struct {
 // query path can sit directly in benchmarks and the evaluation harness
 // (annbench -shards) next to its unsharded counterpart.
 //
-// Local implements index.Index[T]; Search scatters one query across all
-// shards on the pool and merges. It also implements
-// index.SearcherProvider[T]: a minted Searcher queries the shards serially
-// through their own per-worker Searchers, so the whole sharded path keeps
-// the zero-steady-state-allocation property of the underlying indexes
-// (guarded in internal/core/alloc_test.go style by this package's tests).
+// Local implements index.Index[T]: a query probes the shards serially (the
+// calling worker is the unit of parallelism, as everywhere else on the
+// query hot path), every shard receives the query's options — params and
+// trace included — results land in one pooled buffer, and the canonical
+// merge happens in place, so the whole sharded path keeps the
+// zero-steady-state-allocation property of the underlying indexes (guarded
+// in internal/core/alloc_test.go style by this package's tests).
 type Local[T any] struct {
 	shards []LocalShard[T]
-	pool   engine.Pool
 	name   string
+	index.Pooled[T, []topk.Neighbor]
 }
 
-// NewLocal builds a scatter-gather view over shards. The pool bounds the
-// per-query fan-out concurrency of Search (a zero pool runs at GOMAXPROCS).
-func NewLocal[T any](shards []LocalShard[T], pool engine.Pool) (*Local[T], error) {
+// NewLocal builds a scatter-gather view over shards.
+func NewLocal[T any](shards []LocalShard[T]) (*Local[T], error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("router: no shards")
 	}
@@ -51,11 +50,12 @@ func NewLocal[T any](shards []LocalShard[T], pool engine.Pool) (*Local[T], error
 			return nil, fmt.Errorf("router: shard %d has no index", i)
 		}
 	}
-	return &Local[T]{
+	l := &Local[T]{
 		shards: shards,
-		pool:   pool,
 		name:   fmt.Sprintf("%s-sharded%d", shards[0].Index.Name(), len(shards)),
-	}, nil
+	}
+	l.Bind(l.search)
+	return l, nil
 }
 
 // Name implements index.Index: the underlying method tagged with the shard
@@ -90,89 +90,26 @@ func translate(ns []topk.Neighbor, ids []uint32) {
 	}
 }
 
-// Search implements index.Index: scatter the query to every shard over the
-// pool, translate ids, merge canonically.
-func (l *Local[T]) Search(query T, k int) []topk.Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	parts := make([][]topk.Neighbor, len(l.shards))
-	l.pool.For(len(l.shards), func(s int) {
-		ns := l.shards[s].Index.Search(query, k)
-		translate(ns, l.shards[s].IDs)
-		parts[s] = ns
-	})
-	merged, _ := mergeTopK(nil, k, parts)
-	return merged
-}
-
-// NewSearcher implements index.SearcherProvider. The searcher holds one
-// sub-searcher per shard (for shards whose index provides them; others fall
-// back to plain Search) plus a reusable merge buffer, and must not be
-// shared between goroutines.
-func (l *Local[T]) NewSearcher() index.Searcher[T] {
-	s := &localSearcher[T]{l: l, subs: make([]index.Searcher[T], len(l.shards))}
-	for i, sh := range l.shards {
-		if sp, ok := sh.Index.(index.SearcherProvider[T]); ok {
-			s.subs[i] = sp.NewSearcher()
-		}
-	}
-	return s
-}
-
-// localSearcher is the per-worker query handle of a Local: shards are
-// probed serially (the worker is the unit of parallelism, as everywhere
-// else on the query hot path), results land in one reusable buffer, and
-// the canonical merge happens in place.
-type localSearcher[T any] struct {
-	l    *Local[T]
-	subs []index.Searcher[T] // nil where the shard index mints none
-	buf  []topk.Neighbor
-	tr   *obs.QueryTrace
-}
-
-// SetTrace implements obs.Traceable: the trace is propagated to every
-// traceable sub-searcher, so shard probes attribute their own filter/refine
-// stages while the merge time lands here. Setting nil detaches everywhere.
-func (s *localSearcher[T]) SetTrace(tr *obs.QueryTrace) {
-	s.tr = tr
-	for _, sub := range s.subs {
-		if tt, ok := sub.(obs.Traceable); ok {
-			tt.SetTrace(tr)
-		}
-	}
-}
-
-var _ obs.Traceable = (*localSearcher[[]float32])(nil)
-
-// Search implements index.Searcher.
-func (s *localSearcher[T]) Search(query T, k int) []topk.Neighbor {
-	return s.SearchAppend(nil, query, k)
-}
-
-// SearchAppend implements index.Searcher: with a dst of sufficient capacity
-// and sub-searchers on every shard, a warm call performs zero allocations.
-func (s *localSearcher[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	if k <= 0 {
+// search probes every shard with the query's options, translates ids and
+// merges canonically; merge time is attributed to the trace when attached.
+func (l *Local[T]) search(buf *[]topk.Neighbor, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	if opts.K <= 0 {
 		return dst
 	}
-	s.buf = s.buf[:0]
-	for i, sh := range s.l.shards {
-		start := len(s.buf)
-		if sub := s.subs[i]; sub != nil {
-			s.buf = sub.SearchAppend(s.buf, query, k)
-		} else {
-			s.buf = append(s.buf, sh.Index.Search(query, k)...)
-		}
-		translate(s.buf[start:], sh.IDs)
+	b := (*buf)[:0]
+	for _, sh := range l.shards {
+		start := len(b)
+		b = sh.Index.SearchAppend(b, query, opts)
+		translate(b[start:], sh.IDs)
 	}
 	var mergeStart time.Time
-	if s.tr != nil {
+	if opts.Trace != nil {
 		mergeStart = time.Now()
 	}
-	merged := topk.SelectK(s.buf, k)
-	if s.tr != nil {
-		s.tr.MergeNs += time.Since(mergeStart).Nanoseconds()
+	dst = append(dst, topk.SelectK(b, opts.K)...)
+	if opts.Trace != nil {
+		obs.AddSince(&opts.Trace.MergeNs, mergeStart)
 	}
-	return append(dst, merged...)
+	*buf = b[:0]
+	return dst
 }

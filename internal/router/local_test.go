@@ -144,7 +144,7 @@ func buildLocal[T any](t *testing.T, kb kindBuilder[T], db []T, S int, p shard.P
 		}
 		shards[s] = router.LocalShard[T]{Index: idx, IDs: ids[s]}
 	}
-	loc, err := router.NewLocal(shards, engine.NewPool(4))
+	loc, err := router.NewLocal(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,25 +186,27 @@ func testShardedIdentity[T any](t *testing.T, db, queries []T, kinds []kindBuild
 			for _, S := range shardCounts {
 				t.Run(fmt.Sprintf("S=%d", S), func(t *testing.T) {
 					loc := buildLocal(t, kb, db, S, shard.Hash)
-					searcher := loc.NewSearcher()
 					var dst []topk.Neighbor
 					for qi, q := range probes {
 						for _, k := range ks {
 							want := unsharded.Search(q, k)
 							got := loc.Search(q, k)
 							diffResults(t, want, got, fmt.Sprintf("query %d k=%d (Search)", qi, k))
-							dst = searcher.SearchAppend(dst[:0], q, k)
+							dst = loc.SearchAppend(dst[:0], q, index.Options{K: k})
 							diffResults(t, want, dst, fmt.Sprintf("query %d k=%d (SearchAppend)", qi, k))
 						}
 					}
 					// The batch engine over a Local must equal the serial
-					// loop (Local provides per-worker searchers).
+					// loop.
 					const k = 10
 					want := make([][]topk.Neighbor, len(probes))
 					for i, q := range probes {
 						want[i] = unsharded.Search(q, k)
 					}
-					batch := engine.SearchBatchPool(engine.NewPool(4), index.Index[T](loc), probes, k)
+					batch, err := engine.SearchBatch(engine.NewPool(4), index.Index[T](loc), probes, index.Options{K: k})
+					if err != nil {
+						t.Fatal(err)
+					}
 					for i := range probes {
 						diffResults(t, want[i], batch[i], fmt.Sprintf("batch query %d", i))
 					}
@@ -274,10 +276,10 @@ func TestLocalRoundRobinIdentity(t *testing.T) {
 
 // TestNewLocalValidation covers constructor error paths and naming.
 func TestNewLocalValidation(t *testing.T) {
-	if _, err := router.NewLocal[[]float32](nil, engine.Pool{}); err == nil {
+	if _, err := router.NewLocal[[]float32](nil); err == nil {
 		t.Fatal("NewLocal with no shards must error")
 	}
-	if _, err := router.NewLocal([]router.LocalShard[[]float32]{{}}, engine.Pool{}); err == nil {
+	if _, err := router.NewLocal([]router.LocalShard[[]float32]{{}}); err == nil {
 		t.Fatal("NewLocal with a nil shard index must error")
 	}
 	db, _ := indextest.DenseCorpus()

@@ -23,8 +23,8 @@ import "repro/internal/topk"
 
 // mergeTopK gathers per-shard result lists into buf and returns the
 // canonical top-k prefix (ordered by (dist, id)). The prefix aliases buf's
-// backing array, which is reused across calls by the zero-allocation
-// searcher path; callers that retain results must copy them out. parts may
+// backing array, which callers may reuse across calls; those that retain
+// results must copy them out. parts may
 // be ragged (a shard can return fewer than k results); the merged list is
 // at most k long.
 func mergeTopK(buf []topk.Neighbor, k int, parts [][]topk.Neighbor) (merged, grown []topk.Neighbor) {

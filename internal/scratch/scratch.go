@@ -19,10 +19,10 @@
 //
 // Arenas and scratch states are single-goroutine: exactly one query may use
 // an arena at a time, and a Begin invalidates all reads of the previous
-// query. Indexes obtain a scratch state per query from a Pool (concurrent
-// Searches each get their own) or hold one exclusively inside a per-worker
-// index.Searcher; either way the state never crosses goroutines while in
-// use. See the README's Performance section for the full ownership story.
+// query. Indexes obtain a scratch state per query from a Pool (index.Pooled;
+// concurrent searches each get their own), so the state never crosses
+// goroutines while in use. See the README's Performance section for the
+// full ownership story.
 package scratch
 
 import "sync"

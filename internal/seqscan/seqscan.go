@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -23,7 +22,7 @@ type Scanner[T any] struct {
 	sp      space.Space[T]
 	data    []T
 	deleted map[uint32]struct{} // nil until the first Delete
-	scratch scratch.Pool[scanScratch]
+	index.Pooled[T, scanScratch]
 }
 
 // scanScratch is the per-query state of one scan: just the result queue,
@@ -35,7 +34,9 @@ type scanScratch struct {
 // New creates a scanner over data. The slice is retained, not copied; the
 // caller must not mutate it afterwards.
 func New[T any](sp space.Space[T], data []T) *Scanner[T] {
-	return &Scanner[T]{sp: sp, data: data}
+	s := &Scanner[T]{sp: sp, data: data}
+	s.Bind(s.search)
+	return s
 }
 
 // Name implements index.Index.
@@ -44,54 +45,13 @@ func (s *Scanner[T]) Name() string { return "seqscan" }
 // Len returns the number of indexed objects.
 func (s *Scanner[T]) Len() int { return len(s.data) }
 
-// Search returns the exact k nearest neighbors of query, ordered by
+// search returns the exact k nearest neighbors of query, ordered by
 // increasing distance. Data points are passed as the left argument of the
-// distance (the paper's left-query convention).
-func (s *Scanner[T]) Search(query T, k int) []topk.Neighbor {
-	return s.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (s *Scanner[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	st := s.scratch.Get()
-	defer s.scratch.Put(st)
-	return s.search(st, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider. The searcher reads the
-// scanner's live data and tombstones on every call, so it stays correct
-// across Add/Delete — no mutation-sequence re-snapshot is needed. It is a
-// pointer so it can carry an attached QueryTrace (obs.Traceable).
-func (s *Scanner[T]) NewSearcher() index.Searcher[T] { return &scanSearcher[T]{s: s} }
-
-var (
-	_ index.SearcherProvider[[]float32] = (*Scanner[[]float32])(nil)
-	_ obs.Traceable                     = (*scanSearcher[[]float32])(nil)
-)
-
-type scanSearcher[T any] struct {
-	s  *Scanner[T]
-	tr *obs.QueryTrace
-}
-
-// SetTrace implements obs.Traceable.
-func (w *scanSearcher[T]) SetTrace(tr *obs.QueryTrace) { w.tr = tr }
-
-func (w *scanSearcher[T]) Search(query T, k int) []topk.Neighbor {
-	return w.SearchAppend(nil, query, k)
-}
-
-func (w *scanSearcher[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	st := w.s.scratch.Get()
-	defer w.s.scratch.Put(st)
-	return w.s.search(st, w.tr, dst, query, k)
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers. A sequential scan has no filter stage: every live point
-// is an exact distance evaluation, attributed to the refine stage.
-func (s *Scanner[T]) search(st *scanScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
+// distance (the paper's left-query convention). A sequential scan has no
+// filter stage: every live point is an exact distance evaluation,
+// attributed to the refine stage.
+func (s *Scanner[T]) search(st *scanScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
 	}
@@ -126,7 +86,8 @@ func (s *Scanner[T]) search(st *scanScratch, tr *obs.QueryTrace, dst []topk.Neig
 // CPUs. It exists for ground-truth generation, where the sequential
 // single-query path would dominate experiment setup time.
 func (s *Scanner[T]) SearchAll(queries []T, k int) [][]topk.Neighbor {
-	return engine.SearchBatch[T](s, queries, k)
+	out, _ := engine.SearchBatch[T](engine.Pool{}, s, queries, index.Options{K: k})
+	return out
 }
 
 // RangeSearch returns all points within distance radius of query, ordered by

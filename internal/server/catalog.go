@@ -1,20 +1,16 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/lsm"
-	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/shard"
 	"repro/internal/space"
@@ -51,10 +47,10 @@ type Manifest struct {
 	// shipping bumps it); surfaced in /statusz and /v1/indexes so a
 	// rollout driver can observe which generation each process serves.
 	Generation int64 `json:"generation,omitempty"`
-	// Params are query-time method params applied once after loading
+	// Params are query-time method params resolved once at load
 	// (experiments.ParseParams keys, e.g. {"gamma": 0.05}); they become
-	// the index's serving defaults, restored after any per-request
-	// override.
+	// the index's serving defaults, which a request's own params overlay
+	// key by key.
 	Params map[string]float64 `json:"params,omitempty"`
 	// Mutable opens a WAL-backed LSM tree (internal/lsm) in <name>.tiers/
 	// next to the index file and enables POST add/delete/flush: the .psix
@@ -67,18 +63,13 @@ type Manifest struct {
 
 // servedIndex is the type-erased face of one loaded index: JSON-encoded
 // queries in, neighbors out. The HTTP layer never sees the object type.
-// ctx carries request cancellation into the search paths: a canceled
-// request stops scattering across tiers (mutable entries) and stops the
-// batch fan-out pulling further queries. tr, when non-nil, receives the
-// query's per-stage breakdown (filter candidates, refine distances, stage
-// and tier timings); nil means untraced and costs nothing.
+// opts carries everything else a query needs: k, the request context (a
+// canceled request stops scattering across tiers and stops the batch
+// fan-out pulling further queries), the trace receiving the per-stage
+// breakdown, and the resolved method params.
 type servedIndex interface {
-	search(ctx context.Context, raw json.RawMessage, k int, tr *obs.QueryTrace) ([]topk.Neighbor, error)
-	searchBatch(ctx context.Context, raws []json.RawMessage, k int, pool engine.Pool, tr *obs.QueryTrace) ([][]topk.Neighbor, error)
-	// applyParams sets per-request method params and returns the restore
-	// function for the previous settings. Callers must hold the
-	// snapshot's param lock exclusively around apply+search+restore.
-	applyParams(p experiments.Params) (restore func(), err error)
+	search(raw json.RawMessage, opts index.Options) ([]topk.Neighbor, error)
+	searchBatch(raws []json.RawMessage, opts index.Options, pool engine.Pool) ([][]topk.Neighbor, error)
 }
 
 // typedIndex adapts one concrete index.Index[T] to servedIndex. For shard
@@ -91,20 +82,6 @@ type typedIndex[T any] struct {
 	dec  func(json.RawMessage) (T, error)
 	ids  []uint32
 	tree *lsm.Tree[T]
-	// searchers pools per-query Searchers for the traced immutable
-	// single-query path: a Searcher owns warm scratch and implements
-	// obs.Traceable, so tracing a query costs a pool Get/Put instead of a
-	// scratch re-mint. Holds index.Searcher[T] values.
-	searchers sync.Pool
-}
-
-// searchIndex returns the index the search paths should query: the raw
-// base index, or the tiered view when the entry is mutable.
-func (t *typedIndex[T]) searchIndex() index.Index[T] {
-	if t.tree != nil {
-		return treeIndex[T]{base: t.idx, tree: t.tree}
-	}
-	return t.idx
 }
 
 // globalize rewrites shard-local ids to corpus-global ids in place.
@@ -117,7 +94,7 @@ func (t *typedIndex[T]) globalize(ns []topk.Neighbor) []topk.Neighbor {
 	return ns
 }
 
-func (t *typedIndex[T]) search(ctx context.Context, raw json.RawMessage, k int, tr *obs.QueryTrace) ([]topk.Neighbor, error) {
+func (t *typedIndex[T]) search(raw json.RawMessage, opts index.Options) ([]topk.Neighbor, error) {
 	q, err := t.dec(raw)
 	if err != nil {
 		return nil, badRequestf("query: %v", err)
@@ -125,48 +102,16 @@ func (t *typedIndex[T]) search(ctx context.Context, raw json.RawMessage, k int, 
 	if t.tree != nil {
 		// The tiered scatter checks ctx between components, so a canceled
 		// single-query request stops before paying for the next tier.
-		nbs, err := t.tree.SearchAppendTraced(ctx, nil, t.idx, q, k, tr)
+		nbs, err := t.tree.SearchAppend(nil, t.idx, q, opts)
 		if err != nil {
 			return nil, err
 		}
 		return t.globalize(nbs), nil
 	}
-	if tr != nil {
-		if nbs, ok := t.searchTraced(q, k, tr); ok {
-			return t.globalize(nbs), nil
-		}
-	}
-	return t.globalize(t.idx.Search(q, k)), nil
+	return t.globalize(t.idx.SearchAppend(nil, q, opts)), nil
 }
 
-// searchTraced answers one immutable query through a pooled Searcher with
-// tr attached. ok is false when the index mints no Searchers or its
-// Searchers are untraceable; the caller falls back to the plain path.
-func (t *typedIndex[T]) searchTraced(q T, k int, tr *obs.QueryTrace) (nbs []topk.Neighbor, ok bool) {
-	var s index.Searcher[T]
-	if v := t.searchers.Get(); v != nil {
-		s = v.(index.Searcher[T])
-	} else {
-		sp, isSP := t.idx.(index.SearcherProvider[T])
-		if !isSP {
-			return nil, false
-		}
-		s = sp.NewSearcher()
-	}
-	tt, isTr := s.(obs.Traceable)
-	if !isTr {
-		return nil, false
-	}
-	tt.SetTrace(tr)
-	nbs = s.Search(q, k)
-	// Detach before pooling: a pooled searcher must never hold a pointer
-	// into a finished request's trace.
-	tt.SetTrace(nil)
-	t.searchers.Put(s)
-	return nbs, true
-}
-
-func (t *typedIndex[T]) searchBatch(ctx context.Context, raws []json.RawMessage, k int, pool engine.Pool, tr *obs.QueryTrace) ([][]topk.Neighbor, error) {
+func (t *typedIndex[T]) searchBatch(raws []json.RawMessage, opts index.Options, pool engine.Pool) ([][]topk.Neighbor, error) {
 	qs := make([]T, len(raws))
 	for i, raw := range raws {
 		q, err := t.dec(raw)
@@ -175,7 +120,11 @@ func (t *typedIndex[T]) searchBatch(ctx context.Context, raws []json.RawMessage,
 		}
 		qs[i] = q
 	}
-	outs, err := engine.SearchBatchTracedPoolCtx(ctx, pool, t.searchIndex(), qs, k, tr)
+	idx := t.idx
+	if t.tree != nil {
+		idx = treeIndex[T]{base: t.idx, tree: t.tree}
+	}
+	outs, err := engine.SearchBatch(pool, idx, qs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -183,19 +132,6 @@ func (t *typedIndex[T]) searchBatch(ctx context.Context, raws []json.RawMessage,
 		t.globalize(ns)
 	}
 	return outs, nil
-}
-
-func (t *typedIndex[T]) applyParams(p experiments.Params) (func(), error) {
-	prev, err := experiments.ApplyParams(t.idx, p)
-	if err != nil {
-		return nil, badRequestf("%v", err)
-	}
-	return func() {
-		// Restoring previously read values cannot fail.
-		if _, err := experiments.ApplyParams(t.idx, prev); err != nil {
-			panic(fmt.Sprintf("server: restoring params %v: %v", prev, err))
-		}
-	}, nil
 }
 
 // loadServed loads the entry's index file per its manifest: regenerate the
@@ -238,8 +174,8 @@ func loadServed(e *entry, man Manifest) (servedIndex, codec.Header, error) {
 
 // loadTyped finishes loadServed for one object type: carve the shard subset
 // when the manifest carries a stamp, resolve the space the file was built
-// under, load, apply the manifest's default params, and attach the entry's
-// mutable tree when the manifest asks for one.
+// under, load, and attach the entry's mutable tree when the manifest asks
+// for one.
 func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, data []T,
 	spOf func(string) (space.Space[T], error), dec func(json.RawMessage) (T, error)) (servedIndex, codec.Header, error) {
 	path := e.path
@@ -268,11 +204,6 @@ func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, data []T,
 	idx, err := persist.LoadFile(path, sp, data)
 	if err != nil {
 		return nil, hdr, err
-	}
-	if len(man.Params) > 0 {
-		if _, err := experiments.ApplyParams(idx, experiments.Params(man.Params)); err != nil {
-			return nil, hdr, fmt.Errorf("%s: manifest params: %w", path, err)
-		}
 	}
 	ti := &typedIndex[T]{idx: idx, dec: dec, ids: ids}
 	if man.Mutable {

@@ -184,7 +184,7 @@ func TestMetricsMutableTierAttribution(t *testing.T) {
 		}
 	}
 	if got := metricValue(t, tm, "permserve_refine_distances_total", map[string]string{"index": name}); got <= 0 {
-		t.Errorf("refine_distances_total = %v, want > 0 (component searchers share the trace)", got)
+		t.Errorf("refine_distances_total = %v, want > 0 (components share the trace)", got)
 	}
 }
 

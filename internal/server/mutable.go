@@ -1,14 +1,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"slices"
 
 	"repro/internal/index"
 	"repro/internal/lsm"
-	"repro/internal/obs"
 	"repro/internal/topk"
 )
 
@@ -58,57 +56,23 @@ func (t *typedTree[T]) treeStatus() lsm.Status          { return t.tree.Status()
 func (t *typedTree[T]) unsealed() int                   { return t.tree.Unsealed() }
 func (t *typedTree[T]) close() error                    { return t.tree.Close() }
 
-// treeIndex adapts (base index, tree) to index.Index so the search paths —
-// including the batch engine fan-out — treat a mutable entry like any
-// other index.
+// treeIndex adapts (base index, tree) to index.Index so the batch engine
+// fans a mutable entry's queries out like any other index's. A query the
+// request context cancels mid-scatter answers empty here; the engine then
+// fails the whole batch with the context's error.
 type treeIndex[T any] struct {
 	base index.Index[T]
 	tree *lsm.Tree[T]
 }
 
 func (ti treeIndex[T]) Search(q T, k int) []topk.Neighbor {
-	return ti.tree.Search(ti.base, q, k)
+	return ti.SearchAppend(nil, q, index.Options{K: k})
 }
 
-// SearchAppend routes through the tree's pooled zero-alloc tiered path, so
-// the serving hot loop inherits the same warm 0 allocs/op the tree pins.
-func (ti treeIndex[T]) SearchAppend(dst []topk.Neighbor, q T, k int) []topk.Neighbor {
-	return ti.tree.SearchAppend(dst, ti.base, q, k)
-}
-
-// NewSearcher implements index.SearcherProvider. Per-searcher scratch lives
-// in the tree's own epoch-keyed pool, so the wrapper carries only the
-// attached trace (obs.Traceable) and answers identically to Search by
-// construction.
-func (ti treeIndex[T]) NewSearcher() index.Searcher[T] { return &treeSearcher[T]{ti: ti} }
-
-// treeSearcher threads a per-worker QueryTrace into the tree's traced
-// tiered path. The batch engine owns each instance on one worker goroutine,
-// so the tr field needs no synchronization.
-type treeSearcher[T any] struct {
-	ti treeIndex[T]
-	tr *obs.QueryTrace
-}
-
-// SetTrace implements obs.Traceable.
-func (s *treeSearcher[T]) SetTrace(tr *obs.QueryTrace) { s.tr = tr }
-
-func (s *treeSearcher[T]) Search(q T, k int) []topk.Neighbor {
-	return s.SearchAppend(nil, q, k)
-}
-
-func (s *treeSearcher[T]) SearchAppend(dst []topk.Neighbor, q T, k int) []topk.Neighbor {
-	// Background ctx: the Searcher interface carries no ctx, matching the
-	// pre-trace behavior where batch workers ran the uncancellable pooled
-	// path (the fan-out itself checks ctx between queries).
-	dst, _ = s.ti.tree.SearchAppendTraced(context.Background(), dst, s.ti.base, q, k, s.tr)
+func (ti treeIndex[T]) SearchAppend(dst []topk.Neighbor, q T, opts index.Options) []topk.Neighbor {
+	dst, _ = ti.tree.SearchAppend(dst, ti.base, q, opts)
 	return dst
 }
-
-var (
-	_ index.SearcherProvider[[]float32] = treeIndex[[]float32]{}
-	_ obs.Traceable                     = (*treeSearcher[[]float32])(nil)
-)
 
 func (ti treeIndex[T]) Name() string { return ti.base.Name() + "+lsm" }
 

@@ -1,0 +1,163 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/index"
+	"repro/internal/knngraph"
+	"repro/internal/space"
+)
+
+// TestServedConcurrentParams is the acceptance test of per-query params:
+// clients hammer one shared index concurrently, each under a different
+// params value (some under none), with single and batch bodies, against an
+// immutable and a mutable entry — and every response must be byte-identical
+// to what a dedicated index built with that client's value answers. Under
+// the old apply/search/restore protocol this needed an exclusive lock; now
+// nothing is shared but read-only index structure. The CI race job runs it.
+func TestServedConcurrentParams(t *testing.T) {
+	const k, clients = 10, 10
+	dir := t.TempDir()
+	sift := dataset.SIFT(e2eSeed, e2eDenseN)
+	queries := append(dataset.SIFT(e2eSeed+1, 6), sift[:2]...)
+	nappWith := func(minShared int) *core.NAPP[[]float32] {
+		na, err := core.NewNAPP[[]float32](space.L2{}, sift, core.NAPPOptions{
+			NumPivots: 64, NumPivotIndex: 16, MinShared: minShared, Seed: e2eSeed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return na
+	}
+	const servedT = 2 // the served index's build-time t
+	man := Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN}
+	writeFixture(t, dir, "napp", nappWith(servedT), man)
+	man.Mutable = true
+	writeFixture(t, dir, "napp-mut", nappWith(servedT), man)
+
+	// want[t] is what an index dedicated to t answers; clients without
+	// params expect the served build-time value.
+	want := map[int][][]neighborJSON{}
+	for tv := 1; tv <= 8; tv++ {
+		dedicated := nappWith(tv)
+		for _, q := range queries {
+			want[tv] = append(want[tv], wireNeighbors(dedicated.Search(q, k)))
+		}
+	}
+	if reflect.DeepEqual(want[1], want[8]) {
+		t.Fatal("test needs t to change the answers; pick another corpus")
+	}
+
+	reg, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	ts := httptest.NewServer(New(reg, Options{Workers: 4}).Handler())
+	t.Cleanup(ts.Close)
+
+	iters := 12
+	if testing.Short() {
+		iters = 4
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// Clients 0..7 tune t = 1..8; clients 8 and 9 send no params.
+			body := map[string]any{"k": k}
+			tv := servedT
+			if c < 8 {
+				tv = c + 1
+				body["params"] = map[string]float64{"t": float64(tv)}
+			}
+			for it := 0; it < iters; it++ {
+				url := ts.URL + "/v1/indexes/napp/search"
+				if (c+it)%2 == 1 {
+					url = ts.URL + "/v1/indexes/napp-mut/search"
+				}
+				if it%2 == 0 {
+					qi := (c + it) % len(queries)
+					body["query"] = queries[qi]
+					delete(body, "queries")
+					status, raw := postJSON(t, url, body)
+					var got singleResponse
+					if status != http.StatusOK {
+						t.Errorf("client %d (t=%d) single: status %d: %s", c, tv, status, raw)
+					} else if json.Unmarshal(raw, &got); !reflect.DeepEqual(got.Results, want[tv][qi]) {
+						t.Errorf("client %d (t=%d) single query %d on %s: served %v, dedicated index answers %v", c, tv, qi, url, got.Results, want[tv][qi])
+					}
+					continue
+				}
+				body["queries"] = queries
+				delete(body, "query")
+				status, raw := postJSON(t, url, body)
+				var got batchResponse
+				if status != http.StatusOK {
+					t.Errorf("client %d (t=%d) batch: status %d: %s", c, tv, status, raw)
+				} else if json.Unmarshal(raw, &got); !reflect.DeepEqual(got.Batch, want[tv]) {
+					t.Errorf("client %d (t=%d) batch on %s differs from the dedicated index", c, tv, url)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestServedGraphBatchParams: a proximity-graph batch carrying att/ef
+// answers exactly like a serial loop under the same params — the
+// seed-pinning Batcher receives the request's params, not the index's
+// build-time ones.
+func TestServedGraphBatchParams(t *testing.T) {
+	const k = 10
+	dir := t.TempDir()
+	sift := dataset.SIFT(e2eSeed, e2eDenseN)
+	queries := dataset.SIFT(e2eSeed+1, 8)
+	build := func() *knngraph.Graph[[]float32] {
+		g, err := knngraph.NewSW[[]float32](space.L2{}, sift, knngraph.Options{NN: 6, InitAttempts: 1, Workers: 1, Seed: e2eSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g, untuned := build(), build()
+	writeFixture(t, dir, "sw", g, Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
+	ts := bootServer(t, dir, Options{Workers: 4})
+
+	// The served copy was saved before any search, so its entry-point seed
+	// counter starts where g's does: one batch of n queries draws the same
+	// n seeds as this serial loop.
+	opts := index.Options{K: k, Params: index.Params{InitAttempts: 4, EfSearch: 40}}
+	var want, wantDefault [][]neighborJSON
+	for _, q := range queries {
+		want = append(want, wireNeighbors(g.SearchAppend(nil, q, opts)))
+	}
+	for _, q := range queries {
+		wantDefault = append(wantDefault, wireNeighbors(untuned.Search(q, k)))
+	}
+	if reflect.DeepEqual(want, wantDefault) {
+		t.Fatal("test needs att/ef to change the answers; pick another corpus")
+	}
+
+	status, raw := postJSON(t, ts.URL+"/v1/indexes/sw/search", map[string]any{
+		"queries": queries, "k": k, "params": map[string]float64{"att": 4, "ef": 40},
+	})
+	if status != http.StatusOK {
+		t.Fatalf("graph batch: status %d: %s", status, raw)
+	}
+	var got batchResponse
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Batch, want) {
+		t.Fatalf("graph batch under att=4,ef=40 differs from its serial loop:\nserved %v\nserial %v", got.Batch, want)
+	}
+}

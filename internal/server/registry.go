@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/codec"
+	"repro/internal/experiments"
+	"repro/internal/index"
 	"repro/internal/persist"
 	"repro/internal/vfs"
 )
@@ -58,11 +60,9 @@ type snapshot struct {
 	served servedIndex
 	hdr    codec.Header
 	man    Manifest
-	// paramMu guards the index's query-time knobs: every search holds it
-	// shared, a request carrying per-request method params holds it
-	// exclusively around apply+search+restore (the underlying setters are
-	// documented as not safe concurrently with Search).
-	paramMu sync.RWMutex
+	// params are the manifest's method params, resolved once at load: the
+	// serving defaults every query of this generation starts from.
+	params index.Params
 }
 
 // counters are the per-index serving stats reported by /statusz.
@@ -151,7 +151,11 @@ func loadSnapshot(e *entry) (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &snapshot{served: served, hdr: hdr, man: man}, nil
+	params, err := experiments.Resolve(hdr.Kind, experiments.Params(man.Params))
+	if err != nil {
+		return nil, fmt.Errorf("%s: manifest params: %w", e.path, err)
+	}
+	return &snapshot{served: served, hdr: hdr, man: man, params: params}, nil
 }
 
 // readManifest parses one sidecar file.

@@ -18,8 +18,8 @@
 // A search body carries exactly one of "query" (one object) or "queries"
 // (a batch, fanned out over the worker pool), "k" (default 10), and
 // optional per-request method params ("params": {"gamma": 0.05}) — the
-// query-time knobs of experiments.ApplyParams, applied for this request
-// only and restored afterwards.
+// query-time knobs of experiments.Resolve, carried by this request's
+// queries only.
 //
 // # Consistency
 //
@@ -27,8 +27,9 @@
 // reload swaps a complete new snapshot in atomically; requests already
 // running finish on the generation they started with, so results are never
 // computed half on the old and half on the new index. Per-request params
-// take the snapshot's knob lock exclusively (plain searches share it), so a
-// param override can neither race another search nor leak into one.
+// are values that ride the request's own queries — no index state changes —
+// so tuned and plain requests run concurrently and an override can neither
+// race another search nor leak into one.
 //
 // # Mutability
 //
@@ -56,6 +57,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/index"
 	"repro/internal/lsm"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -778,29 +780,25 @@ func decodeSearchRequest(r *http.Request) (searchRequest, error) {
 // components/queries, so a timed-out request releases its workers promptly
 // even while runDetached has already abandoned it.
 func (s *Server) execute(ctx context.Context, snap *snapshot, name string, req searchRequest, tr *obs.QueryTrace) (any, error) {
+	opts := index.Options{K: req.K, Ctx: ctx, Trace: tr, Params: snap.params}
 	if len(req.Params) > 0 {
-		// Per-request params mutate the index's knobs: exclusive lock,
-		// apply, answer, restore. Plain searches hold the lock shared.
-		snap.paramMu.Lock()
-		defer snap.paramMu.Unlock()
-		restore, err := snap.served.applyParams(experiments.Params(req.Params))
+		// Validated and resolved once per request, then overlaid key by
+		// key on the snapshot's defaults; the value rides every query.
+		over, err := experiments.Resolve(snap.hdr.Kind, experiments.Params(req.Params))
 		if err != nil {
-			return nil, err
+			return nil, badRequestf("%v", err)
 		}
-		defer restore()
-	} else {
-		snap.paramMu.RLock()
-		defer snap.paramMu.RUnlock()
+		opts.Params = snap.params.Overlay(over)
 	}
 
 	if req.Query != nil {
-		nbs, err := snap.served.search(ctx, req.Query, req.K, tr)
+		nbs, err := snap.served.search(req.Query, opts)
 		if err != nil {
 			return nil, err
 		}
 		return &singleResponse{Index: name, K: req.K, Results: toJSON(nbs)}, nil
 	}
-	outs, err := snap.served.searchBatch(ctx, req.Queries, req.K, s.pool, tr)
+	outs, err := snap.served.searchBatch(req.Queries, opts, s.pool)
 	if err != nil {
 		return nil, err
 	}

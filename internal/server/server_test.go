@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,9 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -250,6 +247,7 @@ func TestServedErrorStatuses(t *testing.T) {
 		"wrong dimensionality":      map[string]any{"query": []float32{1, 2, 3}},
 		"unknown method param":      map[string]any{"query": q, "params": map[string]float64{"ef": 3}},
 		"out-of-range method param": map[string]any{"query": q, "params": map[string]float64{"gamma": -1}},
+		"int-overflowing param":     map[string]any{"query": q, "params": map[string]float64{"t": 1e300}},
 	} {
 		if status, raw := postJSON(t, searchURL, body); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d: %s", name, status, raw)
@@ -281,7 +279,7 @@ func TestServedErrorStatuses(t *testing.T) {
 }
 
 // TestServedPerRequestParams: a request's method params hold for exactly
-// that request — they change its results and are restored afterwards.
+// that request — they change its results and never reach the next one.
 func TestServedPerRequestParams(t *testing.T) {
 	dir := t.TempDir()
 	sift := dataset.SIFT(e2eSeed, e2eDenseN)
@@ -298,10 +296,7 @@ func TestServedPerRequestParams(t *testing.T) {
 
 	// Direct reference answers under default and overridden gamma.
 	wantDefault := wireNeighbors(bf.Search(q, 10))
-	if _, err := experiments.ApplyParams[[]float32](bf, experiments.Params{"gamma": 1}); err != nil {
-		t.Fatal(err)
-	}
-	wantFull := wireNeighbors(bf.Search(q, 10))
+	wantFull := wireNeighbors(bf.SearchAppend(nil, q, index.Options{K: 10, Params: index.Params{Gamma: 1}}))
 	if reflect.DeepEqual(wantDefault, wantFull) {
 		t.Fatal("test needs gamma to change this query's answer; pick another query")
 	}
@@ -327,11 +322,11 @@ func TestServedPerRequestParams(t *testing.T) {
 // panicServed stands in for an index whose Search has a bug.
 type panicServed struct{}
 
-func (panicServed) search(context.Context, json.RawMessage, int, *obs.QueryTrace) ([]topk.Neighbor, error) {
+func (panicServed) search(json.RawMessage, index.Options) ([]topk.Neighbor, error) {
 	panic("search exploded")
 }
 
-func (panicServed) searchBatch(_ context.Context, raws []json.RawMessage, k int, pool engine.Pool, _ *obs.QueryTrace) ([][]topk.Neighbor, error) {
+func (panicServed) searchBatch(raws []json.RawMessage, _ index.Options, pool engine.Pool) ([][]topk.Neighbor, error) {
 	// Through the real worker pool, so the test also covers engine panic
 	// propagation surfacing as an HTTP status.
 	out := make([][]topk.Neighbor, len(raws))
@@ -340,8 +335,6 @@ func (panicServed) searchBatch(_ context.Context, raws []json.RawMessage, k int,
 	})
 	return out, nil
 }
-
-func (panicServed) applyParams(experiments.Params) (func(), error) { return func() {}, nil }
 
 // TestServedSearchPanicIs500: a panicking Search answers 500 — not a
 // killed connection, not a dead daemon — and the server keeps serving.

@@ -16,19 +16,15 @@ package vecmath
 // keeps a single accumulator so its operation order matches the reference —
 // which kernels_test.go pins across widths 0..129 (all tail-lane cases).
 
-// Dispatch thresholds, measured per width with BenchmarkRankKernels (amd64,
+// Dispatch threshold, measured per width with BenchmarkRankKernels (amd64,
 // widths 4..256): the gc compiler already emits branch-free scalar code for
 // both rank kernels, so the 4-way accumulator split only pays once the loop
 // is long enough for instruction-level parallelism to beat the extra
 // register pressure. For rho (sub+mul+add per lane) that crossover is at
 // width 128 (~6% there, ~15% at 256); for footrule (sub+cmov+add per lane)
 // the scalar loop wins at every tested width and unroll shape (1/2/4
-// accumulators, int32 and int64 lanes), so its unrolled twin is disabled —
-// kept, byte-identity-tested, for re-tuning on other targets.
-const (
-	rhoUnrollMin      = 128
-	footruleUnrollMin = 1 << 30 // scalar wins everywhere measured
-)
+// accumulators, int32 and int64 lanes), so Footrule has no unrolled twin.
+const rhoUnrollMin = 128
 
 // SpearmanRho returns the sum of squared element differences between two
 // equal-length int32 rank vectors — Spearman's rho in the paper's §2.1,
@@ -79,41 +75,7 @@ func Footrule(a, b []int32) int64 {
 	if len(a) != len(b) {
 		panic("vecmath: length mismatch")
 	}
-	if len(a) < footruleUnrollMin {
-		return FootruleRef(a, b)
-	}
-	var s0, s1, s2, s3 int64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := int64(a[i]) - int64(b[i])
-		d1 := int64(a[i+1]) - int64(b[i+1])
-		d2 := int64(a[i+2]) - int64(b[i+2])
-		d3 := int64(a[i+3]) - int64(b[i+3])
-		if d0 < 0 {
-			d0 = -d0
-		}
-		if d1 < 0 {
-			d1 = -d1
-		}
-		if d2 < 0 {
-			d2 = -d2
-		}
-		if d3 < 0 {
-			d3 = -d3
-		}
-		s0 += d0
-		s1 += d1
-		s2 += d2
-		s3 += d3
-	}
-	for ; i < len(a); i++ {
-		d := int64(a[i]) - int64(b[i])
-		if d < 0 {
-			d = -d
-		}
-		s0 += d
-	}
-	return s0 + s1 + s2 + s3
+	return FootruleRef(a, b)
 }
 
 // FootruleRef is the reference scalar implementation of Footrule.

@@ -78,6 +78,7 @@ func Load[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Tree[T], error
 // after it.
 func Decode[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Tree[T], error) {
 	t := &Tree[T]{sp: sp, data: data, symmetric: sp.Properties().Symmetric}
+	t.Bind(t.search)
 	t.opts.BucketSize = cr.Int()
 	t.opts.AlphaLeft = cr.F64()
 	t.opts.AlphaRight = cr.F64()

@@ -3,26 +3,10 @@ package vptree
 import (
 	"fmt"
 
+	"repro/internal/index"
 	"repro/internal/seqscan"
 	"repro/internal/space"
 )
-
-// SetAlpha changes the pruning stretch factors without rebuilding the tree
-// (alpha only affects search). It must not be called concurrently with
-// Search.
-func (t *Tree[T]) SetAlpha(left, right float64) {
-	if left > 0 {
-		t.opts.AlphaLeft = left
-	}
-	if right > 0 {
-		t.opts.AlphaRight = right
-	}
-}
-
-// Alpha returns the current stretch factors.
-func (t *Tree[T]) Alpha() (left, right float64) {
-	return t.opts.AlphaLeft, t.opts.AlphaRight
-}
 
 // Tune searches for the largest pruning stretch alpha (applied to both
 // sides) that keeps k-NN recall at or above targetRecall on the given sample
@@ -47,14 +31,14 @@ func Tune[T any](sp space.Space[T], sample, queries []T, k int, targetRecall flo
 	truth := seqscan.New(sp, sample).SearchAll(queries, k)
 
 	measure := func(a float64) float64 {
-		tree.SetAlpha(a, a)
+		opts := index.Options{K: k, Params: index.Params{AlphaLeft: a, AlphaRight: a}}
 		var hit, total int
 		for i, q := range queries {
 			want := map[uint32]bool{}
 			for _, n := range truth[i] {
 				want[n.ID] = true
 			}
-			for _, n := range tree.Search(q, k) {
+			for _, n := range tree.SearchAppend(nil, q, opts) {
 				if want[n.ID] {
 					hit++
 				}

@@ -16,13 +16,13 @@
 package vptree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
 	"repro/internal/index"
-	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -72,10 +72,9 @@ type Tree[T any] struct {
 	symmetric bool
 	// buildDist counts distance computations performed at build time.
 	buildDist int64
-	// pool recycles per-query traversal state (frontier stack + top-k
-	// queue) across Search calls, keeping the warm query path at the one
-	// allocation of the returned result slice.
-	pool scratch.Pool[searchScratch]
+	// Pooled recycles per-query traversal state (frontier stack + top-k
+	// queue) across queries, so a warm SearchAppend allocates nothing.
+	index.Pooled[T, searchScratch]
 }
 
 type node struct {
@@ -93,6 +92,7 @@ func New[T any](sp space.Space[T], data []T, opts Options) (*Tree[T], error) {
 	}
 	opts.defaults()
 	t := &Tree[T]{sp: sp, data: data, opts: opts, symmetric: sp.Properties().Symmetric}
+	t.Bind(t.search)
 	r := rand.New(rand.NewSource(opts.Seed))
 	ids := make([]uint32, len(data))
 	for i := range ids {
@@ -195,53 +195,20 @@ type frame struct {
 	revisit bool
 }
 
-// Search returns the (approximate, when alpha > 1 or the space is
-// non-metric) k nearest neighbors of query.
-func (t *Tree[T]) Search(query T, k int) []topk.Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	s := t.pool.Get()
-	defer t.pool.Put(s)
-	t.searchInto(s, query, k)
-	return s.q.Results()
-}
-
-// NewSearcher implements index.SearcherProvider: the returned handle owns
-// its traversal scratch exclusively, so a worker cycling queries through it
-// reuses one stack and queue with zero steady-state allocations (the
-// AllocsPerRun guard in alloc_test.go holds it to that).
-func (t *Tree[T]) NewSearcher() index.Searcher[T] {
-	return &treeSearcher[T]{t: t}
-}
-
-// treeSearcher is the per-worker query handle; not safe for concurrent use.
-type treeSearcher[T any] struct {
-	t *Tree[T]
-	s searchScratch
-}
-
-// Search implements index.Searcher.
-func (ts *treeSearcher[T]) Search(query T, k int) []topk.Neighbor {
-	return ts.SearchAppend(nil, query, k)
-}
-
-// SearchAppend implements index.Searcher: results are appended to dst; with
-// sufficient capacity a warm call does not allocate.
-func (ts *treeSearcher[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	if k <= 0 {
+// search returns the (approximate, when alpha > 1 or the space is
+// non-metric) k nearest neighbors of query. The pruning stretch factors are
+// the query's (opts.Params.AlphaLeft/AlphaRight) when set, else the tree's
+// build-time ones. The iterative schedule replays the recursion exactly: a
+// node's near child (and its whole subtree) is processed before the node's
+// revisit frame decides — with the updated bound — whether the far child is
+// pruned.
+func (t *Tree[T]) search(s *searchScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	if opts.K <= 0 {
 		return dst
 	}
-	ts.t.searchInto(&ts.s, query, k)
-	return ts.s.q.AppendResults(dst)
-}
-
-// searchInto runs the k-NN traversal, leaving the results in s.q. The
-// iterative schedule replays the recursion exactly: a node's near child
-// (and its whole subtree) is processed before the node's revisit frame
-// decides — with the updated bound — whether the far child is pruned.
-func (t *Tree[T]) searchInto(s *searchScratch, query T, k int) {
-	s.q.Reset(k)
+	alphaLeft := cmp.Or(opts.Params.AlphaLeft, t.opts.AlphaLeft)
+	alphaRight := cmp.Or(opts.Params.AlphaRight, t.opts.AlphaRight)
+	s.q.Reset(opts.K)
 	s.stack = append(s.stack[:0], frame{n: t.root})
 	for len(s.stack) > 0 {
 		f := s.stack[len(s.stack)-1]
@@ -256,11 +223,11 @@ func (t *Tree[T]) searchInto(s *searchScratch, query T, k int) {
 				r = bound
 			}
 			if f.dq <= n.radius {
-				if !t.pruneRight(n.radius, f.dq, r) {
+				if !t.prune(n.radius-f.dq, alphaLeft, r) {
 					s.stack = append(s.stack, frame{n: n.right})
 				}
 			} else {
-				if !t.pruneLeft(n.radius, f.dq, r) {
+				if !t.prune(f.dq-n.radius, alphaRight, r) {
 					s.stack = append(s.stack, frame{n: n.left})
 				}
 			}
@@ -288,26 +255,17 @@ func (t *Tree[T]) searchInto(s *searchScratch, query T, k int) {
 			s.stack = append(s.stack, frame{n: n.right})
 		}
 	}
+	return s.q.AppendResults(dst)
 }
 
-// pruneRight reports whether the outside partition can be skipped when the
-// query is inside the ball.
-func (t *Tree[T]) pruneRight(radius, dq, r float64) bool {
-	diff := radius - dq
+// prune reports whether the far partition can be skipped: diff is how deep
+// inside its own partition the query sits (radius - dq when the query is
+// inside the ball, dq - radius when outside), alpha that side's stretch.
+func (t *Tree[T]) prune(diff, alpha, r float64) bool {
 	if diff <= 0 {
 		return false
 	}
-	return stretch(diff, t.opts.Beta)*t.opts.AlphaLeft > r
-}
-
-// pruneLeft reports whether the inside partition can be skipped when the
-// query is outside the ball.
-func (t *Tree[T]) pruneLeft(radius, dq, r float64) bool {
-	diff := dq - radius
-	if diff <= 0 {
-		return false
-	}
-	return stretch(diff, t.opts.Beta)*t.opts.AlphaRight > r
+	return stretch(diff, t.opts.Beta)*alpha > r
 }
 
 func stretch(diff, beta float64) float64 {

@@ -139,10 +139,10 @@ func TestAlphaPrunesMore(t *testing.T) {
 	queries := randData(r, 30, 12)
 
 	run := func(alpha float64) int64 {
-		tree.SetAlpha(alpha, alpha)
+		opts := index.Options{K: 10, Params: index.Params{AlphaLeft: alpha, AlphaRight: alpha}}
 		counter.Reset()
 		for _, q := range queries {
-			tree.Search(q, 10)
+			tree.SearchAppend(nil, q, opts)
 		}
 		return counter.Count()
 	}

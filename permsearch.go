@@ -83,13 +83,15 @@ type (
 	Neighbor = topk.Neighbor
 	// Index is the interface satisfied by every search structure here.
 	Index[T any] = index.Index[T]
-	// Searcher is a single-goroutine query handle owning reusable scratch:
-	// its SearchAppend answers with zero steady-state allocations when the
-	// caller recycles the result buffer. Mint one per worker goroutine via
-	// SearcherProvider (every permutation index implements it).
-	Searcher[T any] = index.Searcher[T]
-	// SearcherProvider is implemented by indexes that can mint Searchers.
-	SearcherProvider[T any] = index.SearcherProvider[T]
+	// SearchOptions is what one query carries besides the query object:
+	// k, an optional context and stage trace, and SearchParams. Pass it to
+	// Index.SearchAppend, which answers with zero steady-state allocations
+	// when the caller recycles the result buffer.
+	SearchOptions = index.Options
+	// SearchParams are the query-time knobs (gamma, NAPP t, VP-tree alpha,
+	// graph attempts/ef, MPLSH T) as per-query values; zero fields mean the
+	// index's build-time setting.
+	SearchParams = index.Params
 	// Space is a (possibly non-metric) dissimilarity over T.
 	Space[T any] = space.Space[T]
 	// Properties reports which distance axioms a space satisfies.
@@ -136,13 +138,15 @@ func NewPool(workers int) Pool { return engine.NewPool(workers) }
 // pool. results[i] is exactly what idx.Search(queries[i], k) would return
 // in a serial loop; ordering is deterministic regardless of scheduling.
 func SearchBatch[T any](idx Index[T], queries []T, k int) [][]Neighbor {
-	return engine.SearchBatch(idx, queries, k)
+	return SearchBatchWorkers(idx, queries, k, 0)
 }
 
 // SearchBatchWorkers is SearchBatch on a pool bounded to workers goroutines
 // (<= 0 means GOMAXPROCS).
 func SearchBatchWorkers[T any](idx Index[T], queries []T, k, workers int) [][]Neighbor {
-	return engine.SearchBatchPool(engine.NewPool(workers), idx, queries, k)
+	// Without a context the batch cannot be cut short, so there is no error.
+	out, _ := engine.SearchBatch(engine.NewPool(workers), idx, queries, index.Options{K: k})
+	return out
 }
 
 // SaveIndex serializes any index built by this package to w in the
