@@ -10,10 +10,17 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test race bench bench-check bench-engine bench-smoke vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc test race bench bench-check bench-engine bench-smoke vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per package outside bench/, plus the total: the size
+# trajectory ROADMAP aim 2 tracks, printed per PR by CI's build step.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/?[^/]*$$", "", d); loc[d == "" ? "." : d] += $$1; t += $$1 } \
+		END { for (d in loc) printf "%7d  %s\n", loc[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 vet:
 	$(GO) vet ./...

@@ -113,29 +113,6 @@ func benchData(n int) (db [][]float32, queries [][]float32) {
 	return data[:n], data[n : n+64]
 }
 
-// BenchmarkAblation_IncSortVsHeap re-verifies §2.2: incremental sorting vs
-// a priority queue for selecting the gamma nearest permutations.
-func BenchmarkAblation_IncSortVsHeap(b *testing.B) {
-	db, queries := benchData(8000)
-	for _, useHeap := range []bool{false, true} {
-		name := "incsort"
-		if useHeap {
-			name = "heap"
-		}
-		bf, err := permsearch.NewBruteForceFilter[[]float32](permsearch.L2{}, db, permsearch.BruteForceOptions{
-			NumPivots: 128, Gamma: 0.02, UseHeap: useHeap, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkN = bf.Search(queries[i%len(queries)], 10)
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_RhoVsFootrule compares the two permutation distances.
 func BenchmarkAblation_RhoVsFootrule(b *testing.B) {
 	db, queries := benchData(8000)

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rollout"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -94,7 +96,7 @@ func cmdStatus(args []string) {
 				health = err.Error()
 				unhealthy++
 			}
-			rows, err := listIndexes(client, rep.URL)
+			rows, err := wire.ListIndexes(context.Background(), client, rep.URL)
 			if err != nil {
 				fmt.Fprintf(w, "%d\t%d\t%s\t%s\t-\t-\t-\t-\t-\t-\t-\n", s, r, rep.URL, health)
 				continue
@@ -237,28 +239,4 @@ func probe(client *http.Client, url string) error {
 		return fmt.Errorf("status %d", resp.StatusCode)
 	}
 	return nil
-}
-
-type indexRow struct {
-	Name       string `json:"name"`
-	Generation int64  `json:"generation"`
-	N          uint64 `json:"n"`
-}
-
-func listIndexes(client *http.Client, base string) ([]indexRow, error) {
-	resp, err := client.Get(base + "/v1/indexes")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var out struct {
-		Indexes []indexRow `json:"indexes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Indexes, nil
 }

@@ -26,11 +26,6 @@ type BruteForceOptions struct {
 	Gamma float64
 	// Dist selects rho (default) or footrule for the filtering stage.
 	Dist PermDist
-	// UseHeap switches the candidate-selection strategy from
-	// incremental sorting to a bounded priority queue. Only for the
-	// ablation of the §2.2 claim that incremental sorting is ~2x
-	// faster; leave false otherwise.
-	UseHeap bool
 	// Seed drives pivot sampling.
 	Seed int64
 }
@@ -154,13 +149,7 @@ func (f *BruteForceFilter[T]) search(s *bfScratch, dst []topk.Neighbor, query T,
 		obs.AddSince(&tr.FilterNs, t0)
 		t0 = time.Now()
 	}
-	var best []topk.Neighbor
-	if f.opts.UseHeap {
-		// Ablation-only path; SelectKHeap allocates its queue per call.
-		best = topk.SelectKHeap(cands, g)
-	} else {
-		best = topk.SelectK(cands, g)
-	}
+	best := topk.SelectK(cands, g)
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}

@@ -46,31 +46,6 @@ func TestBruteForceGammaMonotonic(t *testing.T) {
 	}
 }
 
-func TestBruteForceHeapMatchesIncSort(t *testing.T) {
-	// The heap-based and incremental-sort candidate selection must give
-	// identical final answers (both pick the same gamma-nearest set).
-	db, queries := queriesFrom(clustered(13, 1020, 8), 20)
-	a, err := NewBruteForceFilter[[]float32](space.L2{}, db, BruteForceOptions{NumPivots: 32, Gamma: 0.05, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBruteForceFilter[[]float32](space.L2{}, db, BruteForceOptions{NumPivots: 32, Gamma: 0.05, Seed: 9, UseHeap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		ra, rb := a.Search(q, 10), b.Search(q, 10)
-		if len(ra) != len(rb) {
-			t.Fatal("result length mismatch")
-		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("heap/incsort mismatch: %+v vs %+v", ra[i], rb[i])
-			}
-		}
-	}
-}
-
 func TestBruteForceFootruleWorks(t *testing.T) {
 	db, queries := queriesFrom(clustered(14, 1030, 16), 30)
 	bf, err := NewBruteForceFilter[[]float32](space.L2{}, db, BruteForceOptions{

@@ -57,7 +57,7 @@ func (f *BruteForceFilter[T]) Save(w io.Writer) error {
 	cw.Int(f.opts.NumPivots)
 	cw.F64(f.opts.Gamma)
 	cw.U8(uint8(f.opts.Dist))
-	cw.Bool(f.opts.UseHeap)
+	cw.Bool(false) // was the heap-selection ablation switch; the slot stays so the format does not move
 	cw.I64(f.opts.Seed)
 	cw.I32s(f.perms)
 	return cw.Close()
@@ -74,7 +74,7 @@ func LoadBruteForceFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) 
 	f.opts.NumPivots = cr.Int()
 	f.opts.Gamma = cr.F64()
 	f.opts.Dist = PermDist(cr.U8())
-	f.opts.UseHeap = cr.Bool()
+	cr.Bool() // retired heap-selection switch, ignored
 	f.opts.Seed = cr.I64()
 	f.perms = cr.I32s()
 	if err := cr.Finish(); err != nil {

@@ -1153,13 +1153,27 @@ func (t *Tree[T]) Status() Status {
 	if t.compactErr != nil {
 		st.CompactErr = t.compactErr.Error()
 	}
-	live := t.opts.BaseN + st.MemtableLive - len(t.deleted)
 	for _, tr := range t.tiers {
 		st.Tiers = append(st.Tiers, tierStatusOf(tr))
+	}
+	st.Live = t.liveLocked()
+	return st
+}
+
+// Live returns the number of live objects (Status().Live) without building
+// a Status: cheap enough to call per search.
+func (t *Tree[T]) Live() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.liveLocked()
+}
+
+func (t *Tree[T]) liveLocked() int {
+	live := t.opts.BaseN + t.mem.dyn.Live() - len(t.deleted)
+	for _, tr := range t.tiers {
 		live += len(tr.ids)
 	}
-	st.Live = live
-	return st
+	return live
 }
 
 // LiveIDs returns the ascending global ids of every live object (base,

@@ -127,6 +127,9 @@ func (h *Histogram) Since(t0 time.Time) { h.Record(time.Since(t0).Nanoseconds())
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
+// Sum returns the total of the recorded observations.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
 // HistSnapshot is a point-in-time copy of a histogram, safe to read at
 // leisure. Counts are copied bucket-atomically: a snapshot taken under
 // concurrent Records sees each bucket at some moment during the copy

@@ -198,23 +198,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // trailer itself. The shard-set manifests (internal/shard) record it per
 // shard so shipped snapshots can be verified without loading them.
 func FileChecksum(path string) (uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	if st.Size() < 5 {
-		return 0, fmt.Errorf("%s: %d bytes is too short for a checksummed index file", path, st.Size())
-	}
-	h := crc32.New(castagnoli)
-	if _, err := io.Copy(h, io.LimitReader(f, st.Size()-4)); err != nil {
-		return 0, err
-	}
-	return h.Sum32(), nil
+	return FileChecksumFS(vfs.OS{}, path)
 }
 
 // FileChecksumFS is FileChecksum over an explicit filesystem, so the

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/url"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/wire"
 )
 
 // goldenSeedOffset derives the golden query seed from the corpus seed: the
@@ -74,7 +76,7 @@ func (d *Driver) captureGolden(set string) (*goldenRun, error) {
 	run := &goldenRun{answers: make([][]uint32, 0, len(d.opts.GoldenQueries))}
 	start := time.Now()
 	for i, q := range d.opts.GoldenQueries {
-		body, err := json.Marshal(map[string]any{"query": q, "k": d.opts.GoldenK})
+		body, err := json.Marshal(wire.SearchRequest{Query: q, K: d.opts.GoldenK})
 		if err != nil {
 			return nil, err
 		}
@@ -84,20 +86,17 @@ func (d *Driver) captureGolden(set string) (*goldenRun, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
-		var out struct {
-			Results []struct {
-				ID uint32 `json:"id"`
-			} `json:"results"`
-			Partial bool   `json:"partial"`
-			Error   string `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBodyBytes))
 		resp.Body.Close()
 		if err != nil {
-			return nil, fmt.Errorf("query %d: decoding answer: %w", i, err)
+			return nil, fmt.Errorf("query %d: reading answer: %w", i, err)
 		}
 		if resp.StatusCode != 200 {
-			return nil, fmt.Errorf("query %d: status %d: %s", i, resp.StatusCode, out.Error)
+			return nil, fmt.Errorf("query %d: status %d: %s", i, resp.StatusCode, wire.ErrorBody(raw))
+		}
+		var out wire.SearchResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			return nil, fmt.Errorf("query %d: decoding answer: %w", i, err)
 		}
 		if out.Partial {
 			return nil, fmt.Errorf("query %d: partial answer (fleet degraded during golden run)", i)

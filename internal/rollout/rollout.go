@@ -2,6 +2,7 @@ package rollout
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // Options configure a rollout Driver.
@@ -420,28 +422,11 @@ func (d *Driver) awaitFleetConvergence(set string, want int64, states []*repStat
 // generation reads one replica's served generation of the set from its
 // /v1/indexes listing.
 func (d *Driver) generation(base, set string) (int64, error) {
-	resp, err := d.client.Get(base + "/v1/indexes")
+	rows, err := wire.ListIndexes(context.TODO(), d.client, base) // bounded by d.client.Timeout
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("listing indexes: status %d", resp.StatusCode)
-	}
-	var out struct {
-		Indexes []struct {
-			Name       string `json:"name"`
-			Generation int64  `json:"generation"`
-		} `json:"indexes"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return 0, err
-	}
-	for _, row := range out.Indexes {
+	for _, row := range rows {
 		if row.Name == set {
 			return row.Generation, nil
 		}

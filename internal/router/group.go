@@ -3,10 +3,12 @@ package router
 import (
 	"context"
 	"log"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // group is one shard's replica set: every member serves the identical shard
@@ -24,9 +26,22 @@ type group struct {
 	ejectAfter int32
 	log        *log.Logger
 	// mLatency / mFailovers are the shard-level /metrics handles
-	// (permrouter_shard_*), nil outside a Router.
+	// (permrouter_shard_*).
 	mLatency   *obs.Histogram
 	mFailovers *obs.Counter
+}
+
+// newGroup resolves the shard's metric children in reg; replicas are
+// appended by the caller.
+func newGroup(reg *obs.Registry, shardIdx int, ejectAfter int32, lg *log.Logger) *group {
+	ss := strconv.Itoa(shardIdx)
+	return &group{
+		shard:      shardIdx,
+		ejectAfter: ejectAfter,
+		log:        lg,
+		mLatency:   reg.Histogram("permrouter_shard_latency_seconds", "Per-shard scatter-leg latency, failovers and hedges included.", 1e-9, "shard").With(ss),
+		mFailovers: reg.Counter("permrouter_shard_failovers_total", "Failover attempts launched after a replica failure, per shard.", "shard").With(ss),
+	}
 }
 
 // candidates returns the group's replicas in attempt order: the healthy
@@ -58,7 +73,7 @@ func (g *group) candidates() []*replica {
 // success wins; a 4xx verdict returns immediately (a malformed request is
 // malformed on every replica); the shard as a whole fails only when every
 // attempt is exhausted.
-func (g *group) search(ctx context.Context, name string, body []byte, hedgeDelay time.Duration) (*shardPayload, error) {
+func (g *group) search(ctx context.Context, name string, body []byte, hedgeDelay time.Duration) (*wire.SearchResponse, error) {
 	legStart := time.Now()
 	cands := g.candidates()
 	// At most one attempt per distinct replica, plus one speculative
@@ -71,7 +86,7 @@ func (g *group) search(ctx context.Context, name string, body []byte, hedgeDelay
 	}
 	type outcome struct {
 		r   *replica
-		p   *shardPayload
+		p   *wire.SearchResponse
 		err error
 	}
 	ch := make(chan outcome, maxAttempts)
@@ -80,10 +95,7 @@ func (g *group) search(ctx context.Context, name string, body []byte, hedgeDelay
 		r := cands[attempts%len(cands)]
 		attempts++
 		if speculative {
-			r.hedges.Add(1)
-			if r.m != nil {
-				r.m.hedges.Inc()
-			}
+			r.m.hedges.Inc()
 		}
 		go func() {
 			p, err := r.search(ctx, name, body)
@@ -109,9 +121,7 @@ func (g *group) search(ctx context.Context, name string, body []byte, hedgeDelay
 				// Shard latency is the whole leg — candidate ordering,
 				// failovers and hedges included — because that is what the
 				// gather barrier actually waits on.
-				if g.mLatency != nil {
-					g.mLatency.Since(legStart)
-				}
+				g.mLatency.Since(legStart)
 				return o.p, nil
 			}
 			if _, client := o.err.(*clientError); client {
@@ -127,9 +137,7 @@ func (g *group) search(ctx context.Context, name string, body []byte, hedgeDelay
 			// waiting out the hedge timer against a dead socket).
 			if attempts < maxAttempts {
 				hedgeC = nil
-				if g.mFailovers != nil {
-					g.mFailovers.Inc()
-				}
+				g.mFailovers.Inc()
 				launch(false)
 				pending++
 				continue
@@ -165,14 +173,4 @@ func (g *group) noteFailure(r *replica) {
 	if r.consecFails.Add(1) >= g.ejectAfter && r.noteEjected() {
 		g.log.Printf("router: shard %d replica %d (%s) ejected after %d consecutive failures; probing for re-admission", r.shard, r.id, r.base, g.ejectAfter)
 	}
-}
-
-// live reports whether at least one replica is in the regular rotation.
-func (g *group) live() bool {
-	for _, r := range g.replicas {
-		if !r.ejected.Load() {
-			return true
-		}
-	}
-	return false
 }

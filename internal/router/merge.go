@@ -17,20 +17,31 @@
 // deterministic, and the union of S per-shard top-k candidate lists tends
 // to *improve* recall over one unsharded index (k·S refined candidates
 // instead of k).
+//
+// # Wire
+//
+// Router speaks the serving daemon's dialect, declared once in
+// internal/wire: the same DecodeSearch validates a request, the body is
+// forwarded verbatim, and the merged answer marshals from the same
+// SearchResponse struct the shards answered in — byte-identical to an
+// unsharded daemon's unless a shard failed ("partial", "failed_shards").
+// Counters exist once, as obs handles; /metrics and /statusz read them.
 package router
 
 import "repro/internal/topk"
 
-// mergeTopK gathers per-shard result lists into buf and returns the
-// canonical top-k prefix (ordered by (dist, id)). The prefix aliases buf's
-// backing array, which callers may reuse across calls; those that retain
-// results must copy them out. parts may
-// be ragged (a shard can return fewer than k results); the merged list is
-// at most k long.
-func mergeTopK(buf []topk.Neighbor, k int, parts [][]topk.Neighbor) (merged, grown []topk.Neighbor) {
-	buf = buf[:0]
+// mergeTopK gathers per-shard result lists into one fresh buffer and
+// returns its canonical top-k prefix (ordered by (dist, id)), which the
+// caller owns. parts may be ragged (a shard can return fewer than k
+// results); the merged list is at most k long.
+func mergeTopK(k int, parts [][]topk.Neighbor) []topk.Neighbor {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	buf := make([]topk.Neighbor, 0, total)
 	for _, p := range parts {
 		buf = append(buf, p...)
 	}
-	return topk.SelectK(buf, k), buf
+	return topk.SelectK(buf, k)
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,25 @@ func TestRouterMetricsEndToEnd(t *testing.T) {
 	}
 	if got := routerMetric(t, tm, "permrouter_uptime_seconds", nil); got <= 0 {
 		t.Errorf("permrouter_uptime_seconds = %v, want > 0", got)
+	}
+
+	// /statusz renders the same handles: with no attempt in flight, every
+	// per-replica count equals its /metrics sample.
+	rows := replicaRows(t, ts.URL)
+	if len(rows) != 2 {
+		t.Fatalf("/statusz has %d replica rows, want 2", len(rows))
+	}
+	for _, row := range rows {
+		rep := map[string]string{"shard": strconv.Itoa(row.Shard), "replica": strconv.Itoa(row.Replica)}
+		for family, got := range map[string]int64{
+			"permrouter_replica_requests_total": row.Requests,
+			"permrouter_replica_failures_total": row.Failures,
+			"permrouter_replica_hedges_total":   row.Hedges,
+		} {
+			if want := routerMetric(t, tm, family, rep); float64(got) != want {
+				t.Errorf("/statusz replica %d reports %d where /metrics %s reports %v", row.Replica, got, family, want)
+			}
+		}
 	}
 
 	// Recovery: the prober re-admits the replica, counted as a transition.

@@ -8,20 +8,17 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
-// maxShardResponseBytes caps what the router will read back from one
-// replica; matches the serving daemon's own request cap.
-const maxShardResponseBytes = 64 << 20
-
 // replica is one serving process inside a shard's replica group: its HTTP
-// client, lifetime counters, and health state. The embedded http.Client
+// client, health state, and /metrics handles. The embedded http.Client
 // pools connections (keep-alives on by default), so steady-state queries
 // reuse sockets instead of re-dialing per request.
 //
@@ -38,26 +35,20 @@ type replica struct {
 	client *http.Client
 	health *http.Client
 
-	requests    atomic.Int64 // search attempts routed here (hedges included)
-	failures    atomic.Int64 // search calls that returned no usable answer
-	hedges      atomic.Int64 // speculative attempts launched against this replica
-	latencyNs   atomic.Int64 // cumulative per-call wall time
 	consecFails atomic.Int32 // consecutive infrastructure failures
 	ejected     atomic.Bool  // out of the regular rotation until re-admitted
 
-	// m are the replica's /metrics handles, resolved once by the router
-	// after topology validation; nil when the replica is used outside a
-	// Router (unit tests), so every recording site nil-guards.
-	m *replicaMetrics
+	m replicaMetrics
 }
 
-// replicaMetrics are one replica's exposition handles
-// (permrouter_replica_* families, labeled shard,replica).
+// replicaMetrics are one replica's lifetime counters: the
+// permrouter_replica_* families (labeled shard,replica) on /metrics, and
+// the same handles read back for /statusz.
 type replicaMetrics struct {
-	requests     *obs.Counter
-	failures     *obs.Counter
-	hedges       *obs.Counter
-	latency      *obs.Histogram
+	requests     *obs.Counter   // search attempts routed here (hedges included)
+	failures     *obs.Counter   // search calls that returned no usable answer
+	hedges       *obs.Counter   // speculative attempts launched against this replica
+	latency      *obs.Histogram // per-attempt wall time
 	ejections    *obs.Counter
 	readmissions *obs.Counter
 }
@@ -68,9 +59,7 @@ func (r *replica) noteEjected() bool {
 	if r.ejected.Swap(true) {
 		return false
 	}
-	if r.m != nil {
-		r.m.ejections.Inc()
-	}
+	r.m.ejections.Inc()
 	return true
 }
 
@@ -80,19 +69,29 @@ func (r *replica) noteReadmitted() bool {
 	if !r.ejected.Swap(false) {
 		return false
 	}
-	if r.m != nil {
-		r.m.readmissions.Inc()
-	}
+	r.m.readmissions.Inc()
 	return true
 }
 
-func newReplica(shardIdx, id int, base string, timeout time.Duration) *replica {
+// newReplica resolves the replica's metric children in reg (registration
+// is idempotent), so every label child exists from the first scrape — a
+// dashboard sees zeroes, not absent series, before traffic arrives.
+func newReplica(reg *obs.Registry, shardIdx, id int, base string, timeout time.Duration) *replica {
+	ss, rs := strconv.Itoa(shardIdx), strconv.Itoa(id)
 	return &replica{
 		shard:  shardIdx,
 		id:     id,
 		base:   strings.TrimRight(base, "/"),
 		client: &http.Client{Timeout: timeout},
 		health: &http.Client{Timeout: min(timeout, 2*time.Second)},
+		m: replicaMetrics{
+			requests:     reg.Counter("permrouter_replica_requests_total", "Search attempts routed to the replica (hedges included).", "shard", "replica").With(ss, rs),
+			failures:     reg.Counter("permrouter_replica_failures_total", "Replica attempts that returned no usable answer.", "shard", "replica").With(ss, rs),
+			hedges:       reg.Counter("permrouter_replica_hedges_total", "Speculative attempts launched against the replica.", "shard", "replica").With(ss, rs),
+			latency:      reg.Histogram("permrouter_replica_latency_seconds", "Per-attempt replica call latency.", 1e-9, "shard", "replica").With(ss, rs),
+			ejections:    reg.Counter("permrouter_replica_ejections_total", "Rotation ejections after consecutive failures.", "shard", "replica").With(ss, rs),
+			readmissions: reg.Counter("permrouter_replica_readmissions_total", "Re-admissions into the rotation (probe or last-resort success).", "shard", "replica").With(ss, rs),
+		},
 	}
 }
 
@@ -122,57 +121,22 @@ type clientError struct{ msg string }
 
 func (e *clientError) Error() string { return e.msg }
 
-// shardPayload is what one replica answered: exactly one of Results (single
-// query) or Batch is populated, already in wire shape with corpus-global
-// ids.
-type shardPayload struct {
-	Results []neighborJSON   `json:"results"`
-	Batch   [][]neighborJSON `json:"batch"`
-}
-
-// errorBody extracts the "error" field of a JSON error response, falling
-// back to the raw body.
-func errorBody(raw []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return strings.TrimSpace(string(raw))
-}
-
 // search posts a query (or batch) body to this replica and decodes the
 // answer, updating the counters. Hedging and failover live one level up, in
 // the group (group.search): a replica only ever makes single attempts.
-func (r *replica) search(ctx context.Context, name string, body []byte) (*shardPayload, error) {
-	r.requests.Add(1)
-	if r.m != nil {
-		r.m.requests.Inc()
-	}
-	start := time.Now()
-	defer func() {
-		r.latencyNs.Add(time.Since(start).Nanoseconds())
-		if r.m != nil {
-			r.m.latency.Since(start)
-		}
-	}()
+func (r *replica) search(ctx context.Context, name string, body []byte) (*wire.SearchResponse, error) {
+	r.m.requests.Inc()
+	defer r.m.latency.Since(time.Now())
 
 	p, err := r.doSearch(ctx, name, body)
-	if err != nil {
-		if _, client := err.(*clientError); !client {
-			r.failures.Add(1)
-			if r.m != nil {
-				r.m.failures.Inc()
-			}
-		}
-		return nil, err
+	if _, client := err.(*clientError); err != nil && !client {
+		r.m.failures.Inc()
 	}
-	return p, nil
+	return p, err
 }
 
 // doSearch is one attempt: POST, classify the status, decode the payload.
-func (r *replica) doSearch(ctx context.Context, name string, body []byte) (*shardPayload, error) {
+func (r *replica) doSearch(ctx context.Context, name string, body []byte) (*wire.SearchResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		r.base+"/v1/indexes/"+url.PathEscape(name)+"/search", bytes.NewReader(body))
 	if err != nil {
@@ -184,21 +148,21 @@ func (r *replica) doSearch(ctx context.Context, name string, body []byte) (*shar
 		return nil, &shardFailure{shard: r.shard, replica: r.id, msg: err.Error()}
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponseBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBodyBytes))
 	if err != nil {
 		return nil, &shardFailure{shard: r.shard, replica: r.id, msg: err.Error()}
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		var p shardPayload
+		var p wire.SearchResponse
 		if err := json.Unmarshal(raw, &p); err != nil {
 			return nil, &shardFailure{shard: r.shard, replica: r.id, msg: fmt.Sprintf("undecodable answer: %v", err)}
 		}
 		return &p, nil
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
-		return nil, &clientError{msg: errorBody(raw)}
+		return nil, &clientError{msg: wire.ErrorBody(raw)}
 	default:
-		return nil, &shardFailure{shard: r.shard, replica: r.id, status: resp.StatusCode, msg: errorBody(raw)}
+		return nil, &shardFailure{shard: r.shard, replica: r.id, status: resp.StatusCode, msg: wire.ErrorBody(raw)}
 	}
 }
 
@@ -218,43 +182,4 @@ func (r *replica) healthy(ctx context.Context) error {
 		return fmt.Errorf("shard %d replica %d: healthz status %d", r.shard, r.id, resp.StatusCode)
 	}
 	return nil
-}
-
-// backendIndex mirrors the serving daemon's /v1/indexes row, as much of it
-// as discovery validates.
-type backendIndex struct {
-	Name       string      `json:"name"`
-	Kind       string      `json:"kind"`
-	Space      string      `json:"space"`
-	N          uint64      `json:"n"`
-	Generation int64       `json:"generation"`
-	CorpusN    int         `json:"corpus_n"`
-	Shard      *shard.Info `json:"shard"`
-}
-
-// listIndexes fetches the replica's served index set.
-func (r *replica) listIndexes(ctx context.Context) ([]backendIndex, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/v1/indexes", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponseBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("listing indexes: status %d: %s", resp.StatusCode, errorBody(raw))
-	}
-	var out struct {
-		Indexes []backendIndex `json:"indexes"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("listing indexes: %v", err)
-	}
-	return out.Indexes, nil
 }

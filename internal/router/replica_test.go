@@ -13,11 +13,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -71,6 +73,9 @@ func topologyOf(fleet [][]*httptest.Server) [][]string {
 func bootReplicaRouter(t *testing.T, fleet [][]*httptest.Server, opts router.Options) *httptest.Server {
 	t.Helper()
 	opts.Replicas = topologyOf(fleet)
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry()
+	}
 	rt, err := router.New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -179,14 +184,19 @@ func newSyntheticReplica(t *testing.T, id int) *syntheticReplica {
 	return sr
 }
 
+// replicaRow is one row of the router's /statusz per-replica counters.
+type replicaRow struct {
+	Shard    int    `json:"shard"`
+	Replica  int    `json:"replica"`
+	URL      string `json:"url"`
+	Ejected  bool   `json:"ejected"`
+	Requests int64  `json:"requests"`
+	Failures int64  `json:"failures"`
+	Hedges   int64  `json:"hedges"`
+}
+
 // replicaRows decodes the router's /statusz per-replica counters.
-func replicaRows(t *testing.T, routerURL string) []struct {
-	Shard   int    `json:"shard"`
-	Replica int    `json:"replica"`
-	URL     string `json:"url"`
-	Ejected bool   `json:"ejected"`
-	Hedges  int64  `json:"hedges"`
-} {
+func replicaRows(t *testing.T, routerURL string) []replicaRow {
 	t.Helper()
 	resp, err := http.Get(routerURL + "/statusz")
 	if err != nil {
@@ -194,13 +204,7 @@ func replicaRows(t *testing.T, routerURL string) []struct {
 	}
 	defer resp.Body.Close()
 	var st struct {
-		Shards []struct {
-			Shard   int    `json:"shard"`
-			Replica int    `json:"replica"`
-			URL     string `json:"url"`
-			Ejected bool   `json:"ejected"`
-			Hedges  int64  `json:"hedges"`
-		} `json:"shards"`
+		Shards []replicaRow `json:"shards"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -221,6 +225,7 @@ func TestRouterEjectAndReadmit(t *testing.T) {
 		ShardTimeout:  2 * time.Second,
 		EjectAfter:    2,
 		ProbeInterval: 30 * time.Millisecond,
+		Metrics:       obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +305,7 @@ func TestRouterHedgeAcrossReplicas(t *testing.T) {
 		Replicas:     [][]string{{slow.ts.URL, fast.ts.URL}},
 		ShardTimeout: 5 * time.Second,
 		HedgeDelay:   20 * time.Millisecond,
+		Metrics:      obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,9 +329,14 @@ func TestRouterHedgeAcrossReplicas(t *testing.T) {
 		t.Errorf("hedged query took %v, the slow replica's full latency", elapsed)
 	}
 	hedged := false
+	tm := scrapeRouterMetrics(t, ts.URL)
 	for _, row := range replicaRows(t, ts.URL) {
 		if row.URL == fast.ts.URL && row.Hedges >= 1 {
 			hedged = true
+		}
+		rep := map[string]string{"shard": "0", "replica": strconv.Itoa(row.Replica)}
+		if want := routerMetric(t, tm, "permrouter_replica_hedges_total", rep); float64(row.Hedges) != want {
+			t.Errorf("/statusz replica %d reports %d hedges, /metrics %v", row.Replica, row.Hedges, want)
 		}
 	}
 	if !hedged {

@@ -2,23 +2,19 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"math/rand"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/topk"
+	"repro/internal/wire"
 )
-
-// maxBodyBytes caps an incoming request body, mirroring the serving daemon.
-const maxBodyBytes = 64 << 20
 
 // Options configure the HTTP scatter-gather front tier.
 type Options struct {
@@ -141,6 +137,7 @@ func New(opts Options) (*Router, error) {
 		hedgeDelay: opts.HedgeDelay,
 		timeout:    opts.ShardTimeout,
 		log:        opts.Log,
+		metrics:    opts.Metrics,
 		start:      time.Now(),
 		mux:        http.NewServeMux(),
 		stop:       make(chan struct{}),
@@ -148,20 +145,23 @@ func New(opts Options) (*Router, error) {
 	if rt.log == nil {
 		rt.log = log.Default()
 	}
+	if rt.metrics == nil {
+		rt.metrics = obs.Default()
+	}
 	for s, urls := range topo {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no replicas", s)
 		}
-		g := &group{shard: s, ejectAfter: int32(opts.EjectAfter), log: rt.log}
+		g := newGroup(rt.metrics, s, int32(opts.EjectAfter), rt.log)
 		for ri, base := range urls {
-			g.replicas = append(g.replicas, newReplica(s, ri, base, opts.ShardTimeout))
+			g.replicas = append(g.replicas, newReplica(rt.metrics, s, ri, base, opts.ShardTimeout))
 		}
 		rt.groups = append(rt.groups, g)
 	}
 	if err := rt.discover(); err != nil {
 		return nil, err
 	}
-	rt.registerMetrics(opts.Metrics)
+	rt.registerMetrics()
 	go rt.probeLoop(opts.ProbeInterval)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /statusz", rt.handleStatusz)
@@ -171,15 +171,12 @@ func New(opts Options) (*Router, error) {
 	return rt, nil
 }
 
-// registerMetrics registers the permrouter families and resolves the
-// per-index, per-shard and per-replica handles. Runs after discover, so
-// every label child exists from the first scrape — a dashboard sees zeroes,
-// not absent series, before traffic arrives.
-func (rt *Router) registerMetrics(reg *obs.Registry) {
-	if reg == nil {
-		reg = obs.Default()
-	}
-	rt.metrics = reg
+// registerMetrics registers the per-index front-tier families (the shard
+// and replica ones belong to newGroup and newReplica). Runs after discover,
+// which learns the index names, so every label child exists from the first
+// scrape.
+func (rt *Router) registerMetrics() {
+	reg := rt.metrics
 	requests := reg.Counter("permrouter_requests_total", "Search requests received by the front tier, per index.", "index")
 	failures := reg.Counter("permrouter_request_failures_total", "Search requests answered 4xx/5xx by the front tier, per index.", "index")
 	latency := reg.Histogram("permrouter_request_latency_seconds", "Front-tier search latency (scatter + gather + merge).", 1e-9, "index")
@@ -189,30 +186,6 @@ func (rt *Router) registerMetrics(reg *obs.Registry) {
 			requests: requests.With(name),
 			failures: failures.With(name),
 			latency:  latency.With(name),
-		}
-	}
-	shardLat := reg.Histogram("permrouter_shard_latency_seconds", "Per-shard scatter-leg latency, failovers and hedges included.", 1e-9, "shard")
-	failovers := reg.Counter("permrouter_shard_failovers_total", "Failover attempts launched after a replica failure, per shard.", "shard")
-	repReq := reg.Counter("permrouter_replica_requests_total", "Search attempts routed to the replica (hedges included).", "shard", "replica")
-	repFail := reg.Counter("permrouter_replica_failures_total", "Replica attempts that returned no usable answer.", "shard", "replica")
-	repHedge := reg.Counter("permrouter_replica_hedges_total", "Speculative attempts launched against the replica.", "shard", "replica")
-	repLat := reg.Histogram("permrouter_replica_latency_seconds", "Per-attempt replica call latency.", 1e-9, "shard", "replica")
-	repEject := reg.Counter("permrouter_replica_ejections_total", "Rotation ejections after consecutive failures.", "shard", "replica")
-	repReadmit := reg.Counter("permrouter_replica_readmissions_total", "Re-admissions into the rotation (probe or last-resort success).", "shard", "replica")
-	for _, g := range rt.groups {
-		ss := strconv.Itoa(g.shard)
-		g.mLatency = shardLat.With(ss)
-		g.mFailovers = failovers.With(ss)
-		for _, r := range g.replicas {
-			rs := strconv.Itoa(r.id)
-			r.m = &replicaMetrics{
-				requests:     repReq.With(ss, rs),
-				failures:     repFail.With(ss, rs),
-				hedges:       repHedge.With(ss, rs),
-				latency:      repLat.With(ss, rs),
-				ejections:    repEject.With(ss, rs),
-				readmissions: repReadmit.With(ss, rs),
-			}
 		}
 	}
 	start := rt.start
@@ -296,7 +269,7 @@ func (rt *Router) discover() error {
 	for s, g := range rt.groups {
 		var groupN map[string]uint64
 		for ri, r := range g.replicas {
-			rows, err := r.listIndexes(ctx)
+			rows, err := wire.ListIndexes(ctx, r.client, r.base)
 			if err != nil {
 				return fmt.Errorf("router: shard %d replica %d (%s): %w", s, ri, r.base, err)
 			}
@@ -358,42 +331,6 @@ func (rt *Router) discover() error {
 	return nil
 }
 
-// The wire types mirror the serving daemon's byte for byte (field order
-// included), plus the degraded-mode fields, which marshal only when a
-// shard failed — a complete answer through the router is byte-identical to
-// the same answer from an unsharded daemon.
-
-type searchRequest struct {
-	Query   json.RawMessage    `json:"query,omitempty"`
-	Queries []json.RawMessage  `json:"queries,omitempty"`
-	K       int                `json:"k,omitempty"`
-	Params  map[string]float64 `json:"params,omitempty"`
-}
-
-type neighborJSON struct {
-	ID   uint32  `json:"id"`
-	Dist float64 `json:"dist"`
-}
-
-type singleResponse struct {
-	Index   string         `json:"index"`
-	K       int            `json:"k"`
-	Results []neighborJSON `json:"results"`
-	// Partial marks a fail-open answer merged from a strict subset of
-	// shards: correct ids, true distances, but possibly missing
-	// neighbors owned by the failed shards.
-	Partial      bool  `json:"partial,omitempty"`
-	FailedShards []int `json:"failed_shards,omitempty"`
-}
-
-type batchResponse struct {
-	Index        string           `json:"index"`
-	K            int              `json:"k"`
-	Batch        [][]neighborJSON `json:"batch"`
-	Partial      bool             `json:"partial,omitempty"`
-	FailedShards []int            `json:"failed_shards,omitempty"`
-}
-
 // handleHealthz probes every replica and answers ready as long as each
 // shard group still has at least one healthy member — the condition under
 // which the router can produce complete, non-partial answers. Down replicas
@@ -434,7 +371,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	for s, n := range healthyPerShard {
 		if n == 0 {
-			rt.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			wire.WriteJSON(w, rt.log, http.StatusServiceUnavailable, map[string]any{
 				"ready": false, "empty_shard": s, "down": down,
 			})
 			return
@@ -442,7 +379,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(down) > 0 {
 		// Degraded but ready: every shard still has a live replica.
-		rt.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "down": down})
+		wire.WriteJSON(w, rt.log, http.StatusOK, map[string]any{"ready": true, "down": down})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -473,9 +410,9 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 				Shard:       rep.shard,
 				Replica:     rep.id,
 				URL:         rep.base,
-				Requests:    rep.requests.Load(),
-				Failures:    rep.failures.Load(),
-				Hedges:      rep.hedges.Load(),
+				Requests:    rep.m.requests.Load(),
+				Failures:    rep.m.failures.Load(),
+				Hedges:      rep.m.hedges.Load(),
 				Ejected:     rep.ejected.Load(),
 				ConsecFails: rep.consecFails.Load(),
 			}
@@ -483,12 +420,12 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 				row.QPS = float64(row.Requests) / up
 			}
 			if row.Requests > 0 {
-				row.MeanLatencyUs = float64(rep.latencyNs.Load()) / float64(row.Requests) / 1e3
+				row.MeanLatencyUs = float64(rep.m.latency.Sum()) / float64(row.Requests) / 1e3
 			}
 			rows = append(rows, row)
 		}
 	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, rt.log, http.StatusOK, map[string]any{
 		"uptime_s":       uptime.Seconds(),
 		"fail_open":      rt.failOpen,
 		"hedge_delay_ms": float64(rt.hedgeDelay) / float64(time.Millisecond),
@@ -530,7 +467,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	rt.gensMu.Unlock()
-	rt.writeJSON(w, http.StatusOK, map[string]any{"indexes": infos})
+	wire.WriteJSON(w, rt.log, http.StatusOK, map[string]any{"indexes": infos})
 }
 
 // refreshGenerations re-polls every replica's index list and updates the
@@ -540,7 +477,7 @@ func (rt *Router) refreshGenerations(ctx context.Context) {
 	defer cancel()
 	type update struct {
 		shard, replica int
-		rows           []backendIndex
+		rows           []wire.IndexInfo
 	}
 	ch := make(chan update, len(rt.groups)*4)
 	var wg sync.WaitGroup
@@ -549,7 +486,7 @@ func (rt *Router) refreshGenerations(ctx context.Context) {
 			wg.Add(1)
 			go func(rep *replica) {
 				defer wg.Done()
-				rows, err := rep.listIndexes(ctx)
+				rows, err := wire.ListIndexes(ctx, rep.client, rep.base)
 				if err != nil {
 					return
 				}
@@ -574,7 +511,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ri := rt.indexes[name]
 	if ri == nil {
-		rt.writeError(w, http.StatusNotFound, fmt.Sprintf("no index %q", name))
+		wire.WriteError(w, rt.log, http.StatusNotFound, fmt.Sprintf("no index %q", name))
 		return
 	}
 	// Front-tier accounting: every request to a routable index counts, and
@@ -583,31 +520,14 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// failure counter via fail (the 404 above has no index to attribute to).
 	rm := rt.rm[name]
 	rm.requests.Inc()
-	start := time.Now()
-	defer func() { rm.latency.Since(start) }()
+	defer rm.latency.Since(time.Now())
 	fail := func(status int, msg string) {
 		rm.failures.Inc()
-		rt.writeError(w, status, msg)
+		wire.WriteError(w, rt.log, status, msg)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	req, body, err := wire.DecodeSearch(r)
 	if err != nil {
-		fail(http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
-		return
-	}
-	var req searchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		fail(http.StatusBadRequest, fmt.Sprintf("malformed body: %v", err))
-		return
-	}
-	if (req.Query == nil) == (len(req.Queries) == 0) {
-		fail(http.StatusBadRequest, `body must carry exactly one of "query" or a non-empty "queries"`)
-		return
-	}
-	if req.K == 0 {
-		req.K = 10
-	}
-	if req.K < 0 {
-		fail(http.StatusBadRequest, fmt.Sprintf("k must be positive, got %d", req.K))
+		fail(http.StatusBadRequest, err.Error())
 		return
 	}
 	// Cap k at the full corpus size, exactly as the unsharded daemon does
@@ -615,10 +535,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if n := int(ri.totalN); req.K > n && n > 0 {
 		req.K = n
 	}
-	numQueries := 1
-	if req.Query == nil {
-		numQueries = len(req.Queries)
-	}
+	numQueries := req.NumQueries()
 
 	// Scatter: the original body is forwarded verbatim — every shard
 	// decodes the same queries and applies the same per-request params.
@@ -626,7 +543,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// over internally.
 	ctx, cancel := context.WithTimeout(r.Context(), rt.timeout)
 	defer cancel()
-	payloads := make([]*shardPayload, len(rt.groups))
+	payloads := make([]*wire.SearchResponse, len(rt.groups))
 	errs := make([]error, len(rt.groups))
 	var wg sync.WaitGroup
 	for i, g := range rt.groups {
@@ -677,67 +594,28 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Gather: canonical (dist, id) merge of the surviving shards.
-	if req.Query != nil {
-		parts := make([][]topk.Neighbor, 0, len(rt.groups))
-		for _, p := range payloads {
-			if p != nil {
-				parts = append(parts, fromJSON(p.Results))
-			}
-		}
-		merged, _ := mergeTopK(nil, req.K, parts)
-		rt.writeJSON(w, http.StatusOK, &singleResponse{
-			Index: name, K: req.K, Results: toJSON(merged),
-			Partial: len(failed) > 0, FailedShards: failed,
-		})
-		return
-	}
-	batch := make([][]neighborJSON, numQueries)
-	var buf []topk.Neighbor
 	parts := make([][]topk.Neighbor, 0, len(rt.groups))
-	for qi := 0; qi < numQueries; qi++ {
-		parts = parts[:0]
+	var resp *wire.SearchResponse
+	if req.Query != nil {
 		for _, p := range payloads {
 			if p != nil {
-				parts = append(parts, fromJSON(p.Batch[qi]))
+				parts = append(parts, p.Results)
 			}
 		}
-		var merged []topk.Neighbor
-		merged, buf = mergeTopK(buf, req.K, parts)
-		batch[qi] = toJSON(merged)
+		resp = wire.Single(name, req.K, mergeTopK(req.K, parts))
+	} else {
+		batch := make([][]topk.Neighbor, numQueries)
+		for qi := range batch {
+			parts = parts[:0]
+			for _, p := range payloads {
+				if p != nil {
+					parts = append(parts, p.Batch[qi])
+				}
+			}
+			batch[qi] = mergeTopK(req.K, parts)
+		}
+		resp = wire.Batch(name, req.K, batch)
 	}
-	rt.writeJSON(w, http.StatusOK, &batchResponse{
-		Index: name, K: req.K, Batch: batch,
-		Partial: len(failed) > 0, FailedShards: failed,
-	})
-}
-
-// fromJSON converts wire neighbors to merge form.
-func fromJSON(ns []neighborJSON) []topk.Neighbor {
-	out := make([]topk.Neighbor, len(ns))
-	for i, nb := range ns {
-		out[i] = topk.Neighbor{ID: nb.ID, Dist: nb.Dist}
-	}
-	return out
-}
-
-// toJSON converts merged neighbors to the wire shape (non-nil, so empty
-// results encode as [] exactly like the serving daemon).
-func toJSON(ns []topk.Neighbor) []neighborJSON {
-	out := make([]neighborJSON, len(ns))
-	for i, nb := range ns {
-		out[i] = neighborJSON{ID: nb.ID, Dist: nb.Dist}
-	}
-	return out
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		rt.log.Printf("router: writing response: %v", err)
-	}
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	rt.writeJSON(w, status, map[string]any{"error": msg, "status": status})
+	resp.Partial, resp.FailedShards = len(failed) > 0, failed
+	wire.WriteJSON(w, rt.log, http.StatusOK, resp)
 }

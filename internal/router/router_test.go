@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/router"
 	"repro/internal/server"
@@ -100,6 +101,11 @@ func urlsOf(shards []*httptest.Server) []string {
 func bootRouter(t *testing.T, shards []*httptest.Server, opts router.Options) *httptest.Server {
 	t.Helper()
 	opts.Shards = urlsOf(shards)
+	if opts.Metrics == nil {
+		// /statusz renders the registry's counters; a private one keeps
+		// other tests' traffic out of this router's rows.
+		opts.Metrics = obs.NewRegistry()
+	}
 	rt, err := router.New(opts)
 	if err != nil {
 		t.Fatal(err)

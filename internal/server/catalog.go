@@ -232,8 +232,6 @@ func denseSpace(name string) (space.Space[[]float32], error) {
 	switch name {
 	case "l2":
 		return space.L2{}, nil
-	case "l2-f32":
-		return space.L2F32{}, nil
 	case "l1":
 		return space.L1{}, nil
 	}

@@ -33,6 +33,9 @@ type servedTree interface {
 	remove(ids []uint32) error
 	flush() (*lsm.TierStatus, error)
 	treeStatus() lsm.Status
+	// live is the live object count: the one number of treeStatus a search
+	// needs (its k cap), without building the rest per request.
+	live() int
 	unsealed() int
 	close() error
 }
@@ -53,6 +56,7 @@ func (t *typedTree[T]) add(raws []json.RawMessage) ([]uint32, error) {
 func (t *typedTree[T]) remove(ids []uint32) error       { return t.tree.DeleteBatch(ids) }
 func (t *typedTree[T]) flush() (*lsm.TierStatus, error) { return t.tree.Flush() }
 func (t *typedTree[T]) treeStatus() lsm.Status          { return t.tree.Status() }
+func (t *typedTree[T]) live() int                       { return t.tree.Live() }
 func (t *typedTree[T]) unsealed() int                   { return t.tree.Unsealed() }
 func (t *typedTree[T]) close() error                    { return t.tree.Close() }
 

@@ -16,6 +16,8 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/seqscan"
 	"repro/internal/space"
+	"repro/internal/topk"
+	"repro/internal/wire"
 )
 
 // End-to-end tests of the mutable serving tier: add/delete/flush over HTTP
@@ -68,16 +70,16 @@ func newLiveOracle(base [][]float32) *liveOracle {
 func (o *liveOracle) add(id uint32, v []float32) { o.objs[id] = v }
 func (o *liveOracle) del(id uint32)              { delete(o.objs, id) }
 
-func (o *liveOracle) search(q []float32, k int) []neighborJSON {
+func (o *liveOracle) search(q []float32, k int) []topk.Neighbor {
 	ids := slices.Sorted(maps.Keys(o.objs))
 	vecs := make([][]float32, len(ids))
 	for i, id := range ids {
 		vecs[i] = o.objs[id]
 	}
 	nbs := seqscan.New[[]float32](space.L2{}, vecs).Search(q, k)
-	out := make([]neighborJSON, len(nbs))
+	out := make([]topk.Neighbor, len(nbs))
 	for i, nb := range nbs {
-		out[i] = neighborJSON{ID: ids[nb.ID], Dist: nb.Dist}
+		out[i] = topk.Neighbor{ID: ids[nb.ID], Dist: nb.Dist}
 	}
 	return out
 }
@@ -93,7 +95,7 @@ func checkMutableIdentity(t *testing.T, ts *httptest.Server, name string, o *liv
 			if status != http.StatusOK {
 				t.Fatalf("%s: query %d k=%d: status %d: %s", stage, qi, k, status, raw)
 			}
-			var got singleResponse
+			var got wire.SearchResponse
 			if err := json.Unmarshal(raw, &got); err != nil {
 				t.Fatalf("%s: query %d: %v", stage, qi, err)
 			}
@@ -227,7 +229,7 @@ func TestServedWriteEndpointErrors(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("search: status %d: %s", status, raw)
 	}
-	var got singleResponse
+	var got wire.SearchResponse
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func TestServedReloadRefusedUntilFlush(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("search after reload: status %d: %s", status, raw)
 	}
-	var got singleResponse
+	var got wire.SearchResponse
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +422,7 @@ func TestServedMutableReloadHammer(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("post-hammer search: status %d: %s", status, raw)
 		}
-		var got singleResponse
+		var got wire.SearchResponse
 		if err := json.Unmarshal(raw, &got); err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,8 @@ import (
 	"repro/internal/index"
 	"repro/internal/knngraph"
 	"repro/internal/space"
+	"repro/internal/topk"
+	"repro/internal/wire"
 )
 
 // TestServedConcurrentParams is the acceptance test of per-query params:
@@ -44,7 +46,7 @@ func TestServedConcurrentParams(t *testing.T) {
 
 	// want[t] is what an index dedicated to t answers; clients without
 	// params expect the served build-time value.
-	want := map[int][][]neighborJSON{}
+	want := map[int][][]topk.Neighbor{}
 	for tv := 1; tv <= 8; tv++ {
 		dedicated := nappWith(tv)
 		for _, q := range queries {
@@ -89,7 +91,7 @@ func TestServedConcurrentParams(t *testing.T) {
 					body["query"] = queries[qi]
 					delete(body, "queries")
 					status, raw := postJSON(t, url, body)
-					var got singleResponse
+					var got wire.SearchResponse
 					if status != http.StatusOK {
 						t.Errorf("client %d (t=%d) single: status %d: %s", c, tv, status, raw)
 					} else if json.Unmarshal(raw, &got); !reflect.DeepEqual(got.Results, want[tv][qi]) {
@@ -100,7 +102,7 @@ func TestServedConcurrentParams(t *testing.T) {
 				body["queries"] = queries
 				delete(body, "query")
 				status, raw := postJSON(t, url, body)
-				var got batchResponse
+				var got wire.SearchResponse
 				if status != http.StatusOK {
 					t.Errorf("client %d (t=%d) batch: status %d: %s", c, tv, status, raw)
 				} else if json.Unmarshal(raw, &got); !reflect.DeepEqual(got.Batch, want[tv]) {
@@ -136,7 +138,7 @@ func TestServedGraphBatchParams(t *testing.T) {
 	// counter starts where g's does: one batch of n queries draws the same
 	// n seeds as this serial loop.
 	opts := index.Options{K: k, Params: index.Params{InitAttempts: 4, EfSearch: 40}}
-	var want, wantDefault [][]neighborJSON
+	var want, wantDefault [][]topk.Neighbor
 	for _, q := range queries {
 		want = append(want, wireNeighbors(g.SearchAppend(nil, q, opts)))
 	}
@@ -153,7 +155,7 @@ func TestServedGraphBatchParams(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("graph batch: status %d: %s", status, raw)
 	}
-	var got batchResponse
+	var got wire.SearchResponse
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}

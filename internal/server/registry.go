@@ -27,9 +27,8 @@ type Registry struct {
 	names   []string // sorted
 }
 
-// entry is one named index: the current snapshot plus lifetime counters.
-// Counters survive reloads — they describe the name, not one generation of
-// its file.
+// entry is one named index: the current snapshot and what outlives any one
+// generation of its file.
 type entry struct {
 	name     string
 	path     string // the .psix file
@@ -38,7 +37,6 @@ type entry struct {
 	// reloadMu serializes reloads of this entry. Searches never touch it:
 	// they resolve snap once and run on that generation.
 	reloadMu sync.Mutex
-	stats    counters
 	// tree is the mutable serving tier (manifest "mutable": true), nil for
 	// an immutable entry. Unlike snap it persists across reloads: a reload
 	// swaps the base index generation under the same tree, so acknowledged
@@ -63,15 +61,6 @@ type snapshot struct {
 	// params are the manifest's method params, resolved once at load: the
 	// serving defaults every query of this generation starts from.
 	params index.Params
-}
-
-// counters are the per-index serving stats reported by /statusz.
-type counters struct {
-	requests  atomic.Int64 // search HTTP requests
-	queries   atomic.Int64 // individual queries (each batch element counts)
-	failures  atomic.Int64 // requests answered 4xx/5xx
-	latencyNs atomic.Int64 // cumulative search handler latency
-	reloads   atomic.Int64 // successful hot reloads
 }
 
 // OpenDir loads every index file (*.psix) in dir into a registry. Each file
@@ -214,6 +203,5 @@ func (r *Registry) Reload(name string) (codec.Header, error) {
 		return codec.Header{}, err
 	}
 	e.snap.Store(snap)
-	e.stats.reloads.Add(1)
 	return snap.hdr, nil
 }

@@ -19,7 +19,17 @@
 // (a batch, fanned out over the worker pool), "k" (default 10), and
 // optional per-request method params ("params": {"gamma": 0.05}) — the
 // query-time knobs of experiments.Resolve, carried by this request's
-// queries only.
+// queries only. The request, response, /v1/indexes row and error body are
+// declared once, in internal/wire, which the router and the control plane
+// share.
+//
+// # Timeouts
+//
+// A search runs on its request goroutine under Options.Timeout. The tiered
+// and batch paths check the deadline between components and queries, so an
+// over-budget request stops working and answers 504; nothing keeps running
+// after the response. One query on one immutable index is the unit of
+// work: it is not interrupted, and answers 504 if it finished late.
 //
 // # Consistency
 //
@@ -52,6 +62,7 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -61,12 +72,8 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/topk"
+	"repro/internal/wire"
 )
-
-// maxBodyBytes caps a request body; a batch of a few thousand dense
-// queries fits with room to spare, a runaway client does not.
-const maxBodyBytes = 64 << 20
 
 // Options configure the HTTP layer.
 type Options struct {
@@ -74,8 +81,8 @@ type Options struct {
 	// (<= 0: GOMAXPROCS), exactly like the evaluation tools' -workers.
 	Workers int
 	// Timeout is the per-request execution budget; 0 means none. A
-	// request over budget is answered 504 while its work is abandoned to
-	// finish (harmlessly, on its own snapshot) in the background.
+	// request over budget stops at its next cancellation point and is
+	// answered 504.
 	Timeout time.Duration
 	// Log receives serving events; nil means the process default logger.
 	Log *log.Logger
@@ -201,9 +208,11 @@ func (s *Server) registerMetrics() {
 		return float64(runtime.NumGoroutine())
 	})
 	s.metrics.GaugeFunc("permserve_heap_alloc_bytes", "Bytes of live heap objects.", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
+		// runtime/metrics reads without stopping the world, unlike
+		// ReadMemStats; a scrape must not pause the searches it observes.
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		metrics.Read(sample)
+		return float64(sample[0].Value.Uint64())
 	})
 }
 
@@ -237,7 +246,7 @@ func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			if p := recover(); p != nil {
 				s.log.Printf("server: panic serving %s %s: %v", r.Method, r.URL.Path, p)
-				s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
+				wire.WriteError(w, s.log, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
 			}
 		}()
 		h(w, r)
@@ -253,56 +262,6 @@ func (e *badRequestError) Error() string { return e.msg }
 // badRequestf builds a badRequestError.
 func badRequestf(format string, args ...any) error {
 	return &badRequestError{msg: fmt.Sprintf(format, args...)}
-}
-
-// searchRequest is the body of POST /v1/indexes/{name}/search.
-type searchRequest struct {
-	// Query is one object in the index's JSON query encoding; Queries is
-	// a batch. Exactly one of the two must be present.
-	Query   json.RawMessage   `json:"query,omitempty"`
-	Queries []json.RawMessage `json:"queries,omitempty"`
-	// K is the neighbor count (default 10).
-	K int `json:"k,omitempty"`
-	// Params are query-time method params for this request only.
-	Params map[string]float64 `json:"params,omitempty"`
-}
-
-// neighborJSON is one search answer on the wire.
-type neighborJSON struct {
-	ID   uint32  `json:"id"`
-	Dist float64 `json:"dist"`
-}
-
-// singleResponse answers a one-query search; Results may be empty, never
-// null.
-type singleResponse struct {
-	Index   string         `json:"index"`
-	K       int            `json:"k"`
-	Results []neighborJSON `json:"results"`
-}
-
-// batchResponse answers a batch search: one result list per query, in
-// request order.
-type batchResponse struct {
-	Index string           `json:"index"`
-	K     int              `json:"k"`
-	Batch [][]neighborJSON `json:"batch"`
-}
-
-// indexInfo is one row of GET /v1/indexes. For a shard index N is the
-// subset size served by this process, CorpusN the full corpus size, and
-// Shard the membership stamp a router uses to sanity-check its wiring.
-type indexInfo struct {
-	Name       string      `json:"name"`
-	Kind       string      `json:"kind"`
-	Space      string      `json:"space"`
-	N          uint64      `json:"n"`
-	Version    uint16      `json:"version"`
-	Dataset    string      `json:"dataset"`
-	Seed       int64       `json:"seed"`
-	Generation int64       `json:"generation,omitempty"`
-	CorpusN    int         `json:"corpus_n,omitempty"`
-	Shard      *shard.Info `json:"shard,omitempty"`
 }
 
 // runtimeStatus is the Go runtime memory/GC section of GET /statusz: the
@@ -400,13 +359,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(notReady) > 0 {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		wire.WriteJSON(w, s.log, http.StatusServiceUnavailable, map[string]any{
 			"ready": false, "not_loaded": notReady,
 		})
 		return
 	}
 	if len(degraded) > 0 {
-		s.writeJSON(w, http.StatusOK, map[string]any{
+		wire.WriteJSON(w, s.log, http.StatusOK, map[string]any{
 			"ready": true, "degraded": degraded,
 		})
 		return
@@ -416,10 +375,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	infos := make([]indexInfo, 0, len(s.reg.Names()))
+	infos := make([]wire.IndexInfo, 0, len(s.reg.Names()))
 	for _, name := range s.reg.Names() {
 		snap := s.reg.get(name).snap.Load()
-		info := indexInfo{
+		info := wire.IndexInfo{
 			Name:       name,
 			Kind:       snap.hdr.Kind,
 			Space:      snap.hdr.Space,
@@ -435,14 +394,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"indexes": infos})
+	wire.WriteJSON(w, s.log, http.StatusOK, wire.IndexList{Indexes: infos})
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	uptime := time.Since(s.start)
 	rows := make([]indexStatus, 0, len(s.reg.Names()))
 	for _, name := range s.reg.Names() {
-		e := s.reg.get(name)
+		e, em := s.reg.get(name), s.em[name]
 		snap := e.snap.Load()
 		row := indexStatus{
 			Name:       name,
@@ -451,16 +410,16 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			Version:    snap.hdr.Version,
 			Generation: snap.man.Generation,
 			Shard:      snap.man.Shard,
-			Requests:   e.stats.requests.Load(),
-			Queries:    e.stats.queries.Load(),
-			Failures:   e.stats.failures.Load(),
-			Reloads:    e.stats.reloads.Load(),
+			Requests:   em.requests.Load(),
+			Queries:    em.queries.Load(),
+			Failures:   em.failures.Load(),
+			Reloads:    em.reloads.Load(),
 		}
 		if up := uptime.Seconds(); up > 0 {
 			row.QPS = float64(row.Queries) / up
 		}
 		if row.Requests > 0 {
-			row.MeanLatencyUs = float64(e.stats.latencyNs.Load()) / float64(row.Requests) / 1e3
+			row.MeanLatencyUs = float64(em.latency.Sum()) / float64(row.Requests) / 1e3
 		}
 		if e.tree != nil {
 			st := e.tree.treeStatus()
@@ -468,7 +427,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = append(rows, row)
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, s.log, http.StatusOK, map[string]any{
 		"uptime_s": uptime.Seconds(),
 		"runtime":  readRuntimeStatus(),
 		"indexes":  rows,
@@ -478,7 +437,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if s.reg.get(name) == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no index %q", name))
+		wire.WriteError(w, s.log, http.StatusNotFound, fmt.Sprintf("no index %q", name))
 		return
 	}
 	hdr, err := s.reg.Reload(name)
@@ -490,12 +449,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusConflict
 		}
 		s.log.Printf("server: reload %q failed, previous generation stays live: %v", name, err)
-		s.writeError(w, status, fmt.Sprintf("reload %q: %v", name, err))
+		wire.WriteError(w, s.log, status, fmt.Sprintf("reload %q: %v", name, err))
 		return
 	}
 	s.em[name].reloads.Inc()
 	s.log.Printf("server: reloaded %q (%s, n=%d)", name, hdr.Kind, hdr.N)
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, s.log, http.StatusOK, map[string]any{
 		"reloaded": name, "kind": hdr.Kind, "space": hdr.Space, "n": hdr.N,
 	})
 }
@@ -508,15 +467,15 @@ func (s *Server) mutableEntry(w http.ResponseWriter, r *http.Request) (e *entry,
 	name := r.PathValue("name")
 	e = s.reg.get(name)
 	if e == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no index %q", name))
+		wire.WriteError(w, s.log, http.StatusNotFound, fmt.Sprintf("no index %q", name))
 		return nil, nil, false
 	}
 	if e.tree == nil {
-		s.writeError(w, http.StatusConflict, fmt.Sprintf("index %q is not mutable (set \"mutable\": true in its manifest)", name))
+		wire.WriteError(w, s.log, http.StatusConflict, fmt.Sprintf("index %q is not mutable (set \"mutable\": true in its manifest)", name))
 		return nil, nil, false
 	}
 	if !e.ingestMu.TryRLock() {
-		s.writeError(w, http.StatusConflict, fmt.Sprintf("index %q is reloading; retry", name))
+		wire.WriteError(w, s.log, http.StatusConflict, fmt.Sprintf("index %q is reloading; retry", name))
 		return nil, nil, false
 	}
 	return e, e.ingestMu.RUnlock, true
@@ -531,13 +490,13 @@ func (s *Server) mutableEntry(w http.ResponseWriter, r *http.Request) (e *entry,
 func (s *Server) writeWriteError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, lsm.ErrInvalid):
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, s.log, http.StatusBadRequest, err.Error())
 	case errors.Is(err, lsm.ErrPoisoned):
-		s.writeError(w, http.StatusServiceUnavailable, err.Error())
+		wire.WriteError(w, s.log, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, lsm.ErrReadOnly):
-		s.writeError(w, http.StatusInsufficientStorage, err.Error())
+		wire.WriteError(w, s.log, http.StatusInsufficientStorage, err.Error())
 	default:
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		wire.WriteError(w, s.log, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -552,16 +511,16 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req addRequest
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, wire.MaxBodyBytes))
 	if err == nil {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed body: %v", err))
+		wire.WriteError(w, s.log, http.StatusBadRequest, fmt.Sprintf("malformed body: %v", err))
 		return
 	}
 	if (req.Object == nil) == (len(req.Objects) == 0) {
-		s.writeError(w, http.StatusBadRequest, `body must carry exactly one of "object" or a non-empty "objects"`)
+		wire.WriteError(w, s.log, http.StatusBadRequest, `body must carry exactly one of "object" or a non-empty "objects"`)
 		return
 	}
 	raws := req.Objects
@@ -573,7 +532,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		s.writeWriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"index": e.name, "ids": ids})
+	wire.WriteJSON(w, s.log, http.StatusOK, map[string]any{"index": e.name, "ids": ids})
 }
 
 // handleDelete tombstones objects: body {"id": 7} or {"ids": [7, 9]}. Every
@@ -585,16 +544,16 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req deleteRequest
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, wire.MaxBodyBytes))
 	if err == nil {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed body: %v", err))
+		wire.WriteError(w, s.log, http.StatusBadRequest, fmt.Sprintf("malformed body: %v", err))
 		return
 	}
 	if (req.ID == nil) == (len(req.IDs) == 0) {
-		s.writeError(w, http.StatusBadRequest, `body must carry exactly one of "id" or a non-empty "ids"`)
+		wire.WriteError(w, s.log, http.StatusBadRequest, `body must carry exactly one of "id" or a non-empty "ids"`)
 		return
 	}
 	ids := req.all()
@@ -602,7 +561,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeWriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"index": e.name, "deleted": len(ids)})
+	wire.WriteJSON(w, s.log, http.StatusOK, map[string]any{"index": e.name, "deleted": len(ids)})
 }
 
 // handleFlush seals the memtable into an immutable tier, emptying the WAL;
@@ -619,38 +578,31 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		s.writeWriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"index": e.name, "sealed": st})
+	wire.WriteJSON(w, s.log, http.StatusOK, map[string]any{"index": e.name, "sealed": st})
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e := s.reg.get(name)
 	if e == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no index %q", name))
+		wire.WriteError(w, s.log, http.StatusNotFound, fmt.Sprintf("no index %q", name))
 		return
 	}
 	em := s.em[name]
-	e.stats.requests.Add(1)
 	em.requests.Inc()
 	start := time.Now()
-	defer func() {
-		e.stats.latencyNs.Add(time.Since(start).Nanoseconds())
-		em.latency.Since(start)
-	}()
-
-	req, err := decodeSearchRequest(r)
-	if err != nil {
-		e.stats.failures.Add(1)
+	defer em.latency.Since(start)
+	fail := func(status int, msg string) {
 		em.failures.Inc()
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, s.log, status, msg)
+	}
+
+	req, _, err := wire.DecodeSearch(r)
+	if err != nil {
+		fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	numQueries := 1
-	if req.Query == nil {
-		numQueries = len(req.Queries)
-	}
-	e.stats.queries.Add(int64(numQueries))
-	em.queries.Add(int64(numQueries))
+	em.queries.Add(int64(req.NumQueries()))
 
 	ctx := r.Context()
 	if s.timeout > 0 {
@@ -667,33 +619,30 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// mutable entry's corpus is its live set, which can exceed the base n.
 	n := int(snap.hdr.N)
 	if e.tree != nil {
-		n = e.tree.treeStatus().Live
+		n = e.tree.live()
 	}
 	if req.K > n && n > 0 {
 		req.K = n
 	}
-	// The trace lives on this stack but is written by the detached search
-	// goroutine; it is read back only on the success path, where the
-	// goroutine has provably finished (runDetached received its outcome).
-	// A timed-out request abandons the trace along with the work.
 	var tr obs.QueryTrace
-	resp, err := runDetached(ctx, s.log, func() (any, error) {
-		return s.execute(ctx, snap, name, req, &tr)
-	})
+	resp, err := s.execute(ctx, snap, name, req, &tr)
+	if err == nil {
+		// One query on one immutable index has no cancellation point: it
+		// can finish, late. The budget still decides the answer.
+		err = ctx.Err()
+	}
 	if err != nil {
-		e.stats.failures.Add(1)
-		em.failures.Inc()
 		var bad *badRequestError
 		switch {
 		case errors.As(err, &bad):
-			s.writeError(w, http.StatusBadRequest, err.Error())
+			fail(http.StatusBadRequest, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
-			s.writeError(w, http.StatusGatewayTimeout, "search timed out")
+			fail(http.StatusGatewayTimeout, "search timed out")
 		case errors.Is(err, context.Canceled):
 			// Client went away; any status is unreachable, but close out.
-			s.writeError(w, http.StatusServiceUnavailable, "request canceled")
+			fail(http.StatusServiceUnavailable, "request canceled")
 		default:
-			s.writeError(w, http.StatusInternalServerError, err.Error())
+			fail(http.StatusInternalServerError, err.Error())
 		}
 		return
 	}
@@ -701,10 +650,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.slowThresh > 0 {
 		if elapsed := time.Since(start); elapsed >= s.slowThresh {
 			em.slow.Inc()
-			s.logSlowQuery(name, numQueries, req.K, elapsed, &tr)
+			s.logSlowQuery(name, req.NumQueries(), req.K, elapsed, &tr)
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, s.log, http.StatusOK, resp)
 }
 
 // slowQueryLine is the JSON schema of one slow-query log line. Stage times
@@ -753,33 +702,11 @@ func (s *Server) logSlowQuery(name string, numQueries, k int, elapsed time.Durat
 	s.log.Printf("server: slow_query %s", blob)
 }
 
-// decodeSearchRequest parses and validates a search body.
-func decodeSearchRequest(r *http.Request) (searchRequest, error) {
-	var req searchRequest
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		return req, badRequestf("reading body: %v", err)
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return req, badRequestf("malformed body: %v", err)
-	}
-	if (req.Query == nil) == (len(req.Queries) == 0) {
-		return req, badRequestf(`body must carry exactly one of "query" or a non-empty "queries"`)
-	}
-	if req.K == 0 {
-		req.K = 10
-	}
-	if req.K < 0 {
-		return req, badRequestf("k must be positive, got %d", req.K)
-	}
-	return req, nil
-}
-
-// execute answers one validated request on one snapshot. ctx cancellation
-// is cooperative: the tiered and batch search paths check it between
-// components/queries, so a timed-out request releases its workers promptly
-// even while runDetached has already abandoned it.
-func (s *Server) execute(ctx context.Context, snap *snapshot, name string, req searchRequest, tr *obs.QueryTrace) (any, error) {
+// execute answers one validated request on one snapshot, on the caller's
+// goroutine. ctx cancellation is cooperative: the tiered and batch search
+// paths check it between components/queries and return its error, so a
+// timed-out request releases its workers promptly.
+func (s *Server) execute(ctx context.Context, snap *snapshot, name string, req wire.SearchRequest, tr *obs.QueryTrace) (*wire.SearchResponse, error) {
 	opts := index.Options{K: req.K, Ctx: ctx, Trace: tr, Params: snap.params}
 	if len(req.Params) > 0 {
 		// Validated and resolved once per request, then overlaid key by
@@ -796,76 +723,11 @@ func (s *Server) execute(ctx context.Context, snap *snapshot, name string, req s
 		if err != nil {
 			return nil, err
 		}
-		return &singleResponse{Index: name, K: req.K, Results: toJSON(nbs)}, nil
+		return wire.Single(name, req.K, nbs), nil
 	}
 	outs, err := snap.served.searchBatch(req.Queries, opts, s.pool)
 	if err != nil {
 		return nil, err
 	}
-	batch := make([][]neighborJSON, len(outs))
-	for i, nbs := range outs {
-		batch[i] = toJSON(nbs)
-	}
-	return &batchResponse{Index: name, K: req.K, Batch: batch}, nil
-}
-
-// runDetached runs f on its own goroutine and waits for it or for ctx. On
-// timeout the request fails while f finishes in the background — harmless,
-// since f only reads its snapshot, which outlives any reload. A panic in f
-// is re-raised on the caller's goroutine so the recover middleware answers
-// 500; a panic after the caller has already timed out goes to lg.
-func runDetached[V any](ctx context.Context, lg *log.Logger, f func() (V, error)) (V, error) {
-	type outcome struct {
-		v        V
-		err      error
-		panicked any
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		var o outcome
-		defer func() {
-			if p := recover(); p != nil {
-				o.panicked = p
-			}
-			ch <- o
-		}()
-		o.v, o.err = f()
-	}()
-	select {
-	case o := <-ch:
-		if o.panicked != nil {
-			panic(o.panicked)
-		}
-		return o.v, o.err
-	case <-ctx.Done():
-		go func() {
-			if o := <-ch; o.panicked != nil {
-				lg.Printf("server: abandoned query panicked: %v", o.panicked)
-			}
-		}()
-		var zero V
-		return zero, ctx.Err()
-	}
-}
-
-// toJSON converts neighbors to the wire shape (always non-nil, so a query
-// with no results encodes as [] rather than null).
-func toJSON(nbs []topk.Neighbor) []neighborJSON {
-	out := make([]neighborJSON, len(nbs))
-	for i, nb := range nbs {
-		out[i] = neighborJSON{ID: nb.ID, Dist: nb.Dist}
-	}
-	return out
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.log.Printf("server: writing response: %v", err)
-	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
-	s.writeJSON(w, status, map[string]any{"error": msg, "status": status})
+	return wire.Batch(name, req.K, outs), nil
 }

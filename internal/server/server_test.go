@@ -20,10 +20,12 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vptree"
+	"repro/internal/wire"
 )
 
 // The end-to-end suite: build small indexes over an L2 corpus and a
@@ -126,15 +128,12 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
-// wireNeighbors converts direct Search output to the wire shape for
-// comparison. JSON's shortest-round-trip float encoding is exact for
-// float64, so equality after decoding is equality of the original values.
-func wireNeighbors(nbs []topk.Neighbor) []neighborJSON {
-	out := make([]neighborJSON, len(nbs))
-	for i, nb := range nbs {
-		out[i] = neighborJSON{ID: nb.ID, Dist: nb.Dist}
-	}
-	return out
+// wireNeighbors copies direct Search output into the shape a decoded answer
+// has (non-nil even when empty). JSON's shortest-round-trip float encoding
+// is exact for float64, so equality after decoding is equality of the
+// original values.
+func wireNeighbors(nbs []topk.Neighbor) []topk.Neighbor {
+	return append([]topk.Neighbor{}, nbs...)
 }
 
 // checkServedMatchesDirect asserts single-query HTTP responses equal direct
@@ -148,7 +147,7 @@ func checkServedMatchesDirect[T any](t *testing.T, ts *httptest.Server, name str
 			if status != http.StatusOK {
 				t.Fatalf("%s query %d k=%d: status %d: %s", name, qi, k, status, raw)
 			}
-			var got singleResponse
+			var got wire.SearchResponse
 			if err := json.Unmarshal(raw, &got); err != nil {
 				t.Fatalf("%s query %d: %v", name, qi, err)
 			}
@@ -172,7 +171,7 @@ func TestServedBatchMatchesSerial(t *testing.T) {
 	ts := bootServer(t, dir, Options{Workers: 4})
 	const k = 5
 	enc := make([]any, len(dense.queries))
-	want := make([][]neighborJSON, len(dense.queries))
+	want := make([][]topk.Neighbor, len(dense.queries))
 	for i, q := range dense.queries {
 		enc[i] = dense.encode(q)
 		want[i] = wireNeighbors(dense.idx.Search(q, k))
@@ -181,7 +180,7 @@ func TestServedBatchMatchesSerial(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, raw)
 	}
-	var got batchResponse
+	var got wire.SearchResponse
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,7 @@ func TestServedListAndHealth(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var list struct {
-		Indexes []indexInfo `json:"indexes"`
+		Indexes []wire.IndexInfo `json:"indexes"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
@@ -215,7 +214,7 @@ func TestServedListAndHealth(t *testing.T) {
 	if len(list.Indexes) != 2 {
 		t.Fatalf("listed %d indexes, want 2", len(list.Indexes))
 	}
-	want := []indexInfo{
+	want := []wire.IndexInfo{
 		{Name: "dna-vptree", Kind: "vptree", Space: "normleven", N: e2eDNAN, Version: codec.Version, Dataset: "dna", Seed: e2eSeed},
 		{Name: "sift-napp", Kind: "napp", Space: "l2", N: e2eDenseN, Version: codec.Version, Dataset: "sift", Seed: e2eSeed},
 	}
@@ -269,7 +268,7 @@ func TestServedErrorStatuses(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("huge k: status %d: %s", status, raw)
 	}
-	var got singleResponse
+	var got wire.SearchResponse
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +300,7 @@ func TestServedPerRequestParams(t *testing.T) {
 		t.Fatal("test needs gamma to change this query's answer; pick another query")
 	}
 
-	var got singleResponse
+	var got wire.SearchResponse
 	status, raw := postJSON(t, url, map[string]any{"query": q, "params": map[string]float64{"gamma": 1}})
 	if status != http.StatusOK {
 		t.Fatalf("params request: status %d: %s", status, raw)
@@ -383,11 +382,11 @@ func TestServedConcurrentClients(t *testing.T) {
 
 	denseURL := ts.URL + "/v1/indexes/sift-napp/search"
 	dnaURL := ts.URL + "/v1/indexes/dna-vptree/search"
-	wantDense := make([][]neighborJSON, len(dense.queries))
+	wantDense := make([][]topk.Neighbor, len(dense.queries))
 	for i, q := range dense.queries {
 		wantDense[i] = wireNeighbors(dense.idx.Search(q, 10))
 	}
-	wantDNA := make([][]neighborJSON, len(dna.queries))
+	wantDNA := make([][]topk.Neighbor, len(dna.queries))
 	for i, q := range dna.queries {
 		wantDNA[i] = wireNeighbors(dna.idx.Search(q, 10))
 	}
@@ -407,7 +406,7 @@ func TestServedConcurrentClients(t *testing.T) {
 				switch it % 3 {
 				case 0: // dense single
 					status, raw := postJSON(t, denseURL, map[string]any{"query": dense.queries[qi]})
-					var got singleResponse
+					var got wire.SearchResponse
 					if status != http.StatusOK {
 						fail("dense single: status %d: %s", status, raw)
 					} else if json.Unmarshal(raw, &got); !reflect.DeepEqual(got.Results, wantDense[qi]) {
@@ -419,7 +418,7 @@ func TestServedConcurrentClients(t *testing.T) {
 						enc[i] = dense.encode(q)
 					}
 					status, raw := postJSON(t, denseURL, map[string]any{"queries": enc})
-					var got batchResponse
+					var got wire.SearchResponse
 					if status != http.StatusOK {
 						fail("dense batch: status %d: %s", status, raw)
 					} else if json.Unmarshal(raw, &got); !reflect.DeepEqual(got.Batch, wantDense) {
@@ -427,7 +426,7 @@ func TestServedConcurrentClients(t *testing.T) {
 					}
 				case 2: // dna single
 					status, raw := postJSON(t, dnaURL, map[string]any{"query": dna.encode(dna.queries[qi])})
-					var got singleResponse
+					var got wire.SearchResponse
 					if status != http.StatusOK {
 						fail("dna single: status %d: %s", status, raw)
 					} else if json.Unmarshal(raw, &got); !reflect.DeepEqual(got.Results, wantDNA[qi]) {
@@ -511,7 +510,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 					t.Errorf("search during reload: status %d: %s", status, raw)
 					return
 				}
-				var got singleResponse
+				var got wire.SearchResponse
 				if err := json.Unmarshal(raw, &got); err != nil {
 					t.Errorf("search during reload: %v", err)
 					return
@@ -530,7 +529,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("post-reload search: status %d", status)
 	}
-	var got singleResponse
+	var got wire.SearchResponse
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +559,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("search after failed reload: status %d", status)
 	}
-	var got singleResponse
+	var got wire.SearchResponse
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -569,15 +568,19 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 }
 
-// TestStatusz: counters move and the shape is stable.
+// TestStatusz: counters move, the shape is stable, and every count equals
+// the one /metrics reports — both pages render the same obs handles.
 func TestStatusz(t *testing.T) {
 	dir, dense, _ := buildFixtures(t)
-	ts := bootServer(t, dir, Options{})
+	ts := bootServer(t, dir, Options{Metrics: obs.NewRegistry()})
 	url := ts.URL + "/v1/indexes/sift-napp/search"
 	postJSON(t, url, map[string]any{"query": dense.encode(dense.queries[0])})
 	enc := []any{dense.encode(dense.queries[0]), dense.encode(dense.queries[1])}
 	postJSON(t, url, map[string]any{"queries": enc})
 	postJSON(t, url, map[string]any{"k": 1}) // 400: counted as request + failure
+	if status, raw := postJSON(t, ts.URL+"/v1/indexes/sift-napp/reload", nil); status != http.StatusOK {
+		t.Fatalf("reload: status %d: %s", status, raw)
+	}
 
 	resp, err := http.Get(ts.URL + "/statusz")
 	if err != nil {
@@ -609,11 +612,26 @@ func TestStatusz(t *testing.T) {
 	if row == nil {
 		t.Fatalf("no sift-napp row in %+v", status.Indexes)
 	}
-	if row.Requests != 3 || row.Queries != 3 || row.Failures != 1 {
-		t.Fatalf("counters = %+v, want requests=3 queries=3 failures=1", *row)
+	if row.Requests != 3 || row.Queries != 3 || row.Failures != 1 || row.Reloads != 1 {
+		t.Fatalf("counters = %+v, want requests=3 queries=3 failures=1 reloads=1", *row)
+	}
+	if row.MeanLatencyUs <= 0 {
+		t.Fatalf("mean_latency_us = %g after 3 requests", row.MeanLatencyUs)
 	}
 	if status.UptimeS <= 0 {
 		t.Fatalf("uptime_s = %g", status.UptimeS)
+	}
+	tm := scrapeMetrics(t, ts)
+	idx := map[string]string{"index": "sift-napp"}
+	for family, got := range map[string]int64{
+		"permserve_search_requests_total": row.Requests,
+		"permserve_queries_total":         row.Queries,
+		"permserve_search_failures_total": row.Failures,
+		"permserve_reloads_total":         row.Reloads,
+	} {
+		if want := metricValue(t, tm, family, idx); float64(got) != want {
+			t.Errorf("/statusz reports %d where /metrics %s reports %v", got, family, want)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vptree"
+	"repro/internal/wire"
 )
 
 // buildShardFixtures splits the DNA corpus into two hash shards, builds a
@@ -63,7 +64,7 @@ func TestServedShardsMergeToUnsharded(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("%s query %d: status %d: %s", name, qi, status, raw)
 			}
-			var resp singleResponse
+			var resp wire.SearchResponse
 			if err := json.Unmarshal(raw, &resp); err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +98,7 @@ func TestServedShardMetadata(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var list struct {
-		Indexes []indexInfo `json:"indexes"`
+		Indexes []wire.IndexInfo `json:"indexes"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package space
 
-import (
-	"math"
-
-	"repro/internal/vecmath"
-)
+import "repro/internal/vecmath"
 
 // L2 is the Euclidean metric over dense float32 vectors. It is the distance
 // used for the CoPhIR and SIFT experiments in the paper.
@@ -18,26 +14,6 @@ func (L2) Name() string { return "l2" }
 
 // Properties implements Space: L2 is a metric.
 func (L2) Properties() Properties { return Properties{Metric: true, Symmetric: true} }
-
-// L2F32 is the Euclidean metric computed with float32 element differences
-// (vecmath.L2SqrF32): one rounding per element instead of two float64
-// conversions, worth ~20% on SIFT-width vectors. Distances agree with L2 to
-// within ~n*2^-23 relative error but are not bit-identical, so this is an
-// opt-in space with its own name — indexes persisted under "l2" keep their
-// byte-stable distances, and switching a build to L2F32 is an explicit
-// decision recorded in the codec header.
-type L2F32 struct{}
-
-// Distance returns the Euclidean distance between data and query.
-func (L2F32) Distance(data, query []float32) float64 {
-	return math.Sqrt(vecmath.L2SqrF32(data, query))
-}
-
-// Name implements Space.
-func (L2F32) Name() string { return "l2-f32" }
-
-// Properties implements Space: L2 is a metric.
-func (L2F32) Properties() Properties { return Properties{Metric: true, Symmetric: true} }
 
 // L1 is the Manhattan metric over dense float32 vectors. The paper uses it to
 // cross-check the NAPP implementation against Chávez et al.'s published

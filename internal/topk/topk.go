@@ -4,17 +4,18 @@
 //
 // The paper (§2.2) notes that, for the filtering stage of brute-force
 // permutation search, incremental sorting is about twice as fast as a
-// standard priority queue; both strategies are implemented here so the claim
-// can be re-verified (see BenchmarkAblation_IncSortVsHeap).
+// standard priority queue; SelectK is that incremental sort.
 package topk
 
 import "slices"
 
 // Neighbor is a candidate answer: a data-point identifier and its distance
-// from the query. Smaller distances are better.
+// from the query. Smaller distances are better. The JSON tags are the
+// serving wire shape (internal/wire marshals results straight from search
+// output).
 type Neighbor struct {
-	ID   uint32
-	Dist float64
+	ID   uint32  `json:"id"`
+	Dist float64 `json:"dist"`
 }
 
 // ByDist sorts a slice of neighbors by increasing distance, breaking ties by
@@ -343,19 +344,4 @@ func partition(ns []Neighbor, lo, hi, p int) int {
 	}
 	ns[store], ns[hi] = ns[hi], ns[store]
 	return store
-}
-
-// SelectKHeap is the priority-queue alternative to SelectK: it scans ns once
-// pushing into a bounded max-heap. It exists so the paper's "incremental
-// sorting is ~2x faster than a priority queue" claim can be benchmarked; use
-// SelectK in production paths.
-func SelectKHeap(ns []Neighbor, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	q := NewQueue(k)
-	for _, n := range ns {
-		q.Push(n.ID, n.Dist)
-	}
-	return q.Results()
 }

@@ -208,25 +208,6 @@ func TestSelectKMatchesFullSort(t *testing.T) {
 	}
 }
 
-func TestSelectKHeapMatchesSelectK(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(300)
-		k := 1 + r.Intn(40)
-		ns := randNeighbors(r, n)
-		a := SelectK(append([]Neighbor(nil), ns...), k)
-		b := SelectKHeap(ns, k)
-		if len(a) != len(b) {
-			t.Fatalf("length mismatch %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("mismatch at %d: %+v vs %+v", i, a[i], b[i])
-			}
-		}
-	}
-}
-
 func TestSelectKDuplicateDistances(t *testing.T) {
 	// All-equal distances: tie-break by ID must make the result exactly
 	// the k smallest IDs.
@@ -301,15 +282,6 @@ func BenchmarkSelectK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cp := append([]Neighbor(nil), ns...)
 		SelectK(cp, 100)
-	}
-}
-
-func BenchmarkSelectKHeap(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	ns := randNeighbors(r, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SelectKHeap(ns, 100)
 	}
 }
 

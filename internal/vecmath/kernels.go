@@ -12,9 +12,8 @@ package vecmath
 // chosen from BenchmarkRankKernels / BenchmarkNibbleL1 (kernels_bench_test.go)
 // on amd64: below them the unrolled prologue/epilogue costs more than it
 // saves. Every kernel is byte-identical to its *Ref reference scalar —
-// integer arithmetic is exact and reordering-safe, and the float32 L2 path
-// keeps a single accumulator so its operation order matches the reference —
-// which kernels_test.go pins across widths 0..129 (all tail-lane cases).
+// integer arithmetic is exact and reordering-safe — which kernels_test.go
+// pins across widths 0..129 (all tail-lane cases).
 
 // Dispatch threshold, measured per width with BenchmarkRankKernels (amd64,
 // widths 4..256): the gc compiler already emits branch-free scalar code for
@@ -155,62 +154,6 @@ func NibbleL1Ref(a, b []uint64) int {
 				s += y - x
 			}
 		}
-	}
-	return s
-}
-
-// l2F32UnrollMin is the vector width from which the unrolled float32 L2
-// kernel beats its scalar loop.
-const l2F32UnrollMin = 8
-
-// L2SqrF32 returns the squared Euclidean distance between a and b with the
-// element difference computed in float32 — one rounding per element instead
-// of the two float64 conversions L2Sqr pays — and the squares accumulated
-// exactly in float64 (a 24-bit product is exact in a 53-bit mantissa).
-//
-// Precision: relative to L2Sqr, each term carries at most one extra float32
-// rounding of the difference (relative error <= 2^-24 per element), so the
-// total relative error is bounded by ~n*2^-23 — negligible for descriptor
-// data but not bit-identical to L2Sqr. It is therefore an opt-in fast path
-// (space.L2F32): the default space.L2 keeps L2Sqr so persisted indexes,
-// recall goldens and sharded-identity properties stay byte-stable.
-//
-// The kernel keeps a single accumulator so its operation order — and hence
-// its rounding — is byte-identical to L2SqrF32Ref at every width.
-// It panics if the slices have different lengths.
-func L2SqrF32(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic("vecmath: length mismatch")
-	}
-	if len(a) < l2F32UnrollMin {
-		return L2SqrF32Ref(a, b)
-	}
-	var s float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s += float64(d0) * float64(d0)
-		s += float64(d1) * float64(d1)
-		s += float64(d2) * float64(d2)
-		s += float64(d3) * float64(d3)
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s += float64(d) * float64(d)
-	}
-	return s
-}
-
-// L2SqrF32Ref is the reference scalar implementation of L2SqrF32.
-// Both slices must have the same length.
-func L2SqrF32Ref(a, b []float32) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += float64(d) * float64(d)
 	}
 	return s
 }

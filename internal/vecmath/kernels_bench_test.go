@@ -1,9 +1,9 @@
 package vecmath
 
 // Per-width microbenchmarks behind the kernel dispatch thresholds
-// (rankUnrollMin, l2F32UnrollMin): run with
+// (rhoUnrollMin): run with
 //
-//	go test -run '^$' -bench 'Kernels|NibbleL1|L2Sqr' ./internal/vecmath/
+//	go test -run '^$' -bench 'Kernels|NibbleL1' ./internal/vecmath/
 //
 // and move a threshold when the crossover moves. The widths cover the
 // parameter range the indexes actually use (permutation lengths 16..256,
@@ -70,28 +70,6 @@ func BenchmarkNibbleL1(b *testing.B) {
 		b.Run(benchName("ref", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkInt = NibbleL1Ref(x, y)
-			}
-		})
-	}
-}
-
-func BenchmarkL2SqrKernels(b *testing.B) {
-	r := rand.New(rand.NewSource(10))
-	for _, w := range benchWidths {
-		x := make([]float32, w)
-		y := make([]float32, w)
-		for i := range x {
-			x[i] = float32(r.NormFloat64())
-			y[i] = float32(r.NormFloat64())
-		}
-		b.Run(benchName("f64", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF64 = L2Sqr(x, y)
-			}
-		})
-		b.Run(benchName("f32", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF64 = L2SqrF32(x, y)
 			}
 		})
 	}

@@ -57,7 +57,6 @@ func TestRankKernelsPanicOnLengthMismatch(t *testing.T) {
 		"SpearmanRho": func() { SpearmanRho(make([]int32, 3), make([]int32, 4)) },
 		"Footrule":    func() { Footrule(make([]int32, 3), make([]int32, 4)) },
 		"NibbleL1":    func() { NibbleL1(make([]uint64, 1), make([]uint64, 2)) },
-		"L2SqrF32":    func() { L2SqrF32(make([]float32, 3), make([]float32, 4)) },
 	} {
 		func() {
 			defer func() {
@@ -137,44 +136,5 @@ func TestNibbleL1WordSaturatesNowhere(t *testing.T) {
 	var a, b uint64 = 0, ^uint64(0) // 0x0 vs 0xF in every lane
 	if got := NibbleL1Word(a, b); got != 240 {
 		t.Fatalf("max-distance word: got %d, want 240", got)
-	}
-}
-
-func TestL2SqrF32MatchesRef(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for width := 0; width <= 129; width++ {
-		for rep := 0; rep < 8; rep++ {
-			a := make([]float32, width)
-			b := make([]float32, width)
-			for i := range a {
-				a[i] = float32(r.NormFloat64() * 100)
-				b[i] = float32(r.NormFloat64() * 100)
-			}
-			got, want := L2SqrF32(a, b), L2SqrF32Ref(a, b)
-			if got != want {
-				t.Fatalf("width %d: L2SqrF32 = %v, ref = %v (must be byte-identical)", width, got, want)
-			}
-		}
-	}
-}
-
-// TestL2SqrF32ErrorBound checks the documented precision contract against
-// the default float64 kernel: the float32 difference path stays within
-// ~n*2^-23 relative error of L2Sqr.
-func TestL2SqrF32ErrorBound(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for _, width := range []int{4, 16, 128, 1024} {
-		a := make([]float32, width)
-		b := make([]float32, width)
-		for i := range a {
-			a[i] = float32(r.NormFloat64() * 255)
-			b[i] = float32(r.NormFloat64() * 255)
-		}
-		exact := L2Sqr(a, b)
-		fast := L2SqrF32(a, b)
-		bound := float64(width) * exact / (1 << 22)
-		if diff := fast - exact; diff < -bound || diff > bound {
-			t.Fatalf("width %d: |%v - %v| exceeds bound %v", width, fast, exact, bound)
-		}
 	}
 }
