@@ -65,12 +65,15 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
-# Short coverage-guided fuzz of the index-file decoder: corrupt blobs must
-# error, never panic or over-allocate. The checked-in seed corpus lives in
+# Short coverage-guided fuzz. FuzzLoad: corrupt index files must error,
+# never panic or over-allocate; its checked-in seed corpus lives in
 # internal/codec/testdata/fuzz (regenerate with WRITE_FUZZ_CORPUS=1 after
-# format changes).
+# format changes). FuzzNAPPScan: NAPP's bit-sliced ScanCount kernel must
+# select the ids the list-merging reference selects, for any shape, threshold
+# and tombstone set the fuzzer picks.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
 
 # Query hot-path microbenchmarks (-benchmem) + the machine-readable
 # BENCH_PR10.json trajectory point (per method: ns/op, B/op, allocs/op,

@@ -130,8 +130,7 @@ func TestWriteSeedCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	write := func(name string, blob []byte) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(blob)))
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), corpusFile(blob), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,6 +145,28 @@ func TestWriteSeedCorpus(t *testing.T) {
 	}
 	write("seed-empty", nil)
 	write("seed-bad-magic", []byte("NOPE....definitely not an index"))
+}
+
+// corpusFile renders blob in the go-fuzz corpus file format.
+func corpusFile(blob []byte) []byte {
+	return fmt.Appendf(nil, "go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(blob)))
+}
+
+// TestSeedCorpusIsCurrent pins the on-disk format: what the seed builders
+// save today must be, byte for byte, the checked-in blobs an earlier
+// checkout saved. A change of in-memory representation (NAPP's posting
+// bitmaps, say) that moves these bytes has changed the index files.
+func TestSeedCorpusIsCurrent(t *testing.T) {
+	for i, seed := range fuzzSeeds(t) {
+		name := filepath.Join("testdata", "fuzz", "FuzzLoad", fmt.Sprintf("seed-valid-%d", i))
+		have, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(have, corpusFile(seed)) {
+			t.Errorf("%s no longer matches its builder: the codec payload changed (bump the version and regenerate with WRITE_FUZZ_CORPUS=1)", name)
+		}
+	}
 }
 
 // TestFuzzSeedsRoundtrip keeps the seed builders honest on every ordinary

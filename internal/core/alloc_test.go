@@ -51,6 +51,13 @@ func allocKinds(t *testing.T) (queries [][]float32, kinds []struct {
 		NumPivots: 64, NumPivotIndex: 16, MinShared: 1, MaxCandidates: 40, Seed: seed,
 	})
 	mk("napp-capped", nappCap, err)
+	nappDead, err := core.NewNAPP(sp32(), db, core.NAPPOptions{
+		NumPivots: 64, NumPivotIndex: 16, MinShared: 1, MaxCandidates: 40, Seed: seed,
+	})
+	for id := uint32(0); err == nil && id < n; id += 7 {
+		err = nappDead.Delete(id)
+	}
+	mk("napp-tombstoned", nappDead, err)
 	mi, err := core.NewMIFile(sp32(), db, core.MIFileOptions{
 		NumPivots: 32, NumPivotIndex: 16, NumPivotSearch: 8, MaxPosDiff: 10, Seed: seed,
 	})

@@ -129,4 +129,34 @@ func BenchmarkSearchHot(b *testing.B) {
 			}
 		})
 	}
+	// permbench's serving operating point. At t=2 over 10k points the
+	// "napp" row above is refine-bound; at t=22 over 40k points the filter
+	// (pivot distances, pivot selection, ScanCount) is most of a query, so
+	// this is the row that sees it.
+	// Built on the first of b.Run's calibration rounds, so a -bench filter
+	// that skips the row skips its 40k-point build too.
+	var (
+		idx  *core.NAPP[[]float32]
+		held [][]float32
+	)
+	b.Run("napp-t22-n40k", func(b *testing.B) {
+		if idx == nil {
+			const n = 40000
+			all := dataset.SIFT(benchSeed, n+benchQueries)
+			held = all[n:]
+			var err error
+			idx, err = core.NewNAPP(sp, all[:n], core.NAPPOptions{
+				NumPivots: 512, NumPivotIndex: 32, NumPivotSearch: 32, MinShared: 22, Seed: benchSeed,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			idx.Search(held[0], benchK)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			idx.Search(held[i%len(held)], benchK)
+		}
+	})
 }

@@ -78,8 +78,9 @@ func gammaCount(frac float64, n, k int) int {
 // scratch state owned by the caller; refineInto does not allocate when dst
 // and the queue have warmed-up capacity.
 //
-// Ties at the k boundary are broken by candidate order (first kept wins),
-// so every index must feed candidates in a deterministic order.
+// The answer does not depend on candidate order: topk.Queue keeps the k
+// smallest by (distance, id), so ties at the k boundary go to the smaller
+// id however the filter happened to emit its candidates.
 //
 // When tr is non-nil the exact-distance loop is attributed to the refine
 // stage and the final ordered copy-out to the merge stage (one time.Now
@@ -135,16 +136,16 @@ func computePermutations[T any](pv *permutation.Pivots[T], data []T) []int32 {
 }
 
 // computeOrders returns the flattened n x mi matrix holding, for each data
-// point, the indices of its mi closest pivots (closest first).
+// point, the indices of its mi closest pivots (closest first). Each worker
+// selects on its own permutation scratch, so the build neither allocates per
+// point nor sorts the m-mi pivots no index reads.
 func computeOrders[T any](pv *permutation.Pivots[T], data []T, mi int) []int32 {
-	m := pv.M()
-	if mi > m {
-		mi = m
-	}
+	mi = min(mi, pv.M())
 	out := make([]int32, len(data)*mi)
-	parallelFor(len(data), func(i int) {
-		order := pv.Order(data[i], nil)
-		copy(out[i*mi:(i+1)*mi], order[:mi])
+	var pool engine.Pool
+	perWorker := make([]permutation.Scratch, pool.Workers())
+	pool.ForWithID(len(data), func(worker, i int) {
+		copy(out[i*mi:(i+1)*mi], pv.ClosestWith(&perWorker[worker], data[i], mi))
 	})
 	return out
 }

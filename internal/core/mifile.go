@@ -171,9 +171,9 @@ func (mf *MIFile[T]) search(s *miScratch, dst []topk.Neighbor, query T, opts ind
 	if tr != nil {
 		t0 = time.Now()
 	}
-	qorder := mf.pivots.OrderWith(&s.perm, query)
 	m := int32(mf.opts.NumPivots)
 	ms := mf.opts.NumPivotSearch
+	qorder := mf.pivots.ClosestWith(&s.perm, query, ms)
 
 	// gains accumulates m - |pos_x - pos_q| per shared pivot; the
 	// estimated Footrule on truncated permutations is ms*m - gain, so

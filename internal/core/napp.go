@@ -9,7 +9,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/permutation"
-	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -57,7 +56,8 @@ func (o *NAPPOptions) defaults() {
 		o.NumPivotSearch = o.NumPivots
 	}
 	if o.NumPivotSearch > 255 {
-		// ScanCount counters are bytes; cap ms so they cannot wrap.
+		// ScanCount counts into scanPlanes = 8 bit planes; cap ms so
+		// they cannot wrap.
 		o.NumPivotSearch = 255
 	}
 	if o.MinShared <= 0 {
@@ -69,39 +69,52 @@ func (o *NAPPOptions) defaults() {
 }
 
 // NAPP is the Neighborhood APProximation index of Tellez et al. (§2.3): an
-// inverted file mapping each pivot to the ids of the data points that have
-// it among their mi closest pivots. Queries merge the posting lists of the
-// query's ms closest pivots with the ScanCount algorithm (Li et al.), keep
-// candidates sharing at least t pivots, and refine with the true distance.
+// inverted file mapping each pivot to the data points that have it among
+// their mi closest pivots. Queries merge the posting lists of the query's ms
+// closest pivots with the ScanCount algorithm (Li et al.), keep candidates
+// sharing at least t pivots, and refine with the true distance.
 //
-// Per the paper's §3.2 our implementation does not compress the index and
-// uses plain ScanCount counters that are reset for every query (their
-// memset); posting lists store ascending ids for cache-friendly merging.
+// Per the paper's §3.2 the index is not compressed, but a posting list is
+// held as a bitmap over the ids rather than as the ids themselves: at the
+// paper's mi/m = 32/512 a list is 6.25% dense, so the bitmap is half the
+// size of its uint32 ids, and ScanCount becomes a bit-sliced addition of ms
+// bitmaps that advances 64 counters per word-op and needs neither a counter
+// array nor its per-query reset (napp_scan.go). Index files still store
+// ascending ids.
 type NAPP[T any] struct {
-	sp       space.Space[T]
-	data     []T
-	pivots   *permutation.Pivots[T]
-	postings [][]uint32 // pivot -> ascending data ids
-	opts     NAPPOptions
-	// deleted holds tombstoned ids (see napp_dynamic.go); nil until the
-	// first Delete.
-	deleted map[uint32]struct{}
-	// Pooled runs search on pooled per-query state. Where the paper resets
-	// ScanCount counters with a per-query O(N) memset, the pooled
-	// epoch-stamped arena makes the reset O(1); the remaining buffers are
+	sp     space.Space[T]
+	data   []T
+	pivots *permutation.Pivots[T]
+	// bitmaps[p] has bit id set when point id posts to pivot p. A bitmap
+	// may be shorter than ⌈N/64⌉ words and reads as zero past its end.
+	bitmaps [][]uint64
+	opts    NAPPOptions
+	// dead is the tombstone bitmap (see napp_dynamic.go), ndead its
+	// population; nil until the first Delete.
+	dead  []uint64
+	ndead int
+	// Pooled runs search on pooled per-query state; its buffers are
 	// grow-only, so a warm steady state performs no allocations.
 	index.Pooled[T, nappScratch]
 }
 
 // nappScratch is the per-query state of one NAPP search.
 type nappScratch struct {
-	perm     permutation.Scratch
-	counters scratch.Counters
-	cands    []uint32
-	// sel holds (candidate, shared-pivot score) pairs for the
+	perm  permutation.Scratch
+	cands []uint32
+	// sel holds (candidate, negated shared-pivot count) pairs for the
 	// MaxCandidates partial selection.
 	sel   []topk.Neighbor
 	queue topk.Queue
+}
+
+// setBit sets bit id of bitmap b, growing it to reach the bit.
+func setBit(b []uint64, id uint32) []uint64 {
+	if w := int(id >> 6); w >= len(b) {
+		b = append(b, make([]uint64, w+1-len(b))...)
+	}
+	b[id>>6] |= 1 << (id & 63)
+	return b
 }
 
 // NewNAPP samples pivots and builds the inverted file (in parallel).
@@ -133,13 +146,15 @@ func NewNAPPWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Pivot
 	opts.defaults()
 	mi := opts.NumPivotIndex
 	orders := computeOrders(pv, data, mi)
-	postings := make([][]uint32, opts.NumPivots)
+	na := &NAPP[T]{sp: sp, data: data, pivots: pv, opts: opts, bitmaps: make([][]uint64, opts.NumPivots)}
+	for p := range na.bitmaps {
+		na.bitmaps[p] = make([]uint64, (len(data)+63)/64)
+	}
 	for i := 0; i < len(data); i++ {
 		for _, p := range orders[i*mi : (i+1)*mi] {
-			postings[p] = append(postings[p], uint32(i))
+			na.bitmaps[p][i>>6] |= 1 << (i & 63)
 		}
 	}
-	na := &NAPP[T]{sp: sp, data: data, pivots: pv, postings: postings, opts: opts}
 	na.Bind(na.search)
 	return na, nil
 }
@@ -149,12 +164,12 @@ func (na *NAPP[T]) Name() string { return "napp" }
 
 // Stats implements index.Sized.
 func (na *NAPP[T]) Stats() index.Stats {
-	var cells int64
-	for _, p := range na.postings {
-		cells += int64(len(p))
+	words := int64(len(na.dead))
+	for _, b := range na.bitmaps {
+		words += int64(len(b))
 	}
 	return index.Stats{
-		Bytes:          cells*4 + int64(len(na.postings))*24,
+		Bytes:          words*8 + int64(len(na.bitmaps))*24,
 		BuildDistances: int64(len(na.data)) * int64(na.pivots.M()),
 	}
 }
@@ -173,54 +188,26 @@ func (na *NAPP[T]) search(s *nappScratch, dst []topk.Neighbor, query T, opts ind
 	if tr != nil {
 		t0 = time.Now()
 	}
-	qorder := na.pivots.OrderWith(&s.perm, query)
-	ms := na.opts.NumPivotSearch
+	closest := na.pivots.ClosestWith(&s.perm, query, na.opts.NumPivotSearch)
 	t := cmp.Or(opts.Params.MinShared, na.opts.MinShared)
-
-	// ScanCount merge: one counter per data point, logically zeroed per
-	// query by the arena's epoch bump (the paper's memset, made O(1)).
-	// Counts fit a byte because ms is capped at 255.
-	s.counters.Begin(len(na.data))
-	cands := s.cands[:0]
-	for _, p := range qorder[:ms] {
-		for _, id := range na.postings[p] {
-			if int(s.counters.Inc(id)) == t {
-				cands = append(cands, id)
-			}
-		}
-	}
-	if na.deleted != nil {
-		kept := cands[:0]
-		for _, id := range cands {
-			if _, dead := na.deleted[id]; !dead {
-				kept = append(kept, id)
-			}
-		}
-		cands = kept
-	}
+	max := na.opts.MaxCandidates
+	na.scan(s, closest, t, max > 0)
+	cands := s.cands
 	if tr != nil {
 		tr.FilterCandidates += int64(len(cands))
 		obs.AddSince(&tr.FilterNs, t0)
 		t0 = time.Now()
 	}
-	if max := na.opts.MaxCandidates; max > 0 && len(cands) > max {
+	if max > 0 && len(cands) > max {
 		// Additional filtering for expensive distances: prefer
 		// candidates sharing more pivots with the query, then smaller
-		// ids for determinism. Scoring by negated count turns that into
-		// the (Dist, ID) order of topk.SelectK, whose partial selection
-		// replaces the former full sort of all candidates.
-		sel := s.sel[:0]
-		for _, id := range cands {
-			sel = append(sel, topk.Neighbor{ID: id, Dist: -float64(s.counters.Count(id))})
-		}
-		s.sel = sel
-		best := topk.SelectK(sel, max)
+		// ids for determinism — a partial selection over the scores the
+		// scan read off its counter planes.
 		cands = cands[:0]
-		for _, c := range best {
+		for _, c := range topk.SelectK(s.sel, max) {
 			cands = append(cands, c.ID)
 		}
 	}
-	s.cands = cands
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}

@@ -7,10 +7,11 @@ import "fmt"
 // addition of records can be easily implemented"; this file implements that
 // claim for NAPP.
 //
-// Add computes the new point's pivot order and appends its id to the
-// affected posting lists (ids stay sorted because new ids are the largest).
-// Delete tombstones an id; Search skips tombstoned candidates, and Compact
-// rebuilds posting lists to reclaim space once enough deletions accumulate.
+// Add selects the new point's mi closest pivots and sets its bit in their
+// bitmaps; only those bitmaps grow when the id opens a new word, the others
+// read as zero past their end. Delete sets a bit in the tombstone bitmap,
+// which the scan masks out of every candidate word, and Compact clears the
+// tombstoned bits from the posting bitmaps.
 //
 // Pooled query scratch survives mutations: every buffer is sized (or grown)
 // from the live data set at the start of each query.
@@ -23,9 +24,10 @@ import "fmt"
 func (na *NAPP[T]) Add(x T) uint32 {
 	id := uint32(len(na.data))
 	na.data = append(na.data, x)
-	order := na.pivots.Order(x, nil)
-	for _, p := range order[:na.opts.NumPivotIndex] {
-		na.postings[p] = append(na.postings[p], id)
+	s := na.Scratch.Get()
+	defer na.Scratch.Put(s)
+	for _, p := range na.pivots.ClosestWith(&s.perm, x, na.opts.NumPivotIndex) {
+		na.bitmaps[p] = setBit(na.bitmaps[p], id)
 	}
 	return id
 }
@@ -36,38 +38,30 @@ func (na *NAPP[T]) Delete(id uint32) error {
 	if int(id) >= len(na.data) {
 		return fmt.Errorf("core: delete of unknown id %d (have %d points)", id, len(na.data))
 	}
-	if na.deleted == nil {
-		na.deleted = make(map[uint32]struct{})
+	if !na.Deleted(id) {
+		na.dead = setBit(na.dead, id)
+		na.ndead++
 	}
-	na.deleted[id] = struct{}{}
 	return nil
 }
 
 // Deleted reports whether id is tombstoned.
 func (na *NAPP[T]) Deleted(id uint32) bool {
-	_, ok := na.deleted[id]
-	return ok
+	w := int(id >> 6)
+	return w < len(na.dead) && na.dead[w]>>(id&63)&1 == 1
 }
 
 // Live returns the number of non-deleted points.
-func (na *NAPP[T]) Live() int { return len(na.data) - len(na.deleted) }
+func (na *NAPP[T]) Live() int { return len(na.data) - na.ndead }
 
-// Compact removes tombstoned ids from all posting lists. Ids are not
+// Compact removes tombstoned ids from all posting bitmaps. Ids are not
 // renumbered — result ids remain stable positions into the grown data slice.
+// The tombstone bitmap stays: data slots of deleted points still exist, so
+// Deleted() and Live() must keep answering correctly.
 func (na *NAPP[T]) Compact() {
-	if len(na.deleted) == 0 {
-		return
-	}
-	for p, list := range na.postings {
-		kept := list[:0]
-		for _, id := range list {
-			if _, dead := na.deleted[id]; !dead {
-				kept = append(kept, id)
-			}
+	for _, b := range na.bitmaps {
+		for w := range b[:min(len(b), len(na.dead))] {
+			b[w] &^= na.dead[w]
 		}
-		na.postings[p] = kept
 	}
-	// The tombstone set stays: data slots of deleted points still exist,
-	// so Deleted() and Live() must keep answering correctly. Posting
-	// lists no longer yield tombstoned ids, so searches pay nothing.
 }

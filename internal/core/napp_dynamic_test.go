@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -140,8 +141,10 @@ func TestNAPPCompact(t *testing.T) {
 
 func postingCells[T any](na *NAPP[T]) int {
 	var cells int
-	for _, p := range na.postings {
-		cells += len(p)
+	for _, b := range na.bitmaps {
+		for _, word := range b {
+			cells += bits.OnesCount64(word)
+		}
 	}
 	return cells
 }

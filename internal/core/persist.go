@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"math/bits"
 	"sort"
 
 	"repro/internal/codec"
@@ -414,17 +415,53 @@ func (na *NAPP[T]) Save(w io.Writer) error {
 	cw.Int(na.opts.MinShared)
 	cw.Int(na.opts.MaxCandidates)
 	cw.I64(na.opts.Seed)
-	cw.Int(len(na.postings))
-	for _, list := range na.postings {
-		cw.U32s(list)
+	cw.Int(len(na.bitmaps))
+	for _, b := range na.bitmaps {
+		saveBitmap(cw, b)
 	}
-	dead := make([]uint32, 0, len(na.deleted))
-	for id := range na.deleted {
-		dead = append(dead, id)
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	cw.U32s(dead)
+	saveBitmap(cw, na.dead)
 	return cw.Close()
+}
+
+// saveBitmap writes the set bits of b as a length-prefixed list of ascending
+// uint32 ids — the bytes Writer.U32s would produce for that list, so NAPP
+// files are the same whether postings are held as ids or as bitmaps.
+func saveBitmap(cw *codec.Writer, b []uint64) {
+	n := 0
+	for _, word := range b {
+		n += bits.OnesCount64(word)
+	}
+	cw.U64(uint64(n))
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			cw.U32(uint32(w)<<6 | uint32(bits.TrailingZeros64(word)))
+		}
+	}
+}
+
+// loadBitmap reads a list written by saveBitmap into a bitmap over n ids and
+// returns it with its population. Only strictly ascending ids below n are
+// what Save writes; anything else is corruption.
+func loadBitmap(cr *codec.Reader, n int, what string) (b []uint64, count int) {
+	count = cr.Length(4)
+	if cr.Err() != nil {
+		return nil, 0
+	}
+	b = make([]uint64, (n+63)/64)
+	prev := -1
+	for i := 0; i < count; i++ {
+		id := int(cr.U32())
+		if cr.Err() != nil {
+			return nil, 0
+		}
+		if id >= n || id <= prev {
+			cr.Corruptf("%s id %d out of order or range (previous %d, %d points)", what, id, prev, n)
+			return nil, 0
+		}
+		b[id>>6] |= 1 << (id & 63)
+		prev = id
+	}
+	return b, count
 }
 
 // LoadNAPP reads a NAPP index saved by Save over the same data (including
@@ -454,33 +491,18 @@ func LoadNAPP[T any](cr *codec.Reader, sp space.Space[T], data []T) (*NAPP[T], e
 		}
 	}
 	if cr.Err() == nil {
-		na.postings = make([][]uint32, lists)
-		for p := range na.postings {
-			list := cr.U32s()
-			for _, id := range list {
-				if int(id) >= len(data) {
-					cr.Corruptf("posting id %d out of range [0, %d)", id, len(data))
-				}
-			}
-			if cr.Err() != nil {
+		na.bitmaps = make([][]uint64, lists)
+		for p := range na.bitmaps {
+			if na.bitmaps[p], _ = loadBitmap(cr, len(data), "posting"); cr.Err() != nil {
 				break
 			}
-			na.postings[p] = list
 		}
 	}
-	dead := cr.U32s()
+	if dead, ndead := loadBitmap(cr, len(data), "tombstone"); ndead > 0 {
+		na.dead, na.ndead = dead, ndead
+	}
 	if err := cr.Finish(); err != nil {
 		return nil, err
-	}
-	if len(dead) > 0 {
-		na.deleted = make(map[uint32]struct{}, len(dead))
-		for _, id := range dead {
-			if int(id) >= len(data) {
-				cr.Corruptf("tombstone id %d out of range [0, %d)", id, len(data))
-				return nil, cr.Err()
-			}
-			na.deleted[id] = struct{}{}
-		}
 	}
 	return na, nil
 }

@@ -193,8 +193,7 @@ func (pp *PPIndex[T]) search(s *ppScratch, dst []topk.Neighbor, query T, opts in
 	ids := s.ids[:0]
 	for ti := range pp.trees {
 		tree := &pp.trees[ti]
-		qorder := tree.pivots.OrderWith(&s.perm, query)
-		prefix := qorder[:pp.opts.PrefixLen]
+		prefix := tree.pivots.ClosestWith(&s.perm, query, pp.opts.PrefixLen)
 		// Walk down recording the path, then pick the deepest node
 		// whose subtree is big enough.
 		s.path = append(s.path[:0], tree.root)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/knngraph"
 	"repro/internal/lsh"
 	"repro/internal/space"
+	"repro/internal/topk"
 	"repro/internal/vptree"
 )
 
@@ -63,6 +64,7 @@ func TestParamsMatchDedicated(t *testing.T) {
 			return lsh.New(db, lsh.Options{Tables: 4, Hashes: 8, Probes: probes, Seed: kindSeed})
 		}
 	}
+	nothing := func() (index.Index[[]float32], error) { return answersNothing{}, nil }
 	for _, tc := range []struct {
 		kind              string
 		params            index.Params
@@ -73,6 +75,13 @@ func TestParamsMatchDedicated(t *testing.T) {
 		{"brute-force-filt-quant", index.Params{Gamma: 0.2}, quant(0), quant(0.2)},
 		{"distvec-filt", index.Params{Gamma: 0.2}, distvec(0), distvec(0.2)},
 		{"napp", index.Params{MinShared: 5}, napp(1), napp(5)},
+		// t has no upper bound on the wire. At t = ms (16 here) only points
+		// sharing every scanned pivot survive; above it nothing can, whatever
+		// the width of the counter the filter compares against.
+		{"napp/t=ms", index.Params{MinShared: 16}, napp(1), napp(16)},
+		{"napp/t=ms+1", index.Params{MinShared: 17}, napp(1), nothing},
+		{"napp/t=256", index.Params{MinShared: 256}, napp(1), nothing},
+		{"napp/t=1<<20", index.Params{MinShared: 1 << 20}, napp(1), nothing},
 		{"vptree", index.Params{AlphaLeft: 3, AlphaRight: 3}, vpt(0, 0), vpt(3, 3)},
 		{"vptree/one-side", index.Params{AlphaRight: 4}, vpt(0, 0), vpt(0, 4)},
 		{"sw-graph", index.Params{InitAttempts: 1, EfSearch: 6}, sw(3, 40), sw(1, 6)},
@@ -86,3 +95,13 @@ func TestParamsMatchDedicated(t *testing.T) {
 		})
 	}
 }
+
+// answersNothing is the dedicated twin of a filter asked for more than it can
+// count: an index whose every answer is empty.
+type answersNothing struct{}
+
+func (answersNothing) Search([]float32, int) []topk.Neighbor { return nil }
+func (answersNothing) SearchAppend(dst []topk.Neighbor, _ []float32, _ index.Options) []topk.Neighbor {
+	return dst
+}
+func (answersNothing) Name() string { return "nothing" }

@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"repro/internal/space"
+	"repro/internal/topk"
 	"repro/internal/vecmath"
 )
 
@@ -134,7 +135,8 @@ func (p *Pivots[T]) Permutation(x T, dst []int32) []int32 {
 // Scratch holds the per-query buffers of one goroutine's permutation
 // computations: the pivot-distance vector plus the derived order and
 // permutation. After the first few queries have grown the buffers to the
-// pivot count, OrderWith and PermutationWith stop allocating entirely.
+// pivot count, OrderWith, ClosestWith and PermutationWith stop allocating
+// entirely.
 //
 // A Scratch is single-goroutine state; the slices it hands out are
 // invalidated by the next call on the same Scratch.
@@ -142,6 +144,8 @@ type Scratch struct {
 	Dists []float64
 	Order []int32
 	Perm  []int32
+	// sel holds ClosestWith's (pivot index, distance) pairs.
+	sel []topk.Neighbor
 }
 
 // OrderWith computes the pivot order of x into s.Order (also returned),
@@ -150,6 +154,27 @@ type Scratch struct {
 func (p *Pivots[T]) OrderWith(s *Scratch, x T) []int32 {
 	s.Dists = p.Distances(x, s.Dists)
 	s.Order = orderOf(s.Dists, s.Order)
+	return s.Order
+}
+
+// ClosestWith computes the n closest pivots of x, closest first, into
+// s.Order (also returned): exactly OrderWith(s, x)[:n], ties toward the
+// smaller pivot index included, without ordering the other m-n pivots. The
+// inverted-file methods only ever read such a prefix (NAPP's mi and ms, the
+// MI-file's, the PP-index's prefix length), so they select it with
+// topk.SelectK over (distance, pivot index) — the incremental sort of §2.2 —
+// instead of sorting all m pivots. n is clamped to [0, m]. Allocation-free
+// once s has warmed up.
+func (p *Pivots[T]) ClosestWith(s *Scratch, x T, n int) []int32 {
+	sel := s.sel[:0]
+	for i, pv := range p.items {
+		sel = append(sel, topk.Neighbor{ID: uint32(i), Dist: p.space.Distance(x, pv)})
+	}
+	s.sel = sel
+	s.Order = s.Order[:0]
+	for _, c := range topk.SelectK(sel, n) {
+		s.Order = append(s.Order, int32(c.ID))
+	}
 	return s.Order
 }
 

@@ -406,3 +406,37 @@ func TestScratchEntryPointsMatchAllocating(t *testing.T) {
 		t.Errorf("warm OrderWith allocates %v times per run", avg)
 	}
 }
+
+// TestClosestWithIsOrderPrefix verifies the partial selection against the
+// full sort for every prefix length, on a pivot set drawn from a small
+// integer lattice so that equidistant pivots — the canonical
+// smaller-index-first tie-break — occur in almost every query.
+func TestClosestWithIsOrderPrefix(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	point := func() []float32 { return []float32{float32(r.Intn(5)), float32(r.Intn(5))} }
+	items := make([][]float32, 70)
+	for i := range items {
+		items[i] = point()
+	}
+	pivots, err := NewPivots[[]float32](space.L2{}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scratch
+	for trial := 0; trial < 40; trial++ {
+		x := point()
+		order := pivots.Order(x, nil)
+		for _, n := range []int{-1, 0, 1, 2, 11, 12, 13, 32, 69, 70, 71} {
+			want := order[:max(0, min(n, len(order)))]
+			if got := pivots.ClosestWith(&s, x, n); !eq32(got, want) {
+				t.Fatalf("ClosestWith(%v, %d) = %v, want %v", x, n, got, want)
+			}
+		}
+	}
+	x := point()
+	if avg := testing.AllocsPerRun(20, func() {
+		pivots.ClosestWith(&s, x, 16)
+	}); avg != 0 {
+		t.Errorf("warm ClosestWith allocates %v times per run", avg)
+	}
+}

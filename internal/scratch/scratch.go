@@ -1,19 +1,24 @@
 // Package scratch is the query-scratch subsystem behind the allocation-free
-// search hot path: epoch-stamped counter arenas that replace the per-query
-// O(N) memset of the paper's ScanCount filtering (§2.3), and a typed pool of
-// per-query scratch states.
+// search hot path: epoch-stamped arenas that replace a per-query O(N) memset
+// or make, and a typed pool of per-query scratch states.
 //
 // # Epoch stamping
 //
-// The paper's inverted-file methods keep one counter per data point and
-// reset all N of them before every query ("their memset"). At serving rates
-// that reset — or worse, a fresh make([]...) — dominates cheap filtering
-// work and feeds the garbage collector. An epoch-stamped arena makes the
-// reset O(1): every cell carries the epoch of the query that last wrote it,
-// a cell whose stamp differs from the arena's current epoch reads as zero,
-// and starting a new query is a single epoch increment. The full clear only
-// happens when the epoch counter itself wraps — once every 2^24 queries for
-// the packed Counters, 2^32 for Gains — so its amortized cost is nil.
+// Several methods keep one cell per data point that must read as zero at the
+// start of every query: OMEDRANK's quorum counts and the PP-index's
+// seen-set across tree copies (Counters), the MI-file's Footrule gains
+// (Gains), the graphs' visited sets (Marks). At serving rates clearing all N
+// cells — or worse, a fresh make([]...) — dominates cheap filtering work and
+// feeds the garbage collector. An epoch-stamped arena makes the reset O(1):
+// every cell carries the epoch of the query that last wrote it, a cell whose
+// stamp differs from the arena's current epoch reads as zero, and starting a
+// new query is a single epoch increment. The full clear only happens when
+// the epoch counter itself wraps — once every 2^24 queries for the packed
+// Counters, 2^32 for Gains and Marks — so its amortized cost is nil.
+//
+// NAPP's ScanCount (§2.3) no longer counts in an arena: it adds posting
+// bitmaps into bit-sliced counter planes that live on the query's stack
+// (internal/core/napp_scan.go) and has nothing to reset.
 //
 // # Ownership rules
 //
@@ -34,13 +39,13 @@ const counterEpochBits = 24
 // counterEpochMax is the largest epoch representable in a Counters cell.
 const counterEpochMax = 1<<counterEpochBits - 1
 
-// Counters is an epoch-stamped arena of 8-bit counters, the ScanCount state
-// of the inverted-file methods: cell i packs (epoch << 8) | count into a
-// uint32. A query calls Begin once, then Inc as it merges posting lists;
-// cells last written by an earlier query read as zero without ever being
-// cleared. Counts saturate at 255, so callers whose thresholds must fire on
-// exact equality (NAPP's t, OMEDRANK's quorum) cap their increments per id
-// at 255 (NAPP caps ms, OMEDRANK caps the voter count).
+// Counters is an epoch-stamped arena of 8-bit counters — OMEDRANK's quorum
+// counts, the PP-index's seen-set: cell i packs (epoch << 8) | count into a
+// uint32. A query calls Begin once, then Inc as it merges id lists; cells
+// last written by an earlier query read as zero without ever being cleared.
+// Counts saturate at 255, so a caller whose threshold must fire on exact
+// equality (OMEDRANK's quorum) caps its increments per id at 255 (the voter
+// count).
 //
 // The zero value is ready to use. Not safe for concurrent use.
 type Counters struct {
