@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build loc test race bench bench-check bench-engine bench-smoke vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc test race bench bench-check bench-engine vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -75,27 +75,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
 
-# Query hot-path microbenchmarks (-benchmem) + the machine-readable
-# BENCH_PR10.json trajectory point (per method: ns/op, B/op, allocs/op,
-# QPS; napp-sharded3 tracks the scatter-gather router against unsharded
-# napp). bench.sh also diffs the point against the latest previous
-# committed BENCH_PR*.json (scripts/benchcheck -prev): dropped methods
-# always fail; on the same machine identity, >25% ns/op regressions,
-# B/op / allocs/op growth beyond -max-alloc-regress (default: none), and
-# any previously-zero allocation row moving off zero also fail.
-# Override the output with BENCH_OUT=path.
+# Query hot-path microbenchmarks, one row per method over a warm 10k-point
+# index: an in-process convenience for a profile or a before/after look.
+# Performance claims are made with permbench (BENCHMARK.json, bench/).
 bench:
-	./scripts/bench.sh
-
-# Fast CI pass over the same harness: proves the benchmarks still
-# compile/run, the JSON emitter still parses their output, and — via the
-# trajectory diff bench.sh runs against the latest committed
-# BENCH_PR*.json — that no benchmarked method silently disappeared and
-# (same machine identity only) that ns/op hasn't regressed >25%. 50
-# iterations keeps the smoke fast while damping single-run timer noise.
-bench-smoke:
-	./scripts/bench.sh /tmp/bench_smoke.json 50x
-	@grep -q '"method"' /tmp/bench_smoke.json
+	$(GO) test -run '^$$' -bench BenchmarkSearchHot -benchmem ./internal/core/
 
 # Batch-engine throughput: the serial reference loop vs SearchBatch at
 # 1/2/4/8 workers over the sequential scan.
@@ -151,4 +135,4 @@ fault-smoke:
 	$(GO) build -o bin/permserve ./cmd/permserve
 	./scripts/fault_smoke.sh bin/permserve
 
-ci: check build test bench-check race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke bench-smoke
+ci: check build test bench-check race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke

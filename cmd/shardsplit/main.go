@@ -113,8 +113,8 @@ func split(sp spec) error {
 var methodNames = []string{"seqscan", "vptree", "napp", "sw-graph", "brute-force-filt", "brute-force-filt-bin", "mi-file"}
 
 // buildMethod constructs one index kind over a shard corpus with the
-// library defaults (tune offline with annbench; pass query-time params at
-// serving time via the sidecar manifest's "params").
+// library defaults (tune offline with `repro methods`; pass query-time
+// params at serving time via the sidecar manifest's "params").
 func buildMethod[T any](method string, sp permsearch.Space[T], data []T, seed int64) (permsearch.Index[T], error) {
 	switch method {
 	case "seqscan":

@@ -2,9 +2,9 @@ package core_test
 
 // Hot-path microbenchmarks: steady-state Search cost per method over a warm
 // index, with -benchmem accounting so the allocation trajectory (B/op,
-// allocs/op) is tracked alongside ns/op. scripts/bench.sh runs these and
-// emits the machine-readable BENCH_*.json consumed by the perf trajectory;
-// keep names and sub-benchmark labels stable.
+// allocs/op) is tracked alongside ns/op. `make bench` runs them; they are an
+// in-process convenience, not a gate — performance claims go through
+// permbench (bench/).
 //
 // The corpus is deliberately mid-sized (build stays in seconds) but large
 // enough that per-query O(N) work — allocation, memset, full sorts — shows

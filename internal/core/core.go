@@ -1,15 +1,33 @@
 // Package core implements the permutation-based k-NN search methods that are
-// the subject of the paper (§2): brute-force filtering of permutations (full
-// and binarized), the Permutation Prefix Index (PP-index), the Metric
-// Inverted File (MI-file), the Neighborhood APProximation index (NAPP),
-// indexing permutations in a VP-tree (Figueroa & Fredriksson), and Fagin et
-// al.'s OMEDRANK rank-aggregation baseline.
+// the subject of the paper (§2): brute-force filtering of permutations (full,
+// binarized, quantized, and the raw-distance ablation), the Permutation
+// Prefix Index (PP-index), the Metric Inverted File (MI-file), the
+// Neighborhood APProximation index (NAPP), indexing permutations in a VP-tree
+// (Figueroa & Fredriksson), and Fagin et al.'s OMEDRANK rank-aggregation
+// baseline.
 //
 // All methods are filter-and-refine: the filtering stage selects candidate
 // identifiers using only precomputed permutation information, and the refine
 // stage re-ranks the candidates with the true distance. The number of
 // candidates is controlled by a gamma parameter expressed as a fraction of
 // the data set size, exactly as in §2.2 of the paper.
+//
+// That skeleton is written once, in pipeline.go, and a kind is what is left:
+//
+//   - The pipeline owns the k <= 0 guard; the candidate budget g = max(k,
+//     gamma*n) clamped to n, with gamma the query's or else the built one,
+//     the same rule for every kind built with a gamma; the trace clock and
+//     counters (a kind never sees the trace, and without one the clock is
+//     never read); topk.SelectK over scored candidates when there are more
+//     than g, attributed to merge; the one refineInto and its pooled queue;
+//     Stats().BuildDistances; the constructor prelude (empty corpus, pivot
+//     count clamped to n, seeded sampling) and the loader frame (header
+//     check, payload, clean end).
+//   - A kind supplies its option struct and defaults, the build of its
+//     filter structure, filter(scratch, query, g, params) returning the
+//     candidates and how many ids it looked at, size() for Stats, and its
+//     payload's save and load. The four brute-force kinds go one step
+//     further: they are one ScanFilter over four row codecs.
 package core
 
 import (
@@ -44,16 +62,6 @@ func (d PermDist) String() string {
 		return "footrule"
 	default:
 		return fmt.Sprintf("PermDist(%d)", int(d))
-	}
-}
-
-// distance returns the comparison between flattened permutation rows.
-func (d PermDist) distance(a, b []int32) float64 {
-	switch d {
-	case FootruleDist:
-		return permutation.Footrule(a, b)
-	default:
-		return permutation.SpearmanRho(a, b)
 	}
 }
 

@@ -16,16 +16,14 @@ import (
 
 // Interface compliance for every method in the package.
 var (
-	_ index.Index[[]float32] = (*BruteForceFilter[[]float32])(nil)
-	_ index.Index[[]float32] = (*BinFilter[[]float32])(nil)
+	_ index.Index[[]float32] = (*ScanFilter[[]float32])(nil)
 	_ index.Index[[]float32] = (*PPIndex[[]float32])(nil)
 	_ index.Index[[]float32] = (*MIFile[[]float32])(nil)
 	_ index.Index[[]float32] = (*NAPP[[]float32])(nil)
 	_ index.Index[[]float32] = (*OMEDRANK[[]float32])(nil)
 	_ index.Index[[]float32] = (*PermVPTree[[]float32])(nil)
 
-	_ index.Sized = (*BruteForceFilter[[]float32])(nil)
-	_ index.Sized = (*BinFilter[[]float32])(nil)
+	_ index.Sized = (*ScanFilter[[]float32])(nil)
 	_ index.Sized = (*PPIndex[[]float32])(nil)
 	_ index.Sized = (*MIFile[[]float32])(nil)
 	_ index.Sized = (*NAPP[[]float32])(nil)

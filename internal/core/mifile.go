@@ -1,13 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/permutation"
 	"repro/internal/scratch"
 	"repro/internal/space"
@@ -75,14 +71,11 @@ type miPosting struct {
 // posting (pos(pi, x), x) subtracts m - |pos(pi, x) - pos(pi, q)|, so points
 // never encountered keep the pessimistic maximum.
 type MIFile[T any] struct {
-	sp       space.Space[T]
 	data     []T
 	pivots   *permutation.Pivots[T]
 	postings [][]miPosting
 	opts     MIFileOptions
-	// Pooled runs search on pooled per-query state; the epoch-stamped gain
-	// arena replaces the former per-query make([]int32, n).
-	index.Pooled[T, miScratch]
+	pipeline[T, miScratch]
 }
 
 // miScratch is the per-query state of one MI-file search.
@@ -91,24 +84,14 @@ type miScratch struct {
 	gains   scratch.Gains
 	touched []uint32
 	cands   []topk.Neighbor
-	queue   topk.Queue
 }
 
 // NewMIFile samples pivots and builds the positional inverted file.
 func NewMIFile[T any](sp space.Space[T], data []T, opts MIFileOptions) (*MIFile[T], error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
-	}
-	if opts.NumPivots <= 0 {
-		opts.NumPivots = 128
-	}
-	if opts.NumPivots > len(data) {
-		opts.NumPivots = len(data)
-	}
-	r := rand.New(rand.NewSource(opts.Seed))
-	pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
+	opts.defaults()
+	pv, err := samplePivots(sp, data, &opts.NumPivots, opts.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: sampling pivots: %w", err)
+		return nil, err
 	}
 	return NewMIFileWithPivots(sp, data, pv, opts)
 }
@@ -117,7 +100,7 @@ func NewMIFile[T any](sp space.Space[T], data []T, opts MIFileOptions) (*MIFile[
 // random sampling. Tests use it to reproduce the paper's worked example.
 func NewMIFileWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Pivots[T], opts MIFileOptions) (*MIFile[T], error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
+		return nil, errEmpty
 	}
 	opts.NumPivots = pv.M()
 	opts.defaults()
@@ -137,40 +120,28 @@ func NewMIFileWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Piv
 			return list[a].id < list[b].id
 		})
 	}
-	mf := &MIFile[T]{sp: sp, data: data, pivots: pv, postings: postings, opts: opts}
-	mf.Bind(mf.search)
+	mf := &MIFile[T]{data: data, pivots: pv, postings: postings, opts: opts}
+	mf.bind(mf, sp, &mf.data, opts.Gamma)
 	return mf, nil
 }
 
 // Name implements index.Index.
 func (mf *MIFile[T]) Name() string { return "mi-file" }
 
-// Stats implements index.Sized.
-func (mf *MIFile[T]) Stats() index.Stats {
+func (mf *MIFile[T]) size() (int64, int) {
 	var cells int64
 	for _, p := range mf.postings {
 		cells += int64(len(p))
 	}
-	return index.Stats{
-		Bytes:          cells*8 + int64(len(mf.postings))*24,
-		BuildDistances: int64(len(mf.data)) * int64(mf.pivots.M()),
-	}
+	return cells*8 + int64(len(mf.postings))*24, mf.pivots.M()
 }
 
 // Options returns the effective (defaulted) parameters.
 func (mf *MIFile[T]) Options() MIFileOptions { return mf.opts }
 
-// search is the index's one query path, run on pooled scratch by the
-// embedded index.Pooled.
-func (mf *MIFile[T]) search(s *miScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
-	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+// filter scores every point met in the posting lists of the query's ms
+// closest pivots.
+func (mf *MIFile[T]) filter(s *miScratch, query T, _ int, _ index.Params) (candidates, int) {
 	m := int32(mf.opts.NumPivots)
 	ms := mf.opts.NumPivotSearch
 	qorder := mf.pivots.ClosestWith(&s.perm, query, ms)
@@ -203,21 +174,11 @@ func (mf *MIFile[T]) search(s *miScratch, dst []topk.Neighbor, query T, opts ind
 	}
 	s.touched = touched
 
-	g := gammaCount(mf.opts.Gamma, len(mf.data), k)
 	cands := s.cands[:0]
 	for _, id := range touched {
 		// Estimated footrule: smaller is better.
 		cands = append(cands, topk.Neighbor{ID: id, Dist: float64(int32(ms)*m - s.gains.Get(id))})
 	}
 	s.cands = cands
-	if tr != nil {
-		tr.FilterCandidates += int64(len(touched))
-		obs.AddSince(&tr.FilterNs, t0)
-		t0 = time.Now()
-	}
-	best := topk.SelectK(cands, g)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	return refineInto(mf.sp, mf.data, query, best, k, &s.queue, dst, tr)
+	return candidates{scored: cands}, len(cands)
 }

@@ -2,12 +2,8 @@ package core
 
 import (
 	"cmp"
-	"fmt"
-	"math/rand"
-	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/permutation"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -82,7 +78,6 @@ func (o *NAPPOptions) defaults() {
 // array nor its per-query reset (napp_scan.go). Index files still store
 // ascending ids.
 type NAPP[T any] struct {
-	sp     space.Space[T]
 	data   []T
 	pivots *permutation.Pivots[T]
 	// bitmaps[p] has bit id set when point id posts to pivot p. A bitmap
@@ -93,9 +88,7 @@ type NAPP[T any] struct {
 	// population; nil until the first Delete.
 	dead  []uint64
 	ndead int
-	// Pooled runs search on pooled per-query state; its buffers are
-	// grow-only, so a warm steady state performs no allocations.
-	index.Pooled[T, nappScratch]
+	pipeline[T, nappScratch]
 }
 
 // nappScratch is the per-query state of one NAPP search.
@@ -104,8 +97,7 @@ type nappScratch struct {
 	cands []uint32
 	// sel holds (candidate, negated shared-pivot count) pairs for the
 	// MaxCandidates partial selection.
-	sel   []topk.Neighbor
-	queue topk.Queue
+	sel []topk.Neighbor
 }
 
 // setBit sets bit id of bitmap b, growing it to reach the bit.
@@ -119,19 +111,10 @@ func setBit(b []uint64, id uint32) []uint64 {
 
 // NewNAPP samples pivots and builds the inverted file (in parallel).
 func NewNAPP[T any](sp space.Space[T], data []T, opts NAPPOptions) (*NAPP[T], error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
-	}
-	if opts.NumPivots <= 0 {
-		opts.NumPivots = 512
-	}
-	if opts.NumPivots > len(data) {
-		opts.NumPivots = len(data)
-	}
-	r := rand.New(rand.NewSource(opts.Seed))
-	pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
+	opts.defaults()
+	pv, err := samplePivots(sp, data, &opts.NumPivots, opts.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: sampling pivots: %w", err)
+		return nil, err
 	}
 	return NewNAPPWithPivots(sp, data, pv, opts)
 }
@@ -140,13 +123,13 @@ func NewNAPP[T any](sp space.Space[T], data []T, opts NAPPOptions) (*NAPP[T], er
 // random sampling. Tests use it to reproduce the paper's worked example.
 func NewNAPPWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Pivots[T], opts NAPPOptions) (*NAPP[T], error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
+		return nil, errEmpty
 	}
 	opts.NumPivots = pv.M()
 	opts.defaults()
 	mi := opts.NumPivotIndex
 	orders := computeOrders(pv, data, mi)
-	na := &NAPP[T]{sp: sp, data: data, pivots: pv, opts: opts, bitmaps: make([][]uint64, opts.NumPivots)}
+	na := &NAPP[T]{data: data, pivots: pv, opts: opts, bitmaps: make([][]uint64, opts.NumPivots)}
 	for p := range na.bitmaps {
 		na.bitmaps[p] = make([]uint64, (len(data)+63)/64)
 	}
@@ -155,49 +138,34 @@ func NewNAPPWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Pivot
 			na.bitmaps[p][i>>6] |= 1 << (i & 63)
 		}
 	}
-	na.Bind(na.search)
+	na.bind(na, sp, &na.data, 0)
 	return na, nil
 }
 
 // Name implements index.Index.
 func (na *NAPP[T]) Name() string { return "napp" }
 
-// Stats implements index.Sized.
-func (na *NAPP[T]) Stats() index.Stats {
+func (na *NAPP[T]) size() (int64, int) {
 	words := int64(len(na.dead))
 	for _, b := range na.bitmaps {
 		words += int64(len(b))
 	}
-	return index.Stats{
-		Bytes:          words*8 + int64(len(na.bitmaps))*24,
-		BuildDistances: int64(len(na.data)) * int64(na.pivots.M()),
-	}
+	return words*8 + int64(len(na.bitmaps))*24, na.pivots.M()
 }
 
 // Options returns the effective (defaulted) parameters.
 func (na *NAPP[T]) Options() NAPPOptions { return na.opts }
 
-// search is the index's one query path, run on pooled scratch by the
-// embedded index.Pooled.
-func (na *NAPP[T]) search(s *nappScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
-	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+// filter keeps the live ids sharing at least t of the query's ms closest
+// pivots. NAPP has no gamma: the threshold alone sets the candidate count,
+// up to MaxCandidates.
+func (na *NAPP[T]) filter(s *nappScratch, query T, _ int, p index.Params) (candidates, int) {
 	closest := na.pivots.ClosestWith(&s.perm, query, na.opts.NumPivotSearch)
-	t := cmp.Or(opts.Params.MinShared, na.opts.MinShared)
+	t := cmp.Or(p.MinShared, na.opts.MinShared)
 	max := na.opts.MaxCandidates
 	na.scan(s, closest, t, max > 0)
 	cands := s.cands
-	if tr != nil {
-		tr.FilterCandidates += int64(len(cands))
-		obs.AddSince(&tr.FilterNs, t0)
-		t0 = time.Now()
-	}
+	scanned := len(cands)
 	if max > 0 && len(cands) > max {
 		// Additional filtering for expensive distances: prefer
 		// candidates sharing more pivots with the query, then smaller
@@ -208,8 +176,5 @@ func (na *NAPP[T]) search(s *nappScratch, dst []topk.Neighbor, query T, opts ind
 			cands = append(cands, c.ID)
 		}
 	}
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	return refineInto(na.sp, na.data, query, cands, k, &s.queue, dst, tr)
+	return candidates{ids: cands}, scanned
 }

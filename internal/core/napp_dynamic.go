@@ -26,7 +26,7 @@ func (na *NAPP[T]) Add(x T) uint32 {
 	na.data = append(na.data, x)
 	s := na.Scratch.Get()
 	defer na.Scratch.Put(s)
-	for _, p := range na.pivots.ClosestWith(&s.perm, x, na.opts.NumPivotIndex) {
+	for _, p := range na.pivots.ClosestWith(&s.filter.perm, x, na.opts.NumPivotIndex) {
 		na.bitmaps[p] = setBit(na.bitmaps[p], id)
 	}
 	return id

@@ -1,16 +1,11 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/scratch"
 	"repro/internal/space"
-	"repro/internal/topk"
 )
 
 // OMEDRANKOptions configures NewOMEDRANK.
@@ -56,7 +51,6 @@ type omedVoter struct {
 // efficient; this implementation refines the aggregated candidates with the
 // true distance so recall is comparable across methods.
 type OMEDRANK[T any] struct {
-	sp     space.Space[T]
 	data   []T
 	pivots []T
 	// pivotIDs records each voter's position in the data slice, so the
@@ -64,7 +58,7 @@ type OMEDRANK[T any] struct {
 	pivotIDs []int32
 	voters   []omedVoter
 	opts     OMEDRANKOptions
-	index.Pooled[T, omedScratch]
+	pipeline[T, omedScratch]
 }
 
 // omedScratch is the per-query state of one OMEDRANK search. Quorum counts
@@ -79,21 +73,17 @@ type omedScratch struct {
 	hi         []int
 	qdist      []float64
 	cands      []uint32
-	queue      topk.Queue
 }
 
 // NewOMEDRANK samples voters and sorts the data by distance from each.
 func NewOMEDRANK[T any](sp space.Space[T], data []T, opts OMEDRANKOptions) (*OMEDRANK[T], error) {
 	opts.defaults()
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
+	r, err := seeded(data, &opts.NumVoters, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
-	if opts.NumVoters > len(data) {
-		opts.NumVoters = len(data)
-	}
-	r := rand.New(rand.NewSource(opts.Seed))
-	om := &OMEDRANK[T]{sp: sp, data: data, opts: opts}
-	om.Bind(om.search)
+	om := &OMEDRANK[T]{data: data, opts: opts}
+	om.bind(om, sp, &om.data, opts.Gamma)
 	for _, vi := range r.Perm(len(data))[:opts.NumVoters] {
 		om.pivots = append(om.pivots, data[vi])
 		om.pivotIDs = append(om.pivotIDs, int32(vi))
@@ -132,32 +122,19 @@ func (s *voterSort) Swap(i, j int) {
 // Name implements index.Index.
 func (om *OMEDRANK[T]) Name() string { return "omedrank" }
 
-// Stats implements index.Sized.
-func (om *OMEDRANK[T]) Stats() index.Stats {
-	return index.Stats{
-		Bytes:          int64(len(om.voters)) * int64(len(om.data)) * 12,
-		BuildDistances: int64(len(om.voters)) * int64(len(om.data)),
-	}
+func (om *OMEDRANK[T]) size() (int64, int) {
+	return int64(len(om.voters)) * int64(len(om.data)) * 12, len(om.voters)
 }
 
-// search is the index's one query path, run on pooled scratch by the
-// embedded index.Pooled.
-func (om *OMEDRANK[T]) search(s *omedScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
-	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+// filter walks the voters' lists outward from the query's positions until g
+// ids have crossed the quorum.
+func (om *OMEDRANK[T]) filter(s *omedScratch, query T, g int, _ index.Params) (candidates, int) {
 	n := len(om.data)
 	h := len(om.voters)
 	need := int(om.opts.Quorum*float64(h)) + 1
 	if need > h {
 		need = h
 	}
-	g := gammaCount(om.opts.Gamma, n, k)
 
 	// Two cursors per voter, starting at the query's position in the
 	// voter's sorted order and moving outward.
@@ -229,9 +206,5 @@ func (om *OMEDRANK[T]) search(s *omedScratch, dst []topk.Neighbor, query T, opts
 		}
 	}
 	s.cands = cands
-	if tr != nil {
-		tr.FilterCandidates += int64(len(cands))
-		obs.AddSince(&tr.FilterNs, t0)
-	}
-	return refineInto(om.sp, om.data, query, cands, k, &s.queue, dst, tr)
+	return candidates{ids: cands}, len(cands)
 }

@@ -2,14 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/permutation"
 	"repro/internal/space"
-	"repro/internal/topk"
 	"repro/internal/vptree"
 )
 
@@ -53,35 +49,20 @@ func (o *PermVPTreeOptions) defaults() {
 // VP-tree in the original space or slower than NAPP — reproduced in the
 // ablation benches.
 type PermVPTree[T any] struct {
-	sp     space.Space[T]
 	data   []T
 	pivots *permutation.Pivots[T]
 	perms  [][]int32
 	tree   *vptree.Tree[[]int32]
 	opts   PermVPTreeOptions
-	index.Pooled[T, pvtScratch]
-}
-
-// pvtScratch is the per-query state of one permutation-VP-tree search: the
-// query permutation buffers and the refine queue.
-type pvtScratch struct {
-	perm  permutation.Scratch
-	queue topk.Queue
+	pipeline[T, permutation.Scratch]
 }
 
 // NewPermVPTree computes all permutations and builds a VP-tree over them.
 func NewPermVPTree[T any](sp space.Space[T], data []T, opts PermVPTreeOptions) (*PermVPTree[T], error) {
 	opts.defaults()
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
-	}
-	if opts.NumPivots > len(data) {
-		opts.NumPivots = len(data)
-	}
-	r := rand.New(rand.NewSource(opts.Seed))
-	pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
+	pv, err := samplePivots(sp, data, &opts.NumPivots, opts.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: sampling pivots: %w", err)
+		return nil, err
 	}
 	flat := computePermutations(pv, data)
 	m := pv.M()
@@ -98,42 +79,23 @@ func NewPermVPTree[T any](sp space.Space[T], data []T, opts PermVPTreeOptions) (
 	if err != nil {
 		return nil, fmt.Errorf("core: building permutation VP-tree: %w", err)
 	}
-	pt := &PermVPTree[T]{sp: sp, data: data, pivots: pv, perms: perms, tree: tree, opts: opts}
-	pt.Bind(pt.search)
+	pt := &PermVPTree[T]{data: data, pivots: pv, perms: perms, tree: tree, opts: opts}
+	pt.bind(pt, sp, &pt.data, opts.Gamma)
 	return pt, nil
 }
 
 // Name implements index.Index.
 func (pt *PermVPTree[T]) Name() string { return "perm-vptree" }
 
-// Stats implements index.Sized.
-func (pt *PermVPTree[T]) Stats() index.Stats {
-	ts := pt.tree.Stats()
-	return index.Stats{
-		Bytes:          ts.Bytes + int64(len(pt.data))*int64(pt.pivots.M())*4,
-		BuildDistances: int64(len(pt.data)) * int64(pt.pivots.M()),
-	}
+func (pt *PermVPTree[T]) size() (int64, int) {
+	m := pt.pivots.M()
+	return pt.tree.Stats().Bytes + int64(len(pt.data))*int64(m)*4, m
 }
 
-// search is the index's one query path, run on pooled scratch by the
-// embedded index.Pooled. The filter stage here includes the VP-tree
-// traversal (whose returned candidate list is this path's one allocation
-// besides the result, outside the zero-alloc guards).
-func (pt *PermVPTree[T]) search(s *pvtScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
-	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	qperm := pt.pivots.PermutationWith(&s.perm, query)
-	g := gammaCount(pt.opts.Gamma, len(pt.data), k)
-	cands := pt.tree.Search(qperm, g)
-	if tr != nil {
-		tr.FilterCandidates += int64(len(cands))
-		obs.AddSince(&tr.FilterNs, t0)
-	}
-	return refineInto(pt.sp, pt.data, query, cands, k, &s.queue, dst, tr)
+// filter is g-NN search in the permutation space. The candidate list the
+// VP-tree returns is this path's one allocation besides the result, outside
+// the zero-alloc guards.
+func (pt *PermVPTree[T]) filter(s *permutation.Scratch, query T, g int, _ index.Params) (candidates, int) {
+	cands := pt.tree.Search(pt.pivots.PermutationWith(s, query), g)
+	return candidates{scored: cands}, len(cands)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"math/bits"
 	"sort"
@@ -47,173 +48,54 @@ func loadPivots[T any](cr *codec.Reader, sp space.Space[T], data []T) *permutati
 	return pv
 }
 
-// --- BruteForceFilter ---
+// load is the frame of every loader: the header must name this kind, space
+// and corpus size, the kind's payload decoder runs, and the payload must
+// end exactly where the decoder stopped.
+func load[T any](cr *codec.Reader, tag string, sp space.Space[T], data []T, payload func()) error {
+	if err := cr.Expect(tag, sp.Name(), len(data)); err != nil {
+		return err
+	}
+	payload()
+	return cr.Finish()
+}
 
-// Save serializes the filter under kind "brute-force-filt".
-func (f *BruteForceFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindBruteForce, f.sp.Name(), len(f.data))
+// --- ScanFilter ---
+
+// Save serializes the filter under its row codec's kind tag.
+func (f *ScanFilter[T]) Save(w io.Writer) error {
+	cw := codec.NewWriter(w, f.rows.tag(), f.sp.Name(), len(f.data))
 	if err := savePivots(cw, f.pivots); err != nil {
 		return err
 	}
-	cw.Int(f.opts.NumPivots)
-	cw.F64(f.opts.Gamma)
-	cw.U8(uint8(f.opts.Dist))
-	cw.Bool(false) // was the heap-selection ablation switch; the slot stays so the format does not move
-	cw.I64(f.opts.Seed)
-	cw.I32s(f.perms)
+	f.rows.save(cw)
 	return cw.Close()
 }
 
-// LoadBruteForceFilter reads a filter saved by Save over the same data.
-func LoadBruteForceFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*BruteForceFilter[T], error) {
-	if err := cr.Expect(codec.KindBruteForce, sp.Name(), len(data)); err != nil {
+// LoadScanFilter reads a filter of any of the four brute-force kinds saved
+// by Save over the same data; the header's kind tag selects the row codec.
+func LoadScanFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*ScanFilter[T], error) {
+	f := &ScanFilter[T]{data: data}
+	switch kind := cr.Header().Kind; kind {
+	case codec.KindBruteForce:
+		f.rows = &permRows{}
+	case codec.KindBinFilter:
+		f.rows = &binRows{}
+	case codec.KindQuantFilter:
+		f.rows = &quantRows{}
+	case codec.KindDistVec:
+		f.rows = &distRows{}
+	default:
+		return nil, fmt.Errorf("codec: file holds a %q index, loader expects a brute-force filter", kind)
+	}
+	err := load(cr, f.rows.tag(), sp, data, func() {
+		if f.pivots = loadPivots(cr, sp, data); f.pivots != nil {
+			f.rows.load(cr, f.pivots.M(), len(data))
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	f := &BruteForceFilter[T]{sp: sp, data: data}
-	f.Bind(f.search)
-	f.pivots = loadPivots(cr, sp, data)
-	f.opts.NumPivots = cr.Int()
-	f.opts.Gamma = cr.F64()
-	f.opts.Dist = PermDist(cr.U8())
-	cr.Bool() // retired heap-selection switch, ignored
-	f.opts.Seed = cr.I64()
-	f.perms = cr.I32s()
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	if f.opts.NumPivots != f.pivots.M() || len(f.perms) != len(data)*f.pivots.M() || f.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent brute-force sections (m=%d, pivots=%d, perms=%d)",
-			f.opts.NumPivots, f.pivots.M(), len(f.perms))
-		return nil, cr.Err()
-	}
-	return f, nil
-}
-
-// --- BinFilter ---
-
-// Save serializes the binarized filter under kind "brute-force-filt-bin".
-func (f *BinFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindBinFilter, f.sp.Name(), len(f.data))
-	if err := savePivots(cw, f.pivots); err != nil {
-		return err
-	}
-	cw.Int(f.opts.NumPivots)
-	cw.Int(f.opts.Threshold)
-	cw.F64(f.opts.Gamma)
-	cw.I64(f.opts.Seed)
-	cw.Int(f.words)
-	cw.U64s(f.bits)
-	return cw.Close()
-}
-
-// LoadBinFilter reads a binarized filter saved by Save over the same data.
-func LoadBinFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*BinFilter[T], error) {
-	if err := cr.Expect(codec.KindBinFilter, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	f := &BinFilter[T]{sp: sp, data: data}
-	f.Bind(f.search)
-	f.pivots = loadPivots(cr, sp, data)
-	f.opts.NumPivots = cr.Int()
-	f.opts.Threshold = cr.Int()
-	f.opts.Gamma = cr.F64()
-	f.opts.Seed = cr.I64()
-	f.words = cr.Int()
-	f.bits = cr.U64s()
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	if f.opts.NumPivots != f.pivots.M() ||
-		f.words != permutation.BinaryWords(f.opts.NumPivots) ||
-		len(f.bits) != len(data)*f.words || f.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent bin-filter sections (m=%d, words=%d, bits=%d)",
-			f.opts.NumPivots, f.words, len(f.bits))
-		return nil, cr.Err()
-	}
-	return f, nil
-}
-
-// --- QuantFilter ---
-
-// Save serializes the quantized-prefix filter under kind
-// "brute-force-filt-quant".
-func (f *QuantFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindQuantFilter, f.sp.Name(), len(f.data))
-	if err := savePivots(cw, f.pivots); err != nil {
-		return err
-	}
-	cw.Int(f.opts.NumPivots)
-	cw.Int(f.opts.PrefixLen)
-	cw.F64(f.opts.Gamma)
-	cw.I64(f.opts.Seed)
-	cw.Int(f.words)
-	cw.U64s(f.sigs)
-	return cw.Close()
-}
-
-// LoadQuantFilter reads a quantized-prefix filter saved by Save over the
-// same data.
-func LoadQuantFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*QuantFilter[T], error) {
-	if err := cr.Expect(codec.KindQuantFilter, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	f := &QuantFilter[T]{sp: sp, data: data}
-	f.Bind(f.search)
-	f.pivots = loadPivots(cr, sp, data)
-	f.opts.NumPivots = cr.Int()
-	f.opts.PrefixLen = cr.Int()
-	f.opts.Gamma = cr.F64()
-	f.opts.Seed = cr.I64()
-	f.words = cr.Int()
-	f.sigs = cr.U64s()
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	if f.opts.NumPivots != f.pivots.M() ||
-		f.opts.PrefixLen <= 0 || f.opts.PrefixLen > f.opts.NumPivots ||
-		f.words != permutation.QuantizedWords(f.opts.PrefixLen) ||
-		len(f.sigs) != len(data)*f.words || f.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent quant-filter sections (m=%d, prefix=%d, words=%d, sigs=%d)",
-			f.opts.NumPivots, f.opts.PrefixLen, f.words, len(f.sigs))
-		return nil, cr.Err()
-	}
-	return f, nil
-}
-
-// --- DistVecFilter ---
-
-// Save serializes the distance-vector filter under kind "distvec-filt".
-func (f *DistVecFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindDistVec, f.sp.Name(), len(f.data))
-	if err := savePivots(cw, f.pivots); err != nil {
-		return err
-	}
-	cw.Int(f.opts.NumPivots)
-	cw.F64(f.opts.Gamma)
-	cw.I64(f.opts.Seed)
-	cw.F32s(f.vecs)
-	return cw.Close()
-}
-
-// LoadDistVecFilter reads a filter saved by Save over the same data.
-func LoadDistVecFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*DistVecFilter[T], error) {
-	if err := cr.Expect(codec.KindDistVec, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	f := &DistVecFilter[T]{sp: sp, data: data}
-	f.Bind(f.search)
-	f.pivots = loadPivots(cr, sp, data)
-	f.opts.NumPivots = cr.Int()
-	f.opts.Gamma = cr.F64()
-	f.opts.Seed = cr.I64()
-	f.vecs = cr.F32s()
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	if f.opts.NumPivots != f.pivots.M() || len(f.vecs) != len(data)*f.pivots.M() || f.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent distvec sections (m=%d, vecs=%d)", f.opts.NumPivots, len(f.vecs))
-		return nil, cr.Err()
-	}
+	f.bind(f, sp, &f.data, f.rows.gamma())
 	return f, nil
 }
 
@@ -256,38 +138,37 @@ func encodePPNode(cw *codec.Writer, n *ppNode) {
 
 // LoadPPIndex reads a prefix index saved by Save over the same data.
 func LoadPPIndex[T any](cr *codec.Reader, sp space.Space[T], data []T) (*PPIndex[T], error) {
-	if err := cr.Expect(codec.KindPPIndex, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	pp := &PPIndex[T]{sp: sp, data: data}
-	pp.Bind(pp.search)
-	pp.opts.NumPivots = cr.Int()
-	pp.opts.PrefixLen = cr.Int()
-	pp.opts.Copies = cr.Int()
-	pp.opts.Gamma = cr.F64()
-	pp.opts.Seed = cr.I64()
-	trees := cr.Int()
-	// NumPivots <= n holds for every legitimate file (pivots are sampled
-	// from the data set), and bounding it here bounds PrefixLen and hence
-	// the node-decoding recursion below — a crafted deep file fails fast
-	// instead of exhausting the stack.
-	if cr.Err() == nil && (trees <= 0 || trees > 1<<16 ||
-		pp.opts.NumPivots > len(data) ||
-		pp.opts.PrefixLen <= 0 || pp.opts.PrefixLen > pp.opts.NumPivots || pp.opts.Gamma <= 0) {
-		cr.Corruptf("inconsistent pp-index options (trees=%d, l=%d, m=%d)",
-			trees, pp.opts.PrefixLen, pp.opts.NumPivots)
-	}
-	for c := 0; c < trees && cr.Err() == nil; c++ {
-		tree := ppTree[T]{pivots: loadPivots(cr, sp, data)}
-		tree.root = decodePPNode(cr, pp.opts.PrefixLen+1, len(data))
-		if cr.Err() == nil && tree.pivots.M() != pp.opts.NumPivots {
-			cr.Corruptf("tree %d has %d pivots, options say %d", c, tree.pivots.M(), pp.opts.NumPivots)
+	pp := &PPIndex[T]{data: data}
+	err := load(cr, codec.KindPPIndex, sp, data, func() {
+		pp.opts.NumPivots = cr.Int()
+		pp.opts.PrefixLen = cr.Int()
+		pp.opts.Copies = cr.Int()
+		pp.opts.Gamma = cr.F64()
+		pp.opts.Seed = cr.I64()
+		trees := cr.Int()
+		// NumPivots <= n holds for every legitimate file (pivots are sampled
+		// from the data set), and bounding it here bounds PrefixLen and hence
+		// the node-decoding recursion below — a crafted deep file fails fast
+		// instead of exhausting the stack.
+		if cr.Err() == nil && (trees <= 0 || trees > 1<<16 ||
+			pp.opts.NumPivots > len(data) ||
+			pp.opts.PrefixLen <= 0 || pp.opts.PrefixLen > pp.opts.NumPivots || pp.opts.Gamma <= 0) {
+			cr.Corruptf("inconsistent pp-index options (trees=%d, l=%d, m=%d)",
+				trees, pp.opts.PrefixLen, pp.opts.NumPivots)
 		}
-		pp.trees = append(pp.trees, tree)
-	}
-	if err := cr.Finish(); err != nil {
+		for c := 0; c < trees && cr.Err() == nil; c++ {
+			tree := ppTree[T]{pivots: loadPivots(cr, sp, data)}
+			tree.root = decodePPNode(cr, pp.opts.PrefixLen+1, len(data))
+			if cr.Err() == nil && tree.pivots.M() != pp.opts.NumPivots {
+				cr.Corruptf("tree %d has %d pivots, options say %d", c, tree.pivots.M(), pp.opts.NumPivots)
+			}
+			pp.trees = append(pp.trees, tree)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
+	pp.bind(pp, sp, &pp.data, pp.opts.Gamma)
 	return pp, nil
 }
 
@@ -351,28 +232,26 @@ func (mf *MIFile[T]) Save(w io.Writer) error {
 
 // LoadMIFile reads an inverted file saved by Save over the same data.
 func LoadMIFile[T any](cr *codec.Reader, sp space.Space[T], data []T) (*MIFile[T], error) {
-	if err := cr.Expect(codec.KindMIFile, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	mf := &MIFile[T]{sp: sp, data: data}
-	mf.Bind(mf.search)
-	mf.pivots = loadPivots(cr, sp, data)
-	mf.opts.NumPivots = cr.Int()
-	mf.opts.NumPivotIndex = cr.Int()
-	mf.opts.NumPivotSearch = cr.Int()
-	mf.opts.MaxPosDiff = cr.Int()
-	mf.opts.Gamma = cr.F64()
-	mf.opts.Seed = cr.I64()
-	lists := cr.Int()
-	if cr.Err() == nil {
-		if lists < 0 || mf.pivots == nil || lists != mf.pivots.M() || lists != mf.opts.NumPivots ||
+	mf := &MIFile[T]{data: data}
+	err := load(cr, codec.KindMIFile, sp, data, func() {
+		mf.pivots = loadPivots(cr, sp, data)
+		mf.opts.NumPivots = cr.Int()
+		mf.opts.NumPivotIndex = cr.Int()
+		mf.opts.NumPivotSearch = cr.Int()
+		mf.opts.MaxPosDiff = cr.Int()
+		mf.opts.Gamma = cr.F64()
+		mf.opts.Seed = cr.I64()
+		lists := cr.Int()
+		if cr.Err() != nil {
+			return
+		}
+		if lists < 0 || lists != mf.pivots.M() || lists != mf.opts.NumPivots ||
 			mf.opts.NumPivotSearch <= 0 || mf.opts.NumPivotSearch > mf.opts.NumPivots ||
 			mf.opts.Gamma <= 0 {
 			cr.Corruptf("inconsistent mi-file options (lists=%d, m=%d, ms=%d)",
 				lists, mf.opts.NumPivots, mf.opts.NumPivotSearch)
+			return
 		}
-	}
-	if cr.Err() == nil {
 		mf.postings = make([][]miPosting, lists)
 		for p := range mf.postings {
 			entries := cr.Length(8) // pos i32 + id u32 per entry
@@ -380,22 +259,23 @@ func LoadMIFile[T any](cr *codec.Reader, sp space.Space[T], data []T) (*MIFile[T
 			for i := range list {
 				list[i] = miPosting{pos: cr.I32(), id: cr.U32()}
 				if cr.Err() != nil {
-					break
+					return
 				}
 				if int(list[i].id) >= len(data) {
 					cr.Corruptf("posting id %d out of range [0, %d)", list[i].id, len(data))
-					break
+					return
 				}
 			}
 			if cr.Err() != nil {
-				break
+				return
 			}
 			mf.postings[p] = list
 		}
-	}
-	if err := cr.Finish(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
+	mf.bind(mf, sp, &mf.data, mf.opts.Gamma)
 	return mf, nil
 }
 
@@ -467,43 +347,42 @@ func loadBitmap(cr *codec.Reader, n int, what string) (b []uint64, count int) {
 // LoadNAPP reads a NAPP index saved by Save over the same data (including
 // any points appended with Add before saving).
 func LoadNAPP[T any](cr *codec.Reader, sp space.Space[T], data []T) (*NAPP[T], error) {
-	if err := cr.Expect(codec.KindNAPP, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	na := &NAPP[T]{sp: sp, data: data}
-	na.Bind(na.search)
-	na.pivots = loadPivots(cr, sp, data)
-	na.opts.NumPivots = cr.Int()
-	na.opts.NumPivotIndex = cr.Int()
-	na.opts.NumPivotSearch = cr.Int()
-	na.opts.MinShared = cr.Int()
-	na.opts.MaxCandidates = cr.Int()
-	na.opts.Seed = cr.I64()
-	lists := cr.Int()
-	if cr.Err() == nil {
-		if na.pivots == nil || lists != na.pivots.M() || lists != na.opts.NumPivots ||
+	na := &NAPP[T]{data: data}
+	err := load(cr, codec.KindNAPP, sp, data, func() {
+		na.pivots = loadPivots(cr, sp, data)
+		na.opts.NumPivots = cr.Int()
+		na.opts.NumPivotIndex = cr.Int()
+		na.opts.NumPivotSearch = cr.Int()
+		na.opts.MinShared = cr.Int()
+		na.opts.MaxCandidates = cr.Int()
+		na.opts.Seed = cr.I64()
+		lists := cr.Int()
+		if cr.Err() != nil {
+			return
+		}
+		if lists != na.pivots.M() || lists != na.opts.NumPivots ||
 			na.opts.NumPivotIndex <= 0 || na.opts.NumPivotIndex > na.opts.NumPivots ||
 			na.opts.NumPivotSearch <= 0 || na.opts.NumPivotSearch > na.opts.NumPivots ||
 			na.opts.NumPivotSearch > 255 || na.opts.MinShared <= 0 {
 			cr.Corruptf("inconsistent napp options (lists=%d, m=%d, mi=%d, ms=%d, t=%d)",
 				lists, na.opts.NumPivots, na.opts.NumPivotIndex,
 				na.opts.NumPivotSearch, na.opts.MinShared)
+			return
 		}
-	}
-	if cr.Err() == nil {
 		na.bitmaps = make([][]uint64, lists)
 		for p := range na.bitmaps {
 			if na.bitmaps[p], _ = loadBitmap(cr, len(data), "posting"); cr.Err() != nil {
-				break
+				return
 			}
 		}
-	}
-	if dead, ndead := loadBitmap(cr, len(data), "tombstone"); ndead > 0 {
-		na.dead, na.ndead = dead, ndead
-	}
-	if err := cr.Finish(); err != nil {
+		if dead, ndead := loadBitmap(cr, len(data), "tombstone"); ndead > 0 {
+			na.dead, na.ndead = dead, ndead
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
+	na.bind(na, sp, &na.data, 0)
 	return na, nil
 }
 
@@ -530,61 +409,57 @@ func (om *OMEDRANK[T]) Save(w io.Writer) error {
 
 // LoadOMEDRANK reads an index saved by Save over the same data.
 func LoadOMEDRANK[T any](cr *codec.Reader, sp space.Space[T], data []T) (*OMEDRANK[T], error) {
-	if err := cr.Expect(codec.KindOMEDRANK, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	om := &OMEDRANK[T]{sp: sp, data: data}
-	om.Bind(om.search)
-	ids := cr.I32s()
-	if cr.Err() == nil {
-		for _, id := range ids {
+	om := &OMEDRANK[T]{data: data}
+	err := load(cr, codec.KindOMEDRANK, sp, data, func() {
+		for _, id := range cr.I32s() {
 			if id < 0 || int(id) >= len(data) {
 				cr.Corruptf("voter id %d out of range [0, %d)", id, len(data))
-				break
+				return
 			}
 			om.pivots = append(om.pivots, data[id])
 			om.pivotIDs = append(om.pivotIDs, id)
 		}
-	}
-	om.opts.NumVoters = cr.Int()
-	om.opts.Quorum = cr.F64()
-	om.opts.Gamma = cr.F64()
-	om.opts.Seed = cr.I64()
-	voters := cr.Int()
-	// The search-time quorum counters are 32-bit (scratch.Gains), but the
-	// voter count must stay clear of absurd territory and match the pivot
-	// list; 2^15 keeps the historical on-disk bound.
-	if cr.Err() == nil && (voters <= 0 || voters != len(om.pivots) || voters > 1<<15 ||
-		om.opts.Quorum <= 0 || om.opts.Quorum > 1 || om.opts.Gamma <= 0) {
-		cr.Corruptf("inconsistent omedrank options (voters=%d, pivots=%d)", voters, len(om.pivots))
-	}
-	for v := 0; v < voters && cr.Err() == nil; v++ {
-		voter := omedVoter{dists: cr.F64s(), ids: cr.U32s()}
-		if cr.Err() != nil {
-			break
+		om.opts.NumVoters = cr.Int()
+		om.opts.Quorum = cr.F64()
+		om.opts.Gamma = cr.F64()
+		om.opts.Seed = cr.I64()
+		voters := cr.Int()
+		// The search-time quorum counters are 32-bit (scratch.Gains), but the
+		// voter count must stay clear of absurd territory and match the pivot
+		// list; 2^15 keeps the historical on-disk bound.
+		if cr.Err() == nil && (voters <= 0 || voters != len(om.pivots) || voters > 1<<15 ||
+			om.opts.Quorum <= 0 || om.opts.Quorum > 1 || om.opts.Gamma <= 0) {
+			cr.Corruptf("inconsistent omedrank options (voters=%d, pivots=%d)", voters, len(om.pivots))
 		}
-		if len(voter.dists) != len(data) || len(voter.ids) != len(data) {
-			cr.Corruptf("voter %d ranks %d/%d points, data set has %d",
-				v, len(voter.dists), len(voter.ids), len(data))
-			break
-		}
-		for i := 1; i < len(voter.dists); i++ {
-			if voter.dists[i] < voter.dists[i-1] {
-				cr.Corruptf("voter %d distances not sorted at %d", v, i)
-				break
+		for v := 0; v < voters && cr.Err() == nil; v++ {
+			voter := omedVoter{dists: cr.F64s(), ids: cr.U32s()}
+			if cr.Err() != nil {
+				return
 			}
-		}
-		for _, id := range voter.ids {
-			if int(id) >= len(data) {
-				cr.Corruptf("voter %d ranks unknown id %d", v, id)
-				break
+			if len(voter.dists) != len(data) || len(voter.ids) != len(data) {
+				cr.Corruptf("voter %d ranks %d/%d points, data set has %d",
+					v, len(voter.dists), len(voter.ids), len(data))
+				return
 			}
+			for i := 1; i < len(voter.dists); i++ {
+				if voter.dists[i] < voter.dists[i-1] {
+					cr.Corruptf("voter %d distances not sorted at %d", v, i)
+					break
+				}
+			}
+			for _, id := range voter.ids {
+				if int(id) >= len(data) {
+					cr.Corruptf("voter %d ranks unknown id %d", v, id)
+					break
+				}
+			}
+			om.voters = append(om.voters, voter)
 		}
-		om.voters = append(om.voters, voter)
-	}
-	if err := cr.Finish(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
+	om.bind(om, sp, &om.data, om.opts.Gamma)
 	return om, nil
 }
 
@@ -615,37 +490,33 @@ func (pt *PermVPTree[T]) Save(w io.Writer) error {
 
 // LoadPermVPTree reads an index saved by Save over the same data.
 func LoadPermVPTree[T any](cr *codec.Reader, sp space.Space[T], data []T) (*PermVPTree[T], error) {
-	if err := cr.Expect(codec.KindPermVPTree, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	pt := &PermVPTree[T]{sp: sp, data: data}
-	pt.Bind(pt.search)
-	pt.pivots = loadPivots(cr, sp, data)
-	pt.opts.NumPivots = cr.Int()
-	pt.opts.Gamma = cr.F64()
-	pt.opts.Alpha = cr.F64()
-	pt.opts.BucketSize = cr.Int()
-	pt.opts.Seed = cr.I64()
-	flat := cr.I32s()
-	if cr.Err() != nil {
-		return nil, cr.Err()
-	}
-	m := pt.pivots.M()
-	if pt.opts.NumPivots != m || len(flat) != len(data)*m || pt.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent perm-vptree sections (m=%d, perms=%d, n=%d)", m, len(flat), len(data))
-		return nil, cr.Err()
-	}
-	pt.perms = make([][]int32, len(data))
-	for i := range pt.perms {
-		pt.perms[i] = flat[i*m : (i+1)*m]
-	}
-	tree, err := vptree.Decode[[]int32](cr, permutation.RhoMetric{}, pt.perms)
+	pt := &PermVPTree[T]{data: data}
+	err := load(cr, codec.KindPermVPTree, sp, data, func() {
+		pt.pivots = loadPivots(cr, sp, data)
+		pt.opts.NumPivots = cr.Int()
+		pt.opts.Gamma = cr.F64()
+		pt.opts.Alpha = cr.F64()
+		pt.opts.BucketSize = cr.Int()
+		pt.opts.Seed = cr.I64()
+		flat := cr.I32s()
+		if cr.Err() != nil {
+			return
+		}
+		m := pt.pivots.M()
+		if pt.opts.NumPivots != m || len(flat) != len(data)*m || pt.opts.Gamma <= 0 {
+			cr.Corruptf("inconsistent perm-vptree sections (m=%d, perms=%d, n=%d)", m, len(flat), len(data))
+			return
+		}
+		pt.perms = make([][]int32, len(data))
+		for i := range pt.perms {
+			pt.perms[i] = flat[i*m : (i+1)*m]
+		}
+		// Decode fails only through cr's sticky error, which the frame reports.
+		pt.tree, _ = vptree.Decode[[]int32](cr, permutation.RhoMetric{}, pt.perms)
+	})
 	if err != nil {
 		return nil, err
 	}
-	pt.tree = tree
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
+	pt.bind(pt, sp, &pt.data, pt.opts.Gamma)
 	return pt, nil
 }

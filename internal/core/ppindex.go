@@ -2,16 +2,11 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
-	"time"
 
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/permutation"
 	"repro/internal/scratch"
 	"repro/internal/space"
-	"repro/internal/topk"
 )
 
 // PPIndexOptions configures NewPPIndex.
@@ -99,40 +94,33 @@ type ppTree[T any] struct {
 // candidates, the prefix is shortened (the paper's recursive fallback).
 // Multiple tree copies with independent pivot samples are unioned.
 type PPIndex[T any] struct {
-	sp    space.Space[T]
 	data  []T
 	trees []ppTree[T]
 	opts  PPIndexOptions
-	index.Pooled[T, ppScratch]
+	pipeline[T, ppScratch]
 }
 
 // ppScratch is the per-query state of one PP-index search. seen is an
 // epoch-stamped arena standing in for the former per-query map dedup across
 // tree copies (first increment == first sighting).
 type ppScratch struct {
-	perm  permutation.Scratch
-	seen  scratch.Counters
-	path  []*ppNode
-	sub   []uint32
-	ids   []uint32
-	queue topk.Queue
+	perm permutation.Scratch
+	seen scratch.Counters
+	path []*ppNode
+	sub  []uint32
+	ids  []uint32
 }
 
 // NewPPIndex builds Copies prefix trees over independent pivot samples.
 func NewPPIndex[T any](sp space.Space[T], data []T, opts PPIndexOptions) (*PPIndex[T], error) {
 	opts.defaults()
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
+	r, err := seeded(data, &opts.NumPivots, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
-	if opts.NumPivots > len(data) {
-		opts.NumPivots = len(data)
-		if opts.PrefixLen > opts.NumPivots {
-			opts.PrefixLen = opts.NumPivots
-		}
-	}
-	idx := &PPIndex[T]{sp: sp, data: data, opts: opts}
-	idx.Bind(idx.search)
-	r := rand.New(rand.NewSource(opts.Seed))
+	opts.PrefixLen = min(opts.PrefixLen, opts.NumPivots)
+	idx := &PPIndex[T]{data: data, opts: opts}
+	idx.bind(idx, sp, &idx.data, opts.Gamma)
 	for c := 0; c < opts.Copies; c++ {
 		pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
 		if err != nil {
@@ -158,8 +146,7 @@ func NewPPIndex[T any](sp space.Space[T], data []T, opts PPIndexOptions) (*PPInd
 // Name implements index.Index.
 func (pp *PPIndex[T]) Name() string { return "pp-index" }
 
-// Stats implements index.Sized.
-func (pp *PPIndex[T]) Stats() index.Stats {
+func (pp *PPIndex[T]) size() (int64, int) {
 	var bytes int64
 	var walk func(n *ppNode)
 	walk = func(n *ppNode) {
@@ -171,24 +158,14 @@ func (pp *PPIndex[T]) Stats() index.Stats {
 	for _, t := range pp.trees {
 		walk(t.root)
 	}
-	return index.Stats{
-		Bytes:          bytes,
-		BuildDistances: int64(len(pp.data)) * int64(pp.opts.NumPivots) * int64(pp.opts.Copies),
-	}
+	return bytes, pp.opts.NumPivots * pp.opts.Copies
 }
 
-// search is the index's one query path, run on pooled scratch by the
-// embedded index.Pooled.
-func (pp *PPIndex[T]) search(s *ppScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
-	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	g := gammaCount(pp.opts.Gamma, len(pp.data), k)
+// filter unions, over the tree copies, the subtree under the deepest node on
+// the query's prefix path that holds at least g points. collect walks child
+// maps, so the candidate order differs from run to run; refinement does not
+// depend on it.
+func (pp *PPIndex[T]) filter(s *ppScratch, query T, g int, _ index.Params) (candidates, int) {
 	s.seen.Begin(len(pp.data))
 	ids := s.ids[:0]
 	for ti := range pp.trees {
@@ -220,17 +197,5 @@ func (pp *PPIndex[T]) search(s *ppScratch, dst []topk.Neighbor, query T, opts in
 		}
 	}
 	s.ids = ids
-	if tr != nil {
-		tr.FilterCandidates += int64(len(ids))
-		obs.AddSince(&tr.FilterNs, t0)
-		t0 = time.Now()
-	}
-	// collect walks child maps, so the candidate order above is not
-	// deterministic; sort before refining so ties at the k boundary are
-	// always broken the same way (smallest id wins, matching topk.ByDist).
-	slices.Sort(ids)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	return refineInto(pp.sp, pp.data, query, ids, k, &s.queue, dst, tr)
+	return candidates{ids: ids}, len(ids)
 }

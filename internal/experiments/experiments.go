@@ -107,7 +107,7 @@ type Runner interface {
 	// Figure4 writes (method, params, recall, improvement, ...) rows.
 	Figure4(cfg Config, w io.Writer) error
 	// RunMethods is Figure4 restricted to the named methods (nil = all);
-	// cmd/annbench uses it to benchmark a single method.
+	// `repro methods` uses it to benchmark a single method.
 	RunMethods(cfg Config, methods []string, w io.Writer) error
 	// Methods lists the method names available for this data set.
 	Methods(cfg Config) []string

@@ -12,8 +12,8 @@ import (
 )
 
 // Every sweep's variants are ParseParams-syntax labels: the label printed in
-// the Figure 4 output is literally the string that reproduces the setting,
-// via annbench or a serving request.
+// the Figure 4 and `repro methods` output is literally the string that
+// reproduces the setting in a serving request.
 
 // vptreeSweep builds one VP-tree and traces its curve by varying the
 // pruning stretch alpha (exact metric pruning at alpha = 1; larger = faster

@@ -15,12 +15,12 @@ import (
 // knobs that trace a method's recall/efficiency curve without rebuilding the
 // index. The textual form — "gamma=0.05", "att=2,ef=20" — is exactly the
 // variant label the Figure 4 sweeps print, so a row of experiment output can
-// be pasted verbatim into an annbench invocation or a serving request.
+// be pasted verbatim into a serving request.
 //
 // Recognized keys per index kind:
 //
 //	brute-force-filt, brute-force-filt-bin, brute-force-filt-quant,
-//	distvec-filt:  gamma
+//	distvec-filt, pp-index, mi-file, omedrank, perm-vptree:  gamma
 //	napp:       t (alias minshared)
 //	vptree:     alpha (sets both pruning stretch factors),
 //	            alphaleft, alpharight (one side each)
@@ -132,6 +132,10 @@ var kindKnobs = map[string]map[string]knob{
 	"brute-force-filt-bin":   gammaKnobs,
 	"brute-force-filt-quant": gammaKnobs,
 	"distvec-filt":           gammaKnobs,
+	"pp-index":               gammaKnobs,
+	"mi-file":                gammaKnobs,
+	"omedrank":               gammaKnobs,
+	"perm-vptree":            gammaKnobs,
 	"napp":                   {"t": minSharedKnob, "minshared": minSharedKnob},
 	"vptree": {
 		"alpha": {

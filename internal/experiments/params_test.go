@@ -40,6 +40,10 @@ func TestResolveTypedValues(t *testing.T) {
 		{"brute-force-filt-bin", Params{"gamma": 0.2}, index.Params{Gamma: 0.2}},
 		{"brute-force-filt-quant", Params{"gamma": 1}, index.Params{Gamma: 1}},
 		{"distvec-filt", Params{"gamma": 0.5}, index.Params{Gamma: 0.5}},
+		{"pp-index", Params{"gamma": 0.05}, index.Params{Gamma: 0.05}},
+		{"mi-file", Params{"gamma": 0.05}, index.Params{Gamma: 0.05}},
+		{"omedrank", Params{"gamma": 0.05}, index.Params{Gamma: 0.05}},
+		{"perm-vptree", Params{"gamma": 0.05}, index.Params{Gamma: 0.05}},
 		{"napp", Params{"t": 3}, index.Params{MinShared: 3}},
 		{"napp", Params{"minshared": 2}, index.Params{MinShared: 2}},
 		{"vptree", Params{"alpha": 2}, index.Params{AlphaLeft: 2, AlphaRight: 2}},
@@ -53,7 +57,7 @@ func TestResolveTypedValues(t *testing.T) {
 		// because its zero means "the index's default".
 		{"mplsh", Params{"probes": 0}, index.Params{Probes: -1}},
 		{"napp", Params{"t": math.MaxInt32}, index.Params{MinShared: math.MaxInt32}},
-		{"pp-index", nil, index.Params{}},
+		{"seqscan", nil, index.Params{}},
 	} {
 		got, err := Resolve(tc.kind, tc.in)
 		if err != nil {
@@ -91,7 +95,7 @@ func TestResolveRejectsConflictsAndBadValues(t *testing.T) {
 		{"alpha with a side", "vptree", Params{"alpha": 2, "alpharight": 3}},
 		{"unknown key", "brute-force-filt", Params{"gamma": 0.5, "ef": 7}},
 		// Kinds without knobs reject any param.
-		{"knobless kind", "pp-index", Params{"gamma": 0.5}},
+		{"knobless kind", "seqscan", Params{"gamma": 0.5}},
 		{"unknown kind", "no-such-index", Params{"gamma": 0.5}},
 	} {
 		if got, err := Resolve(tc.kind, tc.in); err == nil {

@@ -20,8 +20,9 @@ import (
 // range table that produces a Params from user input lives in
 // internal/experiments (Resolve).
 type Params struct {
-	// Gamma is the candidate fraction of the gamma-budgeted filters
-	// (brute-force, binarized, quantized, distance-vector).
+	// Gamma is the candidate fraction of every core kind built with one
+	// (the four brute-force scans, PP-index, MI-file, OMEDRANK and the
+	// permutation VP-tree; NAPP's budget is its threshold t).
 	Gamma float64
 	// MinShared is NAPP's t.
 	MinShared int

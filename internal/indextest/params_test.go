@@ -39,6 +39,28 @@ func TestParamsMatchDedicated(t *testing.T) {
 			return core.NewDistVecFilter(sp, db, core.BruteForceOptions{NumPivots: 32, Gamma: gamma, Seed: kindSeed})
 		}
 	}
+	pp := func(gamma float64) build {
+		return func() (index.Index[[]float32], error) {
+			return core.NewPPIndex(sp, db, core.PPIndexOptions{NumPivots: 16, PrefixLen: 4, Copies: 2, Gamma: gamma, Seed: kindSeed})
+		}
+	}
+	mi := func(gamma float64) build {
+		return func() (index.Index[[]float32], error) {
+			return core.NewMIFile(sp, db, core.MIFileOptions{
+				NumPivots: 32, NumPivotIndex: 16, NumPivotSearch: 8, MaxPosDiff: 10, Gamma: gamma, Seed: kindSeed,
+			})
+		}
+	}
+	omed := func(gamma float64) build {
+		return func() (index.Index[[]float32], error) {
+			return core.NewOMEDRANK(sp, db, core.OMEDRANKOptions{NumVoters: 6, Gamma: gamma, Seed: kindSeed})
+		}
+	}
+	pvt := func(gamma float64) build {
+		return func() (index.Index[[]float32], error) {
+			return core.NewPermVPTree(sp, db, core.PermVPTreeOptions{NumPivots: 32, Gamma: gamma, Seed: kindSeed})
+		}
+	}
 	napp := func(t int) build {
 		return func() (index.Index[[]float32], error) {
 			return core.NewNAPP(sp, db, core.NAPPOptions{NumPivots: 64, NumPivotIndex: 16, MinShared: t, Seed: kindSeed})
@@ -74,6 +96,10 @@ func TestParamsMatchDedicated(t *testing.T) {
 		{"brute-force-filt-bin", index.Params{Gamma: 0.2}, bin(0), bin(0.2)},
 		{"brute-force-filt-quant", index.Params{Gamma: 0.2}, quant(0), quant(0.2)},
 		{"distvec-filt", index.Params{Gamma: 0.2}, distvec(0), distvec(0.2)},
+		{"pp-index/gamma=0.2", index.Params{Gamma: 0.2}, pp(0), pp(0.2)},
+		{"mi-file/gamma=0.2", index.Params{Gamma: 0.2}, mi(0), mi(0.2)},
+		{"omedrank/gamma=0.2", index.Params{Gamma: 0.2}, omed(0), omed(0.2)},
+		{"perm-vptree/gamma=0.2", index.Params{Gamma: 0.2}, pvt(0), pvt(0.2)},
 		{"napp", index.Params{MinShared: 5}, napp(1), napp(5)},
 		// t has no upper bound on the wire. At t = ms (16 here) only points
 		// sharing every scanned pivot survive; above it nothing can, whatever

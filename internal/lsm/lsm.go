@@ -35,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
@@ -45,25 +44,6 @@ import (
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vfs"
-)
-
-// Dynamic is the mutable-index contract the memtable builds on: incremental
-// Add returning consecutive local ids (0, 1, 2, ...), tombstoning Delete,
-// and searches that skip tombstoned points. *seqscan.Scanner (the default
-// memtable, exact and buildable from empty for any space) and *core.NAPP
-// (napp_dynamic.go, for memtables seeded with data) both satisfy it.
-type Dynamic[T any] interface {
-	index.Index[T]
-	Add(x T) uint32
-	Delete(id uint32) error
-	Deleted(id uint32) bool
-	Live() int
-	Compact()
-}
-
-var (
-	_ Dynamic[[]float32] = (*seqscan.Scanner[[]float32])(nil)
-	_ Dynamic[[]float32] = (*core.NAPP[[]float32])(nil)
 )
 
 // ErrInvalid marks write failures caused by the request itself — an
@@ -113,13 +93,6 @@ type Options[T any] struct {
 	// MaxTiers triggers background compaction when the sealed-tier count
 	// exceeds it. Default 4.
 	MaxTiers int
-	// Build constructs the immutable index of a sealed tier over its live
-	// objects. Default: exact sequential scan (correct for every space;
-	// tiers are small next to the base corpus).
-	Build func(sp space.Space[T], data []T) (index.Index[T], error)
-	// NewMemtable constructs the mutable memtable index. Default: an empty
-	// exact sequential scanner.
-	NewMemtable func(sp space.Space[T]) (Dynamic[T], error)
 	// NoFsync disables the fsync-per-acknowledgement durability barrier.
 	// Tests use it for speed; a production tree must keep it false or a
 	// crash can lose acknowledged writes.
@@ -149,26 +122,17 @@ func (o *Options[T]) defaults() error {
 	if o.MaxTiers <= 0 {
 		o.MaxTiers = 4
 	}
-	if o.Build == nil {
-		o.Build = func(sp space.Space[T], data []T) (index.Index[T], error) {
-			return seqscan.New(sp, data), nil
-		}
-	}
-	if o.NewMemtable == nil {
-		o.NewMemtable = func(sp space.Space[T]) (Dynamic[T], error) {
-			return seqscan.New[T](sp, nil), nil
-		}
-	}
 	if o.FS == nil {
 		o.FS = vfs.OS{}
 	}
 	return nil
 }
 
-// memtable pairs the mutable index with the global ids and raw payloads of
-// its entries. Local id i (the Dynamic index's id) is global id ids[i].
+// memtable pairs the mutable index — an exact sequential scanner, correct
+// for every space and buildable from empty — with the global ids and raw
+// payloads of its entries. Local id i (the scanner's id) is global id ids[i].
 type memtable[T any] struct {
-	dyn   Dynamic[T]
+	dyn   *seqscan.Scanner[T]
 	ids   []uint32 // ascending global ids, parallel to the dyn's local ids
 	blobs [][]byte
 	objs  []T
@@ -177,7 +141,7 @@ type memtable[T any] struct {
 func (m *memtable[T]) add(gid uint32, obj T, blob []byte) error {
 	local := m.dyn.Add(obj)
 	if int(local) != len(m.ids) {
-		return fmt.Errorf("lsm: memtable index assigned local id %d, want %d (Dynamic ids must be consecutive)", local, len(m.ids))
+		return fmt.Errorf("lsm: memtable index assigned local id %d, want %d (memtable ids must be consecutive)", local, len(m.ids))
 	}
 	m.ids = append(m.ids, gid)
 	m.blobs = append(m.blobs, blob)
@@ -300,10 +264,7 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 			// the segment when missing or unreadable.
 			idx, err := persist.LoadFileFS(fsys, idxPath(opts.Dir, mt.Seq), opts.Space, tr.objs)
 			if err != nil {
-				idx, err = opts.Build(opts.Space, tr.objs)
-				if err != nil {
-					return nil, fmt.Errorf("lsm: rebuilding tier %d index: %w", mt.Seq, err)
-				}
+				idx = seqscan.New(opts.Space, tr.objs)
 				// Best effort: the rebuilt index serves fine from memory
 				// even if re-persisting it fails.
 				_ = persist.SaveFileFS(fsys, idxPath(opts.Dir, mt.Seq), idx)
@@ -334,11 +295,7 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 	}
 	removeStale(fsys, opts.Dir, man)
 
-	dyn, err := opts.NewMemtable(opts.Space)
-	if err != nil {
-		return nil, err
-	}
-	t.mem = &memtable[T]{dyn: dyn}
+	t.mem = &memtable[T]{dyn: seqscan.New[T](opts.Space, nil)}
 	w, recs, err := openWAL(fsys, walPath(opts.Dir, man.WalSeq), opts.NoFsync)
 	if err != nil {
 		return nil, err
@@ -706,12 +663,8 @@ func (t *Tree[T]) sealLocked() (*TierStatus, error) {
 	}
 
 	if len(tr.ids) > 0 {
-		idx, err := t.opts.Build(t.opts.Space, tr.objs)
-		if err != nil {
-			return nil, fmt.Errorf("lsm: building tier %d index: %w", tr.seq, err)
-		}
-		tr.idx = idx
-		if err := persist.SaveFileFS(t.fs, idxPath(t.opts.Dir, tr.seq), idx); err != nil {
+		tr.idx = seqscan.New(t.opts.Space, tr.objs)
+		if err := persist.SaveFileFS(t.fs, idxPath(t.opts.Dir, tr.seq), tr.idx); err != nil {
 			return nil, t.degradeLocked(fmt.Errorf("writing tier %d index: %w", tr.seq, err))
 		}
 	}
@@ -772,11 +725,7 @@ func (t *Tree[T]) rotateWalLocked(newWalSeq uint64) error {
 	t.walSeq = newWalSeq
 	old.close()
 	t.fs.Remove(old.path)
-	dyn, err := t.opts.NewMemtable(t.opts.Space)
-	if err != nil {
-		return err
-	}
-	t.mem = &memtable[T]{dyn: dyn}
+	t.mem = &memtable[T]{dyn: seqscan.New[T](t.opts.Space, nil)}
 	t.segTombs = nil
 	return nil
 }
@@ -881,13 +830,8 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 		merged = nil // everything died; the inputs are replaced by nothing
 	} else {
 		if len(tr.ids) > 0 {
-			idx, err := t.opts.Build(t.opts.Space, tr.objs)
-			if err != nil {
-				fail(fmt.Errorf("lsm: building compacted index: %w", err))
-				return
-			}
-			tr.idx = idx
-			if err := persist.SaveFileFS(t.fs, idxPath(t.opts.Dir, seq), idx); err != nil {
+			tr.idx = seqscan.New(t.opts.Space, tr.objs)
+			if err := persist.SaveFileFS(t.fs, idxPath(t.opts.Dir, seq), tr.idx); err != nil {
 				failIO(fmt.Errorf("lsm: writing compacted index: %w", err))
 				return
 			}

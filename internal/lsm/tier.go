@@ -47,7 +47,10 @@ type tier[T any] struct {
 	blobs [][]byte // raw wire payloads, parallel to ids
 	objs  []T      // decoded objects, parallel to ids
 	tombs []uint32 // ascending global ids deleted during this segment
-	idx   index.Index[T]
+	// idx is an exact sequential scan over objs — correct for every space,
+	// and tiers are small next to the base corpus — built at seal time or
+	// loaded from the tier's index file.
+	idx index.Index[T]
 }
 
 // segPath / idxPath / walPath name the files of a sequence number.

@@ -157,6 +157,15 @@ func (p *Pivots[T]) OrderWith(s *Scratch, x T) []int32 {
 	return s.Order
 }
 
+// Ranks turns the pivot distances held in s.Dists into the permutation they
+// induce, into s.Perm (also returned): the second half of PermutationWith,
+// for callers that computed the distances themselves.
+func (s *Scratch) Ranks() []int32 {
+	s.Order = orderOf(s.Dists, s.Order)
+	s.Perm = invert(s.Order, s.Perm)
+	return s.Perm
+}
+
 // ClosestWith computes the n closest pivots of x, closest first, into
 // s.Order (also returned): exactly OrderWith(s, x)[:n], ties toward the
 // smaller pivot index included, without ordering the other m-n pivots. The
@@ -182,8 +191,8 @@ func (p *Pivots[T]) ClosestWith(s *Scratch, x T, n int) []int32 {
 // returned), reusing s.Dists and s.Order. Allocation-free once s has warmed
 // up.
 func (p *Pivots[T]) PermutationWith(s *Scratch, x T) []int32 {
-	s.Perm = invert(p.OrderWith(s, x), s.Perm)
-	return s.Perm
+	s.Dists = p.Distances(x, s.Dists)
+	return s.Ranks()
 }
 
 // orderOf argsorts dists by (distance, index). The generic slices sort keeps

@@ -39,13 +39,7 @@ func Kinds() []string { return codec.Kinds() }
 // registry and for indexes built over explicit (non-sampled) pivot sets.
 func Save[T any](w io.Writer, idx index.Index[T]) error {
 	switch v := any(idx).(type) {
-	case *core.BruteForceFilter[T]:
-		return v.Save(w)
-	case *core.BinFilter[T]:
-		return v.Save(w)
-	case *core.QuantFilter[T]:
-		return v.Save(w)
-	case *core.DistVecFilter[T]:
+	case *core.ScanFilter[T]:
 		return v.Save(w)
 	case *core.PPIndex[T]:
 		return v.Save(w)
@@ -83,14 +77,8 @@ func Load[T any](r io.Reader, sp space.Space[T], data []T) (index.Index[T], erro
 		return nil, err
 	}
 	switch kind := cr.Header().Kind; kind {
-	case codec.KindBruteForce:
-		return core.LoadBruteForceFilter(cr, sp, data)
-	case codec.KindBinFilter:
-		return core.LoadBinFilter(cr, sp, data)
-	case codec.KindQuantFilter:
-		return core.LoadQuantFilter(cr, sp, data)
-	case codec.KindDistVec:
-		return core.LoadDistVecFilter(cr, sp, data)
+	case codec.KindBruteForce, codec.KindBinFilter, codec.KindQuantFilter, codec.KindDistVec:
+		return core.LoadScanFilter(cr, sp, data)
 	case codec.KindPPIndex:
 		return core.LoadPPIndex(cr, sp, data)
 	case codec.KindMIFile:

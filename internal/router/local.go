@@ -25,7 +25,7 @@ type LocalShard[T any] struct {
 // the sockets cut out. It exists so the merge logic is unit-testable
 // against every registered index kind without a daemon, and so the sharded
 // query path can sit directly in benchmarks and the evaluation harness
-// (annbench -shards) next to its unsharded counterpart.
+// (`repro methods -shards`) next to its unsharded counterpart.
 //
 // Local implements index.Index[T]: a query probes the shards serially (the
 // calling worker is the unit of parallelism, as everywhere else on the

@@ -33,7 +33,7 @@
 // results[i] is always exactly what idx.Search(queries[i], 10) would have
 // returned in a serial loop — parallelism never changes answers, only
 // wall-clock time. The evaluation tools expose the same engine through
-// their -workers flag (e.g. cmd/annbench).
+// their -workers flag (e.g. `repro methods`).
 //
 // # Persistence
 //
@@ -239,18 +239,18 @@ type (
 )
 
 // NewBruteForceFilter builds the §2.2 brute-force permutation filter.
-func NewBruteForceFilter[T any](sp Space[T], data []T, opts BruteForceOptions) (*core.BruteForceFilter[T], error) {
+func NewBruteForceFilter[T any](sp Space[T], data []T, opts BruteForceOptions) (*core.ScanFilter[T], error) {
 	return core.NewBruteForceFilter(sp, data, opts)
 }
 
 // NewBinFilter builds the binarized (bit-packed, Hamming) filter.
-func NewBinFilter[T any](sp Space[T], data []T, opts BinFilterOptions) (*core.BinFilter[T], error) {
+func NewBinFilter[T any](sp Space[T], data []T, opts BinFilterOptions) (*core.ScanFilter[T], error) {
 	return core.NewBinFilter(sp, data, opts)
 }
 
 // NewQuantFilter builds the 4-bit quantized permutation-prefix filter:
 // nibble-packed rank signatures scanned with a SWAR Footrule kernel.
-func NewQuantFilter[T any](sp Space[T], data []T, opts QuantFilterOptions) (*core.QuantFilter[T], error) {
+func NewQuantFilter[T any](sp Space[T], data []T, opts QuantFilterOptions) (*core.ScanFilter[T], error) {
 	return core.NewQuantFilter(sp, data, opts)
 }
 
