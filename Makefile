@@ -70,10 +70,15 @@ bench-check:
 # internal/codec/testdata/fuzz (regenerate with WRITE_FUZZ_CORPUS=1 after
 # format changes). FuzzNAPPScan: NAPP's bit-sliced ScanCount kernel must
 # select the ids the list-merging reference selects, for any shape, threshold
-# and tombstone set the fuzzer picks.
+# and tombstone set the fuzzer picks. FuzzDecodeObject: the JSON object
+# decoder of every object type (queries, WAL-durable adds) must refuse or
+# return something its distances can be computed on and that survives its own
+# Encode; its seeds are kilobyte objects, so cap the minute the fuzzer would
+# otherwise spend minimizing each new input.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset/
 
 # Query hot-path microbenchmarks, one row per method over a warm 10k-point
 # index: an in-process convenience for a profile or a before/after look.

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
+	"repro/internal/space"
 )
 
 func main() {
@@ -26,19 +27,24 @@ func main() {
 	list := flag.Bool("list", false, "list generators, then exit")
 	flag.Parse()
 
-	names := []string{"sift", "cophir", "imagenet", "wiki-sparse", "wiki-8", "wiki-128", "dna"}
 	if *list {
-		fmt.Println(strings.Join(names, "\n"))
+		fmt.Println(strings.Join(dataset.Names(), "\n"))
 		return
 	}
 
-	switch *name {
-	case "sift":
-		summarizeDense(dataset.SIFT(*seed, *n), *samples)
-	case "cophir":
-		summarizeDense(dataset.CoPhIR(*seed, *n), *samples)
-	case "imagenet":
-		sigs := dataset.ImageNet(*seed, *n, dataset.SignatureOptions{})
+	fam, err := dataset.Lookup(*name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "datagen: %v (known: %s, or any wiki-<topics>)\n",
+			err, strings.Join(dataset.Names(), ", "))
+		os.Exit(2)
+	}
+	// One summary per object type; the table in internal/dataset decides
+	// which data set holds which.
+	switch f := fam.(type) {
+	case *dataset.Family[[]float32]:
+		summarizeDense(f.Gen(*seed, *n), *samples)
+	case *dataset.Family[space.Signature]:
+		sigs := f.Gen(*seed, *n)
 		var clusters int
 		for _, s := range sigs {
 			clusters += s.Clusters()
@@ -48,28 +54,24 @@ func main() {
 		for i := 0; i < *samples && i < len(sigs); i++ {
 			fmt.Printf("sample %d: %d clusters, weights %v\n", i, sigs[i].Clusters(), sigs[i].Weights)
 		}
-	case "wiki-sparse":
-		docs := dataset.WikiSparse(*seed, *n, dataset.WikiSparseOptions{})
+	case *dataset.Family[space.SparseVector]:
+		docs := f.Gen(*seed, *n)
 		var nnz int
 		for _, d := range docs {
 			nnz += d.NNZ()
 		}
-		fmt.Printf("records=%d avg-nnz=%.1f vocab=100000\n", len(docs), float64(nnz)/float64(len(docs)))
+		fmt.Printf("records=%d avg-nnz=%.1f vocab=%s\n", len(docs), float64(nnz)/float64(len(docs)), f.Dims())
 		for i := 0; i < *samples && i < len(docs); i++ {
 			fmt.Printf("sample %d: %d terms, norm %.3f\n", i, docs[i].NNZ(), docs[i].Norm)
 		}
-	case "wiki-8", "wiki-128":
-		topics := 8
-		if *name == "wiki-128" {
-			topics = 128
-		}
-		docs := dataset.WikiLDA(*seed, *n, topics)
-		fmt.Printf("records=%d topics=%d\n", len(docs), topics)
+	case *dataset.Family[space.Histogram]:
+		docs := f.Gen(*seed, *n)
+		fmt.Printf("records=%d topics=%s\n", len(docs), f.Dims())
 		for i := 0; i < *samples && i < len(docs); i++ {
-			fmt.Printf("sample %d: %v\n", i, docs[i].P[:min(8, topics)])
+			fmt.Printf("sample %d: %v\n", i, docs[i].P[:min(8, len(docs[i].P))])
 		}
-	case "dna":
-		seqs := dataset.DNA(*seed, *n, dataset.DNAOptions{})
+	case *dataset.Family[[]byte]:
+		seqs := f.Gen(*seed, *n)
 		lens := make([]int, len(seqs))
 		total := 0
 		for i, s := range seqs {
@@ -82,10 +84,6 @@ func main() {
 		for i := 0; i < *samples && i < len(seqs); i++ {
 			fmt.Printf("sample %d: %s\n", i, seqs[i])
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "datagen: unknown dataset %q (known: %s)\n",
-			*name, strings.Join(names, ", "))
-		os.Exit(2)
 	}
 }
 

@@ -67,7 +67,6 @@ import (
 	"repro/internal/persist"
 	"repro/internal/seqscan"
 	"repro/internal/server"
-	"repro/internal/space"
 	"repro/internal/vfs"
 	"repro/internal/vptree"
 )
@@ -202,35 +201,43 @@ func writeDemoSet(dir string) error {
 		nDense = 1500
 		nDNA   = 800
 	)
-	sift := dataset.SIFT(seed, nDense)
-	dna := dataset.DNA(seed, nDNA, dataset.DNAOptions{})
+	siftFam, err := dataset.Typed[[]float32]("sift")
+	if err != nil {
+		return err
+	}
+	dnaFam, err := dataset.Typed[[]byte]("dna")
+	if err != nil {
+		return err
+	}
+	sift, l2 := siftFam.Gen(seed, nDense), siftFam.Spaces()[0]
+	dna, normLeven := dnaFam.Gen(seed, nDNA), dnaFam.Spaces()[0]
 
-	if err := writeDemoIndex(dir, "sift-napp", server.Manifest{Dataset: "sift", Seed: seed, N: nDense},
+	if err := writeDemoIndex(dir, "sift-napp", server.Manifest{Dataset: siftFam.Name(), Seed: seed, N: nDense},
 		func() (index.Index[[]float32], error) {
-			return core.NewNAPP[[]float32](space.L2{}, sift, core.NAPPOptions{
+			return core.NewNAPP(l2, sift, core.NAPPOptions{
 				NumPivots: 128, NumPivotIndex: 16, MinShared: 1, Seed: seed,
 			})
 		}); err != nil {
 		return err
 	}
-	if err := writeDemoIndex(dir, "sift-seqscan", server.Manifest{Dataset: "sift", Seed: seed, N: nDense},
+	if err := writeDemoIndex(dir, "sift-seqscan", server.Manifest{Dataset: siftFam.Name(), Seed: seed, N: nDense},
 		func() (index.Index[[]float32], error) {
-			return seqscan.New[[]float32](space.L2{}, sift), nil
+			return seqscan.New(l2, sift), nil
 		}); err != nil {
 		return err
 	}
 	// The mutable demo: an exact base index plus a WAL-backed LSM tree, so
 	// add/delete/flush (and the ingest smoke test's kill -9 recovery) can
 	// be exercised out of the box.
-	if err := writeDemoIndex(dir, "sift-mutable", server.Manifest{Dataset: "sift", Seed: seed, N: nDense, Mutable: true},
+	if err := writeDemoIndex(dir, "sift-mutable", server.Manifest{Dataset: siftFam.Name(), Seed: seed, N: nDense, Mutable: true},
 		func() (index.Index[[]float32], error) {
-			return seqscan.New[[]float32](space.L2{}, sift), nil
+			return seqscan.New(l2, sift), nil
 		}); err != nil {
 		return err
 	}
-	return writeDemoIndex(dir, "dna-vptree", server.Manifest{Dataset: "dna", Seed: seed, N: nDNA},
+	return writeDemoIndex(dir, "dna-vptree", server.Manifest{Dataset: dnaFam.Name(), Seed: seed, N: nDNA},
 		func() (index.Index[[]byte], error) {
-			return vptree.New[[]byte](space.NormalizedLevenshtein{}, dna, vptree.Options{Seed: seed})
+			return vptree.New(normLeven, dna, vptree.Options{Seed: seed})
 		})
 }
 

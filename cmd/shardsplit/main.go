@@ -28,7 +28,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	permsearch "repro"
@@ -41,7 +40,7 @@ import (
 func main() {
 	out := flag.String("out", "", "output directory (required)")
 	set := flag.String("set", "", "shard-set name; also the served index name (required)")
-	ds := flag.String("dataset", "", "corpus generator: sift, cophir, dna, wiki-sparse, imagenet, wiki-<topics> (required)")
+	ds := flag.String("dataset", "", "corpus generator: "+strings.Join(dataset.Names(), ", ")+", or any wiki-<topics> (required)")
 	n := flag.Int("n", 5000, "full corpus size")
 	seed := flag.Int64("seed", 42, "corpus + index construction seed")
 	shards := flag.Int("shards", 2, "shard count S (1 writes an unsharded baseline)")
@@ -84,29 +83,27 @@ type spec struct {
 	generation        int64
 }
 
-// split dispatches on the dataset's object type, mirroring the serving
-// catalog's generator registry (internal/server).
+// split resolves the data set in the one table (internal/dataset) and does
+// the work at its object type, under the family's first (the paper's)
+// distance.
 func split(sp spec) error {
-	switch {
-	case sp.dataset == "sift":
-		return splitTyped(sp, dataset.SIFT(sp.seed, sp.n), permsearch.L2{})
-	case sp.dataset == "cophir":
-		return splitTyped(sp, dataset.CoPhIR(sp.seed, sp.n), permsearch.L2{})
-	case sp.dataset == "dna":
-		return splitTyped(sp, dataset.DNA(sp.seed, sp.n, dataset.DNAOptions{}), permsearch.NormalizedLevenshtein{})
-	case sp.dataset == "wiki-sparse":
-		return splitTyped(sp, dataset.WikiSparse(sp.seed, sp.n, dataset.WikiSparseOptions{}), permsearch.CosineDistance{})
-	case sp.dataset == "imagenet":
-		return splitTyped(sp, dataset.ImageNet(sp.seed, sp.n, dataset.SignatureOptions{}), permsearch.SQFD{})
-	case strings.HasPrefix(sp.dataset, "wiki-"):
-		topics, err := strconv.Atoi(strings.TrimPrefix(sp.dataset, "wiki-"))
-		if err != nil || topics <= 1 {
-			return fmt.Errorf("dataset %q is not wiki-<topics>", sp.dataset)
-		}
-		return splitTyped(sp, dataset.WikiLDA(sp.seed, sp.n, topics), permsearch.KLDivergence{})
-	default:
-		return fmt.Errorf("unknown dataset %q", sp.dataset)
+	fam, err := dataset.Lookup(sp.dataset)
+	if err != nil {
+		return err
 	}
+	switch f := fam.(type) {
+	case *dataset.Family[[]float32]:
+		return splitTyped(sp, f)
+	case *dataset.Family[[]byte]:
+		return splitTyped(sp, f)
+	case *dataset.Family[space.SparseVector]:
+		return splitTyped(sp, f)
+	case *dataset.Family[space.Histogram]:
+		return splitTyped(sp, f)
+	case *dataset.Family[space.Signature]:
+		return splitTyped(sp, f)
+	}
+	return fmt.Errorf("dataset %q holds an object type shardsplit cannot index", sp.dataset)
 }
 
 // methodNames lists the per-shard index kinds shardsplit can build.
@@ -139,7 +136,8 @@ func buildMethod[T any](method string, sp permsearch.Space[T], data []T, seed in
 // splitTyped does the work for one object type: partition, build a shard
 // index per subset, write servable shard directories, then the set
 // manifest.
-func splitTyped[T any](sp spec, data []T, dist space.Space[T]) error {
+func splitTyped[T any](sp spec, fam *dataset.Family[T]) error {
+	data, dist := fam.Gen(sp.seed, sp.n), fam.Spaces()[0]
 	ids, err := shard.IDs(sp.partitioner, len(data), sp.shards)
 	if err != nil {
 		return err

@@ -7,6 +7,12 @@
 // function. See DESIGN.md §2.4 for the substitution rationale.
 //
 // All generators are deterministic functions of (seed, n).
+//
+// family.go holds the one data-set table of the repository: Lookup maps a
+// data-set name to its Family — generator with its option defaults, admitted
+// distances, and the JSON codec of one object. The serving daemon, the
+// offline partitioner, the rollout gate, the experiment registry and datagen
+// all resolve names there; none of them names a generator itself.
 package dataset
 
 import (
@@ -18,14 +24,6 @@ import (
 	"repro/internal/space"
 	"repro/internal/synth"
 )
-
-// Info summarizes a generated data set the way Table 1 of the paper does.
-type Info struct {
-	Name     string // e.g. "sift"
-	Distance string // e.g. "l2"
-	N        int
-	Dims     string // "282", "128", or "N/A" for variable-size objects
-}
 
 // CoPhIR generates n MPEG7-descriptor-like vectors: 282 dimensions, values
 // in [0, 255], drawn from an anisotropic Gaussian mixture. Compared with L2

@@ -49,13 +49,10 @@ type sweep[T any] struct {
 
 // combo is the generic Runner implementation for one data set / distance.
 type combo[T any] struct {
-	name     string
-	distName string
-	dims     string
-	sp       space.Space[T]
-	gen      func(seed int64, n int) []T
-	bytesOf  func(T) int64
-	sweeps   func(cfg Config, n int) []sweep[T]
+	name string
+	corpus[T]
+	bytesOf func(T) int64
+	sweeps  func(cfg Config, n int) []sweep[T]
 	// randProj returns a random-projection function into dim dimensions
 	// and whether the projected space uses cosine distance (Wiki-sparse)
 	// instead of L2; nil when the paper has no rand-proj panel for this
@@ -68,30 +65,30 @@ type combo[T any] struct {
 func (c *combo[T]) Name() string { return c.name }
 
 // Distance implements Runner.
-func (c *combo[T]) Distance() string { return c.distName }
+func (c *combo[T]) Distance() string { return c.sp.Name() }
 
 // Dims implements Runner.
-func (c *combo[T]) Dims() string { return c.dims }
+func (c *combo[T]) Dims() string { return c.fam.Dims() }
 
 // Table1 implements Runner: name, distance, #rec, brute-force 10-NN time,
 // in-memory size, dims.
 func (c *combo[T]) Table1(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
-	data := c.gen(cfg.Seed, cfg.N)
+	data := c.fam.Gen(cfg.Seed, cfg.N)
 	db, queries := data[:len(data)-cfg.Queries], data[len(data)-cfg.Queries:]
 	bruteTime, _ := eval.BruteTime(c.sp, db, queries, cfg.K)
 	var bytes int64
 	for _, x := range data {
 		bytes += c.bytesOf(x)
 	}
-	return tsv(w, c.name, c.distName, cfg.N, bruteTime,
-		fmt.Sprintf("%.1fMB", float64(bytes)/(1<<20)), c.dims)
+	return tsv(w, c.name, c.Distance(), cfg.N, bruteTime,
+		fmt.Sprintf("%.1fMB", float64(bytes)/(1<<20)), c.Dims())
 }
 
 // Table2 implements Runner: per-method index size and creation time.
 func (c *combo[T]) Table2(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
-	data := c.gen(cfg.Seed, cfg.N)
+	data := c.fam.Gen(cfg.Seed, cfg.N)
 	for _, s := range c.sweeps(cfg, len(data)) {
 		if !s.table2 {
 			continue
@@ -127,7 +124,7 @@ func (c *combo[T]) Figure2(cfg Config, projDim, pairs int, w io.Writer) error {
 	if pairs <= 0 {
 		pairs = 250
 	}
-	data := c.gen(cfg.Seed, cfg.N)
+	data := c.fam.Gen(cfg.Seed, cfg.N)
 	r := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	type pair struct {
@@ -225,7 +222,7 @@ func (c *combo[T]) Figure3(cfg Config, dims []int, w io.Writer) error {
 	if len(dims) == 0 {
 		dims = []int{16, 64, 256, 1024}
 	}
-	data := c.gen(cfg.Seed, cfg.N)
+	data := c.fam.Gen(cfg.Seed, cfg.N)
 	db, queries := data[:len(data)-cfg.Queries], data[len(data)-cfg.Queries:]
 	truth := eval.GroundTruth(c.sp, db, queries, cfg.K)
 
@@ -389,7 +386,7 @@ func (c *combo[T]) RunMethods(cfg Config, methods []string, w io.Writer) error {
 		}
 		return false
 	}
-	data := c.gen(cfg.Seed, cfg.N)
+	data := c.fam.Gen(cfg.Seed, cfg.N)
 	r := rand.New(rand.NewSource(cfg.Seed + 4))
 	splits, err := eval.Splits(r, len(data), cfg.Queries, cfg.Folds)
 	if err != nil {

@@ -16,8 +16,6 @@ var (
 	genericAlphas = []float64{0.25, 0.5, 1, 2, 4, 8}
 )
 
-func denseBytes(v []float32) int64 { return int64(len(v))*4 + 24 }
-
 // denseRandProj returns a dense Gaussian projector factory for vectors of
 // dimensionality dim.
 func denseRandProj(inDim int) func(seed int64, out int) func([]float32) []float32 {
@@ -30,57 +28,55 @@ func denseRandProj(inDim int) func(seed int64, out int) func([]float32) []float3
 	}
 }
 
-func init() {
-	// SIFT: 128-d visual descriptors under L2 (Figure 4a, 2a/2e, 3a/3d).
-	registry = append(registry, &combo[[]float32]{
-		name:     "sift",
-		distName: "l2",
-		dims:     "128",
-		sp:       space.L2{},
-		gen:      dataset.SIFT,
-		bytesOf:  denseBytes,
-		randProj: denseRandProj(128),
-		sweeps: func(cfg Config, n int) []sweep[[]float32] {
-			return []sweep[[]float32]{
-				vptreeSweep[[]float32](metricAlphas, 1, cfg.Seed),
-				mplshSweep(cfg.Seed),
-				swSweep[[]float32](cfg.K, cfg.Seed),
-				nappSweep[[]float32](n, cfg.Seed),
-				bfSweep[[]float32](n, cfg.Seed),
-			}
-		},
-	})
+// corpus is a registry row's data set and distance, both resolved in the
+// data-set table (internal/dataset): the family's generator and Table 1
+// dims, and one of the distances it admits.
+type corpus[T any] struct {
+	fam *dataset.Family[T]
+	sp  space.Space[T]
+}
 
+// from resolves a registry row; a name or tag the table refuses is a typo
+// in this file.
+func from[T any](family, dist string) corpus[T] {
+	fam, err := dataset.Typed[T](family)
+	if err != nil {
+		panic("experiments: registry: " + err.Error())
+	}
+	sp, err := fam.Space(dist)
+	if err != nil {
+		panic("experiments: registry: " + err.Error())
+	}
+	return corpus[T]{fam, sp}
+}
+
+func init() {
+	// SIFT: 128-d visual descriptors under L2 (Figure 4a, 2a/2e, 3a/3d);
 	// CoPhIR: 282-d MPEG7 descriptors under L2 (Figure 4b).
-	registry = append(registry, &combo[[]float32]{
-		name:     "cophir",
-		distName: "l2",
-		dims:     "282",
-		sp:       space.L2{},
-		gen:      dataset.CoPhIR,
-		bytesOf:  denseBytes,
-		randProj: denseRandProj(282),
-		sweeps: func(cfg Config, n int) []sweep[[]float32] {
-			return []sweep[[]float32]{
-				vptreeSweep[[]float32](metricAlphas, 1, cfg.Seed),
-				mplshSweep(cfg.Seed),
-				swSweep[[]float32](cfg.K, cfg.Seed),
-				nappSweep[[]float32](n, cfg.Seed),
-				bfSweep[[]float32](n, cfg.Seed),
-			}
-		},
-	})
+	dense := func(name string, dim int) *combo[[]float32] {
+		return &combo[[]float32]{
+			name:     name,
+			corpus:   from[[]float32](name, "l2"),
+			bytesOf:  func(v []float32) int64 { return int64(len(v))*4 + 24 },
+			randProj: denseRandProj(dim),
+			sweeps: func(cfg Config, n int) []sweep[[]float32] {
+				return []sweep[[]float32]{
+					vptreeSweep[[]float32](metricAlphas, 1, cfg.Seed),
+					mplshSweep(cfg.Seed),
+					swSweep[[]float32](cfg.K, cfg.Seed),
+					nappSweep[[]float32](n, cfg.Seed),
+					bfSweep[[]float32](n, cfg.Seed),
+				}
+			},
+		}
+	}
+	registry = append(registry, dense("sift", 128), dense("cophir", 282))
 
 	// ImageNet: SQFD signatures (Figure 4c, 3h); expensive metric
 	// distance, so the binarized filter competes here.
 	registry = append(registry, &combo[space.Signature]{
-		name:     "imagenet",
-		distName: "sqfd",
-		dims:     "N/A",
-		sp:       space.SQFD{},
-		gen: func(seed int64, n int) []space.Signature {
-			return dataset.ImageNet(seed, n, dataset.SignatureOptions{})
-		},
+		name:   "imagenet",
+		corpus: from[space.Signature]("imagenet", "sqfd"),
 		bytesOf: func(s space.Signature) int64 {
 			return int64(len(s.Weights))*4 + int64(len(s.Centroids))*4 + 48
 		},
@@ -99,13 +95,8 @@ func init() {
 	// Wiki-sparse: sparse TF-IDF under cosine distance (Figure 4i,
 	// 2b/2f, 3b/3e).
 	registry = append(registry, &combo[space.SparseVector]{
-		name:     "wiki-sparse",
-		distName: "cosine",
-		dims:     "100000",
-		sp:       space.CosineDistance{},
-		gen: func(seed int64, n int) []space.SparseVector {
-			return dataset.WikiSparse(seed, n, dataset.WikiSparseOptions{})
-		},
+		name:    "wiki-sparse",
+		corpus:  from[space.SparseVector]("wiki-sparse", "cosine"),
 		bytesOf: func(v space.SparseVector) int64 { return int64(v.NNZ())*8 + 32 },
 		randProj: func(seed int64, out int) func(space.SparseVector) []float32 {
 			p, err := projection.NewSparse(seed, out)
@@ -127,15 +118,10 @@ func init() {
 
 	// Wiki-8 / Wiki-128 topic histograms under KL- and JS-divergence
 	// (Figures 4d/4e/4g/4h, 2c/2g/2h, 3c/3f/3i).
-	histo := func(name string, topics int, sp space.Space[space.Histogram], beta float64, withNNDescent bool) *combo[space.Histogram] {
+	histo := func(name, family, dist string, beta float64, withNNDescent bool) *combo[space.Histogram] {
 		return &combo[space.Histogram]{
-			name:     name,
-			distName: sp.Name(),
-			dims:     itoa(topics),
-			sp:       sp,
-			gen: func(seed int64, n int) []space.Histogram {
-				return dataset.WikiLDA(seed, n, topics)
-			},
+			name:    name,
+			corpus:  from[space.Histogram](family, dist),
 			bytesOf: func(h space.Histogram) int64 { return int64(len(h.P))*8 + 24 },
 			sweeps: func(cfg Config, n int) []sweep[space.Histogram] {
 				out := []sweep[space.Histogram]{
@@ -152,22 +138,17 @@ func init() {
 		}
 	}
 	registry = append(registry,
-		histo("wiki-8-kl", 8, space.KLDivergence{}, 2, false),
-		histo("wiki-8-js", 8, space.JSDivergence{}, 1, true),
-		histo("wiki-128-kl", 128, space.KLDivergence{}, 2, false),
-		histo("wiki-128-js", 128, space.JSDivergence{}, 1, false),
+		histo("wiki-8-kl", "wiki-8", "kldiv", 2, false),
+		histo("wiki-8-js", "wiki-8", "jsdiv", 1, true),
+		histo("wiki-128-kl", "wiki-128", "kldiv", 2, false),
+		histo("wiki-128-js", "wiki-128", "jsdiv", 1, false),
 	)
 
 	// DNA: normalized Levenshtein over short reads (Figure 4f, 2d, 3g);
 	// the binarized filter is the paper's winner here.
 	registry = append(registry, &combo[[]byte]{
-		name:     "dna",
-		distName: "normleven",
-		dims:     "N/A",
-		sp:       space.NormalizedLevenshtein{},
-		gen: func(seed int64, n int) [][]byte {
-			return dataset.DNA(seed, n, dataset.DNAOptions{})
-		},
+		name:    "dna",
+		corpus:  from[[]byte]("dna", "normleven"),
 		bytesOf: func(s []byte) int64 { return int64(len(s)) + 24 },
 		sweeps: func(cfg Config, n int) []sweep[[]byte] {
 			return []sweep[[]byte]{
@@ -181,19 +162,4 @@ func init() {
 			}
 		},
 	})
-}
-
-// itoa avoids importing strconv for one call site.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -13,7 +13,7 @@ import (
 // grid search of package vptree on a held-out query sample.
 func (c *combo[T]) tuneVPTree(cfg Config, target float64) (TuneResult, error) {
 	cfg = cfg.withDefaults()
-	data := c.gen(cfg.Seed, cfg.N)
+	data := c.fam.Gen(cfg.Seed, cfg.N)
 	db, queries := data[:len(data)-cfg.Queries], data[len(data)-cfg.Queries:]
 	alpha, recall, err := vptree.Tune(c.sp, db, queries, cfg.K, target, vptree.Options{
 		Beta: c.vptreeBeta(), Seed: cfg.Seed,
@@ -27,7 +27,7 @@ func (c *combo[T]) tuneVPTree(cfg Config, target float64) (TuneResult, error) {
 // vptreeBeta returns the polynomial-pruner exponent for this space (2 for
 // the KL-divergence per §3.2, 1 otherwise).
 func (c *combo[T]) vptreeBeta() float64 {
-	if c.distName == "kldiv" {
+	if c.Distance() == "kldiv" {
 		return 2
 	}
 	return 1
@@ -39,7 +39,7 @@ func (c *combo[T]) vptreeBeta() float64 {
 // achieves a desired recall" — expressed over decreasing candidate budgets).
 func (c *combo[T]) tuneNAPP(cfg Config, target float64) (TuneResult, error) {
 	cfg = cfg.withDefaults()
-	data := c.gen(cfg.Seed, cfg.N)
+	data := c.fam.Gen(cfg.Seed, cfg.N)
 	db, queries := data[:len(data)-cfg.Queries], data[len(data)-cfg.Queries:]
 	truth := eval.GroundTruth(c.sp, db, queries, cfg.K)
 

@@ -18,47 +18,18 @@ import (
 const goldenSeedOffset = 1_000_003
 
 // GoldenQueries generates q deterministic probe queries for a dataset, in
-// the serving wire encoding, for the golden rollout gate. Supported
-// datasets are the dense-vector and string families (sift, cophir, dna) —
-// the ones the sharding pipeline serves; others error rather than probe
-// with a wrong-shaped query.
+// the serving wire encoding, for the golden rollout gate: any name
+// dataset.Lookup resolves has probes, encoded by the same family whose
+// Decode the serving daemon runs on them.
 func GoldenQueries(ds string, seed int64, q int) ([]json.RawMessage, error) {
 	if q <= 0 {
 		return nil, fmt.Errorf("rollout: golden query count must be positive, got %d", q)
 	}
-	qseed := seed + goldenSeedOffset
-	out := make([]json.RawMessage, 0, q)
-	marshal := func(v any) error {
-		blob, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		out = append(out, blob)
-		return nil
+	fam, err := dataset.Lookup(ds)
+	if err != nil {
+		return nil, fmt.Errorf("rollout: golden queries: %w", err)
 	}
-	switch ds {
-	case "sift":
-		for _, v := range dataset.SIFT(qseed, q) {
-			if err := marshal(v); err != nil {
-				return nil, err
-			}
-		}
-	case "cophir":
-		for _, v := range dataset.CoPhIR(qseed, q) {
-			if err := marshal(v); err != nil {
-				return nil, err
-			}
-		}
-	case "dna":
-		for _, s := range dataset.DNA(qseed, q, dataset.DNAOptions{}) {
-			if err := marshal(string(s)); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("rollout: no golden query generator for dataset %q", ds)
-	}
-	return out, nil
+	return fam.Queries(seed+goldenSeedOffset, q)
 }
 
 // goldenRun is one pass of the golden suite: the answer id sets per query

@@ -8,6 +8,8 @@ package rollout_test
 // skipping (only) dead replicas.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -476,8 +478,9 @@ func TestTopologyRoundtrip(t *testing.T) {
 	}
 }
 
-// TestGoldenQueries: deterministic, dataset-typed, and refusing datasets
-// without a generator.
+// TestGoldenQueries: deterministic, byte-stable, generated for every data
+// set the catalog resolves in a form that family's Decode accepts, and
+// refusing names it does not resolve.
 func TestGoldenQueries(t *testing.T) {
 	a, err := rollout.GoldenQueries("dna", roSeed, 4)
 	if err != nil {
@@ -499,13 +502,73 @@ func TestGoldenQueries(t *testing.T) {
 	if err := json.Unmarshal(a[0], &s); err != nil || s == "" {
 		t.Fatalf("dna query %s is not a JSON string: %v", a[0], err)
 	}
-	if v, err := rollout.GoldenQueries("sift", roSeed, 2); err != nil || len(v) != 2 {
-		t.Fatalf("sift queries: %v", err)
+	// The probes' bytes, captured before GoldenQueries moved onto the
+	// data-set table: the seed offset and the wire form did not move.
+	wantDNA := []string{
+		`"GCTGCTCACCAACCTGCTGCTGCTTGCTGCTGCTGCTGCT"`,
+		`"AGAGAGAGAGAGAGAGAGA"`,
+		`"TGGTTGCTGCTGCTGGTTGGTTGCTGCTGCTGCTGCTGCTT"`,
 	}
-	if _, err := rollout.GoldenQueries("imagenet", roSeed, 2); err == nil {
-		t.Error("unsupported dataset accepted")
+	for i, want := range wantDNA {
+		if string(a[i]) != want {
+			t.Errorf("dna probe %d = %s, want %s", i, a[i], want)
+		}
+	}
+	for ds, want := range map[string]string{
+		"sift":   "d4970a3db6d85ce38540ac786702b2ff9637ac415e380bfc9b35b834017fdbe9",
+		"cophir": "c713bcf38afa2441c7f2d47b238a230ba529eb60f9ed81a1ba2e936eb2219911",
+	} {
+		v, err := rollout.GoldenQueries(ds, roSeed, 3)
+		if err != nil || len(v) != 3 {
+			t.Fatalf("%s queries: %d, %v", ds, len(v), err)
+		}
+		h := sha256.New()
+		for _, q := range v {
+			h.Write(q)
+			h.Write([]byte{'\n'})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%s probes hash to %s, want %s", ds, got, want)
+		}
+	}
+	for _, ds := range []string{"imagenet", "wiki-sparse", "wiki-8"} {
+		probes, err := rollout.GoldenQueries(ds, roSeed, 2)
+		if err != nil || len(probes) != 2 {
+			t.Fatalf("%s queries: %d, %v", ds, len(probes), err)
+		}
+		fam, err := dataset.Lookup(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch f := fam.(type) {
+		case *dataset.Family[space.Signature]:
+			decodeProbes(t, f, probes)
+		case *dataset.Family[space.SparseVector]:
+			decodeProbes(t, f, probes)
+		case *dataset.Family[space.Histogram]:
+			decodeProbes(t, f, probes)
+		default:
+			t.Fatalf("%s: unexpected family type %T", ds, fam)
+		}
+	}
+	for _, ds := range []string{"nope", "wiki-x", "wiki-1"} {
+		if _, err := rollout.GoldenQueries(ds, roSeed, 2); err == nil {
+			t.Errorf("unknown dataset %q accepted", ds)
+		}
 	}
 	if _, err := rollout.GoldenQueries("dna", roSeed, 0); err == nil {
 		t.Error("zero query count accepted")
+	}
+}
+
+// decodeProbes requires every probe to be an object the family's own Decode
+// accepts against a member of the corpus the probes are for.
+func decodeProbes[T any](t *testing.T, f *dataset.Family[T], probes []json.RawMessage) {
+	t.Helper()
+	like := f.Gen(roSeed, 1)[0]
+	for i, p := range probes {
+		if _, err := f.Decode(p, like); err != nil {
+			t.Errorf("%s probe %d does not decode: %v", f.Name(), i, err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/codec"
@@ -25,8 +24,7 @@ import (
 // needs no manifest entry: every distance in this repository is a
 // parameterless value reconstructable from the file header's space tag.
 type Manifest struct {
-	// Dataset names the generator: "sift", "cophir", "dna", "wiki-sparse",
-	// "imagenet", or "wiki-<topics>" (e.g. "wiki-8") for LDA histograms.
+	// Dataset names the generator: any name dataset.Lookup resolves.
 	Dataset string `json:"dataset"`
 	// Seed and N parameterize the generator: the *full* corpus is
 	// gen(Seed, N). Without a Shard stamp, N must equal the data-set size
@@ -79,7 +77,7 @@ type servedIndex interface {
 // indexes, tree wraps idx so searches cover tiers and memtable too.
 type typedIndex[T any] struct {
 	idx  index.Index[T]
-	dec  func(json.RawMessage) (T, error)
+	dec  func(raw []byte) (T, error)
 	ids  []uint32
 	tree *lsm.Tree[T]
 }
@@ -134,10 +132,12 @@ func (t *typedIndex[T]) searchBatch(raws []json.RawMessage, opts index.Options, 
 	return outs, nil
 }
 
-// loadServed loads the entry's index file per its manifest: regenerate the
-// corpus named by the manifest, resolve the space from the file header, and
-// reconstruct the index over both. For a mutable manifest it also opens (or
-// reuses — the tree outlives snapshots) the entry's LSM tree.
+// loadServed loads the entry's index file per its manifest: look the
+// manifest's data set up in the one table (internal/dataset), regenerate its
+// corpus, resolve the space from the file header among the distances the
+// family admits, and reconstruct the index over both. For a mutable manifest
+// it also opens (or reuses — the tree outlives snapshots) the entry's LSM
+// tree.
 func loadServed(e *entry, man Manifest) (servedIndex, codec.Header, error) {
 	path := e.path
 	hdr, err := persist.PeekHeader(path)
@@ -147,37 +147,30 @@ func loadServed(e *entry, man Manifest) (servedIndex, codec.Header, error) {
 	if man.N <= 0 {
 		return nil, hdr, fmt.Errorf("manifest: n must be positive, got %d", man.N)
 	}
-	switch {
-	case man.Dataset == "sift":
-		data := dataset.SIFT(man.Seed, man.N)
-		return loadTyped(e, hdr, man, data, denseSpace, decodeDense(len(data[0])))
-	case man.Dataset == "cophir":
-		data := dataset.CoPhIR(man.Seed, man.N)
-		return loadTyped(e, hdr, man, data, denseSpace, decodeDense(len(data[0])))
-	case man.Dataset == "dna":
-		return loadTyped(e, hdr, man, dataset.DNA(man.Seed, man.N, dataset.DNAOptions{}), stringSpace, decodeString)
-	case man.Dataset == "wiki-sparse":
-		return loadTyped(e, hdr, man, dataset.WikiSparse(man.Seed, man.N, dataset.WikiSparseOptions{}), sparseSpace, decodeSparse)
-	case man.Dataset == "imagenet":
-		data := dataset.ImageNet(man.Seed, man.N, dataset.SignatureOptions{})
-		return loadTyped(e, hdr, man, data, signatureSpace, decodeSignature(data[0].Dim))
-	case strings.HasPrefix(man.Dataset, "wiki-"):
-		topics, err := strconv.Atoi(strings.TrimPrefix(man.Dataset, "wiki-"))
-		if err != nil || topics <= 1 {
-			return nil, hdr, fmt.Errorf("manifest: dataset %q is not wiki-<topics>", man.Dataset)
-		}
-		return loadTyped(e, hdr, man, dataset.WikiLDA(man.Seed, man.N, topics), histogramSpace, decodeHistogram(topics))
-	default:
-		return nil, hdr, fmt.Errorf("manifest: unknown dataset %q", man.Dataset)
+	fam, err := dataset.Lookup(man.Dataset)
+	if err != nil {
+		return nil, hdr, fmt.Errorf("manifest: %w", err)
 	}
+	switch f := fam.(type) {
+	case *dataset.Family[[]float32]:
+		return loadTyped(e, hdr, man, f)
+	case *dataset.Family[[]byte]:
+		return loadTyped(e, hdr, man, f)
+	case *dataset.Family[space.SparseVector]:
+		return loadTyped(e, hdr, man, f)
+	case *dataset.Family[space.Histogram]:
+		return loadTyped(e, hdr, man, f)
+	case *dataset.Family[space.Signature]:
+		return loadTyped(e, hdr, man, f)
+	}
+	return nil, hdr, fmt.Errorf("manifest: dataset %q holds an object type this server cannot load", man.Dataset)
 }
 
-// loadTyped finishes loadServed for one object type: carve the shard subset
-// when the manifest carries a stamp, resolve the space the file was built
-// under, load, and attach the entry's mutable tree when the manifest asks
-// for one.
-func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, data []T,
-	spOf func(string) (space.Space[T], error), dec func(json.RawMessage) (T, error)) (servedIndex, codec.Header, error) {
+// loadTyped finishes loadServed at the family's object type: resolve the
+// space the file was built under, generate the corpus, carve the shard subset
+// when the manifest carries a stamp, load, and attach the entry's mutable
+// tree when the manifest asks for one.
+func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, fam *dataset.Family[T]) (servedIndex, codec.Header, error) {
 	path := e.path
 	if man.Mutable && man.Shard != nil {
 		return nil, hdr, fmt.Errorf("%s: manifest: mutable and shard are incompatible", path)
@@ -192,14 +185,21 @@ func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, data []T,
 		if err != nil {
 			return nil, hdr, fmt.Errorf("%s: %w", path, err)
 		}
+	}
+	sp, err := fam.Space(hdr.Space)
+	if err != nil {
+		return nil, hdr, fmt.Errorf("%s: %w", path, err)
+	}
+	data := fam.Gen(man.Seed, man.N)
+	// Queries and added objects must have the corpus's shape; any member
+	// shows it.
+	like := data[0]
+	dec := func(raw []byte) (T, error) { return fam.Decode(raw, like) }
+	if man.Shard != nil {
 		// The per-kind loader verifies hdr.N against the data slice it
 		// receives, so handing it the subset enforces "header records the
 		// subset size" for free.
 		data = shard.Subset(data, ids)
-	}
-	sp, err := spOf(hdr.Space)
-	if err != nil {
-		return nil, hdr, fmt.Errorf("%s: %w", path, err)
 	}
 	idx, err := persist.LoadFile(path, sp, data)
 	if err != nil {
@@ -214,7 +214,7 @@ func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, data []T,
 			// Added objects arrive as JSON in the same encoding queries
 			// use; the tree stores those raw bytes (WAL + tier segments)
 			// and re-decodes them on recovery.
-			Decode: func(raw []byte) (T, error) { return dec(json.RawMessage(raw)) },
+			Decode: dec,
 		})
 		if err != nil {
 			return nil, hdr, fmt.Errorf("%s: mutable tier: %w", path, err)
@@ -222,131 +222,4 @@ func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, data []T,
 		ti.tree = tree
 	}
 	return ti, hdr, nil
-}
-
-// Space resolution per object type. The header's space tag names a
-// parameterless value; an unknown tag for the manifest's object type means
-// the file and manifest disagree.
-
-func denseSpace(name string) (space.Space[[]float32], error) {
-	switch name {
-	case "l2":
-		return space.L2{}, nil
-	case "l1":
-		return space.L1{}, nil
-	}
-	return nil, fmt.Errorf("no dense-vector space %q", name)
-}
-
-func stringSpace(name string) (space.Space[[]byte], error) {
-	switch name {
-	case "normleven":
-		return space.NormalizedLevenshtein{}, nil
-	case "leven":
-		return space.Levenshtein{}, nil
-	}
-	return nil, fmt.Errorf("no byte-string space %q", name)
-}
-
-func sparseSpace(name string) (space.Space[space.SparseVector], error) {
-	if name == "cosine" {
-		return space.CosineDistance{}, nil
-	}
-	return nil, fmt.Errorf("no sparse-vector space %q", name)
-}
-
-func histogramSpace(name string) (space.Space[space.Histogram], error) {
-	switch name {
-	case "kldiv":
-		return space.KLDivergence{}, nil
-	case "jsdiv":
-		return space.JSDivergence{}, nil
-	}
-	return nil, fmt.Errorf("no histogram space %q", name)
-}
-
-func signatureSpace(name string) (space.Space[space.Signature], error) {
-	if name == "sqfd" {
-		return space.SQFD{}, nil
-	}
-	return nil, fmt.Errorf("no signature space %q", name)
-}
-
-// Query decoders: the JSON shape of one query per object type. Shapes that
-// must agree with the corpus (vector and histogram dimensionality, signature
-// feature dim — the distance functions panic or silently mis-answer on a
-// mismatch) are validated here, so a wrong-shaped query is a 400 to its
-// sender, never a cancelled batch or a wrong answer.
-
-// decodeDense decodes a dense vector of the corpus dimensionality:
-// [0.5, 1, ...].
-func decodeDense(dim int) func(json.RawMessage) ([]float32, error) {
-	return func(raw json.RawMessage) ([]float32, error) {
-		var v []float32
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, err
-		}
-		if len(v) != dim {
-			return nil, fmt.Errorf("vector has %d dimensions, index corpus has %d", len(v), dim)
-		}
-		return v, nil
-	}
-}
-
-// decodeString decodes a byte string: "ACGT".
-func decodeString(raw json.RawMessage) ([]byte, error) {
-	var s string
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, err
-	}
-	return []byte(s), nil
-}
-
-// decodeHistogram decodes a probability histogram over the corpus's bin
-// count: [0.2, 0.8, ...] (floored and renormalized exactly like the data
-// set's preprocessing).
-func decodeHistogram(bins int) func(json.RawMessage) (space.Histogram, error) {
-	return func(raw json.RawMessage) (space.Histogram, error) {
-		var v []float32
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return space.Histogram{}, err
-		}
-		if len(v) != bins {
-			return space.Histogram{}, fmt.Errorf("histogram has %d bins, index corpus has %d", len(v), bins)
-		}
-		return space.NewHistogram(v), nil
-	}
-}
-
-// decodeSparse decodes a sparse vector: {"idx": [3, 17], "val": [0.5, 1.25]}.
-// Sparse cosine imposes no dimensionality; NewSparseVector validates the
-// pair shape and ordering.
-func decodeSparse(raw json.RawMessage) (space.SparseVector, error) {
-	var v struct {
-		Idx []int32   `json:"idx"`
-		Val []float32 `json:"val"`
-	}
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return space.SparseVector{}, err
-	}
-	return space.NewSparseVector(v.Idx, v.Val)
-}
-
-// decodeSignature decodes an SQFD signature with the corpus's feature
-// dimensionality: {"weights": [...], "centroids": [...], "dim": 7}.
-func decodeSignature(dim int) func(json.RawMessage) (space.Signature, error) {
-	return func(raw json.RawMessage) (space.Signature, error) {
-		var v struct {
-			Weights   []float32 `json:"weights"`
-			Centroids []float32 `json:"centroids"`
-			Dim       int       `json:"dim"`
-		}
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return space.Signature{}, err
-		}
-		if v.Dim != dim {
-			return space.Signature{}, fmt.Errorf("signature has dim %d, index corpus has %d", v.Dim, dim)
-		}
-		return space.NewSignature(v.Weights, v.Centroids, v.Dim)
-	}
 }

@@ -26,39 +26,20 @@ import (
 // the tree holds unsealed writes is refused with 409 until a flush seals
 // them — so neither side can ever observe the other half-done.
 
-// servedTree is the type-erased face of an entry's mutable tree; the HTTP
-// layer never sees the object type.
+// servedTree is the type-erased face of an entry's mutable tree: the
+// methods of *lsm.Tree[T] that do not mention T, so the HTTP layer never
+// sees the object type.
 type servedTree interface {
-	add(raws []json.RawMessage) ([]uint32, error)
-	remove(ids []uint32) error
-	flush() (*lsm.TierStatus, error)
-	treeStatus() lsm.Status
-	// live is the live object count: the one number of treeStatus a search
+	AddBatch(raws [][]byte) ([]uint32, error)
+	DeleteBatch(ids []uint32) error
+	Flush() (*lsm.TierStatus, error)
+	Status() lsm.Status
+	// Live is the live object count: the one number of Status a search
 	// needs (its k cap), without building the rest per request.
-	live() int
-	unsealed() int
-	close() error
+	Live() int
+	Unsealed() int
+	Close() error
 }
-
-// typedTree adapts one concrete lsm.Tree[T] to servedTree.
-type typedTree[T any] struct {
-	tree *lsm.Tree[T]
-}
-
-func (t *typedTree[T]) add(raws []json.RawMessage) ([]uint32, error) {
-	bufs := make([][]byte, len(raws))
-	for i, raw := range raws {
-		bufs[i] = []byte(raw)
-	}
-	return t.tree.AddBatch(bufs)
-}
-
-func (t *typedTree[T]) remove(ids []uint32) error       { return t.tree.DeleteBatch(ids) }
-func (t *typedTree[T]) flush() (*lsm.TierStatus, error) { return t.tree.Flush() }
-func (t *typedTree[T]) treeStatus() lsm.Status          { return t.tree.Status() }
-func (t *typedTree[T]) live() int                       { return t.tree.Live() }
-func (t *typedTree[T]) unsealed() int                   { return t.tree.Unsealed() }
-func (t *typedTree[T]) close() error                    { return t.tree.Close() }
 
 // treeIndex adapts (base index, tree) to index.Index so the batch engine
 // fans a mutable entry's queries out like any other index's. A query the
@@ -85,24 +66,24 @@ func (ti treeIndex[T]) Name() string { return ti.base.Name() + "+lsm" }
 // single-threaded and Reload holds both reloadMu and the ingest lock.
 func openTree[T any](e *entry, man Manifest, data []T, opts lsm.Options[T]) (*lsm.Tree[T], error) {
 	if e.tree != nil {
-		tt, ok := e.tree.(*typedTree[T])
+		tree, ok := e.tree.(*lsm.Tree[T])
 		if !ok {
 			return nil, fmt.Errorf("mutable index changed object type across reloads")
 		}
-		if tt.tree.BaseN() != len(data) {
-			return nil, fmt.Errorf("mutable index changed base corpus size across reloads: tree holds %d, new generation has %d", tt.tree.BaseN(), len(data))
+		if tree.BaseN() != len(data) {
+			return nil, fmt.Errorf("mutable index changed base corpus size across reloads: tree holds %d, new generation has %d", tree.BaseN(), len(data))
 		}
-		if got, want := tt.tree.Space().Name(), opts.Space.Name(); got != want {
+		if got, want := tree.Space().Name(), opts.Space.Name(); got != want {
 			return nil, fmt.Errorf("mutable index changed space across reloads: tree holds %q, new generation uses %q", got, want)
 		}
-		return tt.tree, nil
+		return tree, nil
 	}
 	opts.BaseN = len(data)
 	tree, err := lsm.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	e.tree = &typedTree[T]{tree: tree}
+	e.tree = tree
 	return tree, nil
 }
 

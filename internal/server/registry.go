@@ -122,7 +122,7 @@ func (r *Registry) Close() error {
 		if e.tree == nil {
 			continue
 		}
-		if err := e.tree.close(); err != nil && first == nil {
+		if err := e.tree.Close(); err != nil && first == nil {
 			first = fmt.Errorf("index %q: %w", e.name, err)
 		}
 	}
@@ -194,7 +194,7 @@ func (r *Registry) Reload(name string) (codec.Header, error) {
 	if e.tree != nil {
 		e.ingestMu.Lock()
 		defer e.ingestMu.Unlock()
-		if n := e.tree.unsealed(); n > 0 {
+		if n := e.tree.Unsealed(); n > 0 {
 			return codec.Header{}, fmt.Errorf("index %q has %d unsealed writes (POST .../flush first): %w", name, n, errUnsealedWrites)
 		}
 	}

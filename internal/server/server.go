@@ -23,6 +23,11 @@
 // declared once, in internal/wire, which the router and the control plane
 // share.
 //
+// Which data sets a manifest may name, the distances an index over each may
+// have been built under, and the JSON form of one object (a query, an added
+// object) are the data-set table's to decide: internal/dataset, Lookup.
+// This package switches on the five object types only, never on a name.
+//
 // # Timeouts
 //
 // A search runs on its request goroutine under Options.Timeout. The tiered
@@ -352,7 +357,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if e.tree != nil {
-			st := e.tree.treeStatus()
+			st := e.tree.Status()
 			if reasons := st.Degraded(); len(reasons) > 0 {
 				degraded[name] = reasons
 			}
@@ -422,7 +427,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			row.MeanLatencyUs = float64(em.latency.Sum()) / float64(row.Requests) / 1e3
 		}
 		if e.tree != nil {
-			st := e.tree.treeStatus()
+			st := e.tree.Status()
 			row.Mutable = &st
 		}
 		rows = append(rows, row)
@@ -523,11 +528,14 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, s.log, http.StatusBadRequest, `body must carry exactly one of "object" or a non-empty "objects"`)
 		return
 	}
-	raws := req.Objects
-	if req.Object != nil {
-		raws = []json.RawMessage{req.Object}
+	raws := [][]byte{req.Object}
+	if req.Object == nil {
+		raws = make([][]byte, len(req.Objects))
+		for i, obj := range req.Objects {
+			raws[i] = obj
+		}
 	}
-	ids, err := e.tree.add(raws)
+	ids, err := e.tree.AddBatch(raws)
 	if err != nil {
 		s.writeWriteError(w, err)
 		return
@@ -557,7 +565,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ids := req.all()
-	if err := e.tree.remove(ids); err != nil {
+	if err := e.tree.DeleteBatch(ids); err != nil {
 		s.writeWriteError(w, err)
 		return
 	}
@@ -573,7 +581,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	st, err := e.tree.flush()
+	st, err := e.tree.Flush()
 	if err != nil {
 		s.writeWriteError(w, err)
 		return
@@ -619,7 +627,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// mutable entry's corpus is its live set, which can exceed the base n.
 	n := int(snap.hdr.N)
 	if e.tree != nil {
-		n = e.tree.live()
+		n = e.tree.Live()
 	}
 	if req.K > n && n > 0 {
 		req.K = n

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/seqscan"
 	"repro/internal/space"
@@ -44,9 +45,14 @@ func (panicSpace) Distance(a, b []float32) float64 { panic("distance exploded") 
 func bootScan(t *testing.T, sp space.Space[[]float32], opts Options) *httptest.Server {
 	t.Helper()
 	data := [][]float32{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
+	dense, err := dataset.Typed[[]float32]("sift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := func(raw []byte) ([]float32, error) { return dense.Decode(raw, data[0]) }
 	e := &entry{name: "scan"}
 	e.snap.Store(&snapshot{
-		served: &typedIndex[[]float32]{idx: seqscan.New(sp, data), dec: decodeDense(2)},
+		served: &typedIndex[[]float32]{idx: seqscan.New(sp, data), dec: dec},
 		hdr:    codec.Header{Kind: codec.KindSeqScan, Space: sp.Name(), N: uint64(len(data))},
 	})
 	reg := &Registry{entries: map[string]*entry{"scan": e}, names: []string{"scan"}}

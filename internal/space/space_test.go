@@ -258,6 +258,9 @@ func TestSparseVectorValidation(t *testing.T) {
 	if _, err := NewSparseVector([]int32{1, 1}, []float32{1, 2}); err == nil {
 		t.Fatal("duplicate index accepted")
 	}
+	if _, err := NewSparseVector([]int32{3, -4}, []float32{1, 2}); err == nil {
+		t.Error("negative index accepted")
+	}
 	if _, err := NewSparseVector([]int32{1}, []float32{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}

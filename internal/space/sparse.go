@@ -20,8 +20,8 @@ type SparseVector struct {
 }
 
 // NewSparseVector builds a sparse vector from index/value pairs. The pairs
-// need not be sorted; they are sorted here. Duplicate indices or non-finite
-// values are rejected.
+// need not be sorted; they are sorted here. Negative or duplicate indices
+// and non-finite values are rejected.
 func NewSparseVector(idx []int32, val []float32) (SparseVector, error) {
 	if len(idx) != len(val) {
 		return SparseVector{}, fmt.Errorf("space: sparse vector has %d indices but %d values", len(idx), len(val))
@@ -32,6 +32,9 @@ func NewSparseVector(idx []int32, val []float32) (SparseVector, error) {
 	}
 	ps := make([]pair, len(idx))
 	for k := range idx {
+		if idx[k] < 0 {
+			return SparseVector{}, fmt.Errorf("space: negative index %d at position %d", idx[k], k)
+		}
 		if math.IsNaN(float64(val[k])) || math.IsInf(float64(val[k]), 0) {
 			return SparseVector{}, fmt.Errorf("space: non-finite value at position %d", k)
 		}
