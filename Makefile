@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build loc test race bench bench-check bench-engine vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc test race bench bench-check bench-engine examples vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,14 @@ race:
 bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
+
+# The example programs are documentation that compiles; run each one so it
+# is also documentation that works (all five finish in under 20 s together).
+examples:
+	@for e in quickstart batchsearch dnasearch imagesearch textsearch; do \
+		echo "go run ./examples/$$e"; \
+		$(GO) run ./examples/$$e >/dev/null || exit 1; \
+	done
 
 # Short coverage-guided fuzz. FuzzLoad: corrupt index files must error,
 # never panic or over-allocate; its checked-in seed corpus lives in
@@ -140,4 +148,4 @@ fault-smoke:
 	$(GO) build -o bin/permserve ./cmd/permserve
 	./scripts/fault_smoke.sh bin/permserve
 
-ci: check build test bench-check race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke
+ci: check build test bench-check examples race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke

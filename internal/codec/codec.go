@@ -37,6 +37,13 @@
 // dense vectors, sparse vectors, histograms, strings and SQFD signatures
 // alike. Pivot sets are stored as ids into the data slice, never as
 // serialized objects.
+//
+// Two payload slots of version 2 are retired — written as zero, ignored on
+// load — and go at the next version bump, not before, so files saved by
+// older builds keep loading: the Bool in the permutation-row payload of
+// core.ScanFilter (once a heap-selection ablation switch) and the I64 after
+// the seed in the knngraph payload (once an entry-point seed counter that
+// made a graph's bytes depend on its query history).
 package codec
 
 import (

@@ -61,11 +61,6 @@ func (cr *Reader) Header() Header { return cr.hdr }
 // Err returns the sticky decoding error, if any.
 func (cr *Reader) Err() error { return cr.err }
 
-// Remaining returns the number of unconsumed payload bytes. Decoders of
-// nested variable-size sections use it to cap allocations the same way the
-// slice readers do.
-func (cr *Reader) Remaining() int { return len(cr.buf) }
-
 // Length reads a uint64 element count for a section of elemSize-byte
 // elements and validates it against the remaining payload, exactly like the
 // built-in slice readers do, for decoders of custom record sections.

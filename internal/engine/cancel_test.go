@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/index"
+	"repro/internal/knngraph"
 	"repro/internal/seqscan"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -104,5 +105,52 @@ func TestSearchBatchCtxCanceled(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("canceled batch took %v to return", elapsed)
+	}
+}
+
+// cancelingL2 is L2 that cancels a context on its n-th Distance call once
+// armed: a cancellation that arrives from inside a query, not between two.
+type cancelingL2 struct {
+	space.L2
+	calls  atomic.Int64
+	n      int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelingL2) Distance(a, b []float32) float64 {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.L2.Distance(a, b)
+}
+
+// TestSearchBatchGraphCtxCanceled: a proximity-graph batch is a batch like
+// any other — a context cancelled from inside its first query stops the
+// workers at the next query boundary and the call returns the context's
+// error, not a partly or fully answered batch.
+func TestSearchBatchGraphCtxCanceled(t *testing.T) {
+	db, queries := batchData(t, 300, 128)
+	sp := &cancelingL2{}
+	g, err := knngraph.NewSW[[]float32](sp, db, knngraph.Options{NN: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.calls.Store(0)
+	if _, err := engine.SearchBatch[[]float32](engine.NewPool(4), g, queries, index.Options{K: 10}); err != nil {
+		t.Fatal(err)
+	}
+	whole := sp.calls.Load()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sp.n, sp.cancel = 3, cancel
+	sp.calls.Store(0)
+	out, err := engine.SearchBatch[[]float32](engine.NewPool(4), g, queries, index.Options{K: 10, Ctx: ctx})
+	if out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch cancelled from inside its first query = (%d answers, %v), want (nil, context.Canceled)", len(out), err)
+	}
+	// At most the four in-flight queries finish: a small share of the batch.
+	if spent := sp.calls.Load(); spent > whole/8 {
+		t.Fatalf("cancelled batch evaluated %d distances, the whole batch costs %d", spent, whole)
 	}
 }

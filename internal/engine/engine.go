@@ -197,10 +197,8 @@ func (p Pool) ForWithIDCtx(ctx context.Context, n int, f func(worker, i int)) er
 //	for i, q := range queries { out[i] = idx.SearchAppend(nil, q, opts) }
 //
 // would have produced, regardless of worker count or scheduling: each
-// worker writes only its own queries' slots, and indexes whose search
-// consumes shared mutable state (the proximity graph's entry-point counter)
-// implement index.Batcher to pin each query to the seed its serial-loop
-// position would have drawn.
+// worker writes only its own queries' slots, and every index's answer is a
+// pure function of (query, opts) — the index.Index contract.
 //
 // A search that panics cancels the rest of the batch and re-panics on the
 // caller (see Pool.For), exactly as a serial loop would fail.
@@ -208,9 +206,7 @@ func (p Pool) ForWithIDCtx(ctx context.Context, n int, f func(worker, i int)) er
 // Cancellation is cooperative: workers stop pulling queries once opts.Ctx
 // is done and the call returns its error with a nil result — a
 // partially-answered batch is never returned, matching the all-or-nothing
-// contract of the serial loop. (Indexes implementing their own
-// index.Batcher run to completion; their implementations pin cross-query
-// state that cannot stop midway.)
+// contract of the serial loop.
 //
 // When opts.Trace is non-nil each worker records its queries' stage
 // counters and timings into a private per-worker trace (no cross-worker
@@ -220,9 +216,6 @@ func (p Pool) ForWithIDCtx(ctx context.Context, n int, f func(worker, i int)) er
 func SearchBatch[T any](p Pool, idx index.Index[T], queries []T, opts index.Options) ([][]topk.Neighbor, error) {
 	if err := opts.Err(); err != nil {
 		return nil, err
-	}
-	if b, ok := idx.(index.Batcher[T]); ok {
-		return b.SearchBatch(queries, opts, p.Workers()), nil
 	}
 	ctx := opts.Ctx
 	if ctx == nil {

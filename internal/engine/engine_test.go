@@ -202,23 +202,21 @@ func batchData(t testing.TB, n, q int) (db, queries [][]float32) {
 	return data[:n], data[n:]
 }
 
-// checkBatchMatchesSerial runs the serial reference on serialIdx and
-// SearchBatch on batchIdx (the same index, or an identically built copy for
-// stateful searches) across worker counts and edge-case ks.
-func checkBatchMatchesSerial[T any](t *testing.T, name string, db []T, queries []T, build func() index.Index[T]) {
+// checkBatchMatchesSerial runs the serial reference and SearchBatch on idx
+// across worker counts and edge-case ks.
+func checkBatchMatchesSerial[T any](t *testing.T, name string, db []T, queries []T, idx index.Index[T]) {
 	t.Helper()
 	n := len(db)
 	for _, k := range []int{1, 10, n + 17} { // includes k > n
+		want := serialLoop(idx, queries, k)
 		for _, workers := range []int{1, 2, 8} {
-			want := serialLoop(build(), queries, k)
-			got := batch(engine.NewPool(workers), build(), queries, k)
+			got := batch(engine.NewPool(workers), idx, queries, k)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: k=%d workers=%d: batch differs from serial loop", name, k, workers)
 			}
 		}
 	}
 	// Empty batch and k <= 0.
-	idx := build()
 	if got := batch(engine.Pool{}, idx, nil, 10); len(got) != 0 {
 		t.Fatalf("%s: empty batch returned %d results", name, len(got))
 	}
@@ -235,77 +233,36 @@ func checkBatchMatchesSerial[T any](t *testing.T, name string, db []T, queries [
 
 func TestSearchBatchSeqScan(t *testing.T) {
 	db, queries := batchData(t, 300, 25)
-	checkBatchMatchesSerial(t, "seqscan", db, queries, func() index.Index[[]float32] {
-		return seqscan.New[[]float32](space.L2{}, db)
-	})
+	checkBatchMatchesSerial(t, "seqscan", db, queries, seqscan.New[[]float32](space.L2{}, db))
 }
 
 func TestSearchBatchNAPP(t *testing.T) {
 	db, queries := batchData(t, 300, 25)
-	checkBatchMatchesSerial(t, "napp", db, queries, func() index.Index[[]float32] {
-		na, err := core.NewNAPP[[]float32](space.L2{}, db, core.NAPPOptions{
-			NumPivots: 64, NumPivotIndex: 16, MinShared: 1, Seed: 5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return na
+	na, err := core.NewNAPP[[]float32](space.L2{}, db, core.NAPPOptions{
+		NumPivots: 64, NumPivotIndex: 16, MinShared: 1, Seed: 5,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBatchMatchesSerial(t, "napp", db, queries, na)
 }
 
 func TestSearchBatchLSH(t *testing.T) {
 	db, queries := batchData(t, 300, 25)
-	checkBatchMatchesSerial(t, "mplsh", db, queries, func() index.Index[[]float32] {
-		x, err := lsh.New(db, lsh.Options{Tables: 8, Hashes: 8, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x
-	})
+	x, err := lsh.New(db, lsh.Options{Tables: 8, Hashes: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBatchMatchesSerial(t, "mplsh", db, queries, x)
 }
 
 func TestSearchBatchSWGraph(t *testing.T) {
 	db, queries := batchData(t, 300, 25)
-	// Graph search consumes a shared entry-point counter, so each
-	// equivalence run needs a fresh, identically built graph (Workers: 1
-	// keeps construction deterministic).
-	checkBatchMatchesSerial(t, "sw-graph", db, queries, func() index.Index[[]float32] {
-		g, err := knngraph.NewSW[[]float32](space.L2{}, db, knngraph.Options{
-			NN: 8, Workers: 1, Seed: 5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	})
-}
-
-// TestSearchBatchSWGraphCounterState verifies the Batcher contract beyond
-// the results themselves: after a batch, the graph must be in the exact
-// state a serial loop would have left, so that subsequent single queries
-// still match.
-func TestSearchBatchSWGraphCounterState(t *testing.T) {
-	db, queries := batchData(t, 300, 25)
-	build := func() *knngraph.Graph[[]float32] {
-		g, err := knngraph.NewSW[[]float32](space.L2{}, db, knngraph.Options{NN: 8, Workers: 1, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
+	g, err := knngraph.NewSW[[]float32](space.L2{}, db, knngraph.Options{NN: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial, batched := build(), build()
-	wantBatch := serialLoop[[]float32](serial, queries, 10)
-	gotBatch := batch(engine.NewPool(4), index.Index[[]float32](batched), queries, 10)
-	if !reflect.DeepEqual(wantBatch, gotBatch) {
-		t.Fatal("batch differs from serial loop")
-	}
-	for i := 0; i < 5; i++ {
-		want := serial.Search(queries[i], 10)
-		got := batched.Search(queries[i], 10)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("post-batch query %d diverged: counter state not preserved", i)
-		}
-	}
+	checkBatchMatchesSerial(t, "sw-graph", db, queries, g)
 }
 
 // TestSearchBatchCarriesOptions verifies what rides a batch: every query
@@ -341,19 +298,5 @@ func TestSearchBatchCarriesOptions(t *testing.T) {
 	if batchTrace.FilterCandidates != serialTrace.FilterCandidates || batchTrace.RefineDistances != serialTrace.RefineDistances {
 		t.Fatalf("merged worker traces saw candidates=%d refines=%d, serial loop %d/%d",
 			batchTrace.FilterCandidates, batchTrace.RefineDistances, serialTrace.FilterCandidates, serialTrace.RefineDistances)
-	}
-}
-
-func TestSearchBatchDispatchesToBatcher(t *testing.T) {
-	db, queries := batchData(t, 100, 5)
-	g, err := knngraph.NewSW[[]float32](space.L2{}, db, knngraph.Options{NN: 8, Workers: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := any(g).(index.Batcher[[]float32]); !ok {
-		t.Fatal("Graph does not implement index.Batcher")
-	}
-	if got := batch[[]float32](engine.Pool{}, g, queries, 3); len(got) != len(queries) {
-		t.Fatalf("batch returned %d slots", len(got))
 	}
 }

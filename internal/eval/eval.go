@@ -5,6 +5,7 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -100,9 +101,6 @@ type Result struct {
 	BruteTime time.Duration
 	// Improvement is BruteTime / QueryTime (Figure 4's y-axis).
 	Improvement float64
-	// DistPerQuery is the average number of distance computations per
-	// query when the space was wrapped in a Counter, else 0.
-	DistPerQuery float64
 	// BuildTime is how long index construction took (when measured by
 	// MeasureBuild, else 0).
 	BuildTime time.Duration
@@ -113,74 +111,31 @@ type Result struct {
 	Workers int
 	// WallTime is the elapsed wall-clock time for the whole query batch.
 	WallTime time.Duration
-	// QPS is queries per second of wall-clock time: for serial runs the
-	// inverse of QueryTime, for batch runs the aggregate throughput the
-	// worker pool achieved.
+	// QPS is queries per second of wall-clock time: the aggregate
+	// throughput the worker pool achieved (one worker: 1/QueryTime).
 	QPS float64
 }
 
 // Measure runs all queries through idx under opts (k and the query-time
-// method params of the variant being measured), compares against the exact
-// truth, and reports recall plus timing. The brute-force baseline time must
-// be measured separately (see BruteTime) because it is shared by all
-// methods on a split.
-func Measure[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, opts index.Options, bruteTime time.Duration, counter *space.Counter[T]) Result {
-	var before int64
-	if counter != nil {
-		before = counter.Count()
-	}
-	got := make([][]topk.Neighbor, len(queries))
-	start := time.Now()
-	for i, q := range queries {
-		got[i] = idx.SearchAppend(nil, q, opts)
-	}
-	elapsed := time.Since(start)
-
-	res := Result{
-		Method:    idx.Name(),
-		Recall:    Recall(truth, got),
-		BruteTime: bruteTime,
-		Workers:   1,
-		WallTime:  elapsed,
-	}
-	if len(queries) > 0 {
-		res.QueryTime = elapsed / time.Duration(len(queries))
-	}
-	finishResult(&res, idx, counter, before, len(queries))
-	return res
-}
-
-// MeasureBatch is Measure with the queries fanned out over a worker pool
-// (engine.SearchBatch semantics: results are identical to the serial loop).
-// For plain indexes QueryTime is the mean per-query latency, timed inside
-// the workers, so Improvement remains comparable to the paper's
-// single-thread ratio. Indexes with a native batch path (index.Batcher,
-// i.e. the proximity graph) are timed as one opaque call: there QueryTime
-// is wall-clock/n — the effective per-query cost of the pool — and
-// Improvement is consequently a *throughput* ratio vs single-thread brute
-// force, larger than the single-thread protocol's by up to the worker
-// count. The throughput the pool achieved is always reported as
-// WallTime/QPS. workers <= 0 means GOMAXPROCS.
-func MeasureBatch[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, opts index.Options, bruteTime time.Duration, counter *space.Counter[T], workers int) Result {
-	var before int64
-	if counter != nil {
-		before = counter.Count()
-	}
-	pool := engine.NewPool(workers)
+// method params of the variant being measured) on a pool of workers
+// goroutines, compares against the exact truth, and reports recall plus
+// timing. workers 0 or 1 is the paper's single-thread protocol, negative
+// means GOMAXPROCS; answers are identical either way (engine.SearchBatch
+// semantics). QueryTime is the mean per-query latency, timed inside the
+// workers, so Improvement stays comparable to the paper's single-thread
+// ratio at any worker count; the throughput the pool achieved is reported as
+// WallTime/QPS. The brute-force baseline time must be measured separately
+// (see BruteTime) because it is shared by all methods on a split.
+func Measure[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, opts index.Options, bruteTime time.Duration, workers int) Result {
+	pool := engine.NewPool(cmp.Or(workers, 1))
 	got := make([][]topk.Neighbor, len(queries))
 	durs := make([]time.Duration, len(queries))
 	start := time.Now()
-	if b, ok := idx.(index.Batcher[T]); ok {
-		// Indexes with a native batch path (the proximity graph) are
-		// timed as one call; per-query latencies are not observable.
-		got = b.SearchBatch(queries, opts, pool.Workers())
-	} else {
-		pool.ForDynamic(len(queries), func(i int) {
-			t0 := time.Now()
-			got[i] = idx.SearchAppend(nil, queries[i], opts)
-			durs[i] = time.Since(t0)
-		})
-	}
+	pool.ForDynamic(len(queries), func(i int) {
+		t0 := time.Now()
+		got[i] = idx.SearchAppend(nil, queries[i], opts)
+		durs[i] = time.Since(t0)
+	})
 	elapsed := time.Since(start)
 
 	res := Result{
@@ -190,36 +145,21 @@ func MeasureBatch[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbo
 		Workers:   pool.Workers(),
 		WallTime:  elapsed,
 	}
-	var inWorker time.Duration
-	for _, d := range durs {
-		inWorker += d
-	}
 	if len(queries) > 0 {
-		if inWorker > 0 {
-			res.QueryTime = inWorker / time.Duration(len(queries))
-		} else {
-			res.QueryTime = elapsed / time.Duration(len(queries))
+		var inWorker time.Duration
+		for _, d := range durs {
+			inWorker += d
 		}
+		res.QueryTime = inWorker / time.Duration(len(queries))
+		res.QPS = float64(len(queries)) / elapsed.Seconds()
 	}
-	finishResult(&res, idx, counter, before, len(queries))
-	return res
-}
-
-// finishResult fills the fields derived identically for serial and batch
-// measurements.
-func finishResult[T any](res *Result, idx index.Index[T], counter *space.Counter[T], before int64, numQueries int) {
 	if res.QueryTime > 0 && res.BruteTime > 0 {
 		res.Improvement = float64(res.BruteTime) / float64(res.QueryTime)
-	}
-	if res.WallTime > 0 && numQueries > 0 {
-		res.QPS = float64(numQueries) / res.WallTime.Seconds()
-	}
-	if counter != nil && numQueries > 0 {
-		res.DistPerQuery = float64(counter.Count()-before) / float64(numQueries)
 	}
 	if sized, ok := idx.(index.Sized); ok {
 		res.IndexBytes = sized.Stats().Bytes
 	}
+	return res
 }
 
 // BruteTime measures the average single-thread sequential-scan time per
@@ -258,12 +198,11 @@ func MeanResult(rs []Result) Result {
 		return Result{}
 	}
 	out := rs[0]
-	var rec, imp, dpq, qps float64
+	var rec, imp, qps float64
 	var qt, bt, bld, wall time.Duration
 	for _, r := range rs {
 		rec += r.Recall
 		imp += r.Improvement
-		dpq += r.DistPerQuery
 		qps += r.QPS
 		qt += r.QueryTime
 		bt += r.BruteTime
@@ -273,7 +212,6 @@ func MeanResult(rs []Result) Result {
 	n := time.Duration(len(rs))
 	out.Recall = rec / float64(len(rs))
 	out.Improvement = imp / float64(len(rs))
-	out.DistPerQuery = dpq / float64(len(rs))
 	out.QPS = qps / float64(len(rs))
 	out.QueryTime = qt / n
 	out.BruteTime = bt / n

@@ -115,20 +115,21 @@ func TestMeasureExactScanHasPerfectRecall(t *testing.T) {
 	if Recall(truth, got) != 1 {
 		t.Fatal("brute force does not match ground truth")
 	}
-	counter := space.NewCounter[[]float32](space.L2{})
-	scan := seqscan.New[[]float32](counter, db)
-	res := Measure[[]float32](scan, queries, truth, index.Options{K: 5}, bt, counter)
-	if res.Recall != 1 {
-		t.Fatalf("recall = %v", res.Recall)
-	}
-	if res.Method != "seqscan" {
-		t.Fatalf("method = %q", res.Method)
-	}
-	if res.DistPerQuery != float64(len(db)) {
-		t.Fatalf("DistPerQuery = %v, want %d", res.DistPerQuery, len(db))
-	}
-	if res.QueryTime <= 0 || res.Improvement <= 0 {
-		t.Fatalf("timing not populated: %+v", res)
+	scan := seqscan.New[[]float32](space.L2{}, db)
+	for _, workers := range []int{0, 1, 3} {
+		res := Measure[[]float32](scan, queries, truth, index.Options{K: 5}, bt, workers)
+		if res.Recall != 1 {
+			t.Fatalf("workers=%d: recall = %v", workers, res.Recall)
+		}
+		if res.Method != "seqscan" {
+			t.Fatalf("method = %q", res.Method)
+		}
+		if res.Workers != max(workers, 1) {
+			t.Fatalf("workers=%d ran on %d", workers, res.Workers)
+		}
+		if res.QueryTime <= 0 || res.Improvement <= 0 || res.QPS <= 0 {
+			t.Fatalf("workers=%d: timing not populated: %+v", workers, res)
+		}
 	}
 }
 

@@ -459,12 +459,7 @@ func (c *combo[T]) RunMethods(cfg Config, methods []string, w io.Writer) error {
 				if opts.Params, err = Resolve(s.method, p); err != nil {
 					return fmt.Errorf("%s/%s %s: %w", c.name, s.method, label, err)
 				}
-				var res eval.Result
-				if cfg.Workers == 0 || cfg.Workers == 1 {
-					res = eval.Measure(idx, queries, truth, opts, bruteTime, nil)
-				} else {
-					res = eval.MeasureBatch(idx, queries, truth, opts, bruteTime, nil, cfg.Workers)
-				}
+				res := eval.Measure(idx, queries, truth, opts, bruteTime, cfg.Workers)
 				res.Method = s.method
 				res.BuildTime = buildTime
 				k := key{s.method, label}

@@ -59,7 +59,7 @@ func (c *combo[T]) tuneNAPP(cfg Config, target float64) (TuneResult, error) {
 	best := TuneResult{Setting: "t=1"}
 	for t := 8; t >= 1; t-- {
 		opts := index.Options{K: cfg.K, Params: index.Params{MinShared: t}}
-		res := eval.Measure[T](na, queries, truth, opts, 1, nil)
+		res := eval.Measure[T](na, queries, truth, opts, 1, 1)
 		if res.Recall >= target {
 			return TuneResult{Setting: fmt.Sprintf("t=%d", t), Recall: res.Recall}, nil
 		}

@@ -103,7 +103,11 @@ func (o Options) Err() error {
 // allocations. Search(q, k) is SearchAppend(nil, q, Options{K: k}) and costs
 // exactly the one result-slice allocation.
 //
-// Both methods must be safe for concurrent use by multiple goroutines.
+// Both methods must be safe for concurrent use by multiple goroutines, and
+// an answer is a pure function of (index, query, opts): searching changes
+// nothing a later search, a Save or another replica could observe. That is
+// what lets the batch engine fan any index out, and a fleet treat replicas
+// of one file as interchangeable (indextest.Conformance checks it per kind).
 type Index[T any] interface {
 	Search(query T, k int) []topk.Neighbor
 	SearchAppend(dst []topk.Neighbor, query T, opts Options) []topk.Neighbor
@@ -120,8 +124,7 @@ type Index[T any] interface {
 type Pooled[T, S any] struct {
 	fn func(s *S, dst []topk.Neighbor, query T, opts Options) []topk.Neighbor
 	// Scratch is the per-index pool of query scratch states, exported for
-	// the rare index that runs its search function outside SearchAppend
-	// (the proximity graph's seed-pinning batch).
+	// the index that borrows one between queries (NAPP's dynamic Add).
 	Scratch scratch.Pool[S]
 }
 
@@ -140,21 +143,6 @@ func (p *Pooled[T, S]) SearchAppend(dst []topk.Neighbor, query T, opts Options) 
 	s := p.Scratch.Get()
 	defer p.Scratch.Put(s)
 	return p.fn(s, dst, query, opts)
-}
-
-// Batcher is implemented by indexes that need to cooperate with the batch
-// query engine (internal/engine) to keep a concurrent batch identical to a
-// serial query loop — typically because Search consumes shared mutable
-// state, like the proximity graph's entry-point seed counter. SearchBatch
-// must return, for every i, exactly what the i-th call of a serial
-// SearchAppend(nil, queries[i], opts) loop started from the index's current
-// state would return, and must leave the index in the same state that loop
-// would. workers bounds parallelism (<= 0 means GOMAXPROCS).
-//
-// Indexes whose search is a pure function of (query, opts) do not need
-// this; engine.SearchBatch fans them out directly.
-type Batcher[T any] interface {
-	SearchBatch(queries []T, opts Options, workers int) [][]topk.Neighbor
 }
 
 // Stats describes index footprint for Table 2 style reports.

@@ -8,8 +8,12 @@
 //     never repeat or fabricate ids;
 //   - k edge cases hold: k <= 0 returns nothing, k = 1 returns the single
 //     best candidate, k > n returns at most n results;
-//   - a concurrent batch via engine.SearchBatch returns exactly what a
-//     serial Search loop would (the engine contract);
+//   - an answer is a pure function of (index, query, options): asking twice
+//     answers the same, a concurrent batch via engine.SearchBatch returns
+//     exactly what a serial Search loop would in whatever order the queries
+//     arrive, and answering queries leaves the index's saved bytes unchanged
+//     — what makes replicas of one file interchangeable;
+//   - a traced search accounts for at least one exact distance per result;
 //   - Search is safe for concurrent use (validated under the CI race job);
 //   - query-time params are per-query values: a shared index queried under
 //     params p answers byte-identically to a dedicated index built with p
@@ -21,22 +25,26 @@
 package indextest
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/index"
+	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
 
 // Builder constructs a fresh index over the data set under test. It is
-// invoked more than once by some properties and must be deterministic enough
-// that equality checks across instances are meaningful (fix all seeds, use
-// Workers: 1 for SW graphs).
+// invoked once per property and, by ParamsMatchDedicated and the golden
+// suites, must be deterministic enough that equality checks across instances
+// are meaningful (fix all seeds, use Workers: 1 for SW graphs).
 type Builder[T any] func() (index.Index[T], error)
 
 // Conformance runs every behavioral property against the index built by
@@ -48,11 +56,25 @@ func Conformance[T any](t *testing.T, sp space.Space[T], data []T, queries []T, 
 		t.Fatal("indextest: empty data or queries")
 	}
 
-	t.Run("results-well-formed", func(t *testing.T) {
+	built := func(t *testing.T) index.Index[T] {
+		t.Helper()
 		idx, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
+		return idx
+	}
+	const k = 10
+	serial := func(idx index.Index[T]) [][]topk.Neighbor {
+		out := make([][]topk.Neighbor, len(queries))
+		for i, q := range queries {
+			out[i] = idx.Search(q, k)
+		}
+		return out
+	}
+
+	t.Run("results-well-formed", func(t *testing.T) {
+		idx := built(t)
 		for _, k := range []int{1, 2, 10} {
 			for qi, q := range queries {
 				checkWellFormed(t, sp, data, q, idx.Search(q, k), k, fmt.Sprintf("query %d k=%d", qi, k))
@@ -61,10 +83,7 @@ func Conformance[T any](t *testing.T, sp space.Space[T], data []T, queries []T, 
 	})
 
 	t.Run("k-edge-cases", func(t *testing.T) {
-		idx, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := built(t)
 		q := queries[0]
 		if got := idx.Search(q, 0); len(got) != 0 {
 			t.Errorf("Search(q, 0) returned %d results, want 0", len(got))
@@ -91,43 +110,84 @@ func Conformance[T any](t *testing.T, sp space.Space[T], data []T, queries []T, 
 		checkWellFormed(t, sp, data, q, got, big, fmt.Sprintf("k=%d > n", big))
 	})
 
-	t.Run("batch-matches-serial", func(t *testing.T) {
-		const k = 10
-		serialIdx, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchIdx := clone(t, sp, data, serialIdx, build)
-		want := make([][]topk.Neighbor, len(queries))
+	t.Run("search-is-repeatable", func(t *testing.T) {
+		idx := built(t)
 		for i, q := range queries {
-			want[i] = serialIdx.Search(q, k)
+			diffResults(t, idx.Search(q, k), idx.Search(q, k), fmt.Sprintf("query %d asked twice", i))
 		}
-		got, err := engine.SearchBatch(engine.NewPool(4), batchIdx, queries, index.Options{K: k})
+	})
+
+	// batchMatchesSerial answers the queries in the given order through the
+	// batch engine and holds each answer to the in-order serial loop's.
+	batchMatchesSerial := func(t *testing.T, order []int) {
+		idx := built(t)
+		want := serial(idx)
+		batch := make([]T, len(order))
+		for i, j := range order {
+			batch[i] = queries[j]
+		}
+		got, err := engine.SearchBatch(engine.NewPool(4), idx, batch, index.Options{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range queries {
-			diffResults(t, want[i], got[i], fmt.Sprintf("query %d", i))
+		for i, j := range order {
+			diffResults(t, want[j], got[i], fmt.Sprintf("query %d at batch position %d", j, i))
+		}
+	}
+	inOrder := make([]int, len(queries))
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+
+	t.Run("batch-matches-serial", func(t *testing.T) {
+		batchMatchesSerial(t, inOrder)
+	})
+
+	t.Run("batch-ignores-query-order", func(t *testing.T) {
+		// What a router's hedged or failed-over leg relies on: a query's
+		// answer does not depend on which queries the index saw before it.
+		batchMatchesSerial(t, rand.New(rand.NewSource(1)).Perm(len(queries)))
+	})
+
+	t.Run("save-ignores-queries", func(t *testing.T) {
+		idx := built(t)
+		var before, after bytes.Buffer
+		if err := persist.Save(&before, idx); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		serial(idx)
+		if err := persist.Save(&after, idx); err != nil {
+			t.Fatalf("Save after %d queries: %v", len(queries), err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Errorf("answering %d queries changed the index's saved bytes", len(queries))
+		}
+	})
+
+	t.Run("trace-counts-distances", func(t *testing.T) {
+		// Every result carries an exact distance somebody evaluated; an
+		// index that reports fewer has a stage the trace does not see.
+		idx := built(t)
+		for i, q := range queries {
+			var tr obs.QueryTrace
+			res := idx.SearchAppend(nil, q, index.Options{K: k, Trace: &tr})
+			if tr.RefineDistances < int64(len(res)) {
+				t.Errorf("query %d: %d results, trace reports %d exact distances", i, len(res), tr.RefineDistances)
+			}
 		}
 	})
 
 	t.Run("search-append-matches-search", func(t *testing.T) {
 		// The appending zero-allocation entry point must answer exactly
 		// like Search, including when dst already carries earlier results
-		// that must survive. Two identical instances, because a search may
-		// consume shared state (the graph's entry-point seed counter).
-		idx, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		appendIdx := clone(t, sp, data, idx, build)
-		const k = 10
+		// that must survive.
+		idx := built(t)
 		sentinel := topk.Neighbor{ID: ^uint32(0), Dist: -1}
 		dst := make([]topk.Neighbor, 0, 64)
 		for qi, q := range queries {
 			want := idx.Search(q, k)
 			dst = append(dst[:0], sentinel)
-			dst = appendIdx.SearchAppend(dst, q, index.Options{K: k})
+			dst = idx.SearchAppend(dst, q, index.Options{K: k})
 			if len(dst) == 0 || dst[0] != sentinel {
 				t.Fatalf("query %d: SearchAppend clobbered existing dst contents", qi)
 			}
@@ -139,10 +199,7 @@ func Conformance[T any](t *testing.T, sp space.Space[T], data []T, queries []T, 
 		// No assertions on answers — the property is the absence of data
 		// races (the CI race job runs this package under -race) and
 		// panics when many goroutines share one index.
-		idx, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := built(t)
 		const goroutines = 8
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -162,9 +219,8 @@ func Conformance[T any](t *testing.T, sp space.Space[T], data []T, queries []T, 
 // an index built with its defaults and queried under params answers every
 // query byte-identically to an index whose build options bake the same
 // values in — through a serial SearchAppend loop and through the batch
-// engine alike (which is how a graph's seed-pinning Batcher is shown to
-// receive the params). Both builders must be deterministic and differ only
-// in the knobs params names.
+// engine alike. Both builders must be deterministic and differ only in the
+// knobs params names.
 func ParamsMatchDedicated[T any](t *testing.T, queries []T, params index.Params, shared, dedicated Builder[T]) {
 	t.Helper()
 	const k = 10
@@ -175,19 +231,19 @@ func ParamsMatchDedicated[T any](t *testing.T, queries []T, params index.Params,
 		}
 		return idx
 	}
-	ded, serial, batch, plain := build(dedicated), build(shared), build(shared), build(shared)
+	ded, idx := build(dedicated), build(shared)
 	opts := index.Options{K: k, Params: params}
 	want := make([][]topk.Neighbor, len(queries))
 	changed := false
 	for i, q := range queries {
 		want[i] = ded.Search(q, k)
-		diffResults(t, want[i], serial.SearchAppend(nil, q, opts), fmt.Sprintf("query %d under %+v", i, params))
-		changed = changed || !slices.Equal(want[i], plain.Search(q, k))
+		diffResults(t, want[i], idx.SearchAppend(nil, q, opts), fmt.Sprintf("query %d under %+v", i, params))
+		changed = changed || !slices.Equal(want[i], idx.Search(q, k))
 	}
 	if !changed {
 		t.Errorf("params %+v change no answer on this corpus; the property is vacuous", params)
 	}
-	got, err := engine.SearchBatch(engine.NewPool(4), batch, queries, opts)
+	got, err := engine.SearchBatch(engine.NewPool(4), idx, queries, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 
 // The kind matrix: one deterministic builder per registered index kind,
 // shared by the conformance and roundtrip test drivers. Builders fix every
-// seed and use Workers: 1 so repeated builds are identical (required by the
-// batch-vs-serial property's fallback clone path). The corpus split sizes
-// and seed live in corpus.go, shared with external suites.
+// seed and use Workers: 1 so repeated builds are identical (the goldens and
+// ParamsMatchDedicated compare across builds). The corpus split sizes and
+// seed live in corpus.go, shared with external suites.
 
 // kindCase names one index kind under test, generically over object type.
 type kindCase[T any] struct {

@@ -18,9 +18,8 @@ import (
 //   - Re-saving the loaded index reproduces the original bytes exactly
 //     (serialization is canonical: map-backed sections are written in
 //     sorted order, so equal indexes have equal files).
-//   - Every search over every query — run in lockstep on both instances, so
-//     indexes with query-order-dependent entry points (the proximity graph)
-//     stay synchronized — returns identical ids and distances.
+//   - Every search over every query returns identical ids and distances on
+//     both instances.
 //   - Stats survive: reported footprint stays within tolerance and the
 //     build-distance counter is preserved exactly.
 func Roundtrip[T any](t *testing.T, sp space.Space[T], data []T, queries []T, build Builder[T]) {
@@ -122,28 +121,4 @@ func RoundtripRejectsCorrupt[T any](t *testing.T, sp space.Space[T], data []T, b
 			t.Errorf("corrupt blob at byte %d: got %v, want ErrCorrupt", pos, err)
 		}
 	}
-}
-
-// clone returns a second, search-identical instance of idx: through a
-// Save/Load roundtrip when the index is persistable, otherwise by running
-// the (deterministic) builder again.
-func clone[T any](t *testing.T, sp space.Space[T], data []T, idx index.Index[T], build Builder[T]) index.Index[T] {
-	t.Helper()
-	var blob bytes.Buffer
-	err := persist.Save(&blob, idx)
-	if errors.Is(err, codec.ErrNotPersistable) {
-		cp, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cp
-	}
-	if err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	cp, err := persist.Load(bytes.NewReader(blob.Bytes()), sp, data)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	return cp
 }

@@ -1,6 +1,7 @@
 package knngraph_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,8 +13,9 @@ import (
 
 // TestGraphSearchAppendZeroAllocs pins the PR 8 fix: a warm graph query
 // runs entirely on pooled scratch — epoch-stamped visited arena, reused
-// frontier/result queues, reseeded RNG — so SearchAppend into a
-// caller-supplied buffer is zero allocations per query.
+// frontier/result queues, an entry-point generator that lives on the stack
+// — so SearchAppend into a caller-supplied buffer is zero allocations per
+// query.
 func TestGraphSearchAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard runs in the plain test job")
@@ -53,34 +55,24 @@ func TestGraphSearchAppendZeroAllocs(t *testing.T) {
 }
 
 // TestGraphSearchAppendMatchesSearch pins that the pooled path answers
-// exactly like Search: two graphs built identically must return the same
-// (dist, id) lists when one is driven through Search and the other through
-// SearchAppend, consuming the same entry-point seed sequence.
+// exactly like Search — and so that asking one graph the same query twice
+// answers the same: entry points are derived from the query, not drawn from
+// state a search leaves behind.
 func TestGraphSearchAppendMatchesSearch(t *testing.T) {
 	const n, nq, k, seed = 400, 12, 10, 3
 	all := dataset.SIFT(seed, n+nq)
 	db, queries := all[:n], all[n:]
-	sp := space.L2{}
 
-	ga, err := knngraph.NewSW(sp, db, knngraph.Options{NN: 8, Workers: 1, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := knngraph.NewSW(sp, db, knngraph.Options{NN: 8, Workers: 1, Seed: seed})
+	g, err := knngraph.NewSW(space.L2{}, db, knngraph.Options{NN: 8, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dst []topk.Neighbor
 	for qi, q := range queries {
-		want := ga.Search(q, k)
-		dst = gb.SearchAppend(dst[:0], q, index.Options{K: k})
-		if len(want) != len(dst) {
-			t.Fatalf("query %d: Search returned %d results, SearchAppend %d", qi, len(want), len(dst))
-		}
-		for i := range want {
-			if want[i] != dst[i] {
-				t.Fatalf("query %d result %d: Search %+v, SearchAppend %+v", qi, i, want[i], dst[i])
-			}
+		want := g.Search(q, k)
+		dst = g.SearchAppend(dst[:0], q, index.Options{K: k})
+		if !slices.Equal(want, dst) {
+			t.Fatalf("query %d: Search %+v, SearchAppend %+v", qi, want, dst)
 		}
 	}
 }

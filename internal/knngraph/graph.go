@@ -8,15 +8,26 @@
 // paper: search-based insertion as in Malkov et al.'s Small World graphs
 // (NewSW), and the iterative NN-descent of Dong et al. (NewNNDescent). Both
 // yield a Graph searched with the same multi-restart best-first algorithm.
+//
+// Search is a pure function of (graph, query, index.Options): it reads the
+// graph and writes only its own pooled scratch, so asking the same query
+// twice answers the same, a batch may run in any order, replicas loaded from
+// one file are interchangeable, and Save does not depend on the queries
+// answered. The random restarts of the algorithm are derandomized per query:
+// the traversal measures the query against one fixed node, and the bit
+// pattern of that distance — which differs from query to query — mixed with
+// the build seed seeds the generator the entry points are drawn from.
 package knngraph
 
 import (
 	"cmp"
-	"math/rand"
+	"math"
+	"math/rand/v2"
 	"sync/atomic"
+	"time"
 
-	"repro/internal/engine"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -89,28 +100,21 @@ type Graph[T any] struct {
 	adj  [][]uint32
 	opts Options
 	name string
-	// seedCtr makes entry-point choices deterministic for a fixed
-	// sequence of Search calls while keeping Search concurrency-safe.
-	seedCtr atomic.Int64
 	// buildDist counts construction-time distance computations.
 	buildDist atomic.Int64
 	// Pooled runs search on pooled per-query traversal state (visited
-	// arena, frontier, result queue, entry-point RNG) so a warm query
-	// allocates nothing.
+	// arena, frontier, result queue) so a warm query allocates nothing.
 	index.Pooled[T, graphScratch]
 }
 
 // graphScratch is the per-query state of one graph traversal. The visited
 // set is an epoch-stamped arena — starting a query is O(1), not the O(N)
-// make([]bool, n) the traversal used to pay — and the RNG is reseeded in
-// place, producing the exact stream a fresh rand.New over the same seed
-// would.
+// make([]bool, n) the traversal used to pay.
 type graphScratch struct {
 	visited  scratch.Marks
 	frontier topk.MinQueue
 	results  topk.Queue
 	drain    []topk.Neighbor
-	r        *rand.Rand
 }
 
 // Name implements index.Index: "sw-graph" or "nndescent-graph".
@@ -132,78 +136,60 @@ func (g *Graph[T]) Stats() index.Stats {
 func (g *Graph[T]) Degree(id int) int { return len(g.adj[id]) }
 
 // search implements the index's one query path using multi-restart
-// best-first traversal: every restart starts from a random entry point,
-// maintains a frontier of unexpanded candidates and a bounded result set of
-// size ef, and stops when the nearest frontier candidate cannot improve the
-// result set. The entry-point RNG is seeded from the next value of the
-// shared seed counter, so two calls on the same query legitimately answer
-// differently while a fixed call sequence is deterministic.
-func (g *Graph[T]) search(s *graphScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
-	if opts.K <= 0 {
-		return dst
-	}
-	return g.searchSeeded(s, dst, query, opts, g.seedCtr.Add(1))
-}
-
-// SearchBatch implements index.Batcher: it answers the batch concurrently
-// yet byte-identical to a serial SearchAppend loop. Entry points are drawn
-// from the shared seedCtr, so a naive concurrent fan-out would hand each
-// query whichever counter value its goroutine happened to draw; here the
-// whole counter range is reserved up front and query i is pinned to the
-// value the i-th serial call would have consumed.
-func (g *Graph[T]) SearchBatch(queries []T, opts index.Options, workers int) [][]topk.Neighbor {
-	out := make([][]topk.Neighbor, len(queries))
-	if opts.K <= 0 {
-		// A serial loop would return nil per query without consuming
-		// any counter values; match that.
-		return out
-	}
-	base := g.seedCtr.Add(int64(len(queries))) - int64(len(queries))
-	engine.NewPool(workers).ForDynamic(len(queries), func(i int) {
-		s := g.Scratch.Get()
-		defer g.Scratch.Put(s)
-		out[i] = g.searchSeeded(s, nil, queries[i], opts, base+int64(i)+1)
-	})
-	return out
-}
-
-// searchSeeded runs one query with the entry-point RNG derived from ctr (a
-// seedCtr value), appending the top k of the ef-sized result set to dst.
+// best-first traversal: every restart starts from a pseudo-random entry
+// point, maintains a frontier of unexpanded candidates and a bounded result
+// set of size ef, and stops when the nearest frontier candidate cannot
+// improve the result set; the top k of the result set are appended to dst.
 // The restart count and frontier size are the query's (opts.Params) when
 // set, else the graph's build-time ones.
-func (g *Graph[T]) searchSeeded(s *graphScratch, dst []topk.Neighbor, query T, opts index.Options, ctr int64) []topk.Neighbor {
-	k := opts.K
-	ef := max(cmp.Or(opts.Params.EfSearch, g.opts.EfSearch), k, g.opts.NN)
-	seed := g.opts.Seed ^ ctr
-	if s.r == nil {
-		s.r = rand.New(rand.NewSource(seed))
-	} else {
-		// Seeding in place restarts the source and discards buffered
-		// state, so the stream is identical to a fresh rand.New.
-		s.r.Seed(seed)
+func (g *Graph[T]) search(s *graphScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	k, tr := opts.K, opts.Trace
+	if k <= 0 {
+		return dst
 	}
-	g.traverse(s, query, ef, cmp.Or(opts.Params.InitAttempts, g.opts.InitAttempts))
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	ef := max(cmp.Or(opts.Params.EfSearch, g.opts.EfSearch), k, g.opts.NN)
+	evals := g.traverse(s, query, ef, cmp.Or(opts.Params.InitAttempts, g.opts.InitAttempts))
 	s.drain = s.results.AppendResults(s.drain[:0])
 	res := s.drain
 	if len(res) > k {
 		res = res[:k]
 	}
+	if tr != nil {
+		tr.RefineDistances += int64(evals)
+		obs.AddSince(&tr.RefineNs, t0)
+	}
 	return append(dst, res...)
 }
 
 // traverse runs the restart loop over pooled scratch, leaving the result
-// set in s.results. The mark-then-evaluate order is exactly the one the
-// per-query-allocating version used, so answers are unchanged.
-func (g *Graph[T]) traverse(s *graphScratch, query T, ef, attempts int) {
+// set in s.results, and returns the number of distances it evaluated.
+//
+// The probe node whose distance seeds the entry points (see the package doc)
+// is the last one: no later SW insertion linked to it, so keeping it as a
+// visited result but out of the frontier costs no navigability.
+func (g *Graph[T]) traverse(s *graphScratch, query T, ef, attempts int) (evals int) {
 	n := len(g.adj)
 	s.visited.Begin(n)
 	s.results.Reset(ef)
 	s.frontier.Reset()
 
+	probe := uint32(n - 1)
+	s.visited.TrySet(probe)
+	d := g.sp.Distance(g.data[probe], query)
+	s.results.Push(probe, d)
+	evals++
+	var entries rand.PCG
+	entries.Seed(uint64(g.opts.Seed), math.Float64bits(d))
+
 	for a := 0; a < attempts; a++ {
-		entry := uint32(s.r.Intn(n))
+		entry := uint32(entries.Uint64() % uint64(n))
 		if s.visited.TrySet(entry) {
 			d := g.sp.Distance(g.data[entry], query)
+			evals++
 			s.results.Push(entry, d)
 			s.frontier.Push(entry, d)
 		}
@@ -217,6 +203,7 @@ func (g *Graph[T]) traverse(s *graphScratch, query T, ef, attempts int) {
 					continue
 				}
 				d := g.sp.Distance(g.data[nb], query)
+				evals++
 				if s.results.WouldAccept(d) {
 					s.results.Push(nb, d)
 					s.frontier.Push(nb, d)
@@ -225,4 +212,5 @@ func (g *Graph[T]) traverse(s *graphScratch, query T, ef, attempts int) {
 		}
 		s.frontier.Reset()
 	}
+	return evals
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // Persistence. A proximity graph is its adjacency lists plus the options
-// that drive the query-time restart search. The entry-point seed counter is
-// saved too, so a loaded graph continues the exact deterministic sequence of
-// Search answers the saved one would have produced — roundtrip tests rely on
-// this, and it is what "resume serving where the snapshot stopped" means for
-// an index whose answers depend on query order.
+// that drive the query-time restart search. Search keeps no state, so a
+// graph's bytes do not depend on the queries it has answered. One I64 slot
+// of the payload is retired: builds before the purity contract kept an
+// entry-point seed counter there; it is written as zero and ignored on load
+// until the next codec version bump drops it.
 
 // kindOf maps the graph's report name to its codec kind tag.
 func (g *Graph[T]) kindOf() string {
@@ -23,8 +23,7 @@ func (g *Graph[T]) kindOf() string {
 }
 
 // Save serializes the graph under its construction kind ("sw-graph" or
-// "nndescent-graph"). It must not run concurrently with Search (the seed
-// counter snapshot would race).
+// "nndescent-graph").
 func (g *Graph[T]) Save(w io.Writer) error {
 	cw := codec.NewWriter(w, g.kindOf(), g.sp.Name(), len(g.data))
 	cw.Int(g.opts.NN)
@@ -36,7 +35,7 @@ func (g *Graph[T]) Save(w io.Writer) error {
 	cw.Int(g.opts.RandomLinks)
 	cw.Int(g.opts.Workers)
 	cw.I64(g.opts.Seed)
-	cw.I64(g.seedCtr.Load())
+	cw.I64(0) // retired seed-counter slot
 	cw.I64(g.buildDist.Load())
 	cw.Int(len(g.adj))
 	for _, nbrs := range g.adj {
@@ -67,7 +66,7 @@ func Load[T any](cr *codec.Reader, kind string, sp space.Space[T], data []T) (*G
 	g.opts.RandomLinks = cr.Int()
 	g.opts.Workers = cr.Int()
 	g.opts.Seed = cr.I64()
-	g.seedCtr.Store(cr.I64())
+	cr.I64() // retired seed-counter slot
 	g.buildDist.Store(cr.I64())
 	nodes := cr.Int()
 	if cr.Err() == nil && (nodes != len(data) || g.opts.InitAttempts <= 0) {

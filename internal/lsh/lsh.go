@@ -18,8 +18,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"time"
 
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
 )
@@ -210,11 +212,16 @@ type probeSet struct {
 // search is the index's one query path: probe own + T perturbed buckets per
 // table, dedupe candidates, refine with true L2. T is the query's
 // (opts.Params.Probes, negative meaning none) when set, else the build-time
-// one.
+// one. Hashing and refining interleave bucket by bucket, so a traced query
+// books its whole time, and one distance per distinct candidate, to refine.
 func (x *MPLSH) search(_ *struct{}, dst []topk.Neighbor, query []float32, opts index.Options) []topk.Neighbor {
-	k := opts.K
+	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
+	}
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
 	}
 	probes := x.opts.Probes
 	if p := opts.Params.Probes; p != 0 {
@@ -245,6 +252,10 @@ func (x *MPLSH) search(_ *struct{}, dst []topk.Neighbor, query []float32, opts i
 			}
 			probe(tb, bucketKey(pkeys))
 		}
+	}
+	if tr != nil {
+		tr.RefineDistances += int64(len(seen))
+		obs.AddSince(&tr.RefineNs, t0)
 	}
 	return res.AppendResults(dst)
 }

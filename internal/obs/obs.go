@@ -361,18 +361,6 @@ func (r *Registry) Histogram(name, help string, scale float64, labels ...string)
 	return HistogramVec{r.family(name, help, kindHistogram, scale, labels)}
 }
 
-// Families returns the registered family names, sorted.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // WriteText writes the registry in Prometheus text exposition format
 // (version 0.0.4): # HELP and # TYPE per family, then one sample line per
 // child (histograms expand to _bucket/_sum/_count). Families are written

@@ -89,16 +89,6 @@ func (c *Counters) Inc(id uint32) uint8 {
 	return uint8(cell)
 }
 
-// Count returns the current count of id (zero if this query never
-// incremented it).
-func (c *Counters) Count(id uint32) uint8 {
-	cell := c.cells[id]
-	if cell>>8 != c.epoch {
-		return 0
-	}
-	return uint8(cell)
-}
-
 // Epoch exposes the current epoch so tests can force a wrap; production
 // callers have no use for it.
 func (c *Counters) Epoch() uint32 { return c.epoch }

@@ -7,28 +7,22 @@ import (
 func TestCounters_BasicLifecycle(t *testing.T) {
 	var c Counters
 	c.Begin(8)
-	if got := c.Count(3); got != 0 {
-		t.Fatalf("fresh counter = %d, want 0", got)
-	}
 	for i := 0; i < 5; i++ {
 		if got, want := c.Inc(3), uint8(i+1); got != want {
 			t.Fatalf("Inc %d returned %d, want %d", i, got, want)
 		}
 	}
 	c.Inc(7)
-	if got := c.Count(3); got != 5 {
-		t.Fatalf("Count(3) = %d, want 5", got)
+	if got := c.Inc(3); got != 6 {
+		t.Fatalf("Inc(3) after an Inc(7) = %d, want 6", got)
 	}
 
 	// A new query logically zeroes everything without touching cells.
 	c.Begin(8)
 	for id := uint32(0); id < 8; id++ {
-		if got := c.Count(id); got != 0 {
-			t.Fatalf("after Begin, Count(%d) = %d, want 0", id, got)
+		if got := c.Inc(id); got != 1 {
+			t.Fatalf("after Begin, first Inc(%d) = %d, want 1", id, got)
 		}
-	}
-	if got := c.Inc(7); got != 1 {
-		t.Fatalf("Inc(7) on new epoch = %d, want 1", got)
 	}
 }
 
@@ -40,8 +34,8 @@ func TestCounters_GrowPreservesEpoch(t *testing.T) {
 	// zero-valued new cells read as live counts.
 	c.Begin(16)
 	for id := uint32(0); id < 16; id++ {
-		if got := c.Count(id); got != 0 {
-			t.Fatalf("after grow, Count(%d) = %d, want 0", id, got)
+		if got := c.Inc(id); got != 1 {
+			t.Fatalf("after grow, first Inc(%d) = %d, want 1", id, got)
 		}
 	}
 }
@@ -49,17 +43,18 @@ func TestCounters_GrowPreservesEpoch(t *testing.T) {
 func TestCounters_SaturatesAt255(t *testing.T) {
 	var c Counters
 	c.Begin(1)
+	var got uint8
 	for i := 0; i < 300; i++ {
-		c.Inc(0)
+		got = c.Inc(0)
 	}
-	if got := c.Count(0); got != 255 {
-		t.Fatalf("Count after 300 Incs = %d, want saturated 255", got)
+	if got != 255 {
+		t.Fatalf("300th Inc = %d, want saturated 255", got)
 	}
 	// Saturation must not carry into the epoch bits: the next query still
-	// reads zero.
+	// starts from zero.
 	c.Begin(1)
-	if got := c.Count(0); got != 0 {
-		t.Fatalf("after Begin, Count(0) = %d, want 0", got)
+	if got := c.Inc(0); got != 1 {
+		t.Fatalf("after Begin, first Inc(0) = %d, want 1", got)
 	}
 }
 
@@ -73,12 +68,8 @@ func TestCounters_EpochWrap(t *testing.T) {
 	c.SetEpoch(counterEpochMax - 2)
 	for q := 0; q < 6; q++ {
 		c.Begin(16)
-		for id := uint32(0); id < 16; id++ {
-			if got := c.Count(id); got != 0 {
-				t.Fatalf("query %d (epoch %d): Count(%d) = %d, want 0", q, c.Epoch(), id, got)
-			}
-		}
-		// Stamp every cell so the next epoch has maximal stale state.
+		// Stamp every cell q+1 times so the next epoch has maximal stale
+		// state; a stale cell read as live would overshoot the count.
 		for id := uint32(0); id < 16; id++ {
 			want := uint8(q + 1)
 			var got uint8
@@ -86,7 +77,7 @@ func TestCounters_EpochWrap(t *testing.T) {
 				got = c.Inc(id)
 			}
 			if got != want {
-				t.Fatalf("query %d: Inc(%d) = %d, want %d", q, id, got, want)
+				t.Fatalf("query %d (epoch %d): Inc(%d) = %d, want %d", q, c.Epoch(), id, got, want)
 			}
 		}
 		if c.Epoch() > counterEpochMax {
@@ -111,12 +102,12 @@ func TestCounters_EpochWrapClearsFullCapacity(t *testing.T) {
 	}
 	c.Begin(4) // wraps; only ids [0, 4) are in the window
 	// Walk the restarted epoch up to the stale stamp value and re-expose
-	// the full arena: the high cells must still read as zero.
+	// the full arena: the high cells must still start from zero.
 	c.SetEpoch(counterEpochMax - 1)
 	c.Begin(16)
 	for id := uint32(0); id < 16; id++ {
-		if got := c.Count(id); got != 0 {
-			t.Fatalf("Count(%d) = %d after wrap at smaller n, want 0", id, got)
+		if got := c.Inc(id); got != 1 {
+			t.Fatalf("first Inc(%d) = %d after wrap at smaller n, want 1", id, got)
 		}
 	}
 }

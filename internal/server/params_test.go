@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -115,35 +116,25 @@ func TestServedConcurrentParams(t *testing.T) {
 }
 
 // TestServedGraphBatchParams: a proximity-graph batch carrying att/ef
-// answers exactly like a serial loop under the same params — the
-// seed-pinning Batcher receives the request's params, not the index's
-// build-time ones.
+// answers exactly like a serial loop under the same params, not under the
+// index's build-time ones.
 func TestServedGraphBatchParams(t *testing.T) {
 	const k = 10
 	dir := t.TempDir()
 	sift := dataset.SIFT(e2eSeed, e2eDenseN)
 	queries := dataset.SIFT(e2eSeed+1, 8)
-	build := func() *knngraph.Graph[[]float32] {
-		g, err := knngraph.NewSW[[]float32](space.L2{}, sift, knngraph.Options{NN: 6, InitAttempts: 1, Workers: 1, Seed: e2eSeed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
+	g, err := knngraph.NewSW[[]float32](space.L2{}, sift, knngraph.Options{NN: 6, InitAttempts: 1, Seed: e2eSeed})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g, untuned := build(), build()
 	writeFixture(t, dir, "sw", g, Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
 	ts := bootServer(t, dir, Options{Workers: 4})
 
-	// The served copy was saved before any search, so its entry-point seed
-	// counter starts where g's does: one batch of n queries draws the same
-	// n seeds as this serial loop.
 	opts := index.Options{K: k, Params: index.Params{InitAttempts: 4, EfSearch: 40}}
 	var want, wantDefault [][]topk.Neighbor
 	for _, q := range queries {
 		want = append(want, wireNeighbors(g.SearchAppend(nil, q, opts)))
-	}
-	for _, q := range queries {
-		wantDefault = append(wantDefault, wireNeighbors(untuned.Search(q, k)))
+		wantDefault = append(wantDefault, wireNeighbors(g.Search(q, k)))
 	}
 	if reflect.DeepEqual(want, wantDefault) {
 		t.Fatal("test needs att/ef to change the answers; pick another corpus")
@@ -161,5 +152,41 @@ func TestServedGraphBatchParams(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Batch, want) {
 		t.Fatalf("graph batch under att=4,ef=40 differs from its serial loop:\nserved %v\nserial %v", got.Batch, want)
+	}
+}
+
+// TestServedGraphReplicasIdentical: two daemons opened over one saved
+// sw-graph file are interchangeable whatever each has served before — the
+// assumption behind hedged and failed-over router legs and the rollout
+// golden gate. One replica answers 50 other queries first; both then answer
+// the same single and batch request with byte-identical bodies.
+func TestServedGraphReplicasIdentical(t *testing.T) {
+	const k = 10
+	dir := t.TempDir()
+	sift := dataset.SIFT(e2eSeed, e2eDenseN)
+	g, err := knngraph.NewSW[[]float32](space.L2{}, sift, knngraph.Options{NN: 6, Seed: e2eSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFixture(t, dir, "sw", g, Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
+	fresh, used := bootServer(t, dir, Options{Workers: 4}), bootServer(t, dir, Options{Workers: 4})
+	for _, q := range dataset.SIFT(e2eSeed+2, 50) {
+		if status, raw := postJSON(t, used.URL+"/v1/indexes/sw/search", map[string]any{"query": q, "k": k}); status != http.StatusOK {
+			t.Fatalf("warm-up query: status %d: %s", status, raw)
+		}
+	}
+	queries := dataset.SIFT(e2eSeed+1, 8)
+	for name, body := range map[string]map[string]any{
+		"single": {"query": queries[0], "k": k},
+		"batch":  {"queries": queries, "k": k},
+	} {
+		statusA, a := postJSON(t, fresh.URL+"/v1/indexes/sw/search", body)
+		statusB, b := postJSON(t, used.URL+"/v1/indexes/sw/search", body)
+		if statusA != http.StatusOK || statusB != http.StatusOK {
+			t.Fatalf("%s: statuses %d and %d", name, statusA, statusB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s request: replicas of one file disagree:\nfresh %s\nused  %s", name, a, b)
+		}
 	}
 }

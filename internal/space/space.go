@@ -39,9 +39,8 @@ type Space[T any] interface {
 	Properties() Properties
 }
 
-// Counter wraps a Space and counts distance evaluations. Experiments use it
-// to report the number of distance computations alongside wall-clock time,
-// and tests use it to verify pruning actually prunes.
+// Counter wraps a Space and counts distance evaluations. Tests use it to
+// verify pruning actually prunes.
 type Counter[T any] struct {
 	inner Space[T]
 	n     atomic.Int64

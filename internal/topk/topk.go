@@ -85,9 +85,6 @@ func (q *Queue) Len() int { return len(q.heap) }
 // K returns the queue capacity.
 func (q *Queue) K() int { return q.k }
 
-// Full reports whether the queue holds k elements.
-func (q *Queue) Full() bool { return len(q.heap) == q.k }
-
 // Bound returns the current pruning radius: the distance of the worst kept
 // neighbor when the queue is full, or +Inf semantics via ok=false otherwise.
 func (q *Queue) Bound() (d float64, ok bool) {
@@ -120,22 +117,6 @@ func (q *Queue) Push(id uint32, d float64) bool {
 	q.heap[0] = Neighbor{ID: id, Dist: d}
 	q.siftDown(0)
 	return true
-}
-
-// PopWorst removes and returns the element with the largest distance.
-// It panics if the queue is empty.
-func (q *Queue) PopWorst() Neighbor {
-	n := len(q.heap)
-	if n == 0 {
-		panic("topk: PopWorst on empty queue")
-	}
-	top := q.heap[0]
-	q.heap[0] = q.heap[n-1]
-	q.heap = q.heap[:n-1]
-	if len(q.heap) > 0 {
-		q.siftDown(0)
-	}
-	return top
 }
 
 // Results drains the queue and returns its contents ordered by increasing
@@ -237,15 +218,6 @@ func (q *MinQueue) Pop() Neighbor {
 		i = smallest
 	}
 	return top
-}
-
-// Peek returns the nearest neighbor without removing it.
-// It panics if empty.
-func (q *MinQueue) Peek() Neighbor {
-	if len(q.heap) == 0 {
-		panic("topk: Peek on empty MinQueue")
-	}
-	return q.heap[0]
 }
 
 // Reset empties the queue, retaining capacity.

@@ -130,20 +130,6 @@ func TestQueueWouldAcceptTies(t *testing.T) {
 	}
 }
 
-func TestQueuePopWorst(t *testing.T) {
-	q := NewQueue(3)
-	q.Push(1, 1)
-	q.Push(2, 2)
-	q.Push(3, 3)
-	w := q.PopWorst()
-	if w.ID != 3 {
-		t.Fatalf("PopWorst = %+v, want ID 3", w)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d after PopWorst", q.Len())
-	}
-}
-
 func TestQueuePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -170,13 +156,12 @@ func TestMinQueueOrdering(t *testing.T) {
 	}
 }
 
+// TestMinQueuePeekReset keeps its name from when it also covered the
+// deleted Peek.
 func TestMinQueuePeekReset(t *testing.T) {
 	var q MinQueue
 	q.Push(1, 2)
 	q.Push(2, 1)
-	if q.Peek().ID != 2 {
-		t.Fatalf("Peek = %+v", q.Peek())
-	}
 	q.Reset()
 	if q.Len() != 0 {
 		t.Fatal("Reset did not empty queue")

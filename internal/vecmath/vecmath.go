@@ -106,28 +106,6 @@ func Scale(a []float32, c float64) {
 	}
 }
 
-// Normalize scales a to unit Euclidean norm in place and returns the original
-// norm. A zero vector is left unchanged and 0 is returned.
-func Normalize(a []float32) float64 {
-	n := Norm(a)
-	if n == 0 {
-		return 0
-	}
-	Scale(a, 1/n)
-	return n
-}
-
-// NormalizeL1 scales a so its elements sum to one (a probability histogram)
-// and returns the original sum. A zero vector is left unchanged.
-func NormalizeL1(a []float32) float64 {
-	s := Sum(a)
-	if s == 0 {
-		return 0
-	}
-	Scale(a, 1/s)
-	return s
-}
-
 // Clone returns a copy of a.
 func Clone(a []float32) []float32 {
 	out := make([]float32, len(a))
@@ -143,32 +121,4 @@ func Add(dst, a, b []float32) {
 	for i := range a {
 		dst[i] = a[i] + b[i]
 	}
-}
-
-// AXPY computes dst += c*a element-wise.
-func AXPY(dst []float32, c float64, a []float32) {
-	if len(dst) != len(a) {
-		panic("vecmath: length mismatch")
-	}
-	for i := range a {
-		dst[i] += float32(c * float64(a[i]))
-	}
-}
-
-// MinMax returns the smallest and largest element of a.
-// It panics on an empty slice.
-func MinMax(a []float32) (lo, hi float32) {
-	if len(a) == 0 {
-		panic("vecmath: empty slice")
-	}
-	lo, hi = a[0], a[0]
-	for _, v := range a[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }

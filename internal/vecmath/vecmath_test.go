@@ -159,32 +159,6 @@ func TestTriangleInequalityL2(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	a := []float32{3, 4}
-	n := Normalize(a)
-	if !almostEqual(n, 5, 1e-9) {
-		t.Fatalf("Normalize returned %v, want 5", n)
-	}
-	if !almostEqual(Norm(a), 1, 1e-6) {
-		t.Fatalf("norm after Normalize = %v, want 1", Norm(a))
-	}
-	z := []float32{0, 0}
-	if Normalize(z) != 0 {
-		t.Fatalf("Normalize(zero) should return 0")
-	}
-}
-
-func TestNormalizeL1(t *testing.T) {
-	a := []float32{1, 3}
-	s := NormalizeL1(a)
-	if s != 4 {
-		t.Fatalf("NormalizeL1 returned %v, want 4", s)
-	}
-	if !almostEqual(Sum(a), 1, 1e-6) {
-		t.Fatalf("sum after NormalizeL1 = %v, want 1", Sum(a))
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := []float32{1, 2, 3}
 	c := Clone(a)
@@ -194,6 +168,7 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestAddAXPY keeps its name from when it also covered the deleted AXPY.
 func TestAddAXPY(t *testing.T) {
 	a := []float32{1, 2}
 	b := []float32{3, 4}
@@ -202,23 +177,6 @@ func TestAddAXPY(t *testing.T) {
 	if dst[0] != 4 || dst[1] != 6 {
 		t.Fatalf("Add = %v", dst)
 	}
-	AXPY(dst, 2, a)
-	if dst[0] != 6 || dst[1] != 10 {
-		t.Fatalf("AXPY = %v", dst)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float32{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v,%v", lo, hi)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MinMax(empty) should panic")
-		}
-	}()
-	MinMax(nil)
 }
 
 func BenchmarkL2Sqr128(b *testing.B) {

@@ -21,8 +21,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"time"
 
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -201,11 +203,18 @@ type frame struct {
 // build-time ones. The iterative schedule replays the recursion exactly: a
 // node's near child (and its whole subtree) is processed before the node's
 // revisit frame decides — with the updated bound — whether the far child is
-// pruned.
+// pruned. A tree has no filter stage: every distance it evaluates is an
+// exact one, attributed to the refine stage when the query is traced.
 func (t *Tree[T]) search(s *searchScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	tr := opts.Trace
 	if opts.K <= 0 {
 		return dst
 	}
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	evals := 0
 	alphaLeft := cmp.Or(opts.Params.AlphaLeft, t.opts.AlphaLeft)
 	alphaRight := cmp.Or(opts.Params.AlphaRight, t.opts.AlphaRight)
 	s.q.Reset(opts.K)
@@ -237,14 +246,17 @@ func (t *Tree[T]) search(s *searchScratch, dst []topk.Neighbor, query T, opts in
 			for _, id := range n.bucket {
 				s.q.Push(id, t.sp.Distance(t.data[id], query))
 			}
+			evals += len(n.bucket)
 			continue
 		}
 		dq := t.sp.Distance(t.data[n.pivot], query)
+		evals++
 		s.q.Push(n.pivot, dq)
 		// Pruning compares against ball radii built from d(x, pivot); for
 		// asymmetric spaces measure the query in the same direction.
 		if !t.symmetric {
 			dq = t.sp.Distance(query, t.data[n.pivot])
+			evals++
 		}
 		// Near child first; the revisit frame beneath it on the stack
 		// fires once the near subtree is exhausted.
@@ -254,6 +266,10 @@ func (t *Tree[T]) search(s *searchScratch, dst []topk.Neighbor, query T, opts in
 		} else {
 			s.stack = append(s.stack, frame{n: n.right})
 		}
+	}
+	if tr != nil {
+		tr.RefineDistances += int64(evals)
+		obs.AddSince(&tr.RefineNs, t0)
 	}
 	return s.q.AppendResults(dst)
 }
