@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build loc test race bench bench-check bench-engine examples vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc test race bench bench-check bench-engine examples vet fmt staticcheck govulncheck lsm-deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -41,8 +41,15 @@ govulncheck:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "govulncheck: not installed, skipping (CI pins $(GOVULNCHECK_VERSION))"; fi
 
-# Static gate: formatting + vet + linters, exactly as CI runs them.
-check: fmt vet staticcheck govulncheck
+# The mutable tier stores objects, not index structures: internal/lsm must
+# not link the index registry or any index package beyond the exact scan.
+lsm-deps:
+	@out="$$($(GO) list -deps ./internal/lsm | grep -E '^repro/internal/(persist|core|knngraph|lsh|vptree)$$')"; \
+	if [ -n "$$out" ]; then echo "internal/lsm must not depend on:"; echo "$$out"; exit 1; fi
+
+# Static gate: formatting + vet + linters + import boundaries, exactly as CI
+# runs them.
+check: fmt vet staticcheck govulncheck lsm-deps
 
 # -shuffle randomizes test order within each package on every run, so
 # accidental inter-test state dependence fails fast instead of festering.
@@ -82,11 +89,15 @@ examples:
 # decoder of every object type (queries, WAL-durable adds) must refuse or
 # return something its distances can be computed on and that survives its own
 # Encode; its seeds are kilobyte objects, so cap the minute the fuzzer would
-# otherwise spend minimizing each new input.
+# otherwise spend minimizing each new input. FuzzOpen: one file of a real
+# mutable-tier directory (WAL, segment or tiers.json) replaced by fuzzed
+# bytes must be refused or recovered into a searchable tree, never a panic or
+# an allocation sized by a count the bytes merely claim.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 15s -fuzzminimizetime 1s ./internal/lsm/
 
 # Query hot-path microbenchmarks, one row per method over a warm 10k-point
 # index: an in-process convenience for a profile or a before/after look.

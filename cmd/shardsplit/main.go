@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/space"
+	"repro/internal/vfs"
 )
 
 func main() {
@@ -175,7 +177,12 @@ func splitTyped[T any](sp spec, fam *dataset.Family[T]) error {
 			return err
 		}
 		sidePath := filepath.Join(dir, sp.set+".json")
-		if err := os.WriteFile(sidePath, append(blob, '\n'), 0o644); err != nil {
+		// Written like the index beside it: a crash between the two must not
+		// leave a servable .psix next to a torn sidecar.
+		if err := vfs.WriteAtomic(vfs.OS{}, sidePath, func(w io.Writer) error {
+			_, err := w.Write(append(blob, '\n'))
+			return err
+		}); err != nil {
 			return err
 		}
 

@@ -1,12 +1,12 @@
 // Package faultfs wraps a vfs.FS and injects storage faults at chosen call
 // sites: the Nth fsync on WAL files fails with EIO, the next write to a
 // segment file runs out of disk halfway, every read after a simulated crash
-// returns an error. The storage pipeline (internal/lsm, internal/persist)
-// is written against the vfs boundary precisely so this package can probe
-// it: the keystone fault-sweep test injects one fault at every injectable
-// call across an add/seal/compact script and asserts the fail-stop
-// invariants, and scripts/fault_smoke.sh boots the real serving daemon on a
-// faultfs-backed tree via an env knob.
+// returns an error. The mutable tier (internal/lsm) and the one atomic
+// file writer (vfs.WriteAtomic) are written against the vfs boundary
+// precisely so this package can probe them: the keystone fault-sweep test
+// injects one fault at every injectable call across an add/seal/compact
+// script and asserts the fail-stop invariants, and scripts/fault_smoke.sh
+// boots the real serving daemon on a faultfs-backed tree via an env knob.
 //
 // # Model
 //

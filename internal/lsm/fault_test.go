@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -377,8 +378,8 @@ func copyTreeDir(t *testing.T, src string) string {
 	return dst
 }
 
-// buildRecoveryFixture populates a tree directory with sealed tiers (with
-// index files), tombstones and an unsealed WAL tail, then closes it.
+// buildRecoveryFixture populates a tree directory with sealed tiers,
+// tombstones and an unsealed WAL tail, then closes it.
 func buildRecoveryFixture(t *testing.T, dir string, base [][]float32) []uint32 {
 	t.Helper()
 	opts := faultScriptOptions(dir, nil, len(base))
@@ -415,10 +416,9 @@ func buildRecoveryFixture(t *testing.T, dir string, base [][]float32) []uint32 {
 }
 
 // TestFaultSweepReadSites injects EIO at every read site of recovery (WAL
-// read, manifest read, segment reads, index-file loads) and asserts Open
-// either fails with a clean error that preserves EIO — never quarantining a
-// possibly-intact file over a transient read failure — or succeeds with the
-// full live set (the fault landed on a rebuildable derived read). Either
+// read, manifest read, segment reads) and asserts Open either fails with a
+// clean error that preserves EIO — never quarantining a possibly-intact file
+// over a transient read failure — or succeeds with the full live set. Either
 // way a later clean open must serve everything: no silent loss.
 func TestFaultSweepReadSites(t *testing.T) {
 	base := randVecs(1, 6)
@@ -547,4 +547,60 @@ func TestQuarantineCorruptTier(t *testing.T) {
 		t.Fatalf("quarantined file was cleaned up by removeStale: %v", err)
 	}
 	checkIdentity(t, again, base, "second recovery")
+}
+
+// TestSealIO pins what one seal costs at the filesystem boundary: the
+// segment and the manifest through vfs.WriteAtomic (create, writes, fsync,
+// rename, directory fsync each), the fresh WAL segment (create, header
+// write, fsync), the old WAL's closing fsync and its removal — and nothing
+// else. A tier is its .seg: no seal touches an index file.
+func TestSealIO(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(*testing.T, *Tree[[]float32])
+	}{
+		{"adds", func(t *testing.T, tree *Tree[[]float32]) {
+			for _, v := range randVecs(41, 3) {
+				if _, err := tree.Add(encVec(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"tombstones-only", func(t *testing.T, tree *Tree[[]float32]) {
+			if err := tree.DeleteBatch([]uint32{1, 4}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := faultfs.New(nil)
+			tree, err := Open(faultScriptOptions(filepath.Join(t.TempDir(), "tree"), ffs, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			tc.write(t, tree)
+			before := len(ffs.Calls())
+			if st, err := tree.Flush(); err != nil || st == nil {
+				t.Fatalf("Flush = %+v, %v", st, err)
+			}
+			calls := ffs.Calls()[before:]
+			var syncs, segs int
+			for _, c := range calls {
+				if strings.Contains(c.Path, ".psix") {
+					t.Errorf("seal touched an index file: %s %s", c.Op, c.Path)
+				}
+				if c.Op == faultfs.OpSync {
+					syncs++
+				}
+				if c.Op == faultfs.OpRename && strings.HasSuffix(c.Path, ".seg") {
+					segs++
+				}
+			}
+			if len(calls) != 15 || syncs != 4 || segs != 1 {
+				t.Fatalf("seal made %d injectable calls, %d file fsyncs, %d segment renames; want 15, 4, 1:\n%v",
+					len(calls), syncs, segs, calls)
+			}
+		})
+	}
 }

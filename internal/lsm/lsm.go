@@ -8,8 +8,8 @@
 // package is that claim made operational for the serving stack. Every write
 // is appended to a write-ahead log and fsynced before it is acknowledged, so
 // ingest survives kill -9; when the memtable overflows it is sealed into an
-// immutable tier — a codec segment holding the raw objects plus an ordinary
-// .psix index file — and queries scatter-gather across base + tiers +
+// immutable tier — one codec segment holding the raw objects, searched by an
+// exact scan — and queries scatter-gather across base + tiers +
 // memtable, merging with the same canonical (dist, id) rule that makes
 // sharded answers byte-identical to unsharded ones (internal/router). With
 // exact per-component search, a tiered tree answers byte-identically to a
@@ -38,7 +38,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/scratch"
 	"repro/internal/seqscan"
 	"repro/internal/space"
@@ -242,8 +241,7 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 		walSeq:  man.WalSeq,
 		tierSeq: man.NextTierSeq,
 	}
-	var quarantine []manifestTier
-	var keptTiers []manifestTier
+	var quarantine, keptTiers []TierStatus
 	for _, mt := range man.Tiers {
 		tr, err := readSegment(fsys, opts.Dir, opts.Space.Name(), mt.Seq, opts.Decode)
 		if err == nil && (len(tr.ids) != mt.N || len(tr.tombs) != mt.Tombstones) {
@@ -259,21 +257,7 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 				fmt.Sprintf("%06d.seg%s: %v", mt.Seq, quarantineExt, err))
 			continue
 		}
-		if len(tr.ids) > 0 {
-			// The .psix is derived state: prefer loading it, rebuild from
-			// the segment when missing or unreadable.
-			idx, err := persist.LoadFileFS(fsys, idxPath(opts.Dir, mt.Seq), opts.Space, tr.objs)
-			if err != nil {
-				idx = seqscan.New(opts.Space, tr.objs)
-				// Best effort: the rebuilt index serves fine from memory
-				// even if re-persisting it fails.
-				_ = persist.SaveFileFS(fsys, idxPath(opts.Dir, mt.Seq), idx)
-			}
-			if mt.Kind != "" && idx.Name() != mt.Kind {
-				return nil, fmt.Errorf("lsm: tier %d index is %q, manifest says %q", mt.Seq, idx.Name(), mt.Kind)
-			}
-			tr.idx = idx
-		}
+		tr.buildIndex(opts.Space)
 		t.tiers = append(t.tiers, tr)
 		keptTiers = append(keptTiers, mt)
 		for _, id := range tr.tombs {
@@ -632,7 +616,7 @@ func (t *Tree[T]) Unsealed() int {
 }
 
 // sealLocked rotates the current WAL segment into an immutable tier:
-// segment file, index file, manifest commit, fresh WAL, fresh memtable —
+// segment file, manifest commit, fresh WAL, fresh memtable —
 // in that order, so a crash at any boundary recovers to either the
 // pre-seal or post-seal state with no acknowledged write lost.
 func (t *Tree[T]) sealLocked() (*TierStatus, error) {
@@ -662,12 +646,7 @@ func (t *Tree[T]) sealLocked() (*TierStatus, error) {
 		return nil, t.rotateWalLocked(newWalSeq)
 	}
 
-	if len(tr.ids) > 0 {
-		tr.idx = seqscan.New(t.opts.Space, tr.objs)
-		if err := persist.SaveFileFS(t.fs, idxPath(t.opts.Dir, tr.seq), tr.idx); err != nil {
-			return nil, t.degradeLocked(fmt.Errorf("writing tier %d index: %w", tr.seq, err))
-		}
-	}
+	tr.buildIndex(t.opts.Space)
 	if err := writeSegment(t.fs, t.opts.Dir, t.opts.Space.Name(), tr); err != nil {
 		return nil, t.degradeLocked(fmt.Errorf("writing tier %d segment: %w", tr.seq, err))
 	}
@@ -698,11 +677,7 @@ func (t *Tree[T]) commitLocked(tiers []*tier[T], walSeq uint64) error {
 		NextTierSeq: t.tierSeq,
 	}
 	for _, tr := range tiers {
-		mt := manifestTier{Seq: tr.seq, N: len(tr.ids), Tombstones: len(tr.tombs)}
-		if tr.idx != nil {
-			mt.Kind = tr.idx.Name()
-		}
-		man.Tiers = append(man.Tiers, mt)
+		man.Tiers = append(man.Tiers, tierStatusOf(tr))
 	}
 	return writeManifest(t.fs, t.opts.Dir, man)
 }
@@ -829,13 +804,7 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 	if len(tr.ids) == 0 && len(tr.tombs) == 0 {
 		merged = nil // everything died; the inputs are replaced by nothing
 	} else {
-		if len(tr.ids) > 0 {
-			tr.idx = seqscan.New(t.opts.Space, tr.objs)
-			if err := persist.SaveFileFS(t.fs, idxPath(t.opts.Dir, seq), tr.idx); err != nil {
-				failIO(fmt.Errorf("lsm: writing compacted index: %w", err))
-				return
-			}
-		}
+		tr.buildIndex(t.opts.Space)
 		if err := writeSegment(t.fs, t.opts.Dir, t.opts.Space.Name(), tr); err != nil {
 			failIO(fmt.Errorf("lsm: writing compacted segment: %w", err))
 			return
@@ -879,7 +848,6 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 	// leaves debris for removeStale.
 	for _, in := range inputs {
 		t.fs.Remove(segPath(t.opts.Dir, in.seq))
-		t.fs.Remove(idxPath(t.opts.Dir, in.seq))
 	}
 	t.mu.Lock()
 	t.compacting = false
@@ -1001,20 +969,16 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 	return dst, nil
 }
 
-// TierStatus summarizes one sealed tier for /statusz.
+// TierStatus summarizes one sealed tier: its row in tiers.json, in /statusz
+// and in the /flush response.
 type TierStatus struct {
 	Seq        uint64 `json:"seq"`
 	N          int    `json:"n"`
 	Tombstones int    `json:"tombstones"`
-	Kind       string `json:"kind,omitempty"`
 }
 
 func tierStatusOf[T any](tr *tier[T]) TierStatus {
-	st := TierStatus{Seq: tr.seq, N: len(tr.ids), Tombstones: len(tr.tombs)}
-	if tr.idx != nil {
-		st.Kind = tr.idx.Name()
-	}
-	return st
+	return TierStatus{Seq: tr.seq, N: len(tr.ids), Tombstones: len(tr.tombs)}
 }
 
 // Storage states a tree reports in Status.State.

@@ -8,6 +8,7 @@ package lsm
 // exactly the acknowledged prefix of the write history.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -311,11 +312,13 @@ func TestTreeTombstoneOnlyTierHasNoIndexFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st == nil || st.N != 0 || st.Tombstones != 3 || st.Kind != "" {
+	if st == nil || st.N != 0 || st.Tombstones != 3 {
 		t.Fatalf("tombstone-only tier = %+v", st)
 	}
-	if _, err := os.Stat(idxPath(opts.Dir, st.Seq)); !os.IsNotExist(err) {
-		t.Fatalf("tombstone-only tier wrote an index file (err=%v)", err)
+	// The tier is still one segment on disk — its tombstones must survive a
+	// reopen — and nothing else.
+	if got, want := dirNames(t, opts.Dir), []string{"000001.seg", manifestName, "wal-000002.log"}; !slices.Equal(got, want) {
+		t.Fatalf("tree directory after a tombstone-only seal holds %v, want %v", got, want)
 	}
 	tree.Close()
 	re := mustOpen(t, opts)
@@ -604,7 +607,8 @@ func TestTreeRecoveryAfterSealCrashWindows(t *testing.T) {
 	if err := os.WriteFile(segPath(opts.Dir, 77), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(idxPath(opts.Dir, 77), []byte("garbage"), 0o644); err != nil {
+	orphanIdx := filepath.Join(opts.Dir, "000077.psix") // what older builds wrote beside a .seg
+	if err := os.WriteFile(orphanIdx, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Crash window B: manifest committed, new WAL never created.
@@ -621,33 +625,88 @@ func TestTreeRecoveryAfterSealCrashWindows(t *testing.T) {
 		t.Fatalf("recovered live set %v, want %v", got, wantLive)
 	}
 	checkIdentity(t, re, base, "after seal-crash recovery")
-	for _, stale := range []string{segPath(opts.Dir, 77), idxPath(opts.Dir, 77), walPath(opts.Dir, 1)} {
+	for _, stale := range []string{segPath(opts.Dir, 77), orphanIdx, walPath(opts.Dir, 1)} {
 		if _, err := os.Stat(stale); !os.IsNotExist(err) {
 			t.Fatalf("stale file %s survived recovery (err=%v)", stale, err)
 		}
 	}
 }
 
-func TestTreeRebuildsMissingTierIndex(t *testing.T) {
-	base := randVecs(21, 15)
-	opts := testOptions(t, len(base))
-	tree := mustOpen(t, opts)
-	for _, v := range randVecs(22, 5) {
-		if _, err := tree.Add(encVec(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := tree.Flush()
+// dirNames lists a tree directory, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.Close()
-	// The .psix is derived state; corrupt it and require a rebuild.
-	if err := os.WriteFile(idxPath(opts.Dir, st.Seq), []byte("not an index"), 0o644); err != nil {
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestTreeOpensOlderLayout is the upgrade path: a directory laid out the way
+// builds that persisted the tier scanner wrote it — an NNNNNN.psix beside
+// every .seg (one of them garbage, which those builds tolerated) and a
+// "kind": "seqscan" key in every tiers.json row — opens, answers
+// byte-identically to a flat scan of the live set, and holds no .psix
+// afterwards.
+func TestTreeOpensOlderLayout(t *testing.T) {
+	base := randVecs(21, 15)
+	opts := testOptions(t, len(base))
+	tree := mustOpen(t, opts)
+	for i, v := range randVecs(22, 10) {
+		if _, err := tree.Add(encVec(v)); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 4 {
+			if _, err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tree.Delete(uint32(len(base)) + 1); err != nil { // unsealed tail
 		t.Fatal(err)
 	}
+	wantLive := tree.LiveIDs()
+	tree.Close()
+
+	manPath := filepath.Join(opts.Dir, manifestName)
+	man, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const row = `"tombstones": 0`
+	if n := bytes.Count(man, []byte(row)); n != 2 {
+		t.Fatalf("manifest has %d tier rows, want 2:\n%s", n, man)
+	}
+	man = bytes.ReplaceAll(man, []byte(row), []byte(row+`,
+      "kind": "seqscan"`))
+	if err := os.WriteFile(manPath, man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var scanner bytes.Buffer // the bytes older builds saved for a 5-object tier
+	if err := seqscan.New[[]float32](space.L2{}, make([][]float32, 5)).Save(&scanner); err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{"000001.psix": scanner.Bytes(), "000002.psix": []byte("not an index")} {
+		if err := os.WriteFile(filepath.Join(opts.Dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	re := mustOpen(t, opts)
-	checkIdentity(t, re, base, "after tier index rebuild")
+	if got := re.LiveIDs(); !slices.Equal(got, wantLive) {
+		t.Fatalf("live set after upgrade %v, want %v", got, wantLive)
+	}
+	if st := re.Status(); len(st.Tiers) != 2 || len(st.Quarantined) != 0 {
+		t.Fatalf("status after upgrade: %+v", st)
+	}
+	checkIdentity(t, re, base, "older layout")
+	if got, want := dirNames(t, opts.Dir), []string{"000001.seg", "000002.seg", manifestName, "wal-000003.log"}; !slices.Equal(got, want) {
+		t.Fatalf("tree directory after upgrade holds %v, want %v", got, want)
+	}
 }
 
 func TestTreeOpenRejectsMismatches(t *testing.T) {

@@ -4,35 +4,36 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"slices"
 	"strings"
 
 	"repro/internal/codec"
-	"repro/internal/index"
-	"repro/internal/persist"
+	"repro/internal/seqscan"
+	"repro/internal/space"
 	"repro/internal/vfs"
 )
 
-// Sealed tiers. A seal turns the memtable into two files plus a manifest
+// Sealed tiers. A seal turns the memtable into one file plus a manifest
 // update, in a crash-ordered sequence:
 //
 //	<seq>.seg     codec blob (kind "lsm-segment"): the live objects' global
 //	              ids and raw wire payloads, plus the tombstones recorded
-//	              during this WAL segment's lifetime. This is the durable
-//	              source of truth for added objects — index files never
-//	              store objects, segments do.
-//	<seq>.psix    an ordinary index file built over the tier's live objects
-//	              (absent when the tier holds tombstones only). Purely
-//	              derived: a missing or corrupt one is rebuilt from the
-//	              .seg on open.
+//	              during this WAL segment's lifetime. The segment is the
+//	              whole tier: a tier is searched by an exact scan over its
+//	              decoded objects, which needs no derived state on disk.
 //	tiers.json    the manifest naming the live tier sequence numbers, the
-//	              current WAL segment and the next id to assign; written
-//	              atomically (temp + fsync + rename). A file not named by
-//	              the manifest does not exist as far as recovery is
+//	              current WAL segment and the next id to assign. A file not
+//	              named by the manifest does not exist as far as recovery is
 //	              concerned — every crash point between the steps leaves
 //	              either the old or the new manifest, never a mix.
+//
+// Both are written with vfs.WriteAtomic. Older builds also kept a <seq>.psix
+// (the scanner's empty payload) beside each segment and a constant "kind" in
+// each manifest row: Open ignores the key and removes the files as debris,
+// and an older build opening this layout rebuilds the file it misses.
 //
 // Tombstones in a newer tier only ever target the base corpus or older
 // tiers: global ids are assigned monotonically and never reused, so by the
@@ -48,17 +49,22 @@ type tier[T any] struct {
 	objs  []T      // decoded objects, parallel to ids
 	tombs []uint32 // ascending global ids deleted during this segment
 	// idx is an exact sequential scan over objs — correct for every space,
-	// and tiers are small next to the base corpus — built at seal time or
-	// loaded from the tier's index file.
-	idx index.Index[T]
+	// and tiers are small next to the base corpus. Nil until buildIndex is
+	// called and for a tier that holds tombstones only.
+	idx *seqscan.Scanner[T]
 }
 
-// segPath / idxPath / walPath name the files of a sequence number.
+// buildIndex builds the tier's searcher once ids and objs are final: the one
+// constructor recovery, seal and compaction share.
+func (tr *tier[T]) buildIndex(sp space.Space[T]) {
+	if len(tr.objs) > 0 {
+		tr.idx = seqscan.New(sp, tr.objs)
+	}
+}
+
+// segPath / walPath name the files of a sequence number.
 func segPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%06d.seg", seq))
-}
-func idxPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d%s", seq, persist.Ext))
 }
 func walPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%06d.log", seq))
@@ -66,39 +72,16 @@ func walPath(dir string, seq uint64) string {
 
 // writeSegment writes the .seg blob for a tier atomically.
 func writeSegment[T any](fsys vfs.FS, dir, spaceName string, tr *tier[T]) error {
-	path := segPath(dir, tr.seq)
-	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		fsys.Remove(f.Name())
-		return err
-	}
-	cw := codec.NewWriter(f, codec.KindLSMSegment, spaceName, len(tr.ids))
-	cw.U64(tr.seq)
-	cw.U32s(tr.ids)
-	cw.U32s(tr.tombs)
-	for _, b := range tr.blobs {
-		cw.Bytes(b)
-	}
-	if err := cw.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.Chmod(f.Name(), 0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.Rename(f.Name(), path); err != nil {
-		return cleanup(err)
-	}
-	return fsys.SyncDir(dir)
+	return vfs.WriteAtomic(fsys, segPath(dir, tr.seq), func(w io.Writer) error {
+		cw := codec.NewWriter(w, codec.KindLSMSegment, spaceName, len(tr.ids))
+		cw.U64(tr.seq)
+		cw.U32s(tr.ids)
+		cw.U32s(tr.tombs)
+		for _, b := range tr.blobs {
+			cw.Bytes(b)
+		}
+		return cw.Close()
+	})
 }
 
 // errSegCorrupt tags a segment whose bytes were read back fine but describe
@@ -118,7 +101,7 @@ func isCorrupt(err error) bool {
 }
 
 // readSegment loads and validates a .seg blob. Objects are decoded with the
-// tree's Decode; the index file is not touched here.
+// tree's Decode.
 func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode func([]byte) (T, error)) (*tier[T], error) {
 	path := segPath(dir, seq)
 	f, err := fsys.Open(path)
@@ -137,10 +120,15 @@ func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode f
 	if hdr.Space != spaceName {
 		return nil, fmt.Errorf("%s: segment written under space %q, tree uses %q: %w", path, hdr.Space, spaceName, errSegCorrupt)
 	}
-	n := int(hdr.N)
 	tr := &tier[T]{seq: cr.U64()}
 	tr.ids = cr.U32s()
 	tr.tombs = cr.U32s()
+	// The id section's length was checked against the bytes present; the
+	// header's count was not, so it sizes nothing until the two agree.
+	if cr.Err() == nil && uint64(len(tr.ids)) != hdr.N {
+		return nil, fmt.Errorf("%s: %d ids for %d objects: %w", path, len(tr.ids), hdr.N, errSegCorrupt)
+	}
+	n := len(tr.ids)
 	tr.blobs = make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		tr.blobs = append(tr.blobs, cr.Bytes())
@@ -150,9 +138,6 @@ func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode f
 	}
 	if tr.seq != seq {
 		return nil, fmt.Errorf("%s: segment stamps seq %d, manifest says %d: %w", path, tr.seq, seq, errSegCorrupt)
-	}
-	if len(tr.ids) != n {
-		return nil, fmt.Errorf("%s: %d ids for %d objects: %w", path, len(tr.ids), n, errSegCorrupt)
 	}
 	if !slices.IsSorted(tr.ids) || !slices.IsSorted(tr.tombs) {
 		return nil, fmt.Errorf("%s: unsorted id or tombstone section: %w", path, errSegCorrupt)
@@ -172,35 +157,26 @@ func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode f
 // forensics but the name no longer matches any pattern the tree manages.
 const quarantineExt = ".quarantined"
 
-// quarantineTier renames a corrupt tier's files aside (<name>.quarantined)
-// so recovery converges without them while an operator can still inspect
-// the damage. Best effort: the manifest has already been rewritten without
-// the tier, so even if a rename fails the file is mere debris.
+// quarantineTier renames a corrupt tier's segment aside (<name>.quarantined)
+// so recovery converges without it while an operator can still inspect the
+// damage. Best effort: the manifest has already been rewritten without the
+// tier, so even if the rename fails the file is mere debris.
 func quarantineTier(fsys vfs.FS, dir string, seq uint64) {
-	for _, p := range []string{segPath(dir, seq), idxPath(dir, seq)} {
-		_ = fsys.Rename(p, p+quarantineExt)
-	}
+	p := segPath(dir, seq)
+	_ = fsys.Rename(p, p+quarantineExt)
 	_ = fsys.SyncDir(dir)
 }
 
 // manifest is the tiers.json sidecar: the only authority on which files
 // constitute the tree.
 type manifest struct {
-	Version     int            `json:"version"`
-	Space       string         `json:"space"`
-	BaseN       int            `json:"base_n"`
-	NextID      uint32         `json:"next_id"`
-	WalSeq      uint64         `json:"wal_seq"`
-	NextTierSeq uint64         `json:"next_tier_seq"`
-	Tiers       []manifestTier `json:"tiers"`
-}
-
-// manifestTier summarizes one sealed tier.
-type manifestTier struct {
-	Seq        uint64 `json:"seq"`
-	N          int    `json:"n"`
-	Tombstones int    `json:"tombstones"`
-	Kind       string `json:"kind,omitempty"` // index kind; empty for tombstone-only tiers
+	Version     int          `json:"version"`
+	Space       string       `json:"space"`
+	BaseN       int          `json:"base_n"`
+	NextID      uint32       `json:"next_id"`
+	WalSeq      uint64       `json:"wal_seq"`
+	NextTierSeq uint64       `json:"next_tier_seq"`
+	Tiers       []TierStatus `json:"tiers"`
 }
 
 const manifestVersion = 1
@@ -208,39 +184,17 @@ const manifestVersion = 1
 // manifestName is the manifest file name inside a tree directory.
 const manifestName = "tiers.json"
 
-// writeManifest atomically replaces the manifest: temp file, fsync, rename,
-// directory fsync. After it returns, recovery will see exactly this state.
+// writeManifest atomically replaces the manifest. After it returns, recovery
+// will see exactly this state.
 func writeManifest(fsys vfs.FS, dir string, m *manifest) error {
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, manifestName)
-	f, err := fsys.CreateTemp(dir, manifestName+".tmp*")
-	if err != nil {
+	return vfs.WriteAtomic(fsys, filepath.Join(dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
 		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		fsys.Remove(f.Name())
-		return err
-	}
-	if _, err := f.Write(append(blob, '\n')); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.Chmod(f.Name(), 0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.Rename(f.Name(), path); err != nil {
-		return cleanup(err)
-	}
-	return fsys.SyncDir(dir)
+	})
 }
 
 // readManifest loads tiers.json; ok is false when the file does not exist.
@@ -263,11 +217,11 @@ func readManifest(fsys vfs.FS, dir string) (m *manifest, ok bool, err error) {
 }
 
 // removeStale deletes every file in dir that the manifest does not account
-// for: segments and index files of unlisted sequence numbers, WAL segments
-// other than the current one, and orphaned temp files. Such files are debris
-// of a crash between "write files" and "commit manifest" (or after a commit
-// that replaced them) and must not survive, or a later seal reusing the
-// sequence number would find them in the way. Quarantined files are the one
+// for: segments of unlisted sequence numbers, WAL segments other than the
+// current one, and any other plain file. Such files are debris of a crash
+// between "write files" and "commit manifest" (or after a commit that
+// replaced them) and must not survive, or a later seal reusing the sequence
+// number would find them in the way. Quarantined files are the one
 // exception: they are kept, deliberately, for the operator.
 func removeStale(fsys vfs.FS, dir string, m *manifest) {
 	listed := make(map[uint64]bool, len(m.Tiers))
@@ -285,7 +239,7 @@ func removeStale(fsys vfs.FS, dir string, m *manifest) {
 		}
 		var seq uint64
 		switch {
-		case matchSeq(name, ".seg", &seq), matchSeq(name, persist.Ext, &seq):
+		case matchSeq(name, ".seg", &seq):
 			if !listed[seq] {
 				fsys.Remove(filepath.Join(dir, name))
 			}
@@ -294,7 +248,8 @@ func removeStale(fsys vfs.FS, dir string, m *manifest) {
 				fsys.Remove(filepath.Join(dir, name))
 			}
 		default:
-			// Leftover temp files from interrupted atomic writes.
+			// Leftover temp files from interrupted atomic writes, and the
+			// <seq>.psix files of builds that persisted the tier scanner.
 			fsys.Remove(filepath.Join(dir, name))
 		}
 	}

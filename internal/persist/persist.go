@@ -116,53 +116,17 @@ func Load[T any](r io.Reader, sp space.Space[T], data []T) (index.Index[T], erro
 	}
 }
 
-// SaveFile writes idx to path atomically: the blob is serialized and
-// fsynced to a temporary file in the same directory, then renamed over the
-// destination, so neither a crash nor a failed Save can leave a truncated
-// or torn file where a good one used to be.
+// SaveFile writes idx to path atomically and durably (vfs.WriteAtomic):
+// neither a crash nor a failed Save can leave a truncated or torn file where
+// a good one used to be, and once SaveFile returns nil the new file survives
+// a crash.
 func SaveFile[T any](path string, idx index.Index[T]) error {
-	return SaveFileFS(vfs.OS{}, path, idx)
-}
-
-// SaveFileFS is SaveFile over an explicit filesystem — the injectable form
-// the LSM tree routes its tier index saves through so fault tests can fail
-// any step of the atomic-write sequence.
-func SaveFileFS[T any](fsys vfs.FS, path string, idx index.Index[T]) error {
-	f, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		fsys.Remove(f.Name())
-		return err
-	}
-	if err := Save(f, idx); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.Chmod(f.Name(), 0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.Rename(f.Name(), path); err != nil {
-		return cleanup(err)
-	}
-	return nil
+	return vfs.WriteAtomic(vfs.OS{}, path, func(w io.Writer) error { return Save(w, idx) })
 }
 
 // LoadFile reads one index from the file at path.
 func LoadFile[T any](path string, sp space.Space[T], data []T) (index.Index[T], error) {
-	return LoadFileFS(vfs.OS{}, path, sp, data)
-}
-
-// LoadFileFS is LoadFile over an explicit filesystem (see SaveFileFS).
-func LoadFileFS[T any](fsys vfs.FS, path string, sp space.Space[T], data []T) (index.Index[T], error) {
-	f, err := fsys.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -186,15 +150,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // trailer itself. The shard-set manifests (internal/shard) record it per
 // shard so shipped snapshots can be verified without loading them.
 func FileChecksum(path string) (uint32, error) {
-	return FileChecksumFS(vfs.OS{}, path)
-}
-
-// FileChecksumFS is FileChecksum over an explicit filesystem, so the
-// shard-set verifier can run under fault injection. It reads the whole blob
-// (vfs deliberately has no Stat; index files are small next to their data
-// sets), which also exercises the read path the fault sweep targets.
-func FileChecksumFS(fsys vfs.FS, path string) (uint32, error) {
-	blob, err := fsys.ReadFile(path)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/shard"
+	"repro/internal/vfs"
 	"repro/internal/wire"
 )
 
@@ -469,9 +470,10 @@ func (d *Driver) reload(base, set string) error {
 const backupSuffix = ".prev"
 
 // backupAndInstall saves the replica's live <set>.psix/.json under the
-// backup suffix and installs the new pair. Installs go through a temp file
-// + rename so a crash mid-ship can tear neither target (the registry only
-// rereads on reload anyway, but the files themselves stay whole).
+// backup suffix and installs the new pair. Every copy is atomic and durable
+// (vfs.WriteAtomic), so a crash mid-ship can tear neither target (the
+// registry only rereads on reload anyway, but the files themselves stay
+// whole) and the installed files are 0644 like the ones shardsplit wrote.
 func backupAndInstall(dir, set, srcIndex, srcSidecar string) error {
 	for _, f := range []struct{ live, src string }{
 		{filepath.Join(dir, set+".psix"), srcIndex},
@@ -500,26 +502,15 @@ func restoreBackup(dir, set string) error {
 	return nil
 }
 
-// copyFile copies src over dst atomically (temp file + rename in dst's
-// directory).
+// copyFile copies src over dst atomically and durably.
 func copyFile(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp*")
-	if err != nil {
+	return vfs.WriteAtomic(vfs.OS{}, dst, func(w io.Writer) error {
+		_, err := io.Copy(w, in)
 		return err
-	}
-	if _, err := io.Copy(tmp, in); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), dst)
+	})
 }

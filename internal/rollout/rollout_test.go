@@ -228,6 +228,7 @@ func TestRolloutConverges(t *testing.T) {
 			}
 		}
 	}
+	checkShippedFiles(t, f)
 }
 
 // TestRolloutRollsBackOnRegression is the acceptance bar: a generation
@@ -263,6 +264,7 @@ func TestRolloutRollsBackOnRegression(t *testing.T) {
 			}
 		}
 	}
+	checkShippedFiles(t, f)
 }
 
 // TestRolloutPreflight: corrupt bytes and generation skew are refused
@@ -429,6 +431,29 @@ func TestRolloutEvents(t *testing.T) {
 	}
 }
 
+// checkShippedFiles asserts what the driver leaves in every replica's serving
+// dir after shipping (or restoring) a generation: the live pair and its
+// backup are world-readable like the files shardsplit writes — a daemon under
+// another uid must be able to reload them — and no temp file is left behind.
+func checkShippedFiles(t *testing.T, f *fleet) {
+	t.Helper()
+	for _, group := range f.topo.Shards {
+		for _, rep := range group {
+			for _, name := range []string{roSet + persist.Ext, roSet + ".json", roSet + persist.Ext + ".prev", roSet + ".json.prev"} {
+				fi, err := os.Stat(filepath.Join(rep.Dir, name))
+				if err != nil {
+					t.Errorf("replica %s: %v", rep.URL, err)
+				} else if fi.Mode().Perm() != 0o644 || fi.Size() == 0 {
+					t.Errorf("replica %s: %s has mode %v, %d bytes; want 0644, non-empty", rep.URL, name, fi.Mode().Perm(), fi.Size())
+				}
+			}
+			if tmp, _ := filepath.Glob(filepath.Join(rep.Dir, "*.tmp*")); len(tmp) != 0 {
+				t.Errorf("replica %s: temp files left behind: %v", rep.URL, tmp)
+			}
+		}
+	}
+}
+
 func slicesEqual(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -441,14 +466,18 @@ func slicesEqual(a, b []string) bool {
 	return true
 }
 
-// TestTopologyRoundtrip: write/read identity plus validation rejections.
+// TestTopologyRoundtrip: a topology file as an operator writes it reads back
+// whole, plus validation rejections.
 func TestTopologyRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.json")
-	topo := &rollout.Topology{Shards: [][]rollout.Replica{
-		{{URL: "http://a:1", Dir: "/srv/a"}, {URL: "http://b:1"}},
-		{{URL: "http://c:1"}},
-	}}
-	if err := rollout.WriteTopology(path, topo); err != nil {
+	const file = `{
+  "schema": "permsearch-topology/v1",
+  "shards": [
+    [{"url": "http://a:1", "dir": "/srv/a"}, {"url": "http://b:1"}],
+    [{"url": "http://c:1"}]
+  ]
+}`
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := rollout.ReadTopology(path)

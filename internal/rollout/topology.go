@@ -90,16 +90,3 @@ func ReadTopology(path string) (*Topology, error) {
 	}
 	return &t, nil
 }
-
-// WriteTopology validates t and writes it to path.
-func WriteTopology(path string, t *Topology) error {
-	t.Schema = TopologySchema
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}

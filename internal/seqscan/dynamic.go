@@ -38,9 +38,3 @@ func (s *Scanner[T]) Deleted(id uint32) bool {
 
 // Live returns the number of non-deleted points.
 func (s *Scanner[T]) Live() int { return len(s.data) - len(s.deleted) }
-
-// Compact is a no-op for the scan structure itself: there are no posting
-// lists to rewrite, and ids are stable positions into the data slice, so the
-// tombstone set must stay for Deleted()/Live() to keep answering correctly.
-// It exists so the scanner satisfies the same dynamic contract as NAPP.
-func (s *Scanner[T]) Compact() {}

@@ -3,6 +3,8 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 
 	"repro/internal/persist"
@@ -105,17 +107,11 @@ func (m *SetManifest) Validate() error {
 }
 
 // WriteSetManifest validates m and writes it as <dir>/<set>.shardset.json,
-// returning the path written.
-func WriteSetManifest(dir string, m *SetManifest) (string, error) {
-	return WriteSetManifestFS(vfs.OS{}, dir, m)
-}
-
-// WriteSetManifestFS is WriteSetManifest over an explicit filesystem. The
-// write is atomic — temp file, fsync, rename, directory fsync — so a crash
-// (or an injected fault) mid-write can never leave a torn manifest where a
-// good one used to be: the set either advances to the new generation or
+// returning the path written. The write is atomic and durable
+// (vfs.WriteAtomic): a crash mid-write can never leave a torn manifest where
+// a good one used to be — the set either advances to the new generation or
 // keeps the old one.
-func WriteSetManifestFS(fsys vfs.FS, dir string, m *SetManifest) (string, error) {
+func WriteSetManifest(dir string, m *SetManifest) (string, error) {
 	m.Schema = SetSchema
 	if err := m.Validate(); err != nil {
 		return "", err
@@ -125,31 +121,11 @@ func WriteSetManifestFS(fsys vfs.FS, dir string, m *SetManifest) (string, error)
 		return "", err
 	}
 	path := filepath.Join(dir, m.Set+SetManifestExt)
-	f, err := fsys.CreateTemp(dir, m.Set+SetManifestExt+".tmp*")
+	err = vfs.WriteAtomic(vfs.OS{}, path, func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	})
 	if err != nil {
-		return "", err
-	}
-	cleanup := func(err error) (string, error) {
-		f.Close()
-		fsys.Remove(f.Name())
-		return "", err
-	}
-	if _, err := f.Write(append(blob, '\n')); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.Chmod(f.Name(), 0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.Rename(f.Name(), path); err != nil {
-		return cleanup(err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
 		return "", err
 	}
 	return path, nil
@@ -157,12 +133,7 @@ func WriteSetManifestFS(fsys vfs.FS, dir string, m *SetManifest) (string, error)
 
 // ReadSetManifest parses and validates a shard-set manifest.
 func ReadSetManifest(path string) (*SetManifest, error) {
-	return ReadSetManifestFS(vfs.OS{}, path)
-}
-
-// ReadSetManifestFS is ReadSetManifest over an explicit filesystem.
-func ReadSetManifestFS(fsys vfs.FS, path string) (*SetManifest, error) {
-	blob, err := fsys.ReadFile(path)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -185,14 +156,8 @@ func ReadSetManifestFS(fsys vfs.FS, path string) (*SetManifest, error) {
 // corpus identity or shard stamp contradicts the set, would load cleanly
 // and silently serve the wrong generation's answers.
 func (m *SetManifest) VerifyFiles(dir string) error {
-	return m.VerifyFilesFS(vfs.OS{}, dir)
-}
-
-// VerifyFilesFS is VerifyFiles over an explicit filesystem, so the read-side
-// fault sweep can drive EIO through every verification read.
-func (m *SetManifest) VerifyFilesFS(fsys vfs.FS, dir string) error {
 	for _, s := range m.Shards {
-		sum, err := persist.FileChecksumFS(fsys, filepath.Join(dir, s.File))
+		sum, err := persist.FileChecksum(filepath.Join(dir, s.File))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s.Index, err)
 		}
@@ -200,7 +165,7 @@ func (m *SetManifest) VerifyFilesFS(fsys vfs.FS, dir string) error {
 			return fmt.Errorf("shard %d: %s has crc32c %08x, manifest records %08x (torn or stale ship?)",
 				s.Index, s.File, sum, s.CRC32C)
 		}
-		if err := m.verifySidecar(fsys, dir, s); err != nil {
+		if err := m.verifySidecar(dir, s); err != nil {
 			return err
 		}
 	}
@@ -210,8 +175,8 @@ func (m *SetManifest) VerifyFilesFS(fsys vfs.FS, dir string) error {
 // verifySidecar checks one shard's serving sidecar against the set
 // manifest. The sidecar is a server.Manifest, decoded structurally here
 // (the server package sits above this one).
-func (m *SetManifest) verifySidecar(fsys vfs.FS, dir string, s SetShard) error {
-	blob, err := fsys.ReadFile(filepath.Join(dir, s.Manifest))
+func (m *SetManifest) verifySidecar(dir string, s SetShard) error {
+	blob, err := os.ReadFile(filepath.Join(dir, s.Manifest))
 	if err != nil {
 		return fmt.Errorf("shard %d: %w", s.Index, err)
 	}

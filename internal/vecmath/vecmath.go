@@ -90,15 +90,6 @@ func Norm(a []float32) float64 {
 	return math.Sqrt(s)
 }
 
-// Sum returns the sum of the elements of a.
-func Sum(a []float32) float64 {
-	var s float64
-	for _, v := range a {
-		s += float64(v)
-	}
-	return s
-}
-
 // Scale multiplies every element of a by c, in place.
 func Scale(a []float32, c float64) {
 	for i := range a {
@@ -111,14 +102,4 @@ func Clone(a []float32) []float32 {
 	out := make([]float32, len(a))
 	copy(out, a)
 	return out
-}
-
-// Add stores a+b into dst. All three slices must have the same length.
-func Add(dst, a, b []float32) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("vecmath: length mismatch")
-	}
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
 }

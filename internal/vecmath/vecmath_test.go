@@ -56,7 +56,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		"L2Sqr": func() { L2Sqr([]float32{1}, []float32{1, 2}) },
 		"L1":    func() { L1([]float32{1}, []float32{1, 2}) },
 		"Dot":   func() { Dot([]float32{1}, []float32{1, 2}) },
-		"Add":   func() { Add([]float32{1}, []float32{1}, []float32{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -165,17 +164,6 @@ func TestCloneIndependent(t *testing.T) {
 	c[0] = 99
 	if a[0] != 1 {
 		t.Fatalf("Clone is not independent")
-	}
-}
-
-// TestAddAXPY keeps its name from when it also covered the deleted AXPY.
-func TestAddAXPY(t *testing.T) {
-	a := []float32{1, 2}
-	b := []float32{3, 4}
-	dst := make([]float32, 2)
-	Add(dst, a, b)
-	if dst[0] != 4 || dst[1] != 6 {
-		t.Fatalf("Add = %v", dst)
 	}
 }
 

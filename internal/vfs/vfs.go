@@ -1,10 +1,14 @@
 // Package vfs is the filesystem boundary of the storage subsystem. Every
-// file operation the persistence stack performs — WAL appends and fsyncs in
-// internal/lsm, atomic save/rename in internal/persist, manifest commits —
-// goes through the FS interface instead of calling os.* directly, so a test
-// (or a smoke run) can substitute internal/faultfs and observe how the
-// whole pipeline behaves when an fsync fails, a write runs out of disk, or
-// a read returns EIO.
+// file operation of the mutable tier (internal/lsm: WAL appends and fsyncs,
+// segment and manifest commits, recovery reads) goes through the FS
+// interface instead of calling os.* directly, so a test (or a smoke run) can
+// substitute internal/faultfs and observe how the whole pipeline behaves
+// when an fsync fails, a write runs out of disk, or a read returns EIO.
+//
+// It also owns the one way a whole file reaches disk, WriteAtomic: lsm's
+// segments and manifest, and (over OS{}) persist.SaveFile, the shard-set
+// manifest, shardsplit's sidecars and rollout's file shipping all call it,
+// so "durable on return, old or new, never torn" is written and tested once.
 //
 // The production implementation is OS, a thin passthrough to the os
 // package. It is deliberately minimal: just the operations the storage
@@ -19,6 +23,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"syscall"
 )
 
@@ -117,3 +122,38 @@ func IgnorableSyncDirError(err error) bool {
 }
 
 var _ FS = OS{}
+
+// WriteAtomic replaces the file at path with the bytes write produces, so
+// that path holds its complete old content or the complete new one at every
+// instant, crash included: temp file in path's directory, write, fsync,
+// close, chmod 0644, rename over path, fsync the directory. Nil is returned
+// only after that last step (the new content is durable); any earlier
+// failure removes the temp file and leaves path untouched.
+func WriteAtomic(fsys FS, path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	cleanup := func(err error) error {
+		f.Close()
+		fsys.Remove(f.Name())
+		return err
+	}
+	if err := write(f); err != nil {
+		return cleanup(err)
+	}
+	if err := f.Sync(); err != nil {
+		return cleanup(err)
+	}
+	if err := f.Close(); err != nil {
+		return cleanup(err)
+	}
+	if err := fsys.Chmod(f.Name(), 0o644); err != nil {
+		return cleanup(err)
+	}
+	if err := fsys.Rename(f.Name(), path); err != nil {
+		return cleanup(err)
+	}
+	return fsys.SyncDir(dir)
+}
