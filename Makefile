@@ -92,17 +92,22 @@ examples:
 # otherwise spend minimizing each new input. FuzzOpen: one file of a real
 # mutable-tier directory (WAL, segment or tiers.json) replaced by fuzzed
 # bytes must be refused or recovered into a searchable tree, never a panic or
-# an allocation sized by a count the bytes merely claim.
+# an allocation sized by a count the bytes merely claim. FuzzEditDistance: the
+# bit-parallel edit distance must return the two-row dynamic program's integer
+# for any pair of byte strings, in either argument order.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 15s -fuzzminimizetime 1s ./internal/lsm/
+	$(GO) test -run '^$$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/space/
 
-# Query hot-path microbenchmarks, one row per method over a warm 10k-point
-# index: an in-process convenience for a profile or a before/after look.
-# Performance claims are made with permbench (BENCHMARK.json, bench/).
+# In-process microbenchmarks: one row per distance at its corpus's shape,
+# then one row per method over a warm 10k-point index plus permbench's two
+# NAPP operating points. A convenience for a profile or a before/after look;
+# performance claims are made with permbench (BENCHMARK.json, bench/).
 bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkDistance$$' -benchmem ./internal/space/
 	$(GO) test -run '^$$' -bench BenchmarkSearchHot -benchmem ./internal/core/
 
 # Batch-engine throughput: the serial reference loop vs SearchBatch at

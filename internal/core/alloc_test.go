@@ -9,10 +9,11 @@ package core_test
 //   - exactly one allocation through plain Search: the returned result
 //     slice, the only memory the index hands to the caller.
 //
-// The guards run over L2 so only index machinery is measured — a space
-// whose Distance allocates (e.g. Levenshtein's DP rows) would drown the
-// signal. A regression here means a per-query allocation crept back into
-// the filter or refine stage; fix the code, don't relax the guard.
+// The guards run over L2 and, for the kinds the DNA corpus is served by,
+// over normalised Levenshtein, whose bit-parallel kernel keeps a read's one
+// word of state on the stack. A regression here means a per-query allocation
+// crept back into the filter stage, the refine stage or a distance; fix the
+// code, don't relax the guard.
 
 import (
 	"testing"
@@ -21,27 +22,31 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/seqscan"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
 
+// allocKind is one row of a guarded index matrix.
+type allocKind[T any] struct {
+	kind     string
+	index    index.Index[T]
+	noFilter bool // the exact scan: every distance is a refine distance
+}
+
+const allocN, allocQueries, allocSeed = 600, 8, 7
+
 // allocKinds builds the guarded index matrix over a small L2 corpus.
-func allocKinds(t *testing.T) (queries [][]float32, kinds []struct {
-	kind  string
-	index index.Index[[]float32]
-}) {
+func allocKinds(t *testing.T) (queries [][]float32, kinds []allocKind[[]float32]) {
 	t.Helper()
-	const n, nq, seed = 600, 8, 7
-	all := dataset.SIFT(seed, n+nq)
+	const n, seed = allocN, allocSeed
+	all := dataset.SIFT(seed, n+allocQueries)
 	db, qs := all[:n], all[n:]
 	mk := func(kind string, idx index.Index[[]float32], err error) {
 		if err != nil {
 			t.Fatalf("building %s: %v", kind, err)
 		}
-		kinds = append(kinds, struct {
-			kind  string
-			index index.Index[[]float32]
-		}{kind, idx})
+		kinds = append(kinds, allocKind[[]float32]{kind: kind, index: idx})
 	}
 	napp, err := core.NewNAPP(sp32(), db, core.NAPPOptions{
 		NumPivots: 64, NumPivotIndex: 16, NumPivotSearch: 16, MinShared: 1, Seed: seed,
@@ -81,6 +86,32 @@ func allocKinds(t *testing.T) (queries [][]float32, kinds []struct {
 
 func sp32() space.Space[[]float32] { return space.L2{} }
 
+// allocKindsDNA builds the guarded matrix over short reads under normalised
+// Levenshtein: the served NAPP operating point's threshold, a scan filter
+// and the exact scan — filter, refine and nothing but distances.
+func allocKindsDNA(t *testing.T) (queries [][]byte, kinds []allocKind[[]byte]) {
+	t.Helper()
+	const n, seed = allocN, allocSeed
+	all := dataset.DNA(seed, n+allocQueries, dataset.DNAOptions{})
+	db, qs := all[:n], all[n:]
+	sp := space.NormalizedLevenshtein{}
+	napp, err := core.NewNAPP[[]byte](sp, db, core.NAPPOptions{
+		NumPivots: 64, NumPivotIndex: 16, NumPivotSearch: 16, MinShared: 8, Seed: seed,
+	})
+	if err != nil {
+		t.Fatalf("building dna/napp-t8: %v", err)
+	}
+	bin, err := core.NewBinFilter[[]byte](sp, db, core.BinFilterOptions{NumPivots: 64, Seed: seed})
+	if err != nil {
+		t.Fatalf("building dna/brute-force-filt-bin: %v", err)
+	}
+	return qs, []allocKind[[]byte]{
+		{kind: "dna/napp-t8", index: napp},
+		{kind: "dna/brute-force-filt-bin", index: bin},
+		{kind: "dna/seqscan", index: seqscan.New[[]byte](sp, db), noFilter: true},
+	}
+}
+
 // TestSearchAppendZeroAllocs asserts the headline property of the scratch
 // subsystem: a warm index answers queries with zero steady-state
 // allocations when the caller supplies the result buffer.
@@ -88,8 +119,14 @@ func TestSearchAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard runs in the plain test job")
 	}
-	const k = 10
 	queries, kinds := allocKinds(t)
+	searchAppendZeroAllocs(t, queries, kinds)
+	reads, dnaKinds := allocKindsDNA(t)
+	searchAppendZeroAllocs(t, reads, dnaKinds)
+}
+
+func searchAppendZeroAllocs[T any](t *testing.T, queries []T, kinds []allocKind[T]) {
+	const k = 10
 	for _, kc := range kinds {
 		t.Run(kc.kind, func(t *testing.T) {
 			dst := make([]topk.Neighbor, 0, k)
@@ -119,8 +156,14 @@ func TestSearchAppendZeroAllocsTraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard runs in the plain test job")
 	}
-	const k = 10
 	queries, kinds := allocKinds(t)
+	searchAppendZeroAllocsTraced(t, queries, kinds)
+	reads, dnaKinds := allocKindsDNA(t)
+	searchAppendZeroAllocsTraced(t, reads, dnaKinds)
+}
+
+func searchAppendZeroAllocsTraced[T any](t *testing.T, queries []T, kinds []allocKind[T]) {
+	const k = 10
 	for _, kc := range kinds {
 		t.Run(kc.kind, func(t *testing.T) {
 			var trace obs.QueryTrace
@@ -138,7 +181,7 @@ func TestSearchAppendZeroAllocsTraced(t *testing.T) {
 			}); avg != 0 {
 				t.Errorf("warm traced SearchAppend allocates %v times per run, want 0", avg)
 			}
-			if trace.FilterCandidates == 0 {
+			if trace.FilterCandidates == 0 && !kc.noFilter {
 				t.Errorf("trace.FilterCandidates = 0 after a traced query")
 			}
 			if trace.RefineDistances == 0 {
@@ -210,8 +253,14 @@ func TestSearchSingleAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard runs in the plain test job")
 	}
-	const k = 10
 	queries, kinds := allocKinds(t)
+	searchSingleAlloc(t, queries, kinds)
+	reads, dnaKinds := allocKindsDNA(t)
+	searchSingleAlloc(t, reads, dnaKinds)
+}
+
+func searchSingleAlloc[T any](t *testing.T, queries []T, kinds []allocKind[T]) {
+	const k = 10
 	for _, kc := range kinds {
 		t.Run(kc.kind, func(t *testing.T) {
 			for _, q := range queries {

@@ -129,24 +129,33 @@ func BenchmarkSearchHot(b *testing.B) {
 			}
 		})
 	}
-	// permbench's serving operating point. At t=2 over 10k points the
+	// permbench's serving operating points. At t=2 over 10k points the
 	// "napp" row above is refine-bound; at t=22 over 40k points the filter
 	// (pivot distances, pivot selection, ScanCount) is most of a query, so
-	// this is the row that sees it.
-	// Built on the first of b.Run's calibration rounds, so a -bench filter
-	// that skips the row skips its 40k-point build too.
+	// this is the row that sees it. dna-direct's point is the expensive
+	// distance: 512 pivot distances and ~650 refined reads per query under
+	// normalised Levenshtein.
+	benchServed(b, "napp-t22-n40k", sp, func(n int) [][]float32 { return dataset.SIFT(benchSeed, n) }, 40000, 22)
+	benchServed(b, "napp-dna-t8-n4k", space.NormalizedLevenshtein{},
+		func(n int) [][]byte { return dataset.DNA(benchSeed, n, dataset.DNAOptions{}) }, 4000, 8)
+}
+
+// benchServed is one NAPP row at the shape permbench serves (m=512,
+// mi=ms=32) over n generated objects. The index is built on the first of
+// b.Run's calibration rounds, so a -bench filter that skips the row skips
+// its build too.
+func benchServed[T any](b *testing.B, name string, sp space.Space[T], gen func(n int) []T, n, minShared int) {
 	var (
-		idx  *core.NAPP[[]float32]
-		held [][]float32
+		idx  *core.NAPP[T]
+		held []T
 	)
-	b.Run("napp-t22-n40k", func(b *testing.B) {
+	b.Run(name, func(b *testing.B) {
 		if idx == nil {
-			const n = 40000
-			all := dataset.SIFT(benchSeed, n+benchQueries)
+			all := gen(n + benchQueries)
 			held = all[n:]
 			var err error
 			idx, err = core.NewNAPP(sp, all[:n], core.NAPPOptions{
-				NumPivots: 512, NumPivotIndex: 32, NumPivotSearch: 32, MinShared: 22, Seed: benchSeed,
+				NumPivots: 512, NumPivotIndex: 32, NumPivotSearch: 32, MinShared: minShared, Seed: benchSeed,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -7,6 +7,10 @@ package space
 // The normalized variant is non-metric, but as §3.5 of the paper observes,
 // triangle violations are rare on realistic data, so it behaves as an
 // approximately µ-defective distance with µ = 1.
+//
+// The edit distance underneath is EditDistance's bit-parallel kernel: a read
+// of at most 64 bytes is one machine word, so a distance is a single pass
+// over the other string and allocates nothing.
 type NormalizedLevenshtein struct{}
 
 // Distance returns the normalized edit distance between data and query.
@@ -45,14 +49,20 @@ func (Levenshtein) Name() string { return "leven" }
 func (Levenshtein) Properties() Properties { return Properties{Metric: true, Symmetric: true} }
 
 // EditDistance computes the Levenshtein distance between a and b with the
-// standard two-row dynamic program: O(len(a)*len(b)) time, O(min) space.
+// bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's global-distance
+// form: the shorter string is the pattern, each run of 64 pattern bytes is
+// one machine word of vertical deltas, and a word advances past one text
+// byte in a constant number of operations — O(⌈min/64⌉·max) time instead of
+// the dynamic program's O(min·max), and the same integer.
+//
+// A pattern of at most 64 bytes (after the common prefix and suffix are
+// trimmed) is a single word and allocates nothing; a longer one makes one
+// allocation, a byte per text position for the horizontal deltas that thread
+// each 64-row block into the one below it.
 func EditDistance(a, b []byte) int {
-	// Ensure b is the shorter string so the row buffer is minimal.
+	// Ensure b is the shorter string: it becomes the pattern.
 	if len(a) < len(b) {
 		a, b = b, a
-	}
-	if len(b) == 0 {
-		return len(a)
 	}
 	// Trim common prefix and suffix; they never contribute edits.
 	for len(b) > 0 && a[0] == b[0] {
@@ -65,29 +75,54 @@ func EditDistance(a, b []byte) int {
 		return len(a)
 	}
 
-	row := make([]int, len(b)+1)
-	for j := range row {
-		row[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		prev := row[0] // row[i-1][j-1]
-		row[0] = i
-		for j := 1; j <= len(b); j++ {
-			cur := row[j]
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			best := prev + cost            // substitution
-			if d := row[j] + 1; d < best { // deletion
-				best = d
-			}
-			if d := row[j-1] + 1; d < best { // insertion
-				best = d
-			}
-			row[j] = best
-			prev = cur
+	// h[j] is the horizontal delta D[i][j+1]-D[i][j] along the row i that
+	// separates the block being swept from the one above: bit 0 set for +1,
+	// bit 1 for -1. Row 0 of the table is 0,1,2,…, so above the first block
+	// it is +1 everywhere, which a single-word pattern never needs stored.
+	var h []uint8
+	if len(b) > 64 {
+		h = make([]uint8, len(a))
+		for j := range h {
+			h[j] = 1
 		}
 	}
-	return row[len(b)]
+	score := 0
+	for lo := 0; lo < len(b); lo += 64 {
+		blk := b[lo:min(lo+64, len(b))]
+		var peq [256]uint64 // peq[c] bit i: blk[i] == c
+		for i, c := range blk {
+			peq[c] |= 1 << uint(i)
+		}
+		// Bits above top in a short last block hold garbage that never
+		// reaches the bits below: carries and shifts only travel upwards.
+		top := uint(len(blk) - 1)
+		score = lo + len(blk) // D[lo+len(blk)][0]
+		pv, mv := ^uint64(0), uint64(0)
+		for j, c := range a {
+			hin := uint8(1)
+			if h != nil {
+				hin = h[j]
+			}
+			hp, hn := uint64(hin&1), uint64(hin>>1)
+			eq := peq[c]
+			xv := eq | mv
+			eq |= hn
+			xh := (((eq & pv) + pv) ^ pv) | eq
+			ph := mv | ^(xh | pv)
+			mh := pv & xh
+			outp, outn := ph>>top&1, mh>>top&1
+			score += int(outp) - int(outn)
+			if h != nil {
+				h[j] = uint8(outp | outn<<1)
+			}
+			// Bit 0 is free after the shift, so + is |; it compiles to one
+			// LEA and keeps a single-word pattern's dependency chain as
+			// short as a loop with the constant hin = +1 folded in.
+			ph = ph<<1 + hp
+			mh = mh<<1 + hn
+			pv = mh | ^(xv | ph)
+			mv = ph & xv
+		}
+	}
+	return score
 }

@@ -137,15 +137,7 @@ func genHistogram(dim int) func(r *rand.Rand) Histogram {
 	}
 }
 
-func genDNA(r *rand.Rand) []byte {
-	letters := []byte("ACGT")
-	n := 16 + r.Intn(32)
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = letters[r.Intn(4)]
-	}
-	return s
-}
+func genDNA(r *rand.Rand) []byte { return randBytes(r, 16+r.Intn(32), 4) }
 
 func genSignature(r *rand.Rand) Signature {
 	nc := 2 + r.Intn(5)
@@ -421,6 +413,29 @@ func TestSQFDIdenticalCentroidsDifferentWeights(t *testing.T) {
 	}
 }
 
+// TestSQFDSelfTermCached pins that hoisting each signature's own block of
+// the quadratic form into NewSignature changed no bit of any distance: the
+// three terms are the same sums, added in the same order.
+func TestSQFDSelfTermCached(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		x, y := genSignature(r), genSignature(r)
+		if x.self != selfTerm(x) {
+			t.Fatalf("NewSignature cached self term %v, recomputed %v", x.self, selfTerm(x))
+		}
+		want := math.Sqrt(max(0, selfTerm(x)+selfTerm(y)-2*crossTerm(x, y, x.Dim)))
+		if got := (SQFD{}).Distance(x, y); got != want {
+			t.Fatalf("SQFD = %v, recomputing form gives %v", got, want)
+		}
+		// A signature assembled without NewSignature has nothing cached
+		// and must answer the same.
+		bare := Signature{Weights: x.Weights, Centroids: x.Centroids, Dim: x.Dim}
+		if got := (SQFD{}).Distance(bare, y); got != want {
+			t.Fatalf("SQFD over a literal signature = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestSQFDDimMismatchPanics(t *testing.T) {
 	a, _ := NewSignature([]float32{1}, []float32{0, 0}, 2)
 	b, _ := NewSignature([]float32{1}, []float32{0, 0, 0}, 3)
@@ -430,45 +445,4 @@ func TestSQFDDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	(SQFD{}).Distance(a, b)
-}
-
-func BenchmarkDistances(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	dense := genDense(128)
-	x, y := dense(r), dense(r)
-	h1, h2 := genHistogram(128)(r), genHistogram(128)(r)
-	s1, s2 := genSparse(r), genSparse(r)
-	d1, d2 := genDNA(r), genDNA(r)
-	g1, g2 := genSignature(r), genSignature(r)
-
-	b.Run("L2-128", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			(L2{}).Distance(x, y)
-		}
-	})
-	b.Run("KL-128", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			(KLDivergence{}).Distance(h1, h2)
-		}
-	})
-	b.Run("JS-128", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			(JSDivergence{}).Distance(h1, h2)
-		}
-	})
-	b.Run("Cosine-sparse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			(CosineDistance{}).Distance(s1, s2)
-		}
-	})
-	b.Run("NormLevenshtein", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			(NormalizedLevenshtein{}).Distance(d1, d2)
-		}
-	})
-	b.Run("SQFD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			(SQFD{}).Distance(g1, g2)
-		}
-	})
 }

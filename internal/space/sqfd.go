@@ -15,6 +15,12 @@ type Signature struct {
 	Weights   []float32 // one per cluster, non-negative, normalized to sum 1
 	Centroids []float32 // flattened len(Weights) x Dim matrix, row-major
 	Dim       int       // dimensionality of each centroid
+
+	// self is selfTerm(s): the part of every SQFD involving s that s alone
+	// determines. NewSignature fills it in; it is positive for any valid
+	// signature, so zero marks a value assembled field by field, for which
+	// SQFD recomputes the term on each call.
+	self float64
 }
 
 // NewSignature validates and normalizes a signature. centroids must hold
@@ -43,7 +49,9 @@ func NewSignature(weights, centroids []float32, dim int) (Signature, error) {
 	}
 	cs := make([]float32, len(centroids))
 	copy(cs, centroids)
-	return Signature{Weights: ws, Centroids: cs, Dim: dim}, nil
+	s := Signature{Weights: ws, Centroids: cs, Dim: dim}
+	s.self = selfTerm(s)
+	return s, nil
 }
 
 // Clusters returns the number of cluster representatives.
@@ -61,10 +69,12 @@ func (s Signature) Centroid(i int) []float32 {
 // where A[i][j] applies a heuristic similarity to pairs of cluster
 // representatives; following Beecks we use sim(r, s) = 1 / (1 + L2(r, s)).
 //
-// The similarity matrix is recomputed for every pair, so a single distance
-// costs O((n+m)^2 * Dim) work — nearly two orders of magnitude more than a
-// 128-dimensional L2, matching the cost model in Table 1 of the paper. SQFD
-// is a true metric on signatures with positive-definite similarity kernels.
+// The cross block of the similarity matrix is recomputed for every pair (the
+// two diagonal blocks depend on one signature each and are summed once, in
+// NewSignature), so a single distance costs O(n*m*Dim) work — nearly two
+// orders of magnitude more than a 128-dimensional L2, matching the cost model
+// in Table 1 of the paper. SQFD is a true metric on signatures with
+// positive-definite similarity kernels.
 type SQFD struct{}
 
 // Distance returns the SQFD between two signatures. Signatures of different
@@ -73,20 +83,26 @@ func (SQFD) Distance(data, query Signature) float64 {
 	if data.Dim != query.Dim {
 		panic("space: SQFD over signatures of different dimensionality")
 	}
-	dim := data.Dim
 	// Expanding w^T A w with w = (w_x | -w_y):
 	//   sum_{i,j in x} wx_i wx_j sim(xi, xj)
 	// + sum_{i,j in y} wy_i wy_j sim(yi, yj)
 	// - 2 sum_{i in x, j in y} wx_i wy_j sim(xi, yj)
-	s := selfTerm(data, dim) + selfTerm(query, dim) - 2*crossTerm(data, query, dim)
+	s := data.selfSim() + query.selfSim() - 2*crossTerm(data, query, data.Dim)
 	if s < 0 {
 		s = 0 // round-off guard; the form is PSD for this kernel
 	}
 	return math.Sqrt(s)
 }
 
-func selfTerm(s Signature, dim int) float64 {
-	n := len(s.Weights)
+func (s Signature) selfSim() float64 {
+	if s.self != 0 {
+		return s.self
+	}
+	return selfTerm(s)
+}
+
+func selfTerm(s Signature) float64 {
+	n, dim := len(s.Weights), s.Dim
 	var acc float64
 	for i := 0; i < n; i++ {
 		ci := s.Centroids[i*dim : (i+1)*dim]
