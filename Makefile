@@ -94,16 +94,21 @@ examples:
 # bytes must be refused or recovered into a searchable tree, never a panic or
 # an allocation sized by a count the bytes merely claim. FuzzEditDistance: the
 # bit-parallel edit distance must return the two-row dynamic program's integer
-# for any pair of byte strings, in either argument order.
+# for any pair of byte strings, in either argument order. FuzzL2Pair: both
+# results of the L2 pair kernel behind space.Many/ManyFrom must be L2Sqr's,
+# in either argument order, for any float32 bit patterns (NaN, ±Inf,
+# subnormals).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 15s -fuzzminimizetime 1s ./internal/lsm/
 	$(GO) test -run '^$$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/space/
+	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s ./internal/vecmath/
 
-# In-process microbenchmarks: one row per distance at its corpus's shape,
-# then one row per method over a warm 10k-point index plus permbench's two
+# In-process microbenchmarks: one row per distance at its corpus's shape and
+# one SIFT query's bulk refine and pivot ranking (each beside the per-pair
+# loop it replaced), then one row per method over a warm 10k-point index plus permbench's two
 # NAPP operating points. A convenience for a profile or a before/after look;
 # performance claims are made with permbench (BENCHMARK.json, bench/).
 bench:

@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -255,7 +256,10 @@ func writeDemoIndex[T any](dir, name string, man server.Manifest, build func() (
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, name+".json"), append(blob, '\n'), 0o644); err != nil {
+	if err := vfs.WriteAtomic(vfs.OS{}, filepath.Join(dir, name+".json"), func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	}); err != nil {
 		return err
 	}
 	log.Printf("permserve: wrote %s (%s over %s, n=%d)", path, idx.Name(), man.Dataset, man.N)

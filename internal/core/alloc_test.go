@@ -9,9 +9,11 @@ package core_test
 //   - exactly one allocation through plain Search: the returned result
 //     slice, the only memory the index hands to the caller.
 //
-// The guards run over L2 and, for the kinds the DNA corpus is served by,
-// over normalised Levenshtein, whose bit-parallel kernel keeps a read's one
-// word of state on the stack. A regression here means a per-query allocation
+// The guards run over L2 — where refine, pivot ranking and the exact scan
+// hand their pairs to space.Many/ManyFrom, whose widened query lives in the
+// pooled scratch — and, for the kinds the DNA corpus is served by, over
+// normalised Levenshtein, whose bit-parallel kernel keeps a read's one word
+// of state on the stack. A regression here means a per-query allocation
 // crept back into the filter stage, the refine stage or a distance; fix the
 // code, don't relax the guard.
 
@@ -36,7 +38,8 @@ type allocKind[T any] struct {
 
 const allocN, allocQueries, allocSeed = 600, 8, 7
 
-// allocKinds builds the guarded index matrix over a small L2 corpus.
+// allocKinds builds the guarded index matrix over a small L2 corpus, the
+// exact scan included.
 func allocKinds(t *testing.T) (queries [][]float32, kinds []allocKind[[]float32]) {
 	t.Helper()
 	const n, seed = allocN, allocSeed
@@ -81,6 +84,7 @@ func allocKinds(t *testing.T) (queries [][]float32, kinds []allocKind[[]float32]
 	mk("distvec-filt", dv, err)
 	om, err := core.NewOMEDRANK(sp32(), db, core.OMEDRANKOptions{NumVoters: 6, Seed: seed})
 	mk("omedrank", om, err)
+	kinds = append(kinds, allocKind[[]float32]{kind: "seqscan", index: seqscan.New(sp32(), db), noFilter: true})
 	return qs, kinds
 }
 

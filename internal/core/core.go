@@ -37,6 +37,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/permutation"
+	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -78,46 +79,61 @@ func gammaCount(frac float64, n, k int) int {
 	return g
 }
 
+// refineScratch is the refine stage's pooled state: the candidate ids of
+// one bulk distance call, their distances, the call's own scratch and the
+// result queue.
+type refineScratch struct {
+	ids   []uint32
+	dists []float64
+	sp    space.Scratch
+	queue topk.Queue
+}
+
 // refineInto computes true distances from the candidates to the query and
 // appends the k nearest, ordered by increasing distance, to dst. Candidates
 // come either as bare ids or as pre-scored neighbors (the output of
 // topk.SelectK, of which only the ids are consumed); ids must be unique.
-// Data points are the left distance argument (left queries). The queue is
-// scratch state owned by the caller; refineInto does not allocate when dst
-// and the queue have warmed-up capacity.
+// Data points are the left distance argument (left queries). All candidates
+// go to the space in one space.Many call, then into the queue. The scratch
+// is owned by the caller; refineInto does not allocate when dst and the
+// scratch have warmed-up capacity.
 //
 // The answer does not depend on candidate order: topk.Queue keeps the k
 // smallest by (distance, id), so ties at the k boundary go to the smaller
 // id however the filter happened to emit its candidates.
 //
-// When tr is non-nil the exact-distance loop is attributed to the refine
-// stage and the final ordered copy-out to the merge stage (one time.Now
-// pair per stage; no per-candidate bookkeeping, so the traced path stays
-// allocation-free).
-func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, query T, cands []C, k int, q *topk.Queue, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
+// When tr is non-nil the exact distances and the queue are attributed to
+// the refine stage and the final ordered copy-out to the merge stage (one
+// time.Now pair per stage; no per-candidate bookkeeping, so the traced path
+// stays allocation-free).
+func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, query T, cands []C, k int, rs *refineScratch, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
 	var t0 time.Time
 	if tr != nil {
 		tr.RefineDistances += int64(len(cands))
 		t0 = time.Now()
 	}
-	q.Reset(k)
-	// One switch per query, not per candidate: the refine loop is the
-	// hottest in the repository and stays monomorphic.
+	var ids []uint32
 	switch cs := any(cands).(type) {
 	case []uint32:
-		for _, id := range cs {
-			q.Push(id, sp.Distance(data[id], query))
-		}
+		ids = cs
 	case []topk.Neighbor:
+		ids = rs.ids[:0]
 		for _, c := range cs {
-			q.Push(c.ID, sp.Distance(data[c.ID], query))
+			ids = append(ids, c.ID)
 		}
+		rs.ids = ids
+	}
+	rs.dists = scratch.Grow(rs.dists, len(ids))
+	space.Many(sp, &rs.sp, rs.dists, query, data, ids)
+	rs.queue.Reset(k)
+	for i, id := range ids {
+		rs.queue.Push(id, rs.dists[i])
 	}
 	if tr != nil {
 		obs.AddSince(&tr.RefineNs, t0)
 		t0 = time.Now()
 	}
-	dst = q.AppendResults(dst)
+	dst = rs.queue.AppendResults(dst)
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}

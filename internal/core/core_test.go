@@ -367,8 +367,8 @@ func TestRefineIgnoresCandidateOrder(t *testing.T) {
 		scored[i] = topk.Neighbor{ID: uint32(i)}
 	}
 	const k = 10
-	var q topk.Queue
-	want := refineInto(sp, data, query, cands, k, &q, nil, nil)
+	var rs refineScratch
+	want := refineInto(sp, data, query, cands, k, &rs, nil, nil)
 	tied := 0
 	for _, x := range data {
 		if sp.Distance(x, query) == want[k-1].Dist {
@@ -384,11 +384,11 @@ func TestRefineIgnoresCandidateOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-		if got := refineInto(sp, data, query, cands, k, &q, nil, nil); !slices.Equal(got, want) {
+		if got := refineInto(sp, data, query, cands, k, &rs, nil, nil); !slices.Equal(got, want) {
 			t.Fatalf("shuffle %d (ids):\n got %v\nwant %v", trial, got, want)
 		}
 		r.Shuffle(len(scored), func(i, j int) { scored[i], scored[j] = scored[j], scored[i] })
-		if got := refineInto(sp, data, query, scored, k, &q, nil, nil); !slices.Equal(got, want) {
+		if got := refineInto(sp, data, query, scored, k, &rs, nil, nil); !slices.Equal(got, want) {
 			t.Fatalf("shuffle %d (scored):\n got %v\nwant %v", trial, got, want)
 		}
 	}

@@ -52,10 +52,10 @@ type pipeline[T, S any] struct {
 }
 
 // pipeScratch is the per-query state of one search: the kind's filter
-// scratch and the refine queue.
+// scratch and the refine stage's.
 type pipeScratch[S any] struct {
 	filter S
-	queue  topk.Queue
+	refine refineScratch
 }
 
 // bind attaches the pipeline to its kind. gamma is the built candidate
@@ -101,9 +101,9 @@ func (p *pipeline[T, S]) search(s *pipeScratch[S], dst []topk.Neighbor, query T,
 		}
 	}
 	if c.scored == nil {
-		return refineInto(p.sp, data, query, c.ids, k, &s.queue, dst, tr)
+		return refineInto(p.sp, data, query, c.ids, k, &s.refine, dst, tr)
 	}
-	return refineInto(p.sp, data, query, c.scored, k, &s.queue, dst, tr)
+	return refineInto(p.sp, data, query, c.scored, k, &s.refine, dst, tr)
 }
 
 // errEmpty rejects a build over no data: there is nothing to sample pivots

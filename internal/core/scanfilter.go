@@ -84,7 +84,7 @@ func newScanFilter[T any](sp space.Space[T], data []T, pv *permutation.Pivots[T]
 	views := make([]permutation.Scratch, pool.Workers())
 	pool.ForWithID(len(data), func(worker, i int) {
 		v := &views[worker]
-		v.Dists = pv.Distances(data[i], v.Dists)
+		pv.DistancesWith(v, data[i])
 		rows.put(i, v)
 	})
 	f := &ScanFilter[T]{data: data, pivots: pv, rows: rows}
@@ -101,7 +101,7 @@ func (f *ScanFilter[T]) Pivots() *permutation.Pivots[T] { return f.pivots }
 func (f *ScanFilter[T]) size() (int64, int) { return f.rows.bytes(), f.pivots.M() }
 
 func (f *ScanFilter[T]) filter(s *scanScratch, query T, _ int, _ index.Params) (candidates, int) {
-	s.view.Dists = f.pivots.Distances(query, s.view.Dists)
+	f.pivots.DistancesWith(&s.view, query)
 	s.cands = scratch.Grow(s.cands, len(f.data))
 	f.rows.scan(s, s.cands)
 	return candidates{scored: s.cands}, len(s.cands)

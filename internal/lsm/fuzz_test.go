@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -85,6 +86,32 @@ func hostileCountSegment(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// wrappingWAL is the seed tree's WAL plus one checksum-valid add record with
+// id 2^32-1, past the last assignable id: replaying it would wrap the id
+// counter to 0.
+func wrappingWAL(tb testing.TB, wal []byte) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "wal.log")
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	w, _, err := openWAL(vfs.OS{}, path, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.append(walOpAdd, math.MaxUint32, encVec(randVecs(52, 1)[0])); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
 // FuzzOpen replaces one file of a real tree directory with arbitrary bytes.
 // Recovery either refuses the directory or returns a tree that can be
 // searched, inspected and closed; either way it never panics, and what it
@@ -100,6 +127,7 @@ func FuzzOpen(f *testing.F) {
 		f.Add(uint8(which), flip)
 		f.Add(uint8(which), []byte(nil))
 	}
+	f.Add(uint8(0), wrappingWAL(f, seed[fuzzFiles[0]]))
 	f.Add(uint8(1), hostileCountSegment(f))
 	f.Add(uint8(2), bytes.ReplaceAll(seed[manifestName], []byte(`"n": 3`), []byte(`"n": -1`)))
 	f.Add(uint8(2), bytes.ReplaceAll(seed[manifestName], []byte(`"next_id": 9`), []byte(`"next_id": 4294967295`)))

@@ -20,7 +20,7 @@
 // The base corpus owns ids [0, BaseN); added objects are assigned BaseN,
 // BaseN+1, ... monotonically, and ids are never reused (the next id to
 // assign is persisted in the manifest, so even a fully-deleted-and-compacted
-// tree never re-issues an id). Because ids only grow, a tombstone recorded
+// tree never re-issues an id; once 2^32-2 is assigned, adds are refused). Because ids only grow, a tombstone recorded
 // in a tier can only target the base corpus or an older tier — "newer tiers
 // mask older ones" reduces to membership in the union of all tombstone
 // sets, which Search applies after merging (components are queried with k
@@ -30,6 +30,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -46,9 +47,16 @@ import (
 )
 
 // ErrInvalid marks write failures caused by the request itself — an
-// undecodable payload, an unknown or already-deleted id — as opposed to
-// storage failures. A serving layer answers these 4xx, not 5xx.
+// undecodable payload, an unknown or already-deleted id, an add past the
+// last assignable id — as opposed to storage failures. A serving layer
+// answers these 4xx, not 5xx.
 var ErrInvalid = errors.New("invalid write")
+
+// lastID is the largest id an add may be assigned: the next id after it,
+// math.MaxUint32, is the largest the uint32 counter (and the manifest's
+// NextID) can hold, so an id counter that has reached it is exhausted
+// instead of wrapping to 0 and re-issuing the base corpus's ids.
+const lastID = math.MaxUint32 - 1
 
 // ErrPoisoned marks writes rejected because an earlier WAL write or fsync
 // failed. A failed fsync must never be retried — the kernel may already
@@ -330,6 +338,9 @@ func (t *Tree[T]) replay(rec walRecord) (keep bool, err error) {
 		if rec.id < t.nextID || rec.id < uint32(t.opts.BaseN) {
 			return false, fmt.Errorf("add record reuses id %d (next id %d)", rec.id, t.nextID)
 		}
+		if rec.id > lastID {
+			return false, fmt.Errorf("corrupt add record: id %d is past the last assignable id %d", rec.id, uint32(lastID))
+		}
 		obj, err := t.opts.Decode(rec.payload)
 		if err != nil {
 			return false, fmt.Errorf("decoding add record id %d: %w", rec.id, err)
@@ -446,6 +457,10 @@ func (t *Tree[T]) AddBatch(raws [][]byte) ([]uint32, error) {
 	defer t.mu.Unlock()
 	if err := t.writableLocked(); err != nil {
 		return nil, err
+	}
+	if uint64(t.nextID)+uint64(len(raws))-1 > lastID {
+		return nil, fmt.Errorf("lsm: adding %d objects at next id %d would pass the last assignable id %d: %w",
+			len(raws), t.nextID, uint32(lastID), ErrInvalid)
 	}
 	// Append and sync the whole batch before any of it becomes visible:
 	// a write that errors to the client is then never served from the

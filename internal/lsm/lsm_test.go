@@ -10,6 +10,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/seqscan"
 	"repro/internal/space"
 	"repro/internal/topk"
+	"repro/internal/vfs"
 )
 
 const testDim = 4
@@ -424,7 +426,7 @@ func TestTreeCompactionMergesTiers(t *testing.T) {
 	var segs int
 	for _, e := range entries {
 		var seq uint64
-		if matchSeq(e.Name(), ".seg", &seq) {
+		if matchSeq(e.Name(), &seq) {
 			segs++
 		}
 	}
@@ -742,6 +744,68 @@ func TestTreeClosedRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestTreeIDCounterDoesNotWrap opens a tree whose manifest NextID sits just
+// below the top of the uint32 id space. Adds get ids up to the last
+// assignable one and are then refused as invalid, never wrapped to id 0 (a
+// base id); recovery keeps the exhausted counter; and a WAL add record that
+// would wrap it is refused as corrupt.
+func TestTreeIDCounterDoesNotWrap(t *testing.T) {
+	opts := testOptions(t, 3)
+	mustOpen(t, opts).Close()
+	man, _, err := readManifest(vfs.OS{}, opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.NextID = lastID - 1
+	if err := writeManifest(vfs.OS{}, opts.Dir, man); err != nil {
+		t.Fatal(err)
+	}
+	vecs := randVecs(61, 3)
+	tree := mustOpen(t, opts)
+	if id, err := tree.Add(encVec(vecs[0])); err != nil || id != lastID-1 {
+		t.Fatalf("Add = %d, %v, want id %d", id, err, uint32(lastID-1))
+	}
+	if _, err := tree.AddBatch([][]byte{encVec(vecs[1]), encVec(vecs[2])}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("AddBatch past the last id = %v, want ErrInvalid", err)
+	}
+	if id, err := tree.Add(encVec(vecs[1])); err != nil || id != lastID {
+		t.Fatalf("Add = %d, %v, want the last id %d", id, err, uint32(lastID))
+	}
+	if _, err := tree.Add(encVec(vecs[2])); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Add on an exhausted counter = %v, want ErrInvalid", err)
+	}
+	got := search(tree, nil, vecs[2], 10)
+	if len(got) != 2 || got[0].ID < lastID-1 || got[1].ID < lastID-1 {
+		t.Fatalf("search over the two adds = %v, want ids %d and %d", got, uint32(lastID-1), uint32(lastID))
+	}
+	walSeq := tree.Status().WalSeq
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := mustOpen(t, opts)
+	if st := re.Status(); st.NextID != math.MaxUint32 || st.MemtableLive != 2 {
+		t.Fatalf("recovered NextID %d with %d memtable objects, want %d with 2", st.NextID, st.MemtableLive, uint32(math.MaxUint32))
+	}
+	if _, err := re.Add(encVec(vecs[2])); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Add after recovery = %v, want ErrInvalid", err)
+	}
+	re.Close()
+
+	w, _, err := openWAL(vfs.OS{}, walPath(opts.Dir, walSeq), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(walOpAdd, math.MaxUint32, encVec(vecs[2])); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	if tree, err := Open(opts); err == nil {
+		tree.Close()
+		t.Fatal("Open replayed an add record whose id wraps the id counter")
+	}
+}
+
 // TestTreeConcurrentWritesAndSearches exercises the memtable guard under
 // the race detector: writers add/delete/flush while searchers hammer the
 // tree. Every search must return only live, never-duplicated ids and obey
@@ -837,11 +901,11 @@ func TestMatchSeqAndWal(t *testing.T) {
 		"000001.seg": true, "012345.seg": true,
 		"1.seg": false, "0000001.seg": false, "x.seg": false, ".seg": false,
 	} {
-		if got := matchSeq(name, ".seg", &seq); got != want {
+		if got := matchSeq(name, &seq); got != want {
 			t.Errorf("matchSeq(%q) = %v, want %v", name, got, want)
 		}
 	}
-	if !matchSeq("000042.seg", ".seg", &seq) || seq != 42 {
+	if !matchSeq("000042.seg", &seq) || seq != 42 {
 		t.Errorf("matchSeq parsed seq %d", seq)
 	}
 	for name, want := range map[string]bool{

@@ -239,7 +239,7 @@ func removeStale(fsys vfs.FS, dir string, m *manifest) {
 		}
 		var seq uint64
 		switch {
-		case matchSeq(name, ".seg", &seq):
+		case matchSeq(name, &seq):
 			if !listed[seq] {
 				fsys.Remove(filepath.Join(dir, name))
 			}
@@ -255,13 +255,10 @@ func removeStale(fsys vfs.FS, dir string, m *manifest) {
 	}
 }
 
-// matchSeq parses "<seq><ext>" file names.
-func matchSeq(name, ext string, seq *uint64) bool {
-	if len(name) <= len(ext) || name[len(name)-len(ext):] != ext {
-		return false
-	}
-	_, err := fmt.Sscanf(name[:len(name)-len(ext)], "%d", seq)
-	return err == nil && fmt.Sprintf("%06d%s", *seq, ext) == name
+// matchSeq parses "<seq>.seg" file names.
+func matchSeq(name string, seq *uint64) bool {
+	_, err := fmt.Sscanf(name, "%d.seg", seq)
+	return err == nil && fmt.Sprintf("%06d.seg", *seq) == name
 }
 
 // matchWal parses "wal-<seq>.log" file names.

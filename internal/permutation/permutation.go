@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
@@ -103,16 +104,22 @@ func (p *Pivots[T]) Items() []T { return p.items }
 // Space returns the underlying distance space.
 func (p *Pivots[T]) Space() space.Space[T] { return p.space }
 
-// Distances computes the distance from x to every pivot, appending into dst
-// (which may be nil). The point x is passed as the *data* (left) argument of
-// the distance, matching the paper's left-query convention for asymmetric
-// distances.
+// Distances computes the distance from x to every pivot into dst, reusing
+// its capacity (it may be nil), and returns the filled slice. The point x is
+// passed as the *data* (left) argument of the distance, matching the paper's
+// left-query convention for asymmetric distances. Hot paths use
+// DistancesWith with a reusable Scratch instead.
 func (p *Pivots[T]) Distances(x T, dst []float64) []float64 {
-	dst = dst[:0]
-	for _, pv := range p.items {
-		dst = append(dst, p.space.Distance(x, pv))
-	}
-	return dst
+	s := Scratch{Dists: dst}
+	return p.DistancesWith(&s, x)
+}
+
+// DistancesWith is Distances into s.Dists (also returned), all pivots in one
+// space.ManyFrom call on s. Allocation-free once s has warmed up.
+func (p *Pivots[T]) DistancesWith(s *Scratch, x T) []float64 {
+	s.Dists = scratch.Grow(s.Dists, len(p.items))
+	space.ManyFrom(p.space, &s.sp, s.Dists, x, p.items)
+	return s.Dists
 }
 
 // Order computes the pivot order induced by x: dst[r] is the index of the
@@ -135,8 +142,8 @@ func (p *Pivots[T]) Permutation(x T, dst []int32) []int32 {
 // Scratch holds the per-query buffers of one goroutine's permutation
 // computations: the pivot-distance vector plus the derived order and
 // permutation. After the first few queries have grown the buffers to the
-// pivot count, OrderWith, ClosestWith and PermutationWith stop allocating
-// entirely.
+// pivot count, DistancesWith, OrderWith, ClosestWith and PermutationWith
+// stop allocating entirely.
 //
 // A Scratch is single-goroutine state; the slices it hands out are
 // invalidated by the next call on the same Scratch.
@@ -146,13 +153,15 @@ type Scratch struct {
 	Perm  []int32
 	// sel holds ClosestWith's (pivot index, distance) pairs.
 	sel []topk.Neighbor
+	// sp is the bulk distance call's state (the L2 query widened once).
+	sp space.Scratch
 }
 
 // OrderWith computes the pivot order of x into s.Order (also returned),
 // reusing s.Dists for the distance computation. Allocation-free once s has
 // warmed up.
 func (p *Pivots[T]) OrderWith(s *Scratch, x T) []int32 {
-	s.Dists = p.Distances(x, s.Dists)
+	p.DistancesWith(s, x)
 	s.Order = orderOf(s.Dists, s.Order)
 	return s.Order
 }
@@ -176,8 +185,8 @@ func (s *Scratch) Ranks() []int32 {
 // once s has warmed up.
 func (p *Pivots[T]) ClosestWith(s *Scratch, x T, n int) []int32 {
 	sel := s.sel[:0]
-	for i, pv := range p.items {
-		sel = append(sel, topk.Neighbor{ID: uint32(i), Dist: p.space.Distance(x, pv)})
+	for i, d := range p.DistancesWith(s, x) {
+		sel = append(sel, topk.Neighbor{ID: uint32(i), Dist: d})
 	}
 	s.sel = sel
 	s.Order = s.Order[:0]
@@ -191,7 +200,7 @@ func (p *Pivots[T]) ClosestWith(s *Scratch, x T, n int) []int32 {
 // returned), reusing s.Dists and s.Order. Allocation-free once s has warmed
 // up.
 func (p *Pivots[T]) PermutationWith(s *Scratch, x T) []int32 {
-	s.Dists = p.Distances(x, s.Dists)
+	p.DistancesWith(s, x)
 	return s.Ranks()
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -25,9 +26,13 @@ type Scanner[T any] struct {
 	index.Pooled[T, scanScratch]
 }
 
-// scanScratch is the per-query state of one scan: just the result queue,
-// reused so a warm query allocates nothing.
+// scanScratch is the per-query state of one scan — the live ids, their
+// distances, the bulk distance call's scratch and the result queue — reused
+// so a warm query allocates nothing.
 type scanScratch struct {
+	ids   []uint32
+	dists []float64
+	sp    space.Scratch
 	queue topk.Queue
 }
 
@@ -59,19 +64,24 @@ func (s *Scanner[T]) search(st *scanScratch, dst []topk.Neighbor, query T, opts 
 	if tr != nil {
 		t0 = time.Now()
 	}
-	st.queue.Reset(k)
-	evals := 0
-	for i, x := range s.data {
+	ids := st.ids[:0]
+	for i := range s.data {
 		if s.deleted != nil {
 			if _, dead := s.deleted[uint32(i)]; dead {
 				continue
 			}
 		}
-		st.queue.Push(uint32(i), s.sp.Distance(x, query))
-		evals++
+		ids = append(ids, uint32(i))
+	}
+	st.ids = ids
+	st.dists = scratch.Grow(st.dists, len(ids))
+	space.Many(s.sp, &st.sp, st.dists, query, s.data, ids)
+	st.queue.Reset(k)
+	for i, id := range ids {
+		st.queue.Push(id, st.dists[i])
 	}
 	if tr != nil {
-		tr.RefineDistances += int64(evals)
+		tr.RefineDistances += int64(len(ids))
 		obs.AddSince(&tr.RefineNs, t0)
 		t0 = time.Now()
 	}

@@ -1,0 +1,138 @@
+package space_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/space"
+)
+
+// checkMany asserts Many and ManyFrom return the Distance loop's bits over
+// objs for 0, 1, odd and even counts, with one Scratch reused throughout.
+func checkMany[T any](t *testing.T, sp space.Space[T], objs []T) {
+	t.Helper()
+	r := rand.New(rand.NewSource(int64(len(objs))))
+	var s space.Scratch
+	query, x := objs[0], objs[len(objs)-1]
+	for _, n := range []int{0, 1, 2, 3, 7, 8, len(objs)} {
+		ids := make([]uint32, n)
+		for i := range ids {
+			ids[i] = uint32(r.Intn(len(objs)))
+		}
+		dst := make([]float64, n)
+		space.Many(sp, &s, dst, query, objs, ids)
+		for i, id := range ids {
+			if want := sp.Distance(objs[id], query); math.Float64bits(dst[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: Many(%d ids)[%d] = %v, Distance = %v", sp.Name(), n, i, dst[i], want)
+			}
+		}
+		pivots := objs[:min(n, len(objs))]
+		space.ManyFrom(sp, &s, dst, x, pivots)
+		for i, pv := range pivots {
+			if want := sp.Distance(x, pv); math.Float64bits(dst[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: ManyFrom(%d pivots)[%d] = %v, Distance = %v", sp.Name(), n, i, dst[i], want)
+			}
+		}
+	}
+}
+
+// checkFamily runs checkMany under every distance the family admits.
+func checkFamily[T any](t *testing.T, f *dataset.Family[T]) {
+	objs := f.Gen(3, 12)
+	for _, sp := range f.Spaces() {
+		t.Run(f.Name()+"/"+sp.Name(), func(t *testing.T) { checkMany(t, sp, objs) })
+	}
+}
+
+// TestManyMatchesDistance is the bulk seam's contract: for every distance a
+// served data set admits, Many and ManyFrom are the per-pair Distance loop,
+// bit for bit.
+func TestManyMatchesDistance(t *testing.T) {
+	for _, name := range dataset.Names() {
+		e, err := dataset.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch f := e.(type) {
+		case *dataset.Family[[]float32]:
+			checkFamily(t, f)
+		case *dataset.Family[[]byte]:
+			checkFamily(t, f)
+		case *dataset.Family[space.SparseVector]:
+			checkFamily(t, f)
+		case *dataset.Family[space.Histogram]:
+			checkFamily(t, f)
+		case *dataset.Family[space.Signature]:
+			checkFamily(t, f)
+		default:
+			t.Fatalf("dataset %q: unhandled object type %T", name, e)
+		}
+	}
+}
+
+// TestManyL2EveryTail runs the L2 pair kernel through every tail length a
+// 4-lane split has, over values of both signs and wide range.
+func TestManyL2EveryTail(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for dim := 0; dim <= 129; dim++ {
+		objs := make([][]float32, 9)
+		for i := range objs {
+			objs[i] = make([]float32, dim)
+			for j := range objs[i] {
+				objs[i][j] = float32(r.NormFloat64() * math.Pow(10, float64(r.Intn(9)-4)))
+			}
+		}
+		checkMany[[]float32](t, space.L2{}, objs)
+	}
+}
+
+// overridden embeds L2 but answers its own Distance, as a test gate or an
+// instrumented space does: the bulk calls must not take L2's fast path
+// around it.
+type overridden struct{ space.L2 }
+
+func (overridden) Distance(a, b []float32) float64 { return -1 }
+
+// TestManyKeepsWrappers pins the exact-type dispatch: an embedding type's
+// Distance is called for every pair, and a Counter counts every pair.
+func TestManyKeepsWrappers(t *testing.T) {
+	objs := dataset.SIFT(4, 9)
+	ids := []uint32{0, 3, 3, 8, 5, 1, 2}
+	dst := make([]float64, len(ids))
+	var s space.Scratch
+	for name, call := range map[string]func(space.Space[[]float32]){
+		"Many":     func(sp space.Space[[]float32]) { space.Many(sp, &s, dst, objs[0], objs, ids) },
+		"ManyFrom": func(sp space.Space[[]float32]) { space.ManyFrom(sp, &s, dst, objs[0], objs[:len(ids)]) },
+	} {
+		call(overridden{})
+		for i, d := range dst {
+			if d != -1 {
+				t.Errorf("%s over an L2-embedding space: dst[%d] = %v, want its Distance's -1", name, i, d)
+			}
+		}
+		c := space.NewCounter[[]float32](space.L2{})
+		call(c)
+		if c.Count() != int64(len(ids)) {
+			t.Errorf("%s through a Counter counted %d calls, want %d", name, c.Count(), len(ids))
+		}
+	}
+}
+
+// TestManyAllocs pins the scratch contract: once a Scratch has widened one
+// query, the L2 bulk calls allocate nothing.
+func TestManyAllocs(t *testing.T) {
+	objs := dataset.SIFT(5, 64)
+	ids := []uint32{9, 1, 40, 63, 7}
+	dst := make([]float64, len(objs))
+	var s space.Scratch
+	var sp space.Space[[]float32] = space.L2{}
+	space.Many(sp, &s, dst, objs[0], objs, ids)
+	if avg := testing.AllocsPerRun(20, func() { space.Many(sp, &s, dst, objs[1], objs, ids) }); avg != 0 {
+		t.Errorf("warm Many allocates %v times per call, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { space.ManyFrom(sp, &s, dst, objs[2], objs) }); avg != 0 {
+		t.Errorf("warm ManyFrom allocates %v times per call, want 0", avg)
+	}
+}

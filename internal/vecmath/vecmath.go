@@ -36,6 +36,47 @@ func L2Sqr(a, b []float32) float64 {
 	return s0 + s1 + s2 + s3
 }
 
+// L2SqrPair returns L2Sqr(a, x) and L2Sqr(b, x) in one pass, for the vector
+// x already widened to float64 as q. Each result keeps L2Sqr's exact
+// arithmetic — the same per-element difference and its 4-accumulator split,
+// tail into the first — so both are bit-identical to L2Sqr; the pass loads
+// q once for two vectors and overlaps their memory latency. Because
+// (a-x)² == (x-a)² exactly, they also equal L2Sqr(x, a) and L2Sqr(x, b).
+// It panics if the lengths differ.
+func L2SqrPair(q []float64, a, b []float32) (float64, float64) {
+	if len(a) != len(q) || len(b) != len(q) {
+		panic("vecmath: length mismatch")
+	}
+	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	i := 0
+	for ; i+4 <= len(q); i += 4 {
+		qs, as, bs := q[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d0 := float64(as[0]) - qs[0]
+		d1 := float64(as[1]) - qs[1]
+		d2 := float64(as[2]) - qs[2]
+		d3 := float64(as[3]) - qs[3]
+		e0 := float64(bs[0]) - qs[0]
+		e1 := float64(bs[1]) - qs[1]
+		e2 := float64(bs[2]) - qs[2]
+		e3 := float64(bs[3]) - qs[3]
+		a0 += d0 * d0
+		a1 += d1 * d1
+		a2 += d2 * d2
+		a3 += d3 * d3
+		b0 += e0 * e0
+		b1 += e1 * e1
+		b2 += e2 * e2
+		b3 += e3 * e3
+	}
+	for ; i < len(q); i++ {
+		d := float64(a[i]) - q[i]
+		e := float64(b[i]) - q[i]
+		a0 += d * d
+		b0 += e * e
+	}
+	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
+}
+
 // L2 returns the Euclidean distance between a and b.
 func L2(a, b []float32) float64 {
 	return math.Sqrt(L2Sqr(a, b))

@@ -53,9 +53,11 @@ func TestEmptyVectors(t *testing.T) {
 
 func TestLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"L2Sqr": func() { L2Sqr([]float32{1}, []float32{1, 2}) },
-		"L1":    func() { L1([]float32{1}, []float32{1, 2}) },
-		"Dot":   func() { Dot([]float32{1}, []float32{1, 2}) },
+		"L2Sqr":       func() { L2Sqr([]float32{1}, []float32{1, 2}) },
+		"L1":          func() { L1([]float32{1}, []float32{1, 2}) },
+		"Dot":         func() { Dot([]float32{1}, []float32{1, 2}) },
+		"L2SqrPair/a": func() { L2SqrPair([]float64{1}, []float32{1, 2}, []float32{1}) },
+		"L2SqrPair/b": func() { L2SqrPair([]float64{1}, []float32{1}, []float32{1, 2}) },
 	} {
 		func() {
 			defer func() {
