@@ -94,10 +94,13 @@ examples:
 # bytes must be refused or recovered into a searchable tree, never a panic or
 # an allocation sized by a count the bytes merely claim. FuzzEditDistance: the
 # bit-parallel edit distance must return the two-row dynamic program's integer
-# for any pair of byte strings, in either argument order. FuzzL2Pair: both
-# results of the L2 pair kernel behind space.Many/ManyFrom must be L2Sqr's,
-# in either argument order, for any float32 bit patterns (NaN, ±Inf,
-# subnormals).
+# for any pair of byte strings, in either argument order, and so must the
+# prepared 1–64-byte pattern behind space.Many/ManyFrom, for two texts at a
+# time and for one. FuzzL2Pair: both results of the L2 pair kernel behind
+# space.Many/ManyFrom must be L2Sqr's, in either argument order, for any
+# float32 bit patterns (NaN, ±Inf, subnormals). FuzzDecodeSearch: any search
+# body must be refused or decoded into a request with exactly one of
+# query/queries and k ≥ 1 that survives its own re-marshalling.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
@@ -105,11 +108,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 15s -fuzzminimizetime 1s ./internal/lsm/
 	$(GO) test -run '^$$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/space/
 	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s ./internal/vecmath/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSearch -fuzztime 10s ./internal/wire/
 
 # In-process microbenchmarks: one row per distance at its corpus's shape and
-# one SIFT query's bulk refine and pivot ranking (each beside the per-pair
-# loop it replaced), then one row per method over a warm 10k-point index plus permbench's two
-# NAPP operating points. A convenience for a profile or a before/after look;
+# one query's bulk refine and pivot ranking, each beside the per-pair loop it
+# replaced — l2/128-refine700-n40k and l2/128-pivots512 for SIFT,
+# normleven/32-refine650-n4k and normleven/32-pivots512 for DNA reads — then
+# one row per method over a warm 10k-point index plus permbench's two NAPP
+# operating points. A convenience for a profile or a before/after look;
 # performance claims are made with permbench (BENCHMARK.json, bench/).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistance$$' -benchmem ./internal/space/

@@ -12,8 +12,9 @@ package core_test
 // The guards run over L2 — where refine, pivot ranking and the exact scan
 // hand their pairs to space.Many/ManyFrom, whose widened query lives in the
 // pooled scratch — and, for the kinds the DNA corpus is served by, over
-// normalised Levenshtein, whose bit-parallel kernel keeps a read's one word
-// of state on the stack. A regression here means a per-query allocation
+// normalised Levenshtein, whose prepared query's match table lives in the
+// same pooled scratch and whose bit-parallel kernel keeps a read's one word
+// of state in registers. A regression here means a per-query allocation
 // crept back into the filter stage, the refine stage or a distance; fix the
 // code, don't relax the guard.
 

@@ -151,25 +151,26 @@ func parallelFor(n int, f func(i int)) {
 // every data point, computed in parallel (the paper builds permutation
 // indexes with four threads; we use GOMAXPROCS).
 func computePermutations[T any](pv *permutation.Pivots[T], data []T) []int32 {
-	m := pv.M()
-	out := make([]int32, len(data)*m)
-	parallelFor(len(data), func(i int) {
-		pv.Permutation(data[i], out[i*m:i*m+m])
-	})
-	return out
+	return perPoint(data, pv.M(), pv.PermutationWith)
 }
 
 // computeOrders returns the flattened n x mi matrix holding, for each data
-// point, the indices of its mi closest pivots (closest first). Each worker
-// selects on its own permutation scratch, so the build neither allocates per
-// point nor sorts the m-mi pivots no index reads.
+// point, the indices of its mi closest pivots (closest first), selected
+// without sorting the m-mi pivots no index reads.
 func computeOrders[T any](pv *permutation.Pivots[T], data []T, mi int) []int32 {
 	mi = min(mi, pv.M())
-	out := make([]int32, len(data)*mi)
+	return perPoint(data, mi, func(s *permutation.Scratch, x T) []int32 { return pv.ClosestWith(s, x, mi) })
+}
+
+// perPoint returns the flattened n x w matrix whose row i is row(s, data[i]),
+// computed in parallel. Each worker passes its own permutation scratch, so a
+// build does not allocate per point.
+func perPoint[T any](data []T, w int, row func(*permutation.Scratch, T) []int32) []int32 {
+	out := make([]int32, len(data)*w)
 	var pool engine.Pool
 	perWorker := make([]permutation.Scratch, pool.Workers())
 	pool.ForWithID(len(data), func(worker, i int) {
-		copy(out[i*mi:(i+1)*mi], pv.ClosestWith(&perWorker[worker], data[i], mi))
+		copy(out[i*w:(i+1)*w], row(&perWorker[worker], data[i]))
 	})
 	return out
 }

@@ -111,6 +111,28 @@ func TestParallelForCoversAll(t *testing.T) {
 	}
 }
 
+// TestComputePermutationsMatchesPermutation: the build's per-worker ranking
+// writes, row by row, what the allocating Pivots.Permutation returns — over
+// L2 and over reads under normalised Levenshtein, whose pivot distances take
+// the prepared-pattern path.
+func TestComputePermutationsMatchesPermutation(t *testing.T) {
+	checkComputePermutations[[]float32](t, space.L2{}, dataset.SIFT(3, 300))
+	checkComputePermutations[[]byte](t, space.NormalizedLevenshtein{}, dataset.DNA(3, 300, dataset.DNAOptions{}))
+}
+
+func checkComputePermutations[T any](t *testing.T, sp space.Space[T], data []T) {
+	pv, err := permutation.Sample(rand.New(rand.NewSource(3)), sp, data, 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, flat := pv.M(), computePermutations(pv, data)
+	for i, x := range data {
+		if got, want := flat[i*m:(i+1)*m], pv.Permutation(x, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: point %d: computePermutations row %v, Permutation %v", sp.Name(), i, got, want)
+		}
+	}
+}
+
 func TestPermDistString(t *testing.T) {
 	if Rho.String() != "spearman-rho" || FootruleDist.String() != "footrule" {
 		t.Fatal("PermDist names wrong")

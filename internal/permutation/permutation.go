@@ -153,7 +153,8 @@ type Scratch struct {
 	Perm  []int32
 	// sel holds ClosestWith's (pivot index, distance) pairs.
 	sel []topk.Neighbor
-	// sp is the bulk distance call's state (the L2 query widened once).
+	// sp is the bulk distance call's state (the L2 point widened once, the
+	// Levenshtein pattern's match table).
 	sp space.Scratch
 }
 

@@ -1,6 +1,7 @@
 package space_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -31,12 +32,9 @@ func benchDistance[T any](b *testing.B, name string, sp space.Space[T], objs []T
 // has: what a pivot ranking or a refine pays per call. normleven/200 is the
 // edit-distance kernel past its 64-byte word (four blocks).
 //
-// The l2/128-refine700-n40k and l2/128-pivots512 rows are one SIFT query's
-// two bulk calls at permbench's sift-batch operating point: a refine of 700
-// sorted random ids over a 40k corpus (space.Many: mostly cache-missing
-// candidates) and a ranking of 512 pivots (space.ManyFrom: a hot set). Each
-// op is the whole call; the -loop row beside it is the per-pair Distance
-// loop both replace, over the same ids.
+// The -refine and -pivots rows are one query's two bulk calls at a permbench
+// operating point: l2/128 at sift-batch's (700 candidates of 40k), normleven/32
+// at dna-direct's (650 of 4k); see benchBulk.
 func BenchmarkDistance(b *testing.B) {
 	const n, seed = 256, 1
 	benchDistance(b, "l2/128", space.L2{}, dataset.SIFT(seed, n))
@@ -46,30 +44,36 @@ func BenchmarkDistance(b *testing.B) {
 	benchDistance(b, "sqfd/20x7", space.SQFD{}, dataset.ImageNet(seed, 32, dataset.SignatureOptions{}))
 	benchDistance(b, "kldiv/128", space.KLDivergence{}, dataset.WikiLDA(seed, n, 128))
 
-	var sp space.Space[[]float32] = space.L2{}
-	corpus := dataset.SIFT(seed, 40_000+1)
+	benchBulk(b, "l2/128", space.L2{}, dataset.SIFT(seed, 40_000+1), 700)
+	benchBulk(b, "normleven/32", space.NormalizedLevenshtein{}, dataset.DNA(seed, 4_000+1, dataset.DNAOptions{}), 650)
+}
+
+// benchBulk adds four rows for one query, the corpus's last object, against
+// the rest: <name>-refine<nRefine>-n<N/1000>k refines nRefine sorted random
+// ids (space.Many; the candidates of 64 rotating queries, so over a large
+// corpus they are mostly cache-missing) and <name>-pivots512 ranks 512 random
+// pivots (space.ManyFrom: a hot set). Each op is the whole call; the -loop row
+// beside each is the per-pair Distance loop both replace, over the same ids.
+func benchBulk[T any](b *testing.B, name string, sp space.Space[T], corpus []T, nRefine int) {
 	query, corpus := corpus[len(corpus)-1], corpus[:len(corpus)-1]
-	r := rand.New(rand.NewSource(seed))
-	// 64 queries' candidate sets touch ≈ the whole 20 MB corpus, so a
-	// refine op finds its candidates where a served query does: mostly
-	// outside the cache.
+	r := rand.New(rand.NewSource(1))
 	idSets := make([][]uint32, 64)
 	for q := range idSets {
-		ids := make([]uint32, 700)
+		ids := make([]uint32, nRefine)
 		for i, j := range r.Perm(len(corpus))[:len(ids)] {
 			ids[i] = uint32(j)
 		}
 		slices.Sort(ids)
 		idSets[q] = ids
 	}
-	pivots := make([][]float32, 512)
+	pivots := make([]T, 512)
 	for i, j := range r.Perm(len(corpus))[:len(pivots)] {
 		pivots[i] = corpus[j]
 	}
-	dst := make([]float64, max(len(idSets[0]), len(pivots)))
+	dst := make([]float64, max(nRefine, len(pivots)))
 	var s space.Scratch
-	bulk := func(name string, call func(ids []uint32)) {
-		b.Run(name, func(b *testing.B) {
+	bulk := func(row string, call func(ids []uint32)) {
+		b.Run(name+row, func(b *testing.B) {
 			b.ReportAllocs()
 			q := 0
 			for b.Loop() {
@@ -79,14 +83,15 @@ func BenchmarkDistance(b *testing.B) {
 			sinkDistance += dst[0]
 		})
 	}
-	bulk("l2/128-refine700-n40k", func(ids []uint32) { space.Many(sp, &s, dst, query, corpus, ids) })
-	bulk("l2/128-refine700-n40k-loop", func(ids []uint32) {
+	refine := fmt.Sprintf("-refine%d-n%dk", nRefine, len(corpus)/1000)
+	bulk(refine, func(ids []uint32) { space.Many(sp, &s, dst, query, corpus, ids) })
+	bulk(refine+"-loop", func(ids []uint32) {
 		for i, id := range ids {
 			dst[i] = sp.Distance(corpus[id], query)
 		}
 	})
-	bulk("l2/128-pivots512", func([]uint32) { space.ManyFrom(sp, &s, dst, query, pivots) })
-	bulk("l2/128-pivots512-loop", func([]uint32) {
+	bulk("-pivots512", func([]uint32) { space.ManyFrom(sp, &s, dst, query, pivots) })
+	bulk("-pivots512-loop", func([]uint32) {
 		for i, pv := range pivots {
 			dst[i] = sp.Distance(query, pv)
 		}

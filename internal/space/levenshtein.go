@@ -10,7 +10,9 @@ package space
 //
 // The edit distance underneath is EditDistance's bit-parallel kernel: a read
 // of at most 64 bytes is one machine word, so a distance is a single pass
-// over the other string and allocates nothing.
+// over the other string and allocates nothing. In bulk (Many, ManyFrom) a
+// fixed argument of 1–64 bytes is prepared once per call and the other
+// strings are measured two per pass.
 type NormalizedLevenshtein struct{}
 
 // Distance returns the normalized edit distance between data and query.
@@ -125,4 +127,50 @@ func EditDistance(a, b []byte) int {
 		}
 	}
 	return score
+}
+
+// editPair returns the edit distances from a pattern of m bytes, 1 ≤ m ≤ 64,
+// whose match table is peq (Scratch.prepare), to the texts a and b. The two
+// advance in one loop as two independent dependency chains, which the core
+// overlaps as it does vecmath.L2SqrPair's two vectors; the longer then
+// finishes alone, and editPair(peq, m, t, nil) measures one text. Nothing is
+// trimmed: Hyyrö's global form yields D[m][n] for any pattern and text, the
+// integer EditDistance returns.
+func editPair(peq *[256]uint64, m int, a, b []byte) (da, db int) {
+	top := uint(m - 1)
+	pa, ma, pb, mb := ^uint64(0), uint64(0), ^uint64(0), uint64(0)
+	da, db = m, m // D[m][0]
+	var d int
+	ha := a[:min(len(a), len(b))]
+	hb := b[:len(ha)]
+	for j := range ha {
+		pa, ma, d = myersStep(peq[ha[j]], pa, ma, top)
+		da += d
+		pb, mb, d = myersStep(peq[hb[j]], pb, mb, top)
+		db += d
+	}
+	for _, c := range a[len(ha):] {
+		pa, ma, d = myersStep(peq[c], pa, ma, top)
+		da += d
+	}
+	for _, c := range b[len(hb):] {
+		pb, mb, d = myersStep(peq[c], pb, mb, top)
+		db += d
+	}
+	return da, db
+}
+
+// myersStep advances a single-word pattern's vertical deltas (pv, mv) past one
+// text byte whose match mask is eq: EditDistance's inner step with row 0's
+// constant +1 horizontal delta folded in. It returns the new deltas and the
+// change of the last row's score, read at bit top.
+func myersStep(eq, pv, mv uint64, top uint) (uint64, uint64, int) {
+	xv := eq | mv
+	xh := (((eq & pv) + pv) ^ pv) | eq
+	ph := mv | ^(xh | pv)
+	mh := pv & xh
+	d := int(ph>>top&1) - int(mh>>top&1)
+	ph = ph<<1 + 1
+	mh <<= 1
+	return mh | ^(xv | ph), ph & xv, d
 }

@@ -116,20 +116,25 @@ func TestEditDistanceMatchesDP(t *testing.T) {
 	}
 }
 
-// FuzzEditDistance lets the fuzzer pick the pair: the kernel must return the
-// oracle's integer, symmetrically, inside the bounds any edit distance obeys.
+// FuzzEditDistance lets the fuzzer pick the strings: the kernel must return
+// the oracle's integer for (a, b), symmetrically, inside the bounds any edit
+// distance obeys; and when a is 1–64 bytes, a as a prepared pattern must give
+// the oracle's integers against b and c, measured as a pair in either order
+// and one at a time, whatever their lengths.
 func FuzzEditDistance(f *testing.F) {
 	r := rand.New(rand.NewSource(25))
-	f.Add([]byte("kitten"), []byte("sitting"))
-	f.Add([]byte{}, []byte("ACGT"))
+	f.Add([]byte("kitten"), []byte("sitting"), []byte("sit"))
+	f.Add([]byte{}, []byte("ACGT"), []byte{})
 	for _, n := range []int{32, 64, 65, 130, 200} {
 		a := randBytes(r, n, 4)
-		f.Add(a, mutate(r, a, 5, 4))
-		f.Add(a, randBytes(r, n/2+1, 4))
+		f.Add(a, mutate(r, a, 5, 4), randBytes(r, n+7, 256))
+		f.Add(a, randBytes(r, n/2+1, 4), []byte{})
 	}
-	f.Fuzz(func(t *testing.T, a, b []byte) {
+	f.Add([]byte("G"), randBytes(r, 70, 4), []byte("A"))
+	f.Add(randBytes(r, 63, 256), randBytes(r, 3, 256), randBytes(r, 130, 256))
+	f.Fuzz(func(t *testing.T, a, b, c []byte) {
 		const maxLen = 320 // five blocks; keeps the quadratic oracle cheap
-		a, b = a[:min(len(a), maxLen)], b[:min(len(b), maxLen)]
+		a, b, c = a[:min(len(a), maxLen)], b[:min(len(b), maxLen)], c[:min(len(c), maxLen)]
 		d := EditDistance(a, b)
 		if want := editDistanceDP(a, b); d != want {
 			t.Fatalf("EditDistance(%q, %q) = %d, DP says %d", a, b, d, want)
@@ -143,6 +148,23 @@ func FuzzEditDistance(f *testing.F) {
 		}
 		if d < lo || d > hi {
 			t.Fatalf("EditDistance(%q, %q) = %d outside [%d, %d]", a, b, d, lo, hi)
+		}
+		m := len(a)
+		if m == 0 || m > 64 {
+			return
+		}
+		var s Scratch
+		s.prepare(c) // a stale table must not leak into the next pattern
+		peq := s.prepare(a)
+		wb, wc := d, editDistanceDP(a, c)
+		if gb, gc := editPair(peq, m, b, c); gb != wb || gc != wc {
+			t.Fatalf("pattern %q: editPair(%q, %q) = %d, %d, DP says %d, %d", a, b, c, gb, gc, wb, wc)
+		}
+		if gc, gb := editPair(peq, m, c, b); gb != wb || gc != wc {
+			t.Fatalf("pattern %q: editPair(%q, %q) = %d, %d, DP says %d, %d", a, c, b, gc, gb, wc, wb)
+		}
+		if gb, _ := editPair(peq, m, b, nil); gb != wb {
+			t.Fatalf("pattern %q: editPair(%q, nil) = %d, DP says %d", a, b, gb, wb)
 		}
 	})
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // Scratch is one goroutine's reusable state for Many and ManyFrom: the fixed
-// argument widened to float64 for the L2 pair kernel. The zero value is
-// ready; a warm Scratch makes both calls allocation-free. Not safe for
-// concurrent use.
+// argument widened to float64 for the L2 pair kernel, or its match table as a
+// Levenshtein pattern. The zero value is ready; a warm Scratch makes both
+// calls allocation-free. Not safe for concurrent use.
 type Scratch struct {
 	wide []float64
+	peq  *[256]uint64 // allocated on first use: an L2 Scratch stays small
 }
 
 // widen stores v as float64 in the scratch and returns it. Widening a
@@ -27,18 +28,20 @@ func (s *Scratch) widen(v []float32) []float64 {
 
 // Many sets dst[i] = sp.Distance(data[ids[i]], query) for every i; dst must
 // have room for len(ids) values. The results are bit-identical to that loop,
-// which is what every space but L2 runs. For L2 the query is widened once
-// and the data points are measured two per pass (vecmath.L2SqrPair), so a
-// refine or a scan stops re-converting the query per candidate and waits on
-// two cache-missing points at a time.
+// which is what every space but L2 and the two Levenshteins runs. For L2 the
+// query is widened once and the data points are measured two per pass
+// (vecmath.L2SqrPair), so a refine or a scan stops re-converting the query per
+// candidate and waits on two cache-missing points at a time. For the two
+// Levenshteins a query of 1–64 bytes gets its match table built once and the
+// reads are measured two per pass (editPair); other queries run the loop.
 //
-// The fast path is chosen by the exact concrete type L2, never by an
-// interface a wrapper could promote: a space that embeds L2 to override
-// Distance (a Counter, a test gate) keeps every call going through its
-// Distance.
+// The fast paths are chosen by the exact concrete type, never by an interface
+// a wrapper could promote: a space that embeds L2 to override Distance (a
+// Counter, a test gate) keeps every call going through its Distance.
 func Many[T any](sp Space[T], s *Scratch, dst []float64, query T, data []T, ids []uint32) {
 	dst = dst[:len(ids)]
-	if _, ok := any(sp).(L2); ok {
+	switch any(sp).(type) {
+	case L2:
 		q32, vecs := any(query).([]float32), any(data).([][]float32)
 		q := s.widen(q32)
 		i := 0
@@ -50,6 +53,10 @@ func Many[T any](sp Space[T], s *Scratch, dst []float64, query T, data []T, ids 
 			dst[i] = math.Sqrt(vecmath.L2Sqr(vecs[ids[i]], q32))
 		}
 		return
+	case NormalizedLevenshtein, Levenshtein:
+		if s.editMany(dst, any(sp) == any(NormalizedLevenshtein{}), any(query).([]byte), any(data).([][]byte), ids) {
+			return
+		}
 	}
 	for i, id := range ids {
 		dst[i] = sp.Distance(data[id], query)
@@ -58,12 +65,14 @@ func Many[T any](sp Space[T], s *Scratch, dst []float64, query T, data []T, ids 
 
 // ManyFrom sets dst[i] = sp.Distance(x, pivots[i]) for every pivot — x is the
 // left (data) argument, as in pivot ranking; dst must have room for
-// len(pivots) values. Bit-identical to that loop, with the same L2 fast path
-// as Many: the pair kernel measures pivot−x where the loop measures x−pivot,
-// and the square of a float64 difference does not depend on its sign.
+// len(pivots) values. Bit-identical to that loop, with Many's fast paths: for
+// L2 the pair kernel measures pivot−x where the loop measures x−pivot, and the
+// square of a float64 difference does not depend on its sign; for the
+// Levenshteins x is the pattern, and the edit distance is symmetric.
 func ManyFrom[T any](sp Space[T], s *Scratch, dst []float64, x T, pivots []T) {
 	dst = dst[:len(pivots)]
-	if _, ok := any(sp).(L2); ok {
+	switch any(sp).(type) {
+	case L2:
 		x32, vecs := any(x).([]float32), any(pivots).([][]float32)
 		q := s.widen(x32)
 		i := 0
@@ -75,8 +84,63 @@ func ManyFrom[T any](sp Space[T], s *Scratch, dst []float64, x T, pivots []T) {
 			dst[i] = math.Sqrt(vecmath.L2Sqr(x32, vecs[i]))
 		}
 		return
+	case NormalizedLevenshtein, Levenshtein:
+		if s.editMany(dst, any(sp) == any(NormalizedLevenshtein{}), any(x).([]byte), any(pivots).([][]byte), nil) {
+			return
+		}
 	}
 	for i, pv := range pivots {
 		dst[i] = sp.Distance(x, pv)
 	}
+}
+
+// prepare builds pat's match table in the scratch, bit i of peq[c] set where
+// pat[i] == c, and returns it. Bytes past the 64th set nothing.
+func (s *Scratch) prepare(pat []byte) *[256]uint64 {
+	if s.peq == nil {
+		s.peq = new([256]uint64)
+	}
+	*s.peq = [256]uint64{}
+	for i, c := range pat {
+		s.peq[c] |= 1 << uint(i)
+	}
+	return s.peq
+}
+
+// editMany is the Levenshtein arm of Many (texts[ids[i]]) and ManyFrom
+// (texts[i], ids nil): it prepares pat's match table once and fills dst with
+// the edit distances to the texts, divided by the longer length when norm is
+// set — the float64 Distance returns. It reports false, touching nothing,
+// when pat is empty or longer than one 64-bit word.
+func (s *Scratch) editMany(dst []float64, norm bool, pat []byte, texts [][]byte, ids []uint32) bool {
+	m := len(pat)
+	if m == 0 || m > 64 {
+		return false
+	}
+	peq := s.prepare(pat)
+	text := func(i int) []byte {
+		if ids == nil {
+			return texts[i]
+		}
+		return texts[ids[i]]
+	}
+	put := func(i, d int, t []byte) {
+		dst[i] = float64(d)
+		if norm {
+			dst[i] /= float64(max(len(t), m))
+		}
+	}
+	i := 0
+	for ; i+2 <= len(dst); i += 2 {
+		a, b := text(i), text(i+1)
+		da, db := editPair(peq, m, a, b)
+		put(i, da, a)
+		put(i+1, db, b)
+	}
+	if i < len(dst) {
+		a := text(i)
+		da, _ := editPair(peq, m, a, nil)
+		put(i, da, a)
+	}
+	return true
 }

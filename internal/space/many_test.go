@@ -1,6 +1,8 @@
 package space_test
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,6 +90,36 @@ func TestManyL2EveryTail(t *testing.T) {
 	}
 }
 
+// TestManyLevenshteinEdges runs the prepared-pattern arm across its edges:
+// fixed arguments of 0 bytes and 65 (both take the Distance loop) and of 1,
+// 63 and 64 bytes (the word's ends), against empty texts, texts shorter and
+// longer than the pattern, texts past one word, and bytes outside ACGT — in
+// an odd-sized set, so every count checkMany draws has pairs and a tail.
+func TestManyLevenshteinEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	read := func(n int, acgt bool) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			if acgt {
+				b[i] = "ACGT"[r.Intn(4)]
+			} else {
+				b[i] = byte(r.Intn(256))
+			}
+		}
+		return b
+	}
+	for _, m := range []int{0, 1, 2, 31, 63, 64, 65} {
+		query := read(m, true)
+		x := append(bytes.Clone(query[:m/2]), read(m-m/2, false)...)
+		objs := [][]byte{query, {}, read(1, true), read(max(m-1, 0), true), read(m+1, true),
+			read(m, false), read(70, true), read(130, false), bytes.Clone(query), read(m/2, true),
+			append(bytes.Clone(query), 'T'), read(5, false), x}
+		for _, sp := range []space.Space[[]byte]{space.NormalizedLevenshtein{}, space.Levenshtein{}} {
+			t.Run(fmt.Sprintf("%s/m%d", sp.Name(), m), func(t *testing.T) { checkMany(t, sp, objs) })
+		}
+	}
+}
+
 // overridden embeds L2 but answers its own Distance, as a test gate or an
 // instrumented space does: the bulk calls must not take L2's fast path
 // around it.
@@ -95,44 +127,58 @@ type overridden struct{ space.L2 }
 
 func (overridden) Distance(a, b []float32) float64 { return -1 }
 
+// overriddenLeven does the same to NormalizedLevenshtein's prepared arm.
+type overriddenLeven struct{ space.NormalizedLevenshtein }
+
+func (overriddenLeven) Distance(a, b []byte) float64 { return -1 }
+
 // TestManyKeepsWrappers pins the exact-type dispatch: an embedding type's
 // Distance is called for every pair, and a Counter counts every pair.
 func TestManyKeepsWrappers(t *testing.T) {
-	objs := dataset.SIFT(4, 9)
+	checkWrappers[[]float32](t, overridden{}, space.L2{}, dataset.SIFT(4, 9))
+	checkWrappers[[]byte](t, overriddenLeven{}, space.NormalizedLevenshtein{}, dataset.DNA(4, 9, dataset.DNAOptions{}))
+}
+
+func checkWrappers[T any](t *testing.T, wrapper, fast space.Space[T], objs []T) {
+	t.Helper()
 	ids := []uint32{0, 3, 3, 8, 5, 1, 2}
 	dst := make([]float64, len(ids))
 	var s space.Scratch
-	for name, call := range map[string]func(space.Space[[]float32]){
-		"Many":     func(sp space.Space[[]float32]) { space.Many(sp, &s, dst, objs[0], objs, ids) },
-		"ManyFrom": func(sp space.Space[[]float32]) { space.ManyFrom(sp, &s, dst, objs[0], objs[:len(ids)]) },
+	for name, call := range map[string]func(space.Space[T]){
+		"Many":     func(sp space.Space[T]) { space.Many(sp, &s, dst, objs[0], objs, ids) },
+		"ManyFrom": func(sp space.Space[T]) { space.ManyFrom(sp, &s, dst, objs[0], objs[:len(ids)]) },
 	} {
-		call(overridden{})
+		call(wrapper)
 		for i, d := range dst {
 			if d != -1 {
-				t.Errorf("%s over an L2-embedding space: dst[%d] = %v, want its Distance's -1", name, i, d)
+				t.Errorf("%s over a %s-embedding space: dst[%d] = %v, want its Distance's -1", name, fast.Name(), i, d)
 			}
 		}
-		c := space.NewCounter[[]float32](space.L2{})
+		c := space.NewCounter(fast)
 		call(c)
 		if c.Count() != int64(len(ids)) {
-			t.Errorf("%s through a Counter counted %d calls, want %d", name, c.Count(), len(ids))
+			t.Errorf("%s through a %s Counter counted %d calls, want %d", name, fast.Name(), c.Count(), len(ids))
 		}
 	}
 }
 
 // TestManyAllocs pins the scratch contract: once a Scratch has widened one
-// query, the L2 bulk calls allocate nothing.
+// query or prepared one pattern, the bulk calls allocate nothing.
 func TestManyAllocs(t *testing.T) {
-	objs := dataset.SIFT(5, 64)
+	checkManyAllocs[[]float32](t, space.L2{}, dataset.SIFT(5, 64))
+	checkManyAllocs[[]byte](t, space.NormalizedLevenshtein{}, dataset.DNA(5, 64, dataset.DNAOptions{}))
+}
+
+func checkManyAllocs[T any](t *testing.T, sp space.Space[T], objs []T) {
+	t.Helper()
 	ids := []uint32{9, 1, 40, 63, 7}
 	dst := make([]float64, len(objs))
 	var s space.Scratch
-	var sp space.Space[[]float32] = space.L2{}
 	space.Many(sp, &s, dst, objs[0], objs, ids)
 	if avg := testing.AllocsPerRun(20, func() { space.Many(sp, &s, dst, objs[1], objs, ids) }); avg != 0 {
-		t.Errorf("warm Many allocates %v times per call, want 0", avg)
+		t.Errorf("%s: warm Many allocates %v times per call, want 0", sp.Name(), avg)
 	}
 	if avg := testing.AllocsPerRun(20, func() { space.ManyFrom(sp, &s, dst, objs[2], objs) }); avg != 0 {
-		t.Errorf("warm ManyFrom allocates %v times per call, want 0", avg)
+		t.Errorf("%s: warm ManyFrom allocates %v times per call, want 0", sp.Name(), avg)
 	}
 }

@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"log"
+	"maps"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,6 +98,56 @@ func TestDecodeSearch(t *testing.T) {
 	if _, _, err := DecodeSearch(r); err == nil || !strings.HasPrefix(err.Error(), "reading body: ") {
 		t.Errorf("failing reader: error %v, want prefix %q", err, "reading body: ")
 	}
+}
+
+// FuzzDecodeSearch feeds arbitrary bodies to DecodeSearch: it must never
+// panic; what it accepts carries exactly one of query/queries and k ≥ 1 and
+// hands the body back verbatim; and re-marshalling an accepted request
+// decodes to an equal request. Objects are compared as json.Marshal writes
+// them (compacted), since that is all re-marshalling promises to keep.
+func FuzzDecodeSearch(f *testing.F) {
+	for _, body := range []string{
+		`{"query": [1, 2]}`, `{"query": "ACGT", "k": 3, "params": {"t": 2}}`, `{"queries": ["A", "C"], "k": 1}`,
+		`{"query": 1`, `{"k": "ten", "query": 1}`, `{}`, `{"queries": []}`, `{"query": 1, "k": -2}`,
+		`{"k":-1}`, `{"query":1,"queries":[1]}`, `{"query":1,"k":1e400}`,
+		`{"query": null, "params": {}}`, `{"queries": [{"idx": [3], "val": [0.5]}], "k": 0}`,
+	} {
+		f.Add([]byte(body))
+	}
+	decode := func(body []byte) (SearchRequest, []byte, error) {
+		return DecodeSearch(httptest.NewRequest("POST", "/", bytes.NewReader(body)))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		req, body, err := decode(in)
+		if err != nil {
+			return
+		}
+		if (req.Query != nil) == (len(req.Queries) > 0) || req.K < 1 || !bytes.Equal(body, in) {
+			t.Fatalf("%q accepted as query=%q queries=%d k=%d body=%q", in, req.Query, len(req.Queries), req.K, body)
+		}
+		out, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("%q: accepted request does not marshal: %v", in, err)
+		}
+		again, _, err := decode(out)
+		if err != nil {
+			t.Fatalf("%q: re-marshalled as %s, refused: %v", in, out, err)
+		}
+		if !sameRequest(again, req) {
+			t.Fatalf("%q: re-marshalled as %s, decodes to %+v, was %+v", in, out, again, req)
+		}
+	})
+}
+
+// sameRequest compares two search requests field by field, each object in
+// its compacted form.
+func sameRequest(a, b SearchRequest) bool {
+	compact := func(m json.RawMessage) string {
+		out, _ := json.Marshal(m)
+		return string(out)
+	}
+	return a.K == b.K && maps.Equal(a.Params, b.Params) && compact(a.Query) == compact(b.Query) &&
+		slices.EqualFunc(a.Queries, b.Queries, func(x, y json.RawMessage) bool { return compact(x) == compact(y) })
 }
 
 type errReader struct{}
