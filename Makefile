@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build loc test race bench bench-check bench-engine examples vet fmt staticcheck govulncheck lsm-deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc test race bench bench-check bench-engine examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -41,15 +41,20 @@ govulncheck:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "govulncheck: not installed, skipping (CI pins $(GOVULNCHECK_VERSION))"; fi
 
-# The mutable tier stores objects, not index structures: internal/lsm must
-# not link the index registry or any index package beyond the exact scan.
-lsm-deps:
+# Import boundaries. The mutable tier stores objects, not index structures:
+# internal/lsm must not link the index registry or any index package beyond
+# the exact scan. The experiment harness measures in-memory indexes:
+# internal/experiments must not link persistence, sharding, the wire, the
+# router, the mutable tier or the server.
+deps:
 	@out="$$($(GO) list -deps ./internal/lsm | grep -E '^repro/internal/(persist|core|knngraph|lsh|vptree)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/lsm must not depend on:"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) list -deps ./internal/experiments | grep -E '^repro/internal/(persist|shard|wire|router|lsm|server)$$')"; \
+	if [ -n "$$out" ]; then echo "internal/experiments must not depend on:"; echo "$$out"; exit 1; fi
 
 # Static gate: formatting + vet + linters + import boundaries, exactly as CI
 # runs them.
-check: fmt vet staticcheck govulncheck lsm-deps
+check: fmt vet staticcheck govulncheck deps
 
 # -shuffle randomizes test order within each package on every run, so
 # accidental inter-test state dependence fails fast instead of festering.
@@ -101,6 +106,9 @@ examples:
 # float32 bit patterns (NaN, ±Inf, subnormals). FuzzDecodeSearch: any search
 # body must be refused or decoded into a request with exactly one of
 # query/queries and k ≥ 1 that survives its own re-marshalling.
+# FuzzParseParams: any method-params text must be refused or parsed into
+# non-empty keys with finite values that survive their own String, and
+# Resolve must answer the round-tripped params alike under every kind.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
@@ -109,6 +117,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/space/
 	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s ./internal/vecmath/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSearch -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s ./internal/experiments/
 
 # In-process microbenchmarks: one row per distance at its corpus's shape and
 # one query's bulk refine and pivot ranking, each beside the per-pair loop it

@@ -94,7 +94,7 @@ func BenchmarkFigure4(b *testing.B) {
 		r, _ := experiments.Get(name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := r.Figure4(cfgFor(name), io.Discard); err != nil {
+				if err := r.RunMethods(cfgFor(name), nil, io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,9 +8,8 @@
 //	repro figure2 [-n 2000] [-dim 64] [-pairs 250] [-seed 1] [-datasets ...]
 //	repro figure3 [-n 2000] [-queries 100] [-k 10] [-dims 16,64,256,1024] [-seed 1] [-datasets ...]
 //	repro figure4 [-n 5000] [-queries 100] [-folds 1] [-k 10] [-workers 1] [-seed 1] [-datasets ...]
-//	              [-save-index DIR] [-load-index DIR]
 //	repro methods -dataset sift [-method napp,vptree] [-n 5000] [-queries 100] [-folds 1] [-k 10]
-//	              [-workers 1] [-shards 1] [-shard-by hash] [-save-index DIR] [-load-index DIR] [-seed 1]
+//	              [-workers 1] [-seed 1]
 //	repro methods -list
 //	repro tune    [-what vptree|napp] [-dataset sift] [-target 0.9] [-n 2000] [-queries 100] [-k 10] [-seed 1]
 //
@@ -26,13 +25,10 @@
 //
 // methods is the free-form harness: figure4's rows for the named methods
 // only (default: all the data set has), and -list enumerates the data sets
-// with their methods. -workers fans evaluation queries out over the batch
-// engine (internal/engine) and -shards evaluates through an in-process
-// scatter-gather router; results are identical to the single-thread,
-// unsharded protocol for exact methods, and the qps column reports the
-// wall-clock throughput achieved. -save-index / -load-index (figure4 too)
-// persist built indexes in the internal/codec format, so repeated runs over
-// the same seed/n/folds pay the load cost instead of construction.
+// with their methods. Like figure4, it builds one in-memory index per method
+// and split. -workers fans evaluation queries out over the batch engine
+// (internal/engine); results are identical to the single-thread protocol,
+// and the qps column reports the wall-clock throughput achieved.
 //
 // tune reproduces the paper's parameter tuning (§3.2, §3.3) on a subset of
 // the data, so that recall lands in the 0.85-0.95 band: the VP-tree's
@@ -123,11 +119,9 @@ var targets = map[string]func(fs *flag.FlagSet, cfg *experiments.Config) *target
 		fs.IntVar(&cfg.Folds, "folds", 1, "random splits (paper: 5)")
 		fs.IntVar(&cfg.K, "k", 10, "neighbors per query")
 		fs.IntVar(&cfg.Workers, "workers", 1, "goroutines running evaluation queries (1 = single-thread protocol, -1 = GOMAXPROCS)")
-		fs.StringVar(&cfg.SaveIndexDir, "save-index", "", "directory to persist every built index into (internal/codec format)")
-		fs.StringVar(&cfg.LoadIndexDir, "load-index", "", "directory to warm-start indexes from, skipping construction when a matching file exists (same seed/n/folds required)")
 		return &target{
 			header: "# Figure 4: dataset\tmethod\tparams\trecall\timprovement\tquery-time\tqps\tbuild-time\tindex-size",
-			run:    func(r experiments.Runner, cfg experiments.Config) error { return r.Figure4(cfg, os.Stdout) },
+			run:    func(r experiments.Runner, cfg experiments.Config) error { return r.RunMethods(cfg, nil, os.Stdout) },
 		}
 	},
 	"methods": func(fs *flag.FlagSet, cfg *experiments.Config) *target {
@@ -138,10 +132,6 @@ var targets = map[string]func(fs *flag.FlagSet, cfg *experiments.Config) *target
 		fs.IntVar(&cfg.Folds, "folds", 1, "random splits")
 		fs.IntVar(&cfg.K, "k", 10, "neighbors per query")
 		fs.IntVar(&cfg.Workers, "workers", 1, "goroutines running evaluation queries (1 = the paper's single-thread protocol, -1 = GOMAXPROCS); results are identical, only throughput changes")
-		fs.StringVar(&cfg.SaveIndexDir, "save-index", "", "directory to persist every built index into (internal/codec format)")
-		fs.StringVar(&cfg.LoadIndexDir, "load-index", "", "directory to warm-start indexes from, skipping construction when a matching file exists (same seed/n/folds required)")
-		fs.IntVar(&cfg.Shards, "shards", 1, "evaluate through an in-process scatter-gather router over this many shard indexes (the sharded serving topology, without the sockets); 1 = unsharded")
-		fs.StringVar(&cfg.ShardBy, "shard-by", "hash", "shard partitioner: hash or round-robin")
 		t := &target{
 			header: "# dataset\tmethod\tparams\trecall\timprovement\tquery-time\tqps\tbuild-time\tindex-size",
 			run: func(r experiments.Runner, cfg experiments.Config) error {

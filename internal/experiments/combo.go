@@ -1,38 +1,20 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/index"
 	"repro/internal/permutation"
-	"repro/internal/persist"
-	"repro/internal/router"
 	"repro/internal/seqscan"
-	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
 )
-
-// indexFileName is the file layout of the -save-index / -load-index
-// directories. Everything that determines the fold's db split — seed, N,
-// query count, fold count — is part of the key: the codec header only
-// records the data-set *size*, so without these a warm start from a run
-// with, say, a different seed would silently resolve pivot ids against the
-// wrong objects.
-func indexFileName(cfg Config, dataset, method string, fold int) string {
-	return fmt.Sprintf("%s-%s-n%d-q%d-f%d-seed%d-fold%d.psix",
-		dataset, method, cfg.N, cfg.Queries, cfg.Folds, cfg.Seed, fold)
-}
 
 // sweep is one method of a Figure 4 panel: a single build plus a list of
 // query-time variants tracing out its recall/efficiency curve. Each variant
@@ -325,12 +307,6 @@ func fractionCurve(rank []topk.Neighbor, truth []topk.Neighbor, n int) []float64
 	return out
 }
 
-// Figure4 implements Runner: the efficiency/recall sweep across methods,
-// averaged over cfg.Folds random splits.
-func (c *combo[T]) Figure4(cfg Config, w io.Writer) error {
-	return c.RunMethods(cfg, nil, w)
-}
-
 // Methods implements Runner.
 func (c *combo[T]) Methods(cfg Config) []string {
 	cfg = cfg.withDefaults()
@@ -341,40 +317,11 @@ func (c *combo[T]) Methods(cfg Config) []string {
 	return out
 }
 
-// shardedBuild partitions db, builds one index per shard with build, and
-// wraps them in a router.Local — the in-process mirror of the
-// permserve/permrouter serving topology.
-func shardedBuild[T any](cfg Config, sp space.Space[T], db []T,
-	build func(space.Space[T], []T) (index.Index[T], error)) (*router.Local[T], error) {
-	p := shard.Hash
-	if cfg.ShardBy != "" {
-		var err error
-		if p, err = shard.ParsePartitioner(cfg.ShardBy); err != nil {
-			return nil, err
-		}
-	}
-	ids, err := shard.IDs(p, len(db), cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]router.LocalShard[T], cfg.Shards)
-	for s := range ids {
-		idx, err := build(sp, shard.Subset(db, ids[s]))
-		if err != nil {
-			return nil, fmt.Errorf("shard %d/%d: %w", s, cfg.Shards, err)
-		}
-		shards[s] = router.LocalShard[T]{Index: idx, IDs: ids[s]}
-	}
-	return router.NewLocal(shards)
-}
-
-// RunMethods implements Runner: like Figure4 but restricted to the named
-// methods (nil means all).
+// RunMethods implements Runner: the efficiency/recall sweep across the named
+// methods (nil means all), averaged over cfg.Folds random splits, one
+// in-memory index per method and split.
 func (c *combo[T]) RunMethods(cfg Config, methods []string, w io.Writer) error {
 	cfg = cfg.withDefaults()
-	if cfg.Shards > 1 && (cfg.SaveIndexDir != "" || cfg.LoadIndexDir != "") {
-		return fmt.Errorf("sharded evaluation (-shards %d) does not support -save-index/-load-index; shard indexes are built per run", cfg.Shards)
-	}
 	wanted := func(m string) bool {
 		if len(methods) == 0 {
 			return true
@@ -397,7 +344,7 @@ func (c *combo[T]) RunMethods(cfg Config, methods []string, w io.Writer) error {
 	acc := map[key][]eval.Result{}
 	var order []key
 
-	for fold, split := range splits {
+	for _, split := range splits {
 		db, queries := eval.Apply(data, split)
 		truth := eval.GroundTruth(c.sp, db, queries, cfg.K)
 		bruteTime, _ := eval.BruteTime(c.sp, db, queries, cfg.K)
@@ -405,52 +352,15 @@ func (c *combo[T]) RunMethods(cfg Config, methods []string, w io.Writer) error {
 			if !wanted(s.method) {
 				continue
 			}
-			// Warm start: load the persisted index when a matching file
-			// exists, otherwise build (and optionally persist for the
-			// next run). The timing column reports whichever happened.
-			// Sharded runs build one index per shard behind a
-			// scatter-gather Local; build time covers the whole set.
-			loaded := false
 			idx, buildTime, err := eval.MeasureBuild(func() (index.Index[T], error) {
-				if cfg.Shards > 1 {
-					loc, err := shardedBuild(cfg, c.sp, db, s.build)
-					if err != nil {
-						return nil, err
-					}
-					return index.Index[T](loc), nil
-				}
-				if cfg.LoadIndexDir != "" {
-					path := filepath.Join(cfg.LoadIndexDir, indexFileName(cfg, c.name, s.method, fold))
-					switch idx, err := persist.LoadFile(path, c.sp, db); {
-					case err == nil:
-						loaded = true
-						return idx, nil
-					case errors.Is(err, os.ErrNotExist),
-						errors.Is(err, codec.ErrUnsupportedVersion):
-						// Missing file, or one from an older format
-						// build: rebuild (and re-save) transparently,
-						// per the rebuild-not-migrate policy.
-					default:
-						return nil, fmt.Errorf("loading %s: %w", path, err)
-					}
-				}
 				return s.build(c.sp, db)
 			})
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", c.name, s.method, err)
 			}
-			if cfg.SaveIndexDir != "" && !loaded {
-				if err := os.MkdirAll(cfg.SaveIndexDir, 0o755); err != nil {
-					return err
-				}
-				path := filepath.Join(cfg.SaveIndexDir, indexFileName(cfg, c.name, s.method, fold))
-				if err := persist.SaveFile(path, idx); err != nil {
-					return fmt.Errorf("saving %s: %w", path, err)
-				}
-			}
 			for _, label := range s.variants {
 				// Params are resolved against the method's kind and ride
-				// every query; a sharded Local hands them to each shard.
+				// every query.
 				p, err := ParseParams(label)
 				if err != nil {
 					return fmt.Errorf("%s/%s %s: %w", c.name, s.method, label, err)

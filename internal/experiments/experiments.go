@@ -40,31 +40,6 @@ type Config struct {
 	// (per-query latency is then measured inside the workers and a
 	// wall-clock QPS is reported). Negative means GOMAXPROCS.
 	Workers int
-	// Shards, when > 1, evaluates every method through an in-process
-	// scatter-gather router (internal/router.Local) over this many
-	// deterministic shard corpora instead of one monolithic index: the
-	// fold's db is partitioned, one index is built per shard, and every
-	// query fans out and merges — the same decomposition the permrouter/
-	// permserve serving tier runs across processes. Results keep true
-	// distances and corpus-global ids; with full-candidate settings they
-	// are identical to the unsharded run. Incompatible with
-	// SaveIndexDir/LoadIndexDir (shard indexes are built per run).
-	Shards int
-	// ShardBy names the partitioner ("hash" when empty, or
-	// "round-robin"); see internal/shard.
-	ShardBy string
-	// SaveIndexDir, when set, persists every index built during the run
-	// into this directory (one file per dataset/method/fold, in the
-	// internal/codec format). LoadIndexDir, when set, warm-starts from
-	// the matching file instead of building when it exists — the
-	// build-time column then reports the load time. Point both at the
-	// same directory to build once and skip construction on every later
-	// run. File names are keyed by everything that determines the fold's
-	// data split (dataset, method, seed, N, query count, fold count), so
-	// a run with different settings misses the stale files and simply
-	// rebuilds; a present-but-corrupt file fails the run loudly.
-	SaveIndexDir string
-	LoadIndexDir string
 }
 
 // withDefaults fills unset fields.
@@ -104,13 +79,14 @@ type Runner interface {
 	Figure2(cfg Config, projDim, pairs int, w io.Writer) error
 	// Figure3 writes (kind, dim, recall, fraction) curves.
 	Figure3(cfg Config, dims []int, w io.Writer) error
-	// Figure4 writes (method, params, recall, improvement, ...) rows.
-	Figure4(cfg Config, w io.Writer) error
-	// RunMethods is Figure4 restricted to the named methods (nil = all);
-	// `repro methods` uses it to benchmark a single method.
+	// RunMethods writes Figure 4's (method, params, recall, improvement,
+	// ...) rows for the named methods; nil means all of them, i.e. the
+	// whole figure.
 	RunMethods(cfg Config, methods []string, w io.Writer) error
 	// Methods lists the method names available for this data set.
 	Methods(cfg Config) []string
+	// tune runs the named tuner ("vptree" or "napp"); see Tune.
+	tune(cfg Config, what string, target float64) (TuneResult, error)
 }
 
 // registry holds all combos in a fixed order.

@@ -3,10 +3,6 @@ package experiments
 import (
 	"bufio"
 	"bytes"
-	"io"
-	"os"
-	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -195,7 +191,7 @@ func TestFigure3HigherDimSteeper(t *testing.T) {
 func TestFigure4Rows(t *testing.T) {
 	r, _ := Get("wiki-8-kl")
 	var buf bytes.Buffer
-	if err := r.Figure4(small, &buf); err != nil {
+	if err := r.RunMethods(small, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -230,7 +226,7 @@ func TestFigure4IncludesMPLSHOnlyForL2(t *testing.T) {
 	cfg := small
 	cfg.N = 400
 	r, _ := Get("sift")
-	if err := r.Figure4(cfg, &buf); err != nil {
+	if err := r.RunMethods(cfg, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "mplsh") {
@@ -238,7 +234,7 @@ func TestFigure4IncludesMPLSHOnlyForL2(t *testing.T) {
 	}
 	buf.Reset()
 	r2, _ := Get("dna")
-	if err := r2.Figure4(cfg, &buf); err != nil {
+	if err := r2.RunMethods(cfg, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "mplsh") {
@@ -316,77 +312,5 @@ func TestRunMethodsWorkersParity(t *testing.T) {
 					i, col, sLines[i], bLines[i])
 			}
 		}
-	}
-}
-
-// TestRunMethodsSaveLoadParity runs one method three times: building,
-// building + persisting, and warm-starting from the persisted files. All
-// three must report identical recall rows, and the warm-start run must
-// actually find a file for every fold.
-func TestRunMethodsSaveLoadParity(t *testing.T) {
-	dir := t.TempDir()
-	r, _ := Get("sift")
-	cfg := small
-	cfg.N = 400
-	cfg.Folds = 2
-	methods := []string{"napp"}
-
-	recallCols := func(out string) []string {
-		var cols []string
-		for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-			f := strings.Split(line, "\t")
-			cols = append(cols, strings.Join([]string{f[0], f[1], f[2], f[3]}, "\t"))
-		}
-		return cols
-	}
-
-	var plain, saved, warm bytes.Buffer
-	if err := r.RunMethods(cfg, methods, &plain); err != nil {
-		t.Fatal(err)
-	}
-	cfgSave := cfg
-	cfgSave.SaveIndexDir = dir
-	if err := r.RunMethods(cfgSave, methods, &saved); err != nil {
-		t.Fatal(err)
-	}
-	for fold := 0; fold < cfg.Folds; fold++ {
-		if _, err := os.Stat(filepath.Join(dir, indexFileName(cfg, "sift", "napp", fold))); err != nil {
-			t.Fatalf("fold %d index file missing after -save-index run: %v", fold, err)
-		}
-	}
-	cfgLoad := cfg
-	cfgLoad.LoadIndexDir = dir
-	if err := r.RunMethods(cfgLoad, methods, &warm); err != nil {
-		t.Fatal(err)
-	}
-	want := recallCols(plain.String())
-	for name, out := range map[string]string{"save": saved.String(), "load": warm.String()} {
-		got := recallCols(out)
-		if !slices.Equal(want, got) {
-			t.Fatalf("%s run recall rows differ:\n got %q\nwant %q", name, got, want)
-		}
-	}
-
-	// A run with a different seed draws different splits; its file key
-	// differs, so the warm start must miss the stale files and rebuild
-	// (never silently load an index built over another split).
-	cfgOther := cfgLoad
-	cfgOther.Seed = cfg.Seed + 1
-	var rebuilt bytes.Buffer
-	if err := r.RunMethods(cfgOther, methods, &rebuilt); err != nil {
-		t.Fatalf("warm start with stale-only files should rebuild, got: %v", err)
-	}
-
-	// A present-but-corrupt file, however, must fail loudly.
-	victim := filepath.Join(dir, indexFileName(cfg, "sift", "napp", 0))
-	blob, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(victim, blob[:len(blob)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RunMethods(cfgLoad, methods, io.Discard); err == nil {
-		t.Fatal("warm start accepted a truncated index file")
 	}
 }

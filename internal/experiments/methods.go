@@ -15,15 +15,24 @@ import (
 // the Figure 4 and `repro methods` output is literally the string that
 // reproduces the setting in a serving request.
 
+// vptreeBeta is the VP-tree's polynomial-pruner exponent under sp: 2 for
+// the KL-divergence (§3.2), 1 otherwise.
+func vptreeBeta[T any](sp space.Space[T]) float64 {
+	if sp.Name() == "kldiv" {
+		return 2
+	}
+	return 1
+}
+
 // vptreeSweep builds one VP-tree and traces its curve by varying the
 // pruning stretch alpha (exact metric pruning at alpha = 1; larger = faster
-// and less accurate). beta is the polynomial pruner exponent (2 for KL).
-func vptreeSweep[T any](alphas []float64, beta float64, seed int64) sweep[T] {
+// and less accurate).
+func vptreeSweep[T any](alphas []float64, seed int64) sweep[T] {
 	s := sweep[T]{
 		method: "vptree",
 		table2: true,
 		build: func(sp space.Space[T], db []T) (index.Index[T], error) {
-			return vptree.New(sp, db, vptree.Options{Beta: beta, Seed: seed})
+			return vptree.New(sp, db, vptree.Options{Beta: vptreeBeta(sp), Seed: seed})
 		},
 	}
 	for _, a := range alphas {

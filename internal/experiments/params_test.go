@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -104,4 +105,47 @@ func TestResolveRejectsConflictsAndBadValues(t *testing.T) {
 			t.Errorf("%s: failed Resolve leaked %+v", tc.name, got)
 		}
 	}
+}
+
+// FuzzParseParams: ParseParams never panics on arbitrary text; what it
+// accepts has non-empty keys and finite values and parses back from its own
+// String to an equal map, and Resolve, under every kind with knobs and under
+// an unknown one, answers the round-tripped map as it answered the original.
+func FuzzParseParams(f *testing.F) {
+	for _, s := range []string{
+		// TestParseParams's inputs.
+		"att=2,ef=20", "  ", "gamma", "=1", "gamma=x", "a=1,a=2", "a=1,,b=2",
+		"gamma=NaN", "gamma=+Inf", "t=-inf",
+		// Out of range, non-integral, zero, conflicting, blank-keyed, hex and
+		// just-past-int32 values.
+		"gamma=1e400", "t=2.5", "T=0", "alpha=2,alphaleft=1", " =1", "t=0x1p3", "t=2147483648",
+	} {
+		f.Add(s)
+	}
+	kinds := []string{"no-such-index"}
+	for kind := range kindKnobs {
+		kinds = append(kinds, kind)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseParams(s)
+		if err != nil {
+			return
+		}
+		for k, v := range p {
+			if k == "" || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParseParams(%q) accepted %q=%v", s, k, v)
+			}
+		}
+		back, err := ParseParams(p.String())
+		if err != nil || !maps.Equal(p, back) {
+			t.Fatalf("ParseParams(%q) = %v, but its String %q parses to %v (err %v)", s, p, p.String(), back, err)
+		}
+		for _, kind := range kinds {
+			want, werr := Resolve(kind, p)
+			got, gerr := Resolve(kind, back)
+			if got != want || (gerr == nil) != (werr == nil) {
+				t.Fatalf("Resolve(%s) of %q: %+v (err %v), round-tripped %+v (err %v)", kind, s, want, werr, got, gerr)
+			}
+		}
+	})
 }

@@ -61,7 +61,7 @@ func init() {
 			randProj: denseRandProj(dim),
 			sweeps: func(cfg Config, n int) []sweep[[]float32] {
 				return []sweep[[]float32]{
-					vptreeSweep[[]float32](metricAlphas, 1, cfg.Seed),
+					vptreeSweep[[]float32](metricAlphas, cfg.Seed),
 					mplshSweep(cfg.Seed),
 					swSweep[[]float32](cfg.K, cfg.Seed),
 					nappSweep[[]float32](n, cfg.Seed),
@@ -82,7 +82,7 @@ func init() {
 		},
 		sweeps: func(cfg Config, n int) []sweep[space.Signature] {
 			return []sweep[space.Signature]{
-				vptreeSweep[space.Signature](metricAlphas, 1, cfg.Seed),
+				vptreeSweep[space.Signature](metricAlphas, cfg.Seed),
 				swSweep[space.Signature](cfg.K, cfg.Seed),
 				nappSweep[space.Signature](n, cfg.Seed),
 				bfSweep[space.Signature](n, cfg.Seed),
@@ -108,7 +108,7 @@ func init() {
 		randCos: true,
 		sweeps: func(cfg Config, n int) []sweep[space.SparseVector] {
 			return []sweep[space.SparseVector]{
-				vptreeSweep[space.SparseVector](genericAlphas, 1, cfg.Seed),
+				vptreeSweep[space.SparseVector](genericAlphas, cfg.Seed),
 				swSweep[space.SparseVector](cfg.K, cfg.Seed),
 				nappSweep[space.SparseVector](n, cfg.Seed),
 				bfSweep[space.SparseVector](n, cfg.Seed),
@@ -118,14 +118,14 @@ func init() {
 
 	// Wiki-8 / Wiki-128 topic histograms under KL- and JS-divergence
 	// (Figures 4d/4e/4g/4h, 2c/2g/2h, 3c/3f/3i).
-	histo := func(name, family, dist string, beta float64, withNNDescent bool) *combo[space.Histogram] {
+	histo := func(name, family, dist string, withNNDescent bool) *combo[space.Histogram] {
 		return &combo[space.Histogram]{
 			name:    name,
 			corpus:  from[space.Histogram](family, dist),
 			bytesOf: func(h space.Histogram) int64 { return int64(len(h.P))*8 + 24 },
 			sweeps: func(cfg Config, n int) []sweep[space.Histogram] {
 				out := []sweep[space.Histogram]{
-					vptreeSweep[space.Histogram](genericAlphas, beta, cfg.Seed),
+					vptreeSweep[space.Histogram](genericAlphas, cfg.Seed),
 					swSweep[space.Histogram](cfg.K, cfg.Seed),
 					nappSweep[space.Histogram](n, cfg.Seed),
 					bfSweep[space.Histogram](n, cfg.Seed),
@@ -138,10 +138,10 @@ func init() {
 		}
 	}
 	registry = append(registry,
-		histo("wiki-8-kl", "wiki-8", "kldiv", 2, false),
-		histo("wiki-8-js", "wiki-8", "jsdiv", 1, true),
-		histo("wiki-128-kl", "wiki-128", "kldiv", 2, false),
-		histo("wiki-128-js", "wiki-128", "jsdiv", 1, false),
+		histo("wiki-8-kl", "wiki-8", "kldiv", false),
+		histo("wiki-8-js", "wiki-8", "jsdiv", true),
+		histo("wiki-128-kl", "wiki-128", "kldiv", false),
+		histo("wiki-128-js", "wiki-128", "jsdiv", false),
 	)
 
 	// DNA: normalized Levenshtein over short reads (Figure 4f, 2d, 3g);
@@ -152,7 +152,7 @@ func init() {
 		bytesOf: func(s []byte) int64 { return int64(len(s)) + 24 },
 		sweeps: func(cfg Config, n int) []sweep[[]byte] {
 			return []sweep[[]byte]{
-				vptreeSweep[[]byte](genericAlphas, 1, cfg.Seed),
+				vptreeSweep[[]byte](genericAlphas, cfg.Seed),
 				swSweep[[]byte](cfg.K, cfg.Seed),
 				nndescentSweep[[]byte](cfg.K, cfg.Seed),
 				nappSweep[[]byte](n, cfg.Seed),

@@ -1,6 +1,12 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/eval"
+	"repro/internal/index"
+	"repro/internal/vptree"
+)
 
 // TuneResult is the outcome of a tuning run.
 type TuneResult struct {
@@ -10,31 +16,73 @@ type TuneResult struct {
 	Recall float64
 }
 
-// tuner is implemented by combos for each supported tuning target.
-type tuner interface {
-	tuneVPTree(cfg Config, target float64) (TuneResult, error)
-	tuneNAPP(cfg Config, target float64) (TuneResult, error)
-}
-
 // Tune runs the named tuner ("vptree" or "napp") for the data set.
 func Tune(dataset, what string, cfg Config, target float64) (TuneResult, error) {
 	r, ok := Get(dataset)
 	if !ok {
 		return TuneResult{}, fmt.Errorf("experiments: unknown dataset %q", dataset)
 	}
-	tn, ok := r.(tuner)
-	if !ok {
-		return TuneResult{}, fmt.Errorf("experiments: dataset %q does not support tuning", dataset)
-	}
 	if target <= 0 || target > 1 {
 		return TuneResult{}, fmt.Errorf("experiments: recall target %v out of (0, 1]", target)
 	}
+	return r.tune(cfg, what, target)
+}
+
+// tune implements Runner. The tuning queries are the last cfg.Queries points
+// of the data set, and each tuner builds its method as the method's Figure 4
+// sweep does.
+func (c *combo[T]) tune(cfg Config, what string, target float64) (TuneResult, error) {
+	cfg = cfg.withDefaults()
+	data := c.fam.Gen(cfg.Seed, cfg.N)
+	db, queries := data[:len(data)-cfg.Queries], data[len(data)-cfg.Queries:]
 	switch what {
 	case "vptree":
-		return tn.tuneVPTree(cfg, target)
+		return c.tuneVPTree(cfg, db, queries, target)
 	case "napp":
-		return tn.tuneNAPP(cfg, target)
+		return c.tuneNAPP(cfg, db, queries, target)
 	default:
 		return TuneResult{}, fmt.Errorf("experiments: unknown tuner %q (vptree, napp)", what)
 	}
+}
+
+// tuneVPTree delegates to the shrinking grid search of package vptree.
+func (c *combo[T]) tuneVPTree(cfg Config, db, queries []T, target float64) (TuneResult, error) {
+	alpha, recall, err := vptree.Tune(c.sp, db, queries, cfg.K, target, vptree.Options{
+		Beta: vptreeBeta(c.sp), Seed: cfg.Seed,
+	})
+	if err != nil {
+		return TuneResult{}, err
+	}
+	return TuneResult{Setting: fmt.Sprintf("alpha=%.4g", alpha), Recall: recall}, nil
+}
+
+// tuneNAPP builds the data set's NAPP index once and picks the largest
+// minimum-shared-pivots t whose recall meets the target (larger t = fewer
+// candidates = faster, as in the paper's "smallest t that achieves a desired
+// recall" — expressed over decreasing candidate budgets).
+func (c *combo[T]) tuneNAPP(cfg Config, db, queries []T, target float64) (TuneResult, error) {
+	var na index.Index[T]
+	for _, s := range c.sweeps(cfg, len(db)) {
+		if s.method == "napp" {
+			var err error
+			if na, err = s.build(c.sp, db); err != nil {
+				return TuneResult{}, err
+			}
+		}
+	}
+	if na == nil {
+		return TuneResult{}, fmt.Errorf("experiments: %s has no napp sweep", c.name)
+	}
+	truth := eval.GroundTruth(c.sp, db, queries, cfg.K)
+	best := TuneResult{Setting: "t=1"}
+	for t := 8; t >= 1; t-- {
+		opts := index.Options{K: cfg.K, Params: index.Params{MinShared: t}}
+		res := eval.Measure(na, queries, truth, opts, 1, 1)
+		if res.Recall >= target {
+			return TuneResult{Setting: fmt.Sprintf("t=%d", t), Recall: res.Recall}, nil
+		}
+		best = TuneResult{Setting: fmt.Sprintf("t=%d", t), Recall: res.Recall}
+	}
+	// Even t=1 missed the target; report the best achievable.
+	return best, nil
 }

@@ -24,8 +24,8 @@ type LocalShard[T any] struct {
 // id-translation and merge semantics as the HTTP front tier (Router), with
 // the sockets cut out. It exists so the merge logic is unit-testable
 // against every registered index kind without a daemon, and so the sharded
-// query path can sit directly in benchmarks and the evaluation harness
-// (`repro methods -shards`) next to its unsharded counterpart.
+// query path can sit directly in benchmarks (`BenchmarkSearchHot/
+// napp-sharded3`) next to its unsharded counterpart.
 //
 // Local implements index.Index[T]: a query probes the shards serially (the
 // calling worker is the unit of parallelism, as everywhere else on the

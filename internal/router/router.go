@@ -18,13 +18,8 @@ import (
 
 // Options configure the HTTP scatter-gather front tier.
 type Options struct {
-	// Shards are the backend base URLs in shard order, one replica per
-	// shard: Shards[i] must serve shard i of every routed index set. A
-	// shorthand for Replicas with single-member groups; exactly one of the
-	// two must be set.
-	Shards []string
-	// Replicas is the full shards × replicas topology: Replicas[i] lists
-	// the base URLs of shard i's replica group, every member serving the
+	// Replicas is the shards × replicas topology: Replicas[i] lists the
+	// base URLs of shard i's replica group, every member serving the
 	// identical shard-i content. Groups spread load round-robin, hedge
 	// across members, and fail over on error, so one host loss inside a
 	// group never degrades the answer.
@@ -111,16 +106,8 @@ type routedMetrics struct {
 // nonsense that looks healthy. Replica generations may differ within a
 // group (that is what a rollout in flight looks like).
 func New(opts Options) (*Router, error) {
-	topo := opts.Replicas
-	switch {
-	case len(topo) > 0 && len(opts.Shards) > 0:
-		return nil, fmt.Errorf("router: set exactly one of Shards and Replicas")
-	case len(topo) == 0 && len(opts.Shards) == 0:
+	if len(opts.Replicas) == 0 {
 		return nil, fmt.Errorf("router: no shard backends")
-	case len(topo) == 0:
-		for _, u := range opts.Shards {
-			topo = append(topo, []string{u})
-		}
 	}
 	if opts.ShardTimeout <= 0 {
 		opts.ShardTimeout = 10 * time.Second
@@ -148,7 +135,7 @@ func New(opts Options) (*Router, error) {
 	if rt.metrics == nil {
 		rt.metrics = obs.Default()
 	}
-	for s, urls := range topo {
+	for s, urls := range opts.Replicas {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no replicas", s)
 		}

@@ -89,18 +89,21 @@ func bootShardSet(t *testing.T, S int) (shards []*httptest.Server, unsharded *ht
 	return shards, unsharded, queries
 }
 
-func urlsOf(shards []*httptest.Server) []string {
-	urls := make([]string, len(shards))
-	for i, s := range shards {
-		urls[i] = s.URL
+// singles is the topology of one replica per shard, urls in shard order.
+func singles(urls ...string) [][]string {
+	topo := make([][]string, len(urls))
+	for i, u := range urls {
+		topo[i] = []string{u}
 	}
-	return urls
+	return topo
 }
 
 // bootRouter mounts a Router over the shard servers.
 func bootRouter(t *testing.T, shards []*httptest.Server, opts router.Options) *httptest.Server {
 	t.Helper()
-	opts.Shards = urlsOf(shards)
+	for _, s := range shards {
+		opts.Replicas = append(opts.Replicas, []string{s.URL})
+	}
 	if opts.Metrics == nil {
 		// /statusz renders the registry's counters; a private one keeps
 		// other tests' traffic out of this router's rows.
@@ -349,11 +352,11 @@ func TestRouterList(t *testing.T) {
 // must be refused at startup (the stamp's index contradicts the position).
 func TestRouterDiscoveryRejectsMiswiring(t *testing.T) {
 	shards, _, _ := bootShardSet(t, 2)
-	if _, err := router.New(router.Options{Shards: []string{shards[1].URL, shards[0].URL}}); err == nil {
+	if _, err := router.New(router.Options{Replicas: singles(shards[1].URL, shards[0].URL)}); err == nil {
 		t.Fatal("router accepted backends wired out of shard order")
 	}
 	// Wrong backend count for the stamped set size.
-	if _, err := router.New(router.Options{Shards: []string{shards[0].URL}}); err == nil {
+	if _, err := router.New(router.Options{Replicas: singles(shards[0].URL)}); err == nil {
 		t.Fatal("router accepted 1 backend for a 2-shard set")
 	}
 }
@@ -401,7 +404,7 @@ func TestRouterWrongShapePayload(t *testing.T) {
 	healthy := httptest.NewServer(hmux)
 	defer healthy.Close()
 
-	rt, err := router.New(router.Options{Shards: []string{broken.URL, healthy.URL}, FailOpen: true})
+	rt, err := router.New(router.Options{Replicas: singles(broken.URL, healthy.URL), FailOpen: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +451,7 @@ func TestRouterWrongShapePayload(t *testing.T) {
 	}
 
 	// Fail-closed: the same broken shard must 502, never silently drop.
-	rtc, err := router.New(router.Options{Shards: []string{broken.URL, healthy.URL}})
+	rtc, err := router.New(router.Options{Replicas: singles(broken.URL, healthy.URL)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +478,7 @@ func TestRouterHedging(t *testing.T) {
 	defer slow.Close()
 
 	rt, err := router.New(router.Options{
-		Shards:       []string{slow.URL},
+		Replicas:     singles(slow.URL),
 		ShardTimeout: 5 * time.Second,
 		HedgeDelay:   20 * time.Millisecond,
 	})

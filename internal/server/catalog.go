@@ -74,12 +74,11 @@ type servedIndex interface {
 // indexes, ids maps shard-local result ids to corpus-global ids (nil for an
 // unsharded index); the map is strictly increasing (internal/shard.IDs), so
 // translation preserves the canonical (dist, id) result order. For mutable
-// indexes, tree wraps idx so searches cover tiers and memtable too.
+// indexes, idx is a treeIndex, so searches cover tiers and memtable too.
 type typedIndex[T any] struct {
-	idx  index.Index[T]
-	dec  func(raw []byte) (T, error)
-	ids  []uint32
-	tree *lsm.Tree[T]
+	idx index.Index[T]
+	dec func(raw []byte) (T, error)
+	ids []uint32
 }
 
 // globalize rewrites shard-local ids to corpus-global ids in place.
@@ -97,15 +96,6 @@ func (t *typedIndex[T]) search(raw json.RawMessage, opts index.Options) ([]topk.
 	if err != nil {
 		return nil, badRequestf("query: %v", err)
 	}
-	if t.tree != nil {
-		// The tiered scatter checks ctx between components, so a canceled
-		// single-query request stops before paying for the next tier.
-		nbs, err := t.tree.SearchAppend(nil, t.idx, q, opts)
-		if err != nil {
-			return nil, err
-		}
-		return t.globalize(nbs), nil
-	}
 	return t.globalize(t.idx.SearchAppend(nil, q, opts)), nil
 }
 
@@ -118,11 +108,7 @@ func (t *typedIndex[T]) searchBatch(raws []json.RawMessage, opts index.Options, 
 		}
 		qs[i] = q
 	}
-	idx := t.idx
-	if t.tree != nil {
-		idx = treeIndex[T]{base: t.idx, tree: t.tree}
-	}
-	outs, err := engine.SearchBatch(pool, idx, qs, opts)
+	outs, err := engine.SearchBatch(pool, t.idx, qs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +191,6 @@ func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, fam *dataset.Fam
 	if err != nil {
 		return nil, hdr, err
 	}
-	ti := &typedIndex[T]{idx: idx, dec: dec, ids: ids}
 	if man.Mutable {
 		tree, err := openTree(e, man, data, lsm.Options[T]{
 			Dir:   strings.TrimSuffix(path, persist.Ext) + ".tiers",
@@ -219,7 +204,7 @@ func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, fam *dataset.Fam
 		if err != nil {
 			return nil, hdr, fmt.Errorf("%s: mutable tier: %w", path, err)
 		}
-		ti.tree = tree
+		idx = treeIndex[T]{base: idx, tree: tree}
 	}
-	return ti, hdr, nil
+	return &typedIndex[T]{idx: idx, dec: dec, ids: ids}, hdr, nil
 }

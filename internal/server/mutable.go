@@ -41,10 +41,12 @@ type servedTree interface {
 	Close() error
 }
 
-// treeIndex adapts (base index, tree) to index.Index so the batch engine
-// fans a mutable entry's queries out like any other index's. A query the
-// request context cancels mid-scatter answers empty here; the engine then
-// fails the whole batch with the context's error.
+// treeIndex adapts (base index, tree) to index.Index, so a mutable entry's
+// queries, single or batched, take the path any other index's take. The
+// tiered scatter checks the request context between components: a canceled
+// query stops before the next tier and answers empty here, and the request
+// then fails with the context's error (the search handler's ctx.Err check
+// for a single query, the batch engine for a batch).
 type treeIndex[T any] struct {
 	base index.Index[T]
 	tree *lsm.Tree[T]
