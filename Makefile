@@ -89,8 +89,8 @@ examples:
 # never panic or over-allocate; its checked-in seed corpus lives in
 # internal/codec/testdata/fuzz (regenerate with WRITE_FUZZ_CORPUS=1 after
 # format changes). FuzzNAPPScan: NAPP's bit-sliced ScanCount kernel must
-# select the ids the list-merging reference selects, for any shape, threshold
-# and tombstone set the fuzzer picks. FuzzDecodeObject: the JSON object
+# select the ids the list-merging reference selects, for any shape and
+# threshold the fuzzer picks. FuzzDecodeObject: the JSON object
 # decoder of every object type (queries, WAL-durable adds) must refuse or
 # return something its distances can be computed on and that survives its own
 # Encode; its seeds are kilobyte objects, so cap the minute the fuzzer would
@@ -177,9 +177,10 @@ ingest-smoke:
 
 # End-to-end smoke of the fail-stop storage story: boot permserve with
 # disk-fault injection armed (PERMSERVE_FAULT_FS), drive writes into a WAL
-# fsync failure (503 poisoned) and an ENOSPC seal (507 read-only), assert
-# /healthz surfaces the degraded index while searches keep serving, then
-# restart clean and require zero acknowledged-write loss.
+# fsync failure (503 poisoned), an ENOSPC seal (507 read-only) and a seal
+# whose next WAL segment cannot be created (503, nothing served twice),
+# assert /healthz surfaces the degraded index while searches keep serving,
+# then restart clean and require zero acknowledged-write loss.
 fault-smoke:
 	$(GO) build -o bin/permserve ./cmd/permserve
 	./scripts/fault_smoke.sh bin/permserve

@@ -38,12 +38,16 @@
 // alike. Pivot sets are stored as ids into the data slice, never as
 // serialized objects.
 //
-// Two payload slots of version 2 are retired — written as zero, ignored on
-// load — and go at the next version bump, not before, so files saved by
-// older builds keep loading: the Bool in the permutation-row payload of
-// core.ScanFilter (once a heap-selection ablation switch) and the I64 after
-// the seed in the knngraph payload (once an entry-point seed counter that
-// made a graph's bytes depend on its query history).
+// Four payload slots of version 2 are retired — written as zero or empty —
+// and go at the next version bump, not before, so files saved by older
+// builds keep loading. Two are ignored on load: the Bool in the
+// permutation-row payload of core.ScanFilter (once a heap-selection ablation
+// switch) and the I64 after the seed in the knngraph payload (once an
+// entry-point seed counter that made a graph's bytes depend on its query
+// history). Two must be empty on load, or the file is refused as corrupt:
+// the tombstone lists that end the "napp" and "seqscan" payloads (once the
+// state of indexes that deleted in place; ignoring a non-empty one would
+// bring deleted objects back).
 package codec
 
 import (
@@ -55,8 +59,8 @@ import (
 const Magic = "PSIX"
 
 // Version is the current format version, bumped on incompatible changes.
-// Version 2 added a tombstone section to the "seqscan" payload (so a scanner
-// with dynamic deletions round-trips) and the "lsm-segment" kind.
+// Version 2 added a tombstone section to the "seqscan" payload (now a
+// retired slot) and the "lsm-segment" kind.
 const Version = 2
 
 // Kind tags, one per persistable index family. The tag doubles as the

@@ -7,12 +7,17 @@ package codec_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/knngraph"
@@ -82,6 +87,50 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return out
 }
 
+// withTombstone forges a blob whose payload ends in a retired tombstone slot
+// (the "napp" and "seqscan" kinds; Save writes the slot empty) into one whose
+// slot lists id, under a valid checksum: only the slot's own check can
+// refuse it.
+func withTombstone(blob []byte, id uint32) []byte {
+	body := bytes.Clone(blob[:len(blob)-12]) // drop the empty slot's count and the trailer
+	body = binary.LittleEndian.AppendUint64(body, 1)
+	body = binary.LittleEndian.AppendUint32(body, id)
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// tombstoned returns, by kind, the seed blobs of the two kinds with a
+// retired tombstone slot, forged to list one id in it.
+func tombstoned(tb testing.TB) map[string][]byte {
+	out := map[string][]byte{}
+	for _, seed := range fuzzSeeds(tb) {
+		cr, err := codec.NewReader(bytes.NewReader(seed))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if kind := cr.Header().Kind; kind == codec.KindNAPP || kind == codec.KindSeqScan {
+			out[kind] = withTombstone(seed, 5)
+		}
+	}
+	if len(out) != 2 {
+		tb.Fatalf("seed kinds with a tombstone slot: %d, want napp and seqscan", len(out))
+	}
+	return out
+}
+
+// TestRetiredTombstoneSlotRefused loads a NAPP and a seqscan file that list
+// a tombstone: both kinds must refuse it as corrupt, since ignoring the list
+// would serve the deleted object again.
+func TestRetiredTombstoneSlotRefused(t *testing.T) {
+	for kind, blob := range tombstoned(t) {
+		t.Run(kind, func(t *testing.T) {
+			_, err := persist.Load[[]float32](bytes.NewReader(blob), space.L2{}, fuzzCorpus())
+			if !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "tombstone slot") {
+				t.Fatalf("load of a %s file with a tombstone = %v, want ErrCorrupt for the retired slot", kind, err)
+			}
+		})
+	}
+}
+
 // FuzzLoad feeds arbitrary bytes to the full index-load path. The contract
 // under fuzz: Load either succeeds or returns an error — it never panics,
 // never allocates absurdly off a corrupt length prefix, and any index it
@@ -98,6 +147,9 @@ func FuzzLoad(f *testing.F) {
 			f.Add(flip)
 		}
 	}
+	forged := tombstoned(f)
+	f.Add(forged[codec.KindNAPP])
+	f.Add(forged[codec.KindSeqScan])
 	data := fuzzCorpus()
 	queries := [][]float32{data[0], {9, 9, 9, 9}}
 	f.Fuzz(func(t *testing.T, blob []byte) {

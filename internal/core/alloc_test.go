@@ -60,13 +60,6 @@ func allocKinds(t *testing.T) (queries [][]float32, kinds []allocKind[[]float32]
 		NumPivots: 64, NumPivotIndex: 16, MinShared: 1, MaxCandidates: 40, Seed: seed,
 	})
 	mk("napp-capped", nappCap, err)
-	nappDead, err := core.NewNAPP(sp32(), db, core.NAPPOptions{
-		NumPivots: 64, NumPivotIndex: 16, MinShared: 1, MaxCandidates: 40, Seed: seed,
-	})
-	for id := uint32(0); err == nil && id < n; id += 7 {
-		err = nappDead.Delete(id)
-	}
-	mk("napp-tombstoned", nappDead, err)
 	mi, err := core.NewMIFile(sp32(), db, core.MIFileOptions{
 		NumPivots: 32, NumPivotIndex: 16, NumPivotSearch: 8, MaxPosDiff: 10, Seed: seed,
 	})
@@ -203,52 +196,6 @@ func searchAppendZeroAllocsTraced[T any](t *testing.T, queries []T, kinds []allo
 			}
 		})
 	}
-}
-
-// TestMutationKeepsZeroAllocs asserts mutability does not tax the hot path:
-// a warm NAPP stays at zero allocations, a mutation lets exactly the next
-// queries re-grow scratch (allowed to allocate), and the steady state
-// returns to zero allocations afterwards.
-func TestMutationKeepsZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; guard runs in the plain test job")
-	}
-	const k = 10
-	const n, nq, seed = 600, 8, 7
-	all := dataset.SIFT(seed, n+nq)
-	db, queries := all[:n], all[n:]
-	na, err := core.NewNAPP(sp32(), db, core.NAPPOptions{
-		NumPivots: 64, NumPivotIndex: 16, NumPivotSearch: 16, MinShared: 1, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]topk.Neighbor, 0, k)
-	opts := index.Options{K: k}
-	warm := func() {
-		for _, q := range queries {
-			dst = na.SearchAppend(dst[:0], q, opts)
-		}
-	}
-	measure := func(label string) {
-		qi := 0
-		if avg := testing.AllocsPerRun(50, func() {
-			dst = na.SearchAppend(dst[:0], queries[qi%len(queries)], opts)
-			qi++
-		}); avg != 0 {
-			t.Errorf("%s: warm SearchAppend allocates %v times per run, want 0", label, avg)
-		}
-	}
-	warm()
-	measure("before mutation")
-	na.Add(append([]float32(nil), db[0]...))
-	warm() // the grown data set may re-grow the arenas once
-	measure("after Add + re-warm")
-	if err := na.Delete(uint32(len(db))); err != nil {
-		t.Fatal(err)
-	}
-	warm()
-	measure("after Delete + re-warm")
 }
 
 // TestSearchSingleAlloc asserts the plain Search entry point costs exactly

@@ -121,7 +121,7 @@ func NewMIFileWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Piv
 		})
 	}
 	mf := &MIFile[T]{data: data, pivots: pv, postings: postings, opts: opts}
-	mf.bind(mf, sp, &mf.data, opts.Gamma)
+	mf.bind(mf, sp, mf.data, opts.Gamma)
 	return mf, nil
 }
 

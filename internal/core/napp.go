@@ -77,6 +77,10 @@ func (o *NAPPOptions) defaults() {
 // bitmaps that advances 64 counters per word-op and needs neither a counter
 // array nor its per-query reset (napp_scan.go). Index files still store
 // ascending ids.
+//
+// The index is immutable once built. §3.5's "deletion and addition of
+// records can be easily implemented" is served by internal/lsm, which puts
+// new objects in tiers beside the index and masks deleted ones.
 type NAPP[T any] struct {
 	data   []T
 	pivots *permutation.Pivots[T]
@@ -84,10 +88,6 @@ type NAPP[T any] struct {
 	// may be shorter than ⌈N/64⌉ words and reads as zero past its end.
 	bitmaps [][]uint64
 	opts    NAPPOptions
-	// dead is the tombstone bitmap (see napp_dynamic.go), ndead its
-	// population; nil until the first Delete.
-	dead  []uint64
-	ndead int
 	pipeline[T, nappScratch]
 }
 
@@ -98,15 +98,6 @@ type nappScratch struct {
 	// sel holds (candidate, negated shared-pivot count) pairs for the
 	// MaxCandidates partial selection.
 	sel []topk.Neighbor
-}
-
-// setBit sets bit id of bitmap b, growing it to reach the bit.
-func setBit(b []uint64, id uint32) []uint64 {
-	if w := int(id >> 6); w >= len(b) {
-		b = append(b, make([]uint64, w+1-len(b))...)
-	}
-	b[id>>6] |= 1 << (id & 63)
-	return b
 }
 
 // NewNAPP samples pivots and builds the inverted file (in parallel).
@@ -138,7 +129,7 @@ func NewNAPPWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Pivot
 			na.bitmaps[p][i>>6] |= 1 << (i & 63)
 		}
 	}
-	na.bind(na, sp, &na.data, 0)
+	na.bind(na, sp, na.data, 0)
 	return na, nil
 }
 
@@ -146,7 +137,7 @@ func NewNAPPWithPivots[T any](sp space.Space[T], data []T, pv *permutation.Pivot
 func (na *NAPP[T]) Name() string { return "napp" }
 
 func (na *NAPP[T]) size() (int64, int) {
-	words := int64(len(na.dead))
+	var words int64
 	for _, b := range na.bitmaps {
 		words += int64(len(b))
 	}
@@ -156,7 +147,7 @@ func (na *NAPP[T]) size() (int64, int) {
 // Options returns the effective (defaulted) parameters.
 func (na *NAPP[T]) Options() NAPPOptions { return na.opts }
 
-// filter keeps the live ids sharing at least t of the query's ms closest
+// filter keeps the ids sharing at least t of the query's ms closest
 // pivots. NAPP has no gamma: the threshold alone sets the candidate count,
 // up to MaxCandidates.
 func (na *NAPP[T]) filter(s *nappScratch, query T, _ int, p index.Params) (candidates, int) {

@@ -133,8 +133,8 @@ func (pl *countPlanes) count(k, b, nplanes int) int {
 	return c
 }
 
-// scan fills s.cands, in ascending id order, with every live id that at
-// least t of the selected pivots' bitmaps contain. With scored set, each
+// scan fills s.cands, in ascending id order, with every id that at least t
+// of the selected pivots' bitmaps contain. With scored set, each
 // candidate is also appended to s.sel scored by its negated count, read off
 // the planes at emission — the (Dist, ID) order of topk.SelectK then ranks
 // candidates by shared pivots descending, ids ascending, which is what
@@ -169,9 +169,6 @@ func (na *NAPP[T]) scan(s *nappScratch, pivots []int32, t int, scored bool) {
 		}
 		hits := pl.atLeast(t, nplanes)
 		for k, word := range hits {
-			if w+k < len(na.dead) {
-				word &^= na.dead[w+k]
-			}
 			for ; word != 0; word &= word - 1 {
 				b := bits.TrailingZeros64(word)
 				id := uint32(w+k)<<6 | uint32(b)

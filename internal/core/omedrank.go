@@ -83,7 +83,7 @@ func NewOMEDRANK[T any](sp space.Space[T], data []T, opts OMEDRANKOptions) (*OME
 		return nil, err
 	}
 	om := &OMEDRANK[T]{data: data, opts: opts}
-	om.bind(om, sp, &om.data, opts.Gamma)
+	om.bind(om, sp, om.data, opts.Gamma)
 	for _, vi := range r.Perm(len(data))[:opts.NumVoters] {
 		om.pivots = append(om.pivots, data[vi])
 		om.pivotIDs = append(om.pivotIDs, int32(vi))

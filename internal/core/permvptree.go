@@ -80,7 +80,7 @@ func NewPermVPTree[T any](sp space.Space[T], data []T, opts PermVPTreeOptions) (
 		return nil, fmt.Errorf("core: building permutation VP-tree: %w", err)
 	}
 	pt := &PermVPTree[T]{data: data, pivots: pv, perms: perms, tree: tree, opts: opts}
-	pt.bind(pt, sp, &pt.data, opts.Gamma)
+	pt.bind(pt, sp, pt.data, opts.Gamma)
 	return pt, nil
 }
 

@@ -95,7 +95,7 @@ func LoadScanFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Scan
 	if err != nil {
 		return nil, err
 	}
-	f.bind(f, sp, &f.data, f.rows.gamma())
+	f.bind(f, sp, f.data, f.rows.gamma())
 	return f, nil
 }
 
@@ -168,7 +168,7 @@ func LoadPPIndex[T any](cr *codec.Reader, sp space.Space[T], data []T) (*PPIndex
 	if err != nil {
 		return nil, err
 	}
-	pp.bind(pp, sp, &pp.data, pp.opts.Gamma)
+	pp.bind(pp, sp, pp.data, pp.opts.Gamma)
 	return pp, nil
 }
 
@@ -275,15 +275,16 @@ func LoadMIFile[T any](cr *codec.Reader, sp space.Space[T], data []T) (*MIFile[T
 	if err != nil {
 		return nil, err
 	}
-	mf.bind(mf, sp, &mf.data, mf.opts.Gamma)
+	mf.bind(mf, sp, mf.data, mf.opts.Gamma)
 	return mf, nil
 }
 
 // --- NAPP ---
 
-// Save serializes the NAPP inverted file under kind "napp", including the
-// dynamic-maintenance state (tombstoned ids), so a loaded index resumes
-// exactly where the saved one stopped.
+// Save serializes the NAPP inverted file under kind "napp". The payload ends
+// in a retired slot, the tombstone list of builds whose NAPP deleted in
+// place, which Save writes empty and LoadNAPP refuses to find otherwise:
+// ignoring it would bring the deleted objects back.
 func (na *NAPP[T]) Save(w io.Writer) error {
 	cw := codec.NewWriter(w, codec.KindNAPP, na.sp.Name(), len(na.data))
 	if err := savePivots(cw, na.pivots); err != nil {
@@ -299,7 +300,7 @@ func (na *NAPP[T]) Save(w io.Writer) error {
 	for _, b := range na.bitmaps {
 		saveBitmap(cw, b)
 	}
-	saveBitmap(cw, na.dead)
+	cw.U32s(nil)
 	return cw.Close()
 }
 
@@ -319,33 +320,32 @@ func saveBitmap(cw *codec.Writer, b []uint64) {
 	}
 }
 
-// loadBitmap reads a list written by saveBitmap into a bitmap over n ids and
-// returns it with its population. Only strictly ascending ids below n are
-// what Save writes; anything else is corruption.
-func loadBitmap(cr *codec.Reader, n int, what string) (b []uint64, count int) {
-	count = cr.Length(4)
+// loadBitmap reads a list written by saveBitmap into a bitmap over n ids.
+// Only strictly ascending ids below n are what Save writes; anything else is
+// corruption.
+func loadBitmap(cr *codec.Reader, n int) []uint64 {
+	count := cr.Length(4)
 	if cr.Err() != nil {
-		return nil, 0
+		return nil
 	}
-	b = make([]uint64, (n+63)/64)
+	b := make([]uint64, (n+63)/64)
 	prev := -1
 	for i := 0; i < count; i++ {
 		id := int(cr.U32())
 		if cr.Err() != nil {
-			return nil, 0
+			return nil
 		}
 		if id >= n || id <= prev {
-			cr.Corruptf("%s id %d out of order or range (previous %d, %d points)", what, id, prev, n)
-			return nil, 0
+			cr.Corruptf("posting id %d out of order or range (previous %d, %d points)", id, prev, n)
+			return nil
 		}
 		b[id>>6] |= 1 << (id & 63)
 		prev = id
 	}
-	return b, count
+	return b
 }
 
-// LoadNAPP reads a NAPP index saved by Save over the same data (including
-// any points appended with Add before saving).
+// LoadNAPP reads a NAPP index saved by Save over the same data.
 func LoadNAPP[T any](cr *codec.Reader, sp space.Space[T], data []T) (*NAPP[T], error) {
 	na := &NAPP[T]{data: data}
 	err := load(cr, codec.KindNAPP, sp, data, func() {
@@ -371,18 +371,18 @@ func LoadNAPP[T any](cr *codec.Reader, sp space.Space[T], data []T) (*NAPP[T], e
 		}
 		na.bitmaps = make([][]uint64, lists)
 		for p := range na.bitmaps {
-			if na.bitmaps[p], _ = loadBitmap(cr, len(data), "posting"); cr.Err() != nil {
+			if na.bitmaps[p] = loadBitmap(cr, len(data)); cr.Err() != nil {
 				return
 			}
 		}
-		if dead, ndead := loadBitmap(cr, len(data), "tombstone"); ndead > 0 {
-			na.dead, na.ndead = dead, ndead
+		if n := cr.Length(4); n > 0 {
+			cr.Corruptf("%d ids in the retired tombstone slot", n)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	na.bind(na, sp, &na.data, 0)
+	na.bind(na, sp, na.data, 0)
 	return na, nil
 }
 
@@ -459,7 +459,7 @@ func LoadOMEDRANK[T any](cr *codec.Reader, sp space.Space[T], data []T) (*OMEDRA
 	if err != nil {
 		return nil, err
 	}
-	om.bind(om, sp, &om.data, om.opts.Gamma)
+	om.bind(om, sp, om.data, om.opts.Gamma)
 	return om, nil
 }
 
@@ -517,6 +517,6 @@ func LoadPermVPTree[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Perm
 	if err != nil {
 		return nil, err
 	}
-	pt.bind(pt, sp, &pt.data, pt.opts.Gamma)
+	pt.bind(pt, sp, pt.data, pt.opts.Gamma)
 	return pt, nil
 }

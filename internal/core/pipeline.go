@@ -42,10 +42,8 @@ type candidates struct {
 // the filter: the k <= 0 guard, the candidate budget, the trace clock and
 // counters, the selection among scored candidates, the refine queue.
 type pipeline[T, S any] struct {
-	sp space.Space[T]
-	// data points at the kind's corpus slice instead of copying it: NAPP's
-	// grows under Add.
-	data  *[]T
+	sp    space.Space[T]
+	data  []T
 	gamma float64
 	kind  kind[T, S]
 	index.Pooled[T, pipeScratch[S]]
@@ -61,7 +59,7 @@ type pipeScratch[S any] struct {
 // bind attaches the pipeline to its kind. gamma is the built candidate
 // fraction, 0 for a kind that has none. Call once, before the index is
 // shared.
-func (p *pipeline[T, S]) bind(k kind[T, S], sp space.Space[T], data *[]T, gamma float64) {
+func (p *pipeline[T, S]) bind(k kind[T, S], sp space.Space[T], data []T, gamma float64) {
 	p.kind, p.sp, p.data, p.gamma = k, sp, data, gamma
 	p.Bind(p.search)
 }
@@ -69,7 +67,7 @@ func (p *pipeline[T, S]) bind(k kind[T, S], sp space.Space[T], data *[]T, gamma 
 // Stats implements index.Sized.
 func (p *pipeline[T, S]) Stats() index.Stats {
 	bytes, perPoint := p.kind.size()
-	return index.Stats{Bytes: bytes, BuildDistances: int64(len(*p.data)) * int64(perPoint)}
+	return index.Stats{Bytes: bytes, BuildDistances: int64(len(p.data)) * int64(perPoint)}
 }
 
 // search is the one query path of all nine kinds, run on pooled scratch by
@@ -82,8 +80,7 @@ func (p *pipeline[T, S]) search(s *pipeScratch[S], dst []topk.Neighbor, query T,
 	if k <= 0 {
 		return dst
 	}
-	data := *p.data
-	g := gammaCount(cmp.Or(opts.Params.Gamma, p.gamma), len(data), k)
+	g := gammaCount(cmp.Or(opts.Params.Gamma, p.gamma), len(p.data), k)
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -101,9 +98,9 @@ func (p *pipeline[T, S]) search(s *pipeScratch[S], dst []topk.Neighbor, query T,
 		}
 	}
 	if c.scored == nil {
-		return refineInto(p.sp, data, query, c.ids, k, &s.refine, dst, tr)
+		return refineInto(p.sp, p.data, query, c.ids, k, &s.refine, dst, tr)
 	}
-	return refineInto(p.sp, data, query, c.scored, k, &s.refine, dst, tr)
+	return refineInto(p.sp, p.data, query, c.scored, k, &s.refine, dst, tr)
 }
 
 // errEmpty rejects a build over no data: there is nothing to sample pivots

@@ -120,7 +120,7 @@ func NewPPIndex[T any](sp space.Space[T], data []T, opts PPIndexOptions) (*PPInd
 	}
 	opts.PrefixLen = min(opts.PrefixLen, opts.NumPivots)
 	idx := &PPIndex[T]{data: data, opts: opts}
-	idx.bind(idx, sp, &idx.data, opts.Gamma)
+	idx.bind(idx, sp, idx.data, opts.Gamma)
 	for c := 0; c < opts.Copies; c++ {
 		pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
 		if err != nil {

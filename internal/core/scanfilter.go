@@ -88,7 +88,7 @@ func newScanFilter[T any](sp space.Space[T], data []T, pv *permutation.Pivots[T]
 		rows.put(i, v)
 	})
 	f := &ScanFilter[T]{data: data, pivots: pv, rows: rows}
-	f.bind(f, sp, &f.data, rows.gamma())
+	f.bind(f, sp, f.data, rows.gamma())
 	return f
 }
 

@@ -122,10 +122,8 @@ type Index[T any] interface {
 // pool, so concurrent queries each own their scratch and a warm query
 // reuses buffers grown by earlier ones.
 type Pooled[T, S any] struct {
-	fn func(s *S, dst []topk.Neighbor, query T, opts Options) []topk.Neighbor
-	// Scratch is the per-index pool of query scratch states, exported for
-	// the index that borrows one between queries (NAPP's dynamic Add).
-	Scratch scratch.Pool[S]
+	fn   func(s *S, dst []topk.Neighbor, query T, opts Options) []topk.Neighbor
+	pool scratch.Pool[S]
 }
 
 // Bind sets the search function. Call once, before the index is shared.
@@ -140,8 +138,8 @@ func (p *Pooled[T, S]) Search(query T, k int) []topk.Neighbor {
 
 // SearchAppend implements Index.
 func (p *Pooled[T, S]) SearchAppend(dst []topk.Neighbor, query T, opts Options) []topk.Neighbor {
-	s := p.Scratch.Get()
-	defer p.Scratch.Put(s)
+	s := p.pool.Get()
+	defer p.pool.Put(s)
 	return p.fn(s, dst, query, opts)
 }
 

@@ -51,23 +51,6 @@ func genericKinds[T any](sp space.Space[T], db []T) []kindCase[T] {
 				NumPivots: 64, NumPivotIndex: 16, MinShared: 1, Seed: kindSeed,
 			})
 		}},
-		{"napp-dynamic", func() (index.Index[T], error) {
-			// The dynamic flavor of NAPP: same structure plus live
-			// tombstones and appended points, exercising the persisted
-			// maintenance state.
-			na, err := core.NewNAPP(sp, db[:len(db)-2], core.NAPPOptions{
-				NumPivots: 64, NumPivotIndex: 16, MinShared: 1, Seed: kindSeed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			na.Add(db[len(db)-2])
-			na.Add(db[len(db)-1])
-			if err := na.Delete(3); err != nil {
-				return nil, err
-			}
-			return na, nil
-		}},
 		{"omedrank", func() (index.Index[T], error) {
 			return core.NewOMEDRANK(sp, db, core.OMEDRANKOptions{NumVoters: 6, Seed: kindSeed})
 		}},

@@ -136,7 +136,7 @@ func TestSave_ExplicitPivotsNotPersistable(t *testing.T) {
 // index kind passes conformance and roundtrip" true by construction.
 func TestKindMatrixCoversRegistry(t *testing.T) {
 	db, _ := denseCorpus()
-	covered := map[string]bool{"napp-dynamic": true} // suite-only alias of "napp"
+	covered := map[string]bool{}
 	for _, kc := range denseKinds(space.L2{}, db) {
 		covered[kc.kind] = true
 	}
@@ -148,9 +148,6 @@ func TestKindMatrixCoversRegistry(t *testing.T) {
 	// distvec-filt is the one suite member outside the paper's method
 	// name space; every other matrix entry must be a registry kind.
 	for kind := range covered {
-		if kind == "napp-dynamic" {
-			continue
-		}
 		found := false
 		for _, k := range codec.Kinds() {
 			if k == kind {

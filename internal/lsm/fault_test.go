@@ -350,6 +350,47 @@ func TestFaultSweepWriteSites(t *testing.T) {
 	}
 }
 
+// TestFailedWALRotation fails the create of the WAL segment a seal rotates
+// to, after the manifest has committed the new tier. The poisoned tree must
+// serve each sealed object once, from the tier, and carry the committed
+// segment number (the one a later compaction writes back); a clean re-open
+// serves the same live set.
+func TestFailedWALRotation(t *testing.T) {
+	base := randVecs(1, 6)
+	dir := filepath.Join(t.TempDir(), "tree")
+	ffs := faultfs.New(nil)
+	ffs.Inject(faultfs.Rule{Ops: []faultfs.Op{faultfs.OpCreate}, PathContains: "wal-000002", Nth: 1, Err: syscall.EIO})
+	tree, err := Open(faultScriptOptions(dir, ffs, len(base)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range randVecs(7, 3) {
+		if _, err := tree.Add(encVec(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tree.Flush(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Flush with a failing WAL create = %v, want ErrPoisoned", err)
+	}
+	st := tree.Status()
+	if st.State != StatePoisoned || st.WalSeq != 2 || st.Live != 9 || st.MemtableLive != 0 || len(st.Tiers) != 1 {
+		t.Fatalf("status after the failed rotation: %+v", st)
+	}
+	checkIdentity(t, tree, base, "after the failed rotation")
+	want := tree.LiveIDs()
+	tree.Close()
+
+	re, err := Open(faultScriptOptions(dir, nil, len(base)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.LiveIDs(); !slices.Equal(got, want) {
+		t.Fatalf("live set after re-open %v, want %v", got, want)
+	}
+	checkIdentity(t, re, base, "re-opened")
+}
+
 // copyTreeDir clones a tree directory so each read-sweep iteration opens a
 // pristine copy (a failing Open may still have truncated a WAL tail or
 // removed debris).
@@ -474,18 +515,12 @@ func TestFaultSweepReadSites(t *testing.T) {
 	}
 }
 
-// TestQuarantineCorruptTier flips bytes inside a committed segment and
-// asserts recovery quarantines exactly that tier: the damaged file is
-// renamed aside (kept for forensics), the manifest drops it, the rest of
-// the tree keeps serving, and the state is surfaced via Status.
-func TestQuarantineCorruptTier(t *testing.T) {
-	base := randVecs(1, 6)
-	dir := filepath.Join(t.TempDir(), "tree")
-	buildRecoveryFixture(t, dir, base)
-
-	// Corrupt tier 1's segment body (past the header so the codec reader
-	// sees a checksum failure, not a missing file).
-	seg := segPath(dir, 1)
+// corruptSegment flips a byte in the body of tier seq's segment (past the
+// header, so the codec reader sees a checksum failure, not a missing file)
+// and returns the segment's path.
+func corruptSegment(t *testing.T, dir string, seq uint64) string {
+	t.Helper()
+	seg := segPath(dir, seq)
 	blob, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -494,6 +529,18 @@ func TestQuarantineCorruptTier(t *testing.T) {
 	if err := os.WriteFile(seg, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return seg
+}
+
+// TestQuarantineCorruptTier flips bytes inside a committed segment and
+// asserts recovery quarantines exactly that tier: the damaged file is
+// renamed aside (kept for forensics), the manifest drops it, the rest of
+// the tree keeps serving, and the state is surfaced via Status.
+func TestQuarantineCorruptTier(t *testing.T) {
+	base := randVecs(1, 6)
+	dir := filepath.Join(t.TempDir(), "tree")
+	buildRecoveryFixture(t, dir, base)
+	seg := corruptSegment(t, dir, 1)
 
 	tree, err := Open(faultScriptOptions(dir, nil, len(base)))
 	if err != nil {
@@ -547,6 +594,49 @@ func TestQuarantineCorruptTier(t *testing.T) {
 		t.Fatalf("quarantined file was cleaned up by removeStale: %v", err)
 	}
 	checkIdentity(t, again, base, "second recovery")
+}
+
+// TestQuarantineDropsDanglingTombstones quarantines a tier whose object a
+// younger tier tombstones. The tombstone then names nothing the tree holds:
+// it must leave the mask, or Live (which the server caps k with) counts one
+// object fewer than the tree serves.
+func TestQuarantineDropsDanglingTombstones(t *testing.T) {
+	base := randVecs(1, 6)
+	dir := filepath.Join(t.TempDir(), "tree")
+	opts := faultScriptOptions(dir, nil, len(base))
+	opts.NoFsync, opts.MaxTiers = true, 8
+	tree, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	A := randVecs(21, 6)
+	for i, chunk := range [][][]float32{A[0:3], A[3:6]} {
+		if i == 1 {
+			if err := tree.Delete(uint32(len(base))); err != nil { // tier 1's first object
+				t.Fatal(err)
+			}
+		}
+		for _, v := range chunk {
+			if _, err := tree.Add(encVec(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree.Close()
+	corruptSegment(t, dir, 1)
+
+	re, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Status(); len(st.Quarantined) != 1 || st.Deleted != 0 || st.Live != len(base)+3 {
+		t.Fatalf("status after quarantining tier 1: %+v", st)
+	}
+	checkIdentity(t, re, base, "after quarantine")
 }
 
 // TestSealIO pins what one seal costs at the filesystem boundary: the

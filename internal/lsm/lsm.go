@@ -25,6 +25,10 @@
 // mask older ones" reduces to membership in the union of all tombstone
 // sets, which Search applies after merging (components are queried with k
 // inflated by the tombstone count so masking can never starve the result).
+// That union is the tree's one mask: a delete of a memtable object joins it
+// too, and the seal drops the object and its mask entry together, so every
+// component index — base, tiers and memtable — is an immutable or
+// append-only value that never deletes anything itself.
 package lsm
 
 import (
@@ -135,26 +139,28 @@ func (o *Options[T]) defaults() error {
 	return nil
 }
 
-// memtable pairs the mutable index — an exact sequential scanner, correct
-// for every space and buildable from empty — with the global ids and raw
-// payloads of its entries. Local id i (the scanner's id) is global id ids[i].
+// memtable pairs the append-only index of the current WAL segment's adds —
+// an exact sequential scanner, correct for every space and buildable from
+// empty — with the global ids and raw payloads of its entries. Local id i
+// (the scanner's id) is global id ids[i]. Deleted entries stay in place,
+// hidden by the tree's mask; masked counts them.
 type memtable[T any] struct {
-	dyn   *seqscan.Scanner[T]
-	ids   []uint32 // ascending global ids, parallel to the dyn's local ids
-	blobs [][]byte
-	objs  []T
+	idx    *seqscan.Scanner[T]
+	ids    []uint32 // ascending global ids, parallel to the idx's local ids
+	blobs  [][]byte
+	objs   []T
+	masked int
 }
 
-func (m *memtable[T]) add(gid uint32, obj T, blob []byte) error {
-	local := m.dyn.Add(obj)
-	if int(local) != len(m.ids) {
-		return fmt.Errorf("lsm: memtable index assigned local id %d, want %d (memtable ids must be consecutive)", local, len(m.ids))
-	}
+func (m *memtable[T]) add(gid uint32, obj T, blob []byte) {
+	m.idx.Add(obj)
 	m.ids = append(m.ids, gid)
 	m.blobs = append(m.blobs, blob)
 	m.objs = append(m.objs, obj)
-	return nil
 }
+
+// live is the number of memtable entries the mask does not hide.
+func (m *memtable[T]) live() int { return len(m.ids) - m.masked }
 
 // find returns the local id of a global id, if present.
 func (m *memtable[T]) find(gid uint32) (uint32, bool) {
@@ -174,7 +180,7 @@ type Tree[T any] struct {
 	mem      *memtable[T]
 	tiers    []*tier[T] // ascending seal order (ascending seq)
 	deleted  map[uint32]struct{}
-	segTombs []uint32 // non-memtable ids deleted during the current WAL segment
+	segTombs []uint32 // ids deleted during the current WAL segment
 	nextID   uint32
 	wal      *wal
 	walSeq   uint64
@@ -244,7 +250,7 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 	t := &Tree[T]{
 		opts:    opts,
 		fs:      fsys,
-		deleted: make(map[uint32]struct{}),
+		mem:     &memtable[T]{idx: seqscan.New[T](opts.Space, nil)},
 		nextID:  man.NextID,
 		walSeq:  man.WalSeq,
 		tierSeq: man.NextTierSeq,
@@ -268,10 +274,8 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 		tr.buildIndex(opts.Space)
 		t.tiers = append(t.tiers, tr)
 		keptTiers = append(keptTiers, mt)
-		for _, id := range tr.tombs {
-			t.deleted[id] = struct{}{}
-		}
 	}
+	t.rebuildMaskLocked()
 	if len(quarantine) > 0 {
 		// Commit the surviving tier list first, then move the corrupt files
 		// aside: if we crash in between, the next recovery sees a manifest
@@ -287,7 +291,6 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 	}
 	removeStale(fsys, opts.Dir, man)
 
-	t.mem = &memtable[T]{dyn: seqscan.New[T](opts.Space, nil)}
 	w, recs, err := openWAL(fsys, walPath(opts.Dir, man.WalSeq), opts.NoFsync)
 	if err != nil {
 		return nil, err
@@ -345,9 +348,7 @@ func (t *Tree[T]) replay(rec walRecord) (keep bool, err error) {
 		if err != nil {
 			return false, fmt.Errorf("decoding add record id %d: %w", rec.id, err)
 		}
-		if err := t.mem.add(rec.id, obj, rec.payload); err != nil {
-			return false, err
-		}
+		t.mem.add(rec.id, obj, rec.payload)
 		t.nextID = rec.id + 1
 	case walOpDelete:
 		if err := t.applyDelete(rec.id); err != nil {
@@ -408,23 +409,38 @@ func (t *Tree[T]) BaseN() int { return t.opts.BaseN }
 // Space returns the distance space the tree was opened under.
 func (t *Tree[T]) Space() space.Space[T] { return t.opts.Space }
 
-// isLiveLocked reports whether id currently refers to a live object.
+// holdsLocked reports whether the tree holds an object under id, masked or
+// not: in the base corpus, a tier or the memtable.
+func (t *Tree[T]) holdsLocked(id uint32) bool {
+	_, inMem := t.mem.find(id)
+	return inMem || int(id) < t.opts.BaseN || t.inTiersLocked(id)
+}
+
+// isLiveLocked reports whether id currently refers to a live object: one
+// the tree holds and the mask does not hide.
 func (t *Tree[T]) isLiveLocked(id uint32) bool {
-	if local, ok := t.mem.find(id); ok {
-		return !t.mem.dyn.Deleted(local)
-	}
-	if _, dead := t.deleted[id]; dead {
-		return false
-	}
-	if int(id) < t.opts.BaseN {
-		return true
-	}
+	_, dead := t.deleted[id]
+	return !dead && t.holdsLocked(id)
+}
+
+// rebuildMaskLocked sets the mask to the tier tombstones and the current
+// segment's deletes whose objects the tree still holds. The mask names only
+// held objects, which is what lets Live subtract its size: a delete whose
+// object a compaction dropped, or whose tier was quarantined, masks nothing.
+func (t *Tree[T]) rebuildMaskLocked() {
+	t.deleted = make(map[uint32]struct{})
 	for _, tr := range t.tiers {
-		if _, ok := slices.BinarySearch(tr.ids, id); ok {
-			return true
+		for _, id := range tr.tombs {
+			if t.holdsLocked(id) {
+				t.deleted[id] = struct{}{}
+			}
 		}
 	}
-	return false
+	for _, id := range t.segTombs {
+		if t.holdsLocked(id) {
+			t.deleted[id] = struct{}{}
+		}
+	}
 }
 
 // Add ingests one object from its raw wire payload and returns its global
@@ -479,12 +495,10 @@ func (t *Tree[T]) AddBatch(raws [][]byte) ([]uint32, error) {
 		return nil, t.poisonLocked(fmt.Errorf("WAL fsync: %w", err))
 	}
 	for i, raw := range raws {
-		if err := t.mem.add(ids[i], objs[i], slices.Clone(raw)); err != nil {
-			return nil, err
-		}
-		t.nextID = ids[i] + 1
+		t.mem.add(ids[i], objs[i], slices.Clone(raw))
 	}
-	if t.mem.dyn.Live() >= t.opts.MemtableCap {
+	t.nextID = ids[len(ids)-1] + 1
+	if t.mem.live() >= t.opts.MemtableCap {
 		if _, err := t.sealLocked(); err != nil {
 			// The writes themselves are durable and acknowledged; a failed
 			// seal only means the memtable stays mutable. Surface it.
@@ -537,22 +551,16 @@ func (t *Tree[T]) DeleteBatch(ids []uint32) error {
 	return nil
 }
 
-// applyDelete routes a validated delete: memtable-resident ids are deleted
-// inside the memtable index (their objects will simply be excluded from the
-// next seal — no tombstone ever needs persisting), everything else joins
-// the global mask and the pending tombstones of the current WAL segment.
+// applyDelete masks one live object: its id joins the mask and the current
+// WAL segment's deletes. A memtable object stays in the memtable, hidden by
+// the mask, until the seal drops both (no tombstone is ever persisted for
+// it).
 func (t *Tree[T]) applyDelete(id uint32) error {
-	if local, ok := t.mem.find(id); ok {
-		if t.mem.dyn.Deleted(local) {
-			return fmt.Errorf("lsm: id %d already deleted", id)
-		}
-		return t.mem.dyn.Delete(local)
+	if !t.isLiveLocked(id) {
+		return fmt.Errorf("lsm: id %d is unknown or already deleted", id)
 	}
-	if _, dead := t.deleted[id]; dead {
-		return fmt.Errorf("lsm: id %d already deleted", id)
-	}
-	if int(id) >= t.opts.BaseN && !t.inTiersLocked(id) {
-		return fmt.Errorf("lsm: id %d is unknown", id)
+	if _, ok := t.mem.find(id); ok {
+		t.mem.masked++
 	}
 	t.deleted[id] = struct{}{}
 	t.segTombs = append(t.segTombs, id)
@@ -631,23 +639,28 @@ func (t *Tree[T]) Unsealed() int {
 }
 
 // sealLocked rotates the current WAL segment into an immutable tier:
-// segment file, manifest commit, fresh WAL, fresh memtable —
-// in that order, so a crash at any boundary recovers to either the
-// pre-seal or post-seal state with no acknowledged write lost.
+// segment file, manifest commit, fresh memtable and WAL — in that order, so
+// a crash at any boundary recovers to either the pre-seal or post-seal
+// state with no acknowledged write lost. Masked memtable objects are
+// dropped; only deletes of older objects are written as tombstones.
 func (t *Tree[T]) sealLocked() (*TierStatus, error) {
 	if t.wal.records == 0 {
 		return nil, nil
 	}
 	tr := &tier[T]{seq: t.tierSeq}
 	for local, gid := range t.mem.ids {
-		if t.mem.dyn.Deleted(uint32(local)) {
+		if _, dead := t.deleted[gid]; dead {
 			continue // added and deleted within this segment: never persisted
 		}
 		tr.ids = append(tr.ids, gid)
 		tr.blobs = append(tr.blobs, t.mem.blobs[local])
 		tr.objs = append(tr.objs, t.mem.objs[local])
 	}
-	tr.tombs = slices.Clone(t.segTombs)
+	for _, id := range t.segTombs {
+		if _, ok := t.mem.find(id); !ok {
+			tr.tombs = append(tr.tombs, id)
+		}
+	}
 	slices.Sort(tr.tombs)
 
 	newWalSeq := t.walSeq + 1
@@ -697,26 +710,35 @@ func (t *Tree[T]) commitLocked(tiers []*tier[T], walSeq uint64) error {
 	return writeManifest(t.fs, t.opts.Dir, man)
 }
 
-// rotateWalLocked switches to the (already-committed) new WAL segment and
-// resets the memtable state. The old segment's contents are fully covered
-// by the just-sealed tier, so it is closed and removed.
+// rotateWalLocked switches to the (already-committed) new WAL segment. The
+// old segment's contents are fully covered by the just-sealed tier, so the
+// memtable, the mask entries of its deleted objects and the segment's
+// deletes are dropped, and the old file is closed and removed. The state is
+// reset before the new file is created: the manifest already names the new
+// tier and segment, so a failed create must not leave the sealed objects
+// served twice or a stale segment number for a later compaction to commit.
 func (t *Tree[T]) rotateWalLocked(newWalSeq uint64) error {
+	for _, id := range t.segTombs {
+		if _, ok := t.mem.find(id); ok {
+			delete(t.deleted, id)
+		}
+	}
+	t.mem = &memtable[T]{idx: seqscan.New[T](t.opts.Space, nil)}
+	t.segTombs = nil
+	t.walSeq = newWalSeq
 	old := t.wal
 	w, err := createWAL(t.fs, walPath(t.opts.Dir, newWalSeq), t.opts.NoFsync)
 	if err != nil {
-		// The manifest already points at the new segment; without it the
-		// tree cannot write (reads are unaffected), so it poisons itself.
-		// Re-opening recovers: openWAL creates the missing file.
+		// Without the new segment the tree cannot write (reads are
+		// unaffected), so it poisons itself. Re-opening recovers: openWAL
+		// creates the missing file.
 		t.wal = nil
 		old.close()
 		return t.poisonLocked(fmt.Errorf("creating WAL segment %d: %w", newWalSeq, err))
 	}
 	t.wal = w
-	t.walSeq = newWalSeq
 	old.close()
 	t.fs.Remove(old.path)
-	t.mem = &memtable[T]{dyn: seqscan.New[T](t.opts.Space, nil)}
-	t.segTombs = nil
 	return nil
 }
 
@@ -840,19 +862,11 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 		return
 	}
 	t.tiers = newTiers
-	// Rebuild the mask: tombstones of the surviving tiers plus the current
-	// segment's pending deletes. Entries whose targets were just dropped
-	// vanish here, so the k-inflation the mask drives stays proportional
-	// to real masking work.
-	t.deleted = make(map[uint32]struct{})
-	for _, tr := range t.tiers {
-		for _, id := range tr.tombs {
-			t.deleted[id] = struct{}{}
-		}
-	}
-	for _, id := range t.segTombs {
-		t.deleted[id] = struct{}{}
-	}
+	// Entries whose targets were just dropped leave the mask here — those
+	// of the current segment's deletes and of tiers sealed while this cycle
+	// ran included — so Live stays exact and the k-inflation the mask
+	// drives stays proportional to real masking work.
+	t.rebuildMaskLocked()
 	t.compactErr = nil
 	t.mu.Unlock()
 
@@ -952,7 +966,7 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 		t0 = time.Now()
 	}
 	start := len(buf)
-	buf = t.mem.dyn.SearchAppend(buf, query, sub)
+	buf = t.mem.idx.SearchAppend(buf, query, sub)
 	for i := start; i < len(buf); i++ {
 		buf[i].ID = t.mem.ids[buf[i].ID]
 	}
@@ -1052,7 +1066,7 @@ func (t *Tree[T]) Status() Status {
 	st := Status{
 		BaseN:        t.opts.BaseN,
 		NextID:       t.nextID,
-		MemtableLive: t.mem.dyn.Live(),
+		MemtableLive: t.mem.live(),
 		MemtableCap:  t.opts.MemtableCap,
 		Deleted:      len(t.deleted),
 		WalSeq:       t.walSeq,
@@ -1092,7 +1106,7 @@ func (t *Tree[T]) Live() int {
 }
 
 func (t *Tree[T]) liveLocked() int {
-	live := t.opts.BaseN + t.mem.dyn.Live() - len(t.deleted)
+	live := t.opts.BaseN + len(t.mem.ids) - len(t.deleted)
 	for _, tr := range t.tiers {
 		live += len(tr.ids)
 	}
@@ -1119,8 +1133,8 @@ func (t *Tree[T]) LiveIDs() []uint32 {
 			}
 		}
 	}
-	for local, id := range t.mem.ids {
-		if !t.mem.dyn.Deleted(uint32(local)) {
+	for _, id := range t.mem.ids {
+		if _, dead := t.deleted[id]; !dead {
 			ids = append(ids, id)
 		}
 	}
@@ -1134,14 +1148,11 @@ func (t *Tree[T]) Object(id uint32) (T, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var zero T
-	if local, ok := t.mem.find(id); ok {
-		if t.mem.dyn.Deleted(local) {
-			return zero, false
-		}
-		return t.mem.objs[local], true
-	}
 	if _, dead := t.deleted[id]; dead {
 		return zero, false
+	}
+	if local, ok := t.mem.find(id); ok {
+		return t.mem.objs[local], true
 	}
 	for _, tr := range t.tiers {
 		if i, ok := slices.BinarySearch(tr.ids, id); ok {

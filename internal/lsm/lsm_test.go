@@ -94,10 +94,21 @@ func mustOpen(t *testing.T, opts Options[[]float32]) *Tree[[]float32] {
 // flatRef builds the identity oracle: an exact scan over the tree's live
 // set (base objects below BaseN, the tree's own copies above), answering
 // with global ids. Because live ids are ascending, translating the flat
-// scanner's positional ids to global ids preserves (dist, id) order.
+// scanner's positional ids to global ids preserves (dist, id) order. The
+// oracle trusts LiveIDs, so it first checks that the ids are strictly
+// ascending and that Live counts them: an object served twice must not
+// become part of what the tree is compared against.
 func flatRef(t *testing.T, tree *Tree[[]float32], base [][]float32) func(q []float32, k int) []topk.Neighbor {
 	t.Helper()
 	ids := tree.LiveIDs()
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Fatalf("LiveIDs not strictly ascending at %d: %v", i, ids)
+		}
+	}
+	if live := tree.Live(); live != len(ids) {
+		t.Fatalf("Live() = %d, LiveIDs holds %d ids", live, len(ids))
+	}
 	objs := make([][]float32, len(ids))
 	for i, id := range ids {
 		if int(id) < len(base) {

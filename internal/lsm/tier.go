@@ -20,10 +20,11 @@ import (
 // update, in a crash-ordered sequence:
 //
 //	<seq>.seg     codec blob (kind "lsm-segment"): the live objects' global
-//	              ids and raw wire payloads, plus the tombstones recorded
-//	              during this WAL segment's lifetime. The segment is the
-//	              whole tier: a tier is searched by an exact scan over its
-//	              decoded objects, which needs no derived state on disk.
+//	              ids and raw wire payloads, plus the tombstones of older
+//	              objects deleted during this WAL segment's lifetime. The
+//	              segment is the whole tier: a tier is searched by an exact
+//	              scan over its decoded objects, which needs no derived
+//	              state on disk.
 //	tiers.json    the manifest naming the live tier sequence numbers, the
 //	              current WAL segment and the next id to assign. A file not
 //	              named by the manifest does not exist as far as recovery is

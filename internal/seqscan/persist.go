@@ -2,26 +2,20 @@ package seqscan
 
 import (
 	"io"
-	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/space"
 )
 
-// Persistence. A sequential scanner has no derived structure; the payload is
-// just the dynamic-maintenance state — the sorted tombstone list — so a
-// scanner that saw deletions round-trips exactly (format version 2; version 1
-// files had an empty payload and predate dynamic maintenance).
+// Persistence. A sequential scanner has no derived structure; its payload is
+// one retired slot, the tombstone list of builds whose scanner deleted in
+// place. Save writes it empty, and Load refuses a file whose list is not:
+// ignoring it would bring the deleted objects back.
 
 // Save serializes the scanner under kind "seqscan".
 func (s *Scanner[T]) Save(w io.Writer) error {
 	cw := codec.NewWriter(w, codec.KindSeqScan, s.sp.Name(), len(s.data))
-	tombs := make([]uint32, 0, len(s.deleted))
-	for id := range s.deleted {
-		tombs = append(tombs, id)
-	}
-	slices.Sort(tombs)
-	cw.U32s(tombs)
+	cw.U32s(nil)
 	return cw.Close()
 }
 
@@ -30,21 +24,11 @@ func Load[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Scanner[T], er
 	if err := cr.Expect(codec.KindSeqScan, sp.Name(), len(data)); err != nil {
 		return nil, err
 	}
-	tombs := cr.U32s()
-	for _, id := range tombs {
-		if int(id) >= len(data) {
-			cr.Corruptf("tombstone id %d out of range (n=%d)", id, len(data))
-		}
+	if n := cr.Length(4); n > 0 {
+		cr.Corruptf("%d ids in the retired tombstone slot", n)
 	}
 	if err := cr.Finish(); err != nil {
 		return nil, err
 	}
-	s := New(sp, data)
-	for _, id := range tombs {
-		if s.deleted == nil {
-			s.deleted = make(map[uint32]struct{}, len(tombs))
-		}
-		s.deleted[id] = struct{}{}
-	}
-	return s, nil
+	return New(sp, data), nil
 }

@@ -17,16 +17,14 @@ import (
 )
 
 // Scanner performs exact k-NN search over a slice of objects. The slice may
-// grow via Add and entries may be tombstoned via Delete (see dynamic.go);
-// searches skip tombstoned points.
+// grow via Add; nothing is ever removed.
 type Scanner[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	deleted map[uint32]struct{} // nil until the first Delete
+	sp   space.Space[T]
+	data []T
 	index.Pooled[T, scanScratch]
 }
 
-// scanScratch is the per-query state of one scan — the live ids, their
+// scanScratch is the per-query state of one scan — the ids, their
 // distances, the bulk distance call's scratch and the result queue — reused
 // so a warm query allocates nothing.
 type scanScratch struct {
@@ -50,11 +48,22 @@ func (s *Scanner[T]) Name() string { return "seqscan" }
 // Len returns the number of indexed objects.
 func (s *Scanner[T]) Len() int { return len(s.data) }
 
+// Add appends a new data point and returns its id (its position in the
+// grown data slice). A scanner has no derived structure, so an addition is
+// the whole of its maintenance: this is what lets it back the memtable of an
+// LSM tree (internal/lsm) for every space, whose deletes the tree masks. Add
+// must not be called concurrently with Search.
+func (s *Scanner[T]) Add(x T) uint32 {
+	id := uint32(len(s.data))
+	s.data = append(s.data, x)
+	return id
+}
+
 // search returns the exact k nearest neighbors of query, ordered by
 // increasing distance. Data points are passed as the left argument of the
 // distance (the paper's left-query convention). A sequential scan has no
-// filter stage: every live point is an exact distance evaluation,
-// attributed to the refine stage.
+// filter stage: every point is an exact distance evaluation, attributed to
+// the refine stage.
 func (s *Scanner[T]) search(st *scanScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
 	k, tr := opts.K, opts.Trace
 	if k <= 0 {
@@ -66,11 +75,6 @@ func (s *Scanner[T]) search(st *scanScratch, dst []topk.Neighbor, query T, opts 
 	}
 	ids := st.ids[:0]
 	for i := range s.data {
-		if s.deleted != nil {
-			if _, dead := s.deleted[uint32(i)]; dead {
-				continue
-			}
-		}
 		ids = append(ids, uint32(i))
 	}
 	st.ids = ids
@@ -105,11 +109,6 @@ func (s *Scanner[T]) SearchAll(queries []T, k int) [][]topk.Neighbor {
 func (s *Scanner[T]) RangeSearch(query T, radius float64) []topk.Neighbor {
 	var out []topk.Neighbor
 	for i, x := range s.data {
-		if s.deleted != nil {
-			if _, dead := s.deleted[uint32(i)]; dead {
-				continue
-			}
-		}
 		if d := s.sp.Distance(x, query); d <= radius {
 			out = append(out, topk.Neighbor{ID: uint32(i), Dist: d})
 		}

@@ -5,9 +5,10 @@
 # tier's disk I/O through the fault-injecting filesystem), drive writes
 # into the fault, and assert the degraded-mode contract an operator would
 # see: a poisoned WAL answers 503 and a storage-degraded seal answers 507,
-# /healthz stays 200 but names the degraded index, searches keep serving,
-# and a restart without the knob recovers every acknowledged write with no
-# debris left behind. Run via `make fault-smoke`.
+# /healthz stays 200 but names the degraded index, searches keep serving
+# (after a seal whose new WAL segment failed, without serving the sealed
+# objects twice), and a restart without the knob recovers every
+# acknowledged write with no debris left behind. Run via `make fault-smoke`.
 set -eu
 
 BIN=${1:?usage: fault_smoke.sh path/to/permserve}
@@ -77,6 +78,22 @@ add() {
     return 0
 }
 
+# check_acks FILE WHAT asserts every "N id" ack in FILE is served: a k=1
+# self-query of coordinate N answers that id at distance 0.
+check_acks() {
+    while read -r N AID; do
+        R=$(curl -sf -d "{\"query\": $(vec "$N"), \"k\": 1}" \
+            "http://$ADDR/v1/indexes/$IDX/search") || fail "post-restart query $N failed"
+        echo "$R" | grep -q "{\"id\":$AID,\"dist\":0}" \
+            || fail "acknowledged add id=$AID (coordinate $N) lost across $2: $R"
+    done <"$1"
+}
+
+# live prints the mutable index's live count from /statusz.
+live() {
+    curl -sf "http://$ADDR/statusz" | sed -n 's/.*"live":\([0-9]*\).*/\1/p'
+}
+
 # check_degraded WORD asserts /healthz is HTTP 200 (routers must keep the
 # replica in rotation) with a JSON body naming the degraded index, statusz
 # reports the expected storage state, and searches still answer.
@@ -129,12 +146,7 @@ stop_daemon
 start_daemon "$TMP/idx1"
 HBODY=$(curl -sf "http://$ADDR/healthz") || fail "post-restart healthz failed"
 [ "$HBODY" = "ok" ] || fail "post-restart healthz is not plain ok: $HBODY"
-while read -r N AID; do
-    R=$(curl -sf -d "{\"query\": $(vec "$N"), \"k\": 1}" \
-        "http://$ADDR/v1/indexes/$IDX/search") || fail "post-restart query $N failed"
-    echo "$R" | grep -q "{\"id\":$AID,\"dist\":0}" \
-        || fail "acknowledged add id=$AID (coordinate $N) lost across the WAL fault: $R"
-done <"$ACKS"
+check_acks "$ACKS" "the WAL fault"
 add 11000 >/dev/null
 [ "$CODE" = 200 ] || fail "recovered tree rejected a write with $CODE"
 stop_daemon
@@ -169,15 +181,44 @@ stop_daemon
 start_daemon "$TMP/idx2"
 DEBRIS=$(find "$TMP/idx2" -name '*.tmp*' | wc -l)
 [ "$DEBRIS" -eq 0 ] || fail "$DEBRIS temp files survived recovery: $(find "$TMP/idx2" -name '*.tmp*')"
-while read -r N AID; do
-    R=$(curl -sf -d "{\"query\": $(vec "$N"), \"k\": 1}" \
-        "http://$ADDR/v1/indexes/$IDX/search") || fail "post-restart query $N failed"
-    echo "$R" | grep -q "{\"id\":$AID,\"dist\":0}" \
-        || fail "acknowledged add id=$AID (coordinate $N) lost across the seal fault: $R"
-done <"$ACKS"
+check_acks "$ACKS" "the seal fault"
 curl -sf -XPOST "http://$ADDR/v1/indexes/$IDX/flush" >/dev/null || fail "post-recovery flush failed"
 HBODY=$(curl -sf "http://$ADDR/healthz") || fail "post-recovery healthz failed"
 [ "$HBODY" = "ok" ] || fail "post-recovery healthz is not plain ok: $HBODY"
 stop_daemon
 
-echo "fault-smoke: OK (poisoned=503 and read-only=507 served degraded, zero acked-write loss across both faults)"
+# --- Phase 3: the seal's new WAL segment cannot be created => poisoned ---
+
+"$BIN" -write-demo -dir "$TMP/idx3"
+# The seal writes the tier and commits the manifest, then fails to create
+# the next WAL segment: the sealed adds now live in the tier alone, and
+# must be served once.
+start_daemon "$TMP/idx3" "create:wal-000002:1:eio"
+
+ACKS="$TMP/acks3"
+: >"$ACKS"
+i=0
+while [ $i -lt 3 ]; do
+    add $((30000 + i)) >>"$ACKS"
+    [ "$CODE" = 200 ] || fail "pre-flush add $i answered $CODE: $(cat "$TMP/resp")"
+    i=$((i + 1))
+done
+LIVE=$(live)
+[ -n "$LIVE" ] || fail "statusz reports no live count"
+FCODE=$(curl -s -o "$TMP/resp" -w '%{http_code}' -XPOST \
+    "http://$ADDR/v1/indexes/$IDX/flush") || FCODE=000
+[ "$FCODE" = 503 ] || fail "flush into a failing WAL create answered $FCODE, want 503: $(cat "$TMP/resp")"
+
+check_degraded poisoned
+R=$(curl -sf -d "{\"query\": $(vec 30000), \"k\": 5}" \
+    "http://$ADDR/v1/indexes/$IDX/search") || fail "self-query after the failed rotation failed"
+DUPS=$(echo "$R" | grep -o '"id":[0-9]*' | sort | uniq -d)
+[ -z "$DUPS" ] || fail "k=5 self-query repeats $DUPS after the failed rotation: $R"
+[ "$(live)" = "$LIVE" ] || fail "statusz live went $LIVE -> $(live) across the failed rotation"
+stop_daemon
+
+start_daemon "$TMP/idx3"
+check_acks "$ACKS" "the failed rotation"
+stop_daemon
+
+echo "fault-smoke: OK (poisoned=503 and read-only=507 served degraded, nothing served twice after a failed WAL rotation, zero acked-write loss across all three faults)"
