@@ -31,6 +31,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,8 +93,12 @@ func cmdStatus(args []string) {
 	for s, group := range topo.Shards {
 		for r, rep := range group {
 			health := "ok"
-			if err := probe(client, rep.URL+"/healthz"); err != nil {
-				health = err.Error()
+			if err := wire.Healthy(context.Background(), client, rep.URL); err != nil {
+				health = "unreachable"
+				var se *wire.StatusError
+				if errors.As(err, &se) {
+					health = fmt.Sprintf("status %d", se.Status)
+				}
 				unhealthy++
 			}
 			rows, err := wire.ListIndexes(context.Background(), client, rep.URL)
@@ -226,17 +231,4 @@ func latencyCells(tm *obs.TextMetrics, name string) (reqs, p50, p95, p99 string)
 	s95, _, _ := quantile(0.95)
 	s99, _, _ := quantile(0.99)
 	return reqs, s50, s95, s99
-}
-
-func probe(client *http.Client, url string) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return fmt.Errorf("unreachable")
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
 }

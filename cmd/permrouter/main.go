@@ -13,8 +13,7 @@
 //	permrouter -shards http://127.0.0.1:8081,http://127.0.0.1:8082 -addr :8080
 //
 //	curl localhost:8080/healthz            # ready only when every shard has a healthy replica
-//	curl localhost:8080/statusz            # per-replica QPS/latency/error/hedge/ejection counters
-//	curl localhost:8080/metrics            # Prometheus text: per-index, per-shard, per-replica families
+//	curl localhost:8080/metrics            # per-index, per-shard, per-replica counters and latency
 //	curl localhost:8080/v1/indexes         # merged view (total n, per-replica generation matrix)
 //	curl -d '{"query": "ACGTACGTAC", "k": 3}' localhost:8080/v1/indexes/dna/search
 //
@@ -34,7 +33,8 @@
 // *different* replica when the group has one to spare. A replica failing
 // -eject-after consecutive requests leaves the rotation until the
 // background prober (every -probe-interval) sees its /healthz answer
-// again.
+// again; it is out exactly while its permrouter_replica_ejections_total
+// exceeds its permrouter_replica_readmissions_total.
 package main
 
 import (

@@ -10,7 +10,7 @@
 //
 //	curl localhost:8080/healthz
 //	curl localhost:8080/v1/indexes
-//	curl localhost:8080/statusz
+//	curl localhost:8080/metrics
 //	curl -d '{"query": "ACGTACGTAC", "k": 3}' localhost:8080/v1/indexes/dna-vptree/search
 //	curl -d '{"queries": ["ACGT", "TTTT"], "k": 3}' localhost:8080/v1/indexes/dna-vptree/search
 //	curl -XPOST localhost:8080/v1/indexes/dna-vptree/reload
@@ -22,23 +22,25 @@
 //	curl -d '{"object": [0.1, 0.2, ...]}' localhost:8080/v1/indexes/sift-mutable/add
 //	curl -d '{"ids": [1500]}' localhost:8080/v1/indexes/sift-mutable/delete
 //	curl -XPOST localhost:8080/v1/indexes/sift-mutable/flush
+//	curl localhost:8080/statusz        # tier rows of the mutable indexes
 //
 // -addr supports port 0; the actually bound address is logged, which the
 // smoke test uses to serve on a free port. SIGINT/SIGTERM shut down
 // gracefully: in-flight requests finish, new connections are refused.
 //
+// GET /metrics serves every counter, per-stage timing attribution, latency
+// histograms and the Go runtime's heap and GC gauges in Prometheus text
+// format (see README "Observability"), so the serving-side allocation
+// behavior of the query hot path is observable in production.
 // -pprof-addr (empty by default) exposes net/http/pprof on a separate
-// listener, and /statusz reports Go runtime memory/GC counters, so the
-// serving-side allocation behavior of the query hot path is observable in
-// production: profile with
+// listener, whose /debug/pprof/heap?debug=1 page carries the full MemStats;
+// profile with
 //
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/heap
 //
 // -mutex-profile-fraction and -block-profile-rate turn on the runtime's
 // contention profilers (mutex and blocking profiles under /debug/pprof/),
-// both off by default because sampling costs the hot path. GET /metrics
-// serves counters, per-stage timing attribution and latency histograms in
-// Prometheus text format (see README "Observability");
+// both off by default because sampling costs the hot path.
 // -slow-query-threshold logs a rate-limited JSON line, with the per-stage
 // breakdown, for every request slower than the threshold.
 package main

@@ -1,10 +1,6 @@
 package permutation
 
-import (
-	"math/bits"
-
-	"repro/internal/space"
-)
+import "math/bits"
 
 // Binary is a bit-packed binarized permutation (Tellez et al., §2.1-2.2 of
 // the paper): bit i is set when the rank of pivot i is at least the
@@ -68,19 +64,4 @@ func (b Binary) Clone() Binary {
 	out := make(Binary, len(b))
 	copy(out, b)
 	return out
-}
-
-// HammingSpace exposes the Hamming distance over binary permutations as a
-// space.Space, enabling generic indexes over binarized sketches.
-type HammingSpace struct{}
-
-// Distance implements space.Space.
-func (HammingSpace) Distance(a, b Binary) float64 { return float64(Hamming(a, b)) }
-
-// Name implements space.Space.
-func (HammingSpace) Name() string { return "hamming" }
-
-// Properties implements space.Space: Hamming distance is a metric.
-func (HammingSpace) Properties() space.Properties {
-	return space.Properties{Metric: true, Symmetric: true}
 }

@@ -282,25 +282,12 @@ func Footrule(a, b []int32) float64 {
 	return float64(vecmath.Footrule(a, b))
 }
 
-// RhoSpace exposes Spearman's rho as a space.Space over permutation vectors,
-// so generic indexes (e.g. a VP-tree per Figueroa & Fredriksson, §2.3) can
-// index permutations directly. Raw rho is the *squared* Euclidean distance
-// and hence not a metric; see RhoMetric for the metric monotone transform.
-type RhoSpace struct{}
-
-// Distance implements space.Space.
-func (RhoSpace) Distance(a, b []int32) float64 { return SpearmanRho(a, b) }
-
-// Name implements space.Space.
-func (RhoSpace) Name() string { return "spearman-rho" }
-
-// Properties implements space.Space: symmetric, not a metric.
-func (RhoSpace) Properties() space.Properties { return space.Properties{Symmetric: true} }
-
 // RhoMetric is sqrt(SpearmanRho): the Euclidean distance between permutation
-// vectors. It orders points identically to rho (monotone transform) but
-// satisfies the triangle inequality, enabling metric pruning when indexing
-// permutations with a VP-tree.
+// vectors, as a space.Space so a generic index (a VP-tree per Figueroa &
+// Fredriksson, §2.3) can index permutations directly. Raw rho is the
+// *squared* Euclidean distance and hence not a metric; this monotone
+// transform orders points identically but satisfies the triangle
+// inequality, enabling metric pruning.
 type RhoMetric struct{}
 
 // Distance implements space.Space.
@@ -311,20 +298,5 @@ func (RhoMetric) Name() string { return "spearman-rho-sqrt" }
 
 // Properties implements space.Space: L2 over rank vectors is a metric.
 func (RhoMetric) Properties() space.Properties {
-	return space.Properties{Metric: true, Symmetric: true}
-}
-
-// FootruleSpace exposes the Footrule distance as a space.Space over
-// permutation vectors. L1 over rank vectors is a metric.
-type FootruleSpace struct{}
-
-// Distance implements space.Space.
-func (FootruleSpace) Distance(a, b []int32) float64 { return Footrule(a, b) }
-
-// Name implements space.Space.
-func (FootruleSpace) Name() string { return "footrule" }
-
-// Properties implements space.Space.
-func (FootruleSpace) Properties() space.Properties {
 	return space.Properties{Metric: true, Symmetric: true}
 }

@@ -315,15 +315,9 @@ func TestBinarizeReusesBuffer(t *testing.T) {
 }
 
 func TestSpacesImplementInterfaces(t *testing.T) {
-	var _ space.Space[[]int32] = RhoSpace{}
 	var _ space.Space[[]int32] = RhoMetric{}
-	var _ space.Space[[]int32] = FootruleSpace{}
-	var _ space.Space[Binary] = HammingSpace{}
-	if !(FootruleSpace{}).Properties().Metric {
-		t.Fatal("footrule should be metric")
-	}
-	if (RhoSpace{}).Properties().Metric {
-		t.Fatal("raw rho must not claim metric")
+	if !(RhoMetric{}).Properties().Metric {
+		t.Fatal("sqrt rho should be metric")
 	}
 }
 

@@ -437,16 +437,7 @@ func (d *Driver) generation(base, set string) (int64, error) {
 
 // healthz is the readiness gate: 200 or error.
 func (d *Driver) healthz(base string) error {
-	resp, err := d.client.Get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-	return nil
+	return wire.Healthy(context.TODO(), d.client, base) // bounded by d.client.Timeout
 }
 
 // reload asks one replica to hot-swap the set from its files.

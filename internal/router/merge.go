@@ -25,7 +25,8 @@
 // forwarded verbatim, and the merged answer marshals from the same
 // SearchResponse struct the shards answered in — byte-identical to an
 // unsharded daemon's unless a shard failed ("partial", "failed_shards").
-// Counters exist once, as obs handles; /metrics and /statusz read them.
+// Counters exist once, as obs handles, and /metrics is the one page that
+// reads them; the generation matrix is on /v1/indexes.
 package router
 
 import "repro/internal/topk"

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -144,23 +143,14 @@ func TestRouterMetricsEndToEnd(t *testing.T) {
 		t.Errorf("permrouter_uptime_seconds = %v, want > 0", got)
 	}
 
-	// /statusz renders the same handles: with no attempt in flight, every
-	// per-replica count equals its /metrics sample.
-	rows := replicaRows(t, ts.URL)
-	if len(rows) != 2 {
-		t.Fatalf("/statusz has %d replica rows, want 2", len(rows))
+	// /metrics is the router's one observability page.
+	resp, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range rows {
-		rep := map[string]string{"shard": strconv.Itoa(row.Shard), "replica": strconv.Itoa(row.Replica)}
-		for family, got := range map[string]int64{
-			"permrouter_replica_requests_total": row.Requests,
-			"permrouter_replica_failures_total": row.Failures,
-			"permrouter_replica_hedges_total":   row.Hedges,
-		} {
-			if want := routerMetric(t, tm, family, rep); float64(got) != want {
-				t.Errorf("/statusz replica %d reports %d where /metrics %s reports %v", row.Replica, got, family, want)
-			}
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /statusz: status %d, want 404", resp.StatusCode)
 	}
 
 	// Recovery: the prober re-admits the replica, counted as a transition.

@@ -42,8 +42,9 @@ type replica struct {
 }
 
 // replicaMetrics are one replica's lifetime counters: the
-// permrouter_replica_* families (labeled shard,replica) on /metrics, and
-// the same handles read back for /statusz.
+// permrouter_replica_* families (labeled shard,replica) on /metrics.
+// Ejections and readmissions count transitions only, so a replica is out of
+// the rotation exactly when its ejections exceed its readmissions.
 type replicaMetrics struct {
 	requests     *obs.Counter   // search attempts routed here (hedges included)
 	failures     *obs.Counter   // search calls that returned no usable answer
@@ -168,18 +169,8 @@ func (r *replica) doSearch(ctx context.Context, name string, body []byte) (*wire
 
 // healthy probes the replica's /healthz readiness endpoint.
 func (r *replica) healthy(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.health.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard %d replica %d: healthz status %d", r.shard, r.id, resp.StatusCode)
+	if err := wire.Healthy(ctx, r.health, r.base); err != nil {
+		return fmt.Errorf("shard %d replica %d: %w", r.shard, r.id, err)
 	}
 	return nil
 }

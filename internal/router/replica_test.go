@@ -13,7 +13,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -184,32 +183,14 @@ func newSyntheticReplica(t *testing.T, id int) *syntheticReplica {
 	return sr
 }
 
-// replicaRow is one row of the router's /statusz per-replica counters.
-type replicaRow struct {
-	Shard    int    `json:"shard"`
-	Replica  int    `json:"replica"`
-	URL      string `json:"url"`
-	Ejected  bool   `json:"ejected"`
-	Requests int64  `json:"requests"`
-	Failures int64  `json:"failures"`
-	Hedges   int64  `json:"hedges"`
-}
-
-// replicaRows decodes the router's /statusz per-replica counters.
-func replicaRows(t *testing.T, routerURL string) []replicaRow {
+// ejectedness reads one replica's rotation state off /metrics: ejections
+// and readmissions count transitions only, so their difference is 1 while
+// the replica is out of the rotation and 0 while it is in.
+func ejectedness(t *testing.T, routerURL string, rep map[string]string) float64 {
 	t.Helper()
-	resp, err := http.Get(routerURL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Shards []replicaRow `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st.Shards
+	tm := scrapeRouterMetrics(t, routerURL)
+	return routerMetric(t, tm, "permrouter_replica_ejections_total", rep) -
+		routerMetric(t, tm, "permrouter_replica_readmissions_total", rep)
 }
 
 // TestRouterEjectAndReadmit: a replica failing repeatedly leaves the
@@ -242,28 +223,21 @@ func TestRouterEjectAndReadmit(t *testing.T) {
 			t.Fatalf("query %d with a failing replica: status %d: %s", i, status, raw)
 		}
 	}
-	ejected := false
-	for _, row := range replicaRows(t, ts.URL) {
-		if row.URL == bad.ts.URL {
-			ejected = row.Ejected
-		}
-	}
-	if !ejected {
-		t.Fatal("failing replica was not ejected after repeated failures")
+	badRep := map[string]string{"shard": "0", "replica": "0"}
+	if got := ejectedness(t, ts.URL, badRep); got != 1 {
+		t.Fatalf("failing replica: ejections - readmissions = %v after repeated failures, want 1", got)
 	}
 
 	// Recovery: the prober sees /healthz answer and re-admits it.
 	bad.failing.Store(false)
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		readmitted := true
-		for _, row := range replicaRows(t, ts.URL) {
-			if row.URL == bad.ts.URL && row.Ejected {
-				readmitted = false
-			}
-		}
-		if readmitted {
+		got := ejectedness(t, ts.URL, badRep)
+		if got == 0 {
 			break
+		}
+		if got != 1 {
+			t.Fatalf("ejections - readmissions = %v, want 1 then 0", got)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("recovered replica was not re-admitted by the prober")
@@ -328,19 +302,12 @@ func TestRouterHedgeAcrossReplicas(t *testing.T) {
 	if elapsed >= 300*time.Millisecond {
 		t.Errorf("hedged query took %v, the slow replica's full latency", elapsed)
 	}
-	hedged := false
 	tm := scrapeRouterMetrics(t, ts.URL)
-	for _, row := range replicaRows(t, ts.URL) {
-		if row.URL == fast.ts.URL && row.Hedges >= 1 {
-			hedged = true
-		}
-		rep := map[string]string{"shard": "0", "replica": strconv.Itoa(row.Replica)}
-		if want := routerMetric(t, tm, "permrouter_replica_hedges_total", rep); float64(row.Hedges) != want {
-			t.Errorf("/statusz replica %d reports %d hedges, /metrics %v", row.Replica, row.Hedges, want)
-		}
+	if got := routerMetric(t, tm, "permrouter_replica_hedges_total", map[string]string{"shard": "0", "replica": "1"}); got < 1 {
+		t.Errorf("fast replica hedges_total = %v, want >= 1", got)
 	}
-	if !hedged {
-		t.Error("hedge was not counted against the fast replica")
+	if got := routerMetric(t, tm, "permrouter_replica_hedges_total", map[string]string{"shard": "0", "replica": "0"}); got != 0 {
+		t.Errorf("slow replica hedges_total = %v, want 0: the hedge must go to the other member", got)
 	}
 }
 

@@ -151,7 +151,6 @@ func New(opts Options) (*Router, error) {
 	rt.registerMetrics()
 	go rt.probeLoop(opts.ProbeInterval)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /statusz", rt.handleStatusz)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /v1/indexes", rt.handleList)
 	rt.mux.HandleFunc("POST /v1/indexes/{name}/search", rt.handleSearch)
@@ -371,54 +370,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
-}
-
-// replicaStatus is one row of GET /statusz: one replica's counters and
-// health state.
-type replicaStatus struct {
-	Shard         int     `json:"shard"`
-	Replica       int     `json:"replica"`
-	URL           string  `json:"url"`
-	Requests      int64   `json:"requests"`
-	Failures      int64   `json:"failures"`
-	Hedges        int64   `json:"hedges"`
-	Ejected       bool    `json:"ejected"`
-	ConsecFails   int32   `json:"consecutive_failures"`
-	QPS           float64 `json:"qps"`
-	MeanLatencyUs float64 `json:"mean_latency_us"`
-}
-
-func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	uptime := time.Since(rt.start)
-	var rows []replicaStatus
-	for _, g := range rt.groups {
-		for _, rep := range g.replicas {
-			row := replicaStatus{
-				Shard:       rep.shard,
-				Replica:     rep.id,
-				URL:         rep.base,
-				Requests:    rep.m.requests.Load(),
-				Failures:    rep.m.failures.Load(),
-				Hedges:      rep.m.hedges.Load(),
-				Ejected:     rep.ejected.Load(),
-				ConsecFails: rep.consecFails.Load(),
-			}
-			if up := uptime.Seconds(); up > 0 {
-				row.QPS = float64(row.Requests) / up
-			}
-			if row.Requests > 0 {
-				row.MeanLatencyUs = float64(rep.m.latency.Sum()) / float64(row.Requests) / 1e3
-			}
-			rows = append(rows, row)
-		}
-	}
-	wire.WriteJSON(w, rt.log, http.StatusOK, map[string]any{
-		"uptime_s":       uptime.Seconds(),
-		"fail_open":      rt.failOpen,
-		"hedge_delay_ms": float64(rt.hedgeDelay) / float64(time.Millisecond),
-		"shards":         rows,
-		"indexes":        rt.names,
-	})
 }
 
 // routerIndexInfo is one row of the router's GET /v1/indexes: the merged

@@ -105,8 +105,8 @@ func bootRouter(t *testing.T, shards []*httptest.Server, opts router.Options) *h
 		opts.Replicas = append(opts.Replicas, []string{s.URL})
 	}
 	if opts.Metrics == nil {
-		// /statusz renders the registry's counters; a private one keeps
-		// other tests' traffic out of this router's rows.
+		// /metrics renders the registry's counters; a private one keeps
+		// other tests' traffic out of this router's samples.
 		opts.Metrics = obs.NewRegistry()
 	}
 	rt, err := router.New(opts)
@@ -290,22 +290,10 @@ func TestRouterClientErrors(t *testing.T) {
 		t.Errorf("unknown index: status %d, want 404", status)
 	}
 	// Counters: client errors must not show up as shard failures.
-	resp, err := http.Get(rt.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var status struct {
-		Shards []struct {
-			Failures int64 `json:"failures"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range status.Shards {
-		if s.Failures != 0 {
-			t.Errorf("shard %d counted %d failures from client errors", i, s.Failures)
+	tm := scrapeRouterMetrics(t, rt.URL)
+	for _, s := range []string{"0", "1"} {
+		if got := routerMetric(t, tm, "permrouter_replica_failures_total", map[string]string{"shard": s, "replica": "0"}); got != 0 {
+			t.Errorf("shard %s counted %v failures from client errors", s, got)
 		}
 	}
 }
@@ -481,6 +469,7 @@ func TestRouterHedging(t *testing.T) {
 		Replicas:     singles(slow.URL),
 		ShardTimeout: 5 * time.Second,
 		HedgeDelay:   20 * time.Millisecond,
+		Metrics:      obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -492,20 +481,8 @@ func TestRouterHedging(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("hedged search: status %d: %s", status, raw)
 	}
-	resp, err := http.Get(ts.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Shards []struct {
-			Hedges int64 `json:"hedges"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Shards[0].Hedges < 1 {
+	tm := scrapeRouterMetrics(t, ts.URL)
+	if got := routerMetric(t, tm, "permrouter_replica_hedges_total", map[string]string{"shard": "0", "replica": "0"}); got < 1 {
 		t.Errorf("hedge did not fire against a 150ms shard with a 20ms hedge delay")
 	}
 }

@@ -103,16 +103,3 @@ func (s *Scanner[T]) SearchAll(queries []T, k int) [][]topk.Neighbor {
 	out, _ := engine.SearchBatch[T](engine.Pool{}, s, queries, index.Options{K: k})
 	return out
 }
-
-// RangeSearch returns all points within distance radius of query, ordered by
-// increasing distance. Used by tests to validate index pruning rules.
-func (s *Scanner[T]) RangeSearch(query T, radius float64) []topk.Neighbor {
-	var out []topk.Neighbor
-	for i, x := range s.data {
-		if d := s.sp.Distance(x, query); d <= radius {
-			out = append(out, topk.Neighbor{ID: uint32(i), Dist: d})
-		}
-	}
-	topk.ByDist(out)
-	return out
-}

@@ -104,15 +104,6 @@ func TestSearchAllEmptyQueries(t *testing.T) {
 	}
 }
 
-func TestRangeSearch(t *testing.T) {
-	data := [][]float32{{0}, {1}, {2}, {5}}
-	s := New[[]float32](space.L2{}, data)
-	got := s.RangeSearch([]float32{0.4}, 1.0)
-	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 1 {
-		t.Fatalf("got %+v", got)
-	}
-}
-
 func TestAsymmetricLeftQueryConvention(t *testing.T) {
 	// With KL divergence, the data point must be the left argument.
 	h := func(p ...float32) space.Histogram { return space.NewHistogram(p) }

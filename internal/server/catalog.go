@@ -42,7 +42,7 @@ type Manifest struct {
 	// merge per-shard answers without any per-process id state.
 	Shard *shard.Info `json:"shard,omitempty"`
 	// Generation orders successive builds of the same index (snapshot
-	// shipping bumps it); surfaced in /statusz and /v1/indexes so a
+	// shipping bumps it); surfaced in /v1/indexes so a
 	// rollout driver can observe which generation each process serves.
 	Generation int64 `json:"generation,omitempty"`
 	// Params are query-time method params resolved once at load

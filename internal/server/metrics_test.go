@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +94,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if status, _ := postJSON(t, url, map[string]any{}); status != http.StatusBadRequest {
 		t.Fatalf("bad search: status %d, want 400", status)
 	}
+	if status, raw := postJSON(t, ts.URL+"/v1/indexes/"+name+"/reload", nil); status != http.StatusOK {
+		t.Fatalf("reload: status %d: %s", status, raw)
+	}
 
 	tm := scrapeMetrics(t, ts)
 	idx := map[string]string{"index": name}
@@ -104,6 +108,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if got := metricValue(t, tm, "permserve_queries_total", idx); got != 5 {
 		t.Errorf("queries_total = %v, want 5 (1 single + 4 batch)", got)
+	}
+	if got := metricValue(t, tm, "permserve_reloads_total", idx); got != 1 {
+		t.Errorf("reloads_total = %v, want 1", got)
 	}
 	// The latency histogram saw exactly the three requests; its quantiles
 	// are positive and ordered.
@@ -138,9 +145,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if got := metricValue(t, tm, "permserve_search_requests_total", map[string]string{"index": "dna-vptree"}); got != 0 {
 		t.Errorf("idle index requests_total = %v, want 0", got)
 	}
-	// Process-level gauges are live.
-	if got := metricValue(t, tm, "permserve_goroutines", nil); got <= 0 {
-		t.Errorf("permserve_goroutines = %v, want > 0", got)
+	if got := metricValue(t, tm, "permserve_reloads_total", map[string]string{"index": "dna-vptree"}); got != 0 {
+		t.Errorf("idle index reloads_total = %v, want 0", got)
+	}
+	// Process-level gauges are live (one forced cycle, so the GC count is too).
+	runtime.GC()
+	tm = scrapeMetrics(t, ts)
+	for _, g := range []string{"permserve_goroutines", "permserve_heap_alloc_bytes", "permserve_heap_allocs", "permserve_gc_cycles"} {
+		if got := metricValue(t, tm, g, nil); got <= 0 {
+			t.Errorf("%s = %v, want > 0", g, got)
+		}
 	}
 }
 

@@ -476,3 +476,65 @@ func TestServedStatuszReportsMutableTiers(t *testing.T) {
 		t.Errorf("statusz memtable = %d live / %d wal records, want 2/2", row.MemtableLive, row.WalRecords)
 	}
 }
+
+// TestStatusz: /statusz carries what no other page does — one row per
+// mutable entry with its tier status — and nothing else. Counters are on
+// /metrics, an immutable entry's snapshot metadata on /v1/indexes.
+func TestStatusz(t *testing.T) {
+	dir, base := mutableFixtureDir(t)
+	writeFixture(t, dir, "sift-ro", seqscan.New[[]float32](space.L2{}, base),
+		Manifest{Dataset: "sift", Seed: e2eSeed, N: mutN})
+	reg, ts := bootMutable(t, dir)
+	defer reg.Close()
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var page map[string][]map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		t.Fatal(err)
+	}
+	rows, ok := page["indexes"]
+	if len(page) != 1 || !ok || len(rows) != 1 {
+		t.Fatalf("statusz = %v, want only an \"indexes\" list with the one mutable entry", page)
+	}
+	if len(rows[0]) != 2 || string(rows[0]["name"]) != `"sift-mut"` || rows[0]["mutable"] == nil {
+		t.Fatalf("statusz row = %v, want exactly name=sift-mut and its mutable status", rows[0])
+	}
+}
+
+// TestKCappedOnEmptyLiveSet: once every object of a mutable entry is
+// deleted, k is capped at 1 rather than not at all — a client's k must not
+// reach the components' top-k queues, which pre-size k slots.
+func TestKCappedOnEmptyLiveSet(t *testing.T) {
+	dir, _ := mutableFixtureDir(t)
+	reg, ts := bootMutable(t, dir)
+	defer reg.Close()
+	defer ts.Close()
+
+	ids := make([]uint32, mutN)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	if status, raw := postJSON(t, ts.URL+"/v1/indexes/sift-mut/delete", map[string]any{"ids": ids}); status != http.StatusOK {
+		t.Fatalf("delete all: status %d: %s", status, raw)
+	}
+	q := dataset.SIFT(e2eSeed+1, 1)[0]
+	status, raw := postJSON(t, ts.URL+"/v1/indexes/sift-mut/search", map[string]any{"query": q, "k": 1 << 45})
+	if status != http.StatusOK {
+		t.Fatalf("search over an empty live set: status %d: %s", status, raw)
+	}
+	var got wire.SearchResponse
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Results == nil || len(got.Results) != 0 {
+		t.Errorf("results = %v, want []", got.Results)
+	}
+	if got.K > 1 {
+		t.Errorf("k = %d, want it capped at max(live, 1) = 1", got.K)
+	}
+}

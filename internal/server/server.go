@@ -6,8 +6,8 @@
 // # API
 //
 //	GET  /healthz                      liveness probe
-//	GET  /statusz                      per-index QPS/latency counters (+ tier rows for mutable indexes)
-//	GET  /metrics                      Prometheus text exposition (counters, gauges, latency histograms)
+//	GET  /statusz                      tier rows of the mutable indexes (lsm.Status)
+//	GET  /metrics                      Prometheus text exposition (every counter, gauge and latency histogram)
 //	GET  /v1/indexes                   list indexes + header metadata
 //	POST /v1/indexes/{name}/search     answer queries (single or batch)
 //	POST /v1/indexes/{name}/reload     hot-swap the index from its file
@@ -66,7 +66,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"runtime"
 	"runtime/metrics"
 	"sync/atomic"
 	"time"
@@ -76,7 +75,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/lsm"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -209,16 +207,20 @@ func (s *Server) registerMetrics() {
 	s.metrics.GaugeFunc("permserve_uptime_seconds", "Process uptime.", func() float64 {
 		return time.Since(start).Seconds()
 	})
-	s.metrics.GaugeFunc("permserve_goroutines", "Live goroutines.", func() float64 {
-		return float64(runtime.NumGoroutine())
-	})
-	s.metrics.GaugeFunc("permserve_heap_alloc_bytes", "Bytes of live heap objects.", func() float64 {
-		// runtime/metrics reads without stopping the world, unlike
-		// ReadMemStats; a scrape must not pause the searches it observes.
-		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-		metrics.Read(sample)
-		return float64(sample[0].Value.Uint64())
-	})
+	// runtime/metrics reads without stopping the world, unlike
+	// runtime.ReadMemStats: a scrape must not pause the searches it observes.
+	for _, g := range []struct{ name, help, sample string }{
+		{"permserve_goroutines", "Live goroutines.", "/sched/goroutines:goroutines"},
+		{"permserve_heap_alloc_bytes", "Bytes of live heap objects.", "/memory/classes/heap/objects:bytes"},
+		{"permserve_heap_allocs", "Heap objects allocated since process start (cumulative).", "/gc/heap/allocs:objects"},
+		{"permserve_gc_cycles", "Completed GC cycles since process start (cumulative).", "/gc/cycles/total:gc-cycles"},
+	} {
+		s.metrics.GaugeFunc(g.name, g.help, func() float64 {
+			sample := []metrics.Sample{{Name: g.sample}}
+			metrics.Read(sample)
+			return float64(sample[0].Value.Uint64())
+		})
+	}
 }
 
 // handleMetrics serves the registry in Prometheus text exposition format.
@@ -269,67 +271,14 @@ func badRequestf(format string, args ...any) error {
 	return &badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// runtimeStatus is the Go runtime memory/GC section of GET /statusz: the
-// observables that tell whether the allocation-free search hot path is
-// holding up under live traffic (allocation rate, GC cadence, GC CPU). All
-// byte counts come from one runtime.ReadMemStats snapshot.
-type runtimeStatus struct {
-	Goroutines      int     `json:"goroutines"`
-	HeapAllocBytes  uint64  `json:"heap_alloc_bytes"`
-	HeapSysBytes    uint64  `json:"heap_sys_bytes"`
-	HeapObjects     uint64  `json:"heap_objects"`
-	TotalAllocBytes uint64  `json:"total_alloc_bytes"` // cumulative since process start
-	Mallocs         uint64  `json:"mallocs"`           // cumulative allocation count
-	Frees           uint64  `json:"frees"`
-	NumGC           uint32  `json:"num_gc"`
-	GCPauseTotalMs  float64 `json:"gc_pause_total_ms"`
-	GCCPUFraction   float64 `json:"gc_cpu_fraction"`
-	NextGCBytes     uint64  `json:"next_gc_bytes"`
-}
-
-// readRuntimeStatus snapshots the runtime counters. ReadMemStats stops the
-// world for microseconds; fine at statusz polling rates.
-func readRuntimeStatus() runtimeStatus {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return runtimeStatus{
-		Goroutines:      runtime.NumGoroutine(),
-		HeapAllocBytes:  ms.HeapAlloc,
-		HeapSysBytes:    ms.HeapSys,
-		HeapObjects:     ms.HeapObjects,
-		TotalAllocBytes: ms.TotalAlloc,
-		Mallocs:         ms.Mallocs,
-		Frees:           ms.Frees,
-		NumGC:           ms.NumGC,
-		GCPauseTotalMs:  float64(ms.PauseTotalNs) / 1e6,
-		GCCPUFraction:   ms.GCCPUFraction,
-		NextGCBytes:     ms.NextGC,
-	}
-}
-
-// indexStatus is one row of GET /statusz. N, Version and Generation
-// describe the currently served snapshot (the same fields ReadIndexHeader
-// and the sidecar manifest expose offline), so a rollout driver polling
-// /statusz can tell which build of an index each process serves — the
-// observable that snapshot shipping and the sharded router's consistency
-// checks key on.
+// indexStatus is one row of GET /statusz, present for mutable entries only:
+// live counts, per-tier rows (n, seq, tombstones, kind), WAL depth/bytes and
+// storage state — the observables an operator gates flushes and reloads on,
+// and the one fact no other page carries. Counters are on /metrics, the
+// served snapshot's kind, n, version, generation and shard on /v1/indexes.
 type indexStatus struct {
-	Name          string      `json:"name"`
-	Kind          string      `json:"kind"`
-	N             uint64      `json:"n"`
-	Version       uint16      `json:"version"`
-	Generation    int64       `json:"generation,omitempty"`
-	Shard         *shard.Info `json:"shard,omitempty"`
-	Requests      int64       `json:"requests"`
-	Queries       int64       `json:"queries"`
-	Failures      int64       `json:"failures"`
-	Reloads       int64       `json:"reloads"`
-	QPS           float64     `json:"qps"`             // queries / process uptime
-	MeanLatencyUs float64     `json:"mean_latency_us"` // per search request
-	// Mutable is present for WAL-backed mutable entries: live counts,
-	// per-tier rows (n, seq, tombstones, kind) and WAL depth/bytes — the
-	// observables an operator gates flushes and reloads on.
-	Mutable *lsm.Status `json:"mutable,omitempty"`
+	Name    string      `json:"name"`
+	Mutable *lsm.Status `json:"mutable"`
 }
 
 // handleHealthz is the readiness probe: 200 "ok" only when every named
@@ -403,40 +352,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	uptime := time.Since(s.start)
-	rows := make([]indexStatus, 0, len(s.reg.Names()))
+	rows := []indexStatus{}
 	for _, name := range s.reg.Names() {
-		e, em := s.reg.get(name), s.em[name]
-		snap := e.snap.Load()
-		row := indexStatus{
-			Name:       name,
-			Kind:       snap.hdr.Kind,
-			N:          snap.hdr.N,
-			Version:    snap.hdr.Version,
-			Generation: snap.man.Generation,
-			Shard:      snap.man.Shard,
-			Requests:   em.requests.Load(),
-			Queries:    em.queries.Load(),
-			Failures:   em.failures.Load(),
-			Reloads:    em.reloads.Load(),
-		}
-		if up := uptime.Seconds(); up > 0 {
-			row.QPS = float64(row.Queries) / up
-		}
-		if row.Requests > 0 {
-			row.MeanLatencyUs = float64(em.latency.Sum()) / float64(row.Requests) / 1e3
-		}
-		if e.tree != nil {
+		if e := s.reg.get(name); e.tree != nil {
 			st := e.tree.Status()
-			row.Mutable = &st
+			rows = append(rows, indexStatus{Name: name, Mutable: &st})
 		}
-		rows = append(rows, row)
 	}
-	wire.WriteJSON(w, s.log, http.StatusOK, map[string]any{
-		"uptime_s": uptime.Seconds(),
-		"runtime":  readRuntimeStatus(),
-		"indexes":  rows,
-	})
+	wire.WriteJSON(w, s.log, http.StatusOK, map[string]any{"indexes": rows})
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -624,14 +547,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Cap k at the corpus size: Search never returns more than n results
 	// anyway, and the top-k queues pre-allocate k slots per query — an
 	// uncapped k would let one request allocate the daemon to death. A
-	// mutable entry's corpus is its live set, which can exceed the base n.
+	// mutable entry's corpus is its live set, which can exceed the base n —
+	// or be empty, and an empty set caps k at 1, not at nothing.
 	n := int(snap.hdr.N)
 	if e.tree != nil {
 		n = e.tree.Live()
 	}
-	if req.K > n && n > 0 {
-		req.K = n
-	}
+	req.K = min(req.K, max(n, 1))
 	var tr obs.QueryTrace
 	resp, err := s.execute(ctx, snap, name, req, &tr)
 	if err == nil {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -565,73 +564,6 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 	if want := wireNeighbors(dense.idx.Search(q, 10)); !reflect.DeepEqual(got.Results, want) {
 		t.Fatal("old generation no longer answers correctly after failed reload")
-	}
-}
-
-// TestStatusz: counters move, the shape is stable, and every count equals
-// the one /metrics reports — both pages render the same obs handles.
-func TestStatusz(t *testing.T) {
-	dir, dense, _ := buildFixtures(t)
-	ts := bootServer(t, dir, Options{Metrics: obs.NewRegistry()})
-	url := ts.URL + "/v1/indexes/sift-napp/search"
-	postJSON(t, url, map[string]any{"query": dense.encode(dense.queries[0])})
-	enc := []any{dense.encode(dense.queries[0]), dense.encode(dense.queries[1])}
-	postJSON(t, url, map[string]any{"queries": enc})
-	postJSON(t, url, map[string]any{"k": 1}) // 400: counted as request + failure
-	if status, raw := postJSON(t, ts.URL+"/v1/indexes/sift-napp/reload", nil); status != http.StatusOK {
-		t.Fatalf("reload: status %d: %s", status, raw)
-	}
-
-	resp, err := http.Get(ts.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var status struct {
-		UptimeS float64       `json:"uptime_s"`
-		Runtime runtimeStatus `json:"runtime"`
-		Indexes []indexStatus `json:"indexes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		t.Fatal(err)
-	}
-	// The runtime section must carry live Go memory/GC observables — the
-	// serving-side view of the allocation-free hot path.
-	if status.Runtime.Goroutines <= 0 {
-		t.Fatalf("runtime.goroutines = %d", status.Runtime.Goroutines)
-	}
-	if status.Runtime.HeapAllocBytes == 0 || status.Runtime.Mallocs == 0 {
-		t.Fatalf("runtime memory counters empty: %+v", status.Runtime)
-	}
-	var row *indexStatus
-	for i := range status.Indexes {
-		if status.Indexes[i].Name == "sift-napp" {
-			row = &status.Indexes[i]
-		}
-	}
-	if row == nil {
-		t.Fatalf("no sift-napp row in %+v", status.Indexes)
-	}
-	if row.Requests != 3 || row.Queries != 3 || row.Failures != 1 || row.Reloads != 1 {
-		t.Fatalf("counters = %+v, want requests=3 queries=3 failures=1 reloads=1", *row)
-	}
-	if row.MeanLatencyUs <= 0 {
-		t.Fatalf("mean_latency_us = %g after 3 requests", row.MeanLatencyUs)
-	}
-	if status.UptimeS <= 0 {
-		t.Fatalf("uptime_s = %g", status.UptimeS)
-	}
-	tm := scrapeMetrics(t, ts)
-	idx := map[string]string{"index": "sift-napp"}
-	for family, got := range map[string]int64{
-		"permserve_search_requests_total": row.Requests,
-		"permserve_queries_total":         row.Queries,
-		"permserve_search_failures_total": row.Failures,
-		"permserve_reloads_total":         row.Reloads,
-	} {
-		if want := metricValue(t, tm, family, idx); float64(got) != want {
-			t.Errorf("/statusz reports %d where /metrics %s reports %v", got, family, want)
-		}
 	}
 }
 

@@ -153,6 +153,31 @@ func ListIndexes(ctx context.Context, client *http.Client, base string) ([]Index
 	return out.Indexes, nil
 }
 
+// Healthy probes the readiness endpoint of the daemon at base: nil on 200,
+// the transport error, or a *StatusError for any other answer. The body is
+// drained, bounded, so the connection goes back to the pool.
+func Healthy(ctx context.Context, client *http.Client, base string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	if resp.StatusCode != http.StatusOK {
+		return &StatusError{Status: resp.StatusCode}
+	}
+	return nil
+}
+
+// StatusError is a readiness probe answered with a status other than 200.
+type StatusError struct{ Status int }
+
+func (e *StatusError) Error() string { return fmt.Sprintf("healthz status %d", e.Status) }
+
 // ErrorResponse is the body of every non-2xx answer.
 type ErrorResponse struct {
 	Error  string `json:"error"`

@@ -2,13 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log"
 	"maps"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/topk"
@@ -165,5 +169,33 @@ func TestErrorBody(t *testing.T) {
 		if got := ErrorBody([]byte(raw)); got != want {
 			t.Errorf("ErrorBody(%q) = %q, want %q", raw, got, want)
 		}
+	}
+}
+
+// TestHealthy: 200 is ready, any other status is a *StatusError carrying
+// it, and a peer that cannot be reached is neither.
+func TestHealthy(t *testing.T) {
+	var status atomic.Int32
+	status.Store(http.StatusOK)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			http.NotFound(w, r)
+			return
+		}
+		w.WriteHeader(int(status.Load()))
+		io.WriteString(w, "ok\n")
+	}))
+	ctx, client := context.Background(), ts.Client()
+	if err := Healthy(ctx, client, ts.URL); err != nil {
+		t.Fatalf("ready peer: %v", err)
+	}
+	status.Store(http.StatusServiceUnavailable)
+	var se *StatusError
+	if err := Healthy(ctx, client, ts.URL); !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
+		t.Fatalf("503 peer: err = %v, want a *StatusError with status 503", err)
+	}
+	ts.Close()
+	if err := Healthy(ctx, client, ts.URL); err == nil || errors.As(err, &se) {
+		t.Fatalf("closed peer: err = %v, want a transport error", err)
 	}
 }

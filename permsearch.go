@@ -312,5 +312,5 @@ func NewSeqScan[T any](sp Space[T], data []T) *seqscan.Scanner[T] {
 
 // Pivots is the pivot set of a permutation index, exposed for users who
 // want to compute permutations directly (see package permutation for
-// sampling, orders, rho/footrule/Kendall distances and binarization).
+// sampling, orders, rho/footrule distances and binarization).
 type Pivots[T any] = permutation.Pivots[T]

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Smoke test of the serving daemon: write a demo index set, boot permserve
-# on a free port, and drive /healthz, one search, a hot reload, /statusz
-# and a /metrics scrape (validated with scripts/metricscheck) end to end.
+# on a free port, and drive /healthz, one search, a hot reload and a
+# /metrics scrape (validated with scripts/metricscheck) end to end.
 # Exits nonzero on any unexpected answer. Run via `make serve-smoke`.
 set -eu
 
@@ -44,17 +44,17 @@ RESULT=$(curl -sf -d '{"query": "ACGTACGTAC", "k": 3}' \
 echo "$RESULT" | grep -q '"results":\[{"id":' || fail "search returned no neighbors: $RESULT"
 
 curl -sf -XPOST "http://$ADDR/v1/indexes/dna-vptree/reload" >/dev/null || fail "hot reload failed"
-STATUSZ=$(curl -sf "http://$ADDR/statusz") || fail "statusz request failed"
-echo "$STATUSZ" | grep -q '"requests":1' || fail "statusz did not count the search"
-echo "$STATUSZ" | grep -q '"heap_alloc_bytes":' || fail "statusz missing runtime memory counters"
 
 # The /metrics exposition must parse strictly, hold the histogram
-# invariants, and carry the serving families the dashboards key on.
+# invariants, and carry the serving families and runtime gauges the
+# dashboards key on.
 curl -sf "http://$ADDR/metrics" >"$TMP/metrics.txt" || fail "metrics scrape failed"
-"$MC" -require permserve_search_requests_total,permserve_queries_total,permserve_search_latency_seconds,permserve_stage_ns_total,permserve_filter_candidates_total,permserve_refine_distances_total,permserve_uptime_seconds "$TMP/metrics.txt" \
+"$MC" -require permserve_search_requests_total,permserve_queries_total,permserve_reloads_total,permserve_search_latency_seconds,permserve_stage_ns_total,permserve_filter_candidates_total,permserve_refine_distances_total,permserve_uptime_seconds,permserve_goroutines,permserve_heap_alloc_bytes,permserve_heap_allocs,permserve_gc_cycles "$TMP/metrics.txt" \
     || fail "metrics page failed metricscheck"
 grep -q 'permserve_search_requests_total{index="dna-vptree"} 1' "$TMP/metrics.txt" \
     || fail "metrics did not count the search"
+grep -q 'permserve_reloads_total{index="dna-vptree"} 1' "$TMP/metrics.txt" \
+    || fail "metrics did not count the hot reload"
 
 # The -pprof-addr sidecar must serve profiles on its own port.
 PPROF_ADDR=$(sed -n 's#.*pprof on http://\([0-9.:]*\)/.*#\1#p' "$LOG" | head -n1)
