@@ -123,7 +123,7 @@ func buildMethod[T any](method string, sp permsearch.Space[T], data []T, seed in
 	case "napp":
 		return permsearch.NewNAPP(sp, data, permsearch.NAPPOptions{Seed: seed})
 	case "sw-graph":
-		return permsearch.NewSWGraph(sp, data, permsearch.GraphOptions{Workers: 1, Seed: seed})
+		return permsearch.NewSWGraph(sp, data, permsearch.GraphOptions{Seed: seed})
 	case "brute-force-filt":
 		return permsearch.NewBruteForceFilter(sp, data, permsearch.BruteForceOptions{Seed: seed})
 	case "brute-force-filt-bin":

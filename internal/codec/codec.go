@@ -38,11 +38,13 @@
 // alike. Pivot sets are stored as ids into the data slice, never as
 // serialized objects.
 //
-// Four payload slots of version 2 are retired — written as zero or empty —
+// Five payload slots of version 2 are retired — written as zero or empty —
 // and go at the next version bump, not before, so files saved by older
-// builds keep loading. Two are ignored on load: the Bool in the
+// builds keep loading. Three are ignored on load: the Bool in the
 // permutation-row payload of core.ScanFilter (once a heap-selection ablation
-// switch) and the I64 after the seed in the knngraph payload (once an
+// switch), the Int before the seed in the knngraph payload (once the build's
+// worker count, an option that existed only because graph builds were not
+// deterministic at every parallelism) and the I64 after that seed (once an
 // entry-point seed counter that made a graph's bytes depend on its query
 // history). Two must be empty on load, or the file is refused as corrupt:
 // the tombstone lists that end the "napp" and "seqscan" payloads (once the

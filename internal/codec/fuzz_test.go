@@ -63,7 +63,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			return vptree.New[[]float32](sp, data, vptree.Options{BucketSize: 4, Seed: 3})
 		},
 		func() (index.Index[[]float32], error) {
-			return knngraph.NewSW[[]float32](sp, data, knngraph.Options{NN: 4, Workers: 1, Seed: 3})
+			return knngraph.NewSW[[]float32](sp, data, knngraph.Options{NN: 4, Seed: 3})
 		},
 		func() (index.Index[[]float32], error) {
 			return lsh.New(data, lsh.Options{Tables: 2, Hashes: 4, Seed: 3})
@@ -218,6 +218,40 @@ func TestSeedCorpusIsCurrent(t *testing.T) {
 		if !bytes.Equal(have, corpusFile(seed)) {
 			t.Errorf("%s no longer matches its builder: the codec payload changed (bump the version and regenerate with WRITE_FUZZ_CORPUS=1)", name)
 		}
+	}
+}
+
+// TestRetiredWorkersSlotLoads loads an sw-graph file saved by a build that
+// still recorded a worker count, Workers = 1, in the graph payload's retired
+// slot: it must load and answer a search.
+func TestRetiredWorkersSlotLoads(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoad", "seed-sw-graph-workers1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, _ := strings.CutPrefix(string(file), "go test fuzz v1\n[]byte(")
+	quoted, _ = strings.CutSuffix(quoted, ")\n")
+	blob, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := codec.NewReader(strings.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 7 { // NN, InitAttempts, EfSearch, Rho, Delta, MaxIters, RandomLinks
+		cr.U64()
+	}
+	if kind, workers := cr.Header().Kind, cr.Int(); kind != codec.KindSWGraph || workers != 1 {
+		t.Fatalf("fixture holds kind %q with workers slot %d, want %q with 1", kind, workers, codec.KindSWGraph)
+	}
+	data := fuzzCorpus()
+	idx, err := persist.Load[[]float32](strings.NewReader(blob), space.L2{}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := idx.Search(data[1], 3); len(got) != 3 || got[0].ID != 1 {
+		t.Fatalf("search of an indexed point answered %+v", got)
 	}
 }
 

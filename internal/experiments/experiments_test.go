@@ -285,18 +285,26 @@ func TestTuneValidation(t *testing.T) {
 
 // TestRunMethodsWorkersParity verifies the -workers query path changes only
 // timing columns: the deterministic columns (dataset, method, params,
-// recall) must be identical to the single-thread protocol.
+// recall) must be identical to the single-thread protocol. Each call builds
+// its own indexes, the graphs on every core, so the graph rows also pin that
+// a build is reproducible.
 func TestRunMethodsWorkersParity(t *testing.T) {
-	r, _ := Get("wiki-8-kl")
+	r, _ := Get("dna")
+	methods := []string{"napp", "sw-graph", "nndescent-graph"}
 	var serial, batch bytes.Buffer
 	cfg := small
 	cfg.Workers = 1
-	if err := r.RunMethods(cfg, []string{"napp"}, &serial); err != nil {
+	if err := r.RunMethods(cfg, methods, &serial); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 3
-	if err := r.RunMethods(cfg, []string{"napp"}, &batch); err != nil {
+	if err := r.RunMethods(cfg, methods, &batch); err != nil {
 		t.Fatal(err)
+	}
+	for _, m := range methods {
+		if !strings.Contains(serial.String(), "\t"+m+"\t") {
+			t.Fatalf("no %s rows in\n%s", m, serial.String())
+		}
 	}
 	sLines := strings.Split(strings.TrimSpace(serial.String()), "\n")
 	bLines := strings.Split(strings.TrimSpace(batch.String()), "\n")

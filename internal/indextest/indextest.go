@@ -44,7 +44,7 @@ import (
 // Builder constructs a fresh index over the data set under test. It is
 // invoked once per property and, by ParamsMatchDedicated and the golden
 // suites, must be deterministic enough that equality checks across instances
-// are meaningful (fix all seeds, use Workers: 1 for SW graphs).
+// are meaningful (fix all seeds).
 type Builder[T any] func() (index.Index[T], error)
 
 // Conformance runs every behavioral property against the index built by

@@ -12,9 +12,10 @@ import (
 
 // The kind matrix: one deterministic builder per registered index kind,
 // shared by the conformance and roundtrip test drivers. Builders fix every
-// seed and use Workers: 1 so repeated builds are identical (the goldens and
-// ParamsMatchDedicated compare across builds). The corpus split sizes and
-// seed live in corpus.go, shared with external suites.
+// seed, so repeated builds are identical at any GOMAXPROCS (the goldens,
+// ParamsMatchDedicated and TestBuildsArePure compare across builds). The
+// corpus split sizes and seed live in corpus.go, shared with external
+// suites.
 
 // kindCase names one index kind under test, generically over object type.
 type kindCase[T any] struct {
@@ -61,10 +62,10 @@ func genericKinds[T any](sp space.Space[T], db []T) []kindCase[T] {
 			return vptree.New(sp, db, vptree.Options{BucketSize: 8, Seed: kindSeed})
 		}},
 		{"sw-graph", func() (index.Index[T], error) {
-			return knngraph.NewSW(sp, db, knngraph.Options{NN: 6, Workers: 1, Seed: kindSeed})
+			return knngraph.NewSW(sp, db, knngraph.Options{NN: 6, Seed: kindSeed})
 		}},
 		{"nndescent-graph", func() (index.Index[T], error) {
-			return knngraph.NewNNDescent(sp, db, knngraph.Options{NN: 6, Workers: 1, Seed: kindSeed})
+			return knngraph.NewNNDescent(sp, db, knngraph.Options{NN: 6, Seed: kindSeed})
 		}},
 		{"seqscan", func() (index.Index[T], error) {
 			return seqscan.New(sp, db), nil

@@ -73,12 +73,12 @@ func TestParamsMatchDedicated(t *testing.T) {
 	}
 	sw := func(att, ef int) build {
 		return func() (index.Index[[]float32], error) {
-			return knngraph.NewSW(sp, db, knngraph.Options{NN: 6, InitAttempts: att, EfSearch: ef, Workers: 1, Seed: kindSeed})
+			return knngraph.NewSW(sp, db, knngraph.Options{NN: 6, InitAttempts: att, EfSearch: ef, Seed: kindSeed})
 		}
 	}
 	nnd := func(att, ef int) build {
 		return func() (index.Index[[]float32], error) {
-			return knngraph.NewNNDescent(sp, db, knngraph.Options{NN: 6, InitAttempts: att, EfSearch: ef, Workers: 1, Seed: kindSeed})
+			return knngraph.NewNNDescent(sp, db, knngraph.Options{NN: 6, InitAttempts: att, EfSearch: ef, Seed: kindSeed})
 		}
 	}
 	mplsh := func(probes int) build {

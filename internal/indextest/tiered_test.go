@@ -83,12 +83,12 @@ func tieredFullRecallKinds[T any](sp space.Space[T]) []tieredKind[T] {
 		}},
 		{"sw-graph", func(data []T) (index.Index[T], error) {
 			return knngraph.NewSW(sp, data, knngraph.Options{
-				NN: 10, EfSearch: len(data), InitAttempts: 4, Workers: 1, Seed: kindSeed,
+				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: kindSeed,
 			})
 		}},
 		{"nndescent-graph", func(data []T) (index.Index[T], error) {
 			return knngraph.NewNNDescent(sp, data, knngraph.Options{
-				NN: 10, EfSearch: len(data), InitAttempts: 4, Workers: 1, Seed: kindSeed,
+				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: kindSeed,
 			})
 		}},
 	}

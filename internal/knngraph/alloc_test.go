@@ -27,10 +27,10 @@ func TestGraphSearchAppendZeroAllocs(t *testing.T) {
 
 	builds := map[string]func() (*knngraph.Graph[[]float32], error){
 		"sw-graph": func() (*knngraph.Graph[[]float32], error) {
-			return knngraph.NewSW(sp, db, knngraph.Options{NN: 10, Workers: 1, Seed: seed})
+			return knngraph.NewSW(sp, db, knngraph.Options{NN: 10, Seed: seed})
 		},
 		"nndescent-graph": func() (*knngraph.Graph[[]float32], error) {
-			return knngraph.NewNNDescent(sp, db, knngraph.Options{NN: 10, Workers: 1, Seed: seed})
+			return knngraph.NewNNDescent(sp, db, knngraph.Options{NN: 10, Seed: seed})
 		},
 	}
 	for kind, build := range builds {

@@ -7,7 +7,13 @@
 // Two approximate graph-construction algorithms are provided, matching the
 // paper: search-based insertion as in Malkov et al.'s Small World graphs
 // (NewSW), and the iterative NN-descent of Dong et al. (NewNNDescent). Both
-// yield a Graph searched with the same multi-restart best-first algorithm.
+// yield a Graph searched with the same multi-restart best-first algorithm,
+// which SW insertion runs too.
+//
+// Building is a pure function of (data, Options): both builders run their
+// distance work in parallel on every core but apply its results in node
+// order at barriers the data size alone places, so the graph, its saved
+// bytes and its build-distance count are the same at any GOMAXPROCS.
 //
 // Search is a pure function of (graph, query, index.Options): it reads the
 // graph and writes only its own pooled scratch, so asking the same query
@@ -62,10 +68,6 @@ type Options struct {
 	// from early insertions, NN-descent graphs need explicit rewiring.
 	// -1 disables; 0 means the default of 2.
 	RandomLinks int
-	// Workers bounds construction parallelism. 0 means GOMAXPROCS; the
-	// paper builds graphs with four threads. SW construction is only
-	// deterministic with Workers = 1.
-	Workers int
 	// Seed drives random choices (entry points, initial neighbors).
 	Seed int64
 }
@@ -132,9 +134,6 @@ func (g *Graph[T]) Stats() index.Stats {
 	}
 }
 
-// Degree returns the out-degree of node id (for tests and reports).
-func (g *Graph[T]) Degree(id int) int { return len(g.adj[id]) }
-
 // search implements the index's one query path using multi-restart
 // best-first traversal: every restart starts from a pseudo-random entry
 // point, maintains a frontier of unexpanded candidates and a bounded result
@@ -151,8 +150,16 @@ func (g *Graph[T]) search(s *graphScratch, dst []topk.Neighbor, query T, opts in
 	if tr != nil {
 		t0 = time.Now()
 	}
-	ef := max(cmp.Or(opts.Params.EfSearch, g.opts.EfSearch), k, g.opts.NN)
-	evals := g.traverse(s, query, ef, cmp.Or(opts.Params.InitAttempts, g.opts.InitAttempts))
+	// The probe node whose distance seeds the entry points (see the package
+	// doc) is the last one: no later SW insertion linked to it, so keeping
+	// it as a visited result but out of the frontier costs no navigability.
+	n := len(g.adj)
+	s.begin(n, max(cmp.Or(opts.Params.EfSearch, g.opts.EfSearch), k, g.opts.NN))
+	probe := uint32(n - 1)
+	s.visited.TrySet(probe)
+	d := g.sp.Distance(g.data[probe], query)
+	s.results.Push(probe, d)
+	evals := 1 + g.traverse(s, query, cmp.Or(opts.Params.InitAttempts, g.opts.InitAttempts), n, math.Float64bits(d))
 	s.drain = s.results.AppendResults(s.drain[:0])
 	res := s.drain
 	if len(res) > k {
@@ -165,28 +172,23 @@ func (g *Graph[T]) search(s *graphScratch, dst []topk.Neighbor, query T, opts in
 	return append(dst, res...)
 }
 
-// traverse runs the restart loop over pooled scratch, leaving the result
-// set in s.results, and returns the number of distances it evaluated.
-//
-// The probe node whose distance seeds the entry points (see the package doc)
-// is the last one: no later SW insertion linked to it, so keeping it as a
-// visited result but out of the frontier costs no navigability.
-func (g *Graph[T]) traverse(s *graphScratch, query T, ef, attempts int) (evals int) {
-	n := len(g.adj)
+// begin readies s for one traversal over n nodes with a result set of ef.
+func (s *graphScratch) begin(n, ef int) {
 	s.visited.Begin(n)
 	s.results.Reset(ef)
 	s.frontier.Reset()
+}
 
-	probe := uint32(n - 1)
-	s.visited.TrySet(probe)
-	d := g.sp.Distance(g.data[probe], query)
-	s.results.Push(probe, d)
-	evals++
+// traverse runs the restart loop over scratch readied by begin, leaving the
+// result set in s.results, and returns the number of distances it evaluated.
+// It serves queries and SW insertion alike: entry points are drawn below
+// limit from a generator seeded by (build seed, stream), and the walk stays
+// below limit because no node there links to one at or above it.
+func (g *Graph[T]) traverse(s *graphScratch, query T, attempts, limit int, stream uint64) (evals int) {
 	var entries rand.PCG
-	entries.Seed(uint64(g.opts.Seed), math.Float64bits(d))
-
+	entries.Seed(uint64(g.opts.Seed), stream)
 	for a := 0; a < attempts; a++ {
-		entry := uint32(entries.Uint64() % uint64(n))
+		entry := uint32(entries.Uint64() % uint64(limit))
 		if s.visited.TrySet(entry) {
 			d := g.sp.Distance(g.data[entry], query)
 			evals++

@@ -1,7 +1,9 @@
 package knngraph
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/index"
@@ -100,23 +102,37 @@ func TestNNDescentGraphQuality(t *testing.T) {
 	}
 }
 
-func TestSWSingleWorkerDeterministic(t *testing.T) {
-	data := clustered(4, 600, 8)
-	build := func() *Graph[[]float32] {
-		g, err := NewSW[[]float32](space.L2{}, data, Options{NN: 8, Seed: 11, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
+// TestBuildIndependentOfProcs pins that both builders are pure functions of
+// (data, options): the saved bytes are the same at 1, 2 and 8 procs. The
+// data set spans dozens of SW batches, several NN-descent rounds and more
+// than one join block per round.
+func TestBuildIndependentOfProcs(t *testing.T) {
+	data := clustered(4, 2500, 8)
+	builders := map[string]func() (*Graph[[]float32], error){
+		"sw-graph": func() (*Graph[[]float32], error) {
+			return NewSW[[]float32](space.L2{}, data, Options{NN: 8, Seed: 11})
+		},
+		"nndescent-graph": func() (*Graph[[]float32], error) {
+			return NewNNDescent[[]float32](space.L2{}, data, Options{NN: 8, Seed: 11})
+		},
 	}
-	a, b := build(), build()
-	for v := range a.adj {
-		if len(a.adj[v]) != len(b.adj[v]) {
-			t.Fatalf("node %d degree differs", v)
-		}
-		for i := range a.adj[v] {
-			if a.adj[v][i] != b.adj[v][i] {
-				t.Fatalf("node %d adjacency differs", v)
+	for kind, build := range builders {
+		var want []byte
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			g, err := build()
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var blob bytes.Buffer
+			if err := g.Save(&blob); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = blob.Bytes()
+			} else if !bytes.Equal(blob.Bytes(), want) {
+				t.Errorf("%s built at GOMAXPROCS=%d saves different bytes than at 1", kind, procs)
 			}
 		}
 	}
@@ -126,7 +142,7 @@ func TestParallelBuildRaceFree(t *testing.T) {
 	// Exercised under -race in CI; validates that parallel SW and
 	// NN-descent construction produce a usable graph.
 	data := clustered(5, 800, 8)
-	g, err := NewSW[[]float32](space.L2{}, data, Options{NN: 6, Seed: 1, Workers: 4})
+	g, err := NewSW[[]float32](space.L2{}, data, Options{NN: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +150,7 @@ func TestParallelBuildRaceFree(t *testing.T) {
 	if len(res) != 5 {
 		t.Fatalf("got %d results", len(res))
 	}
-	g2, err := NewNNDescent[[]float32](space.L2{}, data, Options{NN: 6, Seed: 1, Workers: 4})
+	g2, err := NewNNDescent[[]float32](space.L2{}, data, Options{NN: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +257,7 @@ func TestStatsPopulated(t *testing.T) {
 	if st.Bytes <= 0 || st.BuildDistances <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if g.Degree(0) == 0 {
+	if len(g.adj[0]) == 0 {
 		t.Fatal("node 0 has no edges")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/space"
@@ -18,17 +17,14 @@ type ndEntry struct {
 }
 
 // ndHeap is a bounded max-heap (by dist) of candidate neighbors, with
-// duplicate suppression. Protected by its own mutex during parallel joins.
+// duplicate suppression.
 type ndHeap struct {
-	mu      sync.Mutex
 	entries []ndEntry // max-heap by dist
 	cap     int
 }
 
 // tryInsert offers (id, dist) and reports whether the heap changed.
 func (h *ndHeap) tryInsert(id uint32, dist float64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if len(h.entries) == h.cap && dist >= h.entries[0].dist {
 		return false
 	}
@@ -70,6 +66,11 @@ func (h *ndHeap) tryInsert(id uint32, dist float64) bool {
 	return true
 }
 
+// ndBlock is how many nodes' local joins are measured between two merges
+// into the heaps. It bounds the join buffers; the graph does not depend on
+// it, since a round's join pairs are fixed before any merge.
+const ndBlock = 1024
+
 // NewNNDescent builds a k-NN graph with the NN-descent algorithm of Dong et
 // al. (§3.2): neighbor lists start random and improve iteratively by local
 // joins among each point's (sampled) new and old neighbors and reverse
@@ -107,7 +108,8 @@ func NewNNDescent[T any](sp space.Space[T], data []T, opts Options) (*Graph[T], 
 	for i := range seeds {
 		seeds[i] = r.Int63()
 	}
-	parallel(n, opts.Workers, func(v int) {
+	var pool engine.Pool
+	pool.For(n, func(v int) {
 		rv := rand.New(rand.NewSource(seeds[v]))
 		for heaps[v].entries == nil || len(heaps[v].entries) < k {
 			u := uint32(rv.Intn(n))
@@ -124,6 +126,7 @@ func NewNNDescent[T any](sp space.Space[T], data []T, opts Options) (*Graph[T], 
 		sampleK = 1
 	}
 	threshold := int64(opts.Delta * float64(n) * float64(k))
+	joins := make([][]ndJoin, ndBlock)
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		// Collect new (sampled, then unflagged) and old neighbor sets.
 		newFwd := make([][]uint32, n)
@@ -151,34 +154,29 @@ func NewNNDescent[T any](sp space.Space[T], data []T, opts Options) (*Graph[T], 
 		newRev := reverseSample(r, newFwd, n, sampleK)
 		oldRev := reverseSample(r, oldFwd, n, sampleK)
 
-		// Local joins.
+		// Local joins: a block's distances are measured in parallel, then
+		// offered to the heaps in (node, pair) order at the block barrier.
 		var updates int64
-		var updMu sync.Mutex
-		parallel(n, opts.Workers, func(v int) {
-			newsSet := append(append([]uint32(nil), newFwd[v]...), newRev[v]...)
-			olds := append(append([]uint32(nil), oldFwd[v]...), oldRev[v]...)
-			var local int64
-			for i, u1 := range newsSet {
-				// new x new (unordered pairs) and new x old.
-				for _, u2 := range newsSet[i+1:] {
-					if u1 == u2 {
-						continue
+		for lo := 0; lo < n; lo += ndBlock {
+			hi := min(lo+ndBlock, n)
+			pool.ForDynamic(hi-lo, func(j int) {
+				v := lo + j
+				news := append(append([]uint32(nil), newFwd[v]...), newRev[v]...)
+				olds := append(append([]uint32(nil), oldFwd[v]...), oldRev[v]...)
+				joins[j] = g.localJoin(joins[j][:0], news, olds)
+			})
+			for _, js := range joins[:hi-lo] {
+				g.buildDist.Add(int64(len(js)))
+				for _, p := range js {
+					if heaps[p.u1].tryInsert(p.u2, p.dist) {
+						updates++
 					}
-					local += g.join(&heaps[u1], &heaps[u2], u1, u2)
-				}
-				for _, u2 := range olds {
-					if u1 == u2 {
-						continue
+					if heaps[p.u2].tryInsert(p.u1, p.dist) {
+						updates++
 					}
-					local += g.join(&heaps[u1], &heaps[u2], u1, u2)
 				}
 			}
-			if local != 0 {
-				updMu.Lock()
-				updates += local
-				updMu.Unlock()
-			}
-		})
+		}
 		if updates <= threshold {
 			break
 		}
@@ -296,19 +294,29 @@ func symmetrize(adj [][]uint32) {
 	}
 }
 
-// join computes d(u1, u2) once and offers it to both heaps, returning the
-// number of successful updates.
-func (g *Graph[T]) join(h1, h2 *ndHeap, u1, u2 uint32) int64 {
-	g.buildDist.Add(1)
-	d := g.sp.Distance(g.data[u1], g.data[u2])
-	var c int64
-	if h1.tryInsert(u2, d) {
-		c++
+// ndJoin is one local-join pair and its distance, offered to both nodes'
+// heaps.
+type ndJoin struct {
+	u1, u2 uint32
+	dist   float64
+}
+
+// localJoin appends one node's local-join pairs — new×new (unordered) and
+// new×old — with their distances to dst.
+func (g *Graph[T]) localJoin(dst []ndJoin, news, olds []uint32) []ndJoin {
+	for i, u1 := range news {
+		for _, u2 := range news[i+1:] {
+			if u1 != u2 {
+				dst = append(dst, ndJoin{u1, u2, g.sp.Distance(g.data[u1], g.data[u2])})
+			}
+		}
+		for _, u2 := range olds {
+			if u1 != u2 {
+				dst = append(dst, ndJoin{u1, u2, g.sp.Distance(g.data[u1], g.data[u2])})
+			}
+		}
 	}
-	if h2.tryInsert(u1, d) {
-		c++
-	}
-	return c
+	return dst
 }
 
 // reverseSample builds reverse adjacency of fwd, sampling each list down to
@@ -327,10 +335,4 @@ func reverseSample(r *rand.Rand, fwd [][]uint32, n, maxLen int) [][]uint32 {
 		}
 	}
 	return rev
-}
-
-// parallel runs f(i) for i in [0, n) on up to workers goroutines (0 means
-// GOMAXPROCS; see engine.Pool.For).
-func parallel(n, workers int, f func(i int)) {
-	engine.NewPool(workers).For(n, f)
 }

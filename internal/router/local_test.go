@@ -104,12 +104,12 @@ func fullRecallKinds[T any](sp space.Space[T]) []kindBuilder[T] {
 			// EfSearch = n makes the best-first search exhaust the
 			// connected component, i.e. exact on a connected graph.
 			return knngraph.NewSW(sp, data, knngraph.Options{
-				NN: 10, EfSearch: len(data), InitAttempts: 4, Workers: 1, Seed: seed,
+				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: seed,
 			})
 		}},
 		{"nndescent-graph", func(data []T) (index.Index[T], error) {
 			return knngraph.NewNNDescent(sp, data, knngraph.Options{
-				NN: 10, EfSearch: len(data), InitAttempts: 4, Workers: 1, Seed: seed,
+				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: seed,
 			})
 		}},
 	}

@@ -4,10 +4,11 @@
 #   shardsplit --> 2x permserve (one per shard) --> permrouter
 #                  1x permserve (unsharded baseline)
 #
-# Asserts the router's answer is byte-identical to the unsharded daemon's
-# (single and batch), that killing a shard yields the documented fail-open
-# "partial": true answer on one router and a 502 on a fail-closed one, and
-# that the router shuts down gracefully. Run via `make shard-smoke`.
+# Asserts that shardsplit writes the same SW-graph files on one core as on
+# every core, that the router's answer is byte-identical to the unsharded
+# daemon's (single and batch), that killing a shard yields the documented
+# fail-open "partial": true answer on one router and a 502 on a fail-closed
+# one, and that the router shuts down gracefully. Run via `make shard-smoke`.
 set -eu
 
 BIN=${1:?usage: shard_smoke.sh path/to/bin-dir}
@@ -43,6 +44,16 @@ wait_addr() {
 "$BIN/shardsplit" -out "$TMP/base" -set dna -dataset dna -n 1200 -shards 1 -method vptree >>"$TMP/split.log" 2>&1 \
     || fail "shardsplit (baseline) failed"
 [ -f "$TMP/idx/dna.shardset.json" ] || fail "no shard-set manifest written"
+
+# 1b. Reproducible graph files: an SW-graph split built on one core and one
+#     built on every core must write byte-identical shard files.
+GOMAXPROCS=1 "$BIN/shardsplit" -out "$TMP/sw1" -set dna -dataset dna -n 1200 -shards 2 -method sw-graph >>"$TMP/split.log" 2>&1 \
+    || fail "shardsplit (sw-graph, one core) failed"
+"$BIN/shardsplit" -out "$TMP/swn" -set dna -dataset dna -n 1200 -shards 2 -method sw-graph >>"$TMP/split.log" 2>&1 \
+    || fail "shardsplit (sw-graph, every core) failed"
+for F in "$TMP"/sw1/shard*/dna.psix; do
+    cmp -s "$F" "$TMP/swn/${F#"$TMP"/sw1/}" || fail "sw-graph shard file ${F#"$TMP"/sw1/} differs between one core and every core"
+done
 
 # 2. Boot the fleet on free ports.
 "$BIN/permserve" -dir "$TMP/idx/shard0" -addr 127.0.0.1:0 >"$TMP/s0.log" 2>&1 &
