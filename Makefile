@@ -45,12 +45,17 @@ govulncheck:
 # internal/lsm must not link the index registry or any index package beyond
 # the exact scan. The experiment harness measures in-memory indexes:
 # internal/experiments must not link persistence, sharding, the wire, the
-# router, the mutable tier or the server.
+# router, the mutable tier or the server. The HTTP front tier and the wire
+# dialect route answers, they never compute one: internal/router and
+# internal/wire must not link the index interface, the batch engine,
+# persistence, any index kind, the mutable tier or the server.
 deps:
 	@out="$$($(GO) list -deps ./internal/lsm | grep -E '^repro/internal/(persist|core|knngraph|lsh|vptree)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/lsm must not depend on:"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -deps ./internal/experiments | grep -E '^repro/internal/(persist|shard|wire|router|lsm|server)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/experiments must not depend on:"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) list -deps ./internal/router ./internal/wire | grep -E '^repro/internal/(index|engine|persist|core|knngraph|lsh|vptree|seqscan|lsm|server)$$')"; \
+	if [ -n "$$out" ]; then echo "internal/router and internal/wire must not depend on:"; echo "$$out"; exit 1; fi
 
 # Static gate: formatting + vet + linters + import boundaries, exactly as CI
 # runs them.
@@ -109,6 +114,10 @@ examples:
 # FuzzParseParams: any method-params text must be refused or parsed into
 # non-empty keys with finite values that survive their own String, and
 # Resolve must answer the round-tripped params alike under every kind.
+# FuzzParseText: any /metrics page must be refused or parsed, and Quantile
+# over every histogram family of an accepted page must not panic. FuzzParse:
+# any disk-fault spec (the PERMSERVE_FAULT_FS grammar) must be refused or
+# armed, never a panic.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
@@ -118,6 +127,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s ./internal/vecmath/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSearch -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultfs/
 
 # In-process microbenchmarks: one row per distance at its corpus's shape and
 # one query's bulk refine and pivot ranking, each beside the per-pair loop it

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	permsearch "repro"
+	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -186,7 +187,7 @@ func splitTyped[T any](sp spec, fam *dataset.Family[T]) error {
 			return err
 		}
 
-		crc, err := shard.FileChecksum(file)
+		crc, err := codec.FileChecksum(file)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 )
 
 // Reader decodes one index blob. NewReader slurps the input, verifies the
@@ -53,6 +54,25 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, cr.err
 	}
 	return cr, nil
+}
+
+// FileChecksum returns the CRC-32C of an index file's contents excluding
+// its final four bytes — exactly the value the trailer stores. A whole-file
+// checksum would be useless here: the CRC of a message with its own CRC
+// appended is a constant (0x48674bc7 for Castagnoli) for every intact file.
+// Excluding the trailer yields a value that distinguishes files and doubles
+// as an integrity check against the trailer itself. The shard-set manifests
+// (internal/shard) record it per shard so shipped snapshots can be verified
+// without loading them.
+func FileChecksum(path string) (uint32, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	if len(blob) < 5 {
+		return 0, fmt.Errorf("%s: %d bytes is too short for a checksummed index file", path, len(blob))
+	}
+	return crc32.Checksum(blob[:len(blob)-4], castagnoli), nil
 }
 
 // Header returns the decoded fixed prelude.

@@ -154,6 +154,3 @@ func (cw *Writer) F64s(vs []float64) {
 		cw.F64(v)
 	}
 }
-
-// Err returns the sticky error, for payload writers that want to bail early.
-func (cw *Writer) Err() error { return cw.err }

@@ -16,8 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/index"
-	"repro/internal/router"
-	"repro/internal/shard"
 	"repro/internal/space"
 )
 
@@ -66,11 +64,6 @@ func benchKinds(b *testing.B, sp space.Space[[]float32], db [][]float32) []struc
 	pp, errPp := core.NewPPIndex(sp, db, core.PPIndexOptions{
 		NumPivots: 32, PrefixLen: 4, Copies: 2, Seed: benchSeed,
 	})
-	// The sharded serving topology, in process: the same NAPP settings
-	// split over 3 hash shards behind a scatter-gather router.Local, so
-	// the sharded-vs-unsharded QPS delta is tracked next to every other
-	// hot-path number (the "napp" row is its unsharded twin).
-	shardedNapp, errSharded := buildShardedNapp(sp, db, 3)
 	bf, errBf := core.NewBruteForceFilter(sp, db, core.BruteForceOptions{NumPivots: 64, Seed: benchSeed})
 	bin, errBin := core.NewBinFilter(sp, db, core.BinFilterOptions{NumPivots: 128, Seed: benchSeed})
 	quant, errQuant := core.NewQuantFilter(sp, db, core.QuantFilterOptions{NumPivots: 64, Seed: benchSeed})
@@ -81,7 +74,6 @@ func benchKinds(b *testing.B, sp space.Space[[]float32], db [][]float32) []struc
 		index index.Index[[]float32]
 	}{
 		mk("napp", napp, errNapp),
-		mk("napp-sharded3", shardedNapp, errSharded),
 		mk("napp-capped", nappCap, errNappCap),
 		mk("mi-file", mi, errMi),
 		mk("pp-index", pp, errPp),
@@ -91,27 +83,6 @@ func benchKinds(b *testing.B, sp space.Space[[]float32], db [][]float32) []struc
 		mk("distvec-filt", dv, errDv),
 		mk("omedrank", om, errOm),
 	}
-}
-
-// buildShardedNapp splits db into S hash shards, builds the benchmark NAPP
-// per shard, and wraps them in a scatter-gather Local.
-func buildShardedNapp(sp space.Space[[]float32], db [][]float32, S int) (index.Index[[]float32], error) {
-	ids, err := shard.IDs(shard.Hash, len(db), S)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]router.LocalShard[[]float32], S)
-	for s := range ids {
-		idx, err := core.NewNAPP(sp, shard.Subset(db, ids[s]), core.NAPPOptions{
-			NumPivots: 256, NumPivotIndex: 16, NumPivotSearch: 16, MinShared: 2, Seed: benchSeed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		shards[s] = router.LocalShard[[]float32]{Index: idx, IDs: ids[s]}
-	}
-	loc, err := router.NewLocal(shards)
-	return index.Index[[]float32](loc), err
 }
 
 // BenchmarkSearchHot measures steady-state single-query Search on a warm

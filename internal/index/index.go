@@ -2,7 +2,8 @@
 // structure in this repository — the permutation methods under internal/core
 // as well as the VP-tree, multi-probe LSH, k-NN graph and sequential-scan
 // baselines. The evaluation harness (internal/eval, internal/experiments)
-// works against this interface only.
+// works against this interface only, and the serving stack maps a
+// sub-corpus index's answers back to corpus ids through Subset.
 package index
 
 import (
@@ -113,6 +114,38 @@ type Index[T any] interface {
 	SearchAppend(dst []topk.Neighbor, query T, opts Options) []topk.Neighbor
 	// Name identifies the method in experiment reports, e.g. "napp".
 	Name() string
+}
+
+// Subset serves an index built over a sub-corpus in the ids of the whole
+// corpus: the inner index's id i is corpus id IDs[i]. IDs must be strictly
+// increasing (shard.IDs and the mutable tier's id lists are), so an answer in
+// canonical (dist, id) order stays canonical after translation, and the
+// answers of disjoint Subsets over one corpus merge by topk.SelectK over
+// their concatenation into exactly what one index over the whole corpus
+// answers. A nil IDs leaves ids unchanged. This is the one place a local id
+// becomes a corpus id on the search path: a shard daemon serves a Subset, and
+// the mutable tier searches each sealed tier and the memtable as one.
+type Subset[T any] struct {
+	Index[T]
+	IDs []uint32
+}
+
+// Search implements Index.
+func (s Subset[T]) Search(query T, k int) []topk.Neighbor {
+	return s.SearchAppend(nil, query, Options{K: k})
+}
+
+// SearchAppend implements Index. Only the entries it appends are translated;
+// dst's existing prefix is left as it was.
+func (s Subset[T]) SearchAppend(dst []topk.Neighbor, query T, opts Options) []topk.Neighbor {
+	start := len(dst)
+	dst = s.Index.SearchAppend(dst, query, opts)
+	if s.IDs != nil {
+		for i := start; i < len(dst); i++ {
+			dst[i].ID = s.IDs[dst[i].ID]
+		}
+	}
+	return dst
 }
 
 // Pooled is the shared adapter behind every index's two search methods. An

@@ -1,5 +1,5 @@
 //go:build !race
 
-package router_test
+package index_test
 
 const raceEnabled = false

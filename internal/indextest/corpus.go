@@ -5,47 +5,34 @@ import (
 	"repro/internal/space"
 )
 
-// The shared test corpora: small, deterministic synthetic data sets split
-// into an indexed db and held-out queries, one per object family the
-// repository's spaces cover. They are exported so suites outside this
-// package — the sharded-router property tests in internal/router, most
-// prominently — exercise exactly the same data the conformance and
-// roundtrip suites run on, instead of growing drifting copies.
-
+// The shared test corpora: small, deterministic synthetic data sets of
+// corpusSize indexed objects plus corpusQueries held-out queries, one per
+// object family the repository's spaces cover, so every suite in this
+// package runs on exactly the same data.
 const (
-	// CorpusSize and CorpusQueries are the db/query split sizes of every
-	// exported corpus.
-	CorpusSize    = 300
-	CorpusQueries = 12
-	// CorpusSeed seeds the generators (and the kind builders' sampling).
-	CorpusSeed = 7
+	corpusSize    = 300
+	corpusQueries = 12
+	// kindSeed seeds the generators and the kind builders' sampling.
+	kindSeed = 7
 )
 
-// Private aliases keep the historical names used throughout this package's
-// own tests.
-const (
-	dbSize   = CorpusSize
-	querySz  = CorpusQueries
-	kindSeed = CorpusSeed
-)
-
-// DenseCorpus returns the SIFT-like dense-vector corpus (L2) split into db
+// denseCorpus returns the SIFT-like dense-vector corpus (L2) split into db
 // and queries.
-func DenseCorpus() (db, queries [][]float32) {
-	all := dataset.SIFT(CorpusSeed, CorpusSize+CorpusQueries)
-	return all[:CorpusSize], all[CorpusSize:]
+func denseCorpus() (db, queries [][]float32) {
+	all := dataset.SIFT(kindSeed, corpusSize+corpusQueries)
+	return all[:corpusSize], all[corpusSize:]
 }
 
-// DNACorpus returns the byte-string corpus used under (normalized)
+// dnaCorpus returns the byte-string corpus used under (normalized)
 // Levenshtein distances.
-func DNACorpus() (db, queries [][]byte) {
-	all := dataset.DNA(CorpusSeed, CorpusSize+CorpusQueries, dataset.DNAOptions{})
-	return all[:CorpusSize], all[CorpusSize:]
+func dnaCorpus() (db, queries [][]byte) {
+	all := dataset.DNA(kindSeed, corpusSize+corpusQueries, dataset.DNAOptions{})
+	return all[:corpusSize], all[corpusSize:]
 }
 
-// HistoCorpus returns the topic-histogram corpus used under the asymmetric
+// histoCorpus returns the topic-histogram corpus used under the asymmetric
 // KL divergence (and JS).
-func HistoCorpus() (db, queries []space.Histogram) {
-	all := dataset.WikiLDA(CorpusSeed, CorpusSize+CorpusQueries, 8)
-	return all[:CorpusSize], all[CorpusSize:]
+func histoCorpus() (db, queries []space.Histogram) {
+	all := dataset.WikiLDA(kindSeed, corpusSize+corpusQueries, 8)
+	return all[:corpusSize], all[corpusSize:]
 }

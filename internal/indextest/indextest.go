@@ -21,7 +21,10 @@
 //
 // The roundtrip suite (roundtrip.go) extends the contract to persistence:
 // Save then Load must yield an index whose every answer — and persisted byte
-// stream — is identical to the original's.
+// stream — is identical to the original's. The identity suites
+// (sharded_test.go, tiered_test.go) extend it to the serving stack: shards
+// served as index.Subsets and merged, or an lsm.Tree in front of a base,
+// must answer exactly as one index over the same live set.
 package indextest
 
 import (

@@ -6,12 +6,9 @@ package indextest
 // flat exact scan over the same live set, for every registered index kind
 // serving as the base.
 //
-// As in the sharded suite (internal/router), identity holds exactly when
-// the base index returns its true top-k, so every kind is parameterized
-// for full recall: filter methods run with Gamma=1, NAPP/MI-file index and
-// search all pivots, the VP-trees run with a vanishing pruning stretch,
-// the graphs search with an exhaustive frontier, and MPLSH hashes
-// everything into one bucket. With the base exact, the only thing
+// As in the sharded suite (sharded_test.go), identity holds exactly when
+// the base index returns its true top-k, so every kind comes from the
+// full-recall matrix (kinds_test.go). With the base exact, the only thing
 // separating tiered from flat answers is the WAL/memtable/seal/tombstone
 // machinery — exactly what is under test. The mutation script is chosen to
 // force delete-masking across tiers: base objects and long-sealed added
@@ -23,87 +20,11 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/knngraph"
-	"repro/internal/lsh"
 	"repro/internal/lsm"
 	"repro/internal/seqscan"
 	"repro/internal/space"
-	"repro/internal/vptree"
 )
-
-// tieredKind builds one full-recall-parameterized index kind over an
-// arbitrary corpus subset (the tree's base corpus).
-type tieredKind[T any] struct {
-	kind  string
-	build func(data []T) (index.Index[T], error)
-}
-
-// tieredFullRecallKinds mirrors the full-recall matrix of the sharded
-// suite; see internal/router/local_test.go for the per-kind rationale.
-func tieredFullRecallKinds[T any](sp space.Space[T]) []tieredKind[T] {
-	return []tieredKind[T]{
-		{"seqscan", func(data []T) (index.Index[T], error) {
-			return seqscan.New(sp, data), nil
-		}},
-		{"vptree", func(data []T) (index.Index[T], error) {
-			return vptree.New(sp, data, vptree.Options{BucketSize: 8, AlphaLeft: 1e-12, AlphaRight: 1e-12, Seed: kindSeed})
-		}},
-		{"brute-force-filt", func(data []T) (index.Index[T], error) {
-			return core.NewBruteForceFilter(sp, data, core.BruteForceOptions{NumPivots: 16, Gamma: 1, Seed: kindSeed})
-		}},
-		{"brute-force-filt-bin", func(data []T) (index.Index[T], error) {
-			return core.NewBinFilter(sp, data, core.BinFilterOptions{NumPivots: 32, Gamma: 1, Seed: kindSeed})
-		}},
-		{"brute-force-filt-quant", func(data []T) (index.Index[T], error) {
-			return core.NewQuantFilter(sp, data, core.QuantFilterOptions{NumPivots: 32, PrefixLen: 16, Gamma: 1, Seed: kindSeed})
-		}},
-		{"distvec-filt", func(data []T) (index.Index[T], error) {
-			return core.NewDistVecFilter(sp, data, core.BruteForceOptions{NumPivots: 16, Gamma: 1, Seed: kindSeed})
-		}},
-		{"pp-index", func(data []T) (index.Index[T], error) {
-			return core.NewPPIndex(sp, data, core.PPIndexOptions{NumPivots: 16, PrefixLen: 4, Copies: 2, Gamma: 1, Seed: kindSeed})
-		}},
-		{"mi-file", func(data []T) (index.Index[T], error) {
-			return core.NewMIFile(sp, data, core.MIFileOptions{
-				NumPivots: 16, NumPivotIndex: 16, NumPivotSearch: 16, Gamma: 1, Seed: kindSeed,
-			})
-		}},
-		{"napp", func(data []T) (index.Index[T], error) {
-			return core.NewNAPP(sp, data, core.NAPPOptions{
-				NumPivots: 32, NumPivotIndex: 32, MinShared: 1, Seed: kindSeed,
-			})
-		}},
-		{"omedrank", func(data []T) (index.Index[T], error) {
-			return core.NewOMEDRANK(sp, data, core.OMEDRANKOptions{NumVoters: 6, Gamma: 1, Seed: kindSeed})
-		}},
-		{"perm-vptree", func(data []T) (index.Index[T], error) {
-			return core.NewPermVPTree(sp, data, core.PermVPTreeOptions{NumPivots: 16, Gamma: 1, Seed: kindSeed})
-		}},
-		{"sw-graph", func(data []T) (index.Index[T], error) {
-			return knngraph.NewSW(sp, data, knngraph.Options{
-				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: kindSeed,
-			})
-		}},
-		{"nndescent-graph", func(data []T) (index.Index[T], error) {
-			return knngraph.NewNNDescent(sp, data, knngraph.Options{
-				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: kindSeed,
-			})
-		}},
-	}
-}
-
-func tieredDenseKinds(sp space.Space[[]float32]) []tieredKind[[]float32] {
-	kinds := tieredFullRecallKinds[[]float32](sp)
-	return append(kinds, tieredKind[[]float32]{"mplsh", func(data [][]float32) (index.Index[[]float32], error) {
-		m, err := lsh.New(data, lsh.Options{Tables: 1, Hashes: 1, Width: 1e12, Seed: kindSeed})
-		if err != nil {
-			return nil, err
-		}
-		return index.Index[[]float32](m), nil
-	}})
-}
 
 // verifyTieredFlat compares tree answers (through the given base index)
 // against a flat exact scan freshly built over the live objects in
@@ -143,7 +64,7 @@ func verifyTieredFlat[T any](t *testing.T, sp space.Space[T], tree *lsm.Tree[T],
 // flushes and auto-seals producing several tiers (and compaction, with
 // MaxTiers 2). enc/dec define the wire payload; the oracle tracks the
 // post-roundtrip objects so both sides score exactly the same data.
-func testTieredIdentity[T any](t *testing.T, db, queries []T, sp space.Space[T], kinds []tieredKind[T], enc func(T) ([]byte, error), dec func([]byte) (T, error)) {
+func testTieredIdentity[T any](t *testing.T, db, queries []T, sp space.Space[T], kinds []fullRecallKind[T], enc func(T) ([]byte, error), dec func([]byte) (T, error)) {
 	t.Helper()
 	const baseN = 200
 	stream := db[baseN:]
@@ -254,8 +175,8 @@ func testTieredIdentity[T any](t *testing.T, db, queries []T, sp space.Space[T],
 // TestTieredIdentityDense runs the full kind matrix over the dense L2
 // corpus.
 func TestTieredIdentityDense(t *testing.T) {
-	db, queries := DenseCorpus()
-	testTieredIdentity(t, db, queries, space.L2{}, tieredDenseKinds(space.L2{}),
+	db, queries := denseCorpus()
+	testTieredIdentity(t, db, queries, space.L2{}, denseFullRecallKinds(space.L2{}),
 		func(v []float32) ([]byte, error) { return json.Marshal(v) },
 		func(raw []byte) ([]float32, error) {
 			var v []float32
@@ -271,8 +192,8 @@ func TestTieredIdentityDNA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dense corpus covers the kind matrix; skipping the tie-stress corpus in -short")
 	}
-	db, queries := DNACorpus()
-	testTieredIdentity(t, db, queries, space.NormalizedLevenshtein{}, tieredFullRecallKinds[[]byte](space.NormalizedLevenshtein{}),
+	db, queries := dnaCorpus()
+	testTieredIdentity(t, db, queries, space.NormalizedLevenshtein{}, fullRecallKinds[[]byte](space.NormalizedLevenshtein{}),
 		func(b []byte) ([]byte, error) { return slices.Clone(b), nil },
 		func(raw []byte) ([]byte, error) { return slices.Clone(raw), nil })
 }
@@ -287,16 +208,8 @@ func TestTieredIdentityKL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dense corpus covers the kind matrix; skipping the asymmetric corpus in -short")
 	}
-	db, queries := HistoCorpus()
-	all := tieredFullRecallKinds[space.Histogram](space.KLDivergence{})
-	keep := map[string]bool{"seqscan": true, "vptree": true, "napp": true, "sw-graph": true, "mi-file": true}
-	var kinds []tieredKind[space.Histogram]
-	for _, kb := range all {
-		if keep[kb.kind] {
-			kinds = append(kinds, kb)
-		}
-	}
-	testTieredIdentity(t, db, queries, space.KLDivergence{}, kinds,
+	db, queries := histoCorpus()
+	testTieredIdentity(t, db, queries, space.KLDivergence{}, klFullRecallKinds(),
 		func(h space.Histogram) ([]byte, error) { return json.Marshal(h.P) },
 		func(raw []byte) (space.Histogram, error) {
 			var p []float32

@@ -949,11 +949,7 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 			tr.Components++
 			t0 = time.Now()
 		}
-		start := len(buf)
-		buf = tier.idx.SearchAppend(buf, query, sub)
-		for i := start; i < len(buf); i++ {
-			buf[i].ID = tier.ids[buf[i].ID]
-		}
+		buf = index.Subset[T]{Index: tier.idx, IDs: tier.ids}.SearchAppend(buf, query, sub)
 		if tr != nil {
 			obs.AddSince(&tr.TierNs, t0)
 		}
@@ -965,11 +961,8 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 		tr.Components++
 		t0 = time.Now()
 	}
-	start := len(buf)
-	buf = t.mem.idx.SearchAppend(buf, query, sub)
-	for i := start; i < len(buf); i++ {
-		buf[i].ID = t.mem.ids[buf[i].ID]
-	}
+	// Built per query under the read lock: the memtable's slices grow.
+	buf = index.Subset[T]{Index: t.mem.idx, IDs: t.mem.ids}.SearchAppend(buf, query, sub)
 	if tr != nil {
 		obs.AddSince(&tr.MemtableNs, t0)
 	}

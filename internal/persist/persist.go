@@ -13,7 +13,6 @@ package persist
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -136,29 +135,6 @@ func LoadFile[T any](path string, sp space.Space[T], data []T) (index.Index[T], 
 
 // Ext is the conventional file extension of a persisted index.
 const Ext = ".psix"
-
-// castagnoli is the CRC-32C table, matching the codec trailer's polynomial.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// FileChecksum returns the CRC-32C of the index file's contents excluding
-// its final four bytes — i.e. exactly the value the codec trailer stores.
-// A whole-file checksum would be useless here: every index file ends in
-// the little-endian CRC-32C of the bytes before it, and the CRC of a
-// message with its own CRC appended is a *constant* (0x48674bc7 for
-// Castagnoli) for every intact file. Excluding the trailer yields a value
-// that distinguishes files and doubles as an integrity check against the
-// trailer itself. The shard-set manifests (internal/shard) record it per
-// shard so shipped snapshots can be verified without loading them.
-func FileChecksum(path string) (uint32, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(blob) < 5 {
-		return 0, fmt.Errorf("%s: %d bytes is too short for a checksummed index file", path, len(blob))
-	}
-	return crc32.Checksum(blob[:len(blob)-4], castagnoli), nil
-}
 
 // PeekHeader reads and validates the file at path just far enough to return
 // its header — kind, space name, format version and data-set size — without

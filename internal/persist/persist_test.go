@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/persist"
@@ -111,7 +112,7 @@ func TestFileChecksum(t *testing.T) {
 	}
 	sums := make([]uint32, 2)
 	for i, p := range paths {
-		sum, err := persist.FileChecksum(p)
+		sum, err := codec.FileChecksum(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestFileChecksum(t *testing.T) {
 	if sums[0] == sums[1] {
 		t.Errorf("different indexes share checksum %08x", sums[0])
 	}
-	if _, err := persist.FileChecksum(filepath.Join(dir, "missing.psix")); err == nil {
+	if _, err := codec.FileChecksum(filepath.Join(dir, "missing.psix")); err == nil {
 		t.Error("FileChecksum of a missing file must error")
 	}
 }

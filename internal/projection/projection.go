@@ -35,9 +35,6 @@ func NewDense(r *rand.Rand, in, out int) (*Dense, error) {
 	return p, nil
 }
 
-// Out returns the target dimensionality.
-func (p *Dense) Out() int { return p.out }
-
 // Project maps v (length in) to a new vector of length out.
 func (p *Dense) Project(v []float32) []float32 {
 	if len(v) != p.in {
@@ -68,9 +65,6 @@ func NewSparse(seed int64, out int) (*Sparse, error) {
 	}
 	return &Sparse{seed: seed, out: out}, nil
 }
-
-// Out returns the target dimensionality.
-func (p *Sparse) Out() int { return p.out }
 
 // Project maps a sparse vector to a dense vector of length out.
 func (p *Sparse) Project(v space.SparseVector) []float32 {

@@ -21,8 +21,8 @@ func TestDenseValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Out() != 4 {
-		t.Fatalf("Out = %d", p.Out())
+	if p.out != 4 {
+		t.Fatalf("out = %d", p.out)
 	}
 	defer func() {
 		if recover() == nil {

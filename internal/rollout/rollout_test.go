@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/persist"
 	"repro/internal/rollout"
@@ -81,7 +82,7 @@ func buildGen(t *testing.T, dir string, gen int64, corpusSeed int64) (manifestPa
 		if err := os.WriteFile(sidePath, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		crc, err := shard.FileChecksum(file)
+		crc, err := codec.FileChecksum(file)
 		if err != nil {
 			t.Fatal(err)
 		}

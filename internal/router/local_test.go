@@ -1,298 +1,202 @@
 package router_test
 
-// The sharded-identity property suite: over every registered index kind, a
-// Local scatter-gather across S hash-partitioned shards must answer
-// *identically* (ids and distances, ties broken canonically) to one
-// unsharded index over the full corpus.
+// The in-process sharded-identity suite over the HTTP tier: S shard daemons,
+// each serving (through its shard stamp) an index built over its shard.IDs
+// subset, scattered over by a Router on a local listener, must answer
+// byte-identically to one unsharded daemon over the full corpus — ids,
+// distances, ties and JSON alike.
 //
-// Identity holds exactly when each shard returns its shard-local true
-// top-k, so every kind here is parameterized for full recall: filter
-// methods run with Gamma=1 (refine every candidate), NAPP/MI-file index
-// and search all pivots, the VP-trees run with a vanishing pruning stretch,
-// the graphs search with an exhaustive frontier (EfSearch = n), and MPLSH
-// hashes everything into one bucket. With the candidate budget open, the
-// only thing separating sharded from unsharded answers is the partition,
-// id translation and merge — exactly the machinery under test. (Production
-// settings keep their approximate budgets; the merge stays deterministic
-// and the union of per-shard top-k typically improves recall, see the
-// package doc.)
+// Identity holds exactly when each shard returns its shard-local true top-k,
+// so every kind here is parameterized for full recall (the in-memory form of
+// this property, over every kind, is internal/indextest's
+// TestShardedIdentity*). With the candidate budget open, the only thing
+// separating the routed answer from the unsharded one is the partition, the
+// shard daemons' id translation, the wire and the router's merge.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/dataset"
 	"repro/internal/index"
-	"repro/internal/indextest"
 	"repro/internal/knngraph"
-	"repro/internal/lsh"
 	"repro/internal/router"
 	"repro/internal/seqscan"
+	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/space"
-	"repro/internal/topk"
 	"repro/internal/vptree"
 )
 
-const seed = indextest.CorpusSeed
+const (
+	localSeed    = 7
+	localN       = 300 // indexed corpus size
+	localQueries = 12  // held-out queries after the corpus
+)
 
-// shardCounts are the S values of the property (1 covers the degenerate
-// identity partition).
-var shardCounts = []int{1, 2, 3, 5}
+// localShardCounts are the S values of the property (1 covers the
+// degenerate identity partition).
+var localShardCounts = []int{1, 2, 3, 5}
 
-// kindBuilder builds one full-recall-parameterized index kind over an
-// arbitrary corpus subset — the same builder constructs the unsharded
+// localKind builds one full-recall-parameterized index kind over an
+// arbitrary corpus subset: the same builder constructs the unsharded
 // reference and every shard index.
-type kindBuilder[T any] struct {
+type localKind[T any] struct {
 	kind  string
 	build func(data []T) (index.Index[T], error)
 }
 
-// fullRecallKinds is the generic kind matrix (every kind constructible over
-// any space); the dense driver appends the L2-only mplsh.
-func fullRecallKinds[T any](sp space.Space[T]) []kindBuilder[T] {
-	return []kindBuilder[T]{
-		{"seqscan", func(data []T) (index.Index[T], error) {
+// klKinds is the representative kind subset run under the asymmetric KL
+// divergence.
+func klKinds(sp space.Space[space.Histogram]) []localKind[space.Histogram] {
+	type H = space.Histogram
+	return []localKind[H]{
+		{"seqscan", func(data []H) (index.Index[H], error) {
 			return seqscan.New(sp, data), nil
 		}},
-		{"vptree", func(data []T) (index.Index[T], error) {
+		{"vptree", func(data []H) (index.Index[H], error) {
 			// A vanishing stretch disables pruning entirely, which keeps
-			// the tree exact under non-metric spaces (KL) too.
-			return vptree.New(sp, data, vptree.Options{BucketSize: 8, AlphaLeft: 1e-12, AlphaRight: 1e-12, Seed: seed})
+			// the tree exact under the non-metric KL divergence.
+			return vptree.New(sp, data, vptree.Options{BucketSize: 8, AlphaLeft: 1e-12, AlphaRight: 1e-12, Seed: localSeed})
 		}},
-		{"brute-force-filt", func(data []T) (index.Index[T], error) {
-			return core.NewBruteForceFilter(sp, data, core.BruteForceOptions{NumPivots: 16, Gamma: 1, Seed: seed})
-		}},
-		{"brute-force-filt-bin", func(data []T) (index.Index[T], error) {
-			return core.NewBinFilter(sp, data, core.BinFilterOptions{NumPivots: 32, Gamma: 1, Seed: seed})
-		}},
-		{"brute-force-filt-quant", func(data []T) (index.Index[T], error) {
-			// Gamma=1 refines every point: the quantized prefix reorders
-			// candidate evaluation but cannot change the returned answers.
-			return core.NewQuantFilter(sp, data, core.QuantFilterOptions{NumPivots: 32, PrefixLen: 16, Gamma: 1, Seed: seed})
-		}},
-		{"distvec-filt", func(data []T) (index.Index[T], error) {
-			return core.NewDistVecFilter(sp, data, core.BruteForceOptions{NumPivots: 16, Gamma: 1, Seed: seed})
-		}},
-		{"pp-index", func(data []T) (index.Index[T], error) {
-			return core.NewPPIndex(sp, data, core.PPIndexOptions{NumPivots: 16, PrefixLen: 4, Copies: 2, Gamma: 1, Seed: seed})
-		}},
-		{"mi-file", func(data []T) (index.Index[T], error) {
+		{"mi-file", func(data []H) (index.Index[H], error) {
 			// Index and search every pivot with no position filter: the
 			// candidate set is the whole corpus.
 			return core.NewMIFile(sp, data, core.MIFileOptions{
-				NumPivots: 16, NumPivotIndex: 16, NumPivotSearch: 16, Gamma: 1, Seed: seed,
+				NumPivots: 16, NumPivotIndex: 16, NumPivotSearch: 16, Gamma: 1, Seed: localSeed,
 			})
 		}},
-		{"napp", func(data []T) (index.Index[T], error) {
+		{"napp", func(data []H) (index.Index[H], error) {
 			// Every point posts every pivot; MinShared 1 admits the whole
 			// corpus as candidates.
 			return core.NewNAPP(sp, data, core.NAPPOptions{
-				NumPivots: 32, NumPivotIndex: 32, MinShared: 1, Seed: seed,
+				NumPivots: 32, NumPivotIndex: 32, MinShared: 1, Seed: localSeed,
 			})
 		}},
-		{"omedrank", func(data []T) (index.Index[T], error) {
-			// Gamma 1 keeps aggregating until every point crosses the
-			// quorum (each voter ranks the whole corpus, so all do).
-			return core.NewOMEDRANK(sp, data, core.OMEDRANKOptions{NumVoters: 6, Gamma: 1, Seed: seed})
-		}},
-		{"perm-vptree", func(data []T) (index.Index[T], error) {
-			return core.NewPermVPTree(sp, data, core.PermVPTreeOptions{NumPivots: 16, Gamma: 1, Seed: seed})
-		}},
-		{"sw-graph", func(data []T) (index.Index[T], error) {
+		{"sw-graph", func(data []H) (index.Index[H], error) {
 			// EfSearch = n makes the best-first search exhaust the
 			// connected component, i.e. exact on a connected graph.
 			return knngraph.NewSW(sp, data, knngraph.Options{
-				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: seed,
-			})
-		}},
-		{"nndescent-graph", func(data []T) (index.Index[T], error) {
-			return knngraph.NewNNDescent(sp, data, knngraph.Options{
-				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: seed,
+				NN: 10, EfSearch: len(data), InitAttempts: 4, Seed: localSeed,
 			})
 		}},
 	}
 }
 
-// denseFullRecallKinds appends mplsh: one table, one hash, a quantization
-// width far above any projection value — every point lands in one bucket.
-func denseFullRecallKinds(sp space.Space[[]float32]) []kindBuilder[[]float32] {
-	kinds := fullRecallKinds[[]float32](sp)
-	return append(kinds, kindBuilder[[]float32]{"mplsh", func(data [][]float32) (index.Index[[]float32], error) {
-		m, err := lsh.New(data, lsh.Options{Tables: 1, Hashes: 1, Width: 1e12, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		return index.Index[[]float32](m), nil
-	}})
+// localFamily resolves a data-set name to its typed family.
+func localFamily[T any](t *testing.T, name string) *dataset.Family[T] {
+	t.Helper()
+	e, err := dataset.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, ok := e.(*dataset.Family[T])
+	if !ok {
+		t.Fatalf("dataset %q is a %T", name, e)
+	}
+	return fam
 }
 
-// buildLocal hash-partitions db into S shards, builds one index per shard
-// with kb, and wraps them in a Local.
-func buildLocal[T any](t *testing.T, kb kindBuilder[T], db []T, S int, p shard.Partitioner) *router.Local[T] {
+// bootLocal builds kb over each of p's S shards of db and serves every shard
+// from its own daemon, stamped as shard s of S over gen(localSeed, localN).
+func bootLocal[T any](t *testing.T, name string, kb localKind[T], db []T, S int, p shard.Partitioner) []*httptest.Server {
 	t.Helper()
 	ids, err := shard.IDs(p, len(db), S)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := make([]router.LocalShard[T], S)
+	var shards []*httptest.Server
 	for s := range ids {
 		idx, err := kb.build(shard.Subset(db, ids[s]))
 		if err != nil {
 			t.Fatalf("building shard %d/%d: %v", s, S, err)
 		}
-		shards[s] = router.LocalShard[T]{Index: idx, IDs: ids[s]}
+		shards = append(shards, writeServed(t, idx, server.Manifest{
+			Dataset: name, Seed: localSeed, N: localN,
+			Shard: &shard.Info{Set: rtName, Partitioner: p, Shards: S, Index: s},
+		}))
 	}
-	loc, err := router.NewLocal(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loc
+	return shards
 }
 
-// diffResults mirrors the indextest conformance helper: two result lists
-// must match exactly, ids and distances.
-func diffResults(t *testing.T, want, got []topk.Neighbor, ctx string) {
+// sameAnswer posts body to the unsharded daemon and to the router and
+// requires both to answer 200 with the same bytes.
+func sameAnswer(t *testing.T, unsharded, rt *httptest.Server, body map[string]any, ctx string) {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Errorf("%s: got %d results, want %d", ctx, len(got), len(want))
-		return
+	wantStatus, want := post(t, searchURL(unsharded.URL), body)
+	gotStatus, got := post(t, searchURL(rt.URL), body)
+	if wantStatus != http.StatusOK || gotStatus != http.StatusOK {
+		t.Fatalf("%s: statuses %d (unsharded) / %d (routed): %s", ctx, wantStatus, gotStatus, got)
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("%s: result %d = {id %d, dist %g}, want {id %d, dist %g}",
-				ctx, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
-		}
+	if !bytes.Equal(want, got) {
+		t.Errorf("%s: routed answer differs from unsharded\nrouted    %s\nunsharded %s", ctx, got, want)
 	}
 }
 
-// testShardedIdentity runs the property for one corpus over the given kind
-// matrix.
-func testShardedIdentity[T any](t *testing.T, db, queries []T, kinds []kindBuilder[T]) {
+// testLocalIdentity runs the property for one corpus over the given kind
+// matrix and partitioner: single queries at several k, then one batch.
+func testLocalIdentity[T any](t *testing.T, name string, kinds []localKind[T], p shard.Partitioner, ks []int) {
 	t.Helper()
+	fam := localFamily[T](t, name)
+	all := fam.Gen(localSeed, localN+localQueries)
+	db := all[:localN]
 	// Probe with held-out queries plus corpus points (exact self-hits
 	// stress tie-breaking: distance-zero duplicates must merge
 	// canonically).
-	probes := append(append([]T{}, queries...), db[:4]...)
-	ks := []int{1, 10, 50, len(db) + 7}
+	var probes []json.RawMessage
+	for _, q := range append(append([]T{}, all[localN:]...), db[:4]...) {
+		raw, err := fam.Encode(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes = append(probes, raw)
+	}
 
 	for _, kb := range kinds {
 		t.Run(kb.kind, func(t *testing.T) {
-			unsharded, err := kb.build(db)
+			ref, err := kb.build(db)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, S := range shardCounts {
+			unsharded := writeServed(t, ref, server.Manifest{Dataset: name, Seed: localSeed, N: localN})
+			for _, S := range localShardCounts {
 				t.Run(fmt.Sprintf("S=%d", S), func(t *testing.T) {
-					loc := buildLocal(t, kb, db, S, shard.Hash)
-					var dst []topk.Neighbor
+					rt := bootRouter(t, bootLocal(t, name, kb, db, S, p), router.Options{})
 					for qi, q := range probes {
 						for _, k := range ks {
-							want := unsharded.Search(q, k)
-							got := loc.Search(q, k)
-							diffResults(t, want, got, fmt.Sprintf("query %d k=%d (Search)", qi, k))
-							dst = loc.SearchAppend(dst[:0], q, index.Options{K: k})
-							diffResults(t, want, dst, fmt.Sprintf("query %d k=%d (SearchAppend)", qi, k))
+							sameAnswer(t, unsharded, rt, map[string]any{"query": q, "k": k},
+								fmt.Sprintf("query %d k=%d", qi, k))
 						}
 					}
-					// The batch engine over a Local must equal the serial
-					// loop.
-					const k = 10
-					want := make([][]topk.Neighbor, len(probes))
-					for i, q := range probes {
-						want[i] = unsharded.Search(q, k)
-					}
-					batch, err := engine.SearchBatch(engine.NewPool(4), index.Index[T](loc), probes, index.Options{K: k})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range probes {
-						diffResults(t, want[i], batch[i], fmt.Sprintf("batch query %d", i))
-					}
+					sameAnswer(t, unsharded, rt, map[string]any{"queries": probes, "k": 10}, "batch")
 				})
 			}
 		})
 	}
 }
 
-// TestLocalShardedIdentityDense runs the full 13-kind matrix over the
-// shared dense L2 corpus.
-func TestLocalShardedIdentityDense(t *testing.T) {
-	db, queries := indextest.DenseCorpus()
-	testShardedIdentity(t, db, queries, denseFullRecallKinds(space.L2{}))
-}
-
-// TestLocalShardedIdentityDNA runs the generic kinds over the byte-string
-// corpus: normalized Levenshtein's heavily tied, discrete distances are the
-// hard case for canonical merge ordering.
-func TestLocalShardedIdentityDNA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dense corpus covers the kind matrix; skipping the tie-stress corpus in -short")
-	}
-	db, queries := indextest.DNACorpus()
-	testShardedIdentity(t, db, queries, fullRecallKinds[[]byte](space.NormalizedLevenshtein{}))
-}
-
-// TestLocalShardedIdentityKL covers the asymmetric KL divergence with a
-// representative kind subset (the dense run already covers every kind; this
-// corpus exists to exercise left-query asymmetry through the shard path).
+// TestLocalShardedIdentityKL covers the asymmetric KL divergence through the
+// whole HTTP tier: left-query asymmetry must survive the shard daemons'
+// decode, search and id translation and the router's merge.
 func TestLocalShardedIdentityKL(t *testing.T) {
 	if testing.Short() {
-		t.Skip("dense corpus covers the kind matrix; skipping the asymmetric corpus in -short")
+		t.Skip("the DNA router tests cover the HTTP tier; skipping the asymmetric corpus in -short")
 	}
-	db, queries := indextest.HistoCorpus()
-	all := fullRecallKinds[space.Histogram](space.KLDivergence{})
-	keep := map[string]bool{"seqscan": true, "vptree": true, "napp": true, "sw-graph": true, "mi-file": true}
-	var kinds []kindBuilder[space.Histogram]
-	for _, kb := range all {
-		if keep[kb.kind] {
-			kinds = append(kinds, kb)
-		}
-	}
-	testShardedIdentity(t, db, queries, kinds)
+	testLocalIdentity(t, "wiki-8", klKinds(space.KLDivergence{}), shard.Hash,
+		[]int{1, 10, 50, localN + 7})
 }
 
 // TestLocalRoundRobinIdentity covers the second partitioner: identity must
-// hold for round-robin striping too (monotone id maps are
+// hold for round-robin striped shard daemons too (monotone id maps are
 // partitioner-independent).
 func TestLocalRoundRobinIdentity(t *testing.T) {
-	db, queries := indextest.DenseCorpus()
-	kb := kindBuilder[[]float32]{"seqscan", func(data [][]float32) (index.Index[[]float32], error) {
+	kinds := []localKind[[]float32]{{"seqscan", func(data [][]float32) (index.Index[[]float32], error) {
 		return seqscan.New[[]float32](space.L2{}, data), nil
-	}}
-	unsharded, err := kb.build(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, S := range shardCounts {
-		loc := buildLocal(t, kb, db, S, shard.RoundRobin)
-		for qi, q := range queries {
-			diffResults(t, unsharded.Search(q, 10), loc.Search(q, 10),
-				fmt.Sprintf("round-robin S=%d query %d", S, qi))
-		}
-	}
-}
-
-// TestNewLocalValidation covers constructor error paths and naming.
-func TestNewLocalValidation(t *testing.T) {
-	if _, err := router.NewLocal[[]float32](nil); err == nil {
-		t.Fatal("NewLocal with no shards must error")
-	}
-	if _, err := router.NewLocal([]router.LocalShard[[]float32]{{}}); err == nil {
-		t.Fatal("NewLocal with a nil shard index must error")
-	}
-	db, _ := indextest.DenseCorpus()
-	loc := buildLocal(t, kindBuilder[[]float32]{"seqscan", func(data [][]float32) (index.Index[[]float32], error) {
-		return seqscan.New[[]float32](space.L2{}, data), nil
-	}}, db, 3, shard.Hash)
-	if loc.Name() != "seqscan-sharded3" {
-		t.Fatalf("Name = %q", loc.Name())
-	}
-	if loc.Shards() != 3 {
-		t.Fatalf("Shards = %d", loc.Shards())
-	}
-	if got := loc.Search(db[0], 0); got != nil {
-		t.Fatalf("Search k=0 returned %v", got)
-	}
+	}}}
+	testLocalIdentity(t, "sift", kinds, shard.RoundRobin, []int{10})
 }

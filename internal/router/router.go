@@ -474,6 +474,10 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		req.K = n
 	}
 	numQueries := req.NumQueries()
+	if err := req.CheckNeighbors(); err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return
+	}
 
 	// Scatter: the original body is forwarded verbatim — every shard
 	// decodes the same queries and applies the same per-request params.

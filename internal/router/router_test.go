@@ -28,6 +28,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/vptree"
+	"repro/internal/wire"
 )
 
 const (
@@ -294,6 +295,30 @@ func TestRouterClientErrors(t *testing.T) {
 	for _, s := range []string{"0", "1"} {
 		if got := routerMetric(t, tm, "permrouter_replica_failures_total", map[string]string{"shard": s, "replica": "0"}); got != 0 {
 			t.Errorf("shard %s counted %v failures from client errors", s, got)
+		}
+	}
+}
+
+// TestRouterNeighborLimit: the router refuses a request whose k × queries
+// exceeds wire.MaxNeighbors after k is capped at the full corpus size, before
+// anything is scattered, and counts it as a failed request.
+func TestRouterNeighborLimit(t *testing.T) {
+	shards, _, _ := bootShardSet(t, 2)
+	rt := bootRouter(t, shards, router.Options{})
+	queries := make([]string, wire.MaxNeighbors/rtN+1)
+	for i := range queries {
+		queries[i] = "ACGT"
+	}
+	if status, raw := post(t, searchURL(rt.URL), map[string]any{"queries": queries, "k": 1 << 40}); status != http.StatusBadRequest {
+		t.Fatalf("k × queries = n × %d: status %d: %s", len(queries), status, raw)
+	}
+	tm := scrapeRouterMetrics(t, rt.URL)
+	if got := routerMetric(t, tm, "permrouter_request_failures_total", map[string]string{"index": rtName}); got != 1 {
+		t.Errorf("request_failures_total = %v, want 1", got)
+	}
+	for _, s := range []string{"0", "1"} {
+		if got := routerMetric(t, tm, "permrouter_replica_requests_total", map[string]string{"shard": s, "replica": "0"}); got != 0 {
+			t.Errorf("shard %s saw %v requests, want 0 (refused before the scatter)", s, got)
 		}
 	}
 }

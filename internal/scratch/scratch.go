@@ -89,13 +89,6 @@ func (c *Counters) Inc(id uint32) uint8 {
 	return uint8(cell)
 }
 
-// Epoch exposes the current epoch so tests can force a wrap; production
-// callers have no use for it.
-func (c *Counters) Epoch() uint32 { return c.epoch }
-
-// SetEpoch forces the epoch counter, for wrap-around tests only.
-func (c *Counters) SetEpoch(e uint32) { c.epoch = e }
-
 // Gains is the epoch-stamped arena for accumulators wider than a byte — the
 // MI-file's per-point Footrule gain, which grows up to ms*m and cannot share
 // a cell with its stamp. Stamps and values live in parallel slices: a value
@@ -148,12 +141,6 @@ func (g *Gains) Get(id uint32) int32 {
 	return g.val[id]
 }
 
-// Epoch exposes the current epoch for wrap-around tests.
-func (g *Gains) Epoch() uint32 { return g.epoch }
-
-// SetEpoch forces the epoch counter, for wrap-around tests only.
-func (g *Gains) SetEpoch(e uint32) { g.epoch = e }
-
 // Marks is the epoch-stamped arena for plain visited sets — the graph
 // methods' per-query visited []bool, reset in O(1) instead of a per-query
 // make or memset. A cell is "marked" when its stamp equals the current
@@ -195,12 +182,6 @@ func (m *Marks) TrySet(id uint32) bool {
 
 // Has reports whether id is marked in the current query.
 func (m *Marks) Has(id uint32) bool { return m.stamp[id] == m.epoch }
-
-// Epoch exposes the current epoch for wrap-around tests.
-func (m *Marks) Epoch() uint32 { return m.epoch }
-
-// SetEpoch forces the epoch counter, for wrap-around tests only.
-func (m *Marks) SetEpoch(e uint32) { m.epoch = e }
 
 // Pool is a typed free list of per-query scratch states, one Pool per index
 // instance. Get returns a state exclusively to the caller; Put recycles it.

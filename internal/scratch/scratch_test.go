@@ -65,7 +65,7 @@ func TestCounters_SaturatesAt255(t *testing.T) {
 // live.
 func TestCounters_EpochWrap(t *testing.T) {
 	var c Counters
-	c.SetEpoch(counterEpochMax - 2)
+	c.epoch = counterEpochMax - 2
 	for q := 0; q < 6; q++ {
 		c.Begin(16)
 		// Stamp every cell q+1 times so the next epoch has maximal stale
@@ -77,15 +77,15 @@ func TestCounters_EpochWrap(t *testing.T) {
 				got = c.Inc(id)
 			}
 			if got != want {
-				t.Fatalf("query %d (epoch %d): Inc(%d) = %d, want %d", q, c.Epoch(), id, got, want)
+				t.Fatalf("query %d (epoch %d): Inc(%d) = %d, want %d", q, c.epoch, id, got, want)
 			}
 		}
-		if c.Epoch() > counterEpochMax {
-			t.Fatalf("epoch %d escaped its %d-bit field", c.Epoch(), counterEpochBits)
+		if c.epoch > counterEpochMax {
+			t.Fatalf("epoch %d escaped its %d-bit field", c.epoch, counterEpochBits)
 		}
 	}
-	if c.Epoch() >= counterEpochMax-2 {
-		t.Fatalf("epoch %d did not wrap", c.Epoch())
+	if c.epoch >= counterEpochMax-2 {
+		t.Fatalf("epoch %d did not wrap", c.epoch)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestCounters_EpochWrap(t *testing.T) {
 // would re-expose as live counts.
 func TestCounters_EpochWrapClearsFullCapacity(t *testing.T) {
 	var c Counters
-	c.SetEpoch(counterEpochMax - 1)
+	c.epoch = counterEpochMax - 1
 	c.Begin(16) // epoch = max: stamp cells far beyond the next window
 	for id := uint32(0); id < 16; id++ {
 		c.Inc(id)
@@ -103,7 +103,7 @@ func TestCounters_EpochWrapClearsFullCapacity(t *testing.T) {
 	c.Begin(4) // wraps; only ids [0, 4) are in the window
 	// Walk the restarted epoch up to the stale stamp value and re-expose
 	// the full arena: the high cells must still start from zero.
-	c.SetEpoch(counterEpochMax - 1)
+	c.epoch = counterEpochMax - 1
 	c.Begin(16)
 	for id := uint32(0); id < 16; id++ {
 		if got := c.Inc(id); got != 1 {
@@ -137,18 +137,18 @@ func TestGains_BasicLifecycle(t *testing.T) {
 // values cannot resurface.
 func TestGains_EpochWrap(t *testing.T) {
 	var g Gains
-	g.SetEpoch(^uint32(0) - 1)
+	g.epoch = ^uint32(0) - 1
 	for q := 0; q < 4; q++ {
 		g.Begin(8)
 		for id := uint32(0); id < 8; id++ {
 			if got := g.Get(id); got != 0 {
-				t.Fatalf("query %d (epoch %d): Get(%d) = %d, want 0", q, g.Epoch(), id, got)
+				t.Fatalf("query %d (epoch %d): Get(%d) = %d, want 0", q, g.epoch, id, got)
 			}
 			g.Add(id, int32(q+1)*10)
 		}
 	}
-	if g.Epoch() >= ^uint32(0)-1 {
-		t.Fatalf("epoch %d did not wrap", g.Epoch())
+	if g.epoch >= ^uint32(0)-1 {
+		t.Fatalf("epoch %d did not wrap", g.epoch)
 	}
 }
 
@@ -210,20 +210,20 @@ func TestMarks_BasicLifecycle(t *testing.T) {
 // marks cannot resurface.
 func TestMarks_EpochWrap(t *testing.T) {
 	var m Marks
-	m.SetEpoch(^uint32(0) - 1)
+	m.epoch = ^uint32(0) - 1
 	for q := 0; q < 4; q++ {
 		m.Begin(8)
 		for id := uint32(0); id < 8; id++ {
 			if m.Has(id) {
-				t.Fatalf("query %d (epoch %d): id %d marked at query start", q, m.Epoch(), id)
+				t.Fatalf("query %d (epoch %d): id %d marked at query start", q, m.epoch, id)
 			}
 			if !m.TrySet(id) {
 				t.Fatalf("query %d: TrySet(%d) = false on fresh epoch", q, id)
 			}
 		}
 	}
-	if m.Epoch() >= ^uint32(0)-1 {
-		t.Fatalf("epoch %d did not wrap", m.Epoch())
+	if m.epoch >= ^uint32(0)-1 {
+		t.Fatalf("epoch %d did not wrap", m.epoch)
 	}
 }
 
@@ -231,13 +231,13 @@ func TestMarks_EpochWrap(t *testing.T) {
 // while serving a smaller n must clear stamps beyond that window too.
 func TestMarks_EpochWrapClearsFullCapacity(t *testing.T) {
 	var m Marks
-	m.SetEpoch(^uint32(0) - 1)
+	m.epoch = ^uint32(0) - 1
 	m.Begin(16) // epoch = max: stamp cells beyond the next window
 	for id := uint32(0); id < 16; id++ {
 		m.TrySet(id)
 	}
 	m.Begin(4) // wraps; only ids [0, 4) are in the window
-	m.SetEpoch(^uint32(0) - 1)
+	m.epoch = ^uint32(0) - 1
 	m.Begin(16)
 	for id := uint32(0); id < 16; id++ {
 		if m.Has(id) {

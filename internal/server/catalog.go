@@ -70,25 +70,12 @@ type servedIndex interface {
 	searchBatch(raws []json.RawMessage, opts index.Options, pool engine.Pool) ([][]topk.Neighbor, error)
 }
 
-// typedIndex adapts one concrete index.Index[T] to servedIndex. For shard
-// indexes, ids maps shard-local result ids to corpus-global ids (nil for an
-// unsharded index); the map is strictly increasing (internal/shard.IDs), so
-// translation preserves the canonical (dist, id) result order. For mutable
-// indexes, idx is a treeIndex, so searches cover tiers and memtable too.
+// typedIndex adapts one concrete index.Index[T] to servedIndex. A shard
+// index is an index.Subset, so it answers in corpus-global ids; a mutable
+// index is a treeIndex, so searches cover tiers and memtable too.
 type typedIndex[T any] struct {
 	idx index.Index[T]
 	dec func(raw []byte) (T, error)
-	ids []uint32
-}
-
-// globalize rewrites shard-local ids to corpus-global ids in place.
-func (t *typedIndex[T]) globalize(ns []topk.Neighbor) []topk.Neighbor {
-	if t.ids != nil {
-		for i := range ns {
-			ns[i].ID = t.ids[ns[i].ID]
-		}
-	}
-	return ns
 }
 
 func (t *typedIndex[T]) search(raw json.RawMessage, opts index.Options) ([]topk.Neighbor, error) {
@@ -96,7 +83,7 @@ func (t *typedIndex[T]) search(raw json.RawMessage, opts index.Options) ([]topk.
 	if err != nil {
 		return nil, badRequestf("query: %v", err)
 	}
-	return t.globalize(t.idx.SearchAppend(nil, q, opts)), nil
+	return t.idx.SearchAppend(nil, q, opts), nil
 }
 
 func (t *typedIndex[T]) searchBatch(raws []json.RawMessage, opts index.Options, pool engine.Pool) ([][]topk.Neighbor, error) {
@@ -108,14 +95,7 @@ func (t *typedIndex[T]) searchBatch(raws []json.RawMessage, opts index.Options, 
 		}
 		qs[i] = q
 	}
-	outs, err := engine.SearchBatch(pool, t.idx, qs, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, ns := range outs {
-		t.globalize(ns)
-	}
-	return outs, nil
+	return engine.SearchBatch(pool, t.idx, qs, opts)
 }
 
 // loadServed loads the entry's index file per its manifest: look the
@@ -191,6 +171,9 @@ func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, fam *dataset.Fam
 	if err != nil {
 		return nil, hdr, err
 	}
+	if ids != nil {
+		idx = index.Subset[T]{Index: idx, IDs: ids}
+	}
 	if man.Mutable {
 		tree, err := openTree(e, man, data, lsm.Options[T]{
 			Dir:   strings.TrimSuffix(path, persist.Ext) + ".tiers",
@@ -206,5 +189,5 @@ func loadTyped[T any](e *entry, hdr codec.Header, man Manifest, fam *dataset.Fam
 		}
 		idx = treeIndex[T]{base: idx, tree: tree}
 	}
-	return &typedIndex[T]{idx: idx, dec: dec, ids: ids}, hdr, nil
+	return &typedIndex[T]{idx: idx, dec: dec}, hdr, nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // End-to-end tests of the observability surface: GET /metrics exposes
@@ -70,6 +71,37 @@ sampling:
 		return s.Value, true
 	}
 	return 0, false
+}
+
+// TestSearchNeighborLimit: a request whose k × queries exceeds
+// wire.MaxNeighbors after k is capped at the corpus size is a 400 that counts
+// as a failed request answering no queries; a 64-query batch at k = n is
+// admitted.
+func TestSearchNeighborLimit(t *testing.T) {
+	dir, _, dna := buildFixtures(t)
+	ts := bootServer(t, dir, Options{Metrics: obs.NewRegistry()})
+	url := ts.URL + "/v1/indexes/dna-vptree/search"
+	q := dna.encode(dna.queries[0])
+	queries := make([]any, wire.MaxNeighbors/e2eDNAN+1)
+	for i := range queries {
+		queries[i] = q
+	}
+	// k is capped at n = e2eDNAN first, so a huge k is refused for the
+	// product, not for k alone.
+	if status, raw := postJSON(t, url, map[string]any{"queries": queries, "k": 1 << 40}); status != http.StatusBadRequest {
+		t.Fatalf("k × queries = n × %d: status %d: %s", len(queries), status, raw)
+	}
+	if status, raw := postJSON(t, url, map[string]any{"queries": queries[:64], "k": e2eDNAN}); status != http.StatusOK {
+		t.Fatalf("k × queries = n × 64: status %d: %s", status, raw)
+	}
+	tm := scrapeMetrics(t, ts)
+	idx := map[string]string{"index": "dna-vptree"}
+	if got := metricValue(t, tm, "permserve_search_failures_total", idx); got != 1 {
+		t.Errorf("failures_total = %v, want 1", got)
+	}
+	if got := metricValue(t, tm, "permserve_queries_total", idx); got != 64 {
+		t.Errorf("queries_total = %v, want 64 (the refused request answers none)", got)
+	}
 }
 
 // TestMetricsEndToEnd drives single and batch searches through the HTTP

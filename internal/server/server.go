@@ -533,7 +533,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	em.queries.Add(int64(req.NumQueries()))
 
 	ctx := r.Context()
 	if s.timeout > 0 {
@@ -554,6 +553,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		n = e.tree.Live()
 	}
 	req.K = min(req.K, max(n, 1))
+	if err := req.CheckNeighbors(); err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return
+	}
+	em.queries.Add(int64(req.NumQueries()))
 	var tr obs.QueryTrace
 	resp, err := s.execute(ctx, snap, name, req, &tr)
 	if err == nil {

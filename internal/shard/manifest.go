@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/persist"
+	"repro/internal/codec"
 	"repro/internal/vfs"
 )
 
@@ -60,19 +60,10 @@ type SetShard struct {
 	N int `json:"n"`
 	// CRC32C is the Castagnoli checksum of the index file's contents
 	// excluding its 4-byte trailer — i.e. the value the codec trailer
-	// itself stores (see persist.FileChecksum for why a whole-file CRC
+	// itself stores (see codec.FileChecksum for why a whole-file CRC
 	// is the same constant for every valid file) — so a shipped shard
 	// can be verified without loading it.
 	CRC32C uint32 `json:"crc32c"`
-}
-
-// FileChecksum is persist.FileChecksum: the CRC-32C of an index file's
-// contents excluding its trailer (the value the trailer itself stores —
-// see that function for why a whole-file CRC cannot distinguish valid
-// index files). Re-exported here so shard-set producers and verifiers
-// need only this package.
-func FileChecksum(path string) (uint32, error) {
-	return persist.FileChecksum(path)
 }
 
 // Validate checks the manifest's internal consistency: schema, partitioner,
@@ -157,7 +148,7 @@ func ReadSetManifest(path string) (*SetManifest, error) {
 // and silently serve the wrong generation's answers.
 func (m *SetManifest) VerifyFiles(dir string) error {
 	for _, s := range m.Shards {
-		sum, err := persist.FileChecksum(filepath.Join(dir, s.File))
+		sum, err := codec.FileChecksum(filepath.Join(dir, s.File))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s.Index, err)
 		}

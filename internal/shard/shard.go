@@ -1,8 +1,8 @@
 // Package shard is the offline half of the sharded serving tier: it
 // partitions a corpus of n points into S disjoint shard corpora
-// deterministically, so an index can be built per shard (by cmd/shardsplit
-// or internal/experiments) and served by S independent permserve processes
-// behind the permrouter scatter-gather front end (internal/router).
+// deterministically, so an index can be built per shard (by cmd/shardsplit)
+// and served by S independent permserve processes behind the permrouter
+// scatter-gather front end (internal/router).
 //
 // # Determinism and global ids
 //
@@ -10,17 +10,17 @@
 // the same inputs reproduces the same shard corpora bit for bit, and — more
 // importantly — any process can recompute the local→global id mapping of
 // any shard from the three values (partitioner, S, shard index) alone. The
-// serving layer (internal/server) relies on this to translate a shard
-// index's local result ids back to corpus-global ids without shipping the
-// mapping: a shard's sidecar manifest carries just an Info{partitioner, S,
-// s}.
+// serving layer (internal/server) relies on this to serve a shard index in
+// corpus-global ids, as an index.Subset over the shard's IDs, without
+// shipping the mapping: a shard's sidecar manifest carries just an
+// Info{partitioner, S, s}.
 //
 // IDs always returns each shard's global ids in increasing order. The
 // subset therefore preserves the corpus order, which makes the local→global
 // map strictly monotone — a shard-local result list ordered by (dist, local
 // id) stays ordered by (dist, global id) after translation, which is what
 // lets the router merge per-shard top-k lists into the exact answer an
-// unsharded index would give (see internal/router).
+// unsharded index would give (see index.Subset and internal/router).
 package shard
 
 import (

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // TestIDsPartitionProperties: every id lands in exactly one shard, every
@@ -147,7 +149,7 @@ func writeFakeSet(t *testing.T, dir string) *SetManifest {
 		if err := os.WriteFile(filepath.Join(sub, "demo.json"), []byte(sidecar), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		crc, err := FileChecksum(filepath.Join(sub, "demo.psix"))
+		crc, err := codec.FileChecksum(filepath.Join(sub, "demo.psix"))
 		if err != nil {
 			t.Fatal(err)
 		}

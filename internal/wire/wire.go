@@ -26,6 +26,12 @@ import (
 // a runaway peer does not.
 const MaxBodyBytes = 64 << 20
 
+// MaxNeighbors caps k × queries, the result entries one search request may
+// ask for, after k is capped at the corpus size. The body cap alone bounds
+// the query count, not the answer: a batch of a million short strings at a
+// k of the corpus size would allocate results on the order of both.
+const MaxNeighbors = 1 << 20
+
 // SearchRequest is the body of POST /v1/indexes/{name}/search.
 type SearchRequest struct {
 	// Query is one object in the index's JSON query encoding; Queries is
@@ -44,6 +50,16 @@ func (r *SearchRequest) NumQueries() int {
 		return 1
 	}
 	return len(r.Queries)
+}
+
+// CheckNeighbors refuses a request whose k × queries exceeds MaxNeighbors.
+// Call it after capping k at the corpus size, before decoding or forwarding
+// the queries; its error is the client's (a 400).
+func (r *SearchRequest) CheckNeighbors() error {
+	if n := r.NumQueries(); r.K > MaxNeighbors/n {
+		return fmt.Errorf("k × queries = %d × %d exceeds the %d neighbors one request may ask for", r.K, n, MaxNeighbors)
+	}
+	return nil
 }
 
 // DecodeSearch reads and validates a search body: exactly one of "query"
