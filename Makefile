@@ -117,7 +117,9 @@ examples:
 # FuzzParseText: any /metrics page must be refused or parsed, and Quantile
 # over every histogram family of an accepted page must not panic. FuzzParse:
 # any disk-fault spec (the PERMSERVE_FAULT_FS grammar) must be refused or
-# armed, never a panic.
+# armed, never a panic. FuzzScreenedClosest: the screened L2 pivot selection
+# must pick exactly what measuring every pivot picks, for any float32 bit
+# patterns as a point and up to 64 pivots (NaN, ±Inf, subnormals, ties).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
@@ -129,17 +131,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultfs/
+	$(GO) test -run '^$$' -fuzz FuzzScreenedClosest -fuzztime 10s ./internal/permutation/
 
 # In-process microbenchmarks: one row per distance at its corpus's shape and
 # one query's bulk refine and pivot ranking, each beside the per-pair loop it
 # replaced — l2/128-refine700-n40k and l2/128-pivots512 for SIFT,
 # normleven/32-refine650-n4k and normleven/32-pivots512 for DNA reads — then
 # one row per method over a warm 10k-point index plus permbench's two NAPP
-# operating points. A convenience for a profile or a before/after look;
-# performance claims are made with permbench (BENCHMARK.json, bench/).
+# operating points, and one point's 32 closest of 512 pivots, screened beside
+# measured (BenchmarkClosest). A convenience for a profile or a before/after
+# look; performance claims are made with permbench (BENCHMARK.json, bench/).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistance$$' -benchmem ./internal/space/
 	$(GO) test -run '^$$' -bench BenchmarkSearchHot -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkClosest -benchmem ./internal/permutation/
 
 # Batch-engine throughput: the serial reference loop vs SearchBatch at
 # 1/2/4/8 workers over the sequential scan.

@@ -112,9 +112,10 @@ func TestParallelForCoversAll(t *testing.T) {
 }
 
 // TestComputePermutationsMatchesPermutation: the build's per-worker ranking
-// writes, row by row, what the allocating Pivots.Permutation returns — over
-// L2 and over reads under normalised Levenshtein, whose pivot distances take
-// the prepared-pattern path.
+// writes, row by row, what the allocating Pivots.Permutation returns, and its
+// order rows are Pivots.Order's prefixes — over L2, whose order rows take the
+// screened selection, and over reads under normalised Levenshtein, whose
+// pivot distances take the prepared-pattern path.
 func TestComputePermutationsMatchesPermutation(t *testing.T) {
 	checkComputePermutations[[]float32](t, space.L2{}, dataset.SIFT(3, 300))
 	checkComputePermutations[[]byte](t, space.NormalizedLevenshtein{}, dataset.DNA(3, 300, dataset.DNAOptions{}))
@@ -125,10 +126,14 @@ func checkComputePermutations[T any](t *testing.T, sp space.Space[T], data []T) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, flat := pv.M(), computePermutations(pv, data)
+	const mi = 8
+	m, flat, orders := pv.M(), computePermutations(pv, data), computeOrders(pv, data, mi)
 	for i, x := range data {
 		if got, want := flat[i*m:(i+1)*m], pv.Permutation(x, nil); !slices.Equal(got, want) {
 			t.Fatalf("%s: point %d: computePermutations row %v, Permutation %v", sp.Name(), i, got, want)
+		}
+		if got, want := orders[i*mi:(i+1)*mi], pv.Order(x, nil)[:mi]; !slices.Equal(got, want) {
+			t.Fatalf("%s: point %d: computeOrders row %v, Order prefix %v", sp.Name(), i, got, want)
 		}
 	}
 }

@@ -39,6 +39,9 @@ type Pivots[T any] struct {
 	// the on-disk format object-type-agnostic. nil for explicit pivot
 	// sets (NewPivots), which therefore cannot be persisted.
 	ids []int32
+	// screen lets ClosestWith measure only the pivots it cannot rule out;
+	// nil unless the space is exactly space.L2 (see screenOf).
+	screen func() *l2Screen
 }
 
 // NewPivots wraps an explicit pivot list.
@@ -48,7 +51,7 @@ func NewPivots[T any](sp space.Space[T], items []T) (*Pivots[T], error) {
 	}
 	cp := make([]T, len(items))
 	copy(cp, items)
-	return &Pivots[T]{space: sp, items: cp}, nil
+	return &Pivots[T]{space: sp, items: cp, screen: screenOf(sp, cp)}, nil
 }
 
 // Sample selects m pivots uniformly at random (without replacement) from
@@ -68,7 +71,7 @@ func Sample[T any](r *rand.Rand, sp space.Space[T], data []T, m int) (*Pivots[T]
 		items[i] = data[j]
 		ids[i] = int32(j)
 	}
-	return &Pivots[T]{space: sp, items: items, ids: ids}, nil
+	return &Pivots[T]{space: sp, items: items, ids: ids, screen: screenOf(sp, items)}, nil
 }
 
 // FromIDs reconstructs a pivot set from data-set positions, the inverse of
@@ -87,7 +90,7 @@ func FromIDs[T any](sp space.Space[T], data []T, ids []int32) (*Pivots[T], error
 		items[i] = data[id]
 		cp[i] = id
 	}
-	return &Pivots[T]{space: sp, items: items, ids: cp}, nil
+	return &Pivots[T]{space: sp, items: items, ids: cp, screen: screenOf(sp, items)}, nil
 }
 
 // SourceIDs returns the data-set position of each pivot when the set was
@@ -156,6 +159,10 @@ type Scratch struct {
 	// sp is the bulk distance call's state (the L2 point widened once, the
 	// Levenshtein pattern's match table).
 	sp space.Scratch
+	// ids and upper are the L2 screen's: the pivots it cannot rule out, and
+	// the bounded heap that finds the n-th smallest upper bound.
+	ids   []uint32
+	upper topk.Queue
 }
 
 // OrderWith computes the pivot order of x into s.Order (also returned),
@@ -182,9 +189,17 @@ func (s *Scratch) Ranks() []int32 {
 // inverted-file methods only ever read such a prefix (NAPP's mi and ms, the
 // MI-file's, the PP-index's prefix length), so they select it with
 // topk.SelectK over (distance, pivot index) — the incremental sort of §2.2 —
-// instead of sorting all m pivots. n is clamped to [0, m]. Allocation-free
-// once s has warmed up.
+// instead of sorting all m pivots. Under the exact type space.L2 a screen
+// first rules out, in one blocked pass, every pivot that provably cannot make
+// the prefix, and only the rest are measured (l2Screen.closest); s.Dists then
+// holds working values, not the pivots' distances. n is clamped to [0, m].
+// Allocation-free once s has warmed up.
 func (p *Pivots[T]) ClosestWith(s *Scratch, x T, n int) []int32 {
+	if p.screen != nil && n > 0 && n < len(p.items) {
+		if sc := p.screen(); sc != nil && sc.closest(s, any(x).([]float32), n) {
+			return s.Order
+		}
+	}
 	sel := s.sel[:0]
 	for i, d := range p.DistancesWith(s, x) {
 		sel = append(sel, topk.Neighbor{ID: uint32(i), Dist: d})

@@ -77,6 +77,47 @@ func L2SqrPair(q []float64, a, b []float32) (float64, float64) {
 	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
 }
 
+// DotRows sets dst[i] to the inner product of q, widened to float64, with
+// row i of rows, a row-major matrix of len(dst) rows of len(q) values: a
+// matrix-vector product blocked eight rows at a time, so each q[j] is loaded
+// and widened once for eight rows and the eight sums are independent
+// dependency chains. Each row's sum runs in index order with one
+// accumulator. It panics if len(rows) != len(dst)*len(q).
+func DotRows(dst []float64, q []float32, rows []float64) {
+	n := len(q)
+	if len(rows) != len(dst)*n {
+		panic("vecmath: length mismatch")
+	}
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		b := rows[i*n : (i+8)*n]
+		r0, r1, r2, r3 := b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
+		r4, r5, r6, r7 := b[4*n:][:n], b[5*n:][:n], b[6*n:][:n], b[7*n:][:n]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for j, f := range q {
+			v := float64(f)
+			s0 += v * r0[j]
+			s1 += v * r1[j]
+			s2 += v * r2[j]
+			s3 += v * r3[j]
+			s4 += v * r4[j]
+			s5 += v * r5[j]
+			s6 += v * r6[j]
+			s7 += v * r7[j]
+		}
+		d := dst[i : i+8 : i+8]
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; i < len(dst); i++ {
+		r := rows[i*n:][:n]
+		var s float64
+		for j, f := range q {
+			s += float64(f) * r[j]
+		}
+		dst[i] = s
+	}
+}
+
 // L2 returns the Euclidean distance between a and b.
 func L2(a, b []float32) float64 {
 	return math.Sqrt(L2Sqr(a, b))
