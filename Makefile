@@ -108,9 +108,12 @@ examples:
 # prepared 1–64-byte pattern behind space.Many/ManyFrom, for two texts at a
 # time and for one. FuzzL2Pair: both results of the L2 pair kernel behind
 # space.Many/ManyFrom must be L2Sqr's, in either argument order, for any
-# float32 bit patterns (NaN, ±Inf, subnormals). FuzzDecodeSearch: any search
-# body must be refused or decoded into a request with exactly one of
-# query/queries and k ≥ 1 that survives its own re-marshalling.
+# float32 bit patterns (NaN, ±Inf, subnormals). FuzzDecodeSearch: the
+# one-pass search and /add envelope readers must accept exactly the bodies
+# json.Unmarshal into the request struct accepts, with equal fields; its
+# seeds include 10000-deep nesting, so minimizing is capped as for
+# FuzzDecodeObject. FuzzValue: internal/jsonscan's reader must accept exactly
+# what json.Valid accepts.
 # FuzzParseParams: any method-params text must be refused or parsed into
 # non-empty keys with finite values that survive their own String, and
 # Resolve must answer the round-tripped params alike under every kind.
@@ -120,6 +123,9 @@ examples:
 # armed, never a panic. FuzzScreenedClosest: the screened L2 pivot selection
 # must pick exactly what measuring every pivot picks, for any float32 bit
 # patterns as a point and up to 64 pivots (NaN, ±Inf, subnormals, ties).
+# FuzzReadSetManifest, FuzzReadTopology: any bytes as a shard-set manifest or
+# a fleet topology file must be refused or read into a value that passes
+# Validate, never a panic.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
@@ -127,24 +133,32 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 15s -fuzzminimizetime 1s ./internal/lsm/
 	$(GO) test -run '^$$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/space/
 	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s ./internal/vecmath/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeSearch -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSearch -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzValue -fuzztime 10s -fuzzminimizetime 1s ./internal/jsonscan/
 	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultfs/
 	$(GO) test -run '^$$' -fuzz FuzzScreenedClosest -fuzztime 10s ./internal/permutation/
+	$(GO) test -run '^$$' -fuzz FuzzReadSetManifest -fuzztime 10s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 10s ./internal/rollout/
 
 # In-process microbenchmarks: one row per distance at its corpus's shape and
 # one query's bulk refine and pivot ranking, each beside the per-pair loop it
 # replaced — l2/128-refine700-n40k and l2/128-pivots512 for SIFT,
 # normleven/32-refine650-n4k and normleven/32-pivots512 for DNA reads — then
 # one row per method over a warm 10k-point index plus permbench's two NAPP
-# operating points, and one point's 32 closest of 512 pivots, screened beside
-# measured (BenchmarkClosest). A convenience for a profile or a before/after
-# look; performance claims are made with permbench (BENCHMARK.json, bench/).
+# operating points, one point's 32 closest of 512 pivots, screened beside
+# measured (BenchmarkClosest), and the request path before the index: the
+# search-body reader on permbench's three request shapes (BenchmarkDecodeSearch)
+# and one query's object decode, dense and string (BenchmarkDecode). A
+# convenience for a profile or a before/after look; performance claims are
+# made with permbench (BENCHMARK.json, bench/).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistance$$' -benchmem ./internal/space/
 	$(GO) test -run '^$$' -bench BenchmarkSearchHot -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkClosest -benchmem ./internal/permutation/
+	$(GO) test -run '^$$' -bench BenchmarkDecodeSearch -benchmem ./internal/wire/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$' -benchmem ./internal/dataset/
 
 # Batch-engine throughput: the serial reference loop vs SearchBatch at
 # 1/2/4/8 workers over the sequential scan.

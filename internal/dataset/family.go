@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/jsonscan"
 	"repro/internal/space"
 )
 
@@ -108,15 +109,52 @@ type Entry interface {
 
 // The five object types.
 
-// [0.5, 1, ...] of the corpus dimensionality.
-var denseVectors = newType("dense-vector",
-	func(v []float32) []float32 { return v },
-	func(v, like []float32) ([]float32, error) {
-		if len(v) != len(like) {
-			return nil, fmt.Errorf("vector has %d dimensions, index corpus has %d", len(v), len(like))
+// [0.5, 1, ...] of the corpus dimensionality. Queries, /add objects and WAL
+// replay all pass through decodeDense, so it reads the array directly
+// instead of through encoding/json's reflection.
+var denseVectors = objectType[[]float32]{kind: "dense-vector",
+	spaces: []space.Space[[]float32]{space.L2{}, space.L1{}},
+	encode: func(v []float32) (json.RawMessage, error) { return json.Marshal(v) },
+	decode: decodeDense}
+
+// decodeDense is json.Unmarshal into []float32 followed by the dimension
+// check, in one pass: the same accept set and the same values bit for bit,
+// since each element goes through the strconv.ParseFloat(lit, 32) call
+// encoding/json makes. Its quirks hold too: a null element is 0, a number
+// beyond float32 range is refused, and a null vector has 0 dimensions.
+func decodeDense(raw json.RawMessage, like []float32) ([]float32, error) {
+	r := jsonscan.NewReader(raw)
+	var v []float32
+	if !r.Null() {
+		v = make([]float32, 0, len(like))
+		err := r.Array(func() error {
+			if r.Null() {
+				v = append(v, 0)
+				return nil
+			}
+			lit, err := r.Number()
+			if err != nil {
+				return err
+			}
+			f, err := strconv.ParseFloat(string(lit), 32)
+			if err != nil {
+				return fmt.Errorf("number %s does not fit a float32", lit)
+			}
+			v = append(v, float32(f))
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return v, nil
-	}, space.L2{}, space.L1{})
+	}
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	if len(v) != len(like) {
+		return nil, fmt.Errorf("vector has %d dimensions, index corpus has %d", len(v), len(like))
+	}
+	return v, nil
+}
 
 // "ACGT".
 var byteStrings = newType("byte-string",

@@ -219,14 +219,51 @@ func FuzzDecodeObject(f *testing.F) {
 		fuzzTarget(f, "wiki-128", histogramCase),
 		fuzzTarget(f, "imagenet", signatureCase),
 	}
-	for _, raw := range slices.Concat(denseCase.bad, stringCase.bad, sparseCase.bad, histogramCase.bad, signatureCase.bad) {
+	for _, raw := range slices.Concat(denseCase.bad, stringCase.bad, sparseCase.bad, histogramCase.bad, signatureCase.bad, denseQuirks) {
 		f.Add([]byte(raw))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, target := range targets {
 			target(t, raw)
 		}
+		checkDenseAgainstJSON(t, raw)
 	})
+}
+
+// denseQuirks are the corners of json.Unmarshal into []float32 the dense
+// decoder must share: null elements, float32 range and rounding, signed
+// zero, subnormals, and everything the JSON number grammar refuses that
+// strconv.ParseFloat would take.
+var denseQuirks = []string{
+	`[1,null,2]`, `[null]`, `[01]`, `[1e39]`, `[-1e39]`, `[3.4028235e38]`, `[3.4028236e38]`, `[3.40282357e38]`,
+	`[-0]`, `[-0.0e-0]`, `[1e-46]`, `[1.4e-45]`, `[0.1, 0.2E+1, 5e-1]`, " \t[ 1 ,\n2 ]\r\n", `null`, ` null `,
+	`[1]x`, `[1] [2]`, `[1,]`, `[,1]`, `[1 2]`, `["1"]`, `[true]`, `[[1]]`, `[{}]`, `{}`, `1`, `"a"`, ``, `[`,
+	`[1.]`, `[.5]`, `[+1]`, `[1e]`, `[1e+]`, `[-]`, `[Infinity]`, `[NaN]`, `[0x10]`, `[1_0]`, `[nul]`, `[nulll]`,
+	`[123456789012345678901234567890]`, `[0.000000000000000000000000000000000000000000001]`,
+}
+
+// checkDenseAgainstJSON holds the dense decoder to json.Unmarshal into
+// []float32 plus the dimension check: the same accept set and, bit for
+// bit, the same values. The corpus dimensionality is taken from the
+// reference's own length, so every parse it accepts is compared; one more
+// dimension must then be refused.
+func checkDenseAgainstJSON(t *testing.T, raw []byte) {
+	var want []float32
+	wantErr := json.Unmarshal(raw, &want)
+	like := make([]float32, len(want))
+	got, err := denseVectors.decode(raw, like)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("dense Decode(%q) = %v, %v; json.Unmarshal: %v, %v", raw, got, err, want, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !slices.EqualFunc(got, want, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+		t.Fatalf("dense Decode(%q) = %v, json.Unmarshal gives %v", raw, got, want)
+	}
+	if _, err := denseVectors.decode(raw, append(like, 0)); err == nil {
+		t.Fatalf("dense Decode(%q) accepted %d dimensions against a corpus of %d", raw, len(got), len(like)+1)
+	}
 }
 
 // fuzzTarget seeds the corpus with one encoded object of the family and

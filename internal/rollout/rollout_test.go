@@ -508,6 +508,33 @@ func TestTopologyRoundtrip(t *testing.T) {
 	}
 }
 
+// FuzzReadTopology feeds arbitrary bytes to ReadTopology as a topology
+// file: it must refuse them or return a topology that passes Validate, and
+// never panic.
+func FuzzReadTopology(f *testing.F) {
+	for _, seed := range []string{
+		`{"schema":"permsearch-topology/v1","shards":[[{"url":"http://a:1","dir":"/srv/a"},{"url":"http://b:1"}],[{"url":"http://c:1"}]]}`,
+		`{"schema":"permsearch-topology/v1","shards":[[{"url":"http://a:1"},{"url":"http://a:1"}]]}`,
+		`{"schema":"permsearch-topology/v1","shards":[null,[]]}`, `{"schema":"permsearch-topology/v1","shards":[[null]]}`,
+		`{"schema":"permsearch-topology/v1","shards":[[{"URL":"x"}]],"SHARDS":null}`, `null`, `[]`, `{}`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	path := filepath.Join(f.TempDir(), "fleet.json")
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		topo, err := rollout.ReadTopology(path)
+		if err != nil {
+			return
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("%q read as a topology that fails Validate: %v", blob, err)
+		}
+	})
+}
+
 // TestGoldenQueries: deterministic, byte-stable, generated for every data
 // set the catalog resolves in a form that family's Decode accepts, and
 // refusing names it does not resolve.

@@ -117,11 +117,11 @@ func serveFamily[T any](t *testing.T, f *dataset.Family[T], bad ...string) {
 	// wrong-shaped object is refused.
 	mut := ts.URL + "/v1/indexes/mutable/"
 	for _, obj := range bad {
-		if status, raw := postJSON(t, mut+"add", addRequest{Object: json.RawMessage(obj)}); status != http.StatusBadRequest {
+		if status, raw := postJSON(t, mut+"add", map[string]json.RawMessage{"object": json.RawMessage(obj)}); status != http.StatusBadRequest {
 			t.Errorf("add %s answered %d %s, want 400", obj, status, raw)
 		}
 	}
-	if status, raw := postJSON(t, mut+"add", addRequest{Object: probes[0]}); status != http.StatusOK {
+	if status, raw := postJSON(t, mut+"add", map[string]json.RawMessage{"object": probes[0]}); status != http.StatusOK {
 		t.Fatalf("add of a golden probe: status %d, body %s", status, raw)
 	}
 	status, raw := postJSON(t, mut+"search", wire.SearchRequest{Query: probes[0], K: 1})

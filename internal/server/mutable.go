@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -87,14 +86,6 @@ func openTree[T any](e *entry, man Manifest, data []T, opts lsm.Options[T]) (*ls
 	}
 	e.tree = tree
 	return tree, nil
-}
-
-// addRequest is the body of POST /v1/indexes/{name}/add: exactly one of
-// "object" (one object in the index's JSON query encoding) or "objects" (a
-// batch).
-type addRequest struct {
-	Object  json.RawMessage   `json:"object,omitempty"`
-	Objects []json.RawMessage `json:"objects,omitempty"`
 }
 
 // deleteRequest is the body of POST /v1/indexes/{name}/delete: exactly one

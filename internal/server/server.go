@@ -438,25 +438,10 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req addRequest
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, wire.MaxBodyBytes))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
+	raws, err := wire.DecodeAdd(r)
 	if err != nil {
-		wire.WriteError(w, s.log, http.StatusBadRequest, fmt.Sprintf("malformed body: %v", err))
+		wire.WriteError(w, s.log, http.StatusBadRequest, err.Error())
 		return
-	}
-	if (req.Object == nil) == (len(req.Objects) == 0) {
-		wire.WriteError(w, s.log, http.StatusBadRequest, `body must carry exactly one of "object" or a non-empty "objects"`)
-		return
-	}
-	raws := [][]byte{req.Object}
-	if req.Object == nil {
-		raws = make([][]byte, len(req.Objects))
-		for i, obj := range req.Objects {
-			raws[i] = obj
-		}
 	}
 	ids, err := e.tree.AddBatch(raws)
 	if err != nil {

@@ -301,3 +301,31 @@ func TestSetManifestValidation(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadSetManifest feeds arbitrary bytes to ReadSetManifest as a manifest
+// file: it must refuse them or return a manifest that passes Validate, and
+// never panic.
+func FuzzReadSetManifest(f *testing.F) {
+	for _, seed := range []string{
+		`{"schema":"permsearch-shardset/v1","set":"s","kind":"napp","dataset":"dna","seed":1,"n":5,"partitioner":"hash","generation":3,` +
+			`"shards":[{"index":0,"file":"a.psix","manifest":"a.json","n":3,"crc32c":7},{"index":1,"file":"b.psix","manifest":"b.json","n":2}]}`,
+		`{"schema":"permsearch-shardset/v1","set":"s","n":0,"partitioner":"round-robin","shards":[null]}`,
+		`{"schema":"permsearch-shardset/v1","set":"s","n":-1,"partitioner":"hash","shards":[{"index":0,"file":"a","manifest":"b","n":-1}]}`,
+		`{"schema":"permsearch-shardset/v2"}`, `null`, `[]`, `{"shards":{}}`, `{"n":1e99}`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	path := filepath.Join(f.TempDir(), "set"+SetManifestExt)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadSetManifest(path)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%q read as a manifest that fails Validate: %v", blob, err)
+		}
+	})
+}
