@@ -123,6 +123,11 @@ examples:
 # armed, never a panic. FuzzScreenedClosest: the screened L2 pivot selection
 # must pick exactly what measuring every pivot picks, for any float32 bit
 # patterns as a point and up to 64 pivots (NaN, ±Inf, subnormals, ties).
+# FuzzEditBound: the composition bound behind the edit-distance screen must
+# not exceed EditDistance, nor, scaled, NormalizedLevenshtein's Distance, for
+# any pair of byte strings (empty, past one 64-byte word, outside ACGT), and
+# the screened selection over strings built from the pair must keep what
+# measuring them all keeps.
 # FuzzReadSetManifest, FuzzReadTopology: any bytes as a shard-set manifest or
 # a fleet topology file must be refused or read into a value that passes
 # Validate, never a panic.
@@ -139,6 +144,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultfs/
 	$(GO) test -run '^$$' -fuzz FuzzScreenedClosest -fuzztime 10s ./internal/permutation/
+	$(GO) test -run '^$$' -fuzz FuzzEditBound -fuzztime 10s -fuzzminimizetime 1s ./internal/space/
 	$(GO) test -run '^$$' -fuzz FuzzReadSetManifest -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 10s ./internal/rollout/
 
@@ -146,9 +152,12 @@ fuzz:
 # one query's bulk refine and pivot ranking, each beside the per-pair loop it
 # replaced — l2/128-refine700-n40k and l2/128-pivots512 for SIFT,
 # normleven/32-refine650-n4k and normleven/32-pivots512 for DNA reads — then
-# one row per method over a warm 10k-point index plus permbench's two NAPP
-# operating points, one point's 32 closest of 512 pivots, screened beside
-# measured (BenchmarkClosest), and the request path before the index: the
+# one row per method over a warm 10k-point index plus permbench's NAPP
+# operating points (SIFT at t=22; DNA on dna-direct's corpus, where the
+# edit-distance screen skips much, and on seed 7's, where it skips almost
+# nothing), one point's 32 closest of 512 pivots, screened beside measured,
+# under L2 and both DNA corpora (BenchmarkClosest), and the request path
+# before the index: the
 # search-body reader on permbench's three request shapes (BenchmarkDecodeSearch)
 # and one query's object decode, dense and string (BenchmarkDecode). A
 # convenience for a profile or a before/after look; performance claims are

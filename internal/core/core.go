@@ -93,23 +93,25 @@ type refineScratch struct {
 // appends the k nearest, ordered by increasing distance, to dst. Candidates
 // come either as bare ids or as pre-scored neighbors (the output of
 // topk.SelectK, of which only the ids are consumed); ids must be unique.
-// Data points are the left distance argument (left queries). All candidates
-// go to the space in one space.Many call, then into the queue. The scratch
-// is owned by the caller; refineInto does not allocate when dst and the
-// scratch have warmed-up capacity.
+// Data points are the left distance argument (left queries). With a
+// composition table (counts, see pipeline) the candidates go to
+// space.Closest, which measures only those a bound cannot rule out;
+// otherwise all go to the space in one space.Many call, then into the queue.
+// The scratch is owned by the caller; refineInto does not allocate when dst
+// and the scratch have warmed-up capacity.
 //
-// The answer does not depend on candidate order: topk.Queue keeps the k
-// smallest by (distance, id), so ties at the k boundary go to the smaller
-// id however the filter happened to emit its candidates.
+// The answer does not depend on candidate order, nor on the screen:
+// topk.Queue keeps the k smallest by (distance, id), so ties at the k
+// boundary go to the smaller id however the filter happened to emit its
+// candidates, and a candidate the screen skips is not among them.
 //
-// When tr is non-nil the exact distances and the queue are attributed to
-// the refine stage and the final ordered copy-out to the merge stage (one
-// time.Now pair per stage; no per-candidate bookkeeping, so the traced path
-// stays allocation-free).
-func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, query T, cands []C, k int, rs *refineScratch, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
+// When tr is non-nil the distances measured count as RefineDistances, the
+// exact distances and the queue are attributed to the refine stage and the
+// final ordered copy-out to the merge stage (one time.Now pair per stage; no
+// per-candidate bookkeeping, so the traced path stays allocation-free).
+func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, counts []space.Counts, query T, cands []C, k int, rs *refineScratch, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
 	var t0 time.Time
 	if tr != nil {
-		tr.RefineDistances += int64(len(cands))
 		t0 = time.Now()
 	}
 	var ids []uint32
@@ -123,13 +125,18 @@ func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, qu
 		}
 		rs.ids = ids
 	}
-	rs.dists = scratch.Grow(rs.dists, len(ids))
-	space.Many(sp, &rs.sp, rs.dists, query, data, ids)
 	rs.queue.Reset(k)
-	for i, id := range ids {
-		rs.queue.Push(id, rs.dists[i])
+	measured, screened := space.Closest(sp, &rs.sp, &rs.queue, query, data, counts, ids)
+	if !screened {
+		rs.dists = scratch.Grow(rs.dists, len(ids))
+		space.Many(sp, &rs.sp, rs.dists, query, data, ids)
+		for i, id := range ids {
+			rs.queue.Push(id, rs.dists[i])
+		}
+		measured = len(ids)
 	}
 	if tr != nil {
+		tr.RefineDistances += int64(measured)
 		obs.AddSince(&tr.RefineNs, t0)
 		t0 = time.Now()
 	}

@@ -395,7 +395,7 @@ func TestRefineIgnoresCandidateOrder(t *testing.T) {
 	}
 	const k = 10
 	var rs refineScratch
-	want := refineInto(sp, data, query, cands, k, &rs, nil, nil)
+	want := refineInto(sp, data, nil, query, cands, k, &rs, nil, nil)
 	tied := 0
 	for _, x := range data {
 		if sp.Distance(x, query) == want[k-1].Dist {
@@ -408,15 +408,19 @@ func TestRefineIgnoresCandidateOrder(t *testing.T) {
 	if tied == 0 {
 		t.Fatal("no tie at the k boundary on this corpus; the property is vacuous")
 	}
+	// Measured in full (no composition table) and screened alike.
+	counts := space.CountTable[[]byte](sp, data)
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
-		r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-		if got := refineInto(sp, data, query, cands, k, &rs, nil, nil); !slices.Equal(got, want) {
-			t.Fatalf("shuffle %d (ids):\n got %v\nwant %v", trial, got, want)
-		}
-		r.Shuffle(len(scored), func(i, j int) { scored[i], scored[j] = scored[j], scored[i] })
-		if got := refineInto(sp, data, query, scored, k, &rs, nil, nil); !slices.Equal(got, want) {
-			t.Fatalf("shuffle %d (scored):\n got %v\nwant %v", trial, got, want)
+		for _, cs := range [][]space.Counts{nil, counts} {
+			r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			if got := refineInto(sp, data, cs, query, cands, k, &rs, nil, nil); !slices.Equal(got, want) {
+				t.Fatalf("shuffle %d (ids, screened %v):\n got %v\nwant %v", trial, cs != nil, got, want)
+			}
+			r.Shuffle(len(scored), func(i, j int) { scored[i], scored[j] = scored[j], scored[i] })
+			if got := refineInto(sp, data, cs, query, scored, k, &rs, nil, nil); !slices.Equal(got, want) {
+				t.Fatalf("shuffle %d (scored, screened %v):\n got %v\nwant %v", trial, cs != nil, got, want)
+			}
 		}
 	}
 }

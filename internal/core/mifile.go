@@ -141,7 +141,7 @@ func (mf *MIFile[T]) Options() MIFileOptions { return mf.opts }
 
 // filter scores every point met in the posting lists of the query's ms
 // closest pivots.
-func (mf *MIFile[T]) filter(s *miScratch, query T, _ int, _ index.Params) (candidates, int) {
+func (mf *MIFile[T]) filter(s *miScratch, query T, _ int, _ index.Params) (candidates, int, int) {
 	m := int32(mf.opts.NumPivots)
 	ms := mf.opts.NumPivotSearch
 	qorder := mf.pivots.ClosestWith(&s.perm, query, ms)
@@ -180,5 +180,5 @@ func (mf *MIFile[T]) filter(s *miScratch, query T, _ int, _ index.Params) (candi
 		cands = append(cands, topk.Neighbor{ID: id, Dist: float64(int32(ms)*m - s.gains.Get(id))})
 	}
 	s.cands = cands
-	return candidates{scored: cands}, len(cands)
+	return candidates{scored: cands}, len(cands), s.perm.Measured
 }

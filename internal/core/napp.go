@@ -150,7 +150,7 @@ func (na *NAPP[T]) Options() NAPPOptions { return na.opts }
 // filter keeps the ids sharing at least t of the query's ms closest
 // pivots. NAPP has no gamma: the threshold alone sets the candidate count,
 // up to MaxCandidates.
-func (na *NAPP[T]) filter(s *nappScratch, query T, _ int, p index.Params) (candidates, int) {
+func (na *NAPP[T]) filter(s *nappScratch, query T, _ int, p index.Params) (candidates, int, int) {
 	closest := na.pivots.ClosestWith(&s.perm, query, na.opts.NumPivotSearch)
 	t := cmp.Or(p.MinShared, na.opts.MinShared)
 	max := na.opts.MaxCandidates
@@ -167,5 +167,5 @@ func (na *NAPP[T]) filter(s *nappScratch, query T, _ int, p index.Params) (candi
 			cands = append(cands, c.ID)
 		}
 	}
-	return candidates{ids: cands}, scanned
+	return candidates{ids: cands}, scanned, s.perm.Measured
 }

@@ -128,7 +128,7 @@ func (om *OMEDRANK[T]) size() (int64, int) {
 
 // filter walks the voters' lists outward from the query's positions until g
 // ids have crossed the quorum.
-func (om *OMEDRANK[T]) filter(s *omedScratch, query T, g int, _ index.Params) (candidates, int) {
+func (om *OMEDRANK[T]) filter(s *omedScratch, query T, g int, _ index.Params) (candidates, int, int) {
 	n := len(om.data)
 	h := len(om.voters)
 	need := int(om.opts.Quorum*float64(h)) + 1
@@ -206,5 +206,5 @@ func (om *OMEDRANK[T]) filter(s *omedScratch, query T, g int, _ index.Params) (c
 		}
 	}
 	s.cands = cands
-	return candidates{ids: cands}, len(cands)
+	return candidates{ids: cands}, len(cands), h
 }

@@ -95,7 +95,7 @@ func (pt *PermVPTree[T]) size() (int64, int) {
 // filter is g-NN search in the permutation space. The candidate list the
 // VP-tree returns is this path's one allocation besides the result, outside
 // the zero-alloc guards.
-func (pt *PermVPTree[T]) filter(s *permutation.Scratch, query T, g int, _ index.Params) (candidates, int) {
+func (pt *PermVPTree[T]) filter(s *permutation.Scratch, query T, g int, _ index.Params) (candidates, int, int) {
 	cands := pt.tree.Search(pt.pivots.PermutationWith(s, query), g)
-	return candidates{scored: cands}, len(cands)
+	return candidates{scored: cands}, len(cands), s.Measured
 }

@@ -17,11 +17,12 @@ import (
 // kind is what one permutation method supplies to the pipeline: its filter
 // over its own precomputed structure, on its own per-query scratch S.
 type kind[T, S any] interface {
-	// filter returns the query's candidates and how many ids the filter
-	// looked at to pick them (the traced FilterCandidates). g is the
-	// candidate budget, max(k, gamma*n) clamped to n, which a kind built
-	// without a gamma ignores; p carries the query's other knobs.
-	filter(s *S, query T, g int, p index.Params) (c candidates, scanned int)
+	// filter returns the query's candidates, how many ids the filter
+	// looked at to pick them (the traced FilterCandidates) and how many
+	// pivot distances it computed (PivotDistances). g is the candidate
+	// budget, max(k, gamma*n) clamped to n, which a kind built without a
+	// gamma ignores; p carries the query's other knobs.
+	filter(s *S, query T, g int, p index.Params) (c candidates, scanned, pivots int)
 	// size is the heap footprint of the filter structure in bytes and the
 	// number of pivot distances building it spent on each data point.
 	size() (bytes int64, pivotsPerPoint int)
@@ -42,10 +43,14 @@ type candidates struct {
 // the filter: the k <= 0 guard, the candidate budget, the trace clock and
 // counters, the selection among scored candidates, the refine queue.
 type pipeline[T, S any] struct {
-	sp    space.Space[T]
-	data  []T
-	gamma float64
-	kind  kind[T, S]
+	sp   space.Space[T]
+	data []T
+	// counts is the data's composition table when sp is exactly one of the
+	// Levenshteins (space.CountTable), which lets refineInto skip the
+	// candidates it proves too far; nil otherwise.
+	counts []space.Counts
+	gamma  float64
+	kind   kind[T, S]
 	index.Pooled[T, pipeScratch[S]]
 }
 
@@ -56,11 +61,13 @@ type pipeScratch[S any] struct {
 	refine refineScratch
 }
 
-// bind attaches the pipeline to its kind. gamma is the built candidate
-// fraction, 0 for a kind that has none. Call once, before the index is
-// shared.
+// bind attaches the pipeline to its kind and builds the refine stage's
+// composition table, on the build and the load path alike. gamma is the
+// built candidate fraction, 0 for a kind that has none. Call once, before
+// the index is shared.
 func (p *pipeline[T, S]) bind(k kind[T, S], sp space.Space[T], data []T, gamma float64) {
 	p.kind, p.sp, p.data, p.gamma = k, sp, data, gamma
+	p.counts = space.CountTable(sp, data)
 	p.Bind(p.search)
 }
 
@@ -85,9 +92,10 @@ func (p *pipeline[T, S]) search(s *pipeScratch[S], dst []topk.Neighbor, query T,
 	if tr != nil {
 		t0 = time.Now()
 	}
-	c, scanned := p.kind.filter(&s.filter, query, g, opts.Params)
+	c, scanned, pivots := p.kind.filter(&s.filter, query, g, opts.Params)
 	if tr != nil {
 		tr.FilterCandidates += int64(scanned)
+		tr.PivotDistances += int64(pivots)
 		obs.AddSince(&tr.FilterNs, t0)
 		t0 = time.Now()
 	}
@@ -98,9 +106,9 @@ func (p *pipeline[T, S]) search(s *pipeScratch[S], dst []topk.Neighbor, query T,
 		}
 	}
 	if c.scored == nil {
-		return refineInto(p.sp, p.data, query, c.ids, k, &s.refine, dst, tr)
+		return refineInto(p.sp, p.data, p.counts, query, c.ids, k, &s.refine, dst, tr)
 	}
-	return refineInto(p.sp, p.data, query, c.scored, k, &s.refine, dst, tr)
+	return refineInto(p.sp, p.data, p.counts, query, c.scored, k, &s.refine, dst, tr)
 }
 
 // errEmpty rejects a build over no data: there is nothing to sample pivots

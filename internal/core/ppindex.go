@@ -165,12 +165,14 @@ func (pp *PPIndex[T]) size() (int64, int) {
 // the query's prefix path that holds at least g points. collect walks child
 // maps, so the candidate order differs from run to run; refinement does not
 // depend on it.
-func (pp *PPIndex[T]) filter(s *ppScratch, query T, g int, _ index.Params) (candidates, int) {
+func (pp *PPIndex[T]) filter(s *ppScratch, query T, g int, _ index.Params) (candidates, int, int) {
 	s.seen.Begin(len(pp.data))
 	ids := s.ids[:0]
+	pivots := 0
 	for ti := range pp.trees {
 		tree := &pp.trees[ti]
 		prefix := tree.pivots.ClosestWith(&s.perm, query, pp.opts.PrefixLen)
+		pivots += s.perm.Measured
 		// Walk down recording the path, then pick the deepest node
 		// whose subtree is big enough.
 		s.path = append(s.path[:0], tree.root)
@@ -197,5 +199,5 @@ func (pp *PPIndex[T]) filter(s *ppScratch, query T, g int, _ index.Params) (cand
 		}
 	}
 	s.ids = ids
-	return candidates{ids: ids}, len(ids)
+	return candidates{ids: ids}, len(ids), pivots
 }

@@ -100,11 +100,11 @@ func (f *ScanFilter[T]) Pivots() *permutation.Pivots[T] { return f.pivots }
 
 func (f *ScanFilter[T]) size() (int64, int) { return f.rows.bytes(), f.pivots.M() }
 
-func (f *ScanFilter[T]) filter(s *scanScratch, query T, _ int, _ index.Params) (candidates, int) {
+func (f *ScanFilter[T]) filter(s *scanScratch, query T, _ int, _ index.Params) (candidates, int, int) {
 	f.pivots.DistancesWith(&s.view, query)
 	s.cands = scratch.Grow(s.cands, len(f.data))
 	f.rows.scan(s, s.cands)
-	return candidates{scored: s.cands}, len(s.cands)
+	return candidates{scored: s.cands}, len(s.cands), s.view.Measured
 }
 
 // RankAll returns every data point ranked by filter distance from the
@@ -112,7 +112,7 @@ func (f *ScanFilter[T]) filter(s *scanScratch, query T, _ int, _ index.Params) (
 // Figure 3 experiments (recall vs. fraction of candidates scanned).
 func (f *ScanFilter[T]) RankAll(query T) []topk.Neighbor {
 	var s scanScratch
-	c, _ := f.filter(&s, query, 0, index.Params{})
+	c, _, _ := f.filter(&s, query, 0, index.Params{})
 	topk.ByDist(c.scored)
 	return c.scored
 }

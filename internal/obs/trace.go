@@ -20,8 +20,13 @@ type QueryTrace struct {
 	// that survived the candidate scan).
 	FilterCandidates int64
 	// RefineDistances is the number of exact distance evaluations spent
-	// refining candidates (for seqscan, every live point).
+	// refining candidates (for seqscan, every live point): the distances
+	// actually measured, which a screen may keep below the candidates.
 	RefineDistances int64
+	// PivotDistances is the number of query-to-pivot distances the
+	// permutation filter computed, which a screened pivot selection keeps
+	// below the pivot count.
+	PivotDistances int64
 
 	FilterNs int64 // permutation projection + candidate scan
 	RefineNs int64 // exact-distance refinement loop
@@ -43,6 +48,7 @@ func (t *QueryTrace) Reset() { *t = QueryTrace{} }
 func (t *QueryTrace) Merge(o *QueryTrace) {
 	t.FilterCandidates += o.FilterCandidates
 	t.RefineDistances += o.RefineDistances
+	t.PivotDistances += o.PivotDistances
 	t.FilterNs += o.FilterNs
 	t.RefineNs += o.RefineNs
 	t.MergeNs += o.MergeNs

@@ -40,8 +40,9 @@ type Pivots[T any] struct {
 	// sets (NewPivots), which therefore cannot be persisted.
 	ids []int32
 	// screen lets ClosestWith measure only the pivots it cannot rule out;
-	// nil unless the space is exactly space.L2 (see screenOf).
-	screen func() *l2Screen
+	// nil unless the space is exactly space.L2 or one of the two
+	// Levenshteins (see screenOf).
+	screen func() screener[T]
 }
 
 // NewPivots wraps an explicit pivot list.
@@ -122,6 +123,7 @@ func (p *Pivots[T]) Distances(x T, dst []float64) []float64 {
 func (p *Pivots[T]) DistancesWith(s *Scratch, x T) []float64 {
 	s.Dists = scratch.Grow(s.Dists, len(p.items))
 	space.ManyFrom(p.space, &s.sp, s.Dists, x, p.items)
+	s.Measured = len(p.items)
 	return s.Dists
 }
 
@@ -154,13 +156,17 @@ type Scratch struct {
 	Dists []float64
 	Order []int32
 	Perm  []int32
+	// Measured is the number of pivot distances the last call on the
+	// Scratch computed: m, or fewer after a screened ClosestWith.
+	Measured int
 	// sel holds ClosestWith's (pivot index, distance) pairs.
 	sel []topk.Neighbor
 	// sp is the bulk distance call's state (the L2 point widened once, the
 	// Levenshtein pattern's match table).
 	sp space.Scratch
-	// ids and upper are the L2 screen's: the pivots it cannot rule out, and
-	// the bounded heap that finds the n-th smallest upper bound.
+	// ids is the L2 screen's pivots it cannot rule out; upper is the
+	// screens' bounded heap: the n-th smallest upper bound for L2, the n
+	// closest pivots for the Levenshteins.
 	ids   []uint32
 	upper topk.Queue
 }
@@ -189,14 +195,18 @@ func (s *Scratch) Ranks() []int32 {
 // inverted-file methods only ever read such a prefix (NAPP's mi and ms, the
 // MI-file's, the PP-index's prefix length), so they select it with
 // topk.SelectK over (distance, pivot index) — the incremental sort of §2.2 —
-// instead of sorting all m pivots. Under the exact type space.L2 a screen
-// first rules out, in one blocked pass, every pivot that provably cannot make
-// the prefix, and only the rest are measured (l2Screen.closest); s.Dists then
-// holds working values, not the pivots' distances. n is clamped to [0, m].
-// Allocation-free once s has warmed up.
+// instead of sorting all m pivots. For 0 < n < m, under the exact types
+// space.L2, space.Levenshtein and space.NormalizedLevenshtein, a screen rules
+// out pivots that provably cannot make the prefix and only the rest are
+// measured; s.Measured counts them. The L2 screen bounds every pivot in one
+// blocked pass (l2Screen.closest) and leaves s.Dists holding working values,
+// not the pivots' distances; the Levenshtein screen bounds each pivot by its
+// composition (space.Closest) and leaves s.Dists as it was. Either way only
+// s.Order is the answer. n is clamped to [0, m]. Allocation-free once s has
+// warmed up.
 func (p *Pivots[T]) ClosestWith(s *Scratch, x T, n int) []int32 {
 	if p.screen != nil && n > 0 && n < len(p.items) {
-		if sc := p.screen(); sc != nil && sc.closest(s, any(x).([]float32), n) {
+		if sc := p.screen(); sc != nil && sc.closest(s, x, n) {
 			return s.Order
 		}
 	}

@@ -10,28 +10,84 @@ import (
 	"repro/internal/vecmath"
 )
 
-// l2Screen lets ClosestWith pick the n closest of m pivots under the exact
-// type space.L2 without measuring all m: the pivots widened into one
-// contiguous row-major float64 arena (m·dim·8 bytes; the blocked product runs
-// measurably faster over it than over the float32 pivots), their squared
-// norms, and the rounding slack of the bound closest relies on.
+// screener is the seam behind ClosestWith's screens: closest is
+// ClosestWith(s, x, n) for 0 < n < m that measures only the pivots it cannot
+// rule out. It fills s.Order and s.Measured and reports true, or reports
+// false when x cannot be screened, and the caller measures every pivot.
+type screener[T any] interface {
+	closest(s *Scratch, x T, n int) bool
+}
+
+// screenOf returns the function that hands out items' screen, or nil when sp
+// has none. The screens are chosen by exact concrete type, as in
+// space.ManyFrom: a type that embeds a space to override Distance (a
+// space.Counter, a test gate) gets no screen, so every one of its calls still
+// goes through its Distance.
+//
+// Under space.L2 the screen is built on its first call, so that pivot sets
+// never asked for a prefix (the scan filters, perm-vptree) hold no arena; it
+// is nil for pivots it cannot vouch for (newL2Screen). Under the two
+// Levenshteins it is the pivots' compositions (space.CountTable), 16 bytes a
+// pivot, built at once.
+func screenOf[T any](sp space.Space[T], items []T) func() screener[T] {
+	if _, ok := any(sp).(space.L2); ok {
+		return sync.OnceValue(func() screener[T] {
+			if sc := newL2Screen(any(items).([][]float32)); sc != nil {
+				return any(sc).(screener[T])
+			}
+			return nil
+		})
+	}
+	counts := space.CountTable(sp, items)
+	if counts == nil {
+		return nil
+	}
+	all := make([]uint32, len(items))
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	var sc screener[T] = &editScreen[T]{sp: sp, items: items, counts: counts, all: all}
+	return func() screener[T] { return sc }
+}
+
+// editScreen is the composition screen of pivots under exactly
+// space.Levenshtein or space.NormalizedLevenshtein.
+type editScreen[T any] struct {
+	sp     space.Space[T]
+	items  []T
+	counts []space.Counts // the pivots' compositions
+	all    []uint32       // 0, 1, …, m-1: every pivot is a candidate
+}
+
+// closest selects through space.Closest, whose queue keeps the n smallest
+// (distance, pivot index) pairs — ClosestWith's selection — while it skips
+// every pivot whose composition bound exceeds the n-th distance found so
+// far. It leaves s.Dists as it was.
+func (sc *editScreen[T]) closest(s *Scratch, x T, n int) bool {
+	s.upper.Reset(n)
+	measured, ok := space.Closest(sc.sp, &s.sp, &s.upper, x, sc.items, sc.counts, sc.all)
+	if !ok {
+		return false
+	}
+	s.Measured = measured
+	s.sel = s.upper.AppendResults(s.sel[:0])
+	s.Order = s.Order[:0]
+	for _, c := range s.sel {
+		s.Order = append(s.Order, int32(c.ID))
+	}
+	return true
+}
+
+// l2Screen is the screen of pivots under the exact type space.L2: the
+// pivots widened into one contiguous row-major float64 arena (m·dim·8 bytes;
+// the blocked product runs measurably faster over it than over the float32
+// pivots), their squared norms, and the rounding slack of the bound closest
+// relies on.
 type l2Screen struct {
 	vecs  [][]float32 // the pivots, measured when they survive
 	rows  []float64   // pivot i widened, at rows[i*dim : (i+1)*dim]
 	norms []float64   // ‖p_i‖², a sum of exact widened squares
 	slack float64     // (dim+8)·2⁻⁵⁰; see closest
-}
-
-// screenOf returns the function that builds items' screen on its first call,
-// so that pivot sets never asked for a prefix (the scan filters, perm-vptree)
-// hold no arena; nil when sp is not exactly space.L2. A type that embeds L2 to
-// override Distance gets no screen, so every one of its calls still goes
-// through its Distance, as in space.ManyFrom.
-func screenOf[T any](sp space.Space[T], items []T) func() *l2Screen {
-	if _, ok := any(sp).(space.L2); !ok {
-		return nil
-	}
-	return sync.OnceValue(func() *l2Screen { return newL2Screen(any(items).([][]float32)) })
 }
 
 // newL2Screen returns the screen of vecs, or nil when they differ in length
@@ -59,10 +115,8 @@ func newL2Screen(vecs [][]float32) *l2Screen {
 	return sc
 }
 
-// closest is ClosestWith(s, x, n) for 0 < n < m: it fills s.Order and reports
-// true, or reports false when x cannot be screened — its length is not the
-// pivots', or it holds a NaN or an infinity — and the caller measures every
-// pivot instead.
+// closest declines an x whose length is not the pivots', or that holds a NaN
+// or an infinity.
 //
 // One blocked pass (vecmath.DotRows) gives every pivot p its approximate
 // squared distance a = ‖x‖² + ‖p‖² − 2x·p. Products of widened float32s are
@@ -76,7 +130,8 @@ func newL2Screen(vecs [][]float32) *l2Screen {
 // farther than n others, so it is not among the n closest, ties toward the
 // smaller index included. Only the survivors are measured, by space.Many —
 // the bits ManyFrom returns for them — and selected by (distance, index) as
-// ClosestWith always selects.
+// ClosestWith always selects. s.Dists is left holding the survivors'
+// distances, in survivor order, over the pivots' lower bounds.
 func (sc *l2Screen) closest(s *Scratch, x []float32, n int) bool {
 	if len(x) != len(sc.vecs[0]) {
 		return false
@@ -105,6 +160,7 @@ func (sc *l2Screen) closest(s *Scratch, x []float32, n int) bool {
 		}
 	}
 	s.ids = ids
+	s.Measured = len(ids)
 	// The bounds are spent; the survivors' distances reuse their room.
 	dists := s.Dists[:len(ids)]
 	space.Many[[]float32](space.L2{}, &s.sp, dists, x, sc.vecs, ids)

@@ -2,6 +2,7 @@ package permutation
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,7 +14,7 @@ import (
 
 // measured returns a copy of pv without its screen, whose ClosestWith
 // measures every pivot: the selection the screened one must reproduce.
-func measured(pv *Pivots[[]float32]) *Pivots[[]float32] {
+func measured[T any](pv *Pivots[T]) *Pivots[T] {
 	cp := *pv
 	cp.screen = nil
 	return &cp
@@ -21,7 +22,7 @@ func measured(pv *Pivots[[]float32]) *Pivots[[]float32] {
 
 // screenOfPivots returns pv's screen, building it if need be; nil if it has
 // none.
-func screenOfPivots[T any](pv *Pivots[T]) *l2Screen {
+func screenOfPivots[T any](pv *Pivots[T]) screener[T] {
 	if pv.screen == nil {
 		return nil
 	}
@@ -33,7 +34,7 @@ func screenOfPivots[T any](pv *Pivots[T]) *l2Screen {
 // -1..m+1 for a small pivot set; the edges and the served prefix lengths for
 // a large one — each side reusing one Scratch throughout, as a build worker
 // does.
-func checkScreened(t testing.TB, pv *Pivots[[]float32], xs [][]float32) {
+func checkScreened[T any](t testing.TB, pv *Pivots[T], xs []T) {
 	t.Helper()
 	ref, m := measured(pv), pv.M()
 	ns := []int{-1, 0, 1, 2, 3, 31, 32, 33, m / 2, m - 2, m - 1, m, m + 1}
@@ -63,6 +64,18 @@ func siftPivots(tb testing.TB) (*Pivots[[]float32], [][]float32) {
 		tb.Fatal(err)
 	}
 	return pv, sift[512:]
+}
+
+// dnaPivots returns 512 reads of the DNA corpus of seed as normalised
+// Levenshtein pivots, and 64 more reads of it.
+func dnaPivots(tb testing.TB, seed int64) (*Pivots[[]byte], [][]byte) {
+	tb.Helper()
+	reads := dataset.DNA(seed, 512+64, dataset.DNAOptions{})
+	pv, err := NewPivots[[]byte](space.NormalizedLevenshtein{}, reads[:512])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pv, reads[512:]
 }
 
 // TestScreenedClosestMatchesMeasured holds the screen to the selection it
@@ -123,12 +136,48 @@ func TestScreenedClosestMatchesMeasured(t *testing.T) {
 	checkScreened(t, pv, [][]float32{near(), near(), near(), base})
 }
 
-// TestScreenPrunes pins what the screen is for and where it stands aside. At
-// the served shape it measures hardly more than the 32 pivots it returns. It
-// declines a point holding a NaN or an infinity, or of the wrong length, and
-// such a point still gets the measured selection. A pivot set holding a NaN
-// or an infinity, ragged pivots, a type embedding L2 and any other space get
-// no screen at all.
+// TestEditScreenMatchesMeasured holds the composition screen to the
+// selection it replaces, under both Levenshteins: on 512 DNA reads of
+// dna-direct's corpus (seed 1) and of seed 7's, reads equal to a pivot
+// included, and on 40 pivots of random bytes from empty to past one 64-byte
+// word, with a duplicated pivot, against points of the same kinds.
+func TestEditScreenMatchesMeasured(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		pv, reads := dnaPivots(t, seed)
+		if _, ok := screenOfPivots(pv).(*editScreen[[]byte]); !ok {
+			t.Fatal("normalised Levenshtein pivots got no composition screen")
+		}
+		checkScreened(t, pv, append(reads[:16:16], pv.Items()[5], pv.Items()[400]))
+	}
+	r := rand.New(rand.NewSource(17))
+	str := func() []byte {
+		b := make([]byte, r.Intn(131))
+		for i := range b {
+			b[i] = byte(r.Intn(256))
+		}
+		return b
+	}
+	items := make([][]byte, 40)
+	for i := range items {
+		items[i] = str()
+	}
+	items[31] = slices.Clone(items[4])
+	for _, sp := range []space.Space[[]byte]{space.Levenshtein{}, space.NormalizedLevenshtein{}} {
+		pv, err := NewPivots(sp, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkScreened(t, pv, [][]byte{str(), str(), {}, slices.Clone(items[4]), slices.Clone(items[39])})
+	}
+}
+
+// TestScreenPrunes pins what the screens are for and where they stand aside.
+// At the served shape the L2 screen measures hardly more than the 32 pivots
+// it returns, and the composition screen at most 400 of 512 on dna-direct's
+// reads. The L2 screen declines a point holding a NaN or an infinity, or of
+// the wrong length, and such a point still gets the measured selection. A
+// pivot set holding a NaN or an infinity, ragged pivots, a type embedding L2
+// or a Levenshtein, a Counter and any other space get no screen at all.
 func TestScreenPrunes(t *testing.T) {
 	pv, points := siftPivots(t)
 	sc := screenOfPivots(pv)
@@ -138,7 +187,7 @@ func TestScreenPrunes(t *testing.T) {
 		if !sc.closest(&s, x, 32) {
 			t.Fatal("screen declined a finite point")
 		}
-		measuredPivots += len(s.sel)
+		measuredPivots += s.Measured
 	}
 	if per := float64(measuredPivots) / float64(len(points)); per > 40 {
 		t.Errorf("screen measured %.1f of 512 pivots per point to select 32, want at most 40", per)
@@ -153,6 +202,27 @@ func TestScreenPrunes(t *testing.T) {
 		}
 	}
 	checkScreened(t, pv, [][]float32{withNaN, withInf})
+
+	// The composition screen, at dna-direct's shape, measures at most 400 of
+	// the 512 pivots per read to select 32.
+	dna, reads := dnaPivots(t, 1)
+	measuredPivots = 0
+	for _, x := range reads {
+		dna.ClosestWith(&s, x, 32)
+		measuredPivots += s.Measured
+	}
+	if per := float64(measuredPivots) / float64(len(reads)); per > 400 {
+		t.Errorf("composition screen measured %.1f of 512 pivots per read to select 32, want at most 400", per)
+	}
+	reads = reads[:3]
+	for name, sp := range map[string]space.Space[[]byte]{
+		"Levenshtein-embedding": struct{ space.NormalizedLevenshtein }{},
+		"counter":               space.NewCounter[[]byte](space.NormalizedLevenshtein{}),
+	} {
+		if pv, _ := NewPivots(sp, reads); screenOfPivots(pv) != nil {
+			t.Errorf("%s pivots got a screen", name)
+		}
+	}
 
 	pts := [][]float32{{1, 2}, {3, 4}, {5, 6}}
 	for name, sp := range map[string]space.Space[[]float32]{"L2-embedding": struct{ space.L2 }{}, "l1": space.L1{}} {
@@ -218,16 +288,27 @@ func FuzzScreenedClosest(f *testing.F) {
 	})
 }
 
-// BenchmarkClosest is one SIFT-like point's 32 closest of 512 pivots — the
-// shape of a NAPP build row and of a served query's pivot selection (m = 512,
-// mi = ms = 32) — screened, beside -measured, the selection it replaced: all
-// 512 pivots through space.ManyFrom, then topk.SelectK.
+// BenchmarkClosest is one point's 32 closest of 512 pivots — the shape of a
+// NAPP build row and of a served query's pivot selection (m = 512, mi = ms =
+// 32) — screened, beside -measured, the selection it replaced: all 512
+// pivots through space.ManyFrom, then topk.SelectK. The points are SIFT-like
+// under L2, then DNA reads under normalised Levenshtein from dna-direct's
+// corpus (seed 1), where the composition screen skips about a third of the
+// pivots, and from seed 7's, where it skips almost none.
 func BenchmarkClosest(b *testing.B) {
 	pv, points := siftPivots(b)
+	benchClosest(b, "l2/128-closest32of512", pv, points)
+	for _, seed := range []int64{1, 7} {
+		pv, reads := dnaPivots(b, seed)
+		benchClosest(b, fmt.Sprintf("normleven/32-s%d-closest32of512", seed), pv, reads)
+	}
+}
+
+func benchClosest[T any](b *testing.B, name string, pv *Pivots[T], points []T) {
 	for _, row := range []struct {
 		name string
-		pv   *Pivots[[]float32]
-	}{{"l2/128-closest32of512", pv}, {"l2/128-closest32of512-measured", measured(pv)}} {
+		pv   *Pivots[T]
+	}{{name, pv}, {name + "-measured", measured(pv)}} {
 		b.Run(row.name, func(b *testing.B) {
 			var s Scratch
 			b.ReportAllocs()

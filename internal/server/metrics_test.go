@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -167,6 +168,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	cands := metricValue(t, tm, "permserve_filter_candidates_total", idx)
 	if refined > cands {
 		t.Errorf("refine_distances_total %v exceeds filter_candidates_total %v: refine must only see filtered candidates", refined, cands)
+	}
+	// Each of the 5 queries measured between its ms closest pivots and all
+	// m = 64 of them (the L2 screen measures fewer than m).
+	pivots := metricValue(t, tm, "permserve_pivot_distances_total", idx)
+	if ms := float64(dense.idx.(*core.NAPP[[]float32]).Options().NumPivotSearch); pivots < 5*ms || pivots > 5*64 {
+		t.Errorf("pivot_distances_total = %v, want in [5·%v, 5·64]", pivots, ms)
 	}
 	for _, stage := range []string{"filter", "refine"} {
 		if got := metricValue(t, tm, "permserve_stage_ns_total", map[string]string{"index": name, "stage": stage}); got <= 0 {

@@ -134,6 +134,7 @@ type entryMetrics struct {
 	latency     *obs.Histogram
 	filterCands *obs.Counter
 	refineDists *obs.Counter
+	pivotDists  *obs.Counter
 	stageNs     [len(obs.StageNames)]*obs.Counter
 }
 
@@ -185,6 +186,7 @@ func (s *Server) registerMetrics() {
 	latency := s.metrics.Histogram("permserve_search_latency_seconds", "Search request latency (decode to response ready).", 1e-9, "index")
 	cands := s.metrics.Counter("permserve_filter_candidates_total", "Candidates examined by the permutation filter stage, per index.", "index")
 	dists := s.metrics.Counter("permserve_refine_distances_total", "Exact distance evaluations in the refine stage, per index.", "index")
+	pivots := s.metrics.Counter("permserve_pivot_distances_total", "Query-to-pivot distance evaluations in the filter stage, per index.", "index")
 	stage := s.metrics.Counter("permserve_stage_ns_total", "Cumulative time per query stage, nanoseconds.", "index", "stage")
 	s.em = make(map[string]*entryMetrics, len(s.reg.Names()))
 	for _, name := range s.reg.Names() {
@@ -197,6 +199,7 @@ func (s *Server) registerMetrics() {
 			latency:     latency.With(name),
 			filterCands: cands.With(name),
 			refineDists: dists.With(name),
+			pivotDists:  pivots.With(name),
 		}
 		for i, st := range obs.StageNames {
 			em.stageNs[i] = stage.With(name, st)
@@ -236,6 +239,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (em *entryMetrics) recordTrace(tr *obs.QueryTrace) {
 	em.filterCands.Add(tr.FilterCandidates)
 	em.refineDists.Add(tr.RefineDistances)
+	em.pivotDists.Add(tr.PivotDistances)
 	for i, ns := range tr.StageNs() {
 		em.stageNs[i].Add(ns)
 	}

@@ -1,0 +1,172 @@
+package space
+
+import (
+	"repro/internal/scratch"
+	"repro/internal/topk"
+)
+
+// Counts is a string's composition: how many of its bytes fall in each of
+// four classes, byte c in class (c>>1)&3, which keeps A, C, G and T apart.
+// One edit moves at most one byte into a class and at most one out of one:
+// a substitution does both, an insertion the first, a deletion the second.
+// So the class surplus P of a over b and the deficit N each need an edit
+// apiece, and EditDistance(a, b) ≥ max(P, N) = (Σ|Δcount| + |Δlen|) / 2 —
+// a lower bound that costs four subtractions per pair.
+type Counts [4]uint32
+
+// countsOf returns s's composition.
+func countsOf(s []byte) Counts {
+	var c Counts
+	for _, b := range s {
+		c[(b>>1)&3]++
+	}
+	return c
+}
+
+// CountTable returns the composition of every string of data when sp is
+// exactly Levenshtein or NormalizedLevenshtein, and nil for any other space —
+// a wrapper that embeds either included, as in Many. It is the per-object
+// state Closest screens with: 16 bytes an object, built in one pass over the
+// bytes.
+func CountTable[T any](sp Space[T], data []T) []Counts {
+	switch any(sp).(type) {
+	case Levenshtein, NormalizedLevenshtein:
+	default:
+		return nil
+	}
+	strs := any(data).([][]byte)
+	out := make([]Counts, len(strs))
+	for i, s := range strs {
+		out[i] = countsOf(s)
+	}
+	return out
+}
+
+// editBound is the composition bound of the strings whose compositions are
+// a and b: an integer ≤ their EditDistance. Branch-free, as it runs once per
+// screened item.
+func editBound(a, b *Counts) int {
+	d0 := int64(a[0]) - int64(b[0])
+	d1 := int64(a[1]) - int64(b[1])
+	d2 := int64(a[2]) - int64(b[2])
+	d3 := int64(a[3]) - int64(b[3])
+	return int((abs64(d0) + abs64(d1) + abs64(d2) + abs64(d3) + abs64(d0+d1+d2+d3)) >> 1)
+}
+
+func abs64(x int64) int64 {
+	m := x >> 63
+	return (x ^ m) - m
+}
+
+// scaled is the float64 a Levenshtein space reports for the integer d
+// between strings whose longer one has l bytes: d itself, or d / l when norm
+// is set (0 for two empty strings), as NormalizedLevenshtein.Distance
+// divides. Division is monotone, so a bound ≤ d stays ≤ the distance after
+// scaling, bit for bit.
+func scaled(d int, norm bool, l int) float64 {
+	if norm && l > 0 {
+		return float64(d) / float64(l)
+	}
+	return float64(d)
+}
+
+// screenBuckets is the number of buckets Closest sorts items into by their
+// integer bound; larger bounds share the last one. The visiting order only
+// decides how soon the queue tightens, never the answer.
+const screenBuckets = 64
+
+// Closest pushes into q — reset by the caller — what pushing every
+// (ids[i], sp.Distance(data[ids[i]], query)) would leave there, measuring only
+// the items a bound cannot rule out. counts is CountTable(sp, data). It
+// returns the number of distances measured, or reports false, touching
+// nothing, when sp is not exactly Levenshtein or NormalizedLevenshtein (the
+// rule of Many) or counts is nil; the caller then measures every item.
+//
+// The items are visited in counting-sort order of their composition bound
+// (Counts), so the likely nearest fill the queue first. An item whose bound,
+// scaled as its distance would be, is strictly greater than the full queue's
+// worst kept distance is skipped: its distance is larger than those of k
+// items already kept, so it is not among the k smallest (by distance, then
+// id) of all the items, and the queue keeps exactly those. The survivors
+// are measured two per pass (editPair) against the query prepared once; a
+// query that is empty or longer than one word is measured by EditDistance.
+// The distances pushed are the bits Distance returns.
+func Closest[T any](sp Space[T], s *Scratch, q *topk.Queue, query T, data []T, counts []Counts, ids []uint32) (measured int, ok bool) {
+	var norm bool
+	switch any(sp).(type) {
+	case NormalizedLevenshtein:
+		norm = true
+	case Levenshtein:
+	default:
+		return 0, false
+	}
+	if counts == nil {
+		return 0, false
+	}
+	return s.editClosest(q, norm, any(query).([]byte), any(data).([][]byte), counts, ids), true
+}
+
+// editClosest is Closest's Levenshtein body.
+func (s *Scratch) editClosest(q *topk.Queue, norm bool, pat []byte, texts [][]byte, counts []Counts, ids []uint32) int {
+	m := len(pat)
+	pc := countsOf(pat)
+	// Bound every item once, then place them bucket by bucket.
+	s.bounds = scratch.Grow(s.bounds, len(ids))
+	var start [screenBuckets + 1]int32
+	for i, id := range ids {
+		b := editBound(&pc, &counts[id])
+		s.bounds[i] = uint32(b)
+		start[min(b, screenBuckets-1)+1]++
+	}
+	for b := 1; b <= screenBuckets; b++ {
+		start[b] += start[b-1]
+	}
+	s.visit = scratch.Grow(s.visit, len(ids))
+	for i, b := range s.bounds {
+		k := min(b, screenBuckets-1)
+		s.visit[start[k]] = uint32(i)
+		start[k]++
+	}
+
+	var peq *[256]uint64
+	if m >= 1 && m <= 64 {
+		peq = s.prepare(pat)
+	}
+	// push offers one measured item; a distance above the full queue's worst
+	// is turned away without the call.
+	worst, full := q.Bound()
+	push := func(i uint32, d int, t []byte) {
+		if dist := scaled(d, norm, max(len(t), m)); (!full || dist <= worst) && q.Push(ids[i], dist) {
+			worst, full = q.Bound()
+		}
+	}
+	measured := 0
+	held, hasHeld := uint32(0), false // a survivor waiting for a second
+	for _, i := range s.visit {
+		t := texts[ids[i]]
+		if full && scaled(int(s.bounds[i]), norm, max(len(t), m)) > worst {
+			continue
+		}
+		switch {
+		case peq == nil:
+			push(i, EditDistance(t, pat), t)
+			measured++
+		case !hasHeld:
+			held, hasHeld = i, true
+		default:
+			h := texts[ids[held]]
+			dh, dt := editPair(peq, m, h, t)
+			push(held, dh, h)
+			push(i, dt, t)
+			measured += 2
+			hasHeld = false
+		}
+	}
+	if hasHeld {
+		h := texts[ids[held]]
+		dh, _ := editPair(peq, m, h, nil)
+		push(held, dh, h)
+		measured++
+	}
+	return measured
+}

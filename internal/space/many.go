@@ -7,13 +7,16 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Scratch is one goroutine's reusable state for Many and ManyFrom: the fixed
-// argument widened to float64 for the L2 pair kernel, or its match table as a
-// Levenshtein pattern. The zero value is ready; a warm Scratch makes both
-// calls allocation-free. Not safe for concurrent use.
+// Scratch is one goroutine's reusable state for Many, ManyFrom and Closest:
+// the fixed argument widened to float64 for the L2 pair kernel, or its match
+// table as a Levenshtein pattern, and Closest's bounds and visiting order.
+// The zero value is ready; a warm Scratch makes all three calls
+// allocation-free. Not safe for concurrent use.
 type Scratch struct {
-	wide []float64
-	peq  *[256]uint64 // allocated on first use: an L2 Scratch stays small
+	wide   []float64
+	peq    *[256]uint64 // allocated on first use: an L2 Scratch stays small
+	bounds []uint32     // Closest: item i's composition bound
+	visit  []uint32     // Closest: the items' positions, smallest bound first
 }
 
 // widen stores v as float64 in the scratch and returns it. Widening a
@@ -37,7 +40,9 @@ func (s *Scratch) widen(v []float32) []float64 {
 //
 // The fast paths are chosen by the exact concrete type, never by an interface
 // a wrapper could promote: a space that embeds L2 to override Distance (a
-// Counter, a test gate) keeps every call going through its Distance.
+// Counter, a test gate) keeps every call going through its Distance. Many
+// measures every item; Closest is the screened form for a caller that only
+// keeps the k nearest, and measures fewer under the two Levenshteins.
 func Many[T any](sp Space[T], s *Scratch, dst []float64, query T, data []T, ids []uint32) {
 	dst = dst[:len(ids)]
 	switch any(sp).(type) {
