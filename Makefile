@@ -45,7 +45,10 @@ govulncheck:
 # internal/lsm must not link the index registry or any index package beyond
 # the exact scan. The experiment harness measures in-memory indexes:
 # internal/experiments must not link persistence, sharding, the wire, the
-# router, the mutable tier or the server. The HTTP front tier and the wire
+# router, the mutable tier or the server, and the serving daemon must not
+# link the experiment harness, its evaluation or its projections (the
+# request-param vocabulary it shares with the harness lives in
+# internal/index). The HTTP front tier and the wire
 # dialect route answers, they never compute one: internal/router and
 # internal/wire must not link the index interface, the batch engine,
 # persistence, any index kind, the mutable tier or the server.
@@ -54,6 +57,8 @@ deps:
 	if [ -n "$$out" ]; then echo "internal/lsm must not depend on:"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -deps ./internal/experiments | grep -E '^repro/internal/(persist|shard|wire|router|lsm|server)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/experiments must not depend on:"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) list -deps ./internal/server | grep -E '^repro/internal/(experiments|eval|projection)$$')"; \
+	if [ -n "$$out" ]; then echo "internal/server must not depend on:"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -deps ./internal/router ./internal/wire | grep -E '^repro/internal/(index|engine|persist|core|knngraph|lsh|vptree|seqscan|lsm|server)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/router and internal/wire must not depend on:"; echo "$$out"; exit 1; fi
 
@@ -140,7 +145,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s ./internal/vecmath/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSearch -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzValue -fuzztime 10s -fuzzminimizetime 1s ./internal/jsonscan/
-	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s ./internal/index/
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultfs/
 	$(GO) test -run '^$$' -fuzz FuzzScreenedClosest -fuzztime 10s ./internal/permutation/

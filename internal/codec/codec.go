@@ -9,7 +9,8 @@
 // A persisted index is a single binary blob:
 //
 //	offset 0  magic   "PSIX" (4 bytes)
-//	          version uint16, little-endian (currently 2)
+//	          version uint16, little-endian (Version, or SegmentVersion for
+//	                  an LSM segment)
 //	          kind    length-prefixed UTF-8 string (the index.Name tag,
 //	                  e.g. "napp" or "sw-graph")
 //	          space   length-prefixed UTF-8 string (space.Space.Name of the
@@ -23,33 +24,28 @@
 // length-prefixed; lengths are validated against the number of bytes
 // actually remaining in the blob before any allocation, so a corrupted or
 // adversarial length can never cause an out-of-memory allocation (see
-// FuzzLoad).
+// FuzzLoad). Every payload of the permutation methods (internal/core) opens
+// with its pivot sets: an int64 count, then one []int32 section of data ids
+// per set.
+//
+// The raw data objects are deliberately NOT part of the format: an index
+// file is a companion to the data set it was built from (loaders receive the
+// same data slice and verify its length and space name), which keeps the
+// format object-type-agnostic — one codec serves dense vectors, sparse
+// vectors, histograms, strings and SQFD signatures alike. Pivot sets are
+// stored as ids into the data slice, never as serialized objects.
 //
 // # Versioning policy
 //
-// Version is bumped whenever the header or any kind payload changes
-// incompatibly. Readers reject versions they do not know; there is no
-// in-place migration — an index saved by an old build is simply rebuilt
-// from the data. The raw data objects are deliberately NOT part of the
-// format: an index file is a companion to the data set it was built from
-// (loaders receive the same data slice and verify its length and space
-// name), which keeps the format object-type-agnostic — one codec serves
-// dense vectors, sparse vectors, histograms, strings and SQFD signatures
-// alike. Pivot sets are stored as ids into the data slice, never as
-// serialized objects.
-//
-// Five payload slots of version 2 are retired — written as zero or empty —
-// and go at the next version bump, not before, so files saved by older
-// builds keep loading. Three are ignored on load: the Bool in the
-// permutation-row payload of core.ScanFilter (once a heap-selection ablation
-// switch), the Int before the seed in the knngraph payload (once the build's
-// worker count, an option that existed only because graph builds were not
-// deterministic at every parallelism) and the I64 after that seed (once an
-// entry-point seed counter that made a graph's bytes depend on its query
-// history). Two must be empty on load, or the file is refused as corrupt:
-// the tombstone lists that end the "napp" and "seqscan" payloads (once the
-// state of indexes that deleted in place; ignoring a non-empty one would
-// bring deleted objects back).
+// Each kind of blob carries its own version, so bumping one never strands
+// the other. Index files carry Version, bumped whenever the header or an
+// index payload changes incompatibly; Reader.Expect, which every index
+// loader calls, refuses any other with ErrUnsupportedVersion. There is no
+// migration: an index is derived from its data set, so an older file is
+// rebuilt, never decoded. LSM segments (KindLSMSegment) carry
+// SegmentVersion: a segment holds acknowledged writes that exist nowhere
+// else, so its version moves only with its own payload, and a build that
+// moves it must still read the old one. NewReader accepts both versions.
 package codec
 
 import (
@@ -60,10 +56,13 @@ import (
 // Magic is the 4-byte file signature.
 const Magic = "PSIX"
 
-// Version is the current format version, bumped on incompatible changes.
-// Version 2 added a tombstone section to the "seqscan" payload (now a
-// retired slot) and the "lsm-segment" kind.
-const Version = 2
+// Version is the format version of index files. Version 3 framed every
+// permutation payload with its pivot sets and dropped five slots that older
+// builds wrote as zero or empty.
+const Version = 3
+
+// SegmentVersion is the format version of LSM segments.
+const SegmentVersion = 2
 
 // Kind tags, one per persistable index family. The tag doubles as the
 // index's report name (index.Index.Name), so a file is self-describing.
@@ -105,10 +104,9 @@ func Kinds() []string {
 // (bad magic, short read, failed checksum, out-of-range length or id).
 var ErrCorrupt = errors.New("codec: corrupt index file")
 
-// ErrUnsupportedVersion is returned by NewReader for a well-formed file
-// written by a different format version. It is distinct from ErrCorrupt so
-// warm-start paths can fall back to rebuilding (the documented
-// rebuild-not-migrate policy) while still failing loudly on real damage.
+// ErrUnsupportedVersion is returned for a well-formed file of a version its
+// loader does not read. It is distinct from ErrCorrupt so warm-start paths can
+// rebuild (the rebuild-not-migrate policy) yet fail loudly on real damage.
 var ErrUnsupportedVersion = errors.New("codec: unsupported format version")
 
 // ErrNotPersistable is returned by Save when an index cannot be serialized —

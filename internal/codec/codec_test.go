@@ -24,7 +24,6 @@ func roundtripBlob(t *testing.T) []byte {
 	var buf bytes.Buffer
 	cw := NewWriter(&buf, KindNAPP, "l2", 42)
 	cw.U8(7)
-	cw.Bool(true)
 	cw.U16(65535)
 	cw.U32(1 << 30)
 	cw.U64(1 << 60)
@@ -58,9 +57,6 @@ func TestPrimitivesRoundtrip(t *testing.T) {
 	}
 	if got := cr.U8(); got != 7 {
 		t.Errorf("U8 = %d", got)
-	}
-	if !cr.Bool() {
-		t.Error("Bool = false")
 	}
 	if got := cr.U16(); got != 65535 {
 		t.Errorf("U16 = %d", got)

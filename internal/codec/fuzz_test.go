@@ -7,17 +7,12 @@ package codec_test
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/knngraph"
@@ -44,8 +39,10 @@ func fuzzCorpus() [][]float32 {
 
 // fuzzSeeds builds one valid blob per representative kind over the fuzz
 // corpus. Every structural family is covered: flat arrays (brute-force),
-// posting lists (napp), recursive trees (vptree), adjacency lists
-// (sw-graph), hash tables (mplsh), and the empty payload (seqscan).
+// posting lists (napp, mi-file), recursive trees (pp-index, vptree,
+// perm-vptree), adjacency lists (sw-graph), hash tables (mplsh), sorted
+// voter lists (omedrank) and the empty payload (seqscan). Every user of the
+// permutation methods' pivot frame is among them.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	data := fuzzCorpus()
 	sp := space.L2{}
@@ -71,6 +68,15 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		func() (index.Index[[]float32], error) {
 			return seqscan.New[[]float32](sp, data), nil
 		},
+		func() (index.Index[[]float32], error) {
+			return core.NewMIFile[[]float32](sp, data, core.MIFileOptions{NumPivots: 8, NumPivotIndex: 4, NumPivotSearch: 2, Seed: 3})
+		},
+		func() (index.Index[[]float32], error) {
+			return core.NewOMEDRANK[[]float32](sp, data, core.OMEDRANKOptions{NumVoters: 3, Seed: 3})
+		},
+		func() (index.Index[[]float32], error) {
+			return core.NewPermVPTree[[]float32](sp, data, core.PermVPTreeOptions{NumPivots: 8, BucketSize: 4, Seed: 3})
+		},
 	}
 	var out [][]byte
 	for _, build := range builders {
@@ -85,50 +91,6 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		out = append(out, blob.Bytes())
 	}
 	return out
-}
-
-// withTombstone forges a blob whose payload ends in a retired tombstone slot
-// (the "napp" and "seqscan" kinds; Save writes the slot empty) into one whose
-// slot lists id, under a valid checksum: only the slot's own check can
-// refuse it.
-func withTombstone(blob []byte, id uint32) []byte {
-	body := bytes.Clone(blob[:len(blob)-12]) // drop the empty slot's count and the trailer
-	body = binary.LittleEndian.AppendUint64(body, 1)
-	body = binary.LittleEndian.AppendUint32(body, id)
-	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-}
-
-// tombstoned returns, by kind, the seed blobs of the two kinds with a
-// retired tombstone slot, forged to list one id in it.
-func tombstoned(tb testing.TB) map[string][]byte {
-	out := map[string][]byte{}
-	for _, seed := range fuzzSeeds(tb) {
-		cr, err := codec.NewReader(bytes.NewReader(seed))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if kind := cr.Header().Kind; kind == codec.KindNAPP || kind == codec.KindSeqScan {
-			out[kind] = withTombstone(seed, 5)
-		}
-	}
-	if len(out) != 2 {
-		tb.Fatalf("seed kinds with a tombstone slot: %d, want napp and seqscan", len(out))
-	}
-	return out
-}
-
-// TestRetiredTombstoneSlotRefused loads a NAPP and a seqscan file that list
-// a tombstone: both kinds must refuse it as corrupt, since ignoring the list
-// would serve the deleted object again.
-func TestRetiredTombstoneSlotRefused(t *testing.T) {
-	for kind, blob := range tombstoned(t) {
-		t.Run(kind, func(t *testing.T) {
-			_, err := persist.Load[[]float32](bytes.NewReader(blob), space.L2{}, fuzzCorpus())
-			if !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "tombstone slot") {
-				t.Fatalf("load of a %s file with a tombstone = %v, want ErrCorrupt for the retired slot", kind, err)
-			}
-		})
-	}
 }
 
 // FuzzLoad feeds arbitrary bytes to the full index-load path. The contract
@@ -147,9 +109,6 @@ func FuzzLoad(f *testing.F) {
 			f.Add(flip)
 		}
 	}
-	forged := tombstoned(f)
-	f.Add(forged[codec.KindNAPP])
-	f.Add(forged[codec.KindSeqScan])
 	data := fuzzCorpus()
 	queries := [][]float32{data[0], {9, 9, 9, 9}}
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -218,40 +177,6 @@ func TestSeedCorpusIsCurrent(t *testing.T) {
 		if !bytes.Equal(have, corpusFile(seed)) {
 			t.Errorf("%s no longer matches its builder: the codec payload changed (bump the version and regenerate with WRITE_FUZZ_CORPUS=1)", name)
 		}
-	}
-}
-
-// TestRetiredWorkersSlotLoads loads an sw-graph file saved by a build that
-// still recorded a worker count, Workers = 1, in the graph payload's retired
-// slot: it must load and answer a search.
-func TestRetiredWorkersSlotLoads(t *testing.T) {
-	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoad", "seed-sw-graph-workers1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	quoted, _ := strings.CutPrefix(string(file), "go test fuzz v1\n[]byte(")
-	quoted, _ = strings.CutSuffix(quoted, ")\n")
-	blob, err := strconv.Unquote(quoted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, err := codec.NewReader(strings.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range 7 { // NN, InitAttempts, EfSearch, Rho, Delta, MaxIters, RandomLinks
-		cr.U64()
-	}
-	if kind, workers := cr.Header().Kind, cr.Int(); kind != codec.KindSWGraph || workers != 1 {
-		t.Fatalf("fixture holds kind %q with workers slot %d, want %q with 1", kind, workers, codec.KindSWGraph)
-	}
-	data := fuzzCorpus()
-	idx, err := persist.Load[[]float32](strings.NewReader(blob), space.L2{}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.Search(data[1], 3); len(got) != 3 || got[0].ID != 1 {
-		t.Fatalf("search of an indexed point answered %+v", got)
 	}
 }
 

@@ -24,7 +24,8 @@ type Reader struct {
 }
 
 // NewReader reads the whole blob from r, verifies magic, version and
-// CRC-32C, and leaves the reader positioned at the first payload byte.
+// CRC-32C, and leaves the reader positioned at the first payload byte. Both
+// Version and SegmentVersion pass; each kind's loader checks its own.
 func NewReader(r io.Reader) (*Reader, error) {
 	blob, err := io.ReadAll(r)
 	if err != nil {
@@ -44,8 +45,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	cr := &Reader{buf: body[len(Magic):]}
 	cr.hdr.Version = cr.U16()
-	if cr.err == nil && cr.hdr.Version != Version {
-		return nil, fmt.Errorf("%w %d (this build reads %d)", ErrUnsupportedVersion, cr.hdr.Version, Version)
+	if v := cr.hdr.Version; cr.err == nil && v != Version && v != SegmentVersion {
+		return nil, fmt.Errorf("%w %d (this build reads %d and %d)", ErrUnsupportedVersion, v, Version, SegmentVersion)
 	}
 	cr.hdr.Kind = cr.tag()
 	cr.hdr.Space = cr.tag()
@@ -86,11 +87,16 @@ func (cr *Reader) Err() error { return cr.err }
 // built-in slice readers do, for decoders of custom record sections.
 func (cr *Reader) Length(elemSize int) int { return cr.length(elemSize) }
 
-// Expect validates the header against what a kind loader requires: the kind
-// tag it decodes, the space the caller searches under, and the length of the
-// data slice the caller supplies. A mismatch means the file belongs to a
-// different index, distance or data set.
+// Expect validates the header against what an index loader requires: the
+// index Version (another is ErrUnsupportedVersion: rebuild, not migrate), the
+// kind tag it decodes, the space the caller searches under, and the length
+// of the data slice the caller supplies. A mismatch of the last three means
+// the file belongs to a different index, distance or data set.
 func (cr *Reader) Expect(kind, spaceName string, n int) error {
+	if cr.hdr.Version != Version {
+		return fmt.Errorf("%w %d: this build reads index files of version %d; rebuild the index (e.g. with shardsplit)",
+			ErrUnsupportedVersion, cr.hdr.Version, Version)
+	}
 	if cr.hdr.Kind != kind {
 		return fmt.Errorf("codec: file holds a %q index, loader expects %q", cr.hdr.Kind, kind)
 	}
@@ -151,9 +157,6 @@ func (cr *Reader) U8() uint8 {
 	}
 	return b[0]
 }
-
-// Bool reads a one-byte boolean; any nonzero value is true.
-func (cr *Reader) Bool() bool { return cr.U8() != 0 }
 
 // U16 reads a little-endian uint16.
 func (cr *Reader) U16() uint16 {

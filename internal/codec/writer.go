@@ -21,13 +21,19 @@ type Writer struct {
 	buf [8]byte
 }
 
-// NewWriter writes the header for an index of the given kind, built under
-// the named space over n data points, and returns a Writer for the payload.
-// Call Close after the payload to flush and append the checksum.
+// NewWriter writes the header for a blob of the given kind, built under the
+// named space over n data points, and returns a Writer for the payload. The
+// header's version is the kind's: SegmentVersion for KindLSMSegment, Version
+// for every index kind. Call Close after the payload to flush and append the
+// checksum.
 func NewWriter(w io.Writer, kind, spaceName string, n int) *Writer {
 	cw := &Writer{w: bufio.NewWriter(w)}
 	cw.raw([]byte(Magic))
-	cw.U16(Version)
+	if kind == KindLSMSegment {
+		cw.U16(SegmentVersion)
+	} else {
+		cw.U16(Version)
+	}
 	cw.String(kind)
 	cw.String(spaceName)
 	cw.U64(uint64(n))
@@ -58,15 +64,6 @@ func (cw *Writer) Close() error {
 
 // U8 writes one byte.
 func (cw *Writer) U8(v uint8) { cw.raw([]byte{v}) }
-
-// Bool writes a boolean as one byte.
-func (cw *Writer) Bool(v bool) {
-	if v {
-		cw.U8(1)
-	} else {
-		cw.U8(0)
-	}
-}
 
 // U16 writes a little-endian uint16.
 func (cw *Writer) U16(v uint16) {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/index"
+	"repro/internal/permutation"
 	"repro/internal/scratch"
 	"repro/internal/space"
 )
@@ -52,12 +53,9 @@ type omedVoter struct {
 // true distance so recall is comparable across methods.
 type OMEDRANK[T any] struct {
 	data   []T
-	pivots []T
-	// pivotIDs records each voter's position in the data slice, so the
-	// index can be persisted by reference (see persist.go).
-	pivotIDs []int32
-	voters   []omedVoter
-	opts     OMEDRANKOptions
+	pivots *permutation.Pivots[T] // the voters, one per list
+	voters []omedVoter
+	opts   OMEDRANKOptions
 	pipeline[T, omedScratch]
 }
 
@@ -71,31 +69,28 @@ type omedScratch struct {
 	wideCounts scratch.Gains
 	lo         []int
 	hi         []int
-	qdist      []float64
+	perm       permutation.Scratch // the query's voter distances
 	cands      []uint32
 }
 
 // NewOMEDRANK samples voters and sorts the data by distance from each.
 func NewOMEDRANK[T any](sp space.Space[T], data []T, opts OMEDRANKOptions) (*OMEDRANK[T], error) {
 	opts.defaults()
-	r, err := seeded(data, &opts.NumVoters, opts.Seed)
+	pv, err := samplePivots(sp, data, &opts.NumVoters, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	om := &OMEDRANK[T]{data: data, opts: opts}
+	om := &OMEDRANK[T]{data: data, pivots: pv, opts: opts}
 	om.bind(om, sp, om.data, opts.Gamma)
-	for _, vi := range r.Perm(len(data))[:opts.NumVoters] {
-		om.pivots = append(om.pivots, data[vi])
-		om.pivotIDs = append(om.pivotIDs, int32(vi))
-	}
 	om.voters = make([]omedVoter, opts.NumVoters)
 	parallelFor(opts.NumVoters, func(v int) {
 		voter := omedVoter{
 			dists: make([]float64, len(data)),
 			ids:   make([]uint32, len(data)),
 		}
+		pivot := pv.Items()[v]
 		for i, x := range data {
-			voter.dists[i] = sp.Distance(x, om.pivots[v])
+			voter.dists[i] = sp.Distance(x, pivot)
 			voter.ids[i] = uint32(i)
 		}
 		sort.Sort(&voterSort{voter})
@@ -141,13 +136,11 @@ func (om *OMEDRANK[T]) filter(s *omedScratch, query T, g int, _ index.Params) (c
 	lo := scratch.Grow(s.lo, h)
 	hi := scratch.Grow(s.hi, h)
 	s.lo, s.hi = lo, hi
-	s.qdist = s.qdist[:0]
+	qdist := om.pivots.DistancesWith(&s.perm, query)
 	for v, voter := range om.voters {
-		s.qdist = append(s.qdist, om.sp.Distance(query, om.pivots[v]))
-		pos := sort.SearchFloat64s(voter.dists, s.qdist[v])
+		pos := sort.SearchFloat64s(voter.dists, qdist[v])
 		lo[v], hi[v] = pos-1, pos
 	}
-	qdist := s.qdist
 	// An id is counted at most once per voter, so counts stay <= h and the
 	// byte-packed arena is exact whenever h fits a byte.
 	narrow := h <= 255

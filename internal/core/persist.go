@@ -12,50 +12,68 @@ import (
 	"repro/internal/vptree"
 )
 
-// Persistence for the permutation methods. Every payload follows the same
-// pattern: the effective (defaulted) option struct, the pivot set as ids
-// into the data slice, then the precomputed filtering structure (flattened
-// permutations, posting lists, prefix trees, voter arrays). The raw data
-// objects are never stored — loaders receive the same data slice the index
-// was built over, validated against the header's recorded size and space
-// name — so a single format serves every object type the paper evaluates.
+// Persistence for the permutation methods. Every payload sits in one frame,
+// save and load below: the header, then the pivot sets as ids into the data
+// slice, then the kind's own sections — the effective (defaulted) option
+// struct and the precomputed filtering structure (flattened permutations,
+// posting lists, prefix trees, voter arrays) — then the checksum. The raw
+// data objects are never stored — loaders receive the same data slice the
+// index was built over, validated against the header's recorded size and
+// space name — so a single format serves every object type the paper
+// evaluates.
 //
 // Indexes built over explicit pivot objects (NewNAPPWithPivots and friends)
 // have no data ids to reference and Save returns codec.ErrNotPersistable.
 
-// savePivots writes the pivot set as source ids, or fails for explicit
-// pivot sets.
-func savePivots[T any](cw *codec.Writer, pv *permutation.Pivots[T]) error {
-	ids := pv.SourceIDs()
-	if ids == nil {
-		return codec.ErrNotPersistable
+// maxPivotSets bounds the pivot-set count a file may claim: the PP-index
+// stores one set per tree copy, every other kind exactly one.
+const maxPivotSets = 1 << 16
+
+// save is the frame of every Save: the header naming this kind, space and
+// corpus size, the count and ids of the pivot sets, the kind's payload and
+// the checksum trailer. A set of explicit pivot objects has no ids, so such
+// an index fails with codec.ErrNotPersistable before a byte is written.
+func (p *pipeline[T, S]) save(w io.Writer, tag string, sets []*permutation.Pivots[T], payload func(*codec.Writer)) error {
+	ids := make([][]int32, len(sets))
+	for i, pv := range sets {
+		if ids[i] = pv.SourceIDs(); ids[i] == nil {
+			return codec.ErrNotPersistable
+		}
 	}
-	cw.I32s(ids)
-	return nil
+	cw := codec.NewWriter(w, tag, p.sp.Name(), len(p.data))
+	cw.Int(len(ids))
+	for _, set := range ids {
+		cw.I32s(set)
+	}
+	payload(cw)
+	return cw.Close()
 }
 
-// loadPivots reconstructs a pivot set from the ids section.
-func loadPivots[T any](cr *codec.Reader, sp space.Space[T], data []T) *permutation.Pivots[T] {
-	ids := cr.I32s()
-	if cr.Err() != nil {
-		return nil
-	}
-	pv, err := permutation.FromIDs(sp, data, ids)
-	if err != nil {
-		cr.Corruptf("%v", err)
-		return nil
-	}
-	return pv
-}
-
-// load is the frame of every loader: the header must name this kind, space
-// and corpus size, the kind's payload decoder runs, and the payload must
-// end exactly where the decoder stopped.
-func load[T any](cr *codec.Reader, tag string, sp space.Space[T], data []T, payload func()) error {
+// load is save's mirror, the frame of every loader: the header must name
+// this kind, space and corpus size; the pivot sets are rebuilt from their ids
+// (exactly sets of them, or up to maxPivotSets when sets is 0); payload
+// decodes the rest, which must end exactly where it stops.
+func load[T any](cr *codec.Reader, tag string, sp space.Space[T], data []T, sets int, payload func([]*permutation.Pivots[T])) error {
 	if err := cr.Expect(tag, sp.Name(), len(data)); err != nil {
 		return err
 	}
-	payload()
+	n := cr.Int()
+	if cr.Err() == nil && (n <= 0 || n > maxPivotSets || (sets > 0 && n != sets)) {
+		cr.Corruptf("%d pivot sets in a %q file", n, tag)
+	}
+	var pvs []*permutation.Pivots[T]
+	for i := 0; i < n && cr.Err() == nil; i++ {
+		// A failed read leaves no ids, which FromIDs refuses; Corruptf
+		// then keeps the read's own error.
+		pv, err := permutation.FromIDs(sp, data, cr.I32s())
+		if err != nil {
+			cr.Corruptf("%v", err)
+		}
+		pvs = append(pvs, pv)
+	}
+	if cr.Err() == nil {
+		payload(pvs)
+	}
 	return cr.Finish()
 }
 
@@ -63,12 +81,7 @@ func load[T any](cr *codec.Reader, tag string, sp space.Space[T], data []T, payl
 
 // Save serializes the filter under its row codec's kind tag.
 func (f *ScanFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, f.rows.tag(), f.sp.Name(), len(f.data))
-	if err := savePivots(cw, f.pivots); err != nil {
-		return err
-	}
-	f.rows.save(cw)
-	return cw.Close()
+	return f.save(w, f.rows.tag(), []*permutation.Pivots[T]{f.pivots}, f.rows.save)
 }
 
 // LoadScanFilter reads a filter of any of the four brute-force kinds saved
@@ -87,10 +100,9 @@ func LoadScanFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Scan
 	default:
 		return nil, fmt.Errorf("codec: file holds a %q index, loader expects a brute-force filter", kind)
 	}
-	err := load(cr, f.rows.tag(), sp, data, func() {
-		if f.pivots = loadPivots(cr, sp, data); f.pivots != nil {
-			f.rows.load(cr, f.pivots.M(), len(data))
-		}
+	err := load(cr, f.rows.tag(), sp, data, 1, func(pvs []*permutation.Pivots[T]) {
+		f.pivots = pvs[0]
+		f.rows.load(cr, f.pivots.M(), len(data))
 	})
 	if err != nil {
 		return nil, err
@@ -101,24 +113,25 @@ func LoadScanFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*Scan
 
 // --- PPIndex ---
 
-// Save serializes the prefix index under kind "pp-index". Trie nodes are
-// written in preorder with children in ascending pivot order, so equal trees
-// always produce identical bytes.
+// Save serializes the prefix index under kind "pp-index": one pivot set per
+// tree, the options, then the trees. Trie nodes are written in preorder with
+// children in ascending pivot order, so equal trees always produce identical
+// bytes.
 func (pp *PPIndex[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindPPIndex, pp.sp.Name(), len(pp.data))
-	cw.Int(pp.opts.NumPivots)
-	cw.Int(pp.opts.PrefixLen)
-	cw.Int(pp.opts.Copies)
-	cw.F64(pp.opts.Gamma)
-	cw.I64(pp.opts.Seed)
-	cw.Int(len(pp.trees))
-	for _, tree := range pp.trees {
-		if err := savePivots(cw, tree.pivots); err != nil {
-			return err
-		}
-		encodePPNode(cw, tree.root)
+	sets := make([]*permutation.Pivots[T], len(pp.trees))
+	for i, tree := range pp.trees {
+		sets[i] = tree.pivots
 	}
-	return cw.Close()
+	return pp.save(w, codec.KindPPIndex, sets, func(cw *codec.Writer) {
+		cw.Int(pp.opts.NumPivots)
+		cw.Int(pp.opts.PrefixLen)
+		cw.Int(pp.opts.Copies)
+		cw.F64(pp.opts.Gamma)
+		cw.I64(pp.opts.Seed)
+		for _, tree := range pp.trees {
+			encodePPNode(cw, tree.root)
+		}
+	})
 }
 
 func encodePPNode(cw *codec.Writer, n *ppNode) {
@@ -139,30 +152,29 @@ func encodePPNode(cw *codec.Writer, n *ppNode) {
 // LoadPPIndex reads a prefix index saved by Save over the same data.
 func LoadPPIndex[T any](cr *codec.Reader, sp space.Space[T], data []T) (*PPIndex[T], error) {
 	pp := &PPIndex[T]{data: data}
-	err := load(cr, codec.KindPPIndex, sp, data, func() {
+	err := load(cr, codec.KindPPIndex, sp, data, 0, func(pvs []*permutation.Pivots[T]) {
 		pp.opts.NumPivots = cr.Int()
 		pp.opts.PrefixLen = cr.Int()
 		pp.opts.Copies = cr.Int()
 		pp.opts.Gamma = cr.F64()
 		pp.opts.Seed = cr.I64()
-		trees := cr.Int()
 		// NumPivots <= n holds for every legitimate file (pivots are sampled
 		// from the data set), and bounding it here bounds PrefixLen and hence
 		// the node-decoding recursion below — a crafted deep file fails fast
 		// instead of exhausting the stack.
-		if cr.Err() == nil && (trees <= 0 || trees > 1<<16 ||
-			pp.opts.NumPivots > len(data) ||
+		if cr.Err() == nil && (pp.opts.Copies != len(pvs) || pp.opts.NumPivots > len(data) ||
 			pp.opts.PrefixLen <= 0 || pp.opts.PrefixLen > pp.opts.NumPivots || pp.opts.Gamma <= 0) {
-			cr.Corruptf("inconsistent pp-index options (trees=%d, l=%d, m=%d)",
-				trees, pp.opts.PrefixLen, pp.opts.NumPivots)
+			cr.Corruptf("inconsistent pp-index options (trees=%d, copies=%d, l=%d, m=%d)",
+				len(pvs), pp.opts.Copies, pp.opts.PrefixLen, pp.opts.NumPivots)
 		}
-		for c := 0; c < trees && cr.Err() == nil; c++ {
-			tree := ppTree[T]{pivots: loadPivots(cr, sp, data)}
-			tree.root = decodePPNode(cr, pp.opts.PrefixLen+1, len(data))
-			if cr.Err() == nil && tree.pivots.M() != pp.opts.NumPivots {
-				cr.Corruptf("tree %d has %d pivots, options say %d", c, tree.pivots.M(), pp.opts.NumPivots)
+		for c, pv := range pvs {
+			if pv.M() != pp.opts.NumPivots {
+				cr.Corruptf("tree %d has %d pivots, options say %d", c, pv.M(), pp.opts.NumPivots)
 			}
-			pp.trees = append(pp.trees, tree)
+			if cr.Err() != nil {
+				return
+			}
+			pp.trees = append(pp.trees, ppTree[T]{pivots: pv, root: decodePPNode(cr, pp.opts.PrefixLen+1, len(data))})
 		}
 	})
 	if err != nil {
@@ -209,32 +221,29 @@ func decodePPNode(cr *codec.Reader, depth, n int) *ppNode {
 
 // Save serializes the metric inverted file under kind "mi-file".
 func (mf *MIFile[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindMIFile, mf.sp.Name(), len(mf.data))
-	if err := savePivots(cw, mf.pivots); err != nil {
-		return err
-	}
-	cw.Int(mf.opts.NumPivots)
-	cw.Int(mf.opts.NumPivotIndex)
-	cw.Int(mf.opts.NumPivotSearch)
-	cw.Int(mf.opts.MaxPosDiff)
-	cw.F64(mf.opts.Gamma)
-	cw.I64(mf.opts.Seed)
-	cw.Int(len(mf.postings))
-	for _, list := range mf.postings {
-		cw.U64(uint64(len(list)))
-		for _, pe := range list {
-			cw.I32(pe.pos)
-			cw.U32(pe.id)
+	return mf.save(w, codec.KindMIFile, []*permutation.Pivots[T]{mf.pivots}, func(cw *codec.Writer) {
+		cw.Int(mf.opts.NumPivots)
+		cw.Int(mf.opts.NumPivotIndex)
+		cw.Int(mf.opts.NumPivotSearch)
+		cw.Int(mf.opts.MaxPosDiff)
+		cw.F64(mf.opts.Gamma)
+		cw.I64(mf.opts.Seed)
+		cw.Int(len(mf.postings))
+		for _, list := range mf.postings {
+			cw.U64(uint64(len(list)))
+			for _, pe := range list {
+				cw.I32(pe.pos)
+				cw.U32(pe.id)
+			}
 		}
-	}
-	return cw.Close()
+	})
 }
 
 // LoadMIFile reads an inverted file saved by Save over the same data.
 func LoadMIFile[T any](cr *codec.Reader, sp space.Space[T], data []T) (*MIFile[T], error) {
 	mf := &MIFile[T]{data: data}
-	err := load(cr, codec.KindMIFile, sp, data, func() {
-		mf.pivots = loadPivots(cr, sp, data)
+	err := load(cr, codec.KindMIFile, sp, data, 1, func(pvs []*permutation.Pivots[T]) {
+		mf.pivots = pvs[0]
 		mf.opts.NumPivots = cr.Int()
 		mf.opts.NumPivotIndex = cr.Int()
 		mf.opts.NumPivotSearch = cr.Int()
@@ -281,27 +290,20 @@ func LoadMIFile[T any](cr *codec.Reader, sp space.Space[T], data []T) (*MIFile[T
 
 // --- NAPP ---
 
-// Save serializes the NAPP inverted file under kind "napp". The payload ends
-// in a retired slot, the tombstone list of builds whose NAPP deleted in
-// place, which Save writes empty and LoadNAPP refuses to find otherwise:
-// ignoring it would bring the deleted objects back.
+// Save serializes the NAPP inverted file under kind "napp".
 func (na *NAPP[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindNAPP, na.sp.Name(), len(na.data))
-	if err := savePivots(cw, na.pivots); err != nil {
-		return err
-	}
-	cw.Int(na.opts.NumPivots)
-	cw.Int(na.opts.NumPivotIndex)
-	cw.Int(na.opts.NumPivotSearch)
-	cw.Int(na.opts.MinShared)
-	cw.Int(na.opts.MaxCandidates)
-	cw.I64(na.opts.Seed)
-	cw.Int(len(na.bitmaps))
-	for _, b := range na.bitmaps {
-		saveBitmap(cw, b)
-	}
-	cw.U32s(nil)
-	return cw.Close()
+	return na.save(w, codec.KindNAPP, []*permutation.Pivots[T]{na.pivots}, func(cw *codec.Writer) {
+		cw.Int(na.opts.NumPivots)
+		cw.Int(na.opts.NumPivotIndex)
+		cw.Int(na.opts.NumPivotSearch)
+		cw.Int(na.opts.MinShared)
+		cw.Int(na.opts.MaxCandidates)
+		cw.I64(na.opts.Seed)
+		cw.Int(len(na.bitmaps))
+		for _, b := range na.bitmaps {
+			saveBitmap(cw, b)
+		}
+	})
 }
 
 // saveBitmap writes the set bits of b as a length-prefixed list of ascending
@@ -348,8 +350,8 @@ func loadBitmap(cr *codec.Reader, n int) []uint64 {
 // LoadNAPP reads a NAPP index saved by Save over the same data.
 func LoadNAPP[T any](cr *codec.Reader, sp space.Space[T], data []T) (*NAPP[T], error) {
 	na := &NAPP[T]{data: data}
-	err := load(cr, codec.KindNAPP, sp, data, func() {
-		na.pivots = loadPivots(cr, sp, data)
+	err := load(cr, codec.KindNAPP, sp, data, 1, func(pvs []*permutation.Pivots[T]) {
+		na.pivots = pvs[0]
 		na.opts.NumPivots = cr.Int()
 		na.opts.NumPivotIndex = cr.Int()
 		na.opts.NumPivotSearch = cr.Int()
@@ -375,9 +377,6 @@ func LoadNAPP[T any](cr *codec.Reader, sp space.Space[T], data []T) (*NAPP[T], e
 				return
 			}
 		}
-		if n := cr.Length(4); n > 0 {
-			cr.Corruptf("%d ids in the retired tombstone slot", n)
-		}
 	})
 	if err != nil {
 		return nil, err
@@ -388,37 +387,27 @@ func LoadNAPP[T any](cr *codec.Reader, sp space.Space[T], data []T) (*NAPP[T], e
 
 // --- OMEDRANK ---
 
-// Save serializes the rank-aggregation index under kind "omedrank".
+// Save serializes the rank-aggregation index under kind "omedrank": the
+// voters as the pivot set, the options, then each voter's sorted list.
 func (om *OMEDRANK[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindOMEDRANK, om.sp.Name(), len(om.data))
-	if om.pivotIDs == nil {
-		return codec.ErrNotPersistable
-	}
-	cw.I32s(om.pivotIDs)
-	cw.Int(om.opts.NumVoters)
-	cw.F64(om.opts.Quorum)
-	cw.F64(om.opts.Gamma)
-	cw.I64(om.opts.Seed)
-	cw.Int(len(om.voters))
-	for _, v := range om.voters {
-		cw.F64s(v.dists)
-		cw.U32s(v.ids)
-	}
-	return cw.Close()
+	return om.save(w, codec.KindOMEDRANK, []*permutation.Pivots[T]{om.pivots}, func(cw *codec.Writer) {
+		cw.Int(om.opts.NumVoters)
+		cw.F64(om.opts.Quorum)
+		cw.F64(om.opts.Gamma)
+		cw.I64(om.opts.Seed)
+		cw.Int(len(om.voters))
+		for _, v := range om.voters {
+			cw.F64s(v.dists)
+			cw.U32s(v.ids)
+		}
+	})
 }
 
 // LoadOMEDRANK reads an index saved by Save over the same data.
 func LoadOMEDRANK[T any](cr *codec.Reader, sp space.Space[T], data []T) (*OMEDRANK[T], error) {
 	om := &OMEDRANK[T]{data: data}
-	err := load(cr, codec.KindOMEDRANK, sp, data, func() {
-		for _, id := range cr.I32s() {
-			if id < 0 || int(id) >= len(data) {
-				cr.Corruptf("voter id %d out of range [0, %d)", id, len(data))
-				return
-			}
-			om.pivots = append(om.pivots, data[id])
-			om.pivotIDs = append(om.pivotIDs, id)
-		}
+	err := load(cr, codec.KindOMEDRANK, sp, data, 1, func(pvs []*permutation.Pivots[T]) {
+		om.pivots = pvs[0]
 		om.opts.NumVoters = cr.Int()
 		om.opts.Quorum = cr.F64()
 		om.opts.Gamma = cr.F64()
@@ -426,10 +415,10 @@ func LoadOMEDRANK[T any](cr *codec.Reader, sp space.Space[T], data []T) (*OMEDRA
 		voters := cr.Int()
 		// The search-time quorum counters are 32-bit (scratch.Gains), but the
 		// voter count must stay clear of absurd territory and match the pivot
-		// list; 2^15 keeps the historical on-disk bound.
-		if cr.Err() == nil && (voters <= 0 || voters != len(om.pivots) || voters > 1<<15 ||
+		// set; 2^15 keeps the historical on-disk bound.
+		if cr.Err() == nil && (voters <= 0 || voters != om.pivots.M() || voters > 1<<15 ||
 			om.opts.Quorum <= 0 || om.opts.Quorum > 1 || om.opts.Gamma <= 0) {
-			cr.Corruptf("inconsistent omedrank options (voters=%d, pivots=%d)", voters, len(om.pivots))
+			cr.Corruptf("inconsistent omedrank options (voters=%d, pivots=%d)", voters, om.pivots.M())
 		}
 		for v := 0; v < voters && cr.Err() == nil; v++ {
 			voter := omedVoter{dists: cr.F64s(), ids: cr.U32s()}
@@ -466,33 +455,30 @@ func LoadOMEDRANK[T any](cr *codec.Reader, sp space.Space[T], data []T) (*OMEDRA
 // --- PermVPTree ---
 
 // Save serializes the permutation VP-tree under kind "perm-vptree": pivot
-// ids, the flattened permutation matrix, then the embedded metric tree via
-// vptree.Encode.
+// ids, the options, the flattened permutation matrix, then the embedded
+// metric tree via vptree.Encode.
 func (pt *PermVPTree[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindPermVPTree, pt.sp.Name(), len(pt.data))
-	if err := savePivots(cw, pt.pivots); err != nil {
-		return err
-	}
-	cw.Int(pt.opts.NumPivots)
-	cw.F64(pt.opts.Gamma)
-	cw.F64(pt.opts.Alpha)
-	cw.Int(pt.opts.BucketSize)
-	cw.I64(pt.opts.Seed)
-	m := pt.pivots.M()
-	flat := make([]int32, 0, len(pt.perms)*m)
-	for _, p := range pt.perms {
-		flat = append(flat, p...)
-	}
-	cw.I32s(flat)
-	pt.tree.Encode(cw)
-	return cw.Close()
+	return pt.save(w, codec.KindPermVPTree, []*permutation.Pivots[T]{pt.pivots}, func(cw *codec.Writer) {
+		cw.Int(pt.opts.NumPivots)
+		cw.F64(pt.opts.Gamma)
+		cw.F64(pt.opts.Alpha)
+		cw.Int(pt.opts.BucketSize)
+		cw.I64(pt.opts.Seed)
+		m := pt.pivots.M()
+		flat := make([]int32, 0, len(pt.perms)*m)
+		for _, p := range pt.perms {
+			flat = append(flat, p...)
+		}
+		cw.I32s(flat)
+		pt.tree.Encode(cw)
+	})
 }
 
 // LoadPermVPTree reads an index saved by Save over the same data.
 func LoadPermVPTree[T any](cr *codec.Reader, sp space.Space[T], data []T) (*PermVPTree[T], error) {
 	pt := &PermVPTree[T]{data: data}
-	err := load(cr, codec.KindPermVPTree, sp, data, func() {
-		pt.pivots = loadPivots(cr, sp, data)
+	err := load(cr, codec.KindPermVPTree, sp, data, 1, func(pvs []*permutation.Pivots[T]) {
+		pt.pivots = pvs[0]
 		pt.opts.NumPivots = cr.Int()
 		pt.opts.Gamma = cr.F64()
 		pt.opts.Alpha = cr.F64()

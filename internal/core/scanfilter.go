@@ -185,7 +185,6 @@ func (c *permRows) save(cw *codec.Writer) {
 	cw.Int(c.opts.NumPivots)
 	cw.F64(c.opts.Gamma)
 	cw.U8(uint8(c.opts.Dist))
-	cw.Bool(false) // was the heap-selection ablation switch; the slot stays so the format does not move
 	cw.I64(c.opts.Seed)
 	cw.I32s(c.perms)
 }
@@ -194,7 +193,6 @@ func (c *permRows) load(cr *codec.Reader, m, n int) {
 	c.opts.NumPivots = cr.Int()
 	c.opts.Gamma = cr.F64()
 	c.opts.Dist = PermDist(cr.U8())
-	cr.Bool() // retired heap-selection switch, ignored
 	c.opts.Seed = cr.I64()
 	c.perms = cr.I32s()
 	if c.opts.NumPivots != m || len(c.perms) != n*m || c.opts.Gamma <= 0 {

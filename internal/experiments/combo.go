@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -18,9 +19,10 @@ import (
 
 // sweep is one method of a Figure 4 panel: a single build plus a list of
 // query-time variants tracing out its recall/efficiency curve. Each variant
-// is a ParseParams-syntax label ("gamma=0.05", "att=2,ef=20") resolved
-// through the same Resolve the serving daemon runs for per-request params
-// — so the sweeps keep it covered — and passed with every query.
+// is an index.ParseParams-syntax label ("gamma=0.05", "att=2,ef=20")
+// resolved through the same index.Resolve the serving daemon runs for
+// per-request params — so the sweeps keep it covered — and passed with every
+// query.
 type sweep[T any] struct {
 	method   string
 	build    func(sp space.Space[T], db []T) (index.Index[T], error)
@@ -151,11 +153,12 @@ func (c *combo[T]) Figure2(cfg Config, projDim, pairs int, w io.Writer) error {
 		return err
 	}
 	permCache := map[int][]int32{}
+	var sc permutation.Scratch
 	permOf := func(i int) []int32 {
 		if p, ok := permCache[i]; ok {
 			return p
 		}
-		p := pv.Permutation(data[i], nil)
+		p := slices.Clone(pv.PermutationWith(&sc, data[i]))
 		permCache[i] = p
 		return p
 	}
@@ -361,12 +364,12 @@ func (c *combo[T]) RunMethods(cfg Config, methods []string, w io.Writer) error {
 			for _, label := range s.variants {
 				// Params are resolved against the method's kind and ride
 				// every query.
-				p, err := ParseParams(label)
+				p, err := index.ParseParams(label)
 				if err != nil {
 					return fmt.Errorf("%s/%s %s: %w", c.name, s.method, label, err)
 				}
 				opts := index.Options{K: cfg.K}
-				if opts.Params, err = Resolve(s.method, p); err != nil {
+				if opts.Params, err = index.Resolve(s.method, p); err != nil {
 					return fmt.Errorf("%s/%s %s: %w", c.name, s.method, label, err)
 				}
 				res := eval.Measure(idx, queries, truth, opts, bruteTime, cfg.Workers)

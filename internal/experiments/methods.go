@@ -11,7 +11,7 @@ import (
 	"repro/internal/vptree"
 )
 
-// Every sweep's variants are ParseParams-syntax labels: the label printed in
+// Every sweep's variants are index.ParseParams-syntax labels: the label printed in
 // the Figure 4 and `repro methods` output is literally the string that
 // reproduces the setting in a serving request.
 

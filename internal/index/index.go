@@ -18,8 +18,8 @@ import (
 // paper varies over one fixed index to trace a recall/efficiency curve. A
 // zero field means "this index's build-time default"; an index reads only
 // the fields of its own kind and ignores the rest. The textual key/alias/
-// range table that produces a Params from user input lives in
-// internal/experiments (Resolve).
+// range table that produces a Params from user input is Resolve's
+// (params.go), shared by the serving daemon and the experiment harness.
 type Params struct {
 	// Gamma is the candidate fraction of every core kind built with one
 	// (the four brute-force scans, PP-index, MI-file, OMEDRANK and the

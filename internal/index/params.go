@@ -1,4 +1,4 @@
-package experiments
+package index
 
 import (
 	"cmp"
@@ -7,11 +7,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/index"
 )
 
-// Params is a set of named query-time parameters ("method params"): the
+// NamedParams is a set of named query-time parameters ("method params"): the
 // knobs that trace a method's recall/efficiency curve without rebuilding the
 // index. The textual form — "gamma=0.05", "att=2,ef=20" — is exactly the
 // variant label the Figure 4 sweeps print, so a row of experiment output can
@@ -28,32 +26,32 @@ import (
 //	mplsh:      T (alias probes)
 //
 // All other kinds have no query-time knobs.
-type Params map[string]float64
+type NamedParams map[string]float64
 
 // ParseParams parses a comma-separated key=value list such as
 // "gamma=0.05" or "att=2,ef=20". Values must be finite; keys are not
 // validated here — only Resolve knows which keys an index kind accepts.
-func ParseParams(s string) (Params, error) {
+func ParseParams(s string) (NamedParams, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return Params{}, nil
+		return NamedParams{}, nil
 	}
-	out := Params{}
+	out := NamedParams{}
 	for _, part := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(part, "=")
 		k = strings.TrimSpace(k)
 		if !ok || k == "" {
-			return nil, fmt.Errorf("experiments: malformed param %q (want key=value)", part)
+			return nil, fmt.Errorf("index: malformed param %q (want key=value)", part)
 		}
 		val, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: param %q: %v", part, err)
+			return nil, fmt.Errorf("index: param %q: %v", part, err)
 		}
 		if math.IsNaN(val) || math.IsInf(val, 0) {
-			return nil, fmt.Errorf("experiments: param %q is not finite", part)
+			return nil, fmt.Errorf("index: param %q is not finite", part)
 		}
 		if _, dup := out[k]; dup {
-			return nil, fmt.Errorf("experiments: param %q given twice", k)
+			return nil, fmt.Errorf("index: param %q given twice", k)
 		}
 		out[k] = val
 	}
@@ -61,7 +59,7 @@ func ParseParams(s string) (Params, error) {
 }
 
 // String renders the params back in ParseParams syntax, keys sorted.
-func (p Params) String() string {
+func (p NamedParams) String() string {
 	keys := make([]string, 0, len(p))
 	for k := range p {
 		keys = append(keys, k)
@@ -79,7 +77,7 @@ func (p Params) String() string {
 
 // knob is one query-time parameter key of an index kind.
 type knob struct {
-	// groups names the index.Params state the knob writes. Two keys of one
+	// groups names the Params state the knob writes. Two keys of one
 	// request whose groups intersect would resolve in map-iteration order —
 	// i.e. nondeterministically — so Resolve rejects them. Aliases share a
 	// group; vptree's composite "alpha" spans both side groups.
@@ -89,39 +87,39 @@ type knob struct {
 	// or wrapped.
 	integer bool
 	// allowZero admits 0 (only mplsh probes); every knob rejects negatives.
-	// A zero index.Params field means "the index's default", so an
+	// A zero Params field means "the index's default", so an
 	// out-of-range value must never reach it: a serving request would report
 	// success while searching under the old setting.
 	allowZero bool
-	set       func(p *index.Params, v float64)
+	set       func(p *Params, v float64)
 }
 
 var (
 	gammaKnobs = map[string]knob{"gamma": {
 		groups: []string{"gamma"},
-		set:    func(p *index.Params, v float64) { p.Gamma = v },
+		set:    func(p *Params, v float64) { p.Gamma = v },
 	}}
 	minSharedKnob = knob{
 		groups:  []string{"t"},
 		integer: true,
-		set:     func(p *index.Params, v float64) { p.MinShared = int(v) },
+		set:     func(p *Params, v float64) { p.MinShared = int(v) },
 	}
 	attemptsKnob = knob{
 		groups:  []string{"att"},
 		integer: true,
-		set:     func(p *index.Params, v float64) { p.InitAttempts = int(v) },
+		set:     func(p *Params, v float64) { p.InitAttempts = int(v) },
 	}
 	graphKnobs = map[string]knob{"att": attemptsKnob, "attempts": attemptsKnob, "ef": {
 		groups:  []string{"ef"},
 		integer: true,
-		set:     func(p *index.Params, v float64) { p.EfSearch = int(v) },
+		set:     func(p *Params, v float64) { p.EfSearch = int(v) },
 	}}
 	probesKnob = knob{
 		groups:    []string{"probes"},
 		integer:   true,
 		allowZero: true,
-		// index.Params spells "no probes" as a negative count.
-		set: func(p *index.Params, v float64) { p.Probes = cmp.Or(int(v), -1) },
+		// Params spells "no probes" as a negative count.
+		set: func(p *Params, v float64) { p.Probes = cmp.Or(int(v), -1) },
 	}
 )
 
@@ -140,15 +138,15 @@ var kindKnobs = map[string]map[string]knob{
 	"vptree": {
 		"alpha": {
 			groups: []string{"alphaleft", "alpharight"},
-			set:    func(p *index.Params, v float64) { p.AlphaLeft, p.AlphaRight = v, v },
+			set:    func(p *Params, v float64) { p.AlphaLeft, p.AlphaRight = v, v },
 		},
 		"alphaleft": {
 			groups: []string{"alphaleft"},
-			set:    func(p *index.Params, v float64) { p.AlphaLeft = v },
+			set:    func(p *Params, v float64) { p.AlphaLeft = v },
 		},
 		"alpharight": {
 			groups: []string{"alpharight"},
-			set:    func(p *index.Params, v float64) { p.AlphaRight = v },
+			set:    func(p *Params, v float64) { p.AlphaRight = v },
 		},
 	},
 	"sw-graph":        graphKnobs,
@@ -161,27 +159,27 @@ var kindKnobs = map[string]map[string]knob{
 // non-finite, out-of-range or non-integral value, or two keys writing the
 // same underlying knob (an alias pair, or "alpha" with one of its sides)
 // all fail. Resolve is pure: the value it returns rides each query
-// (index.Options.Params); no index is touched.
-func Resolve(kind string, p Params) (index.Params, error) {
-	var out index.Params
+// (Options.Params); no index is touched.
+func Resolve(kind string, p NamedParams) (Params, error) {
+	var out Params
 	knobs := kindKnobs[kind]
 	claimed := map[string]string{} // group -> request key that writes it
 	for k, val := range p {
 		kb, ok := knobs[k]
 		if !ok {
-			return index.Params{}, fmt.Errorf("experiments: index %q has no query-time param %q", kind, k)
+			return Params{}, fmt.Errorf("index: index %q has no query-time param %q", kind, k)
 		}
 		for _, g := range kb.groups {
 			if other, dup := claimed[g]; dup {
-				return index.Params{}, fmt.Errorf("experiments: params %q and %q set the same knob", other, k)
+				return Params{}, fmt.Errorf("index: params %q and %q set the same knob", other, k)
 			}
 			claimed[g] = k
 		}
 		if math.IsNaN(val) || math.IsInf(val, 0) || val < 0 || (val == 0 && !kb.allowZero) {
-			return index.Params{}, fmt.Errorf("experiments: param %s=%g out of range", k, val)
+			return Params{}, fmt.Errorf("index: param %s=%g out of range", k, val)
 		}
 		if kb.integer && (val != math.Trunc(val) || val > math.MaxInt32) {
-			return index.Params{}, fmt.Errorf("experiments: param %s=%g must be an integer no larger than %d", k, val, math.MaxInt32)
+			return Params{}, fmt.Errorf("index: param %s=%g must be an integer no larger than %d", k, val, math.MaxInt32)
 		}
 		kb.set(&out, val)
 	}

@@ -9,12 +9,7 @@ import (
 
 // Persistence. A proximity graph is its adjacency lists plus the options
 // that drive the query-time restart search. Search keeps no state, so a
-// graph's bytes do not depend on the queries it has answered. Two slots of
-// the payload are retired, written as zero and ignored on load until the
-// next codec version bump drops them: the Int before the seed held a build
-// worker count, an option from before builds were deterministic at any
-// parallelism, and the I64 after it an entry-point seed counter from before
-// the search purity contract.
+// graph's bytes do not depend on the queries it has answered.
 
 // kindOf maps the graph's report name to its codec kind tag.
 func (g *Graph[T]) kindOf() string {
@@ -35,9 +30,7 @@ func (g *Graph[T]) Save(w io.Writer) error {
 	cw.F64(g.opts.Delta)
 	cw.Int(g.opts.MaxIters)
 	cw.Int(g.opts.RandomLinks)
-	cw.Int(0) // retired workers slot
 	cw.I64(g.opts.Seed)
-	cw.I64(0) // retired seed-counter slot
 	cw.I64(g.buildDist.Load())
 	cw.Int(len(g.adj))
 	for _, nbrs := range g.adj {
@@ -66,9 +59,7 @@ func Load[T any](cr *codec.Reader, kind string, sp space.Space[T], data []T) (*G
 	g.opts.Delta = cr.F64()
 	g.opts.MaxIters = cr.Int()
 	g.opts.RandomLinks = cr.Int()
-	cr.Int() // retired workers slot
 	g.opts.Seed = cr.I64()
-	cr.I64() // retired seed-counter slot
 	g.buildDist.Store(cr.I64())
 	nodes := cr.Int()
 	if cr.Err() == nil && (nodes != len(data) || g.opts.InitAttempts <= 0) {

@@ -115,6 +115,9 @@ func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode f
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	hdr := cr.Header()
+	if hdr.Version != codec.SegmentVersion {
+		return nil, fmt.Errorf("%s: segment version %d, this build reads %d: %w", path, hdr.Version, codec.SegmentVersion, codec.ErrUnsupportedVersion)
+	}
 	if hdr.Kind != codec.KindLSMSegment {
 		return nil, fmt.Errorf("%s: file holds a %q blob, want %q: %w", path, hdr.Kind, codec.KindLSMSegment, errSegCorrupt)
 	}

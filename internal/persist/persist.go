@@ -1,5 +1,5 @@
 // Package persist is the kind registry of the index persistence subsystem:
-// it maps every concrete index type to its codec kind tag for saving, and
+// it saves any index that writes itself under its codec kind tag, and maps
 // every kind tag read from a file header back to the loader that
 // reconstructs a ready index.Index. The byte format itself lives in
 // internal/codec; the per-kind payloads live in each index package.
@@ -34,33 +34,14 @@ import (
 func Kinds() []string { return codec.Kinds() }
 
 // Save serializes any index built by this repository to w in the codec
-// format. It returns codec.ErrNotPersistable for index types outside the
-// registry and for indexes built over explicit (non-sampled) pivot sets.
+// format. It returns codec.ErrNotPersistable for index types that cannot
+// save themselves and for indexes built over explicit (non-sampled) pivot
+// sets.
 func Save[T any](w io.Writer, idx index.Index[T]) error {
-	switch v := any(idx).(type) {
-	case *core.ScanFilter[T]:
-		return v.Save(w)
-	case *core.PPIndex[T]:
-		return v.Save(w)
-	case *core.MIFile[T]:
-		return v.Save(w)
-	case *core.NAPP[T]:
-		return v.Save(w)
-	case *core.OMEDRANK[T]:
-		return v.Save(w)
-	case *core.PermVPTree[T]:
-		return v.Save(w)
-	case *vptree.Tree[T]:
-		return v.Save(w)
-	case *knngraph.Graph[T]:
-		return v.Save(w)
-	case *seqscan.Scanner[T]:
-		return v.Save(w)
-	case *lsh.MPLSH:
-		return v.Save(w)
-	default:
-		return fmt.Errorf("%w: no kind registered for %T (%s)", codec.ErrNotPersistable, idx, idx.Name())
+	if s, ok := idx.(interface{ Save(io.Writer) error }); ok {
+		return s.Save(w)
 	}
+	return fmt.Errorf("%w: no kind registered for %T (%s)", codec.ErrNotPersistable, idx, idx.Name())
 }
 
 // Load reads one index from r and reconstructs it over sp and data, which

@@ -45,8 +45,8 @@ type Manifest struct {
 	// shipping bumps it); surfaced in /v1/indexes so a
 	// rollout driver can observe which generation each process serves.
 	Generation int64 `json:"generation,omitempty"`
-	// Params are query-time method params resolved once at load
-	// (experiments.ParseParams keys, e.g. {"gamma": 0.05}); they become
+	// Params are query-time method params resolved once at load by
+	// index.Resolve (index.NamedParams keys, e.g. {"gamma": 0.05}); they become
 	// the index's serving defaults, which a request's own params overlay
 	// key by key.
 	Params map[string]float64 `json:"params,omitempty"`

@@ -286,7 +286,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if line.Index != name || line.Queries != 1 || line.K != 4 {
 		t.Errorf("slow-query line = %+v, want index=%s queries=1 k=4", line, name)
 	}
-	if line.ElapsedUs <= 0 || line.FilterCandidates <= 0 || line.RefineDistances <= 0 {
+	if line.ElapsedUs <= 0 || line.FilterCandidates <= 0 || line.RefineDistances <= 0 || line.PivotDistances <= 0 {
 		t.Errorf("slow-query line missing trace detail: %+v", line)
 	}
 	if line.StageUs["filter"] <= 0 || line.StageUs["refine"] <= 0 {

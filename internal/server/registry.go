@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/codec"
-	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/persist"
 	"repro/internal/vfs"
@@ -140,7 +139,7 @@ func loadSnapshot(e *entry) (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, err := experiments.Resolve(hdr.Kind, experiments.Params(man.Params))
+	params, err := index.Resolve(hdr.Kind, index.NamedParams(man.Params))
 	if err != nil {
 		return nil, fmt.Errorf("%s: manifest params: %w", e.path, err)
 	}

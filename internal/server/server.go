@@ -18,7 +18,7 @@
 // A search body carries exactly one of "query" (one object) or "queries"
 // (a batch, fanned out over the worker pool), "k" (default 10), and
 // optional per-request method params ("params": {"gamma": 0.05}) — the
-// query-time knobs of experiments.Resolve, carried by this request's
+// query-time knobs of index.Resolve, carried by this request's
 // queries only. The request, response, /v1/indexes row and error body are
 // declared once, in internal/wire, which the router and the control plane
 // share.
@@ -71,7 +71,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/lsm"
 	"repro/internal/obs"
@@ -590,6 +589,7 @@ type slowQueryLine struct {
 	ThresholdUs      float64            `json:"threshold_us"`
 	FilterCandidates int64              `json:"filter_candidates"`
 	RefineDistances  int64              `json:"refine_distances"`
+	PivotDistances   int64              `json:"pivot_distances"`
 	StageUs          map[string]float64 `json:"stage_us"`
 }
 
@@ -611,6 +611,7 @@ func (s *Server) logSlowQuery(name string, numQueries, k int, elapsed time.Durat
 		ThresholdUs:      float64(s.slowThresh.Nanoseconds()) / 1e3,
 		FilterCandidates: tr.FilterCandidates,
 		RefineDistances:  tr.RefineDistances,
+		PivotDistances:   tr.PivotDistances,
 		StageUs:          map[string]float64{},
 	}
 	for i, ns := range tr.StageNs() {
@@ -634,7 +635,7 @@ func (s *Server) execute(ctx context.Context, snap *snapshot, name string, req w
 	if len(req.Params) > 0 {
 		// Validated and resolved once per request, then overlaid key by
 		// key on the snapshot's defaults; the value rides every query.
-		over, err := experiments.Resolve(snap.hdr.Kind, experiments.Params(req.Params))
+		over, err := index.Resolve(snap.hdr.Kind, index.NamedParams(req.Params))
 		if err != nil {
 			return nil, badRequestf("%v", err)
 		}
