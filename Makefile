@@ -51,7 +51,11 @@ govulncheck:
 # internal/index). The HTTP front tier and the wire
 # dialect route answers, they never compute one: internal/router and
 # internal/wire must not link the index interface, the batch engine,
-# persistence, any index kind, the mutable tier or the server.
+# persistence, any index kind, the mutable tier or the server. The distance
+# kernels are a leaf layer that every index builds on: internal/space,
+# internal/topk, internal/scratch and internal/vecmath must not link the
+# index interface, the pool, an index kind, the pivot sets or the mutable
+# tier.
 deps:
 	@out="$$($(GO) list -deps ./internal/lsm | grep -E '^repro/internal/(persist|core|knngraph|lsh|vptree)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/lsm must not depend on:"; echo "$$out"; exit 1; fi
@@ -61,6 +65,8 @@ deps:
 	if [ -n "$$out" ]; then echo "internal/server must not depend on:"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -deps ./internal/router ./internal/wire | grep -E '^repro/internal/(index|engine|persist|core|knngraph|lsh|vptree|seqscan|lsm|server)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/router and internal/wire must not depend on:"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) list -deps ./internal/space ./internal/topk ./internal/scratch ./internal/vecmath | grep -E '^repro/internal/(index|engine|core|seqscan|permutation|lsm)$$')"; \
+	if [ -n "$$out" ]; then echo "internal/space, topk, scratch and vecmath must not depend on:"; echo "$$out"; exit 1; fi
 
 # Static gate: formatting + vet + linters + import boundaries, exactly as CI
 # runs them.
@@ -175,9 +181,10 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$' -benchmem ./internal/dataset/
 
 # Batch-engine throughput: the serial reference loop vs SearchBatch at
-# 1/2/4/8 workers over the sequential scan.
+# 1/2/4/8 workers over the sequential scan, then Pool.For's fan-out overhead
+# on trivial bodies (the cost floor of every parallel loop).
 bench-engine:
-	$(GO) test -run '^$$' -bench BenchmarkSearchBatch -benchmem ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkSearchBatch|BenchmarkPoolFor' -benchmem ./internal/engine/
 
 # End-to-end smoke of the serving daemon: build permserve, write a demo
 # index set, boot it on a free port, curl /healthz + a search + a hot

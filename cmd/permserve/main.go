@@ -47,17 +47,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -67,7 +64,6 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/seqscan"
 	"repro/internal/server"
 	"repro/internal/vfs"
@@ -250,19 +246,9 @@ func writeDemoIndex[T any](dir, name string, man server.Manifest, build func() (
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
-	path := filepath.Join(dir, name+persist.Ext)
-	if err := persist.SaveFile(path, idx); err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	blob, err := json.MarshalIndent(man, "", "  ")
+	path, _, err := server.WriteIndex(dir, name, idx, man)
 	if err != nil {
-		return err
-	}
-	if err := vfs.WriteAtomic(vfs.OS{}, filepath.Join(dir, name+".json"), func(w io.Writer) error {
-		_, err := w.Write(append(blob, '\n'))
-		return err
-	}); err != nil {
-		return err
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	log.Printf("permserve: wrote %s (%s over %s, n=%d)", path, idx.Name(), man.Dataset, man.N)
 	return nil

@@ -22,10 +22,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -37,7 +35,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/space"
-	"repro/internal/vfs"
 )
 
 func main() {
@@ -163,28 +160,14 @@ func splitTyped[T any](sp spec, fam *dataset.Family[T]) error {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		file := filepath.Join(dir, sp.set+".psix")
-		if err := permsearch.SaveIndexFile(file, idx); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-
 		side := server.Manifest{Dataset: sp.dataset, Seed: sp.seed, N: len(data), Generation: sp.generation}
 		if sp.shards > 1 {
 			// S=1 stays unstamped: a true unsharded baseline.
 			side.Shard = &shard.Info{Set: sp.set, Partitioner: sp.partitioner, Shards: sp.shards, Index: s}
 		}
-		blob, err := json.MarshalIndent(side, "", "  ")
+		file, sidePath, err := server.WriteIndex(dir, sp.set, idx, side)
 		if err != nil {
-			return err
-		}
-		sidePath := filepath.Join(dir, sp.set+".json")
-		// Written like the index beside it: a crash between the two must not
-		// leave a servable .psix next to a torn sidecar.
-		if err := vfs.WriteAtomic(vfs.OS{}, sidePath, func(w io.Writer) error {
-			_, err := w.Write(append(blob, '\n'))
-			return err
-		}); err != nil {
-			return err
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
 
 		crc, err := codec.FileChecksum(file)

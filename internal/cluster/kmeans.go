@@ -82,7 +82,7 @@ func KMeans(r *rand.Rand, points []float32, dim, k, maxIter int) (*Result, error
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		var changed atomic.Int64
-		pool.For(n, func(i int) {
+		pool.For(n, func(_, i int) {
 			p := row(points, i)
 			best, bestD := 0, math.MaxFloat64
 			for c := 0; c < k; c++ {

@@ -37,7 +37,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/permutation"
-	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -80,11 +79,9 @@ func gammaCount(frac float64, n, k int) int {
 }
 
 // refineScratch is the refine stage's pooled state: the candidate ids of
-// one bulk distance call, their distances, the call's own scratch and the
-// result queue.
+// one space.Closest call, the call's own scratch and the result queue.
 type refineScratch struct {
 	ids   []uint32
-	dists []float64
 	sp    space.Scratch
 	queue topk.Queue
 }
@@ -93,12 +90,11 @@ type refineScratch struct {
 // appends the k nearest, ordered by increasing distance, to dst. Candidates
 // come either as bare ids or as pre-scored neighbors (the output of
 // topk.SelectK, of which only the ids are consumed); ids must be unique.
-// Data points are the left distance argument (left queries). With a
-// composition table (counts, see pipeline) the candidates go to
-// space.Closest, which measures only those a bound cannot rule out;
-// otherwise all go to the space in one space.Many call, then into the queue.
-// The scratch is owned by the caller; refineInto does not allocate when dst
-// and the scratch have warmed-up capacity.
+// Data points are the left distance argument (left queries). The
+// candidates go to space.Closest in one call: with a composition table
+// (counts, see pipeline) it measures only those a bound cannot rule out,
+// otherwise all of them. The scratch is owned by the caller; refineInto
+// does not allocate when dst and the scratch have warmed-up capacity.
 //
 // The answer does not depend on candidate order, nor on the screen:
 // topk.Queue keeps the k smallest by (distance, id), so ties at the k
@@ -126,15 +122,7 @@ func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, co
 		rs.ids = ids
 	}
 	rs.queue.Reset(k)
-	measured, screened := space.Closest(sp, &rs.sp, &rs.queue, query, data, counts, ids)
-	if !screened {
-		rs.dists = scratch.Grow(rs.dists, len(ids))
-		space.Many(sp, &rs.sp, rs.dists, query, data, ids)
-		for i, id := range ids {
-			rs.queue.Push(id, rs.dists[i])
-		}
-		measured = len(ids)
-	}
+	measured := space.Closest(sp, &rs.sp, &rs.queue, query, data, counts, ids)
 	if tr != nil {
 		tr.RefineDistances += int64(measured)
 		obs.AddSince(&tr.RefineNs, t0)
@@ -145,13 +133,6 @@ func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, co
 		obs.AddSince(&tr.MergeNs, t0)
 	}
 	return dst
-}
-
-// parallelFor runs f(i) for every i in [0, n) on up to GOMAXPROCS
-// goroutines (uniform-cost build loops; see engine.Pool.For). Iterations
-// must be independent.
-func parallelFor(n int, f func(i int)) {
-	engine.Pool{}.For(n, f)
 }
 
 // computePermutations returns the flattened n x m matrix of permutations of
@@ -176,7 +157,7 @@ func perPoint[T any](data []T, w int, row func(*permutation.Scratch, T) []int32)
 	out := make([]int32, len(data)*w)
 	var pool engine.Pool
 	perWorker := make([]permutation.Scratch, pool.Workers())
-	pool.ForWithID(len(data), func(worker, i int) {
+	pool.For(len(data), func(worker, i int) {
 		copy(out[i*w:(i+1)*w], row(&perWorker[worker], data[i]))
 	})
 	return out

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/permutation"
@@ -96,18 +99,6 @@ func TestGammaCount(t *testing.T) {
 	}
 	if g := gammaCount(5, 1000, 10); g != 1000 {
 		t.Fatalf("cap: g = %d, want 1000", g)
-	}
-}
-
-func TestParallelForCoversAll(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 17, 1000} {
-		hits := make([]int32, n)
-		parallelFor(n, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
-			}
-		}
 	}
 }
 
@@ -209,6 +200,46 @@ func TestOMEDRANKGammaOneIsExact(t *testing.T) {
 				t.Fatalf("mismatch at %d: %+v vs %+v", j, got[j], want[j])
 			}
 		}
+	}
+}
+
+// TestOMEDRANKVoterCap: the quorum counters hold a byte, so 255 voters
+// build and search — under a full quorum, every count reaching 255, exactly
+// — and 256 are refused.
+func TestOMEDRANKVoterCap(t *testing.T) {
+	data := clustered(5, 300, 8)
+	om, err := NewOMEDRANK[[]float32](space.L2{}, data, OMEDRANKOptions{NumVoters: maxVoters, Quorum: 1, Gamma: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := seqscan.New[[]float32](space.L2{}, data)
+	for _, q := range data[:5] {
+		if got, want := om.Search(q, 5), scan.Search(q, 5); !slices.Equal(got, want) {
+			t.Fatalf("255 voters: got %v, want %v", got, want)
+		}
+	}
+	if _, err := NewOMEDRANK[[]float32](space.L2{}, data, OMEDRANKOptions{NumVoters: maxVoters + 1}); err == nil {
+		t.Fatal("256 voters accepted")
+	}
+	// A file of 256 voters, which only a hand-built index writes, is corrupt.
+	m := maxVoters + 1
+	pv, err := samplePivots[[]float32](space.L2{}, data, &m, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := &OMEDRANK[[]float32]{data: data, pivots: pv, opts: om.opts, voters: append(slices.Clone(om.voters), om.voters[0])}
+	wide.opts.NumVoters = m
+	wide.bind(wide, space.L2{}, data, 1)
+	var buf bytes.Buffer
+	if err := wide.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cr, err := codec.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadOMEDRANK[[]float32](cr, space.L2{}, data); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("loading 256 voters: err = %v, want ErrCorrupt", err)
 	}
 }
 

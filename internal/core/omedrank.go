@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
+	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/permutation"
 	"repro/internal/scratch"
@@ -11,8 +13,8 @@ import (
 
 // OMEDRANKOptions configures NewOMEDRANK.
 type OMEDRANKOptions struct {
-	// NumVoters is the number of voting pivots h. Fagin et al. use few
-	// voters (each ranking all points); default 8.
+	// NumVoters is the number of voting pivots h, at most maxVoters.
+	// Fagin et al. use few voters (each ranking all points); default 8.
 	NumVoters int
 	// Quorum is the fraction of voter lists a candidate must appear in
 	// before it is emitted (MEDRANK outputs on a majority). Default 0.5.
@@ -35,6 +37,12 @@ func (o *OMEDRANKOptions) defaults() {
 		o.Gamma = 0.01
 	}
 }
+
+// maxVoters is the largest voter count: an id is counted at most once per
+// voter, so its quorum count stays <= h and fits the byte-packed
+// scratch.Counters arena. Each voter also keeps a sorted copy of the corpus,
+// 12 bytes a point.
+const maxVoters = 255
 
 // omedVoter is one voting pivot: every data point sorted by distance from
 // the pivot.
@@ -60,22 +68,21 @@ type OMEDRANK[T any] struct {
 }
 
 // omedScratch is the per-query state of one OMEDRANK search. Quorum counts
-// use the byte-packed Counters arena when the voter count fits a byte (the
-// practical case — Fagin et al. use few voters — and one cache line per
-// touched id); the persisted format admits up to 2^15 voters, so wider
-// configurations fall back to the 32-bit Gains arena.
+// live in the byte-packed Counters arena, exact because h <= maxVoters.
 type omedScratch struct {
-	counts     scratch.Counters
-	wideCounts scratch.Gains
-	lo         []int
-	hi         []int
-	perm       permutation.Scratch // the query's voter distances
-	cands      []uint32
+	counts scratch.Counters
+	lo     []int
+	hi     []int
+	perm   permutation.Scratch // the query's voter distances
+	cands  []uint32
 }
 
 // NewOMEDRANK samples voters and sorts the data by distance from each.
 func NewOMEDRANK[T any](sp space.Space[T], data []T, opts OMEDRANKOptions) (*OMEDRANK[T], error) {
 	opts.defaults()
+	if opts.NumVoters > maxVoters {
+		return nil, fmt.Errorf("core: omedrank takes at most %d voters, got %d", maxVoters, opts.NumVoters)
+	}
 	pv, err := samplePivots(sp, data, &opts.NumVoters, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -83,7 +90,7 @@ func NewOMEDRANK[T any](sp space.Space[T], data []T, opts OMEDRANKOptions) (*OME
 	om := &OMEDRANK[T]{data: data, pivots: pv, opts: opts}
 	om.bind(om, sp, om.data, opts.Gamma)
 	om.voters = make([]omedVoter, opts.NumVoters)
-	parallelFor(opts.NumVoters, func(v int) {
+	engine.Pool{}.For(opts.NumVoters, func(_, v int) {
 		voter := omedVoter{
 			dists: make([]float64, len(data)),
 			ids:   make([]uint32, len(data)),
@@ -141,14 +148,7 @@ func (om *OMEDRANK[T]) filter(s *omedScratch, query T, g int, _ index.Params) (c
 		pos := sort.SearchFloat64s(voter.dists, qdist[v])
 		lo[v], hi[v] = pos-1, pos
 	}
-	// An id is counted at most once per voter, so counts stay <= h and the
-	// byte-packed arena is exact whenever h fits a byte.
-	narrow := h <= 255
-	if narrow {
-		s.counts.Begin(n)
-	} else {
-		s.wideCounts.Begin(n)
-	}
+	s.counts.Begin(n)
 	cands := s.cands[:0]
 	for len(cands) < g {
 		progressed := false
@@ -180,14 +180,7 @@ func (om *OMEDRANK[T]) filter(s *omedScratch, query T, g int, _ index.Params) (c
 			}
 			progressed = true
 			id := voter.ids[pick]
-			var total int
-			if narrow {
-				total = int(s.counts.Inc(id))
-			} else {
-				t32, _ := s.wideCounts.Add(id, 1)
-				total = int(t32)
-			}
-			if total == need {
+			if int(s.counts.Inc(id)) == need {
 				cands = append(cands, id)
 				if len(cands) >= g {
 					break

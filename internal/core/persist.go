@@ -413,10 +413,9 @@ func LoadOMEDRANK[T any](cr *codec.Reader, sp space.Space[T], data []T) (*OMEDRA
 		om.opts.Gamma = cr.F64()
 		om.opts.Seed = cr.I64()
 		voters := cr.Int()
-		// The search-time quorum counters are 32-bit (scratch.Gains), but the
-		// voter count must stay clear of absurd territory and match the pivot
-		// set; 2^15 keeps the historical on-disk bound.
-		if cr.Err() == nil && (voters <= 0 || voters != om.pivots.M() || voters > 1<<15 ||
+		// The voter count must match the pivot set and fit the byte-packed
+		// quorum counters (maxVoters), as NewOMEDRANK requires.
+		if cr.Err() == nil && (voters <= 0 || voters != om.pivots.M() || voters > maxVoters ||
 			om.opts.Quorum <= 0 || om.opts.Quorum > 1 || om.opts.Gamma <= 0) {
 			cr.Corruptf("inconsistent omedrank options (voters=%d, pivots=%d)", voters, om.pivots.M())
 		}

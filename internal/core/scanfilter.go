@@ -82,7 +82,7 @@ func newScanFilter[T any](sp space.Space[T], data []T, pv *permutation.Pivots[T]
 	rows.alloc(len(data))
 	var pool engine.Pool
 	views := make([]permutation.Scratch, pool.Workers())
-	pool.ForWithID(len(data), func(worker, i int) {
+	pool.For(len(data), func(worker, i int) {
 		v := &views[worker]
 		pv.DistancesWith(v, data[i])
 		rows.put(i, v)

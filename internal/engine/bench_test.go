@@ -44,23 +44,13 @@ func BenchmarkSearchBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolFor measures the fan-out overhead of the two scheduling
-// strategies on trivially cheap loop bodies — the cost floor every
-// parallelized build path pays.
+// BenchmarkPoolFor measures the work-pulling loop's fan-out overhead on
+// trivially cheap loop bodies — the cost floor every parallel build path
+// pays.
 func BenchmarkPoolFor(b *testing.B) {
 	sink := make([]int64, 4096)
-	for _, bench := range []struct {
-		name string
-		run  func(p engine.Pool, n int)
-	}{
-		{"static", func(p engine.Pool, n int) { p.For(n, func(i int) { sink[i] = int64(i) }) }},
-		{"dynamic", func(p engine.Pool, n int) { p.ForDynamic(n, func(i int) { sink[i] = int64(i) }) }},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			p := engine.Pool{}
-			for i := 0; i < b.N; i++ {
-				bench.run(p, 4096)
-			}
-		})
+	p := engine.Pool{}
+	for i := 0; i < b.N; i++ {
+		p.For(len(sink), func(_, j int) { sink[j] = int64(j) })
 	}
 }

@@ -15,14 +15,14 @@ import (
 	"repro/internal/topk"
 )
 
-// TestForWithIDCtxPreCanceled: an already-canceled context runs zero
+// TestForCtxPreCanceled: an already-canceled context runs zero
 // iterations on both the serial (small n) and worker-pool (large n) paths.
-func TestForWithIDCtxPreCanceled(t *testing.T) {
+func TestForCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, n := range []int{1, 1000} {
 		var ran atomic.Int32
-		err := engine.NewPool(4).ForWithIDCtx(ctx, n, func(_, _ int) { ran.Add(1) })
+		err := engine.NewPool(4).ForCtx(ctx, n, func(_, _ int) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
 		}
@@ -32,14 +32,14 @@ func TestForWithIDCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestForWithIDCtxCancelMidway: canceling while the loop is running cuts it
+// TestForCtxCancelMidway: canceling while the loop is running cuts it
 // short — the loop returns ctx.Err() having completed at most the in-flight
 // items, not the whole range.
-func TestForWithIDCtxCancelMidway(t *testing.T) {
+func TestForCtxCancelMidway(t *testing.T) {
 	const n = 100000
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := engine.NewPool(4).ForWithIDCtx(ctx, n, func(_, _ int) {
+	err := engine.NewPool(4).ForCtx(ctx, n, func(_, _ int) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}

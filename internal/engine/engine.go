@@ -1,9 +1,10 @@
 // Package engine is the shared concurrency substrate of the repository: a
-// bounded worker pool (Pool) used by every parallel loop — index
-// construction in internal/core, k-means assignment in internal/cluster,
-// graph construction in internal/knngraph — and a batch query engine
-// (SearchBatch) that fans a slab of queries out over the pool against any
-// index.Index.
+// bounded worker pool (Pool) whose one work-pulling loop (For, and ForCtx
+// when it may be cancelled) runs every parallel loop — index construction in
+// internal/core, k-means assignment in internal/cluster, graph construction
+// in internal/knngraph, tier compaction in internal/lsm — and a batch query
+// engine (SearchBatch) that fans a slab of queries out over the pool against
+// any index.Index.
 //
 // Keeping the idiom in one place matters for two reasons. First, the paper's
 // evaluation protocol is single-threaded, so every concurrent path must be
@@ -28,7 +29,7 @@ import (
 // panicTrap collects the first panic raised by any worker goroutine of one
 // parallel loop. A panic inside a bare goroutine would kill the whole
 // process (and, were it swallowed, would leave wg.Wait deadlocked on a
-// worker that never finishes its range); instead every worker recovers into
+// worker that never finishes); instead every worker recovers into
 // the trap, the trap's stop flag cancels the remaining iterations of all
 // workers, and the caller re-panics with the original value after wg.Wait —
 // so a panicking f behaves exactly as it would in the serial loop: the
@@ -58,10 +59,10 @@ func (t *panicTrap) rethrow() {
 	}
 }
 
-// Pool bounds the number of goroutines a parallel loop may use. The zero
-// value is a valid pool running at GOMAXPROCS. Pools are values, not
-// resources: they hold no goroutines between calls and are safe to copy and
-// to use from multiple goroutines.
+// Pool bounds the number of goroutines a parallel loop may use; For is the
+// loop. The zero value is a valid pool running at GOMAXPROCS. Pools are
+// values, not resources: they hold no goroutines between calls and are safe
+// to copy and to use from multiple goroutines.
 type Pool struct {
 	workers int
 }
@@ -92,73 +93,28 @@ func (p Pool) clamp(n int) int {
 	return w
 }
 
-// For runs f(i) for every i in [0, n) over contiguous per-worker chunks.
-// Iterations must be independent. Static chunking has the lowest scheduling
-// overhead and the best cache locality, which suits uniform-cost work such
-// as computing one permutation per data point; use ForDynamic when per-item
-// cost is skewed.
-//
-// If f panics, the remaining iterations are cancelled and the panic
-// resurfaces on the caller, as it would in a serial loop.
-func (p Pool) For(n int, f func(i int)) {
-	w := p.clamp(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var trap panicTrap
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer trap.guard()
-			for i := lo; i < hi; i++ {
-				if trap.stop.Load() {
-					return
-				}
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	trap.rethrow()
-}
-
-// ForDynamic runs f(i) for every i in [0, n), workers pulling one item at a
-// time from a shared counter. The per-item atomic add buys load balance for
-// skewed work — k-NN queries vary wildly in candidate-set size — and is
-// noise next to even one distance computation.
-func (p Pool) ForDynamic(n int, f func(i int)) {
-	p.ForWithID(n, func(_, i int) { f(i) })
-}
-
-// ForWithID is ForDynamic passing each invocation the pulling worker's id in
+// For runs f(worker, i) for every i in [0, n), workers pulling one item at
+// a time from a shared counter. worker is the pulling goroutine's id in
 // [0, Workers()), so callers can keep per-worker state (RNGs, scratch
-// buffers) without locking.
+// buffers) without locking. Iterations must be independent. The per-item
+// atomic add buys load balance for skewed work — k-NN queries vary wildly in
+// candidate-set size — and is noise next to even one distance computation.
 //
 // If f panics, the remaining iterations are cancelled and the panic
 // resurfaces on the caller, as it would in a serial loop.
-func (p Pool) ForWithID(n int, f func(worker, i int)) {
-	p.ForWithIDCtx(context.Background(), n, f)
+func (p Pool) For(n int, f func(worker, i int)) {
+	p.ForCtx(context.Background(), n, f)
 }
 
-// ForWithIDCtx is ForWithID with cooperative cancellation: workers check
-// ctx between items and stop pulling once it is done, so a batch whose
-// client has gone away — a server timeout, a closed connection — releases
-// its pool workers after at most one in-flight item each instead of
-// grinding through the remaining iterations. It returns ctx.Err() when the
-// loop was cut short, nil when every iteration ran. Completed iterations
-// are never undone; the caller owns deciding whether partial output is
-// usable (the batch query engine discards it).
-func (p Pool) ForWithIDCtx(ctx context.Context, n int, f func(worker, i int)) error {
+// ForCtx is For with cooperative cancellation: workers check ctx between
+// items and stop pulling once it is done, so a batch whose client has gone
+// away — a server timeout, a closed connection — releases its pool workers
+// after at most one in-flight item each instead of grinding through the
+// remaining iterations. It returns ctx.Err() when the loop was cut short,
+// nil when every iteration ran. Completed iterations are never undone; the
+// caller owns deciding whether partial output is usable (the batch query
+// engine discards it).
+func (p Pool) ForCtx(ctx context.Context, n int, f func(worker, i int)) error {
 	w := p.clamp(n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
@@ -223,12 +179,12 @@ func SearchBatch[T any](p Pool, idx index.Index[T], queries []T, opts index.Opti
 	}
 	out := make([][]topk.Neighbor, len(queries))
 	// Slots are indexed by worker id; each is touched by exactly one
-	// worker goroutine (ForWithIDCtx's contract), so no locking.
+	// worker goroutine (ForCtx's contract), so no locking.
 	var traces []obs.QueryTrace
 	if opts.Trace != nil {
 		traces = make([]obs.QueryTrace, p.clamp(len(queries)))
 	}
-	err := p.ForWithIDCtx(ctx, len(queries), func(worker, i int) {
+	err := p.ForCtx(ctx, len(queries), func(worker, i int) {
 		wopts := opts
 		if traces != nil {
 			wopts.Trace = &traces[worker]

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -34,10 +35,10 @@ func TestPoolWorkers(t *testing.T) {
 }
 
 func TestPoolForCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7} {
-		for _, n := range []int{0, 1, 5, 100, 1000} {
+	for _, workers := range []int{0, 1, 2, 3, 7, 16} {
+		for _, n := range []int{0, 1, 5, 100, 500, 1000} {
 			hits := make([]int32, n)
-			engine.NewPool(workers).For(n, func(i int) {
+			engine.NewPool(workers).For(n, func(_, i int) {
 				atomic.AddInt32(&hits[i], 1)
 			})
 			for i, h := range hits {
@@ -49,25 +50,10 @@ func TestPoolForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestPoolForDynamicCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		n := 500
-		hits := make([]int32, n)
-		engine.NewPool(workers).ForDynamic(n, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestPoolForWithIDWorkerRange(t *testing.T) {
+func TestPoolForWorkerRange(t *testing.T) {
 	p := engine.NewPool(3)
 	var bad atomic.Int32
-	p.ForWithID(200, func(worker, i int) {
+	p.For(200, func(worker, i int) {
 		if worker < 0 || worker >= p.Workers() {
 			bad.Add(1)
 		}
@@ -96,23 +82,16 @@ func TestPoolForPropagatesPanic(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		p := engine.NewPool(workers)
 		mustPanic(t, "boom-for", func() {
-			p.For(100, func(i int) {
+			p.For(100, func(_, i int) {
 				if i == 37 {
 					panic("boom-for")
 				}
 			})
 		})
-		mustPanic(t, "boom-dyn", func() {
-			p.ForDynamic(100, func(i int) {
+		mustPanic(t, "boom-ctx", func() {
+			p.ForCtx(context.Background(), 100, func(_, i int) {
 				if i == 37 {
-					panic("boom-dyn")
-				}
-			})
-		})
-		mustPanic(t, "boom-id", func() {
-			p.ForWithID(100, func(_, i int) {
-				if i == 37 {
-					panic("boom-id")
+					panic("boom-ctx")
 				}
 			})
 		})
@@ -127,7 +106,7 @@ func TestPoolForPanicCancelsRemainingWork(t *testing.T) {
 	const n = 100000
 	var ran atomic.Int32
 	mustPanic(t, "early", func() {
-		engine.NewPool(4).ForDynamic(n, func(i int) {
+		engine.NewPool(4).For(n, func(_, i int) {
 			if ran.Add(1) == 1 {
 				panic("early")
 			}
@@ -142,9 +121,9 @@ func TestPoolForPanicCancelsRemainingWork(t *testing.T) {
 // value and must keep working for subsequent loops.
 func TestPoolForPanicPoolReusable(t *testing.T) {
 	p := engine.NewPool(3)
-	mustPanic(t, "once", func() { p.For(10, func(i int) { panic("once") }) })
+	mustPanic(t, "once", func() { p.For(10, func(_, _ int) { panic("once") }) })
 	var hits atomic.Int32
-	p.For(50, func(i int) { hits.Add(1) })
+	p.For(50, func(_, _ int) { hits.Add(1) })
 	if hits.Load() != 50 {
 		t.Fatalf("loop after panic ran %d/50 iterations", hits.Load())
 	}

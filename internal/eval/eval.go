@@ -131,7 +131,7 @@ func Measure[T any](idx index.Index[T], queries []T, truth [][]topk.Neighbor, op
 	got := make([][]topk.Neighbor, len(queries))
 	durs := make([]time.Duration, len(queries))
 	start := time.Now()
-	pool.ForDynamic(len(queries), func(i int) {
+	pool.For(len(queries), func(_, i int) {
 		t0 := time.Now()
 		got[i] = idx.SearchAppend(nil, queries[i], opts)
 		durs[i] = time.Since(t0)

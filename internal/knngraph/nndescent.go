@@ -109,7 +109,7 @@ func NewNNDescent[T any](sp space.Space[T], data []T, opts Options) (*Graph[T], 
 		seeds[i] = r.Int63()
 	}
 	var pool engine.Pool
-	pool.For(n, func(v int) {
+	pool.For(n, func(_, v int) {
 		rv := rand.New(rand.NewSource(seeds[v]))
 		for heaps[v].entries == nil || len(heaps[v].entries) < k {
 			u := uint32(rv.Intn(n))
@@ -159,7 +159,7 @@ func NewNNDescent[T any](sp space.Space[T], data []T, opts Options) (*Graph[T], 
 		var updates int64
 		for lo := 0; lo < n; lo += ndBlock {
 			hi := min(lo+ndBlock, n)
-			pool.ForDynamic(hi-lo, func(j int) {
+			pool.For(hi-lo, func(_, j int) {
 				v := lo + j
 				news := append(append([]uint32(nil), newFwd[v]...), newRev[v]...)
 				olds := append(append([]uint32(nil), oldFwd[v]...), oldRev[v]...)

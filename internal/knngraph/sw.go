@@ -51,7 +51,7 @@ func NewSW[T any](sp space.Space[T], data []T, opts Options) (*Graph[T], error) 
 	pool, scr := engine.NewPool(workers), make([]graphScratch, workers)
 	for start := boot; start < len(data); {
 		end := min(start+max(1, start/swStaleness), len(data))
-		pool.ForWithID(end-start, func(w, j int) {
+		pool.For(end-start, func(w, j int) {
 			id := start + j
 			s := &scr[w]
 			s.begin(start, 2*opts.NN)

@@ -808,7 +808,7 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 		tombs []uint32
 	}
 	parts := make([]kept, len(inputs))
-	engine.Pool{}.For(len(inputs), func(i int) {
+	engine.Pool{}.For(len(inputs), func(_, i int) {
 		in := inputs[i]
 		var k kept
 		for j, id := range in.ids {

@@ -62,14 +62,10 @@ type editScreen[T any] struct {
 // closest selects through space.Closest, whose queue keeps the n smallest
 // (distance, pivot index) pairs — ClosestWith's selection — while it skips
 // every pivot whose composition bound exceeds the n-th distance found so
-// far. It leaves s.Dists as it was.
+// far. It leaves s.Dists as it was and never declines.
 func (sc *editScreen[T]) closest(s *Scratch, x T, n int) bool {
 	s.upper.Reset(n)
-	measured, ok := space.Closest(sc.sp, &s.sp, &s.upper, x, sc.items, sc.counts, sc.all)
-	if !ok {
-		return false
-	}
-	s.Measured = measured
+	s.Measured = space.Closest(sc.sp, &s.sp, &s.upper, x, sc.items, sc.counts, sc.all)
 	s.sel = s.upper.AppendResults(s.sel[:0])
 	s.Order = s.Order[:0]
 	for _, c := range s.sel {

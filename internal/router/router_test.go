@@ -14,15 +14,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -42,14 +39,7 @@ const (
 func writeServed[T any](t *testing.T, idx index.Index[T], man server.Manifest) *httptest.Server {
 	t.Helper()
 	dir := t.TempDir()
-	if err := persist.SaveFile(filepath.Join(dir, rtName+persist.Ext), idx); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, rtName+".json"), blob, 0o644); err != nil {
+	if _, _, err := server.WriteIndex(dir, rtName, idx, man); err != nil {
 		t.Fatal(err)
 	}
 	reg, err := server.OpenDir(dir)

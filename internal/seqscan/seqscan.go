@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -24,12 +23,11 @@ type Scanner[T any] struct {
 	index.Pooled[T, scanScratch]
 }
 
-// scanScratch is the per-query state of one scan — the ids, their
-// distances, the bulk distance call's scratch and the result queue — reused
-// so a warm query allocates nothing.
+// scanScratch is the per-query state of one scan — the ids, the
+// space.Closest call's scratch and the result queue — reused so a warm query
+// allocates nothing.
 type scanScratch struct {
 	ids   []uint32
-	dists []float64
 	sp    space.Scratch
 	queue topk.Queue
 }
@@ -78,14 +76,10 @@ func (s *Scanner[T]) search(st *scanScratch, dst []topk.Neighbor, query T, opts 
 		ids = append(ids, uint32(i))
 	}
 	st.ids = ids
-	st.dists = scratch.Grow(st.dists, len(ids))
-	space.Many(s.sp, &st.sp, st.dists, query, s.data, ids)
 	st.queue.Reset(k)
-	for i, id := range ids {
-		st.queue.Push(id, st.dists[i])
-	}
+	measured := space.Closest(s.sp, &st.sp, &st.queue, query, s.data, nil, ids)
 	if tr != nil {
-		tr.RefineDistances += int64(len(ids))
+		tr.RefineDistances += int64(measured)
 		obs.AddSince(&tr.RefineNs, t0)
 		t0 = time.Now()
 	}

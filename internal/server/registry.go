@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -144,6 +145,28 @@ func loadSnapshot(e *entry) (*snapshot, error) {
 		return nil, fmt.Errorf("%s: manifest params: %w", e.path, err)
 	}
 	return &snapshot{served: served, hdr: hdr, man: man, params: params}, nil
+}
+
+// WriteIndex writes one servable entry into dir: idx as <name>.psix and man
+// as its sidecar <name>.json, indented with a final newline. Each file is
+// written atomically, the index first, so a crash between the two never
+// leaves a servable index beside a torn sidecar. It returns both paths.
+func WriteIndex[T any](dir, name string, idx index.Index[T], man Manifest) (file, manifest string, err error) {
+	file, manifest = filepath.Join(dir, name+persist.Ext), filepath.Join(dir, name+".json")
+	if err := persist.SaveFile(file, idx); err != nil {
+		return "", "", err
+	}
+	blob, err := json.MarshalIndent(man, "", "  ")
+	if err != nil {
+		return "", "", err
+	}
+	if err := vfs.WriteAtomic(vfs.OS{}, manifest, func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	}); err != nil {
+		return "", "", err
+	}
+	return file, manifest, nil
 }
 
 // readManifest parses one sidecar file.

@@ -84,14 +84,7 @@ func buildFixtures(t *testing.T) (dir string, dense e2eFixture[[]float32], dna e
 // writeFixture saves one index file and its sidecar manifest.
 func writeFixture[T any](t *testing.T, dir, name string, idx index.Index[T], man Manifest) {
 	t.Helper()
-	if err := persist.SaveFile(filepath.Join(dir, name+persist.Ext), idx); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, name+".json"), blob, 0o644); err != nil {
+	if _, _, err := WriteIndex(dir, name, idx, man); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -328,7 +321,7 @@ func (panicServed) searchBatch(raws []json.RawMessage, _ index.Options, pool eng
 	// Through the real worker pool, so the test also covers engine panic
 	// propagation surfacing as an HTTP status.
 	out := make([][]topk.Neighbor, len(raws))
-	pool.ForDynamic(len(raws), func(i int) {
+	pool.For(len(raws), func(_, _ int) {
 		panic("search exploded")
 	})
 	return out, nil

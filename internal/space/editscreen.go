@@ -76,34 +76,37 @@ func scaled(d int, norm bool, l int) float64 {
 const screenBuckets = 64
 
 // Closest pushes into q — reset by the caller — what pushing every
-// (ids[i], sp.Distance(data[ids[i]], query)) would leave there, measuring only
-// the items a bound cannot rule out. counts is CountTable(sp, data). It
-// returns the number of distances measured, or reports false, touching
-// nothing, when sp is not exactly Levenshtein or NormalizedLevenshtein (the
-// rule of Many) or counts is nil; the caller then measures every item.
+// (ids[i], sp.Distance(data[ids[i]], query)) would leave there, and returns
+// the number of distances it measured. It is the one k-nearest step of every
+// refine and scan. When sp is exactly Levenshtein or NormalizedLevenshtein
+// (the rule of Many) and counts is CountTable(sp, data), it measures only
+// the items a bound cannot rule out; for any other space, or with a nil
+// counts, it measures every item in one Many call and pushes each.
 //
-// The items are visited in counting-sort order of their composition bound
-// (Counts), so the likely nearest fill the queue first. An item whose bound,
-// scaled as its distance would be, is strictly greater than the full queue's
-// worst kept distance is skipped: its distance is larger than those of k
-// items already kept, so it is not among the k smallest (by distance, then
-// id) of all the items, and the queue keeps exactly those. The survivors
-// are measured two per pass (editPair) against the query prepared once; a
-// query that is empty or longer than one word is measured by EditDistance.
-// The distances pushed are the bits Distance returns.
-func Closest[T any](sp Space[T], s *Scratch, q *topk.Queue, query T, data []T, counts []Counts, ids []uint32) (measured int, ok bool) {
-	var norm bool
-	switch any(sp).(type) {
-	case NormalizedLevenshtein:
-		norm = true
-	case Levenshtein:
-	default:
-		return 0, false
+// The screened items are visited in counting-sort order of their
+// composition bound (Counts), so the likely nearest fill the queue first. An
+// item whose bound, scaled as its distance would be, is strictly greater
+// than the full queue's worst kept distance is skipped: its distance is
+// larger than those of k items already kept, so it is not among the k
+// smallest (by distance, then id) of all the items, and the queue keeps
+// exactly those. The survivors are measured two per pass (editPair) against
+// the query prepared once; a query that is empty or longer than one word is
+// measured by EditDistance. The distances pushed are the bits Distance
+// returns.
+func Closest[T any](sp Space[T], s *Scratch, q *topk.Queue, query T, data []T, counts []Counts, ids []uint32) int {
+	if counts != nil {
+		switch any(sp).(type) {
+		case NormalizedLevenshtein, Levenshtein:
+			norm := any(sp) == any(NormalizedLevenshtein{})
+			return s.editClosest(q, norm, any(query).([]byte), any(data).([][]byte), counts, ids)
+		}
 	}
-	if counts == nil {
-		return 0, false
+	s.dists = scratch.Grow(s.dists, len(ids))
+	Many(sp, s, s.dists, query, data, ids)
+	for i, id := range ids {
+		q.Push(id, s.dists[i])
 	}
-	return s.editClosest(q, norm, any(query).([]byte), any(data).([][]byte), counts, ids), true
+	return len(ids)
 }
 
 // editClosest is Closest's Levenshtein body.

@@ -11,7 +11,7 @@ import (
 
 // pushAll is what Closest must leave in a queue of k: every item measured by
 // Distance and offered, in ids order.
-func pushAll(sp Space[[]byte], k int, query []byte, data [][]byte, ids []uint32) []topk.Neighbor {
+func pushAll[T any](sp Space[T], k int, query T, data []T, ids []uint32) []topk.Neighbor {
 	q := topk.NewQueue(k)
 	for _, id := range ids {
 		q.Push(id, sp.Distance(data[id], query))
@@ -22,22 +22,38 @@ func pushAll(sp Space[[]byte], k int, query []byte, data [][]byte, ids []uint32)
 // checkClosest asserts that Closest keeps what pushAll keeps, bit for bit,
 // and returns how many distances it measured, which must lie between what a
 // queue of k needs and every item.
-func checkClosest(t testing.TB, sp Space[[]byte], s *Scratch, k int, query []byte, data [][]byte, counts []Counts, ids []uint32) int {
+func checkClosest[T any](t testing.TB, sp Space[T], s *Scratch, k int, query T, data []T, counts []Counts, ids []uint32) int {
 	t.Helper()
 	var q topk.Queue
 	q.Reset(k)
-	measured, ok := Closest(sp, s, &q, query, data, counts, ids)
-	if !ok {
-		t.Fatalf("%s: Closest declined", sp.Name())
-	}
+	measured := Closest(sp, s, &q, query, data, counts, ids)
 	got, want := q.Results(), pushAll(sp, k, query, data, ids)
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s k=%d query %q over %d ids:\n got %v\nwant %v", sp.Name(), k, query, len(ids), got, want)
+		t.Fatalf("%s k=%d query %v over %d ids:\n got %v\nwant %v", sp.Name(), k, query, len(ids), got, want)
 	}
 	if measured < min(k, len(ids)) || measured > len(ids) {
 		t.Fatalf("%s k=%d: measured %d of %d ids", sp.Name(), k, measured, len(ids))
 	}
 	return measured
+}
+
+// checkMeasuresAll runs checkClosest for a space Closest does not screen,
+// over id subsets of every size in random order and queues of 1 to more than
+// the items: each call must measure every id.
+func checkMeasuresAll[T any](t *testing.T, r *rand.Rand, sp Space[T], query T, data []T, counts []Counts) {
+	t.Helper()
+	var s Scratch
+	for _, n := range []int{0, 1, 2, 5, 17, len(data)} {
+		ids := make([]uint32, 0, n)
+		for _, p := range r.Perm(len(data))[:n] {
+			ids = append(ids, uint32(p))
+		}
+		for _, k := range []int{1, 3, 10, len(data) + 1} {
+			if m := checkClosest(t, sp, &s, k, query, data, counts, ids); m != len(ids) {
+				t.Fatalf("%s k=%d: measured %d of %d ids, want all", sp.Name(), k, m, len(ids))
+			}
+		}
+	}
 }
 
 // TestClosestMatchesPushingAll holds the screened kernel to measuring every
@@ -79,6 +95,24 @@ func TestClosestMatchesPushingAll(t *testing.T) {
 	if measured > total*3/4 {
 		t.Errorf("the screen measured %d of %d items, want at most 3/4", measured, total)
 	}
+
+	// Without a screen — another space, or a wrapper given a table — every
+	// item is measured: L2 over an odd count (the pair kernel's tail), KL
+	// (asymmetric: data on the left), a Counter around Levenshtein.
+	vecs := make([][]float32, 41)
+	hists := make([]Histogram, 41)
+	reads := make([][]byte, 41)
+	for i := range vecs {
+		vecs[i] = make([]float32, 9)
+		for j := range vecs[i] {
+			vecs[i][j] = float32(r.Intn(4)) // small integers: exact ties
+		}
+		hists[i] = NewHistogram(vecs[i])
+		reads[i] = randBytes(r, 20+r.Intn(30), 4)
+	}
+	checkMeasuresAll(t, r, Space[[]float32](L2{}), vecs[0], vecs[1:], nil)
+	checkMeasuresAll(t, r, Space[Histogram](KLDivergence{}), hists[0], hists[1:], nil)
+	checkMeasuresAll(t, r, Space[[]byte](NewCounter[[]byte](Levenshtein{})), reads[0], reads[1:], CountTable[[]byte](Levenshtein{}, reads[1:]))
 }
 
 // embeddedLeven embeds NormalizedLevenshtein but answers its own Distance:
@@ -88,9 +122,8 @@ type embeddedLeven struct{ NormalizedLevenshtein }
 func (embeddedLeven) Distance(a, b []byte) float64 { return -1 }
 
 // TestClosestDispatch pins the exact-type rule: only the two Levenshteins
-// get a composition table and a screen; a wrapper, a Counter, another space
-// and a missing table are declined, untouched, so their caller measures
-// every item through Distance.
+// get a composition table and a screen; a wrapper, a Counter and a missing
+// table measure every item through Distance.
 func TestClosestDispatch(t *testing.T) {
 	data := [][]byte{[]byte("ACGT"), []byte("ACGA"), {}}
 	want := []Counts{{1, 1, 1, 1}, {2, 1, 0, 1}, {}}
@@ -101,33 +134,48 @@ func TestClosestDispatch(t *testing.T) {
 	}
 	var s Scratch
 	var q topk.Queue
-	q.Reset(2)
+	ids := []uint32{0, 1, 2}
 	counts := CountTable[[]byte](Levenshtein{}, data)
+	counter := NewCounter[[]byte](NormalizedLevenshtein{})
 	for name, sp := range map[string]Space[[]byte]{
 		"embedding": embeddedLeven{},
-		"counter":   NewCounter[[]byte](NormalizedLevenshtein{}),
+		"counter":   counter,
 	} {
 		if CountTable(sp, data) != nil {
 			t.Errorf("%s: got a composition table", name)
 		}
-		if _, ok := Closest(sp, &s, &q, data[0], data, counts, []uint32{0, 1, 2}); ok || q.Len() != 0 {
-			t.Errorf("%s: Closest screened (ok=%v, %d pushed)", name, ok, q.Len())
+		q.Reset(2)
+		if m := Closest(sp, &s, &q, data[0], data, counts, ids); m != len(ids) {
+			t.Errorf("%s: Closest measured %d of %d", name, m, len(ids))
+		}
+		if name == "embedding" && q.Results()[0].Dist != -1 {
+			t.Errorf("embedding: Closest kept %v, not its Distance", q.Results())
 		}
 	}
-	if _, ok := Closest[[]byte](Levenshtein{}, &s, &q, data[0], data, nil, []uint32{0, 1, 2}); ok || q.Len() != 0 {
-		t.Errorf("no table: Closest screened (ok=%v, %d pushed)", ok, q.Len())
+	if counter.Count() != int64(len(ids)) {
+		t.Errorf("counter: %d Distance calls, want %d", counter.Count(), len(ids))
+	}
+	q.Reset(2)
+	if m := Closest[[]byte](Levenshtein{}, &s, &q, data[0], data, nil, ids); m != len(ids) {
+		t.Errorf("no table: Closest measured %d of %d", m, len(ids))
 	}
 	if CountTable[[]float32](L2{}, [][]float32{{1}}) != nil {
 		t.Error("L2 got a composition table")
 	}
 }
 
-// TestClosestAllocs: a warm Scratch and queue make Closest allocation-free.
+// TestClosestAllocs: a warm Scratch and queue make Closest allocation-free,
+// screened (normalised Levenshtein) or not (L2).
 func TestClosestAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	data := make([][]byte, 300)
+	vecs := make([][]float32, len(data))
 	for i := range data {
 		data[i] = randBytes(r, 28+r.Intn(9), 4)
+		vecs[i] = make([]float32, 128)
+		for j := range vecs[i] {
+			vecs[i][j] = r.Float32()
+		}
 	}
 	counts := CountTable[[]byte](NormalizedLevenshtein{}, data)
 	ids := make([]uint32, len(data))
@@ -136,13 +184,20 @@ func TestClosestAllocs(t *testing.T) {
 	}
 	var s Scratch
 	var q topk.Queue
-	run := func() {
-		q.Reset(10)
-		Closest[[]byte](NormalizedLevenshtein{}, &s, &q, data[7], data, counts, ids)
-	}
-	run()
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Errorf("warm Closest allocates %v times per call, want 0", avg)
+	for name, run := range map[string]func(){
+		"normleven": func() {
+			q.Reset(10)
+			Closest[[]byte](NormalizedLevenshtein{}, &s, &q, data[7], data, counts, ids)
+		},
+		"l2": func() {
+			q.Reset(10)
+			Closest[[]float32](L2{}, &s, &q, vecs[7], vecs, nil, ids)
+		},
+	} {
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("%s: warm Closest allocates %v times per call, want 0", name, avg)
+		}
 	}
 }
 

@@ -9,11 +9,13 @@ import (
 
 // Scratch is one goroutine's reusable state for Many, ManyFrom and Closest:
 // the fixed argument widened to float64 for the L2 pair kernel, or its match
-// table as a Levenshtein pattern, and Closest's bounds and visiting order.
+// table as a Levenshtein pattern, Closest's bounds and visiting order, and
+// the distances of the items it does not screen.
 // The zero value is ready; a warm Scratch makes all three calls
 // allocation-free. Not safe for concurrent use.
 type Scratch struct {
 	wide   []float64
+	dists  []float64    // Closest: the unscreened items' distances
 	peq    *[256]uint64 // allocated on first use: an L2 Scratch stays small
 	bounds []uint32     // Closest: item i's composition bound
 	visit  []uint32     // Closest: the items' positions, smallest bound first
@@ -41,8 +43,8 @@ func (s *Scratch) widen(v []float32) []float64 {
 // The fast paths are chosen by the exact concrete type, never by an interface
 // a wrapper could promote: a space that embeds L2 to override Distance (a
 // Counter, a test gate) keeps every call going through its Distance. Many
-// measures every item; Closest is the screened form for a caller that only
-// keeps the k nearest, and measures fewer under the two Levenshteins.
+// measures every item; a caller that keeps only the k nearest calls Closest,
+// which runs Many for it and measures fewer under the two Levenshteins.
 func Many[T any](sp Space[T], s *Scratch, dst []float64, query T, data []T, ids []uint32) {
 	dst = dst[:len(ids)]
 	switch any(sp).(type) {

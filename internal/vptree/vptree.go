@@ -126,10 +126,10 @@ func (t *Tree[T]) build(r *rand.Rand, ids []uint32) *node {
 		dists[i] = t.sp.Distance(t.data[id], pv)
 		t.buildDist++
 	}
-	radius := medianInPlace(dists, rest)
+	radius := median(dists)
 
-	// Partition rest by d <= radius. dists was co-sorted by medianInPlace
-	// only partially; do an explicit stable pass.
+	// Partition rest by d <= radius in one stable pass: median sorted a
+	// copy, so dists still lines up with rest.
 	left := make([]uint32, 0, len(rest)/2+1)
 	right := make([]uint32, 0, len(rest)/2+1)
 	for i, id := range rest {
@@ -153,9 +153,8 @@ func (t *Tree[T]) build(r *rand.Rand, ids []uint32) *node {
 	return n
 }
 
-// medianInPlace returns the median of dists. ids is passed along so future
-// co-sorting optimizations stay possible; it is not reordered today.
-func medianInPlace(dists []float64, _ []uint32) float64 {
+// median returns the lower median of dists, leaving dists as it is.
+func median(dists []float64) float64 {
 	cp := make([]float64, len(dists))
 	copy(cp, dists)
 	sort.Float64s(cp)
