@@ -15,15 +15,22 @@ GOVULNCHECK_VERSION ?= v1.1.4
 build:
 	$(GO) build ./...
 
-# Non-test Go lines per package outside bench/, plus the total: the size
-# trajectory ROADMAP aim 2 tracks, printed per PR by CI's build step.
+# Non-test Go lines and assembly (*.s) lines per package outside bench/,
+# plus the totals: the size trajectory ROADMAP aim 2 tracks, printed per PR by
+# CI's build step.
 loc:
-	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs wc -l | \
-		awk '$$2 != "total" { d = $$2; sub("/?[^/]*$$", "", d); loc[d == "" ? "." : d] += $$1; t += $$1 } \
-		END { for (d in loc) printf "%7d  %s\n", loc[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
+	@git ls-files '*.go' '*.s' | grep -v -e '_test\.go$$' -e '^bench/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/?[^/]*$$", "", d); if (d == "") d = "."; k = $$2 ~ /\.s$$/ ? "asm" : "go"; \
+			pkg[d] = 1; loc[d, k] += $$1; t[k] += $$1 } \
+		END { printf "%7s %5s  %s\n", "go", "asm", "package"; \
+			for (d in pkg) printf "%7d %5d  %s\n", loc[d, "go"], loc[d, "asm"], d | "sort -k3"; close("sort -k3"); \
+			printf "%7d %5d  total\n", t["go"], t["asm"] }'
 
+# The second pass vets the tree as arm64 builds it, so the portable Go path
+# behind each amd64 assembly kernel keeps compiling where nothing runs it.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Fails when any file is not gofmt-formatted (prints the offenders).
 fmt:
@@ -68,8 +75,8 @@ deps:
 	@out="$$($(GO) list -deps ./internal/space ./internal/topk ./internal/scratch ./internal/vecmath | grep -E '^repro/internal/(index|engine|core|seqscan|permutation|lsm)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/space, topk, scratch and vecmath must not depend on:"; echo "$$out"; exit 1; fi
 
-# Static gate: formatting + vet + linters + import boundaries, exactly as CI
-# runs them.
+# Static gate: formatting + vet (amd64 and arm64) + linters + import
+# boundaries, exactly as CI runs them.
 check: fmt vet staticcheck govulncheck deps
 
 # -shuffle randomizes test order within each package on every run, so
@@ -118,8 +125,10 @@ examples:
 # for any pair of byte strings, in either argument order, and so must the
 # prepared 1–64-byte pattern behind space.Many/ManyFrom, for two texts at a
 # time and for one. FuzzL2Pair: both results of the L2 pair kernel behind
-# space.Many/ManyFrom must be L2Sqr's, in either argument order, for any
-# float32 bit patterns (NaN, ±Inf, subnormals). FuzzDecodeSearch: the
+# space.Many/ManyFrom (SSE2 on amd64) must be the Go loop's and L2Sqr's, in
+# either argument order, for any float32 bit patterns (NaN, ±Inf,
+# subnormals); minimizing is capped, or the fuzzer can spend most of its
+# time shrinking one new input. FuzzDecodeSearch: the
 # one-pass search and /add envelope readers must accept exactly the bodies
 # json.Unmarshal into the request struct accepts, with equal fields; its
 # seeds include 10000-deep nesting, so minimizing is capped as for
@@ -131,9 +140,7 @@ examples:
 # FuzzParseText: any /metrics page must be refused or parsed, and Quantile
 # over every histogram family of an accepted page must not panic. FuzzParse:
 # any disk-fault spec (the PERMSERVE_FAULT_FS grammar) must be refused or
-# armed, never a panic. FuzzScreenedClosest: the screened L2 pivot selection
-# must pick exactly what measuring every pivot picks, for any float32 bit
-# patterns as a point and up to 64 pivots (NaN, ±Inf, subnormals, ties).
+# armed, never a panic.
 # FuzzEditBound: the composition bound behind the edit-distance screen must
 # not exceed EditDistance, nor, scaled, NormalizedLevenshtein's Distance, for
 # any pair of byte strings (empty, past one 64-byte word, outside ACGT), and
@@ -148,13 +155,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 15s -fuzzminimizetime 1s ./internal/lsm/
 	$(GO) test -run '^$$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/space/
-	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s ./internal/vecmath/
+	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s -fuzzminimizetime 1s ./internal/vecmath/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSearch -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzValue -fuzztime 10s -fuzzminimizetime 1s ./internal/jsonscan/
 	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s ./internal/index/
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultfs/
-	$(GO) test -run '^$$' -fuzz FuzzScreenedClosest -fuzztime 10s ./internal/permutation/
 	$(GO) test -run '^$$' -fuzz FuzzEditBound -fuzztime 10s -fuzzminimizetime 1s ./internal/space/
 	$(GO) test -run '^$$' -fuzz FuzzReadSetManifest -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 10s ./internal/rollout/
@@ -166,17 +172,19 @@ fuzz:
 # one row per method over a warm 10k-point index plus permbench's NAPP
 # operating points (SIFT at t=22; DNA on dna-direct's corpus, where the
 # edit-distance screen skips much, and on seed 7's, where it skips almost
-# nothing), one point's 32 closest of 512 pivots, screened beside measured,
-# under L2 and both DNA corpora (BenchmarkClosest), and the request path
-# before the index: the
-# search-body reader on permbench's three request shapes (BenchmarkDecodeSearch)
-# and one query's object decode, dense and string (BenchmarkDecode). A
-# convenience for a profile or a before/after look; performance claims are
-# made with permbench (BENCHMARK.json, bench/).
+# nothing), one point's 32 closest of 512 pivots under L2, where all are
+# measured, and under both DNA corpora, screened beside measured
+# (BenchmarkClosest), one pass of the L2 pair kernel at 128 dimensions, SSE2
+# beside the Go loop (BenchmarkL2SqrPair), and the request path before the
+# index: the search-body reader on permbench's three request shapes
+# (BenchmarkDecodeSearch) and one query's object decode, dense and string
+# (BenchmarkDecode). A convenience for a profile or a before/after look;
+# performance claims are made with permbench (BENCHMARK.json, bench/).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistance$$' -benchmem ./internal/space/
 	$(GO) test -run '^$$' -bench BenchmarkSearchHot -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkClosest -benchmem ./internal/permutation/
+	$(GO) test -run '^$$' -bench BenchmarkL2SqrPair -benchmem ./internal/vecmath/
 	$(GO) test -run '^$$' -bench BenchmarkDecodeSearch -benchmem ./internal/wire/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$' -benchmem ./internal/dataset/
 

@@ -81,16 +81,16 @@ func TestPipelineContract(t *testing.T) {
 	dense("distvec-filt", 4800, 96, 256, func() (index.Index[[]float32], error) {
 		return core.NewDistVecFilter(sp, db, core.BruteForceOptions{NumPivots: 32, Seed: seed})
 	})
-	dense("pp-index", 560, 560, 64, func() (index.Index[[]float32], error) {
+	dense("pp-index", 560, 560, 256, func() (index.Index[[]float32], error) {
 		return core.NewPPIndex(sp, db, core.PPIndexOptions{NumPivots: 16, PrefixLen: 4, Copies: 2, Seed: seed})
 	})
-	dense("mi-file", 4772, 96, 64, func() (index.Index[[]float32], error) {
+	dense("mi-file", 4772, 96, 256, func() (index.Index[[]float32], error) {
 		return core.NewMIFile(sp, db, core.MIFileOptions{NumPivots: 32, NumPivotIndex: 16, NumPivotSearch: 8, MaxPosDiff: 10, Seed: seed})
 	})
-	dense("napp", 4520, 4520, 128, func() (index.Index[[]float32], error) {
+	dense("napp", 4520, 4520, 512, func() (index.Index[[]float32], error) {
 		return core.NewNAPP(sp, db, core.NAPPOptions{NumPivots: 64, NumPivotIndex: 16, MinShared: 2, Seed: seed})
 	})
-	dense("napp-capped", 4741, 320, 128, func() (index.Index[[]float32], error) {
+	dense("napp-capped", 4741, 320, 512, func() (index.Index[[]float32], error) {
 		return core.NewNAPP(sp, db, core.NAPPOptions{NumPivots: 64, NumPivotIndex: 16, MinShared: 1, MaxCandidates: 40, Seed: seed})
 	})
 	dense("omedrank", 80, 80, 48, func() (index.Index[[]float32], error) {

@@ -40,9 +40,9 @@ type Pivots[T any] struct {
 	// sets (NewPivots), which therefore cannot be persisted.
 	ids []int32
 	// screen lets ClosestWith measure only the pivots it cannot rule out;
-	// nil unless the space is exactly space.L2 or one of the two
-	// Levenshteins (see screenOf).
-	screen func() screener[T]
+	// nil unless the space is exactly one of the two Levenshteins (see
+	// newEditScreen).
+	screen *editScreen[T]
 }
 
 // NewPivots wraps an explicit pivot list.
@@ -52,7 +52,7 @@ func NewPivots[T any](sp space.Space[T], items []T) (*Pivots[T], error) {
 	}
 	cp := make([]T, len(items))
 	copy(cp, items)
-	return &Pivots[T]{space: sp, items: cp, screen: screenOf(sp, cp)}, nil
+	return &Pivots[T]{space: sp, items: cp, screen: newEditScreen(sp, cp)}, nil
 }
 
 // Sample selects m pivots uniformly at random (without replacement) from
@@ -72,7 +72,7 @@ func Sample[T any](r *rand.Rand, sp space.Space[T], data []T, m int) (*Pivots[T]
 		items[i] = data[j]
 		ids[i] = int32(j)
 	}
-	return &Pivots[T]{space: sp, items: items, ids: ids, screen: screenOf(sp, items)}, nil
+	return &Pivots[T]{space: sp, items: items, ids: ids, screen: newEditScreen(sp, items)}, nil
 }
 
 // FromIDs reconstructs a pivot set from data-set positions, the inverse of
@@ -91,7 +91,7 @@ func FromIDs[T any](sp space.Space[T], data []T, ids []int32) (*Pivots[T], error
 		items[i] = data[id]
 		cp[i] = id
 	}
-	return &Pivots[T]{space: sp, items: items, ids: cp, screen: screenOf(sp, items)}, nil
+	return &Pivots[T]{space: sp, items: items, ids: cp, screen: newEditScreen(sp, items)}, nil
 }
 
 // SourceIDs returns the data-set position of each pivot when the set was
@@ -157,17 +157,15 @@ type Scratch struct {
 	Order []int32
 	Perm  []int32
 	// Measured is the number of pivot distances the last call on the
-	// Scratch computed: m, or fewer after a screened ClosestWith.
+	// Scratch computed: m, or fewer after a ClosestWith the composition
+	// screen served.
 	Measured int
 	// sel holds ClosestWith's (pivot index, distance) pairs.
 	sel []topk.Neighbor
 	// sp is the bulk distance call's state (the L2 point widened once, the
 	// Levenshtein pattern's match table).
 	sp space.Scratch
-	// ids is the L2 screen's pivots it cannot rule out; upper is the
-	// screens' bounded heap: the n-th smallest upper bound for L2, the n
-	// closest pivots for the Levenshteins.
-	ids   []uint32
+	// upper is the composition screen's queue of the n closest pivots.
 	upper topk.Queue
 }
 
@@ -195,20 +193,18 @@ func (s *Scratch) Ranks() []int32 {
 // inverted-file methods only ever read such a prefix (NAPP's mi and ms, the
 // MI-file's, the PP-index's prefix length), so they select it with
 // topk.SelectK over (distance, pivot index) — the incremental sort of §2.2 —
-// instead of sorting all m pivots. For 0 < n < m, under the exact types
-// space.L2, space.Levenshtein and space.NormalizedLevenshtein, a screen rules
-// out pivots that provably cannot make the prefix and only the rest are
-// measured; s.Measured counts them. The L2 screen bounds every pivot in one
-// blocked pass (l2Screen.closest) and leaves s.Dists holding working values,
-// not the pivots' distances; the Levenshtein screen bounds each pivot by its
-// composition (space.Closest) and leaves s.Dists as it was. Either way only
-// s.Order is the answer. n is clamped to [0, m]. Allocation-free once s has
-// warmed up.
+// instead of sorting all m pivots. Every space measures all m pivots
+// (DistancesWith, so under L2 the SSE2 pair kernel) and leaves them in
+// s.Dists, except that for 0 < n < m, under the exact types
+// space.Levenshtein and space.NormalizedLevenshtein, a screen bounds each
+// pivot by its composition (space.Closest), measures only the pivots that
+// can still make the prefix and leaves s.Dists as it was; s.Measured counts
+// the pivots measured either way. n is clamped to [0, m]. Allocation-free
+// once s has warmed up.
 func (p *Pivots[T]) ClosestWith(s *Scratch, x T, n int) []int32 {
 	if p.screen != nil && n > 0 && n < len(p.items) {
-		if sc := p.screen(); sc != nil && sc.closest(s, x, n) {
-			return s.Order
-		}
+		p.screen.closest(s, x, n)
+		return s.Order
 	}
 	sel := s.sel[:0]
 	for i, d := range p.DistancesWith(s, x) {

@@ -169,11 +169,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if refined > cands {
 		t.Errorf("refine_distances_total %v exceeds filter_candidates_total %v: refine must only see filtered candidates", refined, cands)
 	}
-	// Each of the 5 queries measured between its ms closest pivots and all
-	// m = 64 of them (the L2 screen measures fewer than m).
+	// Each of the 5 queries measured all m of its pivots: under L2 pivot
+	// selection screens none out.
 	pivots := metricValue(t, tm, "permserve_pivot_distances_total", idx)
-	if ms := float64(dense.idx.(*core.NAPP[[]float32]).Options().NumPivotSearch); pivots < 5*ms || pivots > 5*64 {
-		t.Errorf("pivot_distances_total = %v, want in [5·%v, 5·64]", pivots, ms)
+	if m := float64(dense.idx.(*core.NAPP[[]float32]).Options().NumPivots); pivots != 5*m {
+		t.Errorf("pivot_distances_total = %v, want 5·%v", pivots, m)
 	}
 	for _, stage := range []string{"filter", "refine"} {
 		if got := metricValue(t, tm, "permserve_stage_ns_total", map[string]string{"index": name, "stage": stage}); got <= 0 {

@@ -35,8 +35,9 @@ func (s *Scratch) widen(v []float32) []float64 {
 // have room for len(ids) values. The results are bit-identical to that loop,
 // which is what every space but L2 and the two Levenshteins runs. For L2 the
 // query is widened once and the data points are measured two per pass
-// (vecmath.L2SqrPair), so a refine or a scan stops re-converting the query per
-// candidate and waits on two cache-missing points at a time. For the two
+// (vecmath.L2SqrPair, SSE2 on amd64), so a refine or a scan stops
+// re-converting the query per candidate, waits on two cache-missing points at
+// a time and, on amd64, computes two lanes per instruction. For the two
 // Levenshteins a query of 1–64 bytes gets its match table built once and the
 // reads are measured two per pass (editPair); other queries run the loop.
 //

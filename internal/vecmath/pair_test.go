@@ -3,6 +3,8 @@ package vecmath
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,11 +17,90 @@ func sameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 }
 
+// widen returns x converted to float64, as space.Many passes it to the pair
+// kernel.
+func widen(x []float32) []float64 {
+	q := make([]float64, len(x))
+	for i, v := range x {
+		q[i] = float64(v)
+	}
+	return q
+}
+
+// checkPair asserts that both results of L2SqrPair are the bits of
+// l2SqrPairGeneric, the Go loop the SSE2 kernel replaces on amd64, and of
+// L2Sqr with the data point first, which is what space.Many returns, and with
+// x first, which is what space.ManyFrom returns for a pivot ranking.
+func checkPair(t *testing.T, x, a, b []float32) {
+	t.Helper()
+	q := widen(x)
+	ga, gb := L2SqrPair(q, a, b)
+	wa, wb := l2SqrPairGeneric(q, a, b)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"generic a", ga, wa},
+		{"generic b", gb, wb},
+		{"L2Sqr(a, x)", ga, L2Sqr(a, x)},
+		{"L2Sqr(b, x)", gb, L2Sqr(b, x)},
+		{"L2Sqr(x, a)", ga, L2Sqr(x, a)},
+		{"L2Sqr(x, b)", gb, L2Sqr(x, b)},
+	} {
+		if !sameBits(c.got, c.want) {
+			t.Fatalf("x=%v a=%v b=%v: pair kernel gave %v (%#x), %s = %v (%#x)",
+				x, a, b, c.got, math.Float64bits(c.got), c.name, c.want, math.Float64bits(c.want))
+		}
+	}
+}
+
+// TestL2SqrPairMatchesGeneric holds the pair kernel to the Go loop bit for
+// bit over widths 0–129 (every count of four-element blocks up to 32 and
+// every len%4 tail), at magnitudes from the smallest float32 subnormal to
+// MaxFloat32, with a NaN, +Inf or -Inf put in one lane of x, a or b — in a
+// block or in the tail — and with +Inf in one lane of x and a, whose
+// difference is NaN, beside -Inf in that lane of b.
+func TestL2SqrPairMatchesGeneric(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	scales := []float64{0x1p-149, 1e-40, 1e-20, 1, 1e20, math.MaxFloat32}
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for width := 0; width <= 129; width++ {
+		vec := func(scale float64) []float32 {
+			v := make([]float32, width)
+			for i := range v {
+				// Clamped so a MaxFloat32 scale stays finite.
+				v[i] = float32(max(-math.MaxFloat32, min(math.MaxFloat32, r.NormFloat64()*scale)))
+			}
+			return v
+		}
+		for _, scale := range scales {
+			x, a, b := vec(scale), vec(scale), vec(scale)
+			checkPair(t, x, a, b)
+			// Each vector at its own magnitude: cancellation and absorption.
+			checkPair(t, x, vec(scales[r.Intn(len(scales))]), vec(scales[r.Intn(len(scales))]))
+			if width == 0 {
+				continue
+			}
+			for _, sp := range specials {
+				for k := range 3 {
+					vs := [][]float32{slices.Clone(x), slices.Clone(a), slices.Clone(b)}
+					vs[k][r.Intn(width)] = sp
+					vs[k][width-1] = sp // the last lane: the tail when width%4 != 0
+					checkPair(t, vs[0], vs[1], vs[2])
+				}
+			}
+			j := r.Intn(width)
+			xi, ai, bi := slices.Clone(x), slices.Clone(a), slices.Clone(b)
+			xi[j], ai[j], bi[j] = float32(math.Inf(1)), float32(math.Inf(1)), float32(math.Inf(-1))
+			checkPair(t, xi, ai, bi)
+		}
+	}
+}
+
 // FuzzL2Pair feeds the pair kernel raw float32 bit patterns — NaNs, ±Inf,
-// subnormals, the extremes — as three vectors x, a, b of one length. Both of
-// its results must be L2Sqr's bits with the data point first, which is what
-// space.Many returns, and with x first, which is what space.ManyFrom returns
-// for a pivot ranking.
+// subnormals, the extremes — as three vectors x, a, b of one length, and
+// holds both results to checkPair: the Go loop's bits and L2Sqr's, in either
+// argument order.
 func FuzzL2Pair(f *testing.F) {
 	le := func(bits ...uint32) []byte {
 		var out []byte
@@ -53,25 +134,33 @@ func FuzzL2Pair(f *testing.F) {
 			}
 			return v
 		}
-		x, a, b := vec(0), vec(1), vec(2)
-		q := make([]float64, n)
-		for i, v := range x {
-			q[i] = float64(v)
-		}
-		ga, gb := L2SqrPair(q, a, b)
-		for _, c := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"L2Sqr(a, x)", ga, L2Sqr(a, x)},
-			{"L2Sqr(b, x)", gb, L2Sqr(b, x)},
-			{"L2Sqr(x, a)", ga, L2Sqr(x, a)},
-			{"L2Sqr(x, b)", gb, L2Sqr(x, b)},
-		} {
-			if !sameBits(c.got, c.want) {
-				t.Fatalf("x=%v a=%v b=%v: pair kernel gave %v (%#x), %s = %v (%#x)",
-					x, a, b, c.got, math.Float64bits(c.got), c.name, c.want, math.Float64bits(c.want))
-			}
-		}
+		checkPair(t, vec(0), vec(1), vec(2))
 	})
+}
+
+var sinkPair float64
+
+// BenchmarkL2SqrPair is one pass of the pair kernel at SIFT's 128
+// dimensions, beside -generic, the Go loop it replaces on amd64.
+func BenchmarkL2SqrPair(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	vec := func() []float32 {
+		v := make([]float32, 128)
+		for i := range v {
+			v[i] = float32(r.Intn(256))
+		}
+		return v
+	}
+	q, x, y := widen(vec()), vec(), vec()
+	for _, k := range []struct {
+		name string
+		fn   func(q []float64, a, b []float32) (float64, float64)
+	}{{"dim128", L2SqrPair}, {"dim128-generic", l2SqrPairGeneric}} {
+		b.Run(k.name, func(b *testing.B) {
+			for b.Loop() {
+				da, db := k.fn(q, x, y)
+				sinkPair += da + db
+			}
+		})
+	}
 }

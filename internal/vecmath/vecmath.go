@@ -1,12 +1,17 @@
 // Package vecmath provides low-level dense-vector arithmetic used by the
 // distance functions in package space.
 //
-// The paper's C++ implementation uses hand-written SIMD (SSE/AVX) for L2 and
-// sparse intersections. Go's standard toolchain exposes no intrinsics, so the
-// loops here are 4-way unrolled instead: on modern CPUs the Go compiler turns
-// these into reasonably tight scalar code, and the *relative* cost model of
-// the paper (L2 cheap, JS-div ~10-20x L2, SQFD ~100x L2) is preserved, which
-// is what the reproduced experiments depend on.
+// The paper's C++ implementation measures L2 with hand-written SIMD. Here the
+// one kernel every served L2 query spends its time in — L2SqrPair, behind
+// space.Many and space.ManyFrom, so the refine, the sequential scan and pivot
+// ranking — has an SSE2 body on amd64 (l2_amd64.s). SSE2 is the amd64
+// baseline, so there is no CPU detection and no option. Its packed lanes run
+// the scalar loop's IEEE operations in the scalar loop's order, so it returns
+// the same bits as l2SqrPairGeneric, the Go loop every other GOARCH runs and
+// the amd64 tests hold it to. The other kernels are plain Go, 4-way unrolled
+// over independent accumulators; the *relative* cost model of the paper (L2
+// cheap, JS-div ~10-20x L2, SQFD ~100x L2) is preserved, which is what the
+// reproduced experiments depend on.
 package vecmath
 
 import "math"
@@ -40,13 +45,23 @@ func L2Sqr(a, b []float32) float64 {
 // x already widened to float64 as q. Each result keeps L2Sqr's exact
 // arithmetic — the same per-element difference and its 4-accumulator split,
 // tail into the first — so both are bit-identical to L2Sqr; the pass loads
-// q once for two vectors and overlaps their memory latency. Because
-// (a-x)² == (x-a)² exactly, they also equal L2Sqr(x, a) and L2Sqr(x, b).
-// It panics if the lengths differ.
+// q once for two vectors and overlaps their memory latency. On amd64 the
+// pass runs in SSE2 (l2_amd64.s): per vector one register holds the
+// accumulators (s0, s1) and another (s2, s3), and each step widens, subtracts,
+// squares and adds two lanes at once, unfused, as the scalar code does one.
+// Because (a-x)² == (x-a)² exactly, the results also equal L2Sqr(x, a) and
+// L2Sqr(x, b). It panics if the lengths differ.
 func L2SqrPair(q []float64, a, b []float32) (float64, float64) {
 	if len(a) != len(q) || len(b) != len(q) {
 		panic("vecmath: length mismatch")
 	}
+	return l2SqrPair(q, a, b)
+}
+
+// l2SqrPairGeneric is L2SqrPair's body in Go: what every GOARCH but amd64
+// runs, and the reference the amd64 kernel is tested against. a and b must
+// be at least len(q) long.
+func l2SqrPairGeneric(q []float64, a, b []float32) (float64, float64) {
 	var a0, a1, a2, a3, b0, b1, b2, b3 float64
 	i := 0
 	for ; i+4 <= len(q); i += 4 {
@@ -75,47 +90,6 @@ func L2SqrPair(q []float64, a, b []float32) (float64, float64) {
 		b0 += e * e
 	}
 	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
-}
-
-// DotRows sets dst[i] to the inner product of q, widened to float64, with
-// row i of rows, a row-major matrix of len(dst) rows of len(q) values: a
-// matrix-vector product blocked eight rows at a time, so each q[j] is loaded
-// and widened once for eight rows and the eight sums are independent
-// dependency chains. Each row's sum runs in index order with one
-// accumulator. It panics if len(rows) != len(dst)*len(q).
-func DotRows(dst []float64, q []float32, rows []float64) {
-	n := len(q)
-	if len(rows) != len(dst)*n {
-		panic("vecmath: length mismatch")
-	}
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		b := rows[i*n : (i+8)*n]
-		r0, r1, r2, r3 := b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
-		r4, r5, r6, r7 := b[4*n:][:n], b[5*n:][:n], b[6*n:][:n], b[7*n:][:n]
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for j, f := range q {
-			v := float64(f)
-			s0 += v * r0[j]
-			s1 += v * r1[j]
-			s2 += v * r2[j]
-			s3 += v * r3[j]
-			s4 += v * r4[j]
-			s5 += v * r5[j]
-			s6 += v * r6[j]
-			s7 += v * r7[j]
-		}
-		d := dst[i : i+8 : i+8]
-		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
-	}
-	for ; i < len(dst); i++ {
-		r := rows[i*n:][:n]
-		var s float64
-		for j, f := range q {
-			s += float64(f) * r[j]
-		}
-		dst[i] = s
-	}
 }
 
 // L2 returns the Euclidean distance between a and b.

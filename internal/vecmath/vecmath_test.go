@@ -58,7 +58,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		"Dot":         func() { Dot([]float32{1}, []float32{1, 2}) },
 		"L2SqrPair/a": func() { L2SqrPair([]float64{1}, []float32{1, 2}, []float32{1}) },
 		"L2SqrPair/b": func() { L2SqrPair([]float64{1}, []float32{1}, []float32{1, 2}) },
-		"DotRows":     func() { DotRows(make([]float64, 2), make([]float32, 3), make([]float64, 5)) },
 	} {
 		func() {
 			defer func() {
@@ -68,43 +67,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-// TestDotRowsMatchesNaive holds the blocked product to the row-at-a-time
-// in-order sum bit for bit over widths 0–129 (every inner-loop length) and
-// 0–17 rows (every remainder of the eight-row block), with float32 values of
-// both signs over nine decades, widened into the row arena as the L2 pivot
-// screen keeps its pivots.
-func TestDotRowsMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	vec := func(n int) []float32 {
-		v := make([]float32, n)
-		for i := range v {
-			v[i] = float32(r.NormFloat64() * math.Pow(10, float64(r.Intn(9)-4)))
-		}
-		return v
-	}
-	for width := 0; width <= 129; width++ {
-		for m := 0; m <= 17; m++ {
-			q, rows := vec(width), make([]float64, 0, m*width)
-			for range m {
-				for _, f := range vec(width) {
-					rows = append(rows, float64(f))
-				}
-			}
-			got := make([]float64, m)
-			DotRows(got, q, rows)
-			for i := range got {
-				row := make([]float32, width)
-				for j := range row {
-					row[j] = float32(rows[i*width+j])
-				}
-				if want := naiveDot(q, row); math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("width %d, %d rows: DotRows[%d] = %v, in-order sum %v", width, m, i, got[i], want)
-				}
-			}
-		}
 	}
 }
 
