@@ -148,7 +148,8 @@ examples:
 # measuring them all keeps.
 # FuzzReadSetManifest, FuzzReadTopology: any bytes as a shard-set manifest or
 # a fleet topology file must be refused or read into a value that passes
-# Validate, never a panic.
+# Validate, never a panic; minimizing is capped, or the fuzzer spends the run
+# shrinking new inputs and its exec rate falls toward zero.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
@@ -162,8 +163,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultfs/
 	$(GO) test -run '^$$' -fuzz FuzzEditBound -fuzztime 10s -fuzzminimizetime 1s ./internal/space/
-	$(GO) test -run '^$$' -fuzz FuzzReadSetManifest -fuzztime 10s ./internal/shard/
-	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 10s ./internal/rollout/
+	$(GO) test -run '^$$' -fuzz FuzzReadSetManifest -fuzztime 10s -fuzzminimizetime 1s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 10s -fuzzminimizetime 1s ./internal/rollout/
 
 # In-process microbenchmarks: one row per distance at its corpus's shape and
 # one query's bulk refine and pivot ranking, each beside the per-pair loop it

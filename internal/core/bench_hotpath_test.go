@@ -16,7 +16,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/index"
+	"repro/internal/knngraph"
 	"repro/internal/space"
+	"repro/internal/vptree"
 )
 
 const (
@@ -69,6 +71,9 @@ func benchKinds(b *testing.B, sp space.Space[[]float32], db [][]float32) []struc
 	quant, errQuant := core.NewQuantFilter(sp, db, core.QuantFilterOptions{NumPivots: 64, Seed: benchSeed})
 	dv, errDv := core.NewDistVecFilter(sp, db, core.BruteForceOptions{NumPivots: 64, Seed: benchSeed})
 	om, errOm := core.NewOMEDRANK(sp, db, core.OMEDRANKOptions{NumVoters: 8, Seed: benchSeed})
+	// The two non-permutation baselines figure4 runs, at its build options.
+	vp, errVp := vptree.New(sp, db, vptree.Options{Seed: benchSeed})
+	sw, errSw := knngraph.NewSW(sp, db, knngraph.Options{NN: 10, InitAttempts: 2, Seed: benchSeed})
 	return []struct {
 		kind  string
 		index index.Index[[]float32]
@@ -82,6 +87,8 @@ func benchKinds(b *testing.B, sp space.Space[[]float32], db [][]float32) []struc
 		mk("brute-force-filt-quant", quant, errQuant),
 		mk("distvec-filt", dv, errDv),
 		mk("omedrank", om, errOm),
+		mk("vptree", vp, errVp),
+		mk("sw-graph", sw, errSw),
 	}
 }
 

@@ -111,12 +111,16 @@ type Graph[T any] struct {
 
 // graphScratch is the per-query state of one graph traversal. The visited
 // set is an epoch-stamped arena — starting a query is O(1), not the O(N)
-// make([]bool, n) the traversal used to pay.
+// make([]bool, n) the traversal used to pay. fresh and dists hold one
+// expanded node's unvisited neighbours and their distances, measured on sp.
 type graphScratch struct {
 	visited  scratch.Marks
 	frontier topk.MinQueue
 	results  topk.Queue
 	drain    []topk.Neighbor
+	fresh    []uint32
+	dists    []float64
+	sp       space.Scratch
 }
 
 // Name implements index.Index: "sw-graph" or "nndescent-graph".
@@ -183,7 +187,10 @@ func (s *graphScratch) begin(n, ef int) {
 // result set in s.results, and returns the number of distances it evaluated.
 // It serves queries and SW insertion alike: entry points are drawn below
 // limit from a generator seeded by (build seed, stream), and the walk stays
-// below limit because no node there links to one at or above it.
+// below limit because no node there links to one at or above it. Expanding a
+// node measures its unvisited neighbours in one space.Many call, then offers
+// them to the result set in adjacency order; an entry point is measured on
+// its own.
 func (g *Graph[T]) traverse(s *graphScratch, query T, attempts, limit int, stream uint64) (evals int) {
 	var entries rand.PCG
 	entries.Seed(uint64(g.opts.Seed), stream)
@@ -200,13 +207,17 @@ func (g *Graph[T]) traverse(s *graphScratch, query T, attempts, limit int, strea
 			if bound, ok := s.results.Bound(); ok && cur.Dist > bound {
 				break
 			}
+			s.fresh = s.fresh[:0]
 			for _, nb := range g.adj[cur.ID] {
-				if !s.visited.TrySet(nb) {
-					continue
+				if s.visited.TrySet(nb) {
+					s.fresh = append(s.fresh, nb)
 				}
-				d := g.sp.Distance(g.data[nb], query)
-				evals++
-				if s.results.WouldAccept(d) {
+			}
+			s.dists = scratch.Grow(s.dists, len(s.fresh))
+			space.Many(g.sp, &s.sp, s.dists, query, g.data, s.fresh)
+			evals += len(s.fresh)
+			for i, nb := range s.fresh {
+				if d := s.dists[i]; s.results.WouldAccept(d) {
 					s.results.Push(nb, d)
 					s.frontier.Push(nb, d)
 				}

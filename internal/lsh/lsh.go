@@ -14,14 +14,17 @@
 package lsh
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/scratch"
+	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
 )
@@ -73,9 +76,10 @@ type MPLSH struct {
 	w      float64
 	tables []table
 	opts   Options
-	// MPLSH keeps no reusable per-query state (a query allocates its
-	// dedup set and probe sequences), so the pooled scratch is empty.
-	index.Pooled[[]float32, struct{}]
+	// Pooled runs search on pooled per-query state (dedup marks,
+	// candidates, probe-set heap, result queue), so a warm query allocates
+	// nothing.
+	index.Pooled[[]float32, searchScratch]
 }
 
 // New builds the index. All vectors must share the same dimensionality.
@@ -202,19 +206,37 @@ type perturbation struct {
 	score float64
 }
 
-// probeSet is a candidate perturbation set: indices into the sorted
-// perturbation array.
-type probeSet struct {
-	members []int
-	score   float64
+// searchScratch is the reusable per-query state: the hash coordinates of the
+// query and of one perturbed bucket, the boundary fractions, the distinct
+// candidates in probe order with their dedup marks, the perturbation-set
+// enumeration's heap and arenas, and the refine's queue and bulk-distance
+// scratch. The zero value is ready; a warm scratch makes a query
+// allocation-free.
+type searchScratch struct {
+	keys, pkeys []int32
+	fracs       []float64
+	seen        scratch.Marks
+	ids         []uint32
+	sp          space.Scratch
+	q           topk.Queue
+
+	perts   []perturbation // the 2M single perturbations, by score
+	heap    topk.MinQueue  // candidate sets by score; ID indexes sets
+	sets    []span         // candidate sets, runs of members
+	members []int          // indices into perts
+	chosen  []span         // the sets probeSets returns
 }
 
+// span is one run [off, off+n) of an arena.
+type span struct{ off, n int }
+
 // search is the index's one query path: probe own + T perturbed buckets per
-// table, dedupe candidates, refine with true L2. T is the query's
-// (opts.Params.Probes, negative meaning none) when set, else the build-time
-// one. Hashing and refining interleave bucket by bucket, so a traced query
-// books its whole time, and one distance per distinct candidate, to refine.
-func (x *MPLSH) search(_ *struct{}, dst []topk.Neighbor, query []float32, opts index.Options) []topk.Neighbor {
+// table, collect the distinct candidates in probe order, and refine them with
+// true L2 in one space.Closest call. T is the query's (opts.Params.Probes,
+// negative meaning none) when set, else the build-time one. A traced query
+// books its whole time, hashing included, and one distance per distinct
+// candidate, to refine.
+func (x *MPLSH) search(s *searchScratch, dst []topk.Neighbor, query []float32, opts index.Options) []topk.Neighbor {
 	k, tr := opts.K, opts.Trace
 	if k <= 0 {
 		return dst
@@ -227,137 +249,103 @@ func (x *MPLSH) search(_ *struct{}, dst []topk.Neighbor, query []float32, opts i
 	if p := opts.Params.Probes; p != 0 {
 		probes = max(p, 0)
 	}
-	seen := make(map[uint32]struct{})
-	res := topk.NewQueue(k)
-	keys := make([]int32, x.opts.Hashes)
-	fracs := make([]float64, x.opts.Hashes)
+	m := x.opts.Hashes
+	s.keys = scratch.Grow(s.keys, m)
+	s.pkeys = scratch.Grow(s.pkeys, m)
+	s.fracs = scratch.Grow(s.fracs, m)
+	s.seen.Begin(len(x.data))
+	s.ids = s.ids[:0]
 	probe := func(tb *table, key uint64) {
 		for _, id := range tb.buckets[key] {
-			if _, dup := seen[id]; dup {
-				continue
+			if s.seen.TrySet(id) {
+				s.ids = append(s.ids, id)
 			}
-			seen[id] = struct{}{}
-			res.Push(id, vecmath.L2(x.data[id], query))
 		}
 	}
-	pkeys := make([]int32, x.opts.Hashes)
 	for t := range x.tables {
 		tb := &x.tables[t]
-		x.hashInto(tb, query, keys, fracs)
-		probe(tb, bucketKey(keys))
-		for _, set := range x.probeSets(fracs, probes) {
-			copy(pkeys, keys)
-			for _, p := range set {
-				pkeys[p.i] += p.delta
+		x.hashInto(tb, query, s.keys, s.fracs)
+		probe(tb, bucketKey(s.keys))
+		for _, set := range s.probeSets(s.fracs, probes) {
+			copy(s.pkeys, s.keys)
+			for _, j := range s.members[set.off : set.off+set.n] {
+				s.pkeys[s.perts[j].i] += s.perts[j].delta
 			}
-			probe(tb, bucketKey(pkeys))
+			probe(tb, bucketKey(s.pkeys))
 		}
 	}
+	s.q.Reset(k)
+	evals := space.Closest(space.L2{}, &s.sp, &s.q, query, x.data, nil, s.ids)
 	if tr != nil {
-		tr.RefineDistances += int64(len(seen))
+		tr.RefineDistances += int64(evals)
 		obs.AddSince(&tr.RefineNs, t0)
 	}
-	return res.AppendResults(dst)
+	return s.q.AppendResults(dst)
 }
 
-// probeSets generates the t lowest-score perturbation sets for the current
-// query, using the shift/expand heap enumeration of Lv et al. A set may
-// contain at most one perturbation per hash position.
-func (x *MPLSH) probeSets(fracs []float64, t int) [][]perturbation {
-	m := x.opts.Hashes
+// probeSets generates the t lowest-score perturbation sets for the query
+// whose boundary fractions are fracs, using the shift/expand heap enumeration
+// of Lv et al. A set may contain at most one perturbation per hash position.
+// Each set returned is a run of s.members, indices into s.perts, valid until
+// the next call.
+func (s *searchScratch) probeSets(fracs []float64, t int) []span {
+	s.chosen = s.chosen[:0]
 	if t == 0 {
-		return nil
+		return s.chosen
 	}
 	// 2M candidate perturbations sorted by score. For hash i, moving to
 	// the lower bucket (-1) costs frac^2, to the upper (+1) costs
 	// (1-frac)^2 (distances normalized by W).
-	perts := make([]perturbation, 0, 2*m)
-	for i := 0; i < m; i++ {
+	perts := s.perts[:0]
+	for i, f := range fracs {
 		perts = append(perts,
-			perturbation{i: i, delta: -1, score: fracs[i] * fracs[i]},
-			perturbation{i: i, delta: +1, score: (1 - fracs[i]) * (1 - fracs[i])},
+			perturbation{i: i, delta: -1, score: f * f},
+			perturbation{i: i, delta: +1, score: (1 - f) * (1 - f)},
 		)
 	}
-	sort.Slice(perts, func(a, b int) bool { return perts[a].score < perts[b].score })
+	slices.SortFunc(perts, func(a, b perturbation) int { return cmp.Compare(a.score, b.score) })
+	s.perts = perts
 
+	// valid reports whether no two members perturb the same hash; members
+	// are few, so a pairwise check is the cheapest.
 	valid := func(members []int) bool {
-		used := make(map[int]bool, len(members))
-		for _, j := range members {
-			if j >= len(perts) {
-				return false
+		for a, ja := range members {
+			for _, jb := range members[a+1:] {
+				if perts[ja].i == perts[jb].i {
+					return false
+				}
 			}
-			if used[perts[j].i] {
-				return false
-			}
-			used[perts[j].i] = true
 		}
 		return true
 	}
-	scoreOf := func(members []int) float64 {
-		var s float64
-		for _, j := range members {
-			s += perts[j].score
+	// push adds the set with members cur[:keep] plus next to the heap.
+	push := func(cur span, keep, next int) {
+		off := len(s.members)
+		s.members = append(s.members, s.members[cur.off:cur.off+keep]...)
+		s.members = append(s.members, next)
+		var score float64
+		for _, j := range s.members[off:] {
+			score += perts[j].score
 		}
-		return s
+		s.heap.Push(uint32(len(s.sets)), score)
+		s.sets = append(s.sets, span{off, keep + 1})
 	}
 
-	var heap []probeSet
-	push := func(ps probeSet) {
-		heap = append(heap, ps)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].score <= heap[i].score {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() probeSet {
-		top := heap[0]
-		n := len(heap) - 1
-		heap[0] = heap[n]
-		heap = heap[:n]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < n && heap[l].score < heap[small].score {
-				small = l
-			}
-			if r < n && heap[r].score < heap[small].score {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-
-	push(probeSet{members: []int{0}, score: perts[0].score})
-	out := make([][]perturbation, 0, t)
-	for len(out) < t && len(heap) > 0 {
-		cur := pop()
-		if valid(cur.members) {
-			set := make([]perturbation, len(cur.members))
-			for i, j := range cur.members {
-				set[i] = perts[j]
-			}
-			out = append(out, set)
+	s.heap.Reset()
+	s.sets, s.members = s.sets[:0], s.members[:0]
+	push(span{}, 0, 0)
+	for len(s.chosen) < t && s.heap.Len() > 0 {
+		cur := s.sets[s.heap.Pop().ID]
+		members := s.members[cur.off : cur.off+cur.n]
+		if valid(members) {
+			s.chosen = append(s.chosen, cur)
 		}
 		// Shift: advance the largest member by one. Expand: add the
 		// next perturbation after the largest member.
-		last := cur.members[len(cur.members)-1]
-		if last+1 < len(perts) {
-			shift := append(append([]int(nil), cur.members[:len(cur.members)-1]...), last+1)
-			push(probeSet{members: shift, score: scoreOf(shift)})
-			expand := append(append([]int(nil), cur.members...), last+1)
-			push(probeSet{members: expand, score: scoreOf(expand)})
+		if last := members[cur.n-1]; last+1 < len(perts) {
+			push(cur, cur.n-1, last+1)
+			push(cur, cur.n, last+1)
 		}
 	}
-	return out
+	return s.chosen
 }

@@ -76,8 +76,10 @@ func TestDenseLinearity(t *testing.T) {
 		a[j] = float32(r.NormFloat64())
 	}
 	pa := p.Project(a)
-	a2 := vecmath.Clone(a)
-	vecmath.Scale(a2, 2)
+	a2 := make([]float32, len(a))
+	for j, v := range a {
+		a2[j] = 2 * v
+	}
 	pa2 := p.Project(a2)
 	for i := range pa {
 		if math.Abs(float64(pa2[i]-2*pa[i])) > 1e-4 {

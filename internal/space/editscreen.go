@@ -78,10 +78,13 @@ const screenBuckets = 64
 // Closest pushes into q — reset by the caller — what pushing every
 // (ids[i], sp.Distance(data[ids[i]], query)) would leave there, and returns
 // the number of distances it measured. It is the one k-nearest step of every
-// refine and scan. When sp is exactly Levenshtein or NormalizedLevenshtein
-// (the rule of Many) and counts is CountTable(sp, data), it measures only
-// the items a bound cannot rule out; for any other space, or with a nil
-// counts, it measures every item in one Many call and pushes each.
+// index kind: the permutation methods' refine, the sequential scan, a VP-tree
+// leaf and MPLSH's candidates (a graph expansion, which also feeds its
+// frontier, calls Many). When sp is exactly Levenshtein or
+// NormalizedLevenshtein (the rule of Many) and counts is CountTable(sp,
+// data), it measures only the items a bound cannot rule out; for any other
+// space, or with a nil counts, it measures every item in one Many call and
+// pushes each.
 //
 // The screened items are visited in counting-sort order of their
 // composition bound (Counts), so the likely nearest fill the queue first. An

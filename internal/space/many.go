@@ -35,11 +35,12 @@ func (s *Scratch) widen(v []float32) []float64 {
 // have room for len(ids) values. The results are bit-identical to that loop,
 // which is what every space but L2 and the two Levenshteins runs. For L2 the
 // query is widened once and the data points are measured two per pass
-// (vecmath.L2SqrPair, SSE2 on amd64), so a refine or a scan stops
-// re-converting the query per candidate, waits on two cache-missing points at
-// a time and, on amd64, computes two lanes per instruction. For the two
-// Levenshteins a query of 1–64 bytes gets its match table built once and the
-// reads are measured two per pass (editPair); other queries run the loop.
+// (vecmath.L2SqrPair, SSE2 on amd64), so a refine, a scan, a tree leaf or a
+// graph expansion stops re-converting the query per candidate, waits on two
+// cache-missing points at a time and, on amd64, computes two lanes per
+// instruction. For the two Levenshteins a query of 1–64 bytes gets its match
+// table built once and the reads are measured two per pass (editPair); other
+// queries run the loop.
 //
 // The fast paths are chosen by the exact concrete type, never by an interface
 // a wrapper could promote: a space that embeds L2 to override Distance (a

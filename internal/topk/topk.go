@@ -168,8 +168,10 @@ func (q *Queue) siftDown(i int) {
 }
 
 // MinQueue is an unbounded min-heap of neighbors; the top is the *nearest*
-// element. It drives best-first traversals (small-world graph search,
-// multi-probe scoring).
+// element. It drives the proximity graphs' best-first traversal and MPLSH's
+// multi-probe enumeration, where ID names a candidate perturbation set and
+// Dist is its score. Comparisons are on Dist alone, so equal distances pop in
+// the order the heap's shape gives, not by ID.
 type MinQueue struct {
 	heap []Neighbor
 }

@@ -145,17 +145,3 @@ func Norm(a []float32) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// Scale multiplies every element of a by c, in place.
-func Scale(a []float32, c float64) {
-	for i := range a {
-		a[i] = float32(float64(a[i]) * c)
-	}
-}
-
-// Clone returns a copy of a.
-func Clone(a []float32) []float32 {
-	out := make([]float32, len(a))
-	copy(out, a)
-	return out
-}

@@ -160,15 +160,6 @@ func TestTriangleInequalityL2(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	a := []float32{1, 2, 3}
-	c := Clone(a)
-	c[0] = 99
-	if a[0] != 1 {
-		t.Fatalf("Clone is not independent")
-	}
-}
-
 func BenchmarkL2Sqr128(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := make([]float32, 128)

@@ -100,12 +100,15 @@ func New[T any](sp space.Space[T], data []T, opts Options) (*Tree[T], error) {
 	for i := range ids {
 		ids[i] = uint32(i)
 	}
-	t.root = t.build(r, ids)
+	var sc space.Scratch
+	t.root = t.build(r, &sc, ids)
 	return t, nil
 }
 
-// build recursively constructs the subtree over ids, consuming the slice.
-func (t *Tree[T]) build(r *rand.Rand, ids []uint32) *node {
+// build recursively constructs the subtree over ids, consuming the slice. It
+// measures each node's ids against the node's pivot in one space.Many call on
+// sc.
+func (t *Tree[T]) build(r *rand.Rand, sc *space.Scratch, ids []uint32) *node {
 	t.nodes++
 	if len(ids) <= t.opts.BucketSize {
 		// Leaf: keep points in one contiguous chunk (the paper notes
@@ -121,11 +124,8 @@ func (t *Tree[T]) build(r *rand.Rand, ids []uint32) *node {
 	rest := ids[:len(ids)-1]
 
 	dists := make([]float64, len(rest))
-	pv := t.data[pivot]
-	for i, id := range rest {
-		dists[i] = t.sp.Distance(t.data[id], pv)
-		t.buildDist++
-	}
+	space.Many(t.sp, sc, dists, t.data[pivot], t.data, rest)
+	t.buildDist += int64(len(rest))
 	radius := median(dists)
 
 	// Partition rest by d <= radius in one stable pass: median sorted a
@@ -148,8 +148,8 @@ func (t *Tree[T]) build(r *rand.Rand, ids []uint32) *node {
 		return &node{bucket: b}
 	}
 	n := &node{pivot: pivot, radius: radius}
-	n.left = t.build(r, left)
-	n.right = t.build(r, right)
+	n.left = t.build(r, sc, left)
+	n.right = t.build(r, sc, right)
 	return n
 }
 
@@ -175,14 +175,16 @@ func (t *Tree[T]) Stats() index.Stats {
 }
 
 // searchScratch is the reusable per-query traversal state: the explicit
-// frontier stack standing in for the old recursion, and the bounded top-k
-// queue. The zero value is ready; both buffers grow to their high-water
-// mark once and are reused query after query. Trees do not need an
-// epoch-stamped visited arena (unlike the graph traversals): a tree visits
-// each node at most once by construction.
+// frontier stack standing in for the old recursion, the bounded top-k
+// queue and the bulk-distance scratch the leaves are measured on. The zero
+// value is ready; every buffer grows to its high-water mark once and is
+// reused query after query. Trees do not need an epoch-stamped visited arena
+// (unlike the graph traversals): a tree visits each node at most once by
+// construction.
 type searchScratch struct {
 	stack []frame
 	q     topk.Queue
+	sp    space.Scratch
 }
 
 // frame is one deferred traversal step. A fresh frame (revisit false)
@@ -202,8 +204,9 @@ type frame struct {
 // build-time ones. The iterative schedule replays the recursion exactly: a
 // node's near child (and its whole subtree) is processed before the node's
 // revisit frame decides — with the updated bound — whether the far child is
-// pruned. A tree has no filter stage: every distance it evaluates is an
-// exact one, attributed to the refine stage when the query is traced.
+// pruned. A leaf's bucket is measured in one space.Closest call, a node's
+// pivot on its own. A tree has no filter stage: every distance it evaluates
+// is an exact one, attributed to the refine stage when the query is traced.
 func (t *Tree[T]) search(s *searchScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
 	tr := opts.Trace
 	if opts.K <= 0 {
@@ -242,10 +245,7 @@ func (t *Tree[T]) search(s *searchScratch, dst []topk.Neighbor, query T, opts in
 			continue
 		}
 		if n.bucket != nil {
-			for _, id := range n.bucket {
-				s.q.Push(id, t.sp.Distance(t.data[id], query))
-			}
-			evals += len(n.bucket)
+			evals += space.Closest(t.sp, &s.sp, &s.q, query, t.data, nil, n.bucket)
 			continue
 		}
 		dq := t.sp.Distance(t.data[n.pivot], query)
