@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build loc test race bench bench-check bench-engine examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc test race bench bench-check bench-engine layout examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -49,8 +49,8 @@ govulncheck:
 	else echo "govulncheck: not installed, skipping (CI pins $(GOVULNCHECK_VERSION))"; fi
 
 # Import boundaries. The mutable tier stores objects, not index structures:
-# internal/lsm must not link the index registry or any index package beyond
-# the exact scan. The experiment harness measures in-memory indexes:
+# internal/lsm must not link the index registry, any index package or the
+# batch engine. The experiment harness measures in-memory indexes:
 # internal/experiments must not link persistence, sharding, the wire, the
 # router, the mutable tier or the server, and the serving daemon must not
 # link the experiment harness, its evaluation or its projections (the
@@ -64,7 +64,7 @@ govulncheck:
 # index interface, the pool, an index kind, the pivot sets or the mutable
 # tier.
 deps:
-	@out="$$($(GO) list -deps ./internal/lsm | grep -E '^repro/internal/(persist|core|knngraph|lsh|vptree)$$')"; \
+	@out="$$($(GO) list -deps ./internal/lsm | grep -E '^repro/internal/(persist|core|knngraph|lsh|vptree|seqscan|engine)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/lsm must not depend on:"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -deps ./internal/experiments | grep -E '^repro/internal/(persist|shard|wire|router|lsm|server)$$')"; \
 	if [ -n "$$out" ]; then echo "internal/experiments must not depend on:"; echo "$$out"; exit 1; fi
@@ -194,6 +194,18 @@ bench:
 # on trivial bodies (the cost floor of every parallel loop).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkSearchBatch|BenchmarkPoolFor' -benchmem ./internal/engine/
+
+# Code placement on the served NAPP path: build permserve into a temp dir and
+# print the address and size of the []float32 instantiations of
+# space.Closest, space.Many and core.refineInto. Where the linker places
+# these shared generic instantiations depends on every package that uses
+# them, so a change to code permserve never runs can move them and shift
+# permbench's SIFT rows; diff this output between two trees before reading
+# an A/B pair. It shows a placement change, it does not control for one.
+layout:
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/permserve" ./cmd/permserve && \
+	$(GO) tool nm -n -size "$$d/permserve" | grep -E '(space\.(Closest|Many)|core\.refineInto)\[go\.shape\.\[\]float32'
 
 # End-to-end smoke of the serving daemon: build permserve, write a demo
 # index set, boot it on a free port, curl /healthz + a search + a hot

@@ -122,9 +122,8 @@ type Index[T any] interface {
 // canonical (dist, id) order stays canonical after translation, and the
 // answers of disjoint Subsets over one corpus merge by topk.SelectK over
 // their concatenation into exactly what one index over the whole corpus
-// answers. A nil IDs leaves ids unchanged. This is the one place a local id
-// becomes a corpus id on the search path: a shard daemon serves a Subset, and
-// the mutable tier searches each sealed tier and the memtable as one.
+// answers. A nil IDs leaves ids unchanged. A shard daemon serves a Subset;
+// the mutable tier's runs are not indexes and translate their own ids.
 type Subset[T any] struct {
 	Index[T]
 	IDs []uint32

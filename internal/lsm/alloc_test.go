@@ -14,9 +14,10 @@ import (
 
 // TestTreeSearchAppendZeroAllocs pins the PR 8 headline fix: a warm tiered
 // search over base + sealed tiers + live memtable, with tombstones in play,
-// runs entirely on pooled state — each component's own scratch, the tree's
-// reused merge buffer — so SearchAppend into a caller-supplied buffer is
-// zero allocations per query.
+// runs entirely on pooled state — the base index's own scratch and the
+// tree's one searchScratch (merge buffer, run positions, the run scans'
+// Closest scratch and queue) — so SearchAppend into a caller-supplied buffer
+// is zero allocations per query.
 func TestTreeSearchAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard runs in the plain test job")

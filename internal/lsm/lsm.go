@@ -1,6 +1,6 @@
 // Package lsm makes a served index mutable: a small always-mutable memtable
-// index absorbs writes in front of a stack of immutable sealed tiers, in the
-// LSM style (a small in-memory buffer sealed into geometrically-accumulating
+// absorbs writes in front of a stack of immutable sealed tiers, in the LSM
+// style (a small in-memory buffer sealed into geometrically-accumulating
 // read-only tiers, merged down by background compaction).
 //
 // §3.5 of the paper argues permutation inverted files are database-friendly
@@ -8,12 +8,13 @@
 // package is that claim made operational for the serving stack. Every write
 // is appended to a write-ahead log and fsynced before it is acknowledged, so
 // ingest survives kill -9; when the memtable overflows it is sealed into an
-// immutable tier — one codec segment holding the raw objects, searched by an
-// exact scan — and queries scatter-gather across base + tiers +
-// memtable, merging with the same canonical (dist, id) rule that makes
-// sharded answers byte-identical to unsharded ones (internal/router). With
-// exact per-component search, a tiered tree answers byte-identically to a
-// single flat index over the same live set.
+// immutable tier — one codec segment holding the raw objects — and queries
+// scatter-gather across base + tiers + memtable, merging with the same
+// canonical (dist, id) rule that makes sharded answers byte-identical to
+// unsharded ones (internal/router). Only the base is an index: the memtable
+// and each tier hold a run of added objects, scanned exactly by
+// space.Closest, so over an exact base a tiered tree answers
+// byte-identically to a single flat index over the same live set.
 //
 // # Id space and masking
 //
@@ -26,9 +27,8 @@
 // sets, which Search applies after merging (components are queried with k
 // inflated by the tombstone count so masking can never starve the result).
 // That union is the tree's one mask: a delete of a memtable object joins it
-// too, and the seal drops the object and its mask entry together, so every
-// component index — base, tiers and memtable — is an immutable or
-// append-only value that never deletes anything itself.
+// too, and the seal drops the object and its mask entry together, so the
+// base index and every tier are immutable and the memtable only appends.
 package lsm
 
 import (
@@ -40,11 +40,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/scratch"
-	"repro/internal/seqscan"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vfs"
@@ -139,33 +137,23 @@ func (o *Options[T]) defaults() error {
 	return nil
 }
 
-// memtable pairs the append-only index of the current WAL segment's adds —
-// an exact sequential scanner, correct for every space and buildable from
-// empty — with the global ids and raw payloads of its entries. Local id i
-// (the scanner's id) is global id ids[i]. Deleted entries stay in place,
-// hidden by the tree's mask; masked counts them.
+// memtable is the run of the current WAL segment's adds. Deleted entries
+// stay in place, hidden by the tree's mask; masked counts them.
 type memtable[T any] struct {
-	idx    *seqscan.Scanner[T]
-	ids    []uint32 // ascending global ids, parallel to the idx's local ids
-	blobs  [][]byte
-	objs   []T
+	run[T]
 	masked int
-}
-
-func (m *memtable[T]) add(gid uint32, obj T, blob []byte) {
-	m.idx.Add(obj)
-	m.ids = append(m.ids, gid)
-	m.blobs = append(m.blobs, blob)
-	m.objs = append(m.objs, obj)
 }
 
 // live is the number of memtable entries the mask does not hide.
 func (m *memtable[T]) live() int { return len(m.ids) - m.masked }
 
-// find returns the local id of a global id, if present.
-func (m *memtable[T]) find(gid uint32) (uint32, bool) {
-	i, ok := slices.BinarySearch(m.ids, gid)
-	return uint32(i), ok
+// searchScratch is one query's pooled state: the merge buffer, the run
+// positions 0…n-1, and the run scans' space.Closest scratch and queue.
+type searchScratch struct {
+	buf   []topk.Neighbor
+	local []uint32
+	sp    space.Scratch
+	queue topk.Queue
 }
 
 // Tree is a mutable tiered index: base corpus (owned by the caller), sealed
@@ -203,9 +191,7 @@ type Tree[T any] struct {
 	compactErr error
 	wg         sync.WaitGroup
 
-	// mergeBufs pools the per-query merge buffer. Component searches run
-	// on each component index's own pooled scratch.
-	mergeBufs scratch.Pool[[]topk.Neighbor]
+	scratch scratch.Pool[searchScratch] // the base index pools its own
 }
 
 // Open loads (or initializes) a tree in opts.Dir: manifest, sealed tiers,
@@ -250,7 +236,7 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 	t := &Tree[T]{
 		opts:    opts,
 		fs:      fsys,
-		mem:     &memtable[T]{idx: seqscan.New[T](opts.Space, nil)},
+		mem:     new(memtable[T]),
 		nextID:  man.NextID,
 		walSeq:  man.WalSeq,
 		tierSeq: man.NextTierSeq,
@@ -271,7 +257,6 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 				fmt.Sprintf("%06d.seg%s: %v", mt.Seq, quarantineExt, err))
 			continue
 		}
-		tr.buildIndex(opts.Space)
 		t.tiers = append(t.tiers, tr)
 		keptTiers = append(keptTiers, mt)
 	}
@@ -412,8 +397,11 @@ func (t *Tree[T]) Space() space.Space[T] { return t.opts.Space }
 // holdsLocked reports whether the tree holds an object under id, masked or
 // not: in the base corpus, a tier or the memtable.
 func (t *Tree[T]) holdsLocked(id uint32) bool {
-	_, inMem := t.mem.find(id)
-	return inMem || int(id) < t.opts.BaseN || t.inTiersLocked(id)
+	_, ok := t.mem.find(id)
+	for i := 0; !ok && i < len(t.tiers); i++ {
+		_, ok = t.tiers[i].find(id)
+	}
+	return ok || int(id) < t.opts.BaseN
 }
 
 // isLiveLocked reports whether id currently refers to a live object: one
@@ -567,15 +555,6 @@ func (t *Tree[T]) applyDelete(id uint32) error {
 	return nil
 }
 
-func (t *Tree[T]) inTiersLocked(id uint32) bool {
-	for _, tr := range t.tiers {
-		if _, ok := slices.BinarySearch(tr.ids, id); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // writableLocked rejects writes on a closed, poisoned or read-only tree.
 func (t *Tree[T]) writableLocked() error {
 	if t.closed {
@@ -652,9 +631,7 @@ func (t *Tree[T]) sealLocked() (*TierStatus, error) {
 		if _, dead := t.deleted[gid]; dead {
 			continue // added and deleted within this segment: never persisted
 		}
-		tr.ids = append(tr.ids, gid)
-		tr.blobs = append(tr.blobs, t.mem.blobs[local])
-		tr.objs = append(tr.objs, t.mem.objs[local])
+		tr.add(gid, t.mem.objs[local], t.mem.blobs[local])
 	}
 	for _, id := range t.segTombs {
 		if _, ok := t.mem.find(id); !ok {
@@ -674,7 +651,6 @@ func (t *Tree[T]) sealLocked() (*TierStatus, error) {
 		return nil, t.rotateWalLocked(newWalSeq)
 	}
 
-	tr.buildIndex(t.opts.Space)
 	if err := writeSegment(t.fs, t.opts.Dir, t.opts.Space.Name(), tr); err != nil {
 		return nil, t.degradeLocked(fmt.Errorf("writing tier %d segment: %w", tr.seq, err))
 	}
@@ -723,7 +699,7 @@ func (t *Tree[T]) rotateWalLocked(newWalSeq uint64) error {
 			delete(t.deleted, id)
 		}
 	}
-	t.mem = &memtable[T]{idx: seqscan.New[T](t.opts.Space, nil)}
+	t.mem = new(memtable[T])
 	t.segTombs = nil
 	t.walSeq = newWalSeq
 	old := t.wal
@@ -772,9 +748,9 @@ func (t *Tree[T]) maybeCompactLocked() {
 // snapshotted tombstone set are dropped, surviving objects keep their ids,
 // and only tombstones still targeting the base corpus are carried forward
 // (a tombstone for an added object either just dropped its target or
-// targets nothing — either way it is spent). Runs off the lock; the merge
-// work fans out over an engine.Pool, and the commit (manifest + in-memory
-// swap) retakes the lock.
+// targets nothing — either way it is spent). The merge is one pass over at
+// most (MaxTiers+1)·MemtableCap ids and runs off the lock; the commit
+// (manifest + in-memory swap) retakes it.
 func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint64) {
 	defer t.wg.Done()
 	fail := func(err error) {
@@ -801,38 +777,18 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 		}
 	}()
 
-	type kept struct {
-		ids   []uint32
-		blobs [][]byte
-		objs  []T
-		tombs []uint32
-	}
-	parts := make([]kept, len(inputs))
-	engine.Pool{}.For(len(inputs), func(_, i int) {
-		in := inputs[i]
-		var k kept
+	tr := &tier[T]{seq: seq}
+	for _, in := range inputs {
 		for j, id := range in.ids {
-			if _, d := dead[id]; d {
-				continue
+			if _, d := dead[id]; !d {
+				tr.add(id, in.objs[j], in.blobs[j])
 			}
-			k.ids = append(k.ids, id)
-			k.blobs = append(k.blobs, in.blobs[j])
-			k.objs = append(k.objs, in.objs[j])
 		}
 		for _, id := range in.tombs {
 			if int(id) < t.opts.BaseN {
-				k.tombs = append(k.tombs, id)
+				tr.tombs = append(tr.tombs, id)
 			}
 		}
-		parts[i] = k
-	})
-
-	tr := &tier[T]{seq: seq}
-	for _, k := range parts {
-		tr.ids = append(tr.ids, k.ids...)
-		tr.blobs = append(tr.blobs, k.blobs...)
-		tr.objs = append(tr.objs, k.objs...)
-		tr.tombs = append(tr.tombs, k.tombs...)
 	}
 	slices.Sort(tr.tombs)
 	tr.tombs = slices.Compact(tr.tombs)
@@ -841,7 +797,6 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 	if len(tr.ids) == 0 && len(tr.tombs) == 0 {
 		merged = nil // everything died; the inputs are replaced by nothing
 	} else {
-		tr.buildIndex(t.opts.Space)
 		if err := writeSegment(t.fs, t.opts.Dir, t.opts.Space.Name(), tr); err != nil {
 			failIO(fmt.Errorf("lsm: writing compacted segment: %w", err))
 			return
@@ -895,19 +850,20 @@ func (t *Tree[T]) compact(inputs []*tier[T], dead map[uint32]struct{}, seq uint6
 // out of reach: the merged result is exactly what a flat index over the
 // live set would return when every component searches exactly.
 //
-// opts.Params reach the base index only; tiers and memtable search with
-// their own defaults. opts.Ctx is checked between component searches (base,
+// opts.Params reach the base index only; tiers and memtable are exact scans
+// that take none. opts.Ctx is checked between component searches (base,
 // each tier, memtable), so a query its client has abandoned stops
 // scattering instead of running every remaining component to completion;
 // on cancellation dst is returned unchanged alongside the ctx error. When
 // opts.Trace is non-nil the time spent in the base index, the sealed tiers,
 // the memtable, the tombstone masking pass and the final merge is recorded
-// into it, alongside whatever stage detail the components record into the
-// same trace.
+// into it, alongside the base index's stage detail and each run scan's
+// refine distances, refine and merge time.
 //
 // The whole merge — per-component searches, id translation, tombstone
-// masking, top-k selection — runs on pooled state, so a warm call with a
-// dst of sufficient capacity performs zero allocations, traced or not.
+// masking, top-k selection — runs on one pooled searchScratch (and the base
+// index's own), so a warm call with a dst of sufficient capacity performs
+// zero allocations, traced or not.
 func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T, opts index.Options) ([]topk.Neighbor, error) {
 	k, tr := opts.K, opts.Trace
 	if k <= 0 {
@@ -916,16 +872,16 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 	if err := opts.Err(); err != nil {
 		return dst, err
 	}
-	bufp := t.mergeBufs.Get()
-	defer t.mergeBufs.Put(bufp)
+	s := t.scratch.Get()
+	defer t.scratch.Put(s)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	sub := opts
 	sub.K = k + len(t.deleted)
-	buf := (*bufp)[:0]
+	buf := s.buf[:0]
 	// Keep the (possibly regrown) buffer for the next query; it is pooled
 	// and must never escape to the caller.
-	defer func() { *bufp = buf[:0] }()
+	defer func() { s.buf = buf[:0] }()
 	var t0 time.Time
 	if base != nil {
 		if tr != nil {
@@ -937,9 +893,8 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 			obs.AddSince(&tr.BaseNs, t0)
 		}
 	}
-	sub.Params = index.Params{}
 	for _, tier := range t.tiers {
-		if tier.idx == nil {
+		if len(tier.objs) == 0 {
 			continue
 		}
 		if err := opts.Err(); err != nil {
@@ -949,7 +904,7 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 			tr.Components++
 			t0 = time.Now()
 		}
-		buf = index.Subset[T]{Index: tier.idx, IDs: tier.ids}.SearchAppend(buf, query, sub)
+		buf = tier.search(t.opts.Space, s, buf, query, sub.K, tr)
 		if tr != nil {
 			obs.AddSince(&tr.TierNs, t0)
 		}
@@ -961,8 +916,7 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 		tr.Components++
 		t0 = time.Now()
 	}
-	// Built per query under the read lock: the memtable's slices grow.
-	buf = index.Subset[T]{Index: t.mem.idx, IDs: t.mem.ids}.SearchAppend(buf, query, sub)
+	buf = t.mem.search(t.opts.Space, s, buf, query, sub.K, tr)
 	if tr != nil {
 		obs.AddSince(&tr.MemtableNs, t0)
 	}
@@ -1144,11 +1098,11 @@ func (t *Tree[T]) Object(id uint32) (T, bool) {
 	if _, dead := t.deleted[id]; dead {
 		return zero, false
 	}
-	if local, ok := t.mem.find(id); ok {
-		return t.mem.objs[local], true
+	if i, ok := t.mem.find(id); ok {
+		return t.mem.objs[i], true
 	}
 	for _, tr := range t.tiers {
-		if i, ok := slices.BinarySearch(tr.ids, id); ok {
+		if i, ok := tr.find(id); ok {
 			return tr.objs[i], true
 		}
 	}

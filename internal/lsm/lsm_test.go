@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/seqscan"
 	"repro/internal/space"
 	"repro/internal/topk"
@@ -237,6 +238,51 @@ func TestTreeFlushSealsAndStaysIdentical(t *testing.T) {
 	st, err = tree.Flush()
 	if err != nil || st != nil {
 		t.Fatalf("empty flush = %+v, %v", st, err)
+	}
+}
+
+// TestTieredSearchCountsEveryDistance: a tiered query measures every object
+// it holds exactly once — the base, each sealed tier and the memtable, a
+// masked object included, since masking runs after the merge — and records
+// each of those distances in the trace, so a Counter space and the trace
+// agree with the object count.
+func TestTieredSearchCountsEveryDistance(t *testing.T) {
+	const baseN, tierN, memN = 40, 12, 7
+	counter := space.NewCounter[[]float32](space.L2{})
+	opts := testOptions(t, baseN)
+	opts.Space = counter
+	tree := mustOpen(t, opts)
+	baseIdx := seqscan.New[[]float32](counter, randVecs(1, baseN))
+	adds := randVecs(2, tierN+memN)
+	for i, v := range adds {
+		if _, err := tree.Add(encVec(v)); err != nil {
+			t.Fatal(err)
+		}
+		if i == tierN-1 {
+			if _, err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tree.Delete(baseN + 3); err != nil {
+		t.Fatal(err)
+	}
+	if st := tree.Status(); len(st.Tiers) != 1 || st.Tiers[0].N != tierN || st.MemtableLive != memN || st.Deleted != 1 {
+		t.Fatalf("tree shape %+v, want one tier of %d, %d in the memtable, one delete", st, tierN, memN)
+	}
+	const want = baseN + tierN + memN
+	for qi, q := range randVecs(3, 6) {
+		for _, k := range []int{1, 10} {
+			counter.Reset()
+			var trace obs.QueryTrace
+			if _, err := tree.SearchAppend(nil, baseIdx, q, index.Options{K: k, Trace: &trace}); err != nil {
+				t.Fatal(err)
+			}
+			if got := counter.Count(); got != want || trace.RefineDistances != want {
+				t.Fatalf("query %d k=%d: Counter %d, trace %d distances, want %d (base %d + tier %d + memtable %d)",
+					qi, k, got, trace.RefineDistances, want, baseN, tierN, memN)
+			}
+		}
 	}
 }
 

@@ -9,10 +9,12 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/codec"
-	"repro/internal/seqscan"
+	"repro/internal/obs"
 	"repro/internal/space"
+	"repro/internal/topk"
 	"repro/internal/vfs"
 )
 
@@ -22,9 +24,8 @@ import (
 //	<seq>.seg     codec blob (kind "lsm-segment"): the live objects' global
 //	              ids and raw wire payloads, plus the tombstones of older
 //	              objects deleted during this WAL segment's lifetime. The
-//	              segment is the whole tier: a tier is searched by an exact
-//	              scan over its decoded objects, which needs no derived
-//	              state on disk.
+//	              segment is the whole tier: its objects, decoded, are the
+//	              tier's run, and a run has no derived state to store.
 //	tiers.json    the manifest naming the live tier sequence numbers, the
 //	              current WAL segment and the next id to assign. A file not
 //	              named by the manifest does not exist as far as recovery is
@@ -32,7 +33,7 @@ import (
 //	              either the old or the new manifest, never a mix.
 //
 // Both are written with vfs.WriteAtomic. Older builds also kept a <seq>.psix
-// (the scanner's empty payload) beside each segment and a constant "kind" in
+// (an empty sequential-scan index) beside each segment and a constant "kind" in
 // each manifest row: Open ignores the key and removes the files as debris,
 // and an older build opening this layout rebuilds the file it misses.
 //
@@ -42,25 +43,62 @@ import (
 // a younger WAL segment (hence a younger tier). Masking "newest wins" is
 // therefore just set membership in the union of tombstones.
 
-// tier is one loaded immutable tier.
-type tier[T any] struct {
-	seq   uint64
-	ids   []uint32 // ascending global ids of the live objects
+// run is the added objects one component holds (the memtable, a tier, a
+// compaction's output). It is searched by an exact scan — correct for every
+// space, and runs are small next to the base — so it has no derived state.
+type run[T any] struct {
+	ids   []uint32 // ascending global ids
 	blobs [][]byte // raw wire payloads, parallel to ids
 	objs  []T      // decoded objects, parallel to ids
-	tombs []uint32 // ascending global ids deleted during this segment
-	// idx is an exact sequential scan over objs — correct for every space,
-	// and tiers are small next to the base corpus. Nil until buildIndex is
-	// called and for a tier that holds tombstones only.
-	idx *seqscan.Scanner[T]
 }
 
-// buildIndex builds the tier's searcher once ids and objs are final: the one
-// constructor recovery, seal and compaction share.
-func (tr *tier[T]) buildIndex(sp space.Space[T]) {
-	if len(tr.objs) > 0 {
-		tr.idx = seqscan.New(sp, tr.objs)
+func (r *run[T]) add(gid uint32, obj T, blob []byte) {
+	r.ids = append(r.ids, gid)
+	r.blobs = append(r.blobs, blob)
+	r.objs = append(r.objs, obj)
+}
+
+// find returns the position of a global id in the run, if present.
+func (r *run[T]) find(gid uint32) (int, bool) {
+	return slices.BinarySearch(r.ids, gid)
+}
+
+// search appends the run's k nearest objects to query by global id; ids
+// ascend, so the (dist, id) order survives the translation. Every object is
+// one exact distance, the data point on the left, traced as refine work.
+func (r *run[T]) search(sp space.Space[T], s *searchScratch, dst []topk.Neighbor, query T, k int, tr *obs.QueryTrace) []topk.Neighbor {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
 	}
+	n := len(r.objs)
+	for i := len(s.local); i < n; i++ {
+		s.local = append(s.local, uint32(i))
+	}
+	s.queue.Reset(k)
+	measured := space.Closest(sp, &s.sp, &s.queue, query, r.objs, nil, s.local[:n])
+	if tr != nil {
+		tr.RefineDistances += int64(measured)
+		obs.AddSince(&tr.RefineNs, t0)
+		t0 = time.Now()
+	}
+	start := len(dst)
+	dst = s.queue.AppendResults(dst)
+	for i := start; i < len(dst); i++ {
+		dst[i].ID = r.ids[dst[i].ID]
+	}
+	if tr != nil {
+		obs.AddSince(&tr.MergeNs, t0)
+	}
+	return dst
+}
+
+// tier is one loaded immutable tier: its run of live objects and the
+// tombstones of older objects deleted during its WAL segment.
+type tier[T any] struct {
+	seq uint64
+	run[T]
+	tombs []uint32 // ascending global ids deleted during this segment
 }
 
 // segPath / walPath name the files of a sequence number.
@@ -253,7 +291,7 @@ func removeStale(fsys vfs.FS, dir string, m *manifest) {
 			}
 		default:
 			// Leftover temp files from interrupted atomic writes, and the
-			// <seq>.psix files of builds that persisted the tier scanner.
+			// <seq>.psix files of builds that persisted a tier index.
 			fsys.Remove(filepath.Join(dir, name))
 		}
 	}

@@ -2,7 +2,9 @@
 // two roles in the reproduction: it computes ground-truth neighbors for
 // recall measurements, and its single-thread query time is the baseline that
 // "improvement in efficiency" (Figure 4, y-axis) is measured against, exactly
-// as in §3.3 of the paper.
+// as in §3.3 of the paper. A query is one space.Closest call over every
+// object, the k-nearest step the mutable tier (internal/lsm) scans its added
+// objects with too.
 package seqscan
 
 import (
@@ -15,8 +17,8 @@ import (
 	"repro/internal/topk"
 )
 
-// Scanner performs exact k-NN search over a slice of objects. The slice may
-// grow via Add; nothing is ever removed.
+// Scanner performs exact k-NN search over a fixed slice of objects. Like
+// every index it is immutable once built.
 type Scanner[T any] struct {
 	sp   space.Space[T]
 	data []T
@@ -42,20 +44,6 @@ func New[T any](sp space.Space[T], data []T) *Scanner[T] {
 
 // Name implements index.Index.
 func (s *Scanner[T]) Name() string { return "seqscan" }
-
-// Len returns the number of indexed objects.
-func (s *Scanner[T]) Len() int { return len(s.data) }
-
-// Add appends a new data point and returns its id (its position in the
-// grown data slice). A scanner has no derived structure, so an addition is
-// the whole of its maintenance: this is what lets it back the memtable of an
-// LSM tree (internal/lsm) for every space, whose deletes the tree masks. Add
-// must not be called concurrently with Search.
-func (s *Scanner[T]) Add(x T) uint32 {
-	id := uint32(len(s.data))
-	s.data = append(s.data, x)
-	return id
-}
 
 // search returns the exact k nearest neighbors of query, ordered by
 // increasing distance. Data points are passed as the left argument of the

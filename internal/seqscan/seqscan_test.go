@@ -30,9 +30,6 @@ func TestSearchExactTinyCase(t *testing.T) {
 	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 3 {
 		t.Fatalf("got %+v", got)
 	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d", s.Len())
-	}
 }
 
 func TestSearchKLargerThanN(t *testing.T) {

@@ -12,11 +12,12 @@ import (
 // pushAll is what Closest must leave in a queue of k: every item measured by
 // Distance and offered, in ids order.
 func pushAll[T any](sp Space[T], k int, query T, data []T, ids []uint32) []topk.Neighbor {
-	q := topk.NewQueue(k)
+	var q topk.Queue
+	q.Reset(k)
 	for _, id := range ids {
 		q.Push(id, sp.Distance(data[id], query))
 	}
-	return q.Results()
+	return q.AppendResults(nil)
 }
 
 // checkClosest asserts that Closest keeps what pushAll keeps, bit for bit,
@@ -27,7 +28,7 @@ func checkClosest[T any](t testing.TB, sp Space[T], s *Scratch, k int, query T, 
 	var q topk.Queue
 	q.Reset(k)
 	measured := Closest(sp, s, &q, query, data, counts, ids)
-	got, want := q.Results(), pushAll(sp, k, query, data, ids)
+	got, want := q.AppendResults(nil), pushAll(sp, k, query, data, ids)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s k=%d query %v over %d ids:\n got %v\nwant %v", sp.Name(), k, query, len(ids), got, want)
 	}
@@ -148,8 +149,8 @@ func TestClosestDispatch(t *testing.T) {
 		if m := Closest(sp, &s, &q, data[0], data, counts, ids); m != len(ids) {
 			t.Errorf("%s: Closest measured %d of %d", name, m, len(ids))
 		}
-		if name == "embedding" && q.Results()[0].Dist != -1 {
-			t.Errorf("embedding: Closest kept %v, not its Distance", q.Results())
+		if res := q.AppendResults(nil); name == "embedding" && res[0].Dist != -1 {
+			t.Errorf("embedding: Closest kept %v, not its Distance", res)
 		}
 	}
 	if counter.Count() != int64(len(ids)) {

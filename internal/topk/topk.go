@@ -51,19 +51,10 @@ func ByDist(ns []Neighbor) {
 // merge of per-shard top-k lists (internal/router) reproduce an unsharded
 // index bit for bit: both sides resolve a tie in favor of the smaller id.
 //
-// The zero value is not usable; create one with NewQueue.
+// The zero value is ready after Reset.
 type Queue struct {
 	k    int
 	heap []Neighbor // max-heap by Dist
-}
-
-// NewQueue returns a queue that retains the k nearest neighbors pushed into
-// it. It panics if k <= 0.
-func NewQueue(k int) *Queue {
-	if k <= 0 {
-		panic("topk: k must be positive")
-	}
-	return &Queue{k: k, heap: make([]Neighbor, 0, k)}
 }
 
 // Reset readies the queue for a new query retaining k nearest neighbors,
@@ -117,12 +108,6 @@ func (q *Queue) Push(id uint32, d float64) bool {
 	q.heap[0] = Neighbor{ID: id, Dist: d}
 	q.siftDown(0)
 	return true
-}
-
-// Results drains the queue and returns its contents ordered by increasing
-// distance. The queue is empty afterwards.
-func (q *Queue) Results() []Neighbor {
-	return q.AppendResults(nil)
 }
 
 // AppendResults drains the queue, appending its contents to dst ordered by

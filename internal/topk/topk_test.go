@@ -23,11 +23,12 @@ func TestQueueKeepsKNearest(t *testing.T) {
 		k := 1 + r.Intn(20)
 		ns := randNeighbors(r, n)
 
-		q := NewQueue(k)
+		var q Queue
+		q.Reset(k)
 		for _, x := range ns {
 			q.Push(x.ID, x.Dist)
 		}
-		got := q.Results()
+		got := q.AppendResults(nil)
 
 		want := append([]Neighbor(nil), ns...)
 		ByDist(want)
@@ -46,7 +47,8 @@ func TestQueueKeepsKNearest(t *testing.T) {
 }
 
 func TestQueueBoundAndWouldAccept(t *testing.T) {
-	q := NewQueue(2)
+	var q Queue
+	q.Reset(2)
 	if _, ok := q.Bound(); ok {
 		t.Fatal("Bound should not be set on empty queue")
 	}
@@ -66,7 +68,7 @@ func TestQueueBoundAndWouldAccept(t *testing.T) {
 		t.Fatal("should accept candidate better than bound")
 	}
 	q.Push(3, 4)
-	res := q.Results()
+	res := q.AppendResults(nil)
 	if res[0].ID != 2 || res[1].ID != 3 {
 		t.Fatalf("results = %+v", res)
 	}
@@ -88,11 +90,12 @@ func TestQueueCanonicalUnderTies(t *testing.T) {
 		}
 		r.Shuffle(n, func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
 
-		q := NewQueue(k)
+		var q Queue
+		q.Reset(k)
 		for _, x := range ns {
 			q.Push(x.ID, x.Dist)
 		}
-		got := q.Results()
+		got := q.AppendResults(nil)
 
 		want := append([]Neighbor(nil), ns...)
 		ByDist(want)
@@ -114,7 +117,8 @@ func TestQueueCanonicalUnderTies(t *testing.T) {
 // TestQueueWouldAcceptTies: a candidate tying the bound must not be
 // pre-filtered — Push decides by id.
 func TestQueueWouldAcceptTies(t *testing.T) {
-	q := NewQueue(1)
+	var q Queue
+	q.Reset(1)
 	q.Push(5, 3)
 	if !q.WouldAccept(3) {
 		t.Fatal("WouldAccept must report true on a distance tie (id decides)")
@@ -125,7 +129,7 @@ func TestQueueWouldAcceptTies(t *testing.T) {
 	if q.Push(7, 3) {
 		t.Fatal("Push must reject an equal-distance neighbor with a larger id")
 	}
-	if res := q.Results(); len(res) != 1 || res[0].ID != 2 {
+	if res := q.AppendResults(nil); len(res) != 1 || res[0].ID != 2 {
 		t.Fatalf("results = %+v, want the id-2 neighbor", res)
 	}
 }
@@ -133,10 +137,11 @@ func TestQueueWouldAcceptTies(t *testing.T) {
 func TestQueuePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewQueue(0) should panic")
+			t.Fatal("Reset(0) should panic")
 		}
 	}()
-	NewQueue(0)
+	var q Queue
+	q.Reset(0)
 }
 
 func TestMinQueueOrdering(t *testing.T) {
@@ -272,7 +277,8 @@ func BenchmarkSelectK(b *testing.B) {
 
 func TestQueueResetReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	q := NewQueue(5)
+	var q Queue
+	q.Reset(5)
 	for round := 0; round < 4; round++ {
 		k := 3 + round // vary k across rounds; the queue must follow
 		q.Reset(k)
@@ -283,7 +289,7 @@ func TestQueueResetReuse(t *testing.T) {
 		for _, x := range ns {
 			q.Push(x.ID, x.Dist)
 		}
-		got := q.Results()
+		got := q.AppendResults(nil)
 		want := append([]Neighbor(nil), ns...)
 		want = SelectK(want, k)
 		if len(got) != len(want) {
@@ -298,7 +304,8 @@ func TestQueueResetReuse(t *testing.T) {
 }
 
 func TestQueueAppendResults(t *testing.T) {
-	q := NewQueue(3)
+	var q Queue
+	q.Reset(3)
 	q.Push(4, 4.0)
 	q.Push(2, 2.0)
 	q.Push(9, 9.0)
@@ -339,7 +346,8 @@ func TestHotPathPrimitivesDoNotAllocate(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("SelectK allocates %v times per run", avg)
 	}
-	q := NewQueue(10)
+	var q Queue
+	q.Reset(10)
 	dst := make([]Neighbor, 0, 16)
 	if avg := testing.AllocsPerRun(20, func() {
 		q.Reset(10)
