@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build loc test race bench bench-check bench-engine layout examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc test race bench bench-ab bench-check bench-engine layout examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -108,7 +108,10 @@ examples:
 		$(GO) run ./examples/$$e >/dev/null || exit 1; \
 	done
 
-# Short coverage-guided fuzz. FuzzLoad: corrupt index files must error,
+# Short coverage-guided fuzz. Every line caps minimizing at one second:
+# uncapped, the fuzzer can spend most of its -fuzztime shrinking one new input
+# (kilobyte objects, 10000-deep nesting) while its exec rate falls toward
+# zero. FuzzLoad: corrupt index files must error,
 # never panic or over-allocate; its checked-in seed corpus lives in
 # internal/codec/testdata/fuzz (regenerate with WRITE_FUZZ_CORPUS=1 after
 # format changes). FuzzNAPPScan: NAPP's bit-sliced ScanCount kernel must
@@ -116,8 +119,7 @@ examples:
 # threshold the fuzzer picks. FuzzDecodeObject: the JSON object
 # decoder of every object type (queries, WAL-durable adds) must refuse or
 # return something its distances can be computed on and that survives its own
-# Encode; its seeds are kilobyte objects, so cap the minute the fuzzer would
-# otherwise spend minimizing each new input. FuzzOpen: one file of a real
+# Encode. FuzzOpen: one file of a real
 # mutable-tier directory (WAL, segment or tiers.json) replaced by fuzzed
 # bytes must be refused or recovered into a searchable tree, never a panic or
 # an allocation sized by a count the bytes merely claim. FuzzEditDistance: the
@@ -127,12 +129,10 @@ examples:
 # time and for one. FuzzL2Pair: both results of the L2 pair kernel behind
 # space.Many/ManyFrom (SSE2 on amd64) must be the Go loop's and L2Sqr's, in
 # either argument order, for any float32 bit patterns (NaN, ±Inf,
-# subnormals); minimizing is capped, or the fuzzer can spend most of its
-# time shrinking one new input. FuzzDecodeSearch: the
+# subnormals). FuzzDecodeSearch: the
 # one-pass search and /add envelope readers must accept exactly the bodies
-# json.Unmarshal into the request struct accepts, with equal fields; its
-# seeds include 10000-deep nesting, so minimizing is capped as for
-# FuzzDecodeObject. FuzzValue: internal/jsonscan's reader must accept exactly
+# json.Unmarshal into the request struct accepts, with equal fields.
+# FuzzValue: internal/jsonscan's reader must accept exactly
 # what json.Valid accepts.
 # FuzzParseParams: any method-params text must be refused or parsed into
 # non-empty keys with finite values that survive their own String, and
@@ -148,27 +148,27 @@ examples:
 # measuring them all keeps.
 # FuzzReadSetManifest, FuzzReadTopology: any bytes as a shard-set manifest or
 # a fleet topology file must be refused or read into a value that passes
-# Validate, never a panic; minimizing is capped, or the fuzzer spends the run
-# shrinking new inputs and its exec rate falls toward zero.
+# Validate, never a panic.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
-	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s -fuzzminimizetime 1s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzNAPPScan -fuzztime 15s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 15s -fuzzminimizetime 1s ./internal/lsm/
-	$(GO) test -run '^$$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/space/
+	$(GO) test -run '^$$' -fuzz FuzzEditDistance -fuzztime 10s -fuzzminimizetime 1s ./internal/space/
 	$(GO) test -run '^$$' -fuzz FuzzL2Pair -fuzztime 10s -fuzzminimizetime 1s ./internal/vecmath/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSearch -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzValue -fuzztime 10s -fuzzminimizetime 1s ./internal/jsonscan/
-	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s ./internal/index/
-	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s ./internal/obs/
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultfs/
+	$(GO) test -run '^$$' -fuzz FuzzParseParams -fuzztime 10s -fuzzminimizetime 1s ./internal/index/
+	$(GO) test -run '^$$' -fuzz FuzzParseText -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/faultfs/
 	$(GO) test -run '^$$' -fuzz FuzzEditBound -fuzztime 10s -fuzzminimizetime 1s ./internal/space/
 	$(GO) test -run '^$$' -fuzz FuzzReadSetManifest -fuzztime 10s -fuzzminimizetime 1s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 10s -fuzzminimizetime 1s ./internal/rollout/
 
 # In-process microbenchmarks: one row per distance at its corpus's shape and
 # one query's bulk refine and pivot ranking, each beside the per-pair loop it
-# replaced — l2/128-refine700-n40k and l2/128-pivots512 for SIFT,
+# replaced — l2/128-refine700-n40k (cache-missing candidates, which the bulk
+# call prefetches ahead and the loop does not) and l2/128-pivots512 for SIFT,
 # normleven/32-refine650-n4k and normleven/32-pivots512 for DNA reads — then
 # one row per method over a warm 10k-point index plus permbench's NAPP
 # operating points (SIFT at t=22; DNA on dna-direct's corpus, where the
@@ -179,8 +179,9 @@ fuzz:
 # beside the Go loop (BenchmarkL2SqrPair), and the request path before the
 # index: the search-body reader on permbench's three request shapes
 # (BenchmarkDecodeSearch) and one query's object decode, dense and string
-# (BenchmarkDecode). A convenience for a profile or a before/after look;
-# performance claims are made with permbench (BENCHMARK.json, bench/).
+# (BenchmarkDecode). A convenience for a profile; a before/after row comes
+# from `make bench-ab`, and performance claims are made with permbench
+# (BENCHMARK.json, bench/).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistance$$' -benchmem ./internal/space/
 	$(GO) test -run '^$$' -bench BenchmarkSearchHot -benchmem ./internal/core/
@@ -188,6 +189,17 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkL2SqrPair -benchmem ./internal/vecmath/
 	$(GO) test -run '^$$' -bench BenchmarkDecodeSearch -benchmem ./internal/wire/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$' -benchmem ./internal/dataset/
+
+# A/B of in-process benchmarks between two revisions, e.g.
+#   make bench-ab A=HEAD~1 B=HEAD PKG=./internal/space BENCH='BenchmarkDistance/l2/128-refine'
+# Builds one test binary per rev from git archive extracts and runs them
+# PAIRS times (default 8) alternated, flipping the order every pair; prints
+# every run, then per row the median [q1-q3] of each side and B's win count.
+# One run of a row swings by as much as the effects it is cited for, so a
+# before/after row comes from here, not from two separate `make bench` runs.
+# Too slow for CI.
+bench-ab:
+	./scripts/bench_ab.sh
 
 # Batch-engine throughput: the serial reference loop vs SearchBatch at
 # 1/2/4/8 workers over the sequential scan, then Pool.For's fan-out overhead

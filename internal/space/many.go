@@ -36,11 +36,14 @@ func (s *Scratch) widen(v []float32) []float64 {
 // which is what every space but L2 and the two Levenshteins runs. For L2 the
 // query is widened once and the data points are measured two per pass
 // (vecmath.L2SqrPair, SSE2 on amd64), so a refine, a scan, a tree leaf or a
-// graph expansion stops re-converting the query per candidate, waits on two
-// cache-missing points at a time and, on amd64, computes two lanes per
-// instruction. For the two Levenshteins a query of 1–64 bytes gets its match
-// table built once and the reads are measured two per pass (editPair); other
-// queries run the loop.
+// graph expansion stops re-converting the query per candidate and, on amd64,
+// computes two lanes per instruction. The candidates are random vectors of a
+// corpus larger than the cache, so before measuring a pair the arm asks for
+// the vectors prefetchAhead candidates on (vecmath.Prefetch): they arrive from
+// memory while the pairs before them are measured, instead of each pair
+// waiting on its own two misses. For the two Levenshteins a query of 1–64
+// bytes gets its match table built once and the reads are measured two per
+// pass (editPair); other queries run the loop.
 //
 // The fast paths are chosen by the exact concrete type, never by an interface
 // a wrapper could promote: a space that embeds L2 to override Distance (a
@@ -53,12 +56,15 @@ func Many[T any](sp Space[T], s *Scratch, dst []float64, query T, data []T, ids 
 	case L2:
 		q32, vecs := any(query).([]float32), any(data).([][]float32)
 		q := s.widen(q32)
+		n := len(ids)
+		prefetch(vecs, ids[:min(prefetchAhead, n)])
 		i := 0
-		for ; i+2 <= len(ids); i += 2 {
+		for ; i+2 <= n; i += 2 {
+			prefetch(vecs, ids[min(i+prefetchAhead, n):min(i+prefetchAhead+2, n)])
 			a, b := vecmath.L2SqrPair(q, vecs[ids[i]], vecs[ids[i+1]])
 			dst[i], dst[i+1] = math.Sqrt(a), math.Sqrt(b)
 		}
-		if i < len(ids) {
+		if i < n {
 			dst[i] = math.Sqrt(vecmath.L2Sqr(vecs[ids[i]], q32))
 		}
 		return
@@ -69,6 +75,18 @@ func Many[T any](sp Space[T], s *Scratch, dst []float64, query T, data []T, ids 
 	}
 	for i, id := range ids {
 		dst[i] = sp.Distance(data[id], query)
+	}
+}
+
+// prefetchAhead is how many candidates ahead of the pair it measures Many's
+// L2 arm asks for: far enough that a random corpus vector arrives from memory
+// while the pairs before it are measured (4, 8 and 16 measured alike).
+const prefetchAhead = 8
+
+// prefetch asks for the vectors vecs[id] of ids, which Many measures next.
+func prefetch(vecs [][]float32, ids []uint32) {
+	for _, id := range ids {
+		vecmath.Prefetch(vecs[id])
 	}
 }
 

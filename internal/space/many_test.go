@@ -90,6 +90,40 @@ func TestManyL2EveryTail(t *testing.T) {
 	}
 }
 
+// TestManyL2PrefetchEdges runs the L2 arm's prefetch window across its
+// edges: every count of ids from 0 to two windows of 8 and a pair and a tail
+// past them, where the ids ahead run out before, inside and after the pair
+// loop. The ids are unsorted, repeat one id and end on the last corpus
+// object, so a window that reads past len(ids) or a wrong index shows as a
+// panic or a changed distance. Warm calls must not allocate.
+func TestManyL2PrefetchEdges(t *testing.T) {
+	objs := dataset.SIFT(7, 40)
+	last := uint32(len(objs) - 1)
+	var s space.Scratch
+	dst := make([]float64, 2*8+3)
+	for n := 0; n <= 2*8+3; n++ {
+		ids := make([]uint32, n)
+		for i := range ids {
+			ids[i] = uint32(i*23+5) % last
+		}
+		if n > 0 {
+			ids[n-1] = last
+		}
+		if n > 2 {
+			ids[n/2] = ids[0]
+		}
+		space.Many(space.L2{}, &s, dst, objs[1], objs, ids)
+		for i, id := range ids {
+			if want := (space.L2{}).Distance(objs[id], objs[1]); math.Float64bits(dst[i]) != math.Float64bits(want) {
+				t.Fatalf("Many(%d ids)[%d] = %v, Distance = %v", n, i, dst[i], want)
+			}
+		}
+		if avg := testing.AllocsPerRun(10, func() { space.Many(space.L2{}, &s, dst, objs[2], objs, ids) }); avg != 0 {
+			t.Errorf("warm Many over %d ids allocates %v times per call, want 0", n, avg)
+		}
+	}
+}
+
 // TestManyLevenshteinEdges runs the prepared-pattern arm across its edges:
 // fixed arguments of 0 bytes and 65 (both take the Distance loop) and of 1,
 // 63 and 64 bytes (the word's ends), against empty texts, texts shorter and

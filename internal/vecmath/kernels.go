@@ -11,9 +11,11 @@ package vecmath
 // and its unrolled twin on a width threshold. The thresholds are constants
 // chosen from BenchmarkRankKernels / BenchmarkNibbleL1 (kernels_bench_test.go)
 // on amd64: below them the unrolled prologue/epilogue costs more than it
-// saves. Every kernel is byte-identical to its *Ref reference scalar —
-// integer arithmetic is exact and reordering-safe — which kernels_test.go
-// pins across widths 0..129 (all tail-lane cases).
+// saves. Every kernel is byte-identical to its reference scalar loop
+// (SpearmanRhoRef and FootruleRef, which the kernels also run below their
+// thresholds, and the test oracle nibbleL1Ref) — integer arithmetic is exact
+// and reordering-safe — which kernels_test.go pins across widths 0..129 (all
+// tail-lane cases).
 
 // Dispatch threshold, measured per width with BenchmarkRankKernels (amd64,
 // widths 4..256): the gc compiler already emits branch-free scalar code for
@@ -135,25 +137,6 @@ func NibbleL1(a, b []uint64) int {
 	var s int
 	for i := range a {
 		s += NibbleL1Word(a[i], b[i])
-	}
-	return s
-}
-
-// NibbleL1Ref is the reference scalar implementation of NibbleL1: it
-// unpacks every 4-bit lane and accumulates plain integer absolute
-// differences. Both slices must have the same length.
-func NibbleL1Ref(a, b []uint64) int {
-	var s int
-	for i := range a {
-		for sh := 0; sh < 64; sh += 4 {
-			x := int(a[i]>>sh) & 0xF
-			y := int(b[i]>>sh) & 0xF
-			if x >= y {
-				s += x - y
-			} else {
-				s += y - x
-			}
-		}
 	}
 	return s
 }

@@ -69,7 +69,7 @@ func BenchmarkNibbleL1(b *testing.B) {
 		})
 		b.Run(benchName("ref", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sinkInt = NibbleL1Ref(x, y)
+				sinkInt = nibbleL1Ref(x, y)
 			}
 		})
 	}

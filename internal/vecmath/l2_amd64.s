@@ -54,3 +54,25 @@ cond:
 	MOVSD  X3, b2+120(FP)
 	MOVHPD X3, b3+128(FP)
 	RET
+
+// func Prefetch(v []float32)
+//
+// One PREFETCHT0 per 64-byte line that v's bytes touch: from v's address
+// rounded down to its line to the byte past its end. A prefetch is a hint:
+// it never faults and changes no value. An empty v touches nothing.
+TEXT ·Prefetch(SB), NOSPLIT, $0-24
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	TESTQ CX, CX
+	JEQ  done
+	LEAQ (SI)(CX*4), CX
+	ANDQ $-64, SI
+
+line:
+	PREFETCHT0 (SI)
+	ADDQ       $64, SI
+	CMPQ       SI, CX
+	JCS        line
+
+done:
+	RET

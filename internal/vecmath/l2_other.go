@@ -7,3 +7,7 @@ package vecmath
 func l2SqrPair(q []float64, a, b []float32) (float64, float64) {
 	return l2SqrPairGeneric(q, a, b)
 }
+
+// Prefetch is the amd64 cache hint's portable form: on every GOARCH without
+// an assembly kernel it does nothing.
+func Prefetch(v []float32) {}

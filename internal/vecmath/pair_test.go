@@ -97,6 +97,33 @@ func TestL2SqrPairMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestPrefetchBounds calls Prefetch on the lengths around its 16-float
+// cache line and on a slice that ends where its backing array ends, at every
+// 4-byte offset into a line. A prefetch changes no value, so no differential
+// test can see it; this one checks that the line loop returns, on empty
+// slices too, and leaves the floats as they were.
+func TestPrefetchBounds(t *testing.T) {
+	Prefetch(nil)
+	Prefetch([]float32{})
+	for _, n := range []int{1, 15, 16, 17, 128, 129} {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(i)
+		}
+		Prefetch(v)
+		for i, x := range v {
+			if x != float32(i) {
+				t.Fatalf("Prefetch of %d floats changed v[%d] to %v", n, i, x)
+			}
+		}
+	}
+	backing := make([]float32, 64)
+	for off := range 16 {
+		Prefetch(backing[off:])
+		Prefetch(backing[len(backing)-off:])
+	}
+}
+
 // FuzzL2Pair feeds the pair kernel raw float32 bit patterns — NaNs, ±Inf,
 // subnormals, the extremes — as three vectors x, a, b of one length, and
 // holds both results to checkPair: the Go loop's bits and L2Sqr's, in either

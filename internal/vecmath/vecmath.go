@@ -8,10 +8,14 @@
 // baseline, so there is no CPU detection and no option. Its packed lanes run
 // the scalar loop's IEEE operations in the scalar loop's order, so it returns
 // the same bits as l2SqrPairGeneric, the Go loop every other GOARCH runs and
-// the amd64 tests hold it to. The other kernels are plain Go, 4-way unrolled
-// over independent accumulators; the *relative* cost model of the paper (L2
-// cheap, JS-div ~10-20x L2, SQFD ~100x L2) is preserved, which is what the
-// reproduced experiments depend on.
+// the amd64 tests hold it to. Its callers' candidates are random vectors of a
+// corpus larger than the cache, so what a refine waits on is memory, not
+// arithmetic: Prefetch (PREFETCHT0 per cache line on amd64, also baseline; a
+// no-op elsewhere) lets space.Many ask for the vectors it measures a few pairs
+// later. The other kernels are plain Go, 4-way unrolled over independent
+// accumulators; the *relative* cost model of the paper (L2 cheap, JS-div
+// ~10-20x L2, SQFD ~100x L2) is preserved, which is what the reproduced
+// experiments depend on.
 package vecmath
 
 import "math"
