@@ -114,9 +114,9 @@ examples:
 # zero. FuzzLoad: corrupt index files must error,
 # never panic or over-allocate; its checked-in seed corpus lives in
 # internal/codec/testdata/fuzz (regenerate with WRITE_FUZZ_CORPUS=1 after
-# format changes). FuzzNAPPScan: NAPP's bit-sliced ScanCount kernel must
-# select the ids the list-merging reference selects, for any shape and
-# threshold the fuzzer picks. FuzzDecodeObject: the JSON object
+# format changes). FuzzNAPPScan: NAPP's bit-sliced ScanCount kernel (its
+# AVX2 block where the CPU has it) must select the ids the list-merging
+# reference selects, for any shape and threshold the fuzzer picks. FuzzDecodeObject: the JSON object
 # decoder of every object type (queries, WAL-durable adds) must refuse or
 # return something its distances can be computed on and that survives its own
 # Encode. FuzzOpen: one file of a real
@@ -127,9 +127,9 @@ examples:
 # for any pair of byte strings, in either argument order, and so must the
 # prepared 1–64-byte pattern behind space.Many/ManyFrom, for two texts at a
 # time and for one. FuzzL2Pair: both results of the L2 pair kernel behind
-# space.Many/ManyFrom (SSE2 on amd64) must be the Go loop's and L2Sqr's, in
-# either argument order, for any float32 bit patterns (NaN, ±Inf,
-# subnormals). FuzzDecodeSearch: the
+# space.Many/ManyFrom must be the Go loop's and L2Sqr's, in either argument
+# order, for any float32 bit patterns (NaN, ±Inf, subnormals), on every
+# assembly arm the host runs (SSE2 on amd64, and AVX2 where the CPU has it). FuzzDecodeSearch: the
 # one-pass search and /add envelope readers must accept exactly the bodies
 # json.Unmarshal into the request struct accepts, with equal fields.
 # FuzzValue: internal/jsonscan's reader must accept exactly
@@ -175,8 +175,10 @@ fuzz:
 # edit-distance screen skips much, and on seed 7's, where it skips almost
 # nothing), one point's 32 closest of 512 pivots under L2, where all are
 # measured, and under both DNA corpora, screened beside measured
-# (BenchmarkClosest), one pass of the L2 pair kernel at 128 dimensions, SSE2
-# beside the Go loop (BenchmarkL2SqrPair), and the request path before the
+# (BenchmarkClosest), NAPP's bitmap scan alone at permbench's SIFT shape
+# (BenchmarkScanCount), one pass of the L2 pair kernel at 128 dimensions as
+# dispatched, beside each assembly arm the host runs (SSE2, AVX2) and the Go
+# loop (BenchmarkL2SqrPair), and the request path before the
 # index: the search-body reader on permbench's three request shapes
 # (BenchmarkDecodeSearch) and one query's object decode, dense and string
 # (BenchmarkDecode). A convenience for a profile; a before/after row comes
@@ -185,6 +187,7 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistance$$' -benchmem ./internal/space/
 	$(GO) test -run '^$$' -bench BenchmarkSearchHot -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkScanCount -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkClosest -benchmem ./internal/permutation/
 	$(GO) test -run '^$$' -bench BenchmarkL2SqrPair -benchmem ./internal/vecmath/
 	$(GO) test -run '^$$' -bench BenchmarkDecodeSearch -benchmem ./internal/wire/
@@ -209,7 +212,7 @@ bench-engine:
 
 # Code placement on the served NAPP path: build permserve into a temp dir and
 # print the address and size of the []float32 instantiations of
-# space.Closest, space.Many and core.refineInto. Where the linker places
+# space.Closest, space.Many, core.refineInto and NAPP's scan. Where the linker places
 # these shared generic instantiations depends on every package that uses
 # them, so a change to code permserve never runs can move them and shift
 # permbench's SIFT rows; diff this output between two trees before reading
@@ -217,7 +220,7 @@ bench-engine:
 layout:
 	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/permserve" ./cmd/permserve && \
-	$(GO) tool nm -n -size "$$d/permserve" | grep -E '(space\.(Closest|Many)|core\.refineInto)\[go\.shape\.\[\]float32'
+	$(GO) tool nm -n -size "$$d/permserve" | grep -E '(space\.(Closest|Many)|core\.refineInto)\[go\.shape\.\[\]float32|core\.\(\*NAPP\[go\.shape\.\[\]float32\]\)\.scan'
 
 # End-to-end smoke of the serving daemon: build permserve, write a demo
 # index set, boot it on a free port, curl /healthz + a search + a hot

@@ -66,6 +66,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/seqscan"
 	"repro/internal/server"
+	"repro/internal/vecmath"
 	"repro/internal/vfs"
 	"repro/internal/vptree"
 )
@@ -159,7 +160,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("permserve: %v", err)
 	}
-	log.Printf("permserve: listening on http://%s (%d indexes)", ln.Addr(), len(reg.Names()))
+	// The kernel arm (avx2, sse2 or generic) explains a latency gap between
+	// two hosts of one fleet from their logs.
+	log.Printf("permserve: listening on http://%s (%d indexes, %s kernels)", ln.Addr(), len(reg.Names()), vecmath.Arm())
 
 	hs := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/topk"
+	"repro/internal/vecmath"
 )
 
 // Bit-sliced ScanCount. NAPP keeps one bitmap per pivot (bit id set when
@@ -14,6 +15,9 @@ import (
 // sixteen at a time through a Harley–Seal block (15 adders), the ms mod 16
 // leftovers by ripple carry — and the per-query threshold t is applied with
 // a bit-sliced comparison, so the candidates of a word fall out as one mask.
+// Where the CPU has AVX2 (vecmath.AVX2), the sixteen-input block runs four
+// words per operation in assembly (add16AVX2); add16 is its oracle and the
+// body every other CPU runs.
 //
 // Cost model: the scan reads ms·⌈N/64⌉ words at ≈5 word-ops each,
 // independent of mi, where merging id lists costs one counter increment per
@@ -148,6 +152,7 @@ func (na *NAPP[T]) scan(s *nappScratch, pivots []int32, t int, scored bool) {
 		return
 	}
 	cands, sel := s.cands, s.sel
+	avx2 := vecmath.AVX2()
 	nplanes := bits.Len(uint(ms))
 	nwords := (len(na.data) + 63) / 64
 	var (
@@ -162,7 +167,11 @@ func (na *NAPP[T]) scan(s *nappScratch, pivots []int32, t int, scored bool) {
 			for i := range in {
 				in[i] = window(na.bitmaps[pivots[j+i]], w, &pads[i])
 			}
-			pl.add16(&in, nplanes)
+			if avx2 {
+				add16AVX2(&pl, &in, nplanes)
+			} else {
+				pl.add16(&in, nplanes)
+			}
 		}
 		for ; j < ms; j++ {
 			pl.add1(window(na.bitmaps[pivots[j]], w, &pads[0]), nplanes)

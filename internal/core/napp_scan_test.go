@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/space"
 	"repro/internal/topk"
+	"repro/internal/vecmath"
 )
 
 // refScanCount is the ScanCount the posting bitmaps replaced, kept as the
@@ -115,6 +117,59 @@ func TestScanMatchesScanCount(t *testing.T) {
 				checkScan(t, na, counts, pivots, minShared)
 			}
 		}
+	}
+}
+
+// TestAdd16AVX2MatchesGo holds the AVX2 block to add16, its Go oracle, over
+// whole plane sets: random planes and input windows at 5–8 planes in use
+// (add16 runs from ms = 16, so at least 5), and all-ones planes and inputs,
+// whose weight-16 carry ripples through every plane in use and out of the
+// top one. The planes above those in use must be left as they were.
+func TestAdd16AVX2MatchesGo(t *testing.T) {
+	if !vecmath.AVX2() {
+		t.Skip("this CPU has no AVX2")
+	}
+	r := rand.New(rand.NewSource(50))
+	var ins [16]scanWindow
+	var in [16]*scanWindow
+	for i := range in {
+		in[i] = &ins[i]
+	}
+	check := func(pl countPlanes, nplanes int) {
+		t.Helper()
+		want, got := pl, pl
+		want.add16(&in, nplanes)
+		add16AVX2(&got, &in, nplanes)
+		if got != want {
+			t.Fatalf("nplanes=%d planes=%x in=%x: add16AVX2 = %x, add16 = %x", nplanes, pl, ins, got, want)
+		}
+	}
+	for nplanes := 5; nplanes <= scanPlanes; nplanes++ {
+		for range 200 {
+			var pl countPlanes
+			for p := range pl {
+				for k := range pl[p] {
+					pl[p][k] = r.Uint64()
+				}
+			}
+			for i := range ins {
+				for k := range ins[i] {
+					ins[i][k] = r.Uint64()
+				}
+			}
+			check(pl, nplanes)
+		}
+		var ones countPlanes
+		for p := range ones {
+			for k := range ones[p] {
+				ones[p][k] = ^uint64(0)
+			}
+		}
+		for i := range ins {
+			ins[i] = ones[0]
+		}
+		check(ones, nplanes)
+		check(countPlanes{}, nplanes)
 	}
 }
 
@@ -278,4 +333,33 @@ func FuzzNAPPScan(f *testing.F) {
 		}
 		checkScan(t, na, refCounts(n, lists, pivots), pivots, minShared)
 	})
+}
+
+// BenchmarkScanCount is NAPP's filter kernel alone at permbench's SIFT
+// shape: the bitmaps of 40k points over m=512 pivots at mi=32, and per query
+// the bitmaps of its ms=32 closest pivots scanned at t=22, unscored, cycling
+// through 64 held-out queries. cands/op is the mean candidate count, the same
+// on every arm.
+func BenchmarkScanCount(b *testing.B) {
+	const n, queries, ms, minShared = 40000, 64, 32, 22
+	all := dataset.SIFT(7, n+queries)
+	na, err := NewNAPP[[]float32](space.L2{}, all[:n], NAPPOptions{
+		NumPivots: 512, NumPivotIndex: 32, NumPivotSearch: ms, MinShared: minShared, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var s nappScratch
+	pivots := make([][]int32, queries)
+	for i, q := range all[n:] {
+		pivots[i] = slices.Clone(na.pivots.ClosestWith(&s.perm, q, ms))
+	}
+	cands, i := 0, 0
+	b.ReportAllocs()
+	for b.Loop() {
+		na.scan(&s, pivots[i%queries], minShared, false)
+		cands += len(s.cands)
+		i++
+	}
+	b.ReportMetric(float64(cands)/float64(i), "cands/op")
 }

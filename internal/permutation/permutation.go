@@ -194,7 +194,7 @@ func (s *Scratch) Ranks() []int32 {
 // MI-file's, the PP-index's prefix length), so they select it with
 // topk.SelectK over (distance, pivot index) — the incremental sort of §2.2 —
 // instead of sorting all m pivots. Every space measures all m pivots
-// (DistancesWith, so under L2 the SSE2 pair kernel) and leaves them in
+// (DistancesWith, so under L2 the AVX2 or SSE2 pair kernel) and leaves them in
 // s.Dists, except that for 0 < n < m, under the exact types
 // space.Levenshtein and space.NormalizedLevenshtein, a screen bounds each
 // pivot by its composition (space.Closest), measures only the pivots that

@@ -35,9 +35,9 @@ func (s *Scratch) widen(v []float32) []float64 {
 // have room for len(ids) values. The results are bit-identical to that loop,
 // which is what every space but L2 and the two Levenshteins runs. For L2 the
 // query is widened once and the data points are measured two per pass
-// (vecmath.L2SqrPair, SSE2 on amd64), so a refine, a scan, a tree leaf or a
-// graph expansion stops re-converting the query per candidate and, on amd64,
-// computes two lanes per instruction. The candidates are random vectors of a
+// (vecmath.L2SqrPair, AVX2 or SSE2 on amd64), so a refine, a scan, a tree
+// leaf or a graph expansion stops re-converting the query per candidate and,
+// on amd64, computes four or two lanes per instruction. The candidates are random vectors of a
 // corpus larger than the cache, so before measuring a pair the arm asks for
 // the vectors prefetchAhead candidates on (vecmath.Prefetch): they arrive from
 // memory while the pairs before them are measured, instead of each pair

@@ -55,6 +55,73 @@ cond:
 	MOVHPD X3, b3+128(FP)
 	RET
 
+// func l2PairBlocksAVX2(q []float64, a, b []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float64)
+//
+// l2PairBlocks in 256-bit lanes. Y0 holds a's accumulators (s0, s1, s2, s3)
+// and Y1 b's. Each step is the SSE2 pass's four operations, lane for lane:
+// VCVTPS2PD, VSUBPD with the vector as first source (vector minus q), VMULPD
+// and VADDPD with the accumulator as first source. There is no FMA: it
+// rounds once where the scalar code rounds twice. The upper halves are
+// extracted and the YMM state cleared (VZEROUPPER) before the SSE2 stores.
+TEXT ·l2PairBlocksAVX2(SB), NOSPLIT, $0-136
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   a_base+24(FP), AX
+	MOVQ   b_base+48(FP), BX
+	ANDQ   $-4, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ   DX, DX
+	JMP    cond
+
+loop:
+	VMOVUPD   (SI)(DX*8), Y4
+	VCVTPS2PD (AX)(DX*4), Y6
+	VCVTPS2PD (BX)(DX*4), Y8
+	VSUBPD    Y4, Y6, Y6
+	VSUBPD    Y4, Y8, Y8
+	VMULPD    Y6, Y6, Y6
+	VMULPD    Y8, Y8, Y8
+	VADDPD    Y6, Y0, Y0
+	VADDPD    Y8, Y1, Y1
+	ADDQ      $4, DX
+
+cond:
+	CMPQ DX, CX
+	JLT  loop
+
+	VEXTRACTF128 $1, Y0, X2
+	VEXTRACTF128 $1, Y1, X3
+	VZEROUPPER
+	MOVSD        X0, a0+72(FP)
+	MOVHPD       X0, a1+80(FP)
+	MOVSD        X2, a2+88(FP)
+	MOVHPD       X2, a3+96(FP)
+	MOVSD        X1, b0+104(FP)
+	MOVHPD       X1, b1+112(FP)
+	MOVSD        X3, b2+120(FP)
+	MOVHPD       X3, b3+128(FP)
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
+	MOVL   DX, edx+4(FP)
+	RET
+
 // func Prefetch(v []float32)
 //
 // One PREFETCHT0 per 64-byte line that v's bytes touch: from v's address

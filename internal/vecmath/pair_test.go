@@ -27,27 +27,53 @@ func widen(x []float32) []float64 {
 	return q
 }
 
+// pairArm is one assembly pass of the pair kernel, finished in Go as
+// l2SqrPair finishes it.
+type pairArm struct {
+	name string
+	fn   func(q []float64, a, b []float32) (float64, float64)
+}
+
 // checkPair asserts that both results of L2SqrPair are the bits of
-// l2SqrPairGeneric, the Go loop the SSE2 kernel replaces on amd64, and of
-// L2Sqr with the data point first, which is what space.Many returns, and with
-// x first, which is what space.ManyFrom returns for a pivot ranking.
+// l2SqrPairGeneric, the Go loop the assembly replaces on amd64, and of L2Sqr
+// with the data point first, which is what space.Many returns, and with x
+// first, which is what space.ManyFrom returns for a pivot ranking. Every
+// assembly pass this CPU can run (pairArms), not only the one L2SqrPair
+// dispatches to, must give the Go loop's bits too, and the passes must agree
+// with each other NaN payloads included: they share their Go tail and sum and
+// take each operation's operands in the same order, where two compiled Go
+// functions need not.
 func checkPair(t *testing.T, x, a, b []float32) {
 	t.Helper()
 	q := widen(x)
 	ga, gb := L2SqrPair(q, a, b)
 	wa, wb := l2SqrPairGeneric(q, a, b)
-	for _, c := range []struct {
+	type check struct {
 		name      string
 		got, want float64
-	}{
-		{"generic a", ga, wa},
-		{"generic b", gb, wb},
-		{"L2Sqr(a, x)", ga, L2Sqr(a, x)},
-		{"L2Sqr(b, x)", gb, L2Sqr(b, x)},
-		{"L2Sqr(x, a)", ga, L2Sqr(x, a)},
-		{"L2Sqr(x, b)", gb, L2Sqr(x, b)},
-	} {
-		if !sameBits(c.got, c.want) {
+		payload   bool // NaN payloads must match too
+	}
+	checks := []check{
+		{"generic a", ga, wa, false},
+		{"generic b", gb, wb, false},
+		{"L2Sqr(a, x)", ga, L2Sqr(a, x), false},
+		{"L2Sqr(b, x)", gb, L2Sqr(b, x), false},
+		{"L2Sqr(x, a)", ga, L2Sqr(x, a), false},
+		{"L2Sqr(x, b)", gb, L2Sqr(x, b), false},
+	}
+	var ref string // the first arm, which every other must match exactly
+	var ra, rb float64
+	for _, arm := range pairArms() {
+		da, db := arm.fn(q, a, b)
+		checks = append(checks, check{arm.name + " a vs generic", da, wa, false}, check{arm.name + " b vs generic", db, wb, false})
+		if ref == "" {
+			ref, ra, rb = arm.name, da, db
+		} else {
+			checks = append(checks, check{arm.name + " a vs " + ref, da, ra, true}, check{arm.name + " b vs " + ref, db, rb, true})
+		}
+	}
+	for _, c := range checks {
+		if c.payload && math.Float64bits(c.got) != math.Float64bits(c.want) || !sameBits(c.got, c.want) {
 			t.Fatalf("x=%v a=%v b=%v: pair kernel gave %v (%#x), %s = %v (%#x)",
 				x, a, b, c.got, math.Float64bits(c.got), c.name, c.want, math.Float64bits(c.want))
 		}
@@ -58,8 +84,10 @@ func checkPair(t *testing.T, x, a, b []float32) {
 // bit over widths 0–129 (every count of four-element blocks up to 32 and
 // every len%4 tail), at magnitudes from the smallest float32 subnormal to
 // MaxFloat32, with a NaN, +Inf or -Inf put in one lane of x, a or b — in a
-// block or in the tail — and with +Inf in one lane of x and a, whose
-// difference is NaN, beside -Inf in that lane of b.
+// block or in the tail — with +Inf in one lane of x and a, whose
+// difference is NaN, beside -Inf in that lane of b, and with NaNs of three
+// payloads in one lane of all three, where which operand a difference takes
+// its NaN from shows.
 func TestL2SqrPairMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	scales := []float64{0x1p-149, 1e-40, 1e-20, 1, 1e20, math.MaxFloat32}
@@ -92,6 +120,8 @@ func TestL2SqrPairMatchesGeneric(t *testing.T) {
 			j := r.Intn(width)
 			xi, ai, bi := slices.Clone(x), slices.Clone(a), slices.Clone(b)
 			xi[j], ai[j], bi[j] = float32(math.Inf(1)), float32(math.Inf(1)), float32(math.Inf(-1))
+			checkPair(t, xi, ai, bi)
+			xi[j], ai[j], bi[j] = math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002), math.Float32frombits(0x7fc00003)
 			checkPair(t, xi, ai, bi)
 		}
 	}
@@ -168,7 +198,9 @@ func FuzzL2Pair(f *testing.F) {
 var sinkPair float64
 
 // BenchmarkL2SqrPair is one pass of the pair kernel at SIFT's 128
-// dimensions, beside -generic, the Go loop it replaces on amd64.
+// dimensions as L2SqrPair dispatches it, beside each assembly pass this CPU
+// can run called directly (-sse2, -avx2) and -generic, the Go loop they
+// replace on amd64.
 func BenchmarkL2SqrPair(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	vec := func() []float32 {
@@ -179,11 +211,15 @@ func BenchmarkL2SqrPair(b *testing.B) {
 		return v
 	}
 	q, x, y := widen(vec()), vec(), vec()
-	for _, k := range []struct {
-		name string
-		fn   func(q []float64, a, b []float32) (float64, float64)
-	}{{"dim128", L2SqrPair}, {"dim128-generic", l2SqrPairGeneric}} {
-		b.Run(k.name, func(b *testing.B) {
+	rows := []pairArm{{"", L2SqrPair}}
+	rows = append(rows, pairArms()...)
+	rows = append(rows, pairArm{"generic", l2SqrPairGeneric})
+	for _, k := range rows {
+		name := "dim128"
+		if k.name != "" {
+			name += "-" + k.name
+		}
+		b.Run(name, func(b *testing.B) {
 			for b.Loop() {
 				da, db := k.fn(q, x, y)
 				sinkPair += da + db

@@ -4,15 +4,18 @@
 // The paper's C++ implementation measures L2 with hand-written SIMD. Here the
 // one kernel every served L2 query spends its time in — L2SqrPair, behind
 // space.Many and space.ManyFrom, so the refine, the sequential scan and pivot
-// ranking — has an SSE2 body on amd64 (l2_amd64.s). SSE2 is the amd64
-// baseline, so there is no CPU detection and no option. Its packed lanes run
-// the scalar loop's IEEE operations in the scalar loop's order, so it returns
-// the same bits as l2SqrPairGeneric, the Go loop every other GOARCH runs and
-// the amd64 tests hold it to. Its callers' candidates are random vectors of a
-// corpus larger than the cache, so what a refine waits on is memory, not
-// arithmetic: Prefetch (PREFETCHT0 per cache line on amd64, also baseline; a
-// no-op elsewhere) lets space.Many ask for the vectors it measures a few pairs
-// later. The other kernels are plain Go, 4-way unrolled over independent
+// ranking — has two assembly bodies on amd64 (l2_amd64.s): AVX2, 256-bit
+// lanes, where the CPU and OS run it, and SSE2, the amd64 baseline,
+// otherwise. The choice is made once at start from CPUID and XGETBV (AVX2,
+// which internal/core also asks to pick NAPP's ScanCount block; Arm names
+// it); there is no flag, option or build tag. Both bodies' packed lanes run
+// the scalar loop's IEEE operations in the scalar loop's order, unfused, so
+// each returns the same bits as l2SqrPairGeneric, the Go loop every other
+// GOARCH runs and the amd64 tests hold both to. Its callers' candidates are
+// random vectors of a corpus larger than the cache, so what a refine waits on
+// is memory as much as arithmetic: Prefetch (PREFETCHT0 per cache line on
+// amd64, baseline; a no-op elsewhere) lets space.Many ask for the vectors it
+// measures a few pairs later. The other kernels are plain Go, 4-way unrolled over independent
 // accumulators; the *relative* cost model of the paper (L2 cheap, JS-div
 // ~10-20x L2, SQFD ~100x L2) is preserved, which is what the reproduced
 // experiments depend on.
@@ -50,9 +53,10 @@ func L2Sqr(a, b []float32) float64 {
 // arithmetic — the same per-element difference and its 4-accumulator split,
 // tail into the first — so both are bit-identical to L2Sqr; the pass loads
 // q once for two vectors and overlaps their memory latency. On amd64 the
-// pass runs in SSE2 (l2_amd64.s): per vector one register holds the
-// accumulators (s0, s1) and another (s2, s3), and each step widens, subtracts,
-// squares and adds two lanes at once, unfused, as the scalar code does one.
+// pass runs in AVX2 or SSE2 (l2_amd64.s): per vector one YMM register holds
+// the accumulators (s0, s1, s2, s3), or two XMM registers (s0, s1) and (s2,
+// s3), and each step widens, subtracts, squares and adds the lanes at once,
+// unfused, as the scalar code does one.
 // Because (a-x)² == (x-a)² exactly, the results also equal L2Sqr(x, a) and
 // L2Sqr(x, b). It panics if the lengths differ.
 func L2SqrPair(q []float64, a, b []float32) (float64, float64) {
