@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build loc test race bench bench-ab bench-check bench-engine layout examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc reach test race bench bench-ab bench-check bench-engine layout examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ loc:
 		END { printf "%7s %5s  %s\n", "go", "asm", "package"; \
 			for (d in pkg) printf "%7d %5d  %s\n", loc[d, "go"], loc[d, "asm"], d | "sort -k3"; close("sort -k3"); \
 			printf "%7d %5d  total\n", t["go"], t["asm"] }'
+
+# Reachability: every function the module declares is linked into one of the
+# binaries it ships (cmd/, examples/, scripts/, bench/permbench) or named with
+# a reason in scripts/reach.keep; fails on anything else and on a stale keep
+# entry.
+reach:
+	./scripts/reach.sh
 
 # The second pass vets the tree as arm64 builds it, so the portable Go path
 # behind each amd64 assembly kernel keeps compiling where nothing runs it.
@@ -135,8 +142,9 @@ examples:
 # FuzzValue: internal/jsonscan's reader must accept exactly
 # what json.Valid accepts.
 # FuzzParseParams: any method-params text must be refused or parsed into
-# non-empty keys with finite values that survive their own String, and
-# Resolve must answer the round-tripped params alike under every kind.
+# non-empty keys with finite values that survive being written back in its
+# syntax, and Resolve must answer the round-tripped params alike under every
+# kind.
 # FuzzParseText: any /metrics page must be refused or parsed, and Quantile
 # over every histogram family of an accepted page must not panic. FuzzParse:
 # any disk-fault spec (the PERMSERVE_FAULT_FS grammar) must be refused or
@@ -195,9 +203,11 @@ bench:
 
 # A/B of in-process benchmarks between two revisions, e.g.
 #   make bench-ab A=HEAD~1 B=HEAD PKG=./internal/space BENCH='BenchmarkDistance/l2/128-refine'
-# Builds one test binary per rev from git archive extracts and runs them
-# PAIRS times (default 8) alternated, flipping the order every pair; prints
-# every run, then per row the median [q1-q3] of each side and B's win count.
+# Builds one test binary per rev from git archive extracts, plus a second
+# build of A from a second extract (A', the control arm), and runs the three
+# PAIRS times (default 8) in an order rotated every pair; prints every run,
+# then per row the median [q1-q3] of each side, A' vs A (the noise floor B
+# vs A must clear) and B vs A, and each one's win count against A.
 # One run of a row swings by as much as the effects it is cited for, so a
 # before/after row comes from here, not from two separate `make bench` runs.
 # Too slow for CI.
@@ -272,4 +282,4 @@ fault-smoke:
 	$(GO) build -o bin/permserve ./cmd/permserve
 	./scripts/fault_smoke.sh bin/permserve
 
-ci: check build test bench-check examples race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke
+ci: check build reach test bench-check examples race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke

@@ -1,7 +1,10 @@
 // Top-level benchmark harness: one benchmark per table and figure of the
 // paper (each regenerates the corresponding rows/series into io.Discard; run
-// the cmd/ binaries to see the data), plus ablation benchmarks for the
-// design choices called out in DESIGN.md §4.
+// the cmd/ binaries to see the data), plus ablation benchmarks, one per
+// design choice a permutation index makes: the permutation distance (rho or
+// Footrule), full or binarized permutations, the MI-file's posting window,
+// NAPP's threshold t, a VP-tree over permutations, and rank vectors against
+// raw pivot-distance vectors.
 //
 // Scale note: benchmark configs are deliberately small so the full suite
 // runs on a laptop; the cmd/ tools accept -n to scale up.
@@ -102,7 +105,7 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §4) ---
+// --- Ablation benchmarks: each holds the data fixed and varies one choice ---
 
 // sinkN prevents dead-code elimination of Search results.
 var sinkN []topk.Neighbor

@@ -32,11 +32,6 @@ type Result struct {
 // K returns the number of (non-empty) clusters found.
 func (res *Result) K() int { return len(res.Sizes) }
 
-// Centroid returns the i-th centroid as a slice view.
-func (res *Result) Centroid(i int) []float32 {
-	return res.Centroids[i*res.Dim : (i+1)*res.Dim]
-}
-
 // KMeans clusters points (an n x dim row-major matrix) into at most k
 // clusters using Lloyd's algorithm with k-means++ seeding. It stops after
 // maxIter iterations or when no assignment changes.
@@ -200,15 +195,4 @@ func seedPlusPlus(r *rand.Rand, points []float32, dim, n, k int) []float32 {
 		}
 	}
 	return centroids
-}
-
-// Inertia returns the sum of squared distances from each point to its
-// assigned centroid — the k-means objective, useful in tests.
-func Inertia(points []float32, res *Result) float64 {
-	var s float64
-	for i := 0; i < len(res.Assign); i++ {
-		p := points[i*res.Dim : (i+1)*res.Dim]
-		s += vecmath.L2Sqr(p, res.Centroid(res.Assign[i]))
-	}
-	return s
 }

@@ -4,7 +4,24 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/vecmath"
 )
+
+// centroid returns the i-th centroid of res as a slice view.
+func centroid(res *Result, i int) []float32 {
+	return res.Centroids[i*res.Dim : (i+1)*res.Dim]
+}
+
+// inertia is the k-means objective: the sum of squared distances from each
+// point to its assigned centroid.
+func inertia(points []float32, res *Result) float64 {
+	var s float64
+	for i := range res.Assign {
+		s += vecmath.L2Sqr(points[i*res.Dim:(i+1)*res.Dim], centroid(res, res.Assign[i]))
+	}
+	return s
+}
 
 // threeBlobs builds 3 well-separated 2-d clusters of 50 points each.
 func threeBlobs(r *rand.Rand) ([]float32, []int) {
@@ -89,8 +106,8 @@ func TestKMeansSinglePoint(t *testing.T) {
 	if res.K() != 1 || res.Sizes[0] != 1 {
 		t.Fatalf("K=%d sizes=%v", res.K(), res.Sizes)
 	}
-	if res.Centroid(0)[0] != 5 || res.Centroid(0)[1] != 6 {
-		t.Fatalf("centroid = %v", res.Centroid(0))
+	if c := centroid(res, 0); c[0] != 5 || c[1] != 6 {
+		t.Fatalf("centroid = %v", c)
 	}
 }
 
@@ -105,7 +122,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i1, i3 := Inertia(pts, res1), Inertia(pts, res3)
+	i1, i3 := inertia(pts, res1), inertia(pts, res3)
 	if i3 >= i1 {
 		t.Fatalf("inertia did not decrease: k=1 %v vs k=3 %v", i1, i3)
 	}
@@ -129,7 +146,7 @@ func TestKMeansAssignConsistent(t *testing.T) {
 		p := pts[i*2 : i*2+2]
 		best, bestD := -1, math.MaxFloat64
 		for c := 0; c < res.K(); c++ {
-			cd := res.Centroid(c)
+			cd := centroid(res, c)
 			dx := float64(p[0] - cd[0])
 			dy := float64(p[1] - cd[1])
 			if d := dx*dx + dy*dy; d < bestD {

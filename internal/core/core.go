@@ -135,13 +135,6 @@ func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, co
 	return dst
 }
 
-// computePermutations returns the flattened n x m matrix of permutations of
-// every data point, computed in parallel (the paper builds permutation
-// indexes with four threads; we use GOMAXPROCS).
-func computePermutations[T any](pv *permutation.Pivots[T], data []T) []int32 {
-	return perPoint(data, pv.M(), pv.PermutationWith)
-}
-
 // computeOrders returns the flattened n x mi matrix holding, for each data
 // point, the indices of its mi closest pivots (closest first), selected
 // without sorting the m-mi pivots no index reads.
@@ -151,8 +144,9 @@ func computeOrders[T any](pv *permutation.Pivots[T], data []T, mi int) []int32 {
 }
 
 // perPoint returns the flattened n x w matrix whose row i is row(s, data[i]),
-// computed in parallel. Each worker passes its own permutation scratch, so a
-// build does not allocate per point.
+// computed in parallel (the paper builds permutation indexes with four
+// threads; we use GOMAXPROCS). Each worker passes its own permutation
+// scratch, so a build does not allocate per point.
 func perPoint[T any](data []T, w int, row func(*permutation.Scratch, T) []int32) []int32 {
 	out := make([]int32, len(data)*w)
 	var pool engine.Pool

@@ -118,10 +118,10 @@ func checkComputePermutations[T any](t *testing.T, sp space.Space[T], data []T) 
 		t.Fatal(err)
 	}
 	const mi = 8
-	m, flat, orders := pv.M(), computePermutations(pv, data), computeOrders(pv, data, mi)
+	m, flat, orders := pv.M(), perPoint(data, pv.M(), pv.PermutationWith), computeOrders(pv, data, mi)
 	for i, x := range data {
 		if got, want := flat[i*m:(i+1)*m], pv.Permutation(x, nil); !slices.Equal(got, want) {
-			t.Fatalf("%s: point %d: computePermutations row %v, Permutation %v", sp.Name(), i, got, want)
+			t.Fatalf("%s: point %d: permutation row %v, Permutation %v", sp.Name(), i, got, want)
 		}
 		if got, want := orders[i*mi:(i+1)*mi], pv.Order(x, nil)[:mi]; !slices.Equal(got, want) {
 			t.Fatalf("%s: point %d: computeOrders row %v, Order prefix %v", sp.Name(), i, got, want)

@@ -64,8 +64,8 @@ func NewPermVPTree[T any](sp space.Space[T], data []T, opts PermVPTreeOptions) (
 	if err != nil {
 		return nil, err
 	}
-	flat := computePermutations(pv, data)
 	m := pv.M()
+	flat := perPoint(data, m, pv.PermutationWith)
 	perms := make([][]int32, len(data))
 	for i := range perms {
 		perms[i] = flat[i*m : (i+1)*m]

@@ -95,7 +95,7 @@ func newScanFilter[T any](sp space.Space[T], data []T, pv *permutation.Pivots[T]
 // Name implements index.Index.
 func (f *ScanFilter[T]) Name() string { return f.rows.tag() }
 
-// Pivots exposes the pivot set (used by the projection-quality experiments).
+// Pivots exposes the pivot set to the facade's users (permsearch.Pivots).
 func (f *ScanFilter[T]) Pivots() *permutation.Pivots[T] { return f.pivots }
 
 func (f *ScanFilter[T]) size() (int64, int) { return f.rows.bytes(), f.pivots.M() }

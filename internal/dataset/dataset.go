@@ -4,7 +4,9 @@
 // the human genome) are proprietary or impractically large; each generator
 // here preserves the property its experiments exercise — dimensionality,
 // sparsity, cluster structure, and the relative cost of the distance
-// function. See DESIGN.md §2.4 for the substitution rationale.
+// function. The experiments compare methods against each other and against
+// brute force on the same corpus, so a stand-in that keeps those properties
+// keeps the comparison, while its absolute numbers are not the paper's.
 //
 // All generators are deterministic functions of (seed, n).
 //

@@ -2,7 +2,7 @@
 // bounded worker pool (Pool) whose one work-pulling loop (For, and ForCtx
 // when it may be cancelled) runs every parallel loop — index construction in
 // internal/core, k-means assignment in internal/cluster, graph construction
-// in internal/knngraph, tier compaction in internal/lsm — and a batch query
+// in internal/knngraph — and a batch query
 // engine (SearchBatch) that fans a slab of queries out over the pool against
 // any index.Index.
 //

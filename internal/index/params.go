@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -56,23 +55,6 @@ func ParseParams(s string) (NamedParams, error) {
 		out[k] = val
 	}
 	return out, nil
-}
-
-// String renders the params back in ParseParams syntax, keys sorted.
-func (p NamedParams) String() string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%g", k, p[k])
-	}
-	return b.String()
 }
 
 // knob is one query-time parameter key of an index kind.

@@ -1,10 +1,30 @@
 package index
 
 import (
+	"fmt"
 	"maps"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 )
+
+// format renders p back in ParseParams syntax, keys sorted.
+func format(p NamedParams) string {
+	keys := make([]string, 0, len(p))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%g", k, p[k])
+	}
+	return b.String()
+}
 
 func TestParseParams(t *testing.T) {
 	p, err := ParseParams("att=2,ef=20")
@@ -21,9 +41,6 @@ func TestParseParams(t *testing.T) {
 		if _, err := ParseParams(bad); err == nil {
 			t.Errorf("ParseParams(%q) succeeded", bad)
 		}
-	}
-	if got := (NamedParams{"ef": 20, "att": 2}).String(); got != "att=2,ef=20" {
-		t.Fatalf("String() = %q", got)
 	}
 }
 
@@ -134,9 +151,9 @@ func FuzzParseParams(f *testing.F) {
 				t.Fatalf("ParseParams(%q) accepted %q=%v", s, k, v)
 			}
 		}
-		back, err := ParseParams(p.String())
+		back, err := ParseParams(format(p))
 		if err != nil || !maps.Equal(p, back) {
-			t.Fatalf("ParseParams(%q) = %v, but its String %q parses to %v (err %v)", s, p, p.String(), back, err)
+			t.Fatalf("ParseParams(%q) = %v, but its rendering %q parses to %v (err %v)", s, p, format(p), back, err)
 		}
 		for _, kind := range kinds {
 			want, werr := Resolve(kind, p)

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/seqscan"
 	"repro/internal/space"
+	"repro/internal/topk"
 	"repro/internal/vfs"
 )
 
@@ -86,6 +88,55 @@ func hostileCountSegment(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// segmentOf is the checksum-valid segment of tier seq holding tombs and ids,
+// each object the base point of that id when the id is a base id and one of
+// the seed tree's added vectors otherwise.
+func segmentOf(tb testing.TB, seq uint64, tombs []uint32, ids ...uint32) []byte {
+	tb.Helper()
+	base, added := randVecs(1, fuzzBaseN), randVecs(51, len(ids))
+	tr := &tier[[]float32]{seq: seq, tombs: tombs}
+	for i, id := range ids {
+		v := added[i]
+		if id < fuzzBaseN {
+			v = base[id]
+		}
+		tr.add(id, v, encVec(v))
+	}
+	dir := tb.TempDir()
+	if err := writeSegment(vfs.OS{}, dir, space.L2{}.Name(), tr); err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := os.ReadFile(segPath(dir, seq))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// collidingSegments rewrite the seed tree's segment (ids 6, 7, 8 over a base
+// of fuzzBaseN = 6, manifest NextID 9) so that an id collides with one the
+// tree holds elsewhere: a base object, the segment itself, and the id the
+// WAL's first add takes.
+func collidingSegments(tb testing.TB) map[string][]byte {
+	return map[string][]byte{
+		"base collision": segmentOf(tb, 1, nil, 2, 7, 8),
+		"duplicate id":   segmentOf(tb, 1, nil, 6, 7, 7),
+		"id at NextID":   segmentOf(tb, 1, nil, 6, 7, 9),
+	}
+}
+
+// repeatedID reports an id that ns holds twice.
+func repeatedID(ns []topk.Neighbor) (uint32, bool) {
+	seen := make(map[uint32]bool, len(ns))
+	for _, n := range ns {
+		if seen[n.ID] {
+			return n.ID, true
+		}
+		seen[n.ID] = true
+	}
+	return 0, false
+}
+
 // wrappingWAL is the seed tree's WAL plus one checksum-valid add record with
 // id 2^32-1, past the last assignable id: replaying it would wrap the id
 // counter to 0.
@@ -114,8 +165,9 @@ func wrappingWAL(tb testing.TB, wal []byte) []byte {
 
 // FuzzOpen replaces one file of a real tree directory with arbitrary bytes.
 // Recovery either refuses the directory or returns a tree that can be
-// searched, inspected and closed; either way it never panics, and what it
-// allocates is bounded by the bytes it was given, not by a count they claim.
+// searched, inspected and closed and that answers no id twice; either way it
+// never panics, and what it allocates is bounded by the bytes it was given,
+// not by a count they claim.
 func FuzzOpen(f *testing.F) {
 	seed := fuzzSeedTree(f)
 	for which, name := range fuzzFiles {
@@ -131,6 +183,9 @@ func FuzzOpen(f *testing.F) {
 	f.Add(uint8(1), hostileCountSegment(f))
 	f.Add(uint8(2), bytes.ReplaceAll(seed[manifestName], []byte(`"n": 3`), []byte(`"n": -1`)))
 	f.Add(uint8(2), bytes.ReplaceAll(seed[manifestName], []byte(`"next_id": 9`), []byte(`"next_id": 4294967295`)))
+	for _, seg := range collidingSegments(f) {
+		f.Add(uint8(1), seg)
+	}
 
 	base := seqscan.New[[]float32](space.L2{}, randVecs(1, fuzzBaseN))
 	query := randVecs(99, 1)[0]
@@ -148,8 +203,12 @@ func FuzzOpen(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		if tree, err := Open(fuzzOptions(dir)); err == nil {
 			for _, k := range []int{1, 3, 100} {
-				if _, err := tree.SearchAppend(nil, base, query, index.Options{K: k}); err != nil {
+				got, err := tree.SearchAppend(nil, base, query, index.Options{K: k})
+				if err != nil {
 					t.Errorf("search k=%d on a recovered tree: %v", k, err)
+				}
+				if id, ok := repeatedID(got); ok {
+					t.Errorf("search k=%d on a recovered tree answers id %d twice: %v", k, id, got)
 				}
 			}
 			tree.Status()
@@ -169,7 +228,82 @@ func TestReadSegmentHostileCount(t *testing.T) {
 	if err := os.WriteFile(segPath(dir, 1), hostileCountSegment(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readSegment(vfs.OS{}, dir, "l2", 1, fuzzOptions(dir).Decode); !isCorrupt(err) {
+	man := &manifest{Space: space.L2{}.Name(), BaseN: fuzzBaseN, NextID: fuzzBaseN}
+	if _, err := readSegment(vfs.OS{}, dir, man, 1, fuzzOptions(dir).Decode); !isCorrupt(err) {
 		t.Fatalf("readSegment = %v, want a corrupt-segment refusal", err)
+	}
+}
+
+// TestOpenQuarantinesCollidingSegment: a checksum-valid segment whose ids
+// collide with ids the tree holds elsewhere — a base object, itself, an id
+// the WAL assigns past the manifest's NextID, a tier kept before it — or
+// whose tombstones repeat or reach past NextID is quarantined like any
+// corrupt tier, so the recovered tree answers no id twice and counts each
+// live object once.
+func TestOpenQuarantinesCollidingSegment(t *testing.T) {
+	seed := fuzzSeedTree(t)
+	rows := map[string]map[string][]byte{}
+	for name, seg := range collidingSegments(t) {
+		rows[name] = map[string][]byte{fuzzFiles[1]: seg}
+	}
+	// The seed manifest, edited to agree with a rewritten tier list.
+	manifestWith := func(edit func(*manifest)) []byte {
+		var man manifest
+		if err := json.Unmarshal(seed[manifestName], &man); err != nil {
+			t.Fatal(err)
+		}
+		edit(&man)
+		blob, err := json.Marshal(&man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	// A second tier whose only id, 8, is the first tier's last.
+	rows["overlaps the tier before"] = map[string][]byte{
+		"000002.seg": segmentOf(t, 2, nil, 8),
+		manifestName: manifestWith(func(m *manifest) {
+			m.Tiers = append(m.Tiers, TierStatus{Seq: 2, N: 1})
+			m.NextTierSeq = 3
+		}),
+	}
+	for name, tombs := range map[string][]uint32{"duplicate tombstone": {1, 1}, "tombstone at NextID": {9}} {
+		rows[name] = map[string][]byte{
+			fuzzFiles[1]: segmentOf(t, 1, tombs, 6, 7, 8),
+			manifestName: manifestWith(func(m *manifest) { m.Tiers[0].Tombstones = len(tombs) }),
+		}
+	}
+
+	baseVecs := randVecs(1, fuzzBaseN)
+	base := seqscan.New[[]float32](space.L2{}, baseVecs)
+	for name, files := range rows {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, m := range []map[string][]byte{seed, files} {
+				for file, blob := range m {
+					if err := os.WriteFile(filepath.Join(dir, file), blob, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			tree, err := Open(fuzzOptions(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			st := tree.Status()
+			if len(st.Quarantined) != 1 {
+				t.Fatalf("quarantined %q, want the colliding segment alone", st.Quarantined)
+			}
+			for _, k := range []int{4, 100} {
+				got := search(tree, base, baseVecs[2], k)
+				if id, ok := repeatedID(got); ok {
+					t.Fatalf("k=%d answers id %d twice: %v", k, id, got)
+				}
+				if k == 100 && len(got) != st.Live {
+					t.Fatalf("Live = %d, but an exhaustive query answers %d ids", st.Live, len(got))
+				}
+			}
+		})
 	}
 }

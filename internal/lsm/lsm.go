@@ -197,11 +197,12 @@ type Tree[T any] struct {
 // Open loads (or initializes) a tree in opts.Dir: manifest, sealed tiers,
 // then WAL replay into a fresh memtable. Files the manifest does not name
 // are crash debris and are removed. A tier whose bytes fail validation
-// (checksum, shape, decode) is quarantined — dropped from the manifest and
-// renamed aside — so one corrupt file does not take down the whole tree; a
-// tier whose bytes cannot be *read* (EIO) aborts Open cleanly instead,
-// because discarding a possibly-intact file on a transient read failure
-// would turn one flaky disk read into permanent data loss.
+// (checksum, shape, decode, ids that collide with the base corpus, with a
+// tier kept before it or with ids the WAL assigns) is quarantined — dropped
+// from the manifest and renamed aside — so one corrupt file does not take
+// down the whole tree; a tier whose bytes cannot be *read* (EIO) aborts Open
+// cleanly instead, because discarding a possibly-intact file on a transient
+// read failure would turn one flaky disk read into permanent data loss.
 func Open[T any](opts Options[T]) (*Tree[T], error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
@@ -242,11 +243,16 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 		tierSeq: man.NextTierSeq,
 	}
 	var quarantine, keptTiers []TierStatus
+	var next uint32 // ids below it belong to a tier kept before this one
 	for _, mt := range man.Tiers {
-		tr, err := readSegment(fsys, opts.Dir, opts.Space.Name(), mt.Seq, opts.Decode)
+		tr, err := readSegment(fsys, opts.Dir, man, mt.Seq, opts.Decode)
 		if err == nil && (len(tr.ids) != mt.N || len(tr.tombs) != mt.Tombstones) {
 			err = fmt.Errorf("lsm: tier %d holds %d objects / %d tombstones, manifest says %d / %d: %w",
 				mt.Seq, len(tr.ids), len(tr.tombs), mt.N, mt.Tombstones, errSegCorrupt)
+		}
+		if err == nil && len(tr.ids) > 0 && tr.ids[0] < next {
+			err = fmt.Errorf("lsm: tier %d starts at id %d, at or below the last id of the tier before it: %w",
+				mt.Seq, tr.ids[0], errSegCorrupt)
 		}
 		if err != nil {
 			if !isCorrupt(err) {
@@ -256,6 +262,9 @@ func Open[T any](opts Options[T]) (*Tree[T], error) {
 			t.quarantined = append(t.quarantined,
 				fmt.Sprintf("%06d.seg%s: %v", mt.Seq, quarantineExt, err))
 			continue
+		}
+		if len(tr.ids) > 0 {
+			next = tr.ids[len(tr.ids)-1] + 1
 		}
 		t.tiers = append(t.tiers, tr)
 		keptTiers = append(keptTiers, mt)

@@ -125,12 +125,12 @@ func writeSegment[T any](fsys vfs.FS, dir, spaceName string, tr *tier[T]) error 
 
 // errSegCorrupt tags a segment whose bytes were read back fine but describe
 // something other than the tier the manifest promised — a decode failure,
-// an unsorted id section, a sequence-number mismatch. Together with
-// codec.ErrCorrupt it is the "this file is damaged, not this disk is
-// failing" signal Open's quarantine decision keys on: a corrupt tier is
-// renamed aside and the rest of the tree keeps serving, while a plain read
-// error (EIO) aborts recovery cleanly instead of discarding a file that may
-// be perfectly intact.
+// an id section that is out of order or collides with ids held elsewhere, a
+// sequence-number mismatch. Together with codec.ErrCorrupt it is the "this
+// file is damaged, not this disk is failing" signal Open's quarantine
+// decision keys on: a corrupt tier is renamed aside and the rest of the tree
+// keeps serving, while a plain read error (EIO) aborts recovery cleanly
+// instead of discarding a file that may be perfectly intact.
 var errSegCorrupt = errors.New("lsm: segment corrupt")
 
 // isCorrupt reports whether a tier-load failure means damaged bytes (safe
@@ -139,9 +139,13 @@ func isCorrupt(err error) bool {
 	return errors.Is(err, codec.ErrCorrupt) || errors.Is(err, errSegCorrupt)
 }
 
-// readSegment loads and validates a .seg blob. Objects are decoded with the
-// tree's Decode.
-func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode func([]byte) (T, error)) (*tier[T], error) {
+// readSegment loads and validates a .seg blob of the tree man describes.
+// Objects are decoded with the tree's Decode. Its ids must strictly increase
+// within [BaseN, NextID), the ids added before the manifest was written, and
+// its tombstones must strictly increase below NextID: any other id would
+// collide with a base object, with an id the WAL assigns later or with
+// itself, and be answered twice.
+func readSegment[T any](fsys vfs.FS, dir string, man *manifest, seq uint64, decode func([]byte) (T, error)) (*tier[T], error) {
 	path := segPath(dir, seq)
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -159,8 +163,8 @@ func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode f
 	if hdr.Kind != codec.KindLSMSegment {
 		return nil, fmt.Errorf("%s: file holds a %q blob, want %q: %w", path, hdr.Kind, codec.KindLSMSegment, errSegCorrupt)
 	}
-	if hdr.Space != spaceName {
-		return nil, fmt.Errorf("%s: segment written under space %q, tree uses %q: %w", path, hdr.Space, spaceName, errSegCorrupt)
+	if hdr.Space != man.Space {
+		return nil, fmt.Errorf("%s: segment written under space %q, tree uses %q: %w", path, hdr.Space, man.Space, errSegCorrupt)
 	}
 	tr := &tier[T]{seq: cr.U64()}
 	tr.ids = cr.U32s()
@@ -181,8 +185,14 @@ func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode f
 	if tr.seq != seq {
 		return nil, fmt.Errorf("%s: segment stamps seq %d, manifest says %d: %w", path, tr.seq, seq, errSegCorrupt)
 	}
-	if !slices.IsSorted(tr.ids) || !slices.IsSorted(tr.tombs) {
-		return nil, fmt.Errorf("%s: unsorted id or tombstone section: %w", path, errSegCorrupt)
+	if !increasing(tr.ids) || !increasing(tr.tombs) {
+		return nil, fmt.Errorf("%s: id or tombstone section not strictly increasing: %w", path, errSegCorrupt)
+	}
+	if n > 0 && (int(tr.ids[0]) < man.BaseN || tr.ids[n-1] >= man.NextID) {
+		return nil, fmt.Errorf("%s: ids %d..%d outside the added range [%d, %d): %w", path, tr.ids[0], tr.ids[n-1], man.BaseN, man.NextID, errSegCorrupt)
+	}
+	if len(tr.tombs) > 0 && tr.tombs[len(tr.tombs)-1] >= man.NextID {
+		return nil, fmt.Errorf("%s: tombstone %d at or past next id %d: %w", path, tr.tombs[len(tr.tombs)-1], man.NextID, errSegCorrupt)
 	}
 	tr.objs = make([]T, n)
 	for i, b := range tr.blobs {
@@ -193,6 +203,16 @@ func readSegment[T any](fsys vfs.FS, dir, spaceName string, seq uint64, decode f
 		tr.objs[i] = obj
 	}
 	return tr, nil
+}
+
+// increasing reports whether ids strictly increases.
+func increasing(ids []uint32) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // quarantineExt marks a file set aside by recovery: the bytes are kept for

@@ -1,12 +1,13 @@
 // Package obs is the dependency-free observability core of the serving
-// stack: atomic counters and gauges, lock-free log-bucketed latency
-// histograms with an allocation-free Record, a process-wide registry, and a
+// stack: atomic counters, gauges computed at exposition time, lock-free
+// log-bucketed latency histograms with an allocation-free Record, a
+// process-wide registry, and a
 // Prometheus-text-format exposition writer (served as GET /metrics by both
 // permserve and permrouter).
 //
 // The design constraint that shapes everything here is the repository's
 // zero-allocation query regime: instrumentation sits directly on the warm
-// search path, so every warm-path operation — Counter.Add, Gauge.Set,
+// search path, so every warm-path operation — Counter.Add,
 // Histogram.Record, QueryTrace field accumulation — is a plain atomic (or
 // plain store) on memory allocated once at registration time. Allocation is
 // confined to registration (New*/With) and exposition (WriteText), both cold.
@@ -14,8 +15,9 @@
 // Histograms are HDR-style log-linear: values below 2^subBits land in exact
 // unit buckets, larger values in one of 2^subBits sub-buckets per power of
 // two, bounding the relative quantile error at 2^-subBits (6.25%). A
-// histogram is a fixed array of atomic buckets — Record is one AddInt64 at
-// a computed index, concurrent Records never contend on a lock, and
+// histogram is a fixed array of atomic buckets plus an atomic sum — Record
+// is two atomic adds, one at a computed bucket index and one to the sum,
+// concurrent Records never contend on a lock, and
 // Snapshot is a racy-but-monotone copy (each bucket individually atomic),
 // which is exactly the consistency /metrics scraping needs.
 package obs
@@ -49,18 +51,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram bucket layout: subBits sub-buckets per power of two.
 const (
@@ -104,37 +94,29 @@ func BucketHigh(i int) int64 {
 // exposition time). The zero value is ready to use. Record performs zero
 // allocations and never blocks; Snapshot may run concurrently with Records.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [NumBuckets]atomic.Int64
 }
 
 // Record adds one observation. Negative values clamp to zero (a latency can
 // read negative only through clock trouble; losing the sample would skew
-// the count the count/sum invariants depend on).
+// the count and sum against each other).
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
 	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
 // Since records the nanoseconds elapsed from t0 to now.
 func (h *Histogram) Since(t0 time.Time) { h.Record(time.Since(t0).Nanoseconds()) }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the total of the recorded observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // HistSnapshot is a point-in-time copy of a histogram, safe to read at
 // leisure. Counts are copied bucket-atomically: a snapshot taken under
 // concurrent Records sees each bucket at some moment during the copy
-// (counts never decrease), so derived quantiles are valid for some state
-// the histogram passed through.
+// (counts never decrease), so quantiles read from its exposition are valid
+// for some state the histogram passed through.
 type HistSnapshot struct {
 	Count   int64
 	Sum     int64
@@ -142,8 +124,8 @@ type HistSnapshot struct {
 }
 
 // Snapshot copies the histogram into s (allocation-free for a caller-owned
-// snapshot). Count is recomputed from the copied buckets so the
-// quantile walk can never read past its own total.
+// snapshot). Count is the sum of the copied buckets, so the exposition's
+// +Inf bucket and _count can never disagree with its cumulative edges.
 func (h *Histogram) Snapshot(s *HistSnapshot) {
 	s.Sum = h.sum.Load()
 	var total int64
@@ -153,34 +135,6 @@ func (h *Histogram) Snapshot(s *HistSnapshot) {
 		total += c
 	}
 	s.Count = total
-}
-
-// Quantile returns an upper bound on the q-quantile (q in [0, 1]) of the
-// recorded values: the high edge of the bucket the rank falls in, so the
-// estimate is never below the true quantile and at most 2^-subBits above
-// it (relatively). Returns 0 when the snapshot is empty.
-func (s *HistSnapshot) Quantile(q float64) int64 {
-	if s.Count <= 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range s.Buckets {
-		cum += s.Buckets[i]
-		if cum >= rank {
-			return BucketHigh(i)
-		}
-	}
-	return BucketHigh(NumBuckets - 1)
 }
 
 // Metric families and the registry.
@@ -196,7 +150,6 @@ const (
 type child struct {
 	vals []string
 	c    *Counter
-	g    *Gauge
 	gf   func() float64
 	h    *Histogram
 }
@@ -238,8 +191,6 @@ func (f *Family) get(vals []string) *child {
 	switch f.kind {
 	case kindCounter:
 		ch.c = &Counter{}
-	case kindGauge:
-		ch.g = &Gauge{}
 	case kindHistogram:
 		ch.h = &Histogram{}
 	}
@@ -257,12 +208,6 @@ type CounterVec struct{ f *Family }
 // With returns the counter for the given label values, creating it on
 // first use. Resolve once at setup; the returned handle is hot-path safe.
 func (v CounterVec) With(vals ...string) *Counter { return v.f.get(vals).c }
-
-// GaugeVec is a gauge family handle.
-type GaugeVec struct{ f *Family }
-
-// With returns the gauge for the given label values.
-func (v GaugeVec) With(vals ...string) *Gauge { return v.f.get(vals).g }
 
 // HistogramVec is a histogram family handle.
 type HistogramVec struct{ f *Family }
@@ -328,11 +273,6 @@ func (r *Registry) family(name, help, kind string, scale float64, labels []strin
 // Counter registers (or re-resolves) a counter family.
 func (r *Registry) Counter(name, help string, labels ...string) CounterVec {
 	return CounterVec{r.family(name, help, kindCounter, 1, labels)}
-}
-
-// Gauge registers (or re-resolves) a gauge family.
-func (r *Registry) Gauge(name, help string, labels ...string) GaugeVec {
-	return GaugeVec{r.family(name, help, kindGauge, 1, labels)}
 }
 
 // GaugeFunc registers an unlabeled gauge whose value is computed at
@@ -408,11 +348,7 @@ func (f *Family) writeText(w *errWriter) {
 		case kindCounter:
 			w.WriteString(f.name + f.labelString(ch.vals, "", 0) + " " + formatInt(ch.c.Load()) + "\n")
 		case kindGauge:
-			if ch.gf != nil {
-				w.WriteString(f.name + f.labelString(ch.vals, "", 0) + " " + formatFloat(ch.gf()) + "\n")
-			} else {
-				w.WriteString(f.name + f.labelString(ch.vals, "", 0) + " " + formatInt(ch.g.Load()) + "\n")
-			}
+			w.WriteString(f.name + f.labelString(ch.vals, "", 0) + " " + formatFloat(ch.gf()) + "\n")
 		case kindHistogram:
 			f.writeHistogram(w, ch)
 		}

@@ -64,10 +64,27 @@ func TestBucketRelativeError(t *testing.T) {
 	}
 }
 
+// parsedPage is the path permctl reads quantiles through: the registry's
+// exposition, parsed back by ParseText.
+func parsedPage(t *testing.T, reg *Registry) *TextMetrics {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	tm, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("ParseText rejected our own exposition: %v", err)
+	}
+	return tm
+}
+
 // TestRecordOverflowAndClamp: negative values clamp to zero, MaxInt64
-// lands in the top bucket, and count/sum stay consistent.
+// lands in the top bucket, whose exposition edge is +Inf, and count/sum stay
+// consistent.
 func TestRecordOverflowAndClamp(t *testing.T) {
-	var h Histogram
+	reg := NewRegistry()
+	h := reg.Histogram("obs_test_values", "test", 1).With()
 	h.Record(-5)
 	h.Record(0)
 	h.Record(math.MaxInt64)
@@ -82,14 +99,16 @@ func TestRecordOverflowAndClamp(t *testing.T) {
 	if s.Buckets[NumBuckets-1] != 1 {
 		t.Fatalf("top bucket = %d, want 1", s.Buckets[NumBuckets-1])
 	}
-	if s.Quantile(1) != math.MaxInt64 {
-		t.Fatalf("q1 = %d, want MaxInt64", s.Quantile(1))
+	q1, n, ok := parsedPage(t, reg).Quantile("obs_test_values", nil, 1)
+	if !ok || n != 3 || !math.IsInf(q1, 1) {
+		t.Fatalf("q1 = %v over %d (ok=%v), want +Inf over 3", q1, n, ok)
 	}
 }
 
 // TestQuantileOracle draws values from several distributions and checks
-// every estimated quantile against an exact sorted oracle: the estimate
-// must never undershoot and may overshoot by at most the bucket
+// every quantile TextMetrics.Quantile reads from the parsed exposition (at
+// scale 1, so edges are the recorded units) against an exact sorted oracle:
+// the estimate must never undershoot and may overshoot by at most the bucket
 // resolution (1/16 relative, +1 for integer edges).
 func TestQuantileOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -108,31 +127,31 @@ func TestQuantileOracle(t *testing.T) {
 		},
 	}
 	for name, draw := range dists {
-		var h Histogram
+		reg := NewRegistry()
+		h := reg.Histogram("obs_test_values", "test", 1).With()
 		vals := make([]int64, 20000)
 		for i := range vals {
 			vals[i] = draw()
 			h.Record(vals[i])
 		}
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		var s HistSnapshot
-		h.Snapshot(&s)
-		if s.Count != int64(len(vals)) {
-			t.Fatalf("%s: count %d != %d", name, s.Count, len(vals))
-		}
+		tm := parsedPage(t, reg)
 		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
 			rank := int(math.Ceil(q * float64(len(vals))))
 			if rank < 1 {
 				rank = 1
 			}
 			exact := vals[rank-1]
-			est := s.Quantile(q)
-			if est < exact {
-				t.Errorf("%s q=%g: estimate %d below exact %d", name, q, est, exact)
+			est, n, ok := tm.Quantile("obs_test_values", nil, q)
+			if !ok || n != int64(len(vals)) {
+				t.Fatalf("%s: Quantile ok=%v over %d, want %d observations", name, ok, n, len(vals))
+			}
+			if est < float64(exact) {
+				t.Errorf("%s q=%g: estimate %g below exact %d", name, q, est, exact)
 			}
 			bound := exact + exact>>subBits + 1
-			if est > bound {
-				t.Errorf("%s q=%g: estimate %d above bound %d (exact %d)", name, q, est, bound, exact)
+			if est > float64(bound) {
+				t.Errorf("%s q=%g: estimate %g above bound %d (exact %d)", name, q, est, bound, exact)
 			}
 		}
 	}
@@ -199,7 +218,8 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	}
 }
 
-// TestCounterGauge covers the scalar types' contracts.
+// TestCounterGauge covers the scalar types' contracts: a counter is
+// monotone, and a gauge is computed when the page is written.
 func TestCounterGauge(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -208,11 +228,15 @@ func TestCounterGauge(t *testing.T) {
 	if c.Load() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Load())
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Load() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Load())
+	reg := NewRegistry()
+	v := 7.0
+	reg.GaugeFunc("obs_test_value", "h", func() float64 { return v })
+	for _, want := range []float64{7, 4} {
+		v = want
+		tm := parsedPage(t, reg)
+		if len(tm.Samples) != 1 || tm.Samples[0].Value != want {
+			t.Fatalf("gauge samples = %+v, want one of value %v", tm.Samples, want)
+		}
 	}
 }
 
@@ -231,7 +255,7 @@ func TestRegistryIdempotentAndConflicts(t *testing.T) {
 				t.Fatal("kind conflict did not panic")
 			}
 		}()
-		reg.Gauge("obs_test_total", "h", "index")
+		reg.GaugeFunc("obs_test_total", "h", func() float64 { return 0 })
 	}()
 	func() {
 		defer func() {
@@ -283,12 +307,10 @@ func TestRecordAllocFree(t *testing.T) {
 		t.Fatalf("Snapshot allocates %v/op", n)
 	}
 	var c Counter
-	var g Gauge
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(int64(c.Load()))
 	}); n != 0 {
-		t.Fatalf("Counter/Gauge allocate %v/op", n)
+		t.Fatalf("Counter allocates %v/op", n)
 	}
 }

@@ -25,9 +25,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns the value of the named label ("" when absent).
-func (s *Sample) Label(name string) string { return s.Labels[name] }
-
 // TextMetrics is a parsed exposition page.
 type TextMetrics struct {
 	// Types maps family name -> declared TYPE (counter, gauge, histogram,

@@ -13,7 +13,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 	c := reg.Counter("rt_requests_total", "requests served", "index")
 	c.With("sift-napp").Add(41)
 	c.With(`we"ird\label` + "\n").Inc()
-	reg.Gauge("rt_up", "uptime gauge").With().Set(3)
 	reg.GaugeFunc("rt_goroutines", "live goroutines", func() float64 { return 12.5 })
 	h := reg.Histogram("rt_latency_seconds", "query latency", 1e-9, "index")
 	hist := h.With("sift-napp")
@@ -31,24 +30,24 @@ func TestExpositionRoundTrip(t *testing.T) {
 		t.Fatalf("ParseText rejected our own exposition: %v\n%s", err, page)
 	}
 
-	if tm.Types["rt_requests_total"] != "counter" || tm.Types["rt_latency_seconds"] != "histogram" || tm.Types["rt_up"] != "gauge" {
+	if tm.Types["rt_requests_total"] != "counter" || tm.Types["rt_latency_seconds"] != "histogram" || tm.Types["rt_goroutines"] != "gauge" {
 		t.Fatalf("types = %v", tm.Types)
 	}
 	var found, weird, inf, count, sum bool
 	for i := range tm.Samples {
 		s := &tm.Samples[i]
 		switch {
-		case s.Name == "rt_requests_total" && s.Label("index") == "sift-napp":
+		case s.Name == "rt_requests_total" && s.Labels["index"] == "sift-napp":
 			found = true
 			if s.Value != 41 {
 				t.Fatalf("counter value = %v", s.Value)
 			}
-		case s.Name == "rt_requests_total" && s.Label("index") == `we"ird\label`+"\n":
+		case s.Name == "rt_requests_total" && s.Labels["index"] == `we"ird\label`+"\n":
 			weird = true
 			if s.Value != 1 {
 				t.Fatalf("escaped-label counter value = %v", s.Value)
 			}
-		case s.Name == "rt_latency_seconds_bucket" && s.Label("le") == "+Inf":
+		case s.Name == "rt_latency_seconds_bucket" && s.Labels["le"] == "+Inf":
 			inf = true
 			if s.Value != 4 {
 				t.Fatalf("+Inf bucket = %v", s.Value)

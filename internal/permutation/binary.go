@@ -46,22 +46,3 @@ func Hamming(a, b Binary) int {
 	}
 	return s
 }
-
-// OnesCount returns the number of set bits in b.
-func (b Binary) OnesCount() int {
-	var s int
-	for _, w := range b {
-		s += bits.OnesCount64(w)
-	}
-	return s
-}
-
-// Bit reports whether bit i is set.
-func (b Binary) Bit(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-// Clone returns a copy of b.
-func (b Binary) Clone() Binary {
-	out := make(Binary, len(b))
-	copy(out, b)
-	return out
-}

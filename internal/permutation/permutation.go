@@ -264,23 +264,6 @@ func invert(order []int32, dst []int32) []int32 {
 	return dst
 }
 
-// Invert returns the inverse of a permutation vector: applied to an order it
-// yields the permutation, and applied to a permutation it yields the order.
-func Invert(perm []int32) []int32 { return invert(perm, nil) }
-
-// IsPermutation reports whether v contains each value 0..len(v)-1 exactly
-// once.
-func IsPermutation(v []int32) bool {
-	seen := make([]bool, len(v))
-	for _, x := range v {
-		if x < 0 || int(x) >= len(v) || seen[x] {
-			return false
-		}
-		seen[x] = true
-	}
-	return true
-}
-
 // SpearmanRho returns Spearman's rho distance between two permutations:
 // the sum of squared rank differences (the squared L2 distance). Per §2.1
 // this is the most effective permutation distance and the default in all

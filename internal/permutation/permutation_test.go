@@ -111,6 +111,18 @@ func TestFigure1Order(t *testing.T) {
 	}
 }
 
+// isPerm reports whether v holds each value 0..len(v)-1 exactly once.
+func isPerm(v []int32) bool {
+	seen := make([]bool, len(v))
+	for _, x := range v {
+		if x < 0 || int(x) >= len(v) || seen[x] {
+			return false
+		}
+		seen[x] = true
+	}
+	return true
+}
+
 func TestOrderPermutationInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	data := make([][]float32, 64)
@@ -125,14 +137,14 @@ func TestOrderPermutationInverse(t *testing.T) {
 		x := data[r.Intn(len(data))]
 		order := pv.Order(x, nil)
 		perm := pv.Permutation(x, nil)
-		if !IsPermutation(order) || !IsPermutation(perm) {
+		if !isPerm(order) || !isPerm(perm) {
 			t.Fatal("not a permutation")
 		}
-		if !eq32(Invert(order), perm) {
-			t.Fatalf("Invert(order) != perm: %v vs %v", Invert(order), perm)
+		if inv := invert(order, nil); !eq32(inv, perm) {
+			t.Fatalf("invert(order) != perm: %v vs %v", inv, perm)
 		}
-		if !eq32(Invert(perm), order) {
-			t.Fatalf("Invert(perm) != order")
+		if !eq32(invert(perm, nil), order) {
+			t.Fatalf("invert(perm) != order")
 		}
 	}
 }
@@ -253,6 +265,9 @@ func TestPermDistancePanicsOnMismatch(t *testing.T) {
 	}
 }
 
+// bitAt reports whether bit i of b is set.
+func bitAt(b Binary, i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+
 func TestBinarizeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 50; trial++ {
@@ -264,7 +279,7 @@ func TestBinarizeRoundTrip(t *testing.T) {
 			t.Fatalf("len = %d, want %d", len(b), BinaryWords(n))
 		}
 		for i, v := range p {
-			if b.Bit(i) != (v >= th) {
+			if bitAt(b, i) != (v >= th) {
 				t.Fatalf("bit %d wrong (perm %d, threshold %d)", i, v, th)
 			}
 		}
@@ -273,8 +288,8 @@ func TestBinarizeRoundTrip(t *testing.T) {
 		if wantOnes < 0 {
 			wantOnes = 0
 		}
-		if got := b.OnesCount(); got != wantOnes {
-			t.Fatalf("OnesCount = %d, want %d", got, wantOnes)
+		if got := Hamming(b, make(Binary, len(b))); got != wantOnes {
+			t.Fatalf("%d bits set, want %d", got, wantOnes)
 		}
 	}
 }
@@ -288,7 +303,7 @@ func TestHammingMatchesNaive(t *testing.T) {
 		a, b := Binary(aw[:n]), Binary(bw[:n])
 		want := 0
 		for i := 0; i < n*64; i++ {
-			if a.Bit(i) != b.Bit(i) {
+			if bitAt(a, i) != bitAt(b, i) {
 				want++
 			}
 		}
@@ -309,7 +324,7 @@ func TestBinarizeReusesBuffer(t *testing.T) {
 	// A second binarization into the same buffer must fully reset it.
 	p2 := make([]int32, 128) // all ranks zero-ish (not a permutation; fine for Binarize)
 	out2 := Binarize(p2, 64, out)
-	if out2.OnesCount() != 0 {
+	if Hamming(out2, make(Binary, len(out2))) != 0 {
 		t.Fatal("stale bits after reuse")
 	}
 }

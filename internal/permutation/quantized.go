@@ -1,7 +1,5 @@
 package permutation
 
-import "repro/internal/vecmath"
-
 // Quantized is a nibble-packed 4-bit quantized permutation prefix: lane i
 // (4 bits, low lanes first) holds the rank of pivot i compressed from
 // [0, m) down to [0, 16). Where Binary keeps one bit of rank information
@@ -19,8 +17,8 @@ func QuantizedWords(l int) int { return (l + 15) / 16 }
 // Quantize packs the first prefixLen ranks of perm into dst: lane i holds
 // perm[i]*16/m where m = len(perm), mapping ranks 0..m-1 onto 0..15 in
 // equal-width buckets (exact when m is a multiple of 16; m >= 16 uses all
-// 16 levels). Unused tail lanes of the last word are zeroed, as NibbleL1
-// requires. dst may be nil; it is grown as needed and returned.
+// 16 levels). Unused tail lanes of the last word are zeroed, as
+// vecmath.NibbleL1 requires. dst may be nil; it is grown as needed and returned.
 // It panics if prefixLen is negative or exceeds len(perm).
 func Quantize(perm []int32, prefixLen int, dst Quantized) Quantized {
 	if prefixLen < 0 || prefixLen > len(perm) {
@@ -40,21 +38,4 @@ func Quantize(perm []int32, prefixLen int, dst Quantized) Quantized {
 		dst[i/16] |= q << (4 * (uint(i) % 16))
 	}
 	return dst
-}
-
-// NibbleL1 returns the L1 (Footrule) distance between two quantized
-// prefixes of equal length, computed 16 lanes at a time by the SWAR word
-// kernel. It panics if the lengths differ.
-func NibbleL1(a, b Quantized) int { return vecmath.NibbleL1(a, b) }
-
-// Nibble returns the 4-bit quantized rank in lane i.
-func (q Quantized) Nibble(i int) uint8 {
-	return uint8(q[i/16]>>(4*(uint(i)%16))) & 0xF
-}
-
-// Clone returns a copy of q.
-func (q Quantized) Clone() Quantized {
-	out := make(Quantized, len(q))
-	copy(out, q)
-	return out
 }

@@ -2,8 +2,16 @@ package permutation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/vecmath"
 )
+
+// lane returns the 4-bit quantized rank in lane i of q.
+func lane(q Quantized, i int) uint8 {
+	return uint8(q[i/16]>>(4*(uint(i)%16))) & 0xF
+}
 
 func randomPerm(r *rand.Rand, m int) []int32 {
 	perm := make([]int32, m)
@@ -24,13 +32,13 @@ func TestQuantizeLanes(t *testing.T) {
 			}
 			for i := 0; i < prefixLen; i++ {
 				want := uint8(uint64(perm[i]) * 16 / uint64(m))
-				if got := q.Nibble(i); got != want {
+				if got := lane(q, i); got != want {
 					t.Fatalf("m=%d l=%d lane %d: nibble %d, want %d (rank %d)", m, prefixLen, i, got, want, perm[i])
 				}
 			}
-			// Tail lanes of the last word must be zero for NibbleL1.
+			// Tail lanes of the last word must be zero for vecmath.NibbleL1.
 			for i := prefixLen; i < len(q)*16; i++ {
-				if q.Nibble(i) != 0 {
+				if lane(q, i) != 0 {
 					t.Fatalf("m=%d l=%d: tail lane %d not zero", m, prefixLen, i)
 				}
 			}
@@ -49,10 +57,10 @@ func TestQuantizeUsesAllLevels(t *testing.T) {
 	q := Quantize(perm, m, nil)
 	var seen [16]bool
 	for i := 0; i < m; i++ {
-		if got, want := q.Nibble(i), uint8(i/4); got != want {
+		if got, want := lane(q, i), uint8(i/4); got != want {
 			t.Fatalf("lane %d: nibble %d, want %d", i, got, want)
 		}
-		seen[q.Nibble(i)] = true
+		seen[lane(q, i)] = true
 	}
 	for lvl, ok := range seen {
 		if !ok {
@@ -102,13 +110,13 @@ func TestQuantizedNibbleL1(t *testing.T) {
 		qa, qb := Quantize(pa, l, nil), Quantize(pb, l, nil)
 		var want int
 		for i := 0; i < l; i++ {
-			d := int(qa.Nibble(i)) - int(qb.Nibble(i))
+			d := int(lane(qa, i)) - int(lane(qb, i))
 			if d < 0 {
 				d = -d
 			}
 			want += d
 		}
-		if got := NibbleL1(qa, qb); got != want {
+		if got := vecmath.NibbleL1(qa, qb); got != want {
 			t.Fatalf("m=%d l=%d: NibbleL1 = %d, lane sum = %d", m, l, got, want)
 		}
 	}
@@ -116,7 +124,7 @@ func TestQuantizedNibbleL1(t *testing.T) {
 
 // FuzzQuantizeRoundtrip drives the nibble pack/unpack roundtrip: a
 // permutation built from the fuzz input is quantized, and every lane must
-// unpack (Nibble) to the bucket formula, tail lanes must stay zero, and the
+// unpack (lane) to the bucket formula, tail lanes must stay zero, and the
 // SWAR distance of the prefix against itself and against a rotated copy
 // must match the per-lane scalar sum.
 func FuzzQuantizeRoundtrip(f *testing.F) {
@@ -140,29 +148,29 @@ func FuzzQuantizeRoundtrip(f *testing.F) {
 		prefixLen := int(data[len(data)-1]) % (m + 1)
 		q := Quantize(perm, prefixLen, nil)
 		for i := 0; i < prefixLen; i++ {
-			if got, want := q.Nibble(i), uint8(uint64(perm[i])*16/uint64(m)); got != want {
+			if got, want := lane(q, i), uint8(uint64(perm[i])*16/uint64(m)); got != want {
 				t.Fatalf("lane %d: nibble %d, want %d", i, got, want)
 			}
 		}
 		for i := prefixLen; i < len(q)*16; i++ {
-			if q.Nibble(i) != 0 {
+			if lane(q, i) != 0 {
 				t.Fatalf("tail lane %d not zero", i)
 			}
 		}
-		if d := NibbleL1(q, q.Clone()); d != 0 {
+		if d := vecmath.NibbleL1(q, slices.Clone(q)); d != 0 {
 			t.Fatalf("self distance %d", d)
 		}
 		rot := append([]int32{perm[m-1]}, perm[:m-1]...)
 		qr := Quantize(rot, prefixLen, nil)
 		var want int
 		for i := 0; i < prefixLen; i++ {
-			d := int(q.Nibble(i)) - int(qr.Nibble(i))
+			d := int(lane(q, i)) - int(lane(qr, i))
 			if d < 0 {
 				d = -d
 			}
 			want += d
 		}
-		if got := NibbleL1(q, qr); got != want {
+		if got := vecmath.NibbleL1(q, qr); got != want {
 			t.Fatalf("NibbleL1 = %d, lane sum = %d", got, want)
 		}
 	})

@@ -30,9 +30,6 @@ import (
 	"repro/internal/vptree"
 )
 
-// Kinds lists every index-kind tag the registry can save and load.
-func Kinds() []string { return codec.Kinds() }
-
 // Save serializes any index built by this repository to w in the codec
 // format. It returns codec.ErrNotPersistable for index types that cannot
 // save themselves and for indexes built over explicit (non-sampled) pivot

@@ -180,9 +180,6 @@ func (m *Marks) TrySet(id uint32) bool {
 	return true
 }
 
-// Has reports whether id is marked in the current query.
-func (m *Marks) Has(id uint32) bool { return m.stamp[id] == m.epoch }
-
 // Pool is a typed free list of per-query scratch states, one Pool per index
 // instance. Get returns a state exclusively to the caller; Put recycles it.
 // States are stored by pointer and returned whole, so buffer capacity grown

@@ -182,10 +182,13 @@ func TestGrow(t *testing.T) {
 	}
 }
 
+// marked reports whether id is marked in m's current query.
+func marked(m *Marks, id uint32) bool { return m.stamp[id] == m.epoch }
+
 func TestMarks_BasicLifecycle(t *testing.T) {
 	var m Marks
 	m.Begin(4)
-	if m.Has(2) {
+	if marked(&m, 2) {
 		t.Fatal("fresh arena reports id marked")
 	}
 	if !m.TrySet(2) {
@@ -194,11 +197,11 @@ func TestMarks_BasicLifecycle(t *testing.T) {
 	if m.TrySet(2) {
 		t.Fatal("second TrySet(2) = true, want false")
 	}
-	if !m.Has(2) || m.Has(3) {
-		t.Fatalf("Has after TrySet: Has(2)=%v Has(3)=%v", m.Has(2), m.Has(3))
+	if !marked(&m, 2) || marked(&m, 3) {
+		t.Fatalf("after TrySet: marked(2)=%v marked(3)=%v", marked(&m, 2), marked(&m, 3))
 	}
 	m.Begin(4)
-	if m.Has(2) {
+	if marked(&m, 2) {
 		t.Fatal("mark survived Begin")
 	}
 	if !m.TrySet(2) {
@@ -214,7 +217,7 @@ func TestMarks_EpochWrap(t *testing.T) {
 	for q := 0; q < 4; q++ {
 		m.Begin(8)
 		for id := uint32(0); id < 8; id++ {
-			if m.Has(id) {
+			if marked(&m, id) {
 				t.Fatalf("query %d (epoch %d): id %d marked at query start", q, m.epoch, id)
 			}
 			if !m.TrySet(id) {
@@ -240,8 +243,8 @@ func TestMarks_EpochWrapClearsFullCapacity(t *testing.T) {
 	m.epoch = ^uint32(0) - 1
 	m.Begin(16)
 	for id := uint32(0); id < 16; id++ {
-		if m.Has(id) {
-			t.Fatalf("Has(%d) = true after wrap at smaller n, want false", id)
+		if marked(&m, id) {
+			t.Fatalf("id %d marked after wrap at smaller n", id)
 		}
 	}
 }

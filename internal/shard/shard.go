@@ -25,7 +25,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Partitioner names a deterministic id→shard assignment. The zero value is
@@ -159,19 +158,4 @@ func (in Info) Validate() error {
 		return fmt.Errorf("shard: info index %d out of range [0, %d)", in.Index, in.Shards)
 	}
 	return nil
-}
-
-// Sorted reports whether ids is strictly increasing — the invariant IDs
-// guarantees and the id-translation layer depends on.
-func Sorted(ids []uint32) bool {
-	return sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) && !hasDup(ids)
-}
-
-func hasDup(ids []uint32) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return true
-		}
-	}
-	return false
 }

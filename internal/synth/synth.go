@@ -127,17 +127,6 @@ func Dirichlet(r *rand.Rand, alpha []float64) []float32 {
 	return out
 }
 
-// SymmetricDirichlet samples a dim-dimensional Dirichlet with all
-// concentrations equal to alpha. Small alpha (e.g. 0.1-0.5) yields the
-// sparse, spiky topic histograms LDA produces.
-func SymmetricDirichlet(r *rand.Rand, dim int, alpha float64) []float32 {
-	a := make([]float64, dim)
-	for i := range a {
-		a[i] = alpha
-	}
-	return Dirichlet(r, a)
-}
-
 // gammaSample draws from Gamma(shape, 1) using the Marsaglia-Tsang method,
 // with Johnk-style boosting for shape < 1.
 func gammaSample(r *rand.Rand, shape float64) float64 {

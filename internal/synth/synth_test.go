@@ -3,6 +3,7 @@ package synth
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ func TestGaussianMixturePanics(t *testing.T) {
 func TestDirichletSumsToOne(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 100; i++ {
-		p := SymmetricDirichlet(r, 8, 0.2)
+		p := Dirichlet(r, slices.Repeat([]float64{0.2}, 8))
 		var sum float64
 		for _, v := range p {
 			if v < 0 {
@@ -90,7 +91,7 @@ func TestDirichletConcentration(t *testing.T) {
 	avgMax := func(alpha float64) float64 {
 		var s float64
 		for i := 0; i < 200; i++ {
-			p := SymmetricDirichlet(r, 16, alpha)
+			p := Dirichlet(r, slices.Repeat([]float64{alpha}, 16))
 			mx := p[0]
 			for _, v := range p {
 				if v > mx {

@@ -73,9 +73,6 @@ func (q *Queue) Reset(k int) {
 // Len reports how many neighbors are currently held.
 func (q *Queue) Len() int { return len(q.heap) }
 
-// K returns the queue capacity.
-func (q *Queue) K() int { return q.k }
-
 // Bound returns the current pruning radius: the distance of the worst kept
 // neighbor when the queue is full, or +Inf semantics via ok=false otherwise.
 func (q *Queue) Bound() (d float64, ok bool) {

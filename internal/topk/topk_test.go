@@ -282,8 +282,8 @@ func TestQueueResetReuse(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		k := 3 + round // vary k across rounds; the queue must follow
 		q.Reset(k)
-		if q.K() != k || q.Len() != 0 {
-			t.Fatalf("round %d: after Reset, K=%d Len=%d, want K=%d Len=0", round, q.K(), q.Len(), k)
+		if q.k != k || q.Len() != 0 {
+			t.Fatalf("round %d: after Reset, k=%d Len=%d, want k=%d Len=0", round, q.k, q.Len(), k)
 		}
 		ns := randNeighbors(r, 50)
 		for _, x := range ns {

@@ -150,9 +150,8 @@ func SearchBatchWorkers[T any](idx Index[T], queries []T, k, workers int) [][]Ne
 }
 
 // SaveIndex serializes any index built by this package to w in the
-// versioned, checksummed binary format of internal/codec. Indexes built
-// over explicit (caller-supplied, non-sampled) pivot sets cannot be
-// persisted and return an error.
+// versioned, checksummed binary format of internal/codec. An Index this
+// package did not build cannot be persisted and returns an error.
 func SaveIndex[T any](w io.Writer, idx Index[T]) error {
 	return persist.Save(w, idx)
 }
@@ -197,7 +196,7 @@ func LoadIndexSet[T any](dir string, sp Space[T], data []T) (map[string]Index[T]
 
 // IndexKinds lists the kind tags of every persistable index family, in the
 // order of the internal registry.
-func IndexKinds() []string { return persist.Kinds() }
+func IndexKinds() []string { return codec.Kinds() }
 
 // NewSparseVector validates and sorts a sparse vector.
 func NewSparseVector(idx []int32, val []float32) (SparseVector, error) {
@@ -310,7 +309,9 @@ func NewSeqScan[T any](sp Space[T], data []T) *seqscan.Scanner[T] {
 	return seqscan.New(sp, data)
 }
 
-// Pivots is the pivot set of a permutation index, exposed for users who
-// want to compute permutations directly (see package permutation for
-// sampling, orders, rho/footrule distances and binarization).
+// Pivots is the pivot set of a permutation index, as the Pivots method of
+// the brute-force filters (NewBruteForceFilter, NewBinFilter,
+// NewQuantFilter) returns it. M, Items, SourceIDs and Space describe the
+// set; Distances, Order and Permutation compute a point's distances to the
+// pivots, its pivot order and its permutation.
 type Pivots[T any] = permutation.Pivots[T]
