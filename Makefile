@@ -222,7 +222,7 @@ bench-engine:
 
 # Code placement on the served NAPP path: build permserve into a temp dir and
 # print the address and size of the []float32 instantiations of
-# space.Closest, space.Many, core.refineInto and NAPP's scan. Where the linker places
+# space.Closest, space.Many, space.Nearest and NAPP's scan. Where the linker places
 # these shared generic instantiations depends on every package that uses
 # them, so a change to code permserve never runs can move them and shift
 # permbench's SIFT rows; diff this output between two trees before reading
@@ -230,7 +230,7 @@ bench-engine:
 layout:
 	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/permserve" ./cmd/permserve && \
-	$(GO) tool nm -n -size "$$d/permserve" | grep -E '(space\.(Closest|Many)|core\.refineInto)\[go\.shape\.\[\]float32|core\.\(\*NAPP\[go\.shape\.\[\]float32\]\)\.scan'
+	$(GO) tool nm -n -size "$$d/permserve" | grep -E 'space\.(Closest|Many|Nearest)\[go\.shape\.\[\]float32|core\.\(\*NAPP\[go\.shape\.\[\]float32\]\)\.scan'
 
 # End-to-end smoke of the serving daemon: build permserve, write a demo
 # index set, boot it on a free port, curl /healthz + a search + a hot

@@ -107,7 +107,7 @@ func split(sp spec) error {
 }
 
 // methodNames lists the per-shard index kinds shardsplit can build.
-var methodNames = []string{"seqscan", "vptree", "napp", "sw-graph", "brute-force-filt", "brute-force-filt-bin", "mi-file"}
+var methodNames = []string{"seqscan", "vptree", "napp", "sw-graph", "brute-force-filt", "brute-force-filt-bin", "mi-file", "pp-index", "omedrank", "perm-vptree"}
 
 // buildMethod constructs one index kind over a shard corpus with the
 // library defaults (tune offline with `repro methods`; pass query-time
@@ -128,6 +128,12 @@ func buildMethod[T any](method string, sp permsearch.Space[T], data []T, seed in
 		return permsearch.NewBinFilter(sp, data, permsearch.BinFilterOptions{Seed: seed})
 	case "mi-file":
 		return permsearch.NewMIFile(sp, data, permsearch.MIFileOptions{Seed: seed})
+	case "pp-index":
+		return permsearch.NewPPIndex(sp, data, permsearch.PPIndexOptions{Seed: seed})
+	case "omedrank":
+		return permsearch.NewOMEDRANK(sp, data, permsearch.OMEDRANKOptions{Seed: seed})
+	case "perm-vptree":
+		return permsearch.NewPermVPTree(sp, data, permsearch.PermVPTreeOptions{Seed: seed})
 	default:
 		return nil, fmt.Errorf("unknown method %q (known: %s)", method, strings.Join(methodNames, ", "))
 	}

@@ -14,12 +14,13 @@
 //
 // That skeleton is written once, in pipeline.go, and a kind is what is left:
 //
-//   - The pipeline owns the k <= 0 guard; the candidate budget g = max(k,
-//     gamma*n) clamped to n, with gamma the query's or else the built one,
-//     the same rule for every kind built with a gamma; the trace clock and
-//     counters (a kind never sees the trace, and without one the clock is
-//     never read); topk.SelectK over scored candidates when there are more
-//     than g, attributed to merge; the one refineInto and its pooled queue;
+//   - The pipeline owns the candidate budget g = max(k, gamma*n) clamped to
+//     n, with gamma the query's or else the built one, the same rule for
+//     every kind built with a gamma; the trace clock and counters (a kind
+//     never sees the trace, and without one the clock is never read);
+//     topk.SelectK over scored candidates when there are more than g,
+//     attributed to merge; the refine, one space.Nearest call on pooled
+//     scratch (index.Pooled answers k <= 0 before the pipeline runs);
 //     Stats().BuildDistances; the constructor prelude (empty corpus, pivot
 //     count clamped to n, seeded sampling) and the loader frame (header
 //     check, payload, clean end).
@@ -32,13 +33,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/permutation"
-	"repro/internal/space"
-	"repro/internal/topk"
 )
 
 // PermDist selects the distance used to compare permutations in the
@@ -76,63 +73,6 @@ func gammaCount(frac float64, n, k int) int {
 		g = n
 	}
 	return g
-}
-
-// refineScratch is the refine stage's pooled state: the candidate ids of
-// one space.Closest call, the call's own scratch and the result queue.
-type refineScratch struct {
-	ids   []uint32
-	sp    space.Scratch
-	queue topk.Queue
-}
-
-// refineInto computes true distances from the candidates to the query and
-// appends the k nearest, ordered by increasing distance, to dst. Candidates
-// come either as bare ids or as pre-scored neighbors (the output of
-// topk.SelectK, of which only the ids are consumed); ids must be unique.
-// Data points are the left distance argument (left queries). The
-// candidates go to space.Closest in one call: with a composition table
-// (counts, see pipeline) it measures only those a bound cannot rule out,
-// otherwise all of them. The scratch is owned by the caller; refineInto
-// does not allocate when dst and the scratch have warmed-up capacity.
-//
-// The answer does not depend on candidate order, nor on the screen:
-// topk.Queue keeps the k smallest by (distance, id), so ties at the k
-// boundary go to the smaller id however the filter happened to emit its
-// candidates, and a candidate the screen skips is not among them.
-//
-// When tr is non-nil the distances measured count as RefineDistances, the
-// exact distances and the queue are attributed to the refine stage and the
-// final ordered copy-out to the merge stage (one time.Now pair per stage; no
-// per-candidate bookkeeping, so the traced path stays allocation-free).
-func refineInto[T any, C uint32 | topk.Neighbor](sp space.Space[T], data []T, counts []space.Counts, query T, cands []C, k int, rs *refineScratch, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	var ids []uint32
-	switch cs := any(cands).(type) {
-	case []uint32:
-		ids = cs
-	case []topk.Neighbor:
-		ids = rs.ids[:0]
-		for _, c := range cs {
-			ids = append(ids, c.ID)
-		}
-		rs.ids = ids
-	}
-	rs.queue.Reset(k)
-	measured := space.Closest(sp, &rs.sp, &rs.queue, query, data, counts, ids)
-	if tr != nil {
-		tr.RefineDistances += int64(measured)
-		obs.AddSince(&tr.RefineNs, t0)
-		t0 = time.Now()
-	}
-	dst = rs.queue.AppendResults(dst)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	return dst
 }
 
 // computeOrders returns the flattened n x mi matrix holding, for each data

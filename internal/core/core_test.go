@@ -407,51 +407,3 @@ func TestStatsPopulatedEverywhere(t *testing.T) {
 		}
 	}
 }
-
-// TestRefineIgnoresCandidateOrder pins refineInto's contract: the k kept
-// neighbors are the canonical (distance, id) smallest, so a filter may emit
-// its candidates in any order. Short DNA reads under normalised Levenshtein
-// take few distinct distances, so the k boundary falls inside a run of ties
-// — the case where a first-kept-wins queue would follow the shuffle.
-func TestRefineIgnoresCandidateOrder(t *testing.T) {
-	sp := space.NormalizedLevenshtein{}
-	data := dataset.DNA(5, 400, dataset.DNAOptions{})
-	query := data[len(data)-1]
-	data = data[:len(data)-1]
-	cands := make([]uint32, len(data))
-	scored := make([]topk.Neighbor, len(data))
-	for i := range cands {
-		cands[i] = uint32(i)
-		scored[i] = topk.Neighbor{ID: uint32(i)}
-	}
-	const k = 10
-	var rs refineScratch
-	want := refineInto(sp, data, nil, query, cands, k, &rs, nil, nil)
-	tied := 0
-	for _, x := range data {
-		if sp.Distance(x, query) == want[k-1].Dist {
-			tied++
-		}
-	}
-	for i := k - 1; i >= 0 && want[i].Dist == want[k-1].Dist; i-- {
-		tied--
-	}
-	if tied == 0 {
-		t.Fatal("no tie at the k boundary on this corpus; the property is vacuous")
-	}
-	// Measured in full (no composition table) and screened alike.
-	counts := space.CountTable[[]byte](sp, data)
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		for _, cs := range [][]space.Counts{nil, counts} {
-			r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-			if got := refineInto(sp, data, cs, query, cands, k, &rs, nil, nil); !slices.Equal(got, want) {
-				t.Fatalf("shuffle %d (ids, screened %v):\n got %v\nwant %v", trial, cs != nil, got, want)
-			}
-			r.Shuffle(len(scored), func(i, j int) { scored[i], scored[j] = scored[j], scored[i] })
-			if got := refineInto(sp, data, cs, query, scored, k, &rs, nil, nil); !slices.Equal(got, want) {
-				t.Fatalf("shuffle %d (scored, screened %v):\n got %v\nwant %v", trial, cs != nil, got, want)
-			}
-		}
-	}
-}

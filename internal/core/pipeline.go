@@ -40,13 +40,13 @@ type candidates struct {
 // pipeline is the filter-and-refine search of §2, written once. Every kind
 // embeds it and binds itself at construction and load; the pipeline answers
 // index.Index and index.Sized for the kind and owns everything that is not
-// the filter: the k <= 0 guard, the candidate budget, the trace clock and
-// counters, the selection among scored candidates, the refine queue.
+// the filter: the candidate budget, the trace clock and counters, the
+// selection among scored candidates, and the refine (space.Nearest).
 type pipeline[T, S any] struct {
 	sp   space.Space[T]
 	data []T
 	// counts is the data's composition table when sp is exactly one of the
-	// Levenshteins (space.CountTable), which lets refineInto skip the
+	// Levenshteins (space.CountTable), which lets the refine skip the
 	// candidates it proves too far; nil otherwise.
 	counts []space.Counts
 	gamma  float64
@@ -55,10 +55,11 @@ type pipeline[T, S any] struct {
 }
 
 // pipeScratch is the per-query state of one search: the kind's filter
-// scratch and the refine stage's.
+// scratch, the ids of the scored candidates kept, and the refine's scratch.
 type pipeScratch[S any] struct {
 	filter S
-	refine refineScratch
+	ids    []uint32
+	sp     space.Scratch
 }
 
 // bind attaches the pipeline to its kind and builds the refine stage's
@@ -78,15 +79,12 @@ func (p *pipeline[T, S]) Stats() index.Stats {
 }
 
 // search is the one query path of all nine kinds, run on pooled scratch by
-// the embedded index.Pooled. With a trace riding the query, the kind's
-// filter is attributed to the filter stage, the selection among scored
-// candidates to merge, and refineInto stamps the rest; without one the
-// clock is never read.
+// the embedded index.Pooled (which answers k <= 0). With a trace riding the
+// query, the kind's filter is attributed to the filter stage, the selection
+// among scored candidates and the copy of their ids to merge, and
+// space.Nearest stamps the rest; without one the clock is never read.
 func (p *pipeline[T, S]) search(s *pipeScratch[S], dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
 	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
 	g := gammaCount(cmp.Or(opts.Params.Gamma, p.gamma), len(p.data), k)
 	var t0 time.Time
 	if tr != nil {
@@ -99,16 +97,20 @@ func (p *pipeline[T, S]) search(s *pipeScratch[S], dst []topk.Neighbor, query T,
 		obs.AddSince(&tr.FilterNs, t0)
 		t0 = time.Now()
 	}
-	if len(c.scored) > g {
-		c.scored = topk.SelectK(c.scored, g)
+	if c.scored != nil {
+		if len(c.scored) > g {
+			c.scored = topk.SelectK(c.scored, g)
+		}
+		s.ids = s.ids[:0]
+		for _, nb := range c.scored {
+			s.ids = append(s.ids, nb.ID)
+		}
+		c.ids = s.ids
 		if tr != nil {
 			obs.AddSince(&tr.MergeNs, t0)
 		}
 	}
-	if c.scored == nil {
-		return refineInto(p.sp, p.data, p.counts, query, c.ids, k, &s.refine, dst, tr)
-	}
-	return refineInto(p.sp, p.data, p.counts, query, c.scored, k, &s.refine, dst, tr)
+	return space.Nearest(p.sp, &s.sp, dst, query, p.data, p.counts, c.ids, k, tr)
 }
 
 // errEmpty rejects a build over no data: there is nothing to sample pivots

@@ -168,8 +168,12 @@ func (p *Pooled[T, S]) Search(query T, k int) []topk.Neighbor {
 	return p.SearchAppend(nil, query, Options{K: k})
 }
 
-// SearchAppend implements Index.
+// SearchAppend implements Index. A k <= 0 answers nothing: dst comes back
+// unchanged and the search function never runs, so none checks k itself.
 func (p *Pooled[T, S]) SearchAppend(dst []topk.Neighbor, query T, opts Options) []topk.Neighbor {
+	if opts.K <= 0 {
+		return dst
+	}
 	s := p.pool.Get()
 	defer p.pool.Put(s)
 	return p.fn(s, dst, query, opts)

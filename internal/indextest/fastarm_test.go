@@ -21,13 +21,14 @@ import (
 // answer alike on both (ids and distance bits, at k 1 and 10), save the same
 // bytes and report the same build-distance count; every answer's distance
 // must be the one Distance returns, which also holds MPLSH (L2 only, built
-// the same on both sides) to the loop. The kinds that trace their whole
-// search as refine distances must trace exactly what the Counter counted.
+// the same on both sides) to the loop. Every kind measuring through the
+// Counter must trace exactly what it counted, as pivot plus refine
+// distances; MPLSH measures through its own space.L2{}, so the Counter reads
+// nothing there.
 func TestFastArmIdentity(t *testing.T) {
 	db, queries := denseCorpus()
 	counter := space.NewCounter[[]float32](space.L2{})
 	fast, slow := denseKinds(space.L2{}, db), denseKinds(counter, db)
-	countsAll := map[string]bool{"vptree": true, "sw-graph": true, "nndescent-graph": true}
 	for i, fk := range fast {
 		t.Run(fk.kind, func(t *testing.T) {
 			a, err := fk.build()
@@ -57,8 +58,8 @@ func TestFastArmIdentity(t *testing.T) {
 					var tr obs.QueryTrace
 					counter.Reset()
 					got := b.SearchAppend(nil, q, index.Options{K: k, Trace: &tr})
-					if countsAll[fk.kind] && counter.Count() != tr.RefineDistances {
-						t.Errorf("query %d k=%d: the Counter counted %d distances, the trace %d", qi, k, counter.Count(), tr.RefineDistances)
+					if traced := tr.PivotDistances + tr.RefineDistances; fk.kind != "mplsh" && counter.Count() != traced {
+						t.Errorf("query %d k=%d: the Counter counted %d distances, the trace %d", qi, k, counter.Count(), traced)
 					}
 					want := a.Search(q, k)
 					if !reflect.DeepEqual(got, want) {

@@ -147,9 +147,6 @@ func (g *Graph[T]) Stats() index.Stats {
 // set, else the graph's build-time ones.
 func (g *Graph[T]) search(s *graphScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
 	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()

@@ -77,7 +77,7 @@ type MPLSH struct {
 	tables []table
 	opts   Options
 	// Pooled runs search on pooled per-query state (dedup marks,
-	// candidates, probe-set heap, result queue), so a warm query allocates
+	// candidates, probe-set heap, refine scratch), so a warm query allocates
 	// nothing.
 	index.Pooled[[]float32, searchScratch]
 }
@@ -209,16 +209,14 @@ type perturbation struct {
 // searchScratch is the reusable per-query state: the hash coordinates of the
 // query and of one perturbed bucket, the boundary fractions, the distinct
 // candidates in probe order with their dedup marks, the perturbation-set
-// enumeration's heap and arenas, and the refine's queue and bulk-distance
-// scratch. The zero value is ready; a warm scratch makes a query
-// allocation-free.
+// enumeration's heap and arenas, and the refine's scratch. The zero value is
+// ready; a warm scratch makes a query allocation-free.
 type searchScratch struct {
 	keys, pkeys []int32
 	fracs       []float64
 	seen        scratch.Marks
 	ids         []uint32
 	sp          space.Scratch
-	q           topk.Queue
 
 	perts   []perturbation // the 2M single perturbations, by score
 	heap    topk.MinQueue  // candidate sets by score; ID indexes sets
@@ -232,15 +230,13 @@ type span struct{ off, n int }
 
 // search is the index's one query path: probe own + T perturbed buckets per
 // table, collect the distinct candidates in probe order, and refine them with
-// true L2 in one space.Closest call. T is the query's (opts.Params.Probes,
-// negative meaning none) when set, else the build-time one. A traced query
-// books its whole time, hashing included, and one distance per distinct
-// candidate, to refine.
+// true L2 in one space.Nearest call. T is the query's (opts.Params.Probes,
+// negative meaning none) when set, else the build-time one. As in every
+// filter-and-refine index, a traced query books the hashing and probing to
+// the filter stage and the distinct candidates as FilterCandidates;
+// space.Nearest books the refine.
 func (x *MPLSH) search(s *searchScratch, dst []topk.Neighbor, query []float32, opts index.Options) []topk.Neighbor {
-	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
+	tr := opts.Trace
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -274,13 +270,11 @@ func (x *MPLSH) search(s *searchScratch, dst []topk.Neighbor, query []float32, o
 			probe(tb, bucketKey(s.pkeys))
 		}
 	}
-	s.q.Reset(k)
-	evals := space.Closest(space.L2{}, &s.sp, &s.q, query, x.data, nil, s.ids)
 	if tr != nil {
-		tr.RefineDistances += int64(evals)
-		obs.AddSince(&tr.RefineNs, t0)
+		tr.FilterCandidates += int64(len(s.ids))
+		obs.AddSince(&tr.FilterNs, t0)
 	}
-	return s.q.AppendResults(dst)
+	return space.Nearest(space.L2{}, &s.sp, dst, query, x.data, nil, s.ids, opts.K, tr)
 }
 
 // probeSets generates the t lowest-score perturbation sets for the query

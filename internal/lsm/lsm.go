@@ -13,7 +13,7 @@
 // canonical (dist, id) rule that makes sharded answers byte-identical to
 // unsharded ones (internal/router). Only the base is an index: the memtable
 // and each tier hold a run of added objects, scanned exactly by
-// space.Closest, so over an exact base a tiered tree answers
+// space.Nearest, so over an exact base a tiered tree answers
 // byte-identically to a single flat index over the same live set.
 //
 // # Id space and masking
@@ -147,13 +147,11 @@ type memtable[T any] struct {
 // live is the number of memtable entries the mask does not hide.
 func (m *memtable[T]) live() int { return len(m.ids) - m.masked }
 
-// searchScratch is one query's pooled state: the merge buffer, the run
-// positions 0…n-1, and the run scans' space.Closest scratch and queue.
+// searchScratch is one query's pooled state: the merge buffer and the run
+// scans' space.Nearest scratch.
 type searchScratch struct {
-	buf   []topk.Neighbor
-	local []uint32
-	sp    space.Scratch
-	queue topk.Queue
+	buf []topk.Neighbor
+	sp  space.Scratch
 }
 
 // Tree is a mutable tiered index: base corpus (owned by the caller), sealed
@@ -913,7 +911,7 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 			tr.Components++
 			t0 = time.Now()
 		}
-		buf = tier.search(t.opts.Space, s, buf, query, sub.K, tr)
+		buf = tier.search(t.opts.Space, &s.sp, buf, query, sub.K, tr)
 		if tr != nil {
 			obs.AddSince(&tr.TierNs, t0)
 		}
@@ -925,7 +923,7 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 		tr.Components++
 		t0 = time.Now()
 	}
-	buf = t.mem.search(t.opts.Space, s, buf, query, sub.K, tr)
+	buf = t.mem.search(t.opts.Space, &s.sp, buf, query, sub.K, tr)
 	if tr != nil {
 		obs.AddSince(&tr.MemtableNs, t0)
 	}

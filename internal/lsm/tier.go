@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/obs"
@@ -65,30 +64,13 @@ func (r *run[T]) find(gid uint32) (int, bool) {
 
 // search appends the run's k nearest objects to query by global id; ids
 // ascend, so the (dist, id) order survives the translation. Every object is
-// one exact distance, the data point on the left, traced as refine work.
-func (r *run[T]) search(sp space.Space[T], s *searchScratch, dst []topk.Neighbor, query T, k int, tr *obs.QueryTrace) []topk.Neighbor {
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	n := len(r.objs)
-	for i := len(s.local); i < n; i++ {
-		s.local = append(s.local, uint32(i))
-	}
-	s.queue.Reset(k)
-	measured := space.Closest(sp, &s.sp, &s.queue, query, r.objs, nil, s.local[:n])
-	if tr != nil {
-		tr.RefineDistances += int64(measured)
-		obs.AddSince(&tr.RefineNs, t0)
-		t0 = time.Now()
-	}
+// one exact distance, the data point on the left, traced by space.Nearest as
+// refine work.
+func (r *run[T]) search(sp space.Space[T], s *space.Scratch, dst []topk.Neighbor, query T, k int, tr *obs.QueryTrace) []topk.Neighbor {
 	start := len(dst)
-	dst = s.queue.AppendResults(dst)
+	dst = space.Nearest(sp, s, dst, query, r.objs, nil, s.Every(len(r.objs)), k, tr)
 	for i := start; i < len(dst); i++ {
 		dst[i].ID = r.ids[dst[i].ID]
-	}
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
 	}
 	return dst
 }

@@ -9,7 +9,6 @@ type editScreen[T any] struct {
 	sp     space.Space[T]
 	items  []T
 	counts []space.Counts // the pivots' compositions
-	all    []uint32       // 0, 1, …, m-1: every pivot is a candidate
 }
 
 // newEditScreen returns the screen of items, or nil when sp has none. The
@@ -22,20 +21,17 @@ func newEditScreen[T any](sp space.Space[T], items []T) *editScreen[T] {
 	if counts == nil {
 		return nil
 	}
-	all := make([]uint32, len(items))
-	for i := range all {
-		all[i] = uint32(i)
-	}
-	return &editScreen[T]{sp: sp, items: items, counts: counts, all: all}
+	return &editScreen[T]{sp: sp, items: items, counts: counts}
 }
 
 // closest selects through space.Closest, whose queue keeps the n smallest
 // (distance, pivot index) pairs — ClosestWith's selection — while it skips
 // every pivot whose composition bound exceeds the n-th distance found so
-// far. It fills s.Order and s.Measured and leaves s.Dists as it was.
+// far; every pivot is a candidate. It fills s.Order and s.Measured and
+// leaves s.Dists as it was.
 func (sc *editScreen[T]) closest(s *Scratch, x T, n int) {
 	s.upper.Reset(n)
-	s.Measured = space.Closest(sc.sp, &s.sp, &s.upper, x, sc.items, sc.counts, sc.all)
+	s.Measured = space.Closest(sc.sp, &s.sp, &s.upper, x, sc.items, sc.counts, s.sp.Every(len(sc.items)))
 	s.sel = s.upper.AppendResults(s.sel[:0])
 	s.Order = s.Order[:0]
 	for _, c := range s.sel {

@@ -2,17 +2,15 @@
 // two roles in the reproduction: it computes ground-truth neighbors for
 // recall measurements, and its single-thread query time is the baseline that
 // "improvement in efficiency" (Figure 4, y-axis) is measured against, exactly
-// as in §3.3 of the paper. A query is one space.Closest call over every
-// object, the k-nearest step the mutable tier (internal/lsm) scans its added
-// objects with too.
+// as in §3.3 of the paper. A query is one space.Nearest call over every
+// object: the exact k-nearest step the permutation methods refine their
+// candidates with and the mutable tier (internal/lsm) scans its added
+// objects with.
 package seqscan
 
 import (
-	"time"
-
 	"repro/internal/engine"
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -22,16 +20,7 @@ import (
 type Scanner[T any] struct {
 	sp   space.Space[T]
 	data []T
-	index.Pooled[T, scanScratch]
-}
-
-// scanScratch is the per-query state of one scan — the ids, the
-// space.Closest call's scratch and the result queue — reused so a warm query
-// allocates nothing.
-type scanScratch struct {
-	ids   []uint32
-	sp    space.Scratch
-	queue topk.Queue
+	index.Pooled[T, space.Scratch]
 }
 
 // New creates a scanner over data. The slice is retained, not copied; the
@@ -50,32 +39,8 @@ func (s *Scanner[T]) Name() string { return "seqscan" }
 // distance (the paper's left-query convention). A sequential scan has no
 // filter stage: every point is an exact distance evaluation, attributed to
 // the refine stage.
-func (s *Scanner[T]) search(st *scanScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
-	k, tr := opts.K, opts.Trace
-	if k <= 0 {
-		return dst
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	ids := st.ids[:0]
-	for i := range s.data {
-		ids = append(ids, uint32(i))
-	}
-	st.ids = ids
-	st.queue.Reset(k)
-	measured := space.Closest(s.sp, &st.sp, &st.queue, query, s.data, nil, ids)
-	if tr != nil {
-		tr.RefineDistances += int64(measured)
-		obs.AddSince(&tr.RefineNs, t0)
-		t0 = time.Now()
-	}
-	dst = st.queue.AppendResults(dst)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	return dst
+func (s *Scanner[T]) search(st *space.Scratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
+	return space.Nearest(s.sp, st, dst, query, s.data, nil, st.Every(len(s.data)), opts.K, opts.Trace)
 }
 
 // SearchAll computes exact k-NN answers for a batch of queries using all

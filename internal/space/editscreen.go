@@ -1,6 +1,9 @@
 package space
 
 import (
+	"time"
+
+	"repro/internal/obs"
 	"repro/internal/scratch"
 	"repro/internal/topk"
 )
@@ -78,9 +81,11 @@ const screenBuckets = 64
 // Closest pushes into q — reset by the caller — what pushing every
 // (ids[i], sp.Distance(data[ids[i]], query)) would leave there, and returns
 // the number of distances it measured. It is the one k-nearest step of every
-// index kind: the permutation methods' refine, the sequential scan, a VP-tree
-// leaf and MPLSH's candidates (a graph expansion, which also feeds its
-// frontier, calls Many). When sp is exactly Levenshtein or
+// index kind: Nearest's (the permutation methods' refine, the sequential
+// scan, the mutable tier's runs and MPLSH's candidates), a VP-tree leaf's,
+// which prunes on the queue between leaves, and the pivot screen's
+// (internal/permutation); a graph expansion, which also feeds its frontier,
+// calls Many. When sp is exactly Levenshtein or
 // NormalizedLevenshtein (the rule of Many) and counts is CountTable(sp,
 // data), it measures only the items a bound cannot rule out; for any other
 // space, or with a nil counts, it measures every item in one Many call and
@@ -110,6 +115,36 @@ func Closest[T any](sp Space[T], s *Scratch, q *topk.Queue, query T, data []T, c
 		q.Push(id, s.dists[i])
 	}
 	return len(ids)
+}
+
+// Nearest appends to dst the k nearest of the items ids to query, ordered by
+// (distance, id): one Closest call into a queue the scratch holds, so the
+// answer depends neither on the order of ids nor on the screen. ids must be
+// unique; a full scan passes s.Every(len(data)), and an empty ids answers
+// nothing. It is the exact refine of every filter-and-refine index and the
+// whole of an exact scan. A warm call with a dst of sufficient capacity does
+// not allocate.
+//
+// When tr is non-nil the distances measured count as RefineDistances, Closest
+// is timed as refine and the ordered copy-out as merge (one clock read per
+// stage, nothing per item).
+func Nearest[T any](sp Space[T], s *Scratch, dst []topk.Neighbor, query T, data []T, counts []Counts, ids []uint32, k int, tr *obs.QueryTrace) []topk.Neighbor {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	s.queue.Reset(k)
+	measured := Closest(sp, s, &s.queue, query, data, counts, ids)
+	if tr != nil {
+		tr.RefineDistances += int64(measured)
+		obs.AddSince(&tr.RefineNs, t0)
+		t0 = time.Now()
+	}
+	dst = s.queue.AppendResults(dst)
+	if tr != nil {
+		obs.AddSince(&tr.MergeNs, t0)
+	}
+	return dst
 }
 
 // editClosest is Closest's Levenshtein body.

@@ -4,21 +4,35 @@ import (
 	"math"
 
 	"repro/internal/scratch"
+	"repro/internal/topk"
 	"repro/internal/vecmath"
 )
 
-// Scratch is one goroutine's reusable state for Many, ManyFrom and Closest:
-// the fixed argument widened to float64 for the L2 pair kernel, or its match
-// table as a Levenshtein pattern, Closest's bounds and visiting order, and
-// the distances of the items it does not screen.
-// The zero value is ready; a warm Scratch makes all three calls
-// allocation-free. Not safe for concurrent use.
+// Scratch is one goroutine's reusable state for Many, ManyFrom, Closest and
+// Nearest: the fixed argument widened to float64 for the L2 pair kernel, or
+// its match table as a Levenshtein pattern, Closest's bounds and visiting
+// order, the distances of the items it does not screen, Nearest's queue and
+// the positions Every returns.
+// The zero value is ready; a warm Scratch makes every call allocation-free.
+// Not safe for concurrent use.
 type Scratch struct {
 	wide   []float64
 	dists  []float64    // Closest: the unscreened items' distances
 	peq    *[256]uint64 // allocated on first use: an L2 Scratch stays small
 	bounds []uint32     // Closest: item i's composition bound
 	visit  []uint32     // Closest: the items' positions, smallest bound first
+	queue  topk.Queue   // Nearest: the k kept
+	every  []uint32     // Every: 0, 1, …
+}
+
+// Every returns the positions 0, 1, …, n-1: the ids of a scan over every item
+// of a slice of n. They live in the scratch, grown on demand, and stay valid
+// until the next call.
+func (s *Scratch) Every(n int) []uint32 {
+	for i := len(s.every); i < n; i++ {
+		s.every = append(s.every, uint32(i))
+	}
+	return s.every[:n]
 }
 
 // widen stores v as float64 in the scratch and returns it. Widening a

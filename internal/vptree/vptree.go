@@ -209,9 +209,6 @@ type frame struct {
 // is an exact one, attributed to the refine stage when the query is traced.
 func (t *Tree[T]) search(s *searchScratch, dst []topk.Neighbor, query T, opts index.Options) []topk.Neighbor {
 	tr := opts.Trace
-	if opts.K <= 0 {
-		return dst
-	}
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
