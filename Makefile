@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build loc reach test race bench bench-ab bench-check bench-engine layout examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build loc reach test test-arms race bench bench-ab bench-check bench-engine layout examples vet fmt staticcheck govulncheck deps check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,17 @@ check: fmt vet staticcheck govulncheck deps
 test:
 	$(GO) test -shuffle=on ./...
 
+# Every arm runs the whole suite. On amd64 the untagged run tests the arms
+# this CPU picks (AVX2 where it has it); the test-only build tags force the
+# others: purego leaves the assembly out, so the Go bodies every other GOARCH
+# ships run (the L2 pair loop, add16, editPair), and noavx2 makes
+# vecmath.AVX2 false, so the SSE2 L2 pass and the Go bodies behind every AVX2
+# arm run. Release builds carry no tag. arm64 is vetted (make vet) but not
+# run: no emulator is installed.
+test-arms:
+	$(GO) test -shuffle=on -tags purego ./...
+	$(GO) test -shuffle=on -tags noavx2 ./...
+
 # Race-check every package: a hand-kept list of "the concurrent ones" goes
 # stale the moment a new package grows a goroutine (it once omitted
 # internal/core, experiments and vptree). -short keeps the slow corpora
@@ -133,7 +144,7 @@ examples:
 # bit-parallel edit distance must return the two-row dynamic program's integer
 # for any pair of byte strings, in either argument order, and so must the
 # prepared 1–64-byte pattern behind space.Many/ManyFrom, for two texts at a
-# time and for one. FuzzL2Pair: both results of the L2 pair kernel behind
+# time and for one, and for four on the AVX2 pass where the host runs it. FuzzL2Pair: both results of the L2 pair kernel behind
 # space.Many/ManyFrom must be the Go loop's and L2Sqr's, in either argument
 # order, for any float32 bit patterns (NaN, ±Inf, subnormals), on every
 # assembly arm the host runs (SSE2 on amd64, and AVX2 where the CPU has it). FuzzDecodeSearch: the
@@ -173,8 +184,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadSetManifest -fuzztime 10s -fuzzminimizetime 1s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 10s -fuzzminimizetime 1s ./internal/rollout/
 
-# In-process microbenchmarks: one row per distance at its corpus's shape and
-# one query's bulk refine and pivot ranking, each beside the per-pair loop it
+# In-process microbenchmarks: one row per distance at its corpus's shape, the
+# edit-distance bodies called directly (normleven/32-pair: two editPair
+# passes; normleven/32-quad: one four-lane AVX2 pass; four distances an op),
+# and one query's bulk refine and pivot ranking, each beside the per-pair loop it
 # replaced — l2/128-refine700-n40k (cache-missing candidates, which the bulk
 # call prefetches ahead and the loop does not) and l2/128-pivots512 for SIFT,
 # normleven/32-refine650-n4k and normleven/32-pivots512 for DNA reads — then
@@ -222,7 +235,9 @@ bench-engine:
 
 # Code placement on the served NAPP path: build permserve into a temp dir and
 # print the address and size of the []float32 instantiations of
-# space.Closest, space.Many, space.Nearest and NAPP's scan. Where the linker places
+# space.Closest, space.Many, space.Nearest and NAPP's scan, then the DNA
+# path's: the []uint8 space.Closest and space.Nearest, (*Scratch).editClosest,
+# editPair, editGroup, editQuad and its AVX2 pass. Where the linker places
 # these shared generic instantiations depends on every package that uses
 # them, so a change to code permserve never runs can move them and shift
 # permbench's SIFT rows; diff this output between two trees before reading
@@ -230,7 +245,7 @@ bench-engine:
 layout:
 	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/permserve" ./cmd/permserve && \
-	$(GO) tool nm -n -size "$$d/permserve" | grep -E 'space\.(Closest|Many|Nearest)\[go\.shape\.\[\]float32|core\.\(\*NAPP\[go\.shape\.\[\]float32\]\)\.scan'
+	$(GO) tool nm -n -size "$$d/permserve" | grep -E 'space\.(Closest|Many|Nearest)\[go\.shape\.\[\]float32|core\.\(\*NAPP\[go\.shape\.\[\]float32\]\)\.scan|space\.(Closest|Nearest)\[go\.shape\.\[\]uint8|space\.\(\*Scratch\)\.editClosest$$|space\.edit(Pair|Group|Quad|QuadSteps)(\.abi0)?$$'
 
 # End-to-end smoke of the serving daemon: build permserve, write a demo
 # index set, boot it on a free port, curl /healthz + a search + a hot
@@ -282,4 +297,4 @@ fault-smoke:
 	$(GO) build -o bin/permserve ./cmd/permserve
 	./scripts/fault_smoke.sh bin/permserve
 
-ci: check build reach test bench-check examples race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke
+ci: check build reach test test-arms bench-check examples race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package core
 
 // add16AVX2 is countPlanes.add16 in 256-bit lanes (napp_scan_amd64.s), with

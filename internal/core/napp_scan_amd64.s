@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // CSA is csa in 256-bit lanes: a, b, c in (b and c may be memory), hi = the

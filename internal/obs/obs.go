@@ -290,6 +290,25 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	}
 }
 
+// Info registers a gauge of constant value 1 whose one sample carries the
+// label label=value: the exposition's idiom for a fact about the process,
+// such as the kernels it chose at start, which a dashboard joins on by label.
+func (r *Registry) Info(name, help, label, value string) {
+	f := r.family(name, help, kindGauge, 1, []string{label})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	key := labelKey([]string{value})
+	if _, ok := f.byKey[key]; ok {
+		return
+	}
+	ch := &child{vals: []string{value}, gf: func() float64 { return 1 }}
+	if f.byKey == nil {
+		f.byKey = map[string]*child{}
+	}
+	f.byKey[key] = ch
+	f.children = append(f.children, ch)
+}
+
 // Histogram registers (or re-resolves) a histogram family. scale multiplies
 // recorded values at exposition time: latency histograms record nanoseconds
 // and register with scale 1e-9 so /metrics speaks seconds, the Prometheus

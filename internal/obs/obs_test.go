@@ -240,6 +240,21 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestInfo: an info family is one gauge sample of 1 carrying its label, and
+// registering the same fact again adds nothing.
+func TestInfo(t *testing.T) {
+	reg := NewRegistry()
+	reg.Info("obs_test_info", "h", "arm", "avx2")
+	reg.Info("obs_test_info", "h", "arm", "avx2")
+	tm := parsedPage(t, reg)
+	if tm.Types["obs_test_info"] != "gauge" {
+		t.Fatalf("obs_test_info is a %q, want a gauge", tm.Types["obs_test_info"])
+	}
+	if len(tm.Samples) != 1 || tm.Samples[0].Value != 1 || tm.Samples[0].Labels["arm"] != "avx2" {
+		t.Fatalf("info samples = %+v, want one {arm=avx2} of 1", tm.Samples)
+	}
+}
+
 // TestRegistryIdempotentAndConflicts: same-shape re-registration resolves
 // to the same child; shape conflicts panic.
 func TestRegistryIdempotentAndConflicts(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/vecmath"
 	"repro/internal/wire"
 )
 
@@ -194,6 +195,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if got := metricValue(t, tm, g, nil); got <= 0 {
 			t.Errorf("%s = %v, want > 0", g, got)
 		}
+	}
+	// The kernel arm chosen at start is one info sample, labelled as the
+	// startup line names it.
+	if got := metricValue(t, tm, "permserve_kernel_info", map[string]string{"arm": vecmath.Arm()}); got != 1 {
+		t.Errorf("permserve_kernel_info{arm=%q} = %v, want 1", vecmath.Arm(), got)
 	}
 }
 

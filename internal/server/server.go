@@ -74,6 +74,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/lsm"
 	"repro/internal/obs"
+	"repro/internal/vecmath"
 	"repro/internal/wire"
 )
 
@@ -205,6 +206,7 @@ func (s *Server) registerMetrics() {
 		}
 		s.em[name] = em
 	}
+	s.metrics.Info("permserve_kernel_info", "The distance kernels this process chose at start from CPUID (label arm: avx2, sse2 or generic).", "arm", vecmath.Arm())
 	start := s.start
 	s.metrics.GaugeFunc("permserve_uptime_seconds", "Process uptime.", func() float64 {
 		return time.Since(start).Seconds()
@@ -550,8 +552,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.execute(ctx, snap, name, req, &tr)
 	if err == nil {
 		// One query on one immutable index has no cancellation point: it
-		// can finish, late. The budget still decides the answer.
+		// can finish, late. The budget still decides the answer, read off
+		// the clock: the context's timer cancels it from a goroutine of its
+		// own, which a busy machine can run after the search has finished.
 		err = ctx.Err()
+		if dl, ok := ctx.Deadline(); ok && err == nil && !time.Now().Before(dl) {
+			err = context.DeadlineExceeded
+		}
 	}
 	if err != nil {
 		var bad *badRequestError

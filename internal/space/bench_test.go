@@ -38,7 +38,9 @@ func benchDistance[T any](b *testing.B, name string, sp space.Space[T], objs []T
 func BenchmarkDistance(b *testing.B) {
 	const n, seed = 256, 1
 	benchDistance(b, "l2/128", space.L2{}, dataset.SIFT(seed, n))
-	benchDistance(b, "normleven/32", space.NormalizedLevenshtein{}, dataset.DNA(seed, n, dataset.DNAOptions{}))
+	reads := dataset.DNA(seed, n, dataset.DNAOptions{})
+	benchDistance(b, "normleven/32", space.NormalizedLevenshtein{}, reads)
+	benchEditArms(b, "normleven/32", reads)
 	benchDistance(b, "normleven/200", space.NormalizedLevenshtein{},
 		dataset.DNA(seed, n, dataset.DNAOptions{MeanLen: 200, SDLen: 25}))
 	benchDistance(b, "sqfd/20x7", space.SQFD{}, dataset.ImageNet(seed, 32, dataset.SignatureOptions{}))
@@ -46,6 +48,37 @@ func BenchmarkDistance(b *testing.B) {
 
 	benchBulk(b, "l2/128", space.L2{}, dataset.SIFT(seed, 40_000+1), 700)
 	benchBulk(b, "normleven/32", space.NormalizedLevenshtein{}, dataset.DNA(seed, 4_000+1, dataset.DNAOptions{}), 650)
+}
+
+// benchEditArms adds a row per body that measures edit distances in bulk,
+// called directly: <name>-pair is two editPair passes and <name>-quad one
+// editQuad pass (where the CPU runs it), each op four distances from the last
+// read, prepared once, to the next four of the others.
+func benchEditArms(b *testing.B, name string, reads [][]byte) {
+	pat, reads := reads[len(reads)-1], reads[:len(reads)-1]
+	reads = reads[:len(reads)&^3]
+	pair, quad := space.EditArms(pat)
+	for _, arm := range []struct {
+		row  string
+		call func(t *[4][]byte) [4]int
+	}{{"-pair", pair}, {"-quad", quad}} {
+		if arm.call == nil {
+			continue
+		}
+		b.Run(name+arm.row, func(b *testing.B) {
+			b.ReportAllocs()
+			var t [4][]byte
+			j := 0
+			for b.Loop() {
+				copy(t[:], reads[j:j+4])
+				d := arm.call(&t)
+				sinkDistance += float64(d[0])
+				if j += 4; j == len(reads) {
+					j = 0
+				}
+			}
+		})
+	}
 }
 
 // benchBulk adds four rows for one query, the corpus's last object, against

@@ -97,10 +97,13 @@ const screenBuckets = 64
 // than the full queue's worst kept distance is skipped: its distance is
 // larger than those of k items already kept, so it is not among the k
 // smallest (by distance, then id) of all the items, and the queue keeps
-// exactly those. The survivors are measured two per pass (editPair) against
-// the query prepared once; a query that is empty or longer than one word is
-// measured by EditDistance. The distances pushed are the bits Distance
-// returns.
+// exactly those. The survivors are measured against the query prepared once,
+// in groups of editLanes: four per pass where the CPU runs AVX2 (editQuad),
+// two (editPair) elsewhere. A group's pushes land after its members' bound
+// checks, so a wider group can measure a few items a narrower one would have
+// skipped; the answer is the same. A query that is empty or longer than one
+// word is measured by EditDistance. The distances pushed are the bits
+// Distance returns.
 func Closest[T any](sp Space[T], s *Scratch, q *topk.Queue, query T, data []T, counts []Counts, ids []uint32) int {
 	if counts != nil {
 		switch any(sp).(type) {
@@ -147,7 +150,9 @@ func Nearest[T any](sp Space[T], s *Scratch, dst []topk.Neighbor, query T, data 
 	return dst
 }
 
-// editClosest is Closest's Levenshtein body.
+// editClosest is Closest's Levenshtein body: it bounds every item, visits them
+// smallest bound first, holds up to editLanes-1 survivors and measures them
+// with the next one in one editGroup pass, then pushes each.
 func (s *Scratch) editClosest(q *topk.Queue, norm bool, pat []byte, texts [][]byte, counts []Counts, ids []uint32) int {
 	m := len(pat)
 	pc := countsOf(pat)
@@ -182,32 +187,36 @@ func (s *Scratch) editClosest(q *topk.Queue, norm bool, pat []byte, texts [][]by
 		}
 	}
 	measured := 0
-	held, hasHeld := uint32(0), false // a survivor waiting for a second
+	// The survivors are measured in groups of editLanes: g holds the texts
+	// of the group being filled, at whose positions gi.
+	lanes, n := editLanes(), 0
+	var g [4][]byte
+	var gi [4]uint32
+	flush := func() {
+		d := editGroup(peq, m, &g, n)
+		for j := range n {
+			push(gi[j], d[j], g[j])
+		}
+		measured += n
+		n = 0
+	}
 	for _, i := range s.visit {
 		t := texts[ids[i]]
 		if full && scaled(int(s.bounds[i]), norm, max(len(t), m)) > worst {
 			continue
 		}
-		switch {
-		case peq == nil:
+		if peq == nil {
 			push(i, EditDistance(t, pat), t)
 			measured++
-		case !hasHeld:
-			held, hasHeld = i, true
-		default:
-			h := texts[ids[held]]
-			dh, dt := editPair(peq, m, h, t)
-			push(held, dh, h)
-			push(i, dt, t)
-			measured += 2
-			hasHeld = false
+			continue
+		}
+		g[n], gi[n] = t, i
+		if n++; n == lanes {
+			flush()
 		}
 	}
-	if hasHeld {
-		h := texts[ids[held]]
-		dh, _ := editPair(peq, m, h, nil)
-		push(held, dh, h)
-		measured++
+	if n > 0 {
+		flush()
 	}
 	return measured
 }

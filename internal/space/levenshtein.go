@@ -1,5 +1,7 @@
 package space
 
+import "math/bits"
+
 // NormalizedLevenshtein is the edit distance (insertions, deletions,
 // substitutions, unit cost) divided by the length of the longer string. The
 // DNA experiments use it over sequences of average length 32.
@@ -10,9 +12,10 @@ package space
 //
 // The edit distance underneath is EditDistance's bit-parallel kernel: a read
 // of at most 64 bytes is one machine word, so a distance is a single pass
-// over the other string and allocates nothing. In bulk (Many, ManyFrom) a
-// fixed argument of 1–64 bytes is prepared once per call and the other
-// strings are measured two per pass.
+// over the other string and allocates nothing. In bulk (Many, ManyFrom,
+// Closest) a fixed argument of 1–64 bytes is prepared once per call and the
+// other strings are measured four per pass where the CPU runs AVX2 (editQuad),
+// two per pass elsewhere (editPair).
 type NormalizedLevenshtein struct{}
 
 // Distance returns the normalized edit distance between data and query.
@@ -158,6 +161,74 @@ func editPair(peq *[256]uint64, m int, a, b []byte) (da, db int) {
 		db += d
 	}
 	return da, db
+}
+
+// editLanes is how many texts editClosest and editMany measure per pass:
+// four where the AVX2 pass runs (editQuad), two (editPair) elsewhere.
+func editLanes() int {
+	if quadPass {
+		return 4
+	}
+	return 2
+}
+
+// editGroup returns the edit distances from the pattern of m bytes, 1 ≤ m ≤
+// 64, whose match table is peq to the texts g[:n], 1 ≤ n ≤ editLanes(), in one
+// pass: editQuad, a short group repeating its last text in the spare lanes
+// (a four-lane pass costs less than editPair on the same texts), or editPair,
+// a group of one measured alone. It may overwrite g[n:].
+func editGroup(peq *[256]uint64, m int, g *[4][]byte, n int) (d [4]int) {
+	if quadPass {
+		for i := n; i < len(g); i++ {
+			g[i] = g[n-1]
+		}
+		return editQuad(peq, m, g)
+	}
+	if n == 1 {
+		g[1] = nil
+	}
+	d[0], d[1] = editPair(peq, m, g[0], g[1])
+	return d
+}
+
+// quadState is the vertical deltas of editQuad's four lanes, one text each.
+type quadState struct{ pv, mv [4]uint64 }
+
+// editQuad returns the edit distances from a pattern of m bytes, 1 ≤ m ≤ 64,
+// whose match table is peq to the four texts t, in one pass of the four-lane
+// Myers step (editQuadSteps: AVX2 assembly on amd64, where it may run only
+// when quadPass). The
+// lanes run in order of length: the pass advances all four to the shortest
+// text's end, where that lane's distance is read, then the finished lane
+// reads the longest text instead and the pass goes on to the next length. A
+// lane's distance needs no running score: the last column of the table is
+// D[0][n] = n plus the vertical deltas of its m rows, so it is n +
+// popcount(pv) − popcount(mv) over the pattern's bits, the integer editPair
+// sums step by step. t is not modified.
+func editQuad(peq *[256]uint64, m int, t *[4][]byte) (d [4]int) {
+	// Each key is a lane's length times four plus its index, sorted by a
+	// five-comparator network of branch-free min and max: lengths are
+	// random, and a mispredicted branch costs as much as a step.
+	k := [4]int{len(t[0]) << 2, len(t[1])<<2 | 1, len(t[2])<<2 | 2, len(t[3])<<2 | 3}
+	k[0], k[1] = min(k[0], k[1]), max(k[0], k[1])
+	k[2], k[3] = min(k[2], k[3]), max(k[2], k[3])
+	k[0], k[2] = min(k[0], k[2]), max(k[0], k[2])
+	k[1], k[3] = min(k[1], k[3]), max(k[1], k[3])
+	k[1], k[2] = min(k[1], k[2]), max(k[1], k[2])
+	lanes, longest := *t, t[k[3]&3]
+	st := quadState{pv: [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
+	mask := ^uint64(0) >> uint(64-m)
+	from := 0
+	for _, key := range k {
+		i, n := key&3, key>>2
+		if n > from {
+			editQuadSteps(peq, &st, &lanes, from, n)
+			from = n
+		}
+		d[i] = n + bits.OnesCount64(st.pv[i]&mask) - bits.OnesCount64(st.mv[i]&mask)
+		lanes[i] = longest
+	}
+	return d
 }
 
 // myersStep advances a single-word pattern's vertical deltas (pv, mv) past one

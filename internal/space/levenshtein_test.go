@@ -1,8 +1,10 @@
 package space
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -120,7 +122,9 @@ func TestEditDistanceMatchesDP(t *testing.T) {
 // the oracle's integer for (a, b), symmetrically, inside the bounds any edit
 // distance obeys; and when a is 1–64 bytes, a as a prepared pattern must give
 // the oracle's integers against b and c, measured as a pair in either order
-// and one at a time, whatever their lengths.
+// and one at a time, whatever their lengths, and against b, c and two of
+// their slices on every arm the host runs: the four-lane pass (AVX2) and
+// editGroup, the dispatched arm, for groups of one to editLanes.
 func FuzzEditDistance(f *testing.F) {
 	r := rand.New(rand.NewSource(25))
 	f.Add([]byte("kitten"), []byte("sitting"), []byte("sit"))
@@ -166,6 +170,23 @@ func FuzzEditDistance(f *testing.F) {
 		if gb, _ := editPair(peq, m, b, nil); gb != wb {
 			t.Fatalf("pattern %q: editPair(%q, nil) = %d, DP says %d", a, b, gb, wb)
 		}
+		// The four-lane pass, where the host runs it, on b, c and two of
+		// their slices; then editGroup, the dispatched arm, on the first n.
+		texts := [4][]byte{b, c, c[:len(c)/2], b[len(b)/3:]}
+		want := [4]int{wb, wc, editDistanceDP(a, texts[2]), editDistanceDP(a, texts[3])}
+		if quadPass || !quadAsm {
+			g := texts
+			if got := editQuad(peq, m, &g); got != want {
+				t.Fatalf("pattern %q: editQuad(%q) = %v, DP says %v", a, texts, got, want)
+			}
+		}
+		for n := 1; n <= editLanes(); n++ {
+			g := texts
+			got := editGroup(peq, m, &g, n)
+			if !slices.Equal(got[:n], want[:n]) {
+				t.Fatalf("pattern %q: editGroup(%q, %d) = %v, DP says %v", a, texts, n, got[:n], want[:n])
+			}
+		}
 	})
 }
 
@@ -187,5 +208,72 @@ func TestEditDistanceAllocs(t *testing.T) {
 			t.Errorf("pattern %d, text %d: %v allocs per call, want <= %d", c.pattern, c.text, avg, c.maxAllocs)
 		}
 		_ = sink
+	}
+}
+
+// TestEditQuadMatchesDP holds the four-lane pass to the oracle and to
+// editPair, lane by lane: patterns of 1, 2, 31–33 and 63–64 bytes, over ACGT
+// and over all 256 byte values, against four texts of every length from 0 to
+// 100 bytes in each lane — beside three lengths drawn at random, four equal
+// lengths, and mixes past one word — and one mix of four distinct lengths in
+// all 24 lane orders, so every lane finishes first, second, third and last.
+func TestEditQuadMatchesDP(t *testing.T) {
+	if quadAsm && !quadPass {
+		t.Skip("the four-lane pass needs AVX2")
+	}
+	r := rand.New(rand.NewSource(27))
+	var s Scratch
+	for _, m := range []int{1, 2, 31, 32, 33, 63, 64} {
+		for _, alphabet := range []int{4, 256} {
+			pat := randBytes(r, m, alphabet)
+			peq := s.prepare(pat)
+			check := func(g [4][]byte) {
+				t.Helper()
+				orig := g
+				d := editQuad(peq, m, &g)
+				for i := range g {
+					if !bytes.Equal(g[i], orig[i]) {
+						t.Fatalf("pattern %q: editQuad modified its texts", pat)
+					}
+				}
+				for i, txt := range g {
+					want := editDistanceDP(pat, txt)
+					if pair, _ := editPair(peq, m, txt, nil); d[i] != want || pair != want {
+						t.Fatalf("pattern %q: lane %d of %d-byte texts %q: editQuad %d, editPair %d, DP %d",
+							pat, i, len(txt), g, d[i], pair, want)
+					}
+				}
+			}
+			for n := 0; n <= 100; n++ {
+				for lane := range 4 {
+					var g [4][]byte
+					for j := range g {
+						g[j] = mutate(r, randBytes(r, r.Intn(101), alphabet), 3, alphabet)
+					}
+					g[lane] = randBytes(r, n, alphabet)
+					check(g)
+				}
+				// Equal lengths: one segment for all four.
+				check([4][]byte{randBytes(r, n, alphabet), randBytes(r, n, alphabet),
+					randBytes(r, n, alphabet), randBytes(r, n, alphabet)})
+				same := randBytes(r, n, alphabet)
+				check([4][]byte{same, same, same, same})
+			}
+			mix := [4][]byte{{}, mutate(r, pat, 3, alphabet), randBytes(r, 65, alphabet), randBytes(r, 100, alphabet)}
+			permute(0, &mix, check)
+		}
+	}
+}
+
+// permute calls f with every order of g[k:] after g[:k].
+func permute(k int, g *[4][]byte, f func([4][]byte)) {
+	if k == len(g) {
+		f(*g)
+		return
+	}
+	for i := k; i < len(g); i++ {
+		g[k], g[i] = g[i], g[k]
+		permute(k+1, g, f)
+		g[k], g[i] = g[i], g[k]
 	}
 }

@@ -56,8 +56,9 @@ func (s *Scratch) widen(v []float32) []float64 {
 // the vectors prefetchAhead candidates on (vecmath.Prefetch): they arrive from
 // memory while the pairs before them are measured, instead of each pair
 // waiting on its own two misses. For the two Levenshteins a query of 1–64
-// bytes gets its match table built once and the reads are measured two per
-// pass (editPair); other queries run the loop.
+// bytes gets its match table built once and the reads are measured four per
+// pass where the CPU runs AVX2 (editQuad, one 64-bit lane of a YMM register
+// per read), two per pass (editPair) elsewhere; other queries run the loop.
 //
 // The fast paths are chosen by the exact concrete type, never by an interface
 // a wrapper could promote: a space that embeds L2 to override Distance (a
@@ -150,9 +151,10 @@ func (s *Scratch) prepare(pat []byte) *[256]uint64 {
 
 // editMany is the Levenshtein arm of Many (texts[ids[i]]) and ManyFrom
 // (texts[i], ids nil): it prepares pat's match table once and fills dst with
-// the edit distances to the texts, divided by the longer length when norm is
-// set — the float64 Distance returns. It reports false, touching nothing,
-// when pat is empty or longer than one 64-bit word.
+// the edit distances to the texts, editLanes per editGroup pass, divided by
+// the longer length when norm is set — the float64 Distance returns. It
+// reports false, touching nothing, when pat is empty or longer than one 64-bit
+// word.
 func (s *Scratch) editMany(dst []float64, norm bool, pat []byte, texts [][]byte, ids []uint32) bool {
 	m := len(pat)
 	if m == 0 || m > 64 {
@@ -171,17 +173,17 @@ func (s *Scratch) editMany(dst []float64, norm bool, pat []byte, texts [][]byte,
 			dst[i] /= float64(max(len(t), m))
 		}
 	}
-	i := 0
-	for ; i+2 <= len(dst); i += 2 {
-		a, b := text(i), text(i+1)
-		da, db := editPair(peq, m, a, b)
-		put(i, da, a)
-		put(i+1, db, b)
-	}
-	if i < len(dst) {
-		a := text(i)
-		da, _ := editPair(peq, m, a, nil)
-		put(i, da, a)
+	lanes := editLanes()
+	var g [4][]byte
+	for i := 0; i < len(dst); i += lanes {
+		n := min(lanes, len(dst)-i)
+		for j := range n {
+			g[j] = text(i + j)
+		}
+		d := editGroup(peq, m, &g, n)
+		for j := range n {
+			put(i+j, d[j], g[j])
+		}
 	}
 	return true
 }

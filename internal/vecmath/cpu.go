@@ -20,8 +20,10 @@ func avx2Usable(maxLeaf, ecx1, xcr0, ebx7 uint32) bool {
 		ebx7&cpuidAVX2 != 0
 }
 
-// AVX2 reports whether this process runs the AVX2 arms: L2SqrPair's pass
-// and, through internal/core, NAPP's ScanCount block. It is decided once at
-// start from CPUID and XGETBV, and is false on every GOARCH but amd64. Both
-// arms return the bits of the code they replace.
+// AVX2 reports whether this process runs the AVX2 arms: L2SqrPair's pass,
+// through internal/core NAPP's ScanCount block, and through internal/space
+// the four-lane edit-distance pass. It is decided once at start from CPUID
+// and XGETBV, and is false on every GOARCH but amd64 (and under the
+// test-only tags purego and noavx2). Every arm returns the bits of the code
+// it replaces.
 func AVX2() bool { return hasAVX2 }

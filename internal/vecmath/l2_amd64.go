@@ -1,7 +1,10 @@
+//go:build !purego
+
 package vecmath
 
-// hasAVX2 is whether this CPU and OS run AVX2 code, decided once at start.
-var hasAVX2 = detectAVX2()
+// hasAVX2 is whether this CPU and OS run AVX2 code, decided once at start;
+// the test-only tag noavx2 turns it off (noAVX2).
+var hasAVX2 = !noAVX2 && detectAVX2()
 
 // detectAVX2 reads the CPUID and XGETBV words avx2Usable decides on. XGETBV
 // is only executed when CPUID says the OS has enabled it (OSXSAVE), and leaf
@@ -26,8 +29,9 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // state it saves (l2_amd64.s). It faults unless CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// Arm names the body this process runs for L2SqrPair and for NAPP's
-// ScanCount block: "avx2" or "sse2" on amd64 (ScanCount is Go under
+// Arm names the body this process runs for L2SqrPair, for NAPP's ScanCount
+// block and for the edit-distance pass behind space.Many and space.Closest:
+// "avx2" or "sse2" on amd64 (ScanCount and the edit distances are Go under
 // "sse2"), "generic" on every other GOARCH.
 func Arm() string {
 	if hasAVX2 {

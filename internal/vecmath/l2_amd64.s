@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // func l2PairBlocks(q []float64, a, b []float32) (a0, a1, a2, a3, b0, b1, b2, b3 float64)

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package vecmath
 
 // pairArms returns the assembly passes this CPU can run, each finished in Go

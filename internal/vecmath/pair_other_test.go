@@ -1,6 +1,7 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package vecmath
 
-// pairArms returns no assembly passes: this GOARCH has none.
+// pairArms returns no assembly passes: this GOARCH has none, or the purego
+// tag leaves them out.
 func pairArms() []pairArm { return nil }

@@ -6,9 +6,14 @@
 // space.Many and space.ManyFrom, so the refine, the sequential scan and pivot
 // ranking — has two assembly bodies on amd64 (l2_amd64.s): AVX2, 256-bit
 // lanes, where the CPU and OS run it, and SSE2, the amd64 baseline,
-// otherwise. The choice is made once at start from CPUID and XGETBV (AVX2,
-// which internal/core also asks to pick NAPP's ScanCount block; Arm names
-// it); there is no flag, option or build tag. Both bodies' packed lanes run
+// otherwise. The choice is made once at start from CPUID and XGETBV (AVX2;
+// Arm names it), and it picks every AVX2 arm of the module: this L2 pass,
+// NAPP's ScanCount block (internal/core, add16AVX2) and the four-lane
+// edit-distance pass behind space.Many and space.Closest (internal/space,
+// editQuadSteps). There is no flag, option or environment variable, and
+// release builds carry no build tag; the test-only tags purego (no assembly:
+// the Go bodies) and noavx2 (SSE2 and the Go bodies behind every AVX2 arm)
+// let one machine run the whole suite on each arm (make test-arms). Both bodies' packed lanes run
 // the scalar loop's IEEE operations in the scalar loop's order, unfused, so
 // each returns the same bits as l2SqrPairGeneric, the Go loop every other
 // GOARCH runs and the amd64 tests hold both to. Its callers' candidates are

@@ -2,7 +2,9 @@
 // output of permserve's and permrouter's GET /metrics — beyond what a lax
 // scraper would tolerate: strict line grammar (via the internal/obs
 // parser), every sample covered by a TYPE declaration, no duplicate
-// samples, non-negative counters, and the histogram invariants (+Inf
+// samples, non-negative counters, info families (named *_info: a fact
+// carried by labels, such as permserve_kernel_info's arm) as gauges of 1,
+// and the histogram invariants (+Inf
 // bucket present, cumulative bucket counts non-decreasing in le, _count
 // equal to the +Inf bucket, _sum present). The smoke scripts pipe a live
 // scrape through it, so a malformed or internally inconsistent exposition
@@ -121,6 +123,9 @@ func check(tm *obs.TextMetrics, required []string) []string {
 		seen[full] = true
 		if typ == "counter" && s.Value < 0 {
 			problems = append(problems, fmt.Sprintf("counter %s is negative: %v", full, s.Value))
+		}
+		if strings.HasSuffix(fam, "_info") && (typ != "gauge" || s.Value != 1) {
+			problems = append(problems, fmt.Sprintf("info family %s: %s %s = %v, want a gauge of 1", fam, typ, full, s.Value))
 		}
 		if typ != "histogram" {
 			continue

@@ -49,7 +49,7 @@ curl -sf -XPOST "http://$ADDR/v1/indexes/dna-vptree/reload" >/dev/null || fail "
 # invariants, and carry the serving families and runtime gauges the
 # dashboards key on.
 curl -sf "http://$ADDR/metrics" >"$TMP/metrics.txt" || fail "metrics scrape failed"
-"$MC" -require permserve_search_requests_total,permserve_queries_total,permserve_reloads_total,permserve_search_latency_seconds,permserve_stage_ns_total,permserve_filter_candidates_total,permserve_refine_distances_total,permserve_uptime_seconds,permserve_goroutines,permserve_heap_alloc_bytes,permserve_heap_allocs,permserve_gc_cycles "$TMP/metrics.txt" \
+"$MC" -require permserve_search_requests_total,permserve_queries_total,permserve_reloads_total,permserve_search_latency_seconds,permserve_stage_ns_total,permserve_filter_candidates_total,permserve_refine_distances_total,permserve_uptime_seconds,permserve_goroutines,permserve_heap_alloc_bytes,permserve_heap_allocs,permserve_gc_cycles,permserve_kernel_info "$TMP/metrics.txt" \
     || fail "metrics page failed metricscheck"
 grep -q 'permserve_search_requests_total{index="dna-vptree"} 1' "$TMP/metrics.txt" \
     || fail "metrics did not count the search"
