@@ -1,6 +1,6 @@
 // Command permserve is the serving daemon: it warm-starts a named set of
 // saved indexes from a directory (one .psix file + one .json sidecar
-// manifest per index, see internal/server.Manifest) and answers k-NN
+// manifest per index, see internal/shard.Sidecar) and answers k-NN
 // queries over HTTP.
 //
 // Usage:
@@ -66,6 +66,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/seqscan"
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/vecmath"
 	"repro/internal/vfs"
 	"repro/internal/vptree"
@@ -214,7 +215,7 @@ func writeDemoSet(dir string) error {
 	sift, l2 := siftFam.Gen(seed, nDense), siftFam.Spaces()[0]
 	dna, normLeven := dnaFam.Gen(seed, nDNA), dnaFam.Spaces()[0]
 
-	if err := writeDemoIndex(dir, "sift-napp", server.Manifest{Dataset: siftFam.Name(), Seed: seed, N: nDense},
+	if err := writeDemoIndex(dir, "sift-napp", shard.Sidecar{Dataset: siftFam.Name(), Seed: seed, N: nDense},
 		func() (index.Index[[]float32], error) {
 			return core.NewNAPP(l2, sift, core.NAPPOptions{
 				NumPivots: 128, NumPivotIndex: 16, MinShared: 1, Seed: seed,
@@ -222,7 +223,7 @@ func writeDemoSet(dir string) error {
 		}); err != nil {
 		return err
 	}
-	if err := writeDemoIndex(dir, "sift-seqscan", server.Manifest{Dataset: siftFam.Name(), Seed: seed, N: nDense},
+	if err := writeDemoIndex(dir, "sift-seqscan", shard.Sidecar{Dataset: siftFam.Name(), Seed: seed, N: nDense},
 		func() (index.Index[[]float32], error) {
 			return seqscan.New(l2, sift), nil
 		}); err != nil {
@@ -231,20 +232,20 @@ func writeDemoSet(dir string) error {
 	// The mutable demo: an exact base index plus a WAL-backed LSM tree, so
 	// add/delete/flush (and the ingest smoke test's kill -9 recovery) can
 	// be exercised out of the box.
-	if err := writeDemoIndex(dir, "sift-mutable", server.Manifest{Dataset: siftFam.Name(), Seed: seed, N: nDense, Mutable: true},
+	if err := writeDemoIndex(dir, "sift-mutable", shard.Sidecar{Dataset: siftFam.Name(), Seed: seed, N: nDense, Mutable: true},
 		func() (index.Index[[]float32], error) {
 			return seqscan.New(l2, sift), nil
 		}); err != nil {
 		return err
 	}
-	return writeDemoIndex(dir, "dna-vptree", server.Manifest{Dataset: dnaFam.Name(), Seed: seed, N: nDNA},
+	return writeDemoIndex(dir, "dna-vptree", shard.Sidecar{Dataset: dnaFam.Name(), Seed: seed, N: nDNA},
 		func() (index.Index[[]byte], error) {
 			return vptree.New(normLeven, dna, vptree.Options{Seed: seed})
 		})
 }
 
 // writeDemoIndex builds one index and writes its file + sidecar manifest.
-func writeDemoIndex[T any](dir, name string, man server.Manifest, build func() (index.Index[T], error)) error {
+func writeDemoIndex[T any](dir, name string, man shard.Sidecar, build func() (index.Index[T], error)) error {
 	idx, err := build()
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)

@@ -166,7 +166,7 @@ func splitTyped[T any](sp spec, fam *dataset.Family[T]) error {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		side := server.Manifest{Dataset: sp.dataset, Seed: sp.seed, N: len(data), Generation: sp.generation}
+		side := shard.Sidecar{Dataset: sp.dataset, Seed: sp.seed, N: len(data), Generation: sp.generation}
 		if sp.shards > 1 {
 			// S=1 stays unstamped: a true unsharded baseline.
 			side.Shard = &shard.Info{Set: sp.set, Partitioner: sp.partitioner, Shards: sp.shards, Index: s}

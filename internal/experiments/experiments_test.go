@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // small is a fast configuration for harness tests.
@@ -27,6 +29,24 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := Get("nope"); ok {
 		t.Fatal("unknown name resolved")
+	}
+}
+
+// TestEveryKindSwept: every persisted index kind but seqscan (the
+// brute-force denominator of every improvement column) has a Figure 4 sweep
+// on at least one data set.
+func TestEveryKindSwept(t *testing.T) {
+	swept := map[string]bool{}
+	for _, name := range Names() {
+		r, _ := Get(name)
+		for _, m := range r.Methods(small) {
+			swept[m] = true
+		}
+	}
+	for _, kind := range codec.Kinds() {
+		if kind != codec.KindSeqScan && !swept[kind] {
+			t.Errorf("kind %q has no sweep on any data set", kind)
+		}
 	}
 }
 

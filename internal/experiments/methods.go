@@ -104,70 +104,61 @@ func nappSweep[T any](n int, seed int64) sweep[T] {
 	return s
 }
 
-// gammaVariants trace a filter's curve by the candidate fraction gamma.
-func gammaVariants() []string {
-	var out []string
+// gammaSweep is one build of a permutation method traced by its candidate
+// fraction gamma.
+func gammaSweep[T any](method string, table2 bool, build func(sp space.Space[T], db []T) (index.Index[T], error)) sweep[T] {
+	s := sweep[T]{method: method, table2: table2, build: build}
 	for _, g := range []float64{0.002, 0.01, 0.05, 0.2} {
-		out = append(out, fmt.Sprintf("gamma=%g", g))
+		s.variants = append(s.variants, fmt.Sprintf("gamma=%g", g))
 	}
-	return out
+	return s
 }
 
-// bfSweep traces the brute-force permutation filter's curve by varying the
-// candidate fraction gamma.
+// bfSweep is the brute-force permutation filter.
 func bfSweep[T any](n int, seed int64) sweep[T] {
-	m := 128
-	if m > n {
-		m = n
-	}
-	return sweep[T]{
-		method: "brute-force-filt",
-		table2: true,
-		build: func(sp space.Space[T], db []T) (index.Index[T], error) {
-			return core.NewBruteForceFilter(sp, db, core.BruteForceOptions{
-				NumPivots: m, Seed: seed,
-			})
-		},
-		variants: gammaVariants(),
-	}
+	m := min(128, n)
+	return gammaSweep("brute-force-filt", true, func(sp space.Space[T], db []T) (index.Index[T], error) {
+		return core.NewBruteForceFilter(sp, db, core.BruteForceOptions{NumPivots: m, Seed: seed})
+	})
 }
 
 // binSweep is brute-force filtering over binarized permutations (twice the
 // pivots of the full filter, per §3.2).
 func binSweep[T any](n int, seed int64) sweep[T] {
-	m := 256
-	if m > n {
-		m = n
-	}
-	return sweep[T]{
-		method: "brute-force-filt-bin",
-		table2: false,
-		build: func(sp space.Space[T], db []T) (index.Index[T], error) {
-			return core.NewBinFilter(sp, db, core.BinFilterOptions{
-				NumPivots: m, Seed: seed,
-			})
-		},
-		variants: gammaVariants(),
-	}
+	m := min(256, n)
+	return gammaSweep("brute-force-filt-bin", false, func(sp space.Space[T], db []T) (index.Index[T], error) {
+		return core.NewBinFilter(sp, db, core.BinFilterOptions{NumPivots: m, Seed: seed})
+	})
 }
 
 // quantSweep is brute-force filtering over 4-bit quantized permutation
-// prefixes: the PR 8 signature between full permutations and binarized
-// sketches.
+// prefixes: the signature between full permutations and binarized sketches.
 func quantSweep[T any](n int, seed int64) sweep[T] {
-	m := 64
-	if m > n {
-		m = n
-	}
-	return sweep[T]{
-		method: "brute-force-filt-quant",
-		table2: false,
-		build: func(sp space.Space[T], db []T) (index.Index[T], error) {
-			return core.NewQuantFilter(sp, db, core.QuantFilterOptions{
-				NumPivots: m, Seed: seed,
-			})
-		},
-		variants: gammaVariants(),
+	m := min(64, n)
+	return gammaSweep("brute-force-filt-quant", false, func(sp space.Space[T], db []T) (index.Index[T], error) {
+		return core.NewQuantFilter(sp, db, core.QuantFilterOptions{NumPivots: m, Seed: seed})
+	})
+}
+
+// surveySweeps are the survey's other permutation methods (§2.3) and the
+// raw pivot-distance filter beside them, each at its library defaults.
+func surveySweeps[T any](seed int64) []sweep[T] {
+	return []sweep[T]{
+		gammaSweep("mi-file", false, func(sp space.Space[T], db []T) (index.Index[T], error) {
+			return core.NewMIFile(sp, db, core.MIFileOptions{Seed: seed})
+		}),
+		gammaSweep("pp-index", false, func(sp space.Space[T], db []T) (index.Index[T], error) {
+			return core.NewPPIndex(sp, db, core.PPIndexOptions{Seed: seed})
+		}),
+		gammaSweep("omedrank", false, func(sp space.Space[T], db []T) (index.Index[T], error) {
+			return core.NewOMEDRANK(sp, db, core.OMEDRANKOptions{Seed: seed})
+		}),
+		gammaSweep("perm-vptree", false, func(sp space.Space[T], db []T) (index.Index[T], error) {
+			return core.NewPermVPTree(sp, db, core.PermVPTreeOptions{Seed: seed})
+		}),
+		gammaSweep("distvec-filt", false, func(sp space.Space[T], db []T) (index.Index[T], error) {
+			return core.NewDistVecFilter(sp, db, core.BruteForceOptions{Seed: seed})
+		}),
 	}
 }
 

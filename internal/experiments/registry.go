@@ -52,7 +52,8 @@ func from[T any](family, dist string) corpus[T] {
 
 func init() {
 	// SIFT: 128-d visual descriptors under L2 (Figure 4a, 2a/2e, 3a/3d);
-	// CoPhIR: 282-d MPEG7 descriptors under L2 (Figure 4b).
+	// CoPhIR: 282-d MPEG7 descriptors under L2 (Figure 4b). The dense sets
+	// and DNA also sweep the survey's other permutation methods.
 	dense := func(name string, dim int) *combo[[]float32] {
 		return &combo[[]float32]{
 			name:     name,
@@ -60,13 +61,13 @@ func init() {
 			bytesOf:  func(v []float32) int64 { return int64(len(v))*4 + 24 },
 			randProj: denseRandProj(dim),
 			sweeps: func(cfg Config, n int) []sweep[[]float32] {
-				return []sweep[[]float32]{
+				return append([]sweep[[]float32]{
 					vptreeSweep[[]float32](metricAlphas, cfg.Seed),
 					mplshSweep(cfg.Seed),
 					swSweep[[]float32](cfg.K, cfg.Seed),
 					nappSweep[[]float32](n, cfg.Seed),
 					bfSweep[[]float32](n, cfg.Seed),
-				}
+				}, surveySweeps[[]float32](cfg.Seed)...)
 			},
 		}
 	}
@@ -151,7 +152,7 @@ func init() {
 		corpus:  from[[]byte]("dna", "normleven"),
 		bytesOf: func(s []byte) int64 { return int64(len(s)) + 24 },
 		sweeps: func(cfg Config, n int) []sweep[[]byte] {
-			return []sweep[[]byte]{
+			return append([]sweep[[]byte]{
 				vptreeSweep[[]byte](genericAlphas, cfg.Seed),
 				swSweep[[]byte](cfg.K, cfg.Seed),
 				nndescentSweep[[]byte](cfg.K, cfg.Seed),
@@ -159,7 +160,7 @@ func init() {
 				bfSweep[[]byte](n, cfg.Seed),
 				binSweep[[]byte](n, cfg.Seed),
 				quantSweep[[]byte](n, cfg.Seed),
-			}
+			}, surveySweeps[[]byte](cfg.Seed)...)
 		},
 	})
 }

@@ -892,7 +892,6 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 	var t0 time.Time
 	if base != nil {
 		if tr != nil {
-			tr.Components++
 			t0 = time.Now()
 		}
 		buf = base.SearchAppend(buf, query, sub)
@@ -908,7 +907,6 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 			return dst, err
 		}
 		if tr != nil {
-			tr.Components++
 			t0 = time.Now()
 		}
 		buf = tier.search(t.opts.Space, &s.sp, buf, query, sub.K, tr)
@@ -920,7 +918,6 @@ func (t *Tree[T]) SearchAppend(dst []topk.Neighbor, base index.Index[T], query T
 		return dst, err
 	}
 	if tr != nil {
-		tr.Components++
 		t0 = time.Now()
 	}
 	buf = t.mem.search(t.opts.Space, &s.sp, buf, query, sub.K, tr)

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -231,28 +230,18 @@ const manifestName = "tiers.json"
 // writeManifest atomically replaces the manifest. After it returns, recovery
 // will see exactly this state.
 func writeManifest(fsys vfs.FS, dir string, m *manifest) error {
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return vfs.WriteAtomic(fsys, filepath.Join(dir, manifestName), func(w io.Writer) error {
-		_, err := w.Write(append(blob, '\n'))
-		return err
-	})
+	return vfs.WriteJSON(fsys, filepath.Join(dir, manifestName), m)
 }
 
 // readManifest loads tiers.json; ok is false when the file does not exist.
 func readManifest(fsys vfs.FS, dir string) (m *manifest, ok bool, err error) {
-	blob, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	m = new(manifest)
+	err = vfs.ReadJSON(fsys, filepath.Join(dir, manifestName), m)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
-		return nil, false, err
-	}
-	m = new(manifest)
-	if err := json.Unmarshal(blob, m); err != nil {
-		return nil, false, fmt.Errorf("lsm: %s/%s: %w", dir, manifestName, err)
+		return nil, false, fmt.Errorf("lsm: %w", err)
 	}
 	if m.Version != manifestVersion {
 		return nil, false, fmt.Errorf("lsm: %s/%s: unsupported manifest version %d", dir, manifestName, m.Version)

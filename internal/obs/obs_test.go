@@ -292,10 +292,10 @@ func TestRegistryIdempotentAndConflicts(t *testing.T) {
 
 // TestQueryTraceMerge checks the batch-path fold.
 func TestQueryTraceMerge(t *testing.T) {
-	a := QueryTrace{FilterCandidates: 1, RefineDistances: 2, FilterNs: 3, RefineNs: 4, MergeNs: 5, BaseNs: 6, TierNs: 7, MemtableNs: 8, MaskNs: 9, Components: 10, PivotDistances: 11}
+	a := QueryTrace{FilterCandidates: 1, RefineDistances: 2, FilterNs: 3, RefineNs: 4, MergeNs: 5, BaseNs: 6, TierNs: 7, MemtableNs: 8, MaskNs: 9, PivotDistances: 11}
 	b := a
 	b.Merge(&a)
-	want := QueryTrace{FilterCandidates: 2, RefineDistances: 4, FilterNs: 6, RefineNs: 8, MergeNs: 10, BaseNs: 12, TierNs: 14, MemtableNs: 16, MaskNs: 18, Components: 20, PivotDistances: 22}
+	want := QueryTrace{FilterCandidates: 2, RefineDistances: 4, FilterNs: 6, RefineNs: 8, MergeNs: 10, BaseNs: 12, TierNs: 14, MemtableNs: 16, MaskNs: 18, PivotDistances: 22}
 	if b != want {
 		t.Fatalf("merge = %+v, want %+v", b, want)
 	}

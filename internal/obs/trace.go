@@ -37,7 +37,6 @@ type QueryTrace struct {
 	TierNs     int64 // sealed tier searches (summed)
 	MemtableNs int64 // memtable search
 	MaskNs     int64 // tombstone masking pass
-	Components int64 // searchable components consulted (base + tiers + memtable)
 }
 
 // Reset zeroes the trace for reuse.
@@ -56,7 +55,6 @@ func (t *QueryTrace) Merge(o *QueryTrace) {
 	t.TierNs += o.TierNs
 	t.MemtableNs += o.MemtableNs
 	t.MaskNs += o.MaskNs
-	t.Components += o.Components
 }
 
 // StageNames labels the stages of StageNs, in order: the core

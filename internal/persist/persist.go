@@ -53,6 +53,12 @@ func Load[T any](r io.Reader, sp space.Space[T], data []T) (index.Index[T], erro
 	if err != nil {
 		return nil, err
 	}
+	return Decode(cr, sp, data)
+}
+
+// Decode is Load's second step: it reconstructs the index cr holds (a reader
+// fresh from codec.NewReader or ReadFile) over sp and data.
+func Decode[T any](cr *codec.Reader, sp space.Space[T], data []T) (index.Index[T], error) {
 	switch kind := cr.Header().Kind; kind {
 	case codec.KindBruteForce, codec.KindBinFilter, codec.KindQuantFilter, codec.KindDistVec:
 		return core.LoadScanFilter(cr, sp, data)
@@ -103,32 +109,42 @@ func SaveFile[T any](path string, idx index.Index[T]) error {
 
 // LoadFile reads one index from the file at path.
 func LoadFile[T any](path string, sp space.Space[T], data []T) (index.Index[T], error) {
-	f, err := os.Open(path)
+	cr, err := ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f, sp, data)
+	return Decode(cr, sp, data)
 }
 
 // Ext is the conventional file extension of a persisted index.
 const Ext = ".psix"
 
-// PeekHeader reads and validates the file at path just far enough to return
-// its header — kind, space name, format version and data-set size — without
-// reconstructing the index. Callers that serve a directory of heterogeneous
-// indexes use it to decide which space and data set to load each file over
-// before paying for the load itself. (The whole blob is still read once to
-// verify the checksum; an index file is small next to its data set.)
-func PeekHeader(path string) (codec.Header, error) {
+// ReadFile is LoadFile's first step: it reads the file at path whole,
+// verifies its checksum and header, and returns the reader positioned at
+// the payload. Its Header — kind, space name, format version, data-set size
+// — lets a caller serving a directory of heterogeneous indexes pick the
+// space and data set before Decode reconstructs the index from the same
+// bytes.
+func ReadFile(path string) (*codec.Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return codec.Header{}, err
+		return nil, err
 	}
 	defer f.Close()
 	cr, err := codec.NewReader(f)
 	if err != nil {
-		return codec.Header{}, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return cr, nil
+}
+
+// PeekHeader returns the header of the index file at path without
+// reconstructing the index. (ReadFile still reads the whole blob to verify
+// the checksum; an index file is small next to its data set.)
+func PeekHeader(path string) (codec.Header, error) {
+	cr, err := ReadFile(path)
+	if err != nil {
+		return codec.Header{}, err
 	}
 	return cr.Header(), nil
 }

@@ -70,7 +70,7 @@ func buildGen(t *testing.T, dir string, gen int64, corpusSeed int64) (manifestPa
 		if err := persist.SaveFile(file, tree); err != nil {
 			t.Fatal(err)
 		}
-		side := server.Manifest{
+		side := shard.Sidecar{
 			Dataset: "dna", Seed: corpusSeed, N: roN, Generation: gen,
 			Shard: &shard.Info{Set: roSet, Partitioner: shard.Hash, Shards: roShards, Index: s},
 		}

@@ -9,9 +9,9 @@
 package rollout
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+
+	"repro/internal/vfs"
 )
 
 // TopologySchema tags the topology file format; readers reject unknown
@@ -77,13 +77,9 @@ func (t *Topology) URLs() [][]string {
 
 // ReadTopology parses and validates a topology file.
 func ReadTopology(path string) (*Topology, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var t Topology
-	if err := json.Unmarshal(blob, &t); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+	if err := vfs.ReadJSON(vfs.OS{}, path, &t); err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

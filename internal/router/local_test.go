@@ -27,7 +27,6 @@ import (
 	"repro/internal/knngraph"
 	"repro/internal/router"
 	"repro/internal/seqscan"
-	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/vptree"
@@ -116,7 +115,7 @@ func bootLocal[T any](t *testing.T, name string, kb localKind[T], db []T, S int,
 		if err != nil {
 			t.Fatalf("building shard %d/%d: %v", s, S, err)
 		}
-		shards = append(shards, writeServed(t, idx, server.Manifest{
+		shards = append(shards, writeServed(t, idx, shard.Sidecar{
 			Dataset: name, Seed: localSeed, N: localN,
 			Shard: &shard.Info{Set: rtName, Partitioner: p, Shards: S, Index: s},
 		}))
@@ -163,7 +162,7 @@ func testLocalIdentity[T any](t *testing.T, name string, kinds []localKind[T], p
 			if err != nil {
 				t.Fatal(err)
 			}
-			unsharded := writeServed(t, ref, server.Manifest{Dataset: name, Seed: localSeed, N: localN})
+			unsharded := writeServed(t, ref, shard.Sidecar{Dataset: name, Seed: localSeed, N: localN})
 			for _, S := range localShardCounts {
 				t.Run(fmt.Sprintf("S=%d", S), func(t *testing.T) {
 					rt := bootRouter(t, bootLocal(t, name, kb, db, S, p), router.Options{})

@@ -20,7 +20,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/router"
-	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/vptree"
@@ -42,7 +41,7 @@ func bootReplicatedSet(t *testing.T, S, R int) (fleet [][]*httptest.Server, unsh
 		}
 		group := make([]*httptest.Server, R)
 		for r := range group {
-			group[r] = writeServed[[]byte](t, tree, server.Manifest{
+			group[r] = writeServed[[]byte](t, tree, shard.Sidecar{
 				Dataset: "dna", Seed: rtSeed, N: rtN, Generation: int64(10 + s),
 				Shard: &shard.Info{Set: rtName, Partitioner: shard.Hash, Shards: S, Index: s},
 			})
@@ -53,7 +52,7 @@ func bootReplicatedSet(t *testing.T, S, R int) (fleet [][]*httptest.Server, unsh
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsharded = writeServed[[]byte](t, ref, server.Manifest{Dataset: "dna", Seed: rtSeed, N: rtN})
+	unsharded = writeServed[[]byte](t, ref, shard.Sidecar{Dataset: "dna", Seed: rtSeed, N: rtN})
 	queries = append(dataset.DNA(rtSeed+1, 6, dataset.DNAOptions{}), db[:3]...)
 	return fleet, unsharded, queries
 }
@@ -321,8 +320,8 @@ func TestRouterMidRolloutGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := writeServed[[]byte](t, tree, server.Manifest{Dataset: "dna", Seed: rtSeed, N: rtN, Generation: 7})
-	niu := writeServed[[]byte](t, tree, server.Manifest{Dataset: "dna", Seed: rtSeed, N: rtN, Generation: 8})
+	old := writeServed[[]byte](t, tree, shard.Sidecar{Dataset: "dna", Seed: rtSeed, N: rtN, Generation: 7})
+	niu := writeServed[[]byte](t, tree, shard.Sidecar{Dataset: "dna", Seed: rtSeed, N: rtN, Generation: 8})
 
 	rt, err := router.New(router.Options{Replicas: [][]string{{old.URL, niu.URL}}})
 	if err != nil {
@@ -355,6 +354,51 @@ func TestRouterMidRolloutGenerations(t *testing.T) {
 	}
 }
 
+// TestRouterListManyReplicas: the listing re-polls every replica of a group
+// however large the group is — five here, one more than the old poll's
+// per-group channel room, which deadlocked the handler — and files each
+// replica's generation under its own slot.
+func TestRouterListManyReplicas(t *testing.T) {
+	var urls []string
+	for r := range 5 {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/indexes", func(w http.ResponseWriter, _ *http.Request) {
+			fmt.Fprintf(w, `{"indexes":[{"name":"dna","kind":"seqscan","space":"l2","n":1,"generation":%d}]}`, 20+r)
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	rt, err := router.New(router.Options{Replicas: [][]string{urls}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/indexes", nil))
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("GET /v1/indexes over 1 shard x 5 replicas did not answer in 10s")
+	}
+	var list struct {
+		Indexes []struct {
+			Generations [][]int64 `json:"generations"`
+		} `json:"indexes"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Indexes) != 1 || fmt.Sprint(list.Indexes[0].Generations) != "[[20 21 22 23 24]]" {
+		t.Fatalf("listing = %+v, want one index with generations [[20 21 22 23 24]]", list.Indexes)
+	}
+}
+
 // TestRouterReplicasRejectDivergentContent: a group whose members serve
 // different corpora (different N) is a mis-wired fleet, refused at startup.
 func TestRouterReplicasRejectDivergentContent(t *testing.T) {
@@ -367,8 +411,8 @@ func TestRouterReplicasRejectDivergentContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := writeServed[[]byte](t, big, server.Manifest{Dataset: "dna", Seed: rtSeed, N: rtN})
-	b := writeServed[[]byte](t, small, server.Manifest{Dataset: "dna", Seed: rtSeed, N: rtN / 2})
+	a := writeServed[[]byte](t, big, shard.Sidecar{Dataset: "dna", Seed: rtSeed, N: rtN})
+	b := writeServed[[]byte](t, small, shard.Sidecar{Dataset: "dna", Seed: rtSeed, N: rtN / 2})
 	if _, err := router.New(router.Options{Replicas: [][]string{{a.URL, b.URL}}}); err == nil {
 		t.Fatal("router accepted a replica group whose members serve different corpora")
 	}

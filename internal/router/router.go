@@ -409,37 +409,34 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // refreshGenerations re-polls every replica's index list and updates the
-// cached generation matrix for the replicas that answered.
+// cached generation matrix for the replicas that answered. Each poll writes
+// only its own replica's slot, so no poll waits on another.
 func (rt *Router) refreshGenerations(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, min(rt.timeout, 5*time.Second))
 	defer cancel()
-	type update struct {
-		shard, replica int
-		rows           []wire.IndexInfo
-	}
-	ch := make(chan update, len(rt.groups)*4)
+	rows := make([][][]wire.IndexInfo, len(rt.groups))
 	var wg sync.WaitGroup
-	for _, g := range rt.groups {
-		for _, rep := range g.replicas {
+	for s, g := range rt.groups {
+		rows[s] = make([][]wire.IndexInfo, len(g.replicas))
+		for r, rep := range g.replicas {
 			wg.Add(1)
-			go func(rep *replica) {
+			go func() {
 				defer wg.Done()
-				rows, err := wire.ListIndexes(ctx, rep.client, rep.base)
-				if err != nil {
-					return
+				if got, err := wire.ListIndexes(ctx, rep.client, rep.base); err == nil {
+					rows[s][r] = got
 				}
-				ch <- update{shard: rep.shard, replica: rep.id, rows: rows}
-			}(rep)
+			}()
 		}
 	}
 	wg.Wait()
-	close(ch)
 	rt.gensMu.Lock()
 	defer rt.gensMu.Unlock()
-	for u := range ch {
-		for _, row := range u.rows {
-			if idx := rt.indexes[row.Name]; idx != nil {
-				idx.generations[u.shard][u.replica] = row.Generation
+	for s := range rows {
+		for r, list := range rows[s] {
+			for _, row := range list {
+				if idx := rt.indexes[row.Name]; idx != nil {
+					idx.generations[s][r] = row.Generation
+				}
 			}
 		}
 	}

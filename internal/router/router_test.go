@@ -36,7 +36,7 @@ const (
 
 // writeServed writes one index file + sidecar into dir and boots a serving
 // handler over it.
-func writeServed[T any](t *testing.T, idx index.Index[T], man server.Manifest) *httptest.Server {
+func writeServed[T any](t *testing.T, idx index.Index[T], man shard.Sidecar) *httptest.Server {
 	t.Helper()
 	dir := t.TempDir()
 	if _, _, err := server.WriteIndex(dir, rtName, idx, man); err != nil {
@@ -66,7 +66,7 @@ func bootShardSet(t *testing.T, S int) (shards []*httptest.Server, unsharded *ht
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards = append(shards, writeServed[[]byte](t, tree, server.Manifest{
+		shards = append(shards, writeServed[[]byte](t, tree, shard.Sidecar{
 			Dataset: "dna", Seed: rtSeed, N: rtN, Generation: int64(10 + s),
 			Shard: &shard.Info{Set: rtName, Partitioner: shard.Hash, Shards: S, Index: s},
 		}))
@@ -75,7 +75,7 @@ func bootShardSet(t *testing.T, S int) (shards []*httptest.Server, unsharded *ht
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsharded = writeServed[[]byte](t, ref, server.Manifest{Dataset: "dna", Seed: rtSeed, N: rtN})
+	unsharded = writeServed[[]byte](t, ref, shard.Sidecar{Dataset: "dna", Seed: rtSeed, N: rtN})
 	queries = append(dataset.DNA(rtSeed+1, 6, dataset.DNAOptions{}), db[:3]...)
 	return shards, unsharded, queries
 }

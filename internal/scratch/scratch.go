@@ -91,41 +91,26 @@ func (c *Counters) Inc(id uint32) uint8 {
 
 // Gains is the epoch-stamped arena for accumulators wider than a byte — the
 // MI-file's per-point Footrule gain, which grows up to ms*m and cannot share
-// a cell with its stamp. Stamps and values live in parallel slices: a value
-// whose stamp differs from the current epoch reads as zero.
+// a cell with its stamp. The values live beside a Marks set: a value whose
+// id is unmarked this query reads as zero.
 //
 // The zero value is ready to use. Not safe for concurrent use.
 type Gains struct {
-	stamp []uint32
+	marks Marks
 	val   []int32
-	epoch uint32
 }
 
 // Begin readies the arena for a new query over ids in [0, n), logically
-// zeroing every value in O(1). The stamp array is cleared eagerly only when
-// the 32-bit epoch wraps.
+// zeroing every value in O(1) (Marks.Begin).
 func (g *Gains) Begin(n int) {
-	if cap(g.stamp) < n {
-		g.stamp = make([]uint32, n)
-		g.val = make([]int32, n)
-	}
-	g.stamp = g.stamp[:n]
-	g.val = g.val[:n]
-	g.epoch++
-	if g.epoch == 0 {
-		// Full capacity for the same reason as Counters.Begin: stale
-		// stamps beyond a temporarily smaller n must not survive the
-		// wrap.
-		clear(g.stamp[:cap(g.stamp)])
-		g.epoch = 1
-	}
+	g.marks.Begin(n)
+	g.val = Grow(g.val, n)
 }
 
 // Add accumulates delta into the value of id and returns the new total,
 // plus whether this was the first touch of id in the current query.
 func (g *Gains) Add(id uint32, delta int32) (total int32, first bool) {
-	if g.stamp[id] != g.epoch {
-		g.stamp[id] = g.epoch
+	if g.marks.TrySet(id) {
 		g.val[id] = delta
 		return delta, true
 	}
@@ -135,7 +120,7 @@ func (g *Gains) Add(id uint32, delta int32) (total int32, first bool) {
 
 // Get returns the accumulated value of id (zero if untouched this query).
 func (g *Gains) Get(id uint32) int32 {
-	if g.stamp[id] != g.epoch {
+	if g.marks.stamp[id] != g.marks.epoch {
 		return 0
 	}
 	return g.val[id]

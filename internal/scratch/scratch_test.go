@@ -137,18 +137,18 @@ func TestGains_BasicLifecycle(t *testing.T) {
 // values cannot resurface.
 func TestGains_EpochWrap(t *testing.T) {
 	var g Gains
-	g.epoch = ^uint32(0) - 1
+	g.marks.epoch = ^uint32(0) - 1
 	for q := 0; q < 4; q++ {
 		g.Begin(8)
 		for id := uint32(0); id < 8; id++ {
 			if got := g.Get(id); got != 0 {
-				t.Fatalf("query %d (epoch %d): Get(%d) = %d, want 0", q, g.epoch, id, got)
+				t.Fatalf("query %d (epoch %d): Get(%d) = %d, want 0", q, g.marks.epoch, id, got)
 			}
 			g.Add(id, int32(q+1)*10)
 		}
 	}
-	if g.epoch >= ^uint32(0)-1 {
-		t.Fatalf("epoch %d did not wrap", g.epoch)
+	if g.marks.epoch >= ^uint32(0)-1 {
+		t.Fatalf("epoch %d did not wrap", g.marks.epoch)
 	}
 }
 

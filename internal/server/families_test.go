@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/rollout"
 	"repro/internal/seqscan"
+	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/wire"
@@ -59,9 +60,9 @@ func serveFamily[T any](t *testing.T, f *dataset.Family[T], bad ...string) {
 	dir := t.TempDir()
 	db := f.Gen(e2eSeed, n)
 	for _, sp := range f.Spaces() {
-		writeFixture(t, dir, sp.Name(), seqscan.New(sp, db), Manifest{Dataset: f.Name(), Seed: e2eSeed, N: n})
+		writeFixture(t, dir, sp.Name(), seqscan.New(sp, db), shard.Sidecar{Dataset: f.Name(), Seed: e2eSeed, N: n})
 	}
-	writeFixture(t, dir, "mutable", seqscan.New(f.Spaces()[0], db), Manifest{Dataset: f.Name(), Seed: e2eSeed, N: n, Mutable: true})
+	writeFixture(t, dir, "mutable", seqscan.New(f.Spaces()[0], db), shard.Sidecar{Dataset: f.Name(), Seed: e2eSeed, N: n, Mutable: true})
 	reg, ts := bootMutable(t, dir)
 	defer reg.Close()
 	defer ts.Close()

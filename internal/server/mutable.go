@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/lsm"
+	"repro/internal/shard"
 	"repro/internal/topk"
 )
 
@@ -65,7 +66,7 @@ func (ti treeIndex[T]) Name() string { return ti.base.Name() + "+lsm" }
 // openTree opens (or reuses, across reloads) the entry's tree for a mutable
 // manifest. Called with the entry exclusively owned: OpenDir is
 // single-threaded and Reload holds both reloadMu and the ingest lock.
-func openTree[T any](e *entry, man Manifest, data []T, opts lsm.Options[T]) (*lsm.Tree[T], error) {
+func openTree[T any](e *entry, man shard.Sidecar, data []T, opts lsm.Options[T]) (*lsm.Tree[T], error) {
 	if e.tree != nil {
 		tree, ok := e.tree.(*lsm.Tree[T])
 		if !ok {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/lsm"
 	"repro/internal/seqscan"
+	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/wire"
@@ -35,7 +36,7 @@ func mutableFixtureDir(t *testing.T) (string, [][]float32) {
 	dir := t.TempDir()
 	base := dataset.SIFT(e2eSeed, mutN)
 	writeFixture(t, dir, "sift-mut", seqscan.New[[]float32](space.L2{}, base),
-		Manifest{Dataset: "sift", Seed: e2eSeed, N: mutN, Mutable: true})
+		shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: mutN, Mutable: true})
 	return dir, base
 }
 
@@ -194,7 +195,7 @@ func TestServedMutableAddDeleteFlushIdentity(t *testing.T) {
 func TestServedWriteEndpointErrors(t *testing.T) {
 	dir, base := mutableFixtureDir(t)
 	writeFixture(t, dir, "sift-ro", seqscan.New[[]float32](space.L2{}, base),
-		Manifest{Dataset: "sift", Seed: e2eSeed, N: mutN})
+		shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: mutN})
 	reg, ts := bootMutable(t, dir)
 	defer reg.Close()
 	defer ts.Close()
@@ -483,7 +484,7 @@ func TestServedStatuszReportsMutableTiers(t *testing.T) {
 func TestStatusz(t *testing.T) {
 	dir, base := mutableFixtureDir(t)
 	writeFixture(t, dir, "sift-ro", seqscan.New[[]float32](space.L2{}, base),
-		Manifest{Dataset: "sift", Seed: e2eSeed, N: mutN})
+		shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: mutN})
 	reg, ts := bootMutable(t, dir)
 	defer reg.Close()
 	defer ts.Close()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/knngraph"
+	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/wire"
@@ -40,7 +41,7 @@ func TestServedConcurrentParams(t *testing.T) {
 		return na
 	}
 	const servedT = 2 // the served index's build-time t
-	man := Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN}
+	man := shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN}
 	writeFixture(t, dir, "napp", nappWith(servedT), man)
 	man.Mutable = true
 	writeFixture(t, dir, "napp-mut", nappWith(servedT), man)
@@ -127,7 +128,7 @@ func TestServedGraphBatchParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFixture(t, dir, "sw", g, Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
+	writeFixture(t, dir, "sw", g, shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
 	ts := bootServer(t, dir, Options{Workers: 4})
 
 	opts := index.Options{K: k, Params: index.Params{InitAttempts: 4, EfSearch: 40}}
@@ -168,7 +169,7 @@ func TestServedGraphReplicasIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFixture(t, dir, "sw", g, Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
+	writeFixture(t, dir, "sw", g, shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
 	fresh, used := bootServer(t, dir, Options{Workers: 4}), bootServer(t, dir, Options{Workers: 4})
 	for _, q := range dataset.SIFT(e2eSeed+2, 50) {
 		if status, raw := postJSON(t, used.URL+"/v1/indexes/sw/search", map[string]any{"query": q, "k": k}); status != http.StatusOK {

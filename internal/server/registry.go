@@ -1,10 +1,9 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/index"
 	"repro/internal/persist"
+	"repro/internal/shard"
 	"repro/internal/vfs"
 )
 
@@ -57,7 +57,7 @@ type entry struct {
 type snapshot struct {
 	served servedIndex
 	hdr    codec.Header
-	man    Manifest
+	man    shard.Sidecar
 	// params are the manifest's method params, resolved once at load: the
 	// serving defaults every query of this generation starts from.
 	params index.Params
@@ -65,8 +65,8 @@ type snapshot struct {
 
 // OpenDir loads every index file (*.psix) in dir into a registry. Each file
 // must have a sidecar manifest named <base>.json describing its corpus (see
-// Manifest). Any unreadable file, missing sidecar or failed load aborts the
-// whole set — a daemon either serves everything it was pointed at or
+// shard.Sidecar). Any unreadable file, missing sidecar or failed load aborts
+// the whole set — a daemon either serves everything it was pointed at or
 // refuses to start.
 func OpenDir(dir string) (*Registry, error) {
 	return OpenDirFS(dir, nil)
@@ -132,7 +132,11 @@ func (r *Registry) Close() error {
 // loadSnapshot reads the entry's manifest and index file into a fresh
 // snapshot, touching nothing shared — the caller decides when to swap.
 func loadSnapshot(e *entry) (*snapshot, error) {
-	man, err := readManifest(e.manifest)
+	var man shard.Sidecar
+	err := vfs.ReadJSON(vfs.OS{}, e.manifest, &man)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("missing sidecar manifest %s (every .psix needs one; see shard.Sidecar)", e.manifest)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -151,38 +155,15 @@ func loadSnapshot(e *entry) (*snapshot, error) {
 // as its sidecar <name>.json, indented with a final newline. Each file is
 // written atomically, the index first, so a crash between the two never
 // leaves a servable index beside a torn sidecar. It returns both paths.
-func WriteIndex[T any](dir, name string, idx index.Index[T], man Manifest) (file, manifest string, err error) {
+func WriteIndex[T any](dir, name string, idx index.Index[T], man shard.Sidecar) (file, manifest string, err error) {
 	file, manifest = filepath.Join(dir, name+persist.Ext), filepath.Join(dir, name+".json")
 	if err := persist.SaveFile(file, idx); err != nil {
 		return "", "", err
 	}
-	blob, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return "", "", err
-	}
-	if err := vfs.WriteAtomic(vfs.OS{}, manifest, func(w io.Writer) error {
-		_, err := w.Write(append(blob, '\n'))
-		return err
-	}); err != nil {
+	if err := vfs.WriteJSON(vfs.OS{}, manifest, man); err != nil {
 		return "", "", err
 	}
 	return file, manifest, nil
-}
-
-// readManifest parses one sidecar file.
-func readManifest(path string) (Manifest, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Manifest{}, fmt.Errorf("missing sidecar manifest %s (every .psix needs one; see server.Manifest)", path)
-		}
-		return Manifest{}, err
-	}
-	var man Manifest
-	if err := json.Unmarshal(blob, &man); err != nil {
-		return Manifest{}, fmt.Errorf("%s: %v", path, err)
-	}
-	return man, nil
 }
 
 // Names lists the registry's index names, sorted.

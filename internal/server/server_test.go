@@ -21,6 +21,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/persist"
+	"repro/internal/shard"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vptree"
@@ -60,7 +61,7 @@ func buildFixtures(t *testing.T) (dir string, dense e2eFixture[[]float32], dna e
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFixture(t, dir, "sift-napp", na, Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
+	writeFixture(t, dir, "sift-napp", na, shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
 	dense = e2eFixture[[]float32]{
 		idx:     na,
 		queries: append(dataset.SIFT(e2eSeed+1, 8), sift[:4]...),
@@ -72,7 +73,7 @@ func buildFixtures(t *testing.T) (dir string, dense e2eFixture[[]float32], dna e
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFixture(t, dir, "dna-vptree", vt, Manifest{Dataset: "dna", Seed: e2eSeed, N: e2eDNAN})
+	writeFixture(t, dir, "dna-vptree", vt, shard.Sidecar{Dataset: "dna", Seed: e2eSeed, N: e2eDNAN})
 	dna = e2eFixture[[]byte]{
 		idx:     vt,
 		queries: append(dataset.DNA(e2eSeed+1, 8, dataset.DNAOptions{}), dnaDB[:4]...),
@@ -82,7 +83,7 @@ func buildFixtures(t *testing.T) (dir string, dense e2eFixture[[]float32], dna e
 }
 
 // writeFixture saves one index file and its sidecar manifest.
-func writeFixture[T any](t *testing.T, dir, name string, idx index.Index[T], man Manifest) {
+func writeFixture[T any](t *testing.T, dir, name string, idx index.Index[T], man shard.Sidecar) {
 	t.Helper()
 	if _, _, err := WriteIndex(dir, name, idx, man); err != nil {
 		t.Fatal(err)
@@ -280,7 +281,7 @@ func TestServedPerRequestParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeFixture(t, dir, "sift-bf", bf, Manifest{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
+	writeFixture(t, dir, "sift-bf", bf, shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: e2eDenseN})
 	ts := bootServer(t, dir, Options{})
 	url := ts.URL + "/v1/indexes/sift-bf/search"
 	q := dataset.SIFT(e2eSeed+1, 1)[0]
@@ -452,7 +453,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	writeFixture[[]byte](t, dir, "dna", vtA, Manifest{Dataset: "dna", Seed: e2eSeed, N: 120})
+	writeFixture[[]byte](t, dir, "dna", vtA, shard.Sidecar{Dataset: "dna", Seed: e2eSeed, N: 120})
 	ts := bootServer(t, dir, Options{Workers: 2})
 	searchURL := ts.URL + "/v1/indexes/dna/search"
 	reloadURL := ts.URL + "/v1/indexes/dna/reload"
@@ -582,7 +583,7 @@ func TestOpenDirRejectsBrokenSets(t *testing.T) {
 
 	// Wrong manifest n: the loader must reject rather than serve an index
 	// whose ids point into a different corpus.
-	man, _ := json.Marshal(Manifest{Dataset: "sift", Seed: e2eSeed, N: 49})
+	man, _ := json.Marshal(shard.Sidecar{Dataset: "sift", Seed: e2eSeed, N: 49})
 	if err := os.WriteFile(filepath.Join(dir, "orphan.json"), man, 0o644); err != nil {
 		t.Fatal(err)
 	}

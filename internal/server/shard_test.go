@@ -36,7 +36,7 @@ func buildShardFixtures(t *testing.T) (dir string, ref *vptree.Tree[[]byte], que
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeFixture(t, dir, []string{"dna-s0", "dna-s1"}[s], tree, Manifest{
+		writeFixture(t, dir, []string{"dna-s0", "dna-s1"}[s], tree, shard.Sidecar{
 			Dataset: "dna", Seed: e2eSeed, N: e2eDNAN, Generation: 5,
 			Shard: &shard.Info{Set: "dna", Partitioner: shard.Hash, Shards: 2, Index: s},
 		})
@@ -143,7 +143,7 @@ func TestShardManifestValidation(t *testing.T) {
 	// Stamp claims shard 1, but the file was built over shard 0's subset:
 	// the loader's size check must reject the mismatch (the subsets have
 	// different sizes under the hash partitioner for this corpus).
-	writeFixture(t, dir, "bad", tree, Manifest{
+	writeFixture(t, dir, "bad", tree, shard.Sidecar{
 		Dataset: "dna", Seed: e2eSeed, N: 50,
 		Shard: &shard.Info{Set: "x", Partitioner: shard.Hash, Shards: 2, Index: 1},
 	})
@@ -155,7 +155,7 @@ func TestShardManifestValidation(t *testing.T) {
 	}
 
 	// An invalid stamp (index out of range) must also refuse.
-	writeFixture(t, dir, "bad", tree, Manifest{
+	writeFixture(t, dir, "bad", tree, shard.Sidecar{
 		Dataset: "dna", Seed: e2eSeed, N: 50,
 		Shard: &shard.Info{Set: "x", Partitioner: shard.Hash, Shards: 2, Index: 7},
 	})

@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 
 	"repro/internal/codec"
@@ -20,6 +17,51 @@ const SetSchema = "permsearch-shardset/v1"
 // manifest, written next to the per-shard directories.
 const SetManifestExt = ".shardset.json"
 
+// Sidecar is the serving sidecar JSON (<name>.json next to <name>.psix)
+// that tells the server how to materialize the corpus an index file was
+// built over. The codec format deliberately persists derived structure only,
+// never the data objects, so the data must be regenerated — deterministically,
+// from the named synthetic generator, its seed and its size. The space itself
+// needs no entry: every distance in this repository is a parameterless value
+// reconstructable from the file header's space tag. shardsplit and permserve
+// write it (server.WriteIndex), the server reads it, and
+// SetManifest.VerifyFiles checks it against the set.
+type Sidecar struct {
+	// Dataset names the generator: any name dataset.Lookup resolves.
+	Dataset string `json:"dataset"`
+	// Seed and N parameterize the generator: the *full* corpus is
+	// gen(Seed, N). Without a Shard stamp, N must equal the data-set size
+	// recorded in the index file header, or loading fails — a mismatched
+	// sidecar can never serve an index whose ids point at the wrong
+	// objects. With a Shard stamp the index was built over the stamp's
+	// deterministic subset of gen(Seed, N), and the header must record
+	// the subset size instead.
+	Seed int64 `json:"seed"`
+	N    int   `json:"n"`
+	// Shard, when present, marks this index as one shard of a
+	// partitioned corpus (written by cmd/shardsplit): the served corpus
+	// is the stamp's subset, and every result id is translated back to
+	// its corpus-global id on the way out, so a scatter-gather router can
+	// merge per-shard answers without any per-process id state.
+	Shard *Info `json:"shard,omitempty"`
+	// Generation orders successive builds of the same index (snapshot
+	// shipping bumps it); surfaced in /v1/indexes so a
+	// rollout driver can observe which generation each process serves.
+	Generation int64 `json:"generation,omitempty"`
+	// Params are query-time method params resolved once at load by
+	// index.Resolve (index.NamedParams keys, e.g. {"gamma": 0.05}); they become
+	// the index's serving defaults, which a request's own params overlay
+	// key by key.
+	Params map[string]float64 `json:"params,omitempty"`
+	// Mutable opens a WAL-backed LSM tree (internal/lsm) in <name>.tiers/
+	// next to the index file and enables POST add/delete/flush: the .psix
+	// serves as the immutable base corpus, writes land in the tree, and
+	// searches scatter-gather base + sealed tiers + memtable. Incompatible
+	// with Shard (a sharded corpus is repartitioned offline, not mutated in
+	// place).
+	Mutable bool `json:"mutable,omitempty"`
+}
+
 // SetManifest is the top-level description of one sharded index set: which
 // corpus was split, how, and the exact bytes each shard serves. It is the
 // unit snapshot shipping moves between builder and serving hosts — the CRCs
@@ -33,7 +75,7 @@ type SetManifest struct {
 	// Kind is the index kind tag built on every shard (codec kind).
 	Kind string `json:"kind"`
 	// Dataset, Seed and N identify the *full* corpus exactly as in the
-	// serving sidecar manifest (server.Manifest): the corpus is
+	// serving Sidecar: the corpus is
 	// gen(Seed, N) and each shard holds a Partitioner-selected subset.
 	Dataset string `json:"dataset"`
 	Seed    int64  `json:"seed"`
@@ -107,16 +149,8 @@ func WriteSetManifest(dir string, m *SetManifest) (string, error) {
 	if err := m.Validate(); err != nil {
 		return "", err
 	}
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return "", err
-	}
 	path := filepath.Join(dir, m.Set+SetManifestExt)
-	err = vfs.WriteAtomic(vfs.OS{}, path, func(w io.Writer) error {
-		_, err := w.Write(append(blob, '\n'))
-		return err
-	})
-	if err != nil {
+	if err := vfs.WriteJSON(vfs.OS{}, path, m); err != nil {
 		return "", err
 	}
 	return path, nil
@@ -124,13 +158,9 @@ func WriteSetManifest(dir string, m *SetManifest) (string, error) {
 
 // ReadSetManifest parses and validates a shard-set manifest.
 func ReadSetManifest(path string) (*SetManifest, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var m SetManifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+	if err := vfs.ReadJSON(vfs.OS{}, path, &m); err != nil {
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -164,22 +194,11 @@ func (m *SetManifest) VerifyFiles(dir string) error {
 }
 
 // verifySidecar checks one shard's serving sidecar against the set
-// manifest. The sidecar is a server.Manifest, decoded structurally here
-// (the server package sits above this one).
+// manifest.
 func (m *SetManifest) verifySidecar(dir string, s SetShard) error {
-	blob, err := os.ReadFile(filepath.Join(dir, s.Manifest))
-	if err != nil {
+	var side Sidecar
+	if err := vfs.ReadJSON(vfs.OS{}, filepath.Join(dir, s.Manifest), &side); err != nil {
 		return fmt.Errorf("shard %d: %w", s.Index, err)
-	}
-	var side struct {
-		Dataset    string `json:"dataset"`
-		Seed       int64  `json:"seed"`
-		N          int    `json:"n"`
-		Generation int64  `json:"generation"`
-		Shard      *Info  `json:"shard"`
-	}
-	if err := json.Unmarshal(blob, &side); err != nil {
-		return fmt.Errorf("shard %d: %s: %v", s.Index, s.Manifest, err)
 	}
 	if side.Generation != m.Generation {
 		return fmt.Errorf("shard %d: generation skew: sidecar %s records generation %d, set manifest records %d (stale sidecar?)",

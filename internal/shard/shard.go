@@ -133,8 +133,8 @@ func Subset[T any](data []T, ids []uint32) []T {
 
 // Info is the shard membership stamp of one serving-side index: everything
 // needed to recompute the shard's corpus subset and local→global id map
-// from the full corpus. It is embedded in the serving sidecar manifest
-// (server.Manifest) and recorded per shard in the SetManifest.
+// from the full corpus. It is embedded in the serving Sidecar and recorded
+// per shard in the SetManifest.
 type Info struct {
 	// Set names the shard set this index belongs to.
 	Set string `json:"set"`

@@ -11,11 +11,11 @@ package vecmath
 // and its unrolled twin on a width threshold. The thresholds are constants
 // chosen from BenchmarkRankKernels / BenchmarkNibbleL1 (kernels_bench_test.go)
 // on amd64: below them the unrolled prologue/epilogue costs more than it
-// saves. Every kernel is byte-identical to its reference scalar loop
-// (SpearmanRhoRef and FootruleRef, which the kernels also run below their
-// thresholds, and the test oracle nibbleL1Ref) — integer arithmetic is exact
-// and reordering-safe — which kernels_test.go pins across widths 0..129 (all
-// tail-lane cases).
+// saves. Every unrolled kernel is byte-identical to its reference scalar
+// loop (SpearmanRhoRef, which SpearmanRho also runs below its threshold, and
+// the test oracle nibbleL1Ref) — integer arithmetic is exact and
+// reordering-safe — which kernels_test.go pins across widths 0..129 (all
+// tail-lane cases). Footrule is a scalar loop only.
 
 // Dispatch threshold, measured per width with BenchmarkRankKernels (amd64,
 // widths 4..256): the gc compiler already emits branch-free scalar code for
@@ -76,12 +76,6 @@ func Footrule(a, b []int32) int64 {
 	if len(a) != len(b) {
 		panic("vecmath: length mismatch")
 	}
-	return FootruleRef(a, b)
-}
-
-// FootruleRef is the reference scalar implementation of Footrule.
-// Both slices must have the same length.
-func FootruleRef(a, b []int32) int64 {
 	var s int64
 	for i := range a {
 		d := int64(a[i]) - int64(b[i])

@@ -44,11 +44,6 @@ func BenchmarkRankKernels(b *testing.B) {
 				sinkInt64 = Footrule(x, y)
 			}
 		})
-		b.Run(benchName("footrule-ref", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkInt64 = FootruleRef(x, y)
-			}
-		})
 	}
 }
 

@@ -40,18 +40,6 @@ func TestSpearmanRhoMatchesRef(t *testing.T) {
 	}
 }
 
-func TestFootruleMatchesRef(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for width := 0; width <= 129; width++ {
-		for rep := 0; rep < 8; rep++ {
-			a, b := rankVectors(r, width)
-			if got, want := Footrule(a, b), FootruleRef(a, b); got != want {
-				t.Fatalf("width %d: Footrule = %d, ref = %d", width, got, want)
-			}
-		}
-	}
-}
-
 func TestRankKernelsPanicOnLengthMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"SpearmanRho": func() { SpearmanRho(make([]int32, 3), make([]int32, 4)) },

@@ -1,11 +1,15 @@
 package vfs_test
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -111,5 +115,50 @@ func TestWriteAtomic(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestJSONDocuments pins the durable-JSON pair: WriteJSON's bytes are
+// MarshalIndent(v, "", "  ") plus a newline, handed to WriteAtomic in one
+// Write, and ReadJSON returns a missing file's error as fs.ErrNotExist and
+// names the path on a decode error.
+func TestJSONDocuments(t *testing.T) {
+	type doc struct {
+		Name string         `json:"name"`
+		Seqs []int          `json:"seqs"`
+		Opts map[string]int `json:"opts,omitempty"`
+	}
+	in := doc{Name: "tiers", Seqs: []int{3, 1}, Opts: map[string]int{"b": 2, "a": 1}}
+	path := filepath.Join(t.TempDir(), "doc.json")
+	ffs := faultfs.New(nil)
+	if err := vfs.WriteJSON(ffs, path, in); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.MarshalIndent(in, "", "  ")
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(want)+"\n" {
+		t.Fatalf("file holds %q (%v), want %q", got, err, string(want)+"\n")
+	}
+	writes := 0
+	for _, c := range ffs.Calls() {
+		if c.Op == faultfs.OpWrite {
+			writes++
+		}
+	}
+	if writes != 1 {
+		t.Fatalf("WriteJSON made %d writes, want 1", writes)
+	}
+
+	var out doc
+	if err := vfs.ReadJSON(ffs, path, &out); err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("ReadJSON = %+v, %v; want %+v", out, err, in)
+	}
+	if err := vfs.ReadJSON(ffs, path+".missing", &out); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file: %v, want fs.ErrNotExist", err)
+	}
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.ReadJSON(ffs, path, &out); err == nil || !strings.HasPrefix(err.Error(), path+": ") {
+		t.Fatalf("decode error %v does not start with the path", err)
 	}
 }

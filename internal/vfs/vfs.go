@@ -9,6 +9,9 @@
 // segments and manifest, and (over OS{}) persist.SaveFile, the shard-set
 // manifest, shardsplit's sidecars and rollout's file shipping all call it,
 // so "durable on return, old or new, never torn" is written and tested once.
+// The JSON documents among them (lsm's tiers.json, the serving sidecar, the
+// shard-set manifest) are written by WriteJSON and read back, with the
+// rollout topology, by ReadJSON.
 //
 // The production implementation is OS, a thin passthrough to the os
 // package. It is deliberately minimal: just the operations the storage
@@ -19,7 +22,9 @@
 package vfs
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -156,4 +161,31 @@ func WriteAtomic(fsys FS, path string, write func(io.Writer) error) error {
 		return cleanup(err)
 	}
 	return fsys.SyncDir(dir)
+}
+
+// WriteJSON replaces the file at path with v as MarshalIndent(v, "", "  ")
+// and a final newline, in one Write through WriteAtomic.
+func WriteJSON(fsys FS, path string, v any) error {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return WriteAtomic(fsys, path, func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	})
+}
+
+// ReadJSON decodes the JSON document at path into v. A read error is
+// returned as fsys gave it (so fs.ErrNotExist stays testable); a decode
+// error is prefixed with path.
+func ReadJSON(fsys FS, path string, v any) error {
+	blob, err := fsys.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(blob, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
